@@ -11,6 +11,7 @@ import (
 	"darklight/internal/features"
 	"darklight/internal/obs"
 	"darklight/internal/prefilter"
+	"darklight/internal/sparse"
 )
 
 // Matcher metrics. Every value is a count of work performed — never a
@@ -226,6 +227,15 @@ type matchBuffers struct {
 	// touched lists those entries.
 	pscore  []float64
 	touched []int32
+
+	// Stage-2 scratch, rebuilt by every rescore: the candidates' subject
+	// indices and cached documents, the per-query candidate vocabulary with
+	// its build buffers, and the gram vectors of the unknown and of the
+	// candidate being scored. Nothing a rescore returns aliases any of it.
+	idxs       []int
+	docs       []*features.SortedDoc
+	vocab      features.CandidateVocab
+	uvec, cvec sparse.Vector
 }
 
 // pruneBufs returns the pruned walk's partial-score accumulator (length
@@ -613,38 +623,39 @@ func normOf(hasGrams, hasFreq, hasAct bool, w Weights) float64 {
 // matcher's lazy Final-config cache, so repeat candidates cost one
 // extraction per matcher lifetime, not one per query.
 func (m *Matcher) Rescore(unknown *Subject, candidates []Scored) []Scored {
-	return m.rescoreDoc(nil, unknown, candidates)
+	buf := m.getBuf()
+	defer m.putBuf(buf)
+	return m.rescoreDoc(nil, unknown, candidates, buf)
 }
 
 // rescoreDoc is Rescore with an optional pre-extracted unknown document
 // (valid only when the reduction and final configs share extraction —
-// Match checks m.sameExtract before passing one).
-func (m *Matcher) rescoreDoc(udoc *features.Doc, unknown *Subject, candidates []Scored) []Scored {
+// Match checks m.sameExtract before passing one) on the caller's scratch.
+func (m *Matcher) rescoreDoc(udoc *features.Doc, unknown *Subject, candidates []Scored, buf *matchBuffers) []Scored {
 	mRescoreTotal.Inc()
-	idxs := make([]int, 0, len(candidates))
+	idxs, docs := buf.idxs[:0], buf.docs[:0]
 	for _, c := range candidates {
 		if i, ok := m.byName[c.Name]; ok {
 			idxs = append(idxs, i)
+			docs = append(docs, m.finalDocs.Get(i))
 		}
 	}
-	docs := make([]*features.SortedDoc, len(idxs))
-	for j, i := range idxs {
-		docs[j] = m.finalDocs.Get(i)
-	}
+	buf.idxs, buf.docs = idxs, docs
 	// The per-query vocabulary rebuild runs over id-sorted gram lists (the
 	// cache stores candidates pre-flattened); the map-based VocabBuilder
 	// path costs more than everything else in Rescore combined.
-	vocab := features.BuildCandidateVocab(m.opts.Final, docs)
+	vocab := &buf.vocab
+	vocab.Reset(m.opts.Final, docs)
 
 	w := m.opts.weights()
 	if udoc == nil {
 		udoc = features.Extract(unknown.Text, m.opts.Final)
 	}
-	ub := buildBlocksFromSorted(udoc.Sorted(), unknown, vocab)
+	ub := buildBlocksFromSorted(udoc.Sorted(), unknown, vocab, &buf.uvec)
 	out := make([]Scored, 0, len(idxs))
 	for j, i := range idxs {
 		s := &m.known[i]
-		cb := buildBlocksFromSorted(docs[j], s, vocab)
+		cb := buildBlocksFromSorted(docs[j], s, vocab, &buf.cvec)
 		out = append(out, Scored{Name: s.Name, Score: similarity(&ub, &cb, w)})
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -675,6 +686,10 @@ func (m *Matcher) MatchWith(unknown *Subject, o MatchOptions) MatchResult {
 // Rescore.
 func (m *Matcher) match(ctx context.Context, unknown *Subject, buf *matchBuffers, o MatchOptions) MatchResult {
 	res := MatchResult{Unknown: unknown.Name}
+	if buf == nil {
+		buf = m.getBuf()
+		defer m.putBuf(buf)
+	}
 	udoc := features.Extract(unknown.Text, m.opts.Reduction)
 	_, rsp := obs.Start(ctx, "match.rank")
 	res.Candidates, _ = m.rankDoc(udoc, unknown, o, buf)
@@ -691,7 +706,7 @@ func (m *Matcher) match(ctx context.Context, unknown *Subject, buf *matchBuffers
 			rdoc = nil
 		}
 		_, ssp := obs.Start(ctx, "match.rescore")
-		res.Rescored = m.rescoreDoc(rdoc, unknown, res.Candidates)
+		res.Rescored = m.rescoreDoc(rdoc, unknown, res.Candidates, buf)
 		ssp.AddItems(int64(len(res.Rescored)))
 		ssp.End()
 	} else {

@@ -1,0 +1,106 @@
+package attribution
+
+import (
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"darklight/internal/features"
+)
+
+// TestStage2ScratchConcurrent: Match and Rescore draw their stage-2 scratch
+// (candidate vocabulary, merge buffers, gram vectors) from the matcher's
+// pool. Eight goroutines walking the probes in different orders must get,
+// bit for bit, what a sequential pass got — documents of very different
+// sizes, empty ones and zero-norm probes included, so a buffer sized by
+// one request is reused by a smaller and a larger one — and a result
+// handed out early must still read the same after the scratch behind it
+// has been reused many times over. Run under -race in CI.
+func TestStage2ScratchConcurrent(t *testing.T) {
+	known, probes := randomWorld(rand.New(rand.NewSource(1515)), 40)
+	m, err := NewMatcher(known, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		match    MatchResult
+		rescored []Scored
+	}
+	ask := func(p *Subject) answer {
+		res := m.Match(p)
+		return answer{match: res, rescored: m.Rescore(p, res.Candidates)}
+	}
+	want := make([]answer, len(probes))
+	for i := range probes {
+		want[i] = ask(&probes[i])
+		if len(want[i].rescored) == 0 {
+			t.Fatalf("probe %d: empty rescore", i)
+		}
+	}
+
+	const goroutines, rounds = 8, 3
+	first := make([][]answer, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			order := rand.New(rand.NewSource(int64(g))).Perm(len(probes))
+			first[g] = make([]answer, len(probes))
+			for r := 0; r < rounds; r++ {
+				for _, i := range order {
+					got := ask(&probes[i])
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("goroutine %d round %d probe %d:\n got %+v\nwant %+v", g, r, i, got, want[i])
+						return
+					}
+					if r == 0 {
+						first[g][i] = got
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range first {
+		for i := range first[g] {
+			if first[g][i].rescored != nil && !reflect.DeepEqual(first[g][i], want[i]) {
+				t.Errorf("goroutine %d probe %d: result changed after it was returned", g, i)
+			}
+		}
+	}
+}
+
+// TestRescoreAllocationCeiling keeps the per-request garbage from creeping
+// back: a warm Rescore allocates what extracting and flattening the
+// unknown's document allocates (stage 2 must read the text) plus a fixed
+// handful — the returned slice, the sort of k scores, and the k+1 pairs of
+// 42- and 24-value frequency and activity blocks — and nothing that grows
+// with the documents. Measured: 26 beyond the extraction at k = 10, where
+// the code before the pooled scratch allocated 84, most of them vector and
+// radix buffers the size of a document.
+func TestRescoreAllocationCeiling(t *testing.T) {
+	authors := makeAuthors(t, 20, 1500)
+	known, probes := split(authors)
+	m, err := NewMatcher(known, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &probes[3]
+	cands := m.Rank(probe, 10)
+	// A scratch of the test's own, as a MatchAll worker holds one: under
+	// -race sync.Pool drops buffers at random, which is not what is measured.
+	var buf matchBuffers
+	m.rescoreDoc(nil, probe, cands, &buf) // fill the document cache and size the scratch
+	extract := testing.AllocsPerRun(20, func() {
+		features.Extract(probe.Text, m.opts.Final).Sorted()
+	})
+	rescore := testing.AllocsPerRun(20, func() {
+		m.rescoreDoc(nil, probe, cands, &buf)
+	})
+	const ceiling = 30
+	if beyond := rescore - extract; beyond > ceiling {
+		t.Errorf("warm Rescore allocates %.0f beyond the %.0f of extracting its document, ceiling %d", beyond, extract, ceiling)
+	}
+}

@@ -187,10 +187,12 @@ func buildBlocksFromSortedVocab(d *features.SortedDoc, s *Subject, vocab *featur
 }
 
 // buildBlocksFromSorted is buildBlocksFromDoc over the flattened document
-// form and a candidate vocabulary — the stage-2 hot path.
-func buildBlocksFromSorted(d *features.SortedDoc, s *Subject, cv *features.CandidateVocab) blocks {
+// form and a candidate vocabulary — the stage-2 hot path. The gram block is
+// built in vec's storage and stays valid until vec is next written.
+func buildBlocksFromSorted(d *features.SortedDoc, s *Subject, cv *features.CandidateVocab, vec *sparse.Vector) blocks {
+	cv.VectorizeGramsInto(vec, d)
 	return blocks{
-		grams: cv.VectorizeGrams(d).Normalize(),
+		grams: vec.Normalize(),
 		freq:  normalizedFreq(d.Freq),
 		act:   normalizedActivity(s),
 	}

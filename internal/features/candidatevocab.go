@@ -2,31 +2,32 @@ package features
 
 import (
 	"slices"
-	"sync"
 
 	"darklight/internal/sparse"
 )
 
 // CandidateVocab is the candidate-set fast path of VocabBuilder +
 // Vocabulary: the same top-N-by-corpus-frequency gram selection and
-// smoothed IDF, built from id-sorted gram lists with linear merges instead
-// of hash maps. Stage 2 rebuilds the vocabulary for every query over only
-// ~k documents, and at that scale the map folding, map-backed index, and
-// per-gram lookups of the general path dominate the whole rescore; merging
-// pre-sorted lists removes all of it.
+// smoothed IDF, built from id-sorted gram lists with linear merges and a
+// counting sort instead of hash maps and comparison sorts, which at the
+// ~k documents stage 2 rebuilds the vocabulary over for every query would
+// dominate the whole rescore.
 //
 // The produced vectors are bit-identical to what Vocabulary.VectorizeGrams
 // yields for the equivalent Docs: selection and index assignment follow
 // topN's exact (frequency desc, gram id asc) order, so even the
 // summation order of downstream dot products is unchanged.
+//
+// A CandidateVocab is reusable — Reset rebuilds it in the storage of the
+// previous build, so the one a matcher worker keeps allocates nothing once
+// warm — and not safe for concurrent use.
 type CandidateVocab struct {
-	numWords int
-	numChars int
 	// wordByID / charByID hold the selected grams sorted by gram id, each
 	// carrying its assigned feature index and IDF weight, so vectorization
 	// is a two-pointer merge against a doc's sorted gram list.
 	wordByID []cvEntry
 	charByID []cvEntry
+	scratch  aggBuffers
 }
 
 type cvEntry struct {
@@ -37,80 +38,77 @@ type cvEntry struct {
 
 // aggEntry is one merged gram: total corpus frequency and document
 // frequency across the candidate docs. Aggregate lists are id-sorted.
-// int32 keeps the entry at 16 bytes — the merge is memory-bound.
+// int32 keeps the entry at 16 bytes: the merge streams every entry log k
+// times.
 type aggEntry struct {
 	id   GramID
 	freq int32
 	df   int32
 }
 
-// aggBuffers is the ping-pong scratch of one vocabulary build, pooled so
-// per-query builds stop allocating one slice per merge level.
+// aggBuffers is the scratch kept between vocabulary builds: the merge's
+// ping-pong buffers and run boundaries, the counting sort's histogram,
+// ranks and permutation, the IDF table, and the second buffer of the
+// vectors' index sort.
 type aggBuffers struct {
-	a, b []aggEntry
-}
-
-var aggPool = sync.Pool{New: func() any { return new(aggBuffers) }}
-
-func resizeAgg(s []aggEntry, n int) []aggEntry {
-	if cap(s) < n {
-		return make([]aggEntry, 0, n)
-	}
-	return s[:0]
+	a, b       []aggEntry
+	runs, next []int
+	counts     []uint32
+	rank, perm []uint32
+	idfByDF    []float64
+	sort       sparse.Vector
 }
 
 // BuildCandidateVocab selects the vocabulary over the given documents
 // under cfg's gram budgets. Equivalent to folding the same documents
 // through a VocabBuilder and freezing it.
 func BuildCandidateVocab(cfg Config, docs []*SortedDoc) *CandidateVocab {
-	wordLists := make([][]GramEntry, len(docs))
-	charLists := make([][]GramEntry, len(docs))
-	for i, d := range docs {
-		wordLists[i] = d.WordGrams
-		charLists[i] = d.CharGrams
-	}
-	bufs := aggPool.Get().(*aggBuffers)
-	words := selectGrams(mergeGramLists(wordLists, bufs), cfg.MaxWordGrams)
-	chars := selectGrams(mergeGramLists(charLists, bufs), cfg.MaxCharGrams)
-	aggPool.Put(bufs)
-
-	v := &CandidateVocab{
-		numWords: len(words),
-		numChars: len(chars),
-		wordByID: make([]cvEntry, len(words)),
-		charByID: make([]cvEntry, len(chars)),
-	}
-	n := float64(len(docs))
-	for i, e := range words {
-		v.wordByID[i] = cvEntry{id: e.id, index: uint32(i), idf: idf(n, float64(e.df))}
-	}
-	base := uint32(len(words))
-	for i, e := range chars {
-		v.charByID[i] = cvEntry{id: e.id, index: base + uint32(i), idf: idf(n, float64(e.df))}
-	}
-	sortCvByID(v.wordByID)
-	sortCvByID(v.charByID)
+	v := new(CandidateVocab)
+	v.Reset(cfg, docs)
 	return v
 }
 
+// Reset is BuildCandidateVocab into v's own storage. Everything derived
+// from the previous build is invalidated.
+func (v *CandidateVocab) Reset(cfg Config, docs []*SortedDoc) {
+	s := &v.scratch
+	// Document frequencies run 0..len(docs): one math.Log per value, not per
+	// gram.
+	n := float64(len(docs))
+	s.idfByDF = s.idfByDF[:0]
+	for df := range len(docs) + 1 {
+		s.idfByDF = append(s.idfByDF, idf(n, float64(df)))
+	}
+	words := s.mergeGramLists(docs, func(d *SortedDoc) []GramEntry { return d.WordGrams })
+	v.wordByID = s.selectGrams(v.wordByID[:0], words, cfg.MaxWordGrams, 0)
+	chars := s.mergeGramLists(docs, func(d *SortedDoc) []GramEntry { return d.CharGrams })
+	v.charByID = s.selectGrams(v.charByID[:0], chars, cfg.MaxCharGrams, uint32(len(v.wordByID)))
+}
+
 // NumWordGrams returns the size of the word-gram section.
-func (v *CandidateVocab) NumWordGrams() int { return v.numWords }
+func (v *CandidateVocab) NumWordGrams() int { return len(v.wordByID) }
 
 // NumCharGrams returns the size of the char-gram section.
-func (v *CandidateVocab) NumCharGrams() int { return v.numChars }
+func (v *CandidateVocab) NumCharGrams() int { return len(v.charByID) }
 
 // VectorizeGrams mirrors Vocabulary.VectorizeGrams over a SortedDoc:
-// two-pointer merges replace the per-gram map lookups.
+// two-pointer merges replace the per-gram map lookups. Like it, an empty
+// result has empty, not nil, slices.
 func (v *CandidateVocab) VectorizeGrams(d *SortedDoc) sparse.Vector {
-	est := len(d.WordGrams) + len(d.CharGrams)
-	vec := sparse.Vector{
-		Idx: make([]uint32, 0, est),
-		Val: make([]float64, 0, est),
-	}
-	mergeVectorize(&vec, d.WordGrams, v.wordByID, float64(max(d.WordTotal, 1)))
-	mergeVectorize(&vec, d.CharGrams, v.charByID, float64(max(d.CharTotal, 1)))
-	vec.Sort()
+	vec := sparse.Vector{Idx: []uint32{}, Val: []float64{}}
+	v.VectorizeGramsInto(&vec, d)
 	return vec
+}
+
+// VectorizeGramsInto is VectorizeGrams into vec's own storage, which grows
+// only when d has more grams than any document vec held before.
+func (v *CandidateVocab) VectorizeGramsInto(vec *sparse.Vector, d *SortedDoc) {
+	est := len(d.WordGrams) + len(d.CharGrams)
+	vec.Idx = slices.Grow(vec.Idx[:0], est)
+	vec.Val = slices.Grow(vec.Val[:0], est)
+	mergeVectorize(vec, d.WordGrams, v.wordByID, float64(max(d.WordTotal, 1)))
+	mergeVectorize(vec, d.CharGrams, v.charByID, float64(max(d.CharTotal, 1)))
+	vec.SortScratch(&v.scratch.sort)
 }
 
 func mergeVectorize(vec *sparse.Vector, doc []GramEntry, vocab []cvEntry, den float64) {
@@ -130,34 +128,32 @@ func mergeVectorize(vec *sparse.Vector, doc []GramEntry, vocab []cvEntry, den fl
 	}
 }
 
-// mergeGramLists folds the per-doc id-sorted gram lists into one id-sorted
+// mergeGramLists folds one id-sorted gram list per doc into one id-sorted
 // aggregate by pairwise tournament merging: O(total · log k) comparisons,
 // no hashing. Levels ping-pong between the two scratch buffers; the
-// returned slice aliases one of them and is only valid until the buffers
-// are reused.
-func mergeGramLists(lists [][]GramEntry, bufs *aggBuffers) []aggEntry {
+// returned slice aliases one of them and is only valid until the next
+// merge.
+func (s *aggBuffers) mergeGramLists(docs []*SortedDoc, grams func(*SortedDoc) []GramEntry) []aggEntry {
 	total := 0
-	for _, l := range lists {
-		total += len(l)
+	for _, d := range docs {
+		total += len(grams(d))
 	}
 	if total == 0 {
 		return nil
 	}
-	src := resizeAgg(bufs.a, total)
-	dst := resizeAgg(bufs.b, total)
+	src := slices.Grow(s.a[:0], total)
+	dst := slices.Grow(s.b[:0], total)
 	// runs holds the boundaries of the per-doc (later per-merge) sorted
 	// runs laid out contiguously in src.
-	runs := make([]int, 0, len(lists)+1)
-	runs = append(runs, 0)
-	for _, l := range lists {
-		for _, e := range l {
+	runs, next := append(s.runs[:0], 0), s.next
+	for _, d := range docs {
+		for _, e := range grams(d) {
 			src = append(src, aggEntry{id: e.ID, freq: e.Count, df: 1})
 		}
 		if len(src) > runs[len(runs)-1] {
 			runs = append(runs, len(src))
 		}
 	}
-	next := make([]int, 0, len(runs)/2+2)
 	for len(runs) > 2 {
 		dst = dst[:0]
 		next = next[:0]
@@ -174,126 +170,113 @@ func mergeGramLists(lists [][]GramEntry, bufs *aggBuffers) []aggEntry {
 		src, dst = dst, src
 		runs, next = next, runs
 	}
-	bufs.a, bufs.b = src[:cap(src)][:0], dst[:cap(dst)][:0]
+	s.a, s.b, s.runs, s.next = src, dst, runs, next
 	return src[runs[0]:runs[1]]
 }
 
+// mergeAggInto appends the id-ordered union of a and b to out, summing the
+// counters of grams both hold. Which side advances is a coin flip per step,
+// so the loop selects with 0/1 multipliers: mispredictions bound the
+// branching form.
 func mergeAggInto(out, a, b []aggEntry) []aggEntry {
+	k := len(out)
+	out = out[:k+len(a)+len(b)]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].id < b[j].id:
-			out = append(out, a[i])
-			i++
-		case a[i].id > b[j].id:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, aggEntry{id: a[i].id, freq: a[i].freq + b[j].freq, df: a[i].df + b[j].df})
-			i++
-			j++
+		x, y := a[i], b[j]
+		var tx, ty int32 // take x / take y; both when the ids are equal
+		if x.id <= y.id {
+			tx = 1
+		}
+		if y.id <= x.id {
+			ty = 1
+		}
+		out[k] = aggEntry{id: min(x.id, y.id), freq: tx*x.freq + ty*y.freq, df: tx*x.df + ty*y.df}
+		k++
+		i += int(tx)
+		j += int(ty)
+	}
+	k += copy(out[k:], a[i:])
+	k += copy(out[k:], b[j:])
+	return out[:k]
+}
+
+// selectGrams appends to out the top-n entries of agg in ascending gram id,
+// each carrying base + its rank in topN's order — descending frequency,
+// ties by ascending gram id — as feature index, and its IDF. Negative n
+// keeps everything, like topN.
+func (s *aggBuffers) selectGrams(out []cvEntry, agg []aggEntry, n int, base uint32) []cvEntry {
+	if n < 0 || n > len(agg) {
+		n = len(agg)
+	}
+	if n == 0 {
+		return out
+	}
+	rank := s.rankByFreq(agg)
+	for i, e := range agg {
+		if r := rank[i]; r < uint32(n) {
+			out = append(out, cvEntry{id: e.id, index: base + r, idf: s.idfByDF[e.df]})
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
 	return out
 }
 
-// selectGrams returns the top-n entries in topN's exact order — descending
-// frequency, ties by ascending gram id — so index assignment matches the
-// map-based path. Negative n keeps everything, like topN.
-func selectGrams(agg []aggEntry, n int) []aggEntry {
-	if n < 0 || len(agg) <= n {
-		out := slices.Clone(agg)
-		sortAggByRank(out)
-		return out
-	}
-	if n == 0 {
-		return nil
-	}
-	// Bounded heap selection with the worst kept entry at the root, then a
-	// final sort of the n survivors: O(len · log n) instead of a full sort.
-	h := make([]aggEntry, 0, n)
+// rankByFreq sorts on 16-bit digits of the frequency, so its histogram
+// never outgrows 65,536 counters however large a frequency an unlimited
+// word budget produces.
+const (
+	digitBits = 16
+	digitMask = 1<<digitBits - 1
+)
+
+// rankByFreq returns every entry's position in topN's order. agg is
+// id-sorted, so that order is a stable sort on descending frequency alone,
+// which a counting sort yields without a comparison: an entry's rank is the
+// number of larger frequencies plus the number of equals before it. One
+// digit covers all but pathological inputs; a positive int32 never needs
+// more than the two LSD passes below.
+func (s *aggBuffers) rankByFreq(agg []aggEntry) []uint32 {
+	maxFreq := int32(0)
 	for _, e := range agg {
-		if len(h) < n {
-			h = append(h, e)
-			siftUpAgg(h, len(h)-1)
-		} else if aggRankLess(e, h[0]) {
-			h[0] = e
-			siftDownAgg(h, 0)
-		}
+		maxFreq = max(maxFreq, e.freq)
 	}
-	sortAggByRank(h)
-	return h
-}
-
-// aggRankLess orders by descending frequency, ties by ascending gram id —
-// a strict total order because merged gram ids are unique.
-func aggRankLess(a, b aggEntry) bool {
-	if a.freq != b.freq {
-		return a.freq > b.freq
+	s.rank = slices.Grow(s.rank[:0], len(agg))[:len(agg)]
+	if maxFreq <= digitMask {
+		next := s.descendingOffsets(agg, 0, maxFreq)
+		for i, e := range agg {
+			s.rank[i] = next[e.freq]
+			next[e.freq]++
+		}
+		return s.rank
 	}
-	return a.id < b.id
-}
-
-func sortAggByRank(agg []aggEntry) {
-	slices.SortFunc(agg, func(a, b aggEntry) int {
-		switch {
-		case a.id == b.id:
-			return 0
-		case aggRankLess(a, b):
-			return -1
-		default:
-			return 1
-		}
-	})
-}
-
-func sortCvByID(es []cvEntry) {
-	slices.SortFunc(es, func(a, b cvEntry) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
-// siftUpAgg / siftDownAgg maintain a min-heap whose root is the WORST kept
-// entry under aggRankLess (so the next eviction is O(log n)).
-func aggWorse(h []aggEntry, i, j int) bool {
-	return aggRankLess(h[j], h[i])
-}
-
-func siftUpAgg(h []aggEntry, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !aggWorse(h, i, p) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+	s.perm = slices.Grow(s.perm[:0], len(agg))[:len(agg)]
+	next := s.descendingOffsets(agg, 0, digitMask)
+	for i, e := range agg {
+		d := e.freq & digitMask
+		s.perm[next[d]] = uint32(i)
+		next[d]++
 	}
+	next = s.descendingOffsets(agg, digitBits, maxFreq>>digitBits)
+	for _, i := range s.perm {
+		d := agg[i].freq >> digitBits
+		s.rank[i] = next[d]
+		next[d]++
+	}
+	return s.rank
 }
 
-func siftDownAgg(h []aggEntry, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		w := l
-		if r := l + 1; r < n && aggWorse(h, r, l) {
-			w = r
-		}
-		if !aggWorse(h, w, i) {
-			return
-		}
-		h[i], h[w] = h[w], h[i]
-		i = w
+// descendingOffsets histograms the digit (freq >> shift) & digitMask, at
+// most top, and returns per digit value where its run starts in a
+// descending sort: the count of entries with a larger digit.
+func (s *aggBuffers) descendingOffsets(agg []aggEntry, shift uint, top int32) []uint32 {
+	s.counts = slices.Grow(s.counts[:0], int(top)+1)[:top+1]
+	clear(s.counts)
+	for _, e := range agg {
+		s.counts[(e.freq>>shift)&digitMask]++
 	}
+	sum := uint32(0)
+	for d := len(s.counts) - 1; d >= 0; d-- {
+		s.counts[d], sum = sum, sum+s.counts[d]
+	}
+	return s.counts
 }

@@ -1,0 +1,256 @@
+package features
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// shapeDoc builds a Doc from explicit word and char gram counts.
+func shapeDoc(words, chars map[GramID]int) *Doc {
+	d := &Doc{WordGrams: words, CharGrams: chars}
+	for _, c := range words {
+		d.WordTotal += c
+	}
+	for _, c := range chars {
+		d.CharTotal += c
+	}
+	return d
+}
+
+// flatGrams returns n grams starting at base, every one with count c. Ids
+// are spread by a multiplicative hash unless sequential is set, so both the
+// radix sort's even-split and shared-prefix paths see them.
+func flatGrams(base, n, c int, sequential bool) map[GramID]int {
+	m := make(map[GramID]int, n)
+	for i := 0; i < n; i++ {
+		g := GramID(base + i)
+		if !sequential {
+			g = GramID(uint64(base+i+1) * 0x9e3779b97f4a7c15)
+		}
+		m[g] = c
+	}
+	return m
+}
+
+// rankShapes are the inputs a comparison sort hides the difficulty of and a
+// counting sort has to get right explicitly.
+func rankShapes(rng *rand.Rand) map[string][]*Doc {
+	shapes := make(map[string][]*Doc)
+
+	// Every gram at one frequency: the whole aggregate is a single tie
+	// class, so any budget cuts inside it and only gram-id order decides.
+	var flat []*Doc
+	for d := 0; d < 4; d++ {
+		flat = append(flat, shapeDoc(flatGrams(100*d, 100, 3, false), flatGrams(1000+150*d, 150, 2, true)))
+	}
+	shapes["one_tie_class"] = flat
+
+	shapes["single_doc"] = []*Doc{randomDoc(rng)}
+	shapes["empty_docs"] = []*Doc{shapeDoc(map[GramID]int{}, map[GramID]int{}), shapeDoc(map[GramID]int{}, map[GramID]int{})}
+	shapes["empty_beside_full"] = []*Doc{shapeDoc(map[GramID]int{}, map[GramID]int{}), randomDoc(rng), shapeDoc(map[GramID]int{}, map[GramID]int{})}
+
+	// One document k times over: every document frequency is k, every IDF
+	// ln((1+k)/(1+k)) = 0, and every frequency a multiple of k.
+	rep := randomDoc(rng)
+	shapes["repeated_doc"] = []*Doc{rep, rep, rep, rep, rep, rep, rep}
+
+	// One frequency past the 16-bit digit (and, summed over two docs, past
+	// a second one) beside thousands of singletons: the two-pass path, a
+	// histogram that must not grow with the frequency, and tie classes of
+	// thousands on either side of the cut.
+	huge := flatGrams(0, 3000, 1, false)
+	huge[GramID(7)] = 1 << 29
+	huge[GramID(8)] = 1<<16 + 5
+	huge[GramID(9)] = 1 << 16
+	huge[GramID(10)] = 1<<16 - 1
+	other := flatGrams(2000, 3000, 1, false)
+	other[GramID(7)] = 1 << 29
+	shapes["huge_frequency"] = []*Doc{shapeDoc(huge, flatGrams(5000, 2000, 1, true)), shapeDoc(other, flatGrams(6000, 2000, 1, true))}
+
+	// Random overlap, a few docs to many.
+	for _, k := range []int{2, 10, 33} {
+		docs := make([]*Doc, k)
+		for i := range docs {
+			docs[i] = randomDoc(rng)
+		}
+		shapes[fmt.Sprintf("random_%d", k)] = docs
+	}
+	return shapes
+}
+
+// distinctGrams counts the distinct word and char grams over docs.
+func distinctGrams(docs []*Doc) (words, chars int) {
+	w, c := make(map[GramID]bool), make(map[GramID]bool)
+	for _, d := range docs {
+		for g := range d.WordGrams {
+			w[g] = true
+		}
+		for g := range d.CharGrams {
+			c[g] = true
+		}
+	}
+	return len(w), len(c)
+}
+
+// assertMatchesReference compares cv entry by entry with the map-based
+// reference built over the same docs: feature index, IDF bits, and the
+// vector bits of every doc plus an unseen probe.
+func assertMatchesReference(t *testing.T, label string, cfg Config, cv *CandidateVocab, docs []*Doc, probe *Doc) {
+	t.Helper()
+	vb := NewVocabBuilder(cfg)
+	for _, d := range docs {
+		vb.Add(d)
+	}
+	ref := vb.Build()
+	if cv.NumWordGrams() != ref.NumWordGrams() || cv.NumCharGrams() != ref.NumCharGrams() {
+		t.Fatalf("%s: vocab sizes %d/%d, reference %d/%d", label,
+			cv.NumWordGrams(), cv.NumCharGrams(), ref.NumWordGrams(), ref.NumCharGrams())
+	}
+	base := uint32(ref.NumWordGrams())
+	check := func(kind string, got []cvEntry, index map[GramID]uint32, idfs []float64, off uint32) {
+		if !slices.IsSortedFunc(got, func(a, b cvEntry) int {
+			if a.id < b.id {
+				return -1
+			}
+			return 1 // equal ids are out of order too: ids are unique
+		}) {
+			t.Fatalf("%s: %s entries not in strictly ascending gram id", label, kind)
+		}
+		for _, e := range got {
+			want, ok := index[e.id]
+			if !ok {
+				t.Fatalf("%s: %s gram %d selected, reference dropped it", label, kind, e.id)
+			}
+			if e.index != want {
+				t.Fatalf("%s: %s gram %d at index %d, reference %d", label, kind, e.id, e.index, want)
+			}
+			if math.Float64bits(e.idf) != math.Float64bits(idfs[want-off]) {
+				t.Fatalf("%s: %s gram %d idf %x, reference %x", label, kind, e.id,
+					math.Float64bits(e.idf), math.Float64bits(idfs[want-off]))
+			}
+		}
+	}
+	check("word", cv.wordByID, ref.wordIndex, ref.wordIDF, 0)
+	check("char", cv.charByID, ref.charIndex, ref.charIDF, base)
+	for j, d := range append(docs[:len(docs):len(docs)], probe) {
+		want := ref.VectorizeGrams(d)
+		if got := cv.VectorizeGrams(d.Sorted()); !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: doc %d vector not bit-identical\nfast: %v\nref:  %v", label, j, got, want)
+		}
+	}
+}
+
+// TestCountingRankMatchesReference pins the counting-sort selection to the
+// map-based VocabBuilder + Vocabulary.VectorizeGrams reference on the
+// shapes where a stable counting sort and a comparison sort could part
+// ways, under budgets that keep nothing, cut inside a tie class, keep
+// exactly everything, and keep more than there is. One CandidateVocab is
+// Reset through every case in turn, largest inputs included, so scratch
+// left over from an earlier build must never show in a later one.
+func TestCountingRankMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	shapes := rankShapes(rng)
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var reused CandidateVocab
+	for _, name := range names {
+		docs := shapes[name]
+		w, c := distinctGrams(docs)
+		budgets := [][2]int{
+			{0, 0}, {-1, -1}, {-7, 0}, {1, 1},
+			{w / 2, c / 3}, {w - 1, c - 1}, {w, c}, {w + 1, c + 100}, {1 << 30, 1 << 30},
+		}
+		for _, b := range budgets {
+			cfg := FinalConfig()
+			cfg.MaxWordGrams, cfg.MaxCharGrams = b[0], b[1]
+			sorted := make([]*SortedDoc, len(docs))
+			for i, d := range docs {
+				sorted[i] = d.Sorted()
+			}
+			probe := randomDoc(rng)
+			label := fmt.Sprintf("%s budgets %d/%d", name, b[0], b[1])
+			assertMatchesReference(t, label+" (fresh)", cfg, BuildCandidateVocab(cfg, sorted), docs, probe)
+			reused.Reset(cfg, sorted)
+			assertMatchesReference(t, label+" (reused)", cfg, &reused, docs, probe)
+		}
+	}
+}
+
+// TestRankByFreqIsStableDescending checks the ranking primitive directly
+// against its definition on frequencies that straddle the digit boundary.
+func TestRankByFreqIsStableDescending(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	pools := [][]int32{
+		{1},
+		{1, 2, 3},
+		{digitMask - 1, digitMask, digitMask + 1},
+		{1, digitMask, digitMask + 1, 2*digitMask + 1, 1 << 30, math.MaxInt32},
+	}
+	var s aggBuffers
+	for trial := 0; trial < 200; trial++ {
+		pool := pools[trial%len(pools)]
+		agg := make([]aggEntry, rng.Intn(400))
+		for i := range agg {
+			agg[i] = aggEntry{id: GramID(i), freq: pool[rng.Intn(len(pool))], df: 1}
+		}
+		want := make([]int, len(agg))
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortStableFunc(want, func(a, b int) int {
+			switch {
+			case agg[a].freq > agg[b].freq:
+				return -1
+			case agg[a].freq < agg[b].freq:
+				return 1
+			}
+			return 0
+		})
+		rank := s.rankByFreq(agg)
+		for r, i := range want {
+			if rank[i] != uint32(r) {
+				t.Fatalf("trial %d: entry %d (freq %d) ranked %d, want %d", trial, i, agg[i].freq, rank[i], r)
+			}
+		}
+	}
+}
+
+// TestSortedIsIDOrdered checks the radix flattening against a comparison
+// sort on hashed ids (buckets split evenly), dense small ids (every
+// leading byte shared) and ids that differ only in the last byte.
+func TestSortedIsIDOrdered(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	gens := map[string]func(i int) GramID{
+		"hashed":      func(i int) GramID { return GramID(rng.Uint64()) },
+		"dense_small": func(i int) GramID { return GramID(i * 3) },
+		"last_byte":   func(i int) GramID { return GramID(0xabcdef0123456700 | uint64(i&0xff)) },
+		"two_levels":  func(i int) GramID { return GramID(uint64(i&3)<<56 | uint64(rng.Intn(1<<20))) },
+	}
+	for name, gen := range gens {
+		for _, n := range []int{0, 1, 31, 32, 33, 200, 5000} {
+			m := make(map[GramID]int, n)
+			for i := 0; i < n; i++ {
+				m[gen(i)] = 1 + rng.Intn(9)
+			}
+			got := sortedEntries(m)
+			if len(got) != len(m) {
+				t.Fatalf("%s n=%d: %d entries, want %d", name, n, len(got), len(m))
+			}
+			for i, e := range got {
+				if i > 0 && got[i-1].ID >= e.ID {
+					t.Fatalf("%s n=%d: ids out of order at %d: %d then %d", name, n, i, got[i-1].ID, e.ID)
+				}
+				if m[e.ID] != int(e.Count) {
+					t.Fatalf("%s n=%d: gram %d count %d, want %d", name, n, e.ID, e.Count, m[e.ID])
+				}
+			}
+		}
+	}
+}

@@ -1,7 +1,5 @@
 package features
 
-import "slices"
-
 // GramEntry is one (gram id, count) pair of an id-sorted gram list.
 type GramEntry struct {
 	ID    GramID
@@ -40,15 +38,54 @@ func sortedEntries(m map[GramID]int) []GramEntry {
 	for g, c := range m {
 		out = append(out, GramEntry{ID: g, Count: int32(c)})
 	}
-	slices.SortFunc(out, func(a, b GramEntry) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		default:
-			return 0
-		}
-	})
+	sortEntriesByID(out, 56)
 	return out
+}
+
+// sortEntriesByID sorts es by gram id in place, on the byte at shift and,
+// recursively, the bytes below it. Gram ids are hashes: the leading byte
+// splits a list evenly and a second level leaves buckets an insertion sort
+// finishes in a few moves, so the sort is linear where a comparison sort
+// was the largest cost of flattening a query document. Ids that share
+// leading bytes cost a pass per shared byte, at most eight.
+func sortEntriesByID(es []GramEntry, shift uint) {
+	if len(es) <= 32 {
+		for i := 1; i < len(es); i++ {
+			e := es[i]
+			j := i
+			for ; j > 0 && es[j-1].ID > e.ID; j-- {
+				es[j] = es[j-1]
+			}
+			es[j] = e
+		}
+		return
+	}
+	// start[b] is where bucket b begins; start[256] is len(es).
+	var start [257]int
+	for _, e := range es {
+		start[int(byte(e.ID>>shift))+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	// Permute in place: whatever sits at a bucket's fill cursor is swapped
+	// into its own bucket until an entry of this bucket arrives.
+	next := start
+	for b := 0; b < 256; b++ {
+		for next[b] < start[b+1] {
+			e := es[next[b]]
+			for d := byte(e.ID >> shift); int(d) != b; d = byte(e.ID >> shift) {
+				e, es[next[d]] = es[next[d]], e
+				next[d]++
+			}
+			es[next[b]] = e
+			next[b]++
+		}
+	}
+	if shift == 0 {
+		return
+	}
+	for b := 0; b < 256; b++ {
+		sortEntriesByID(es[start[b]:start[b+1]], shift-8)
+	}
 }

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -49,16 +50,7 @@ func gramCounts(stats map[GramID]gramStat) []GramCount {
 	for g, s := range stats {
 		out = append(out, GramCount{ID: g, Freq: int64(s.freq), DF: int64(s.df)})
 	}
-	slices.SortFunc(out, func(a, b GramCount) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(out, func(a, b GramCount) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

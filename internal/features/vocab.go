@@ -211,27 +211,10 @@ func (v *Vocabulary) Dims() int { return int(v.ActivityOffset()) + 24 }
 // count of the same family, so documents of different lengths remain
 // comparable.
 func (v *Vocabulary) Vectorize(d *Doc) sparse.Vector {
-	est := len(d.WordGrams) + len(d.CharGrams) + NumFreqFeatures
-	vec := sparse.Vector{
-		Idx: make([]uint32, 0, est),
-		Val: make([]float64, 0, est),
-	}
-	wordDen := float64(max(d.WordTotal, 1))
-	for g, c := range d.WordGrams {
-		if i, ok := v.wordIndex[g]; ok {
-			vec.Idx = append(vec.Idx, i)
-			vec.Val = append(vec.Val, float64(c)/wordDen*v.wordIDF[i])
-		}
-	}
-	charDen := float64(max(d.CharTotal, 1))
-	base := uint32(len(v.wordIndex))
-	for g, c := range d.CharGrams {
-		if i, ok := v.charIndex[g]; ok {
-			vec.Idx = append(vec.Idx, i)
-			vec.Val = append(vec.Val, float64(c)/charDen*v.charIDF[i-base])
-		}
-	}
+	vec := v.VectorizeGrams(d)
 	if v.cfg.IncludeFreq {
+		// Frequency indices ascend past every gram index, so appending them
+		// keeps the vector sorted.
 		off := v.FreqOffset()
 		for i, f := range d.Freq {
 			if f != 0 {
@@ -240,7 +223,6 @@ func (v *Vocabulary) Vectorize(d *Doc) sparse.Vector {
 			}
 		}
 	}
-	vec.Sort()
 	return vec
 }
 

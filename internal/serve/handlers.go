@@ -82,11 +82,19 @@ func (s *Service) handleRescore(r *http.Request, st *state, body []byte) (any, *
 	if len(req.Candidates) == 0 {
 		return nil, errInvalidRequest("candidates must name at least one known subject")
 	}
+	// A repeated name would be fetched twice and count double in the
+	// stage-2 frequency and document-frequency tables, moving every other
+	// candidate's score as well as returning two rows.
 	list := make([]attribution.Scored, len(req.Candidates))
+	seen := make(map[string]struct{}, len(req.Candidates))
 	for i, name := range req.Candidates {
 		if _, ok := st.knownSet[name]; !ok {
 			return nil, errUnknownAlias(name)
 		}
+		if _, dup := seen[name]; dup {
+			return nil, errInvalidRequest(fmt.Sprintf("candidate %q is listed more than once", name))
+		}
+		seen[name] = struct{}{}
 		list[i] = attribution.Scored{Name: name}
 	}
 	sub, apiErr := s.resolveSubject(ctx, st, &req.Subject)

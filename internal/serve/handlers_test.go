@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"flag"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,6 +96,9 @@ func TestHandlerTable(t *testing.T) {
 		{name: "rescore_unknown_candidate", endpoint: "rescore", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"candidates":["alice","nobody"]}`, wantStatus: 404},
 		{name: "rescore_unknown_subject", endpoint: "rescore", method: "POST", apiKey: "test-key", body: `{"subject":{"alias":"nobody"},"candidates":["alice"]}`, wantStatus: 404},
 		{name: "rescore_no_candidates", endpoint: "rescore", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"candidates":[]}`, wantStatus: 400},
+		// A repeat is refused before the subject is resolved: the subject here
+		// is unknown, and the answer is still the 400, not its 404.
+		{name: "rescore_duplicate_candidate", endpoint: "rescore", method: "POST", apiKey: "test-key", body: `{"subject":{"alias":"nobody"},"candidates":["alice","bob","alice"]}`, wantStatus: 400},
 
 		// /v1/match
 		{name: "match_valid", endpoint: "match", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `}`, wantStatus: 200},
@@ -184,5 +188,39 @@ func checkGolden(t *testing.T, name string, body []byte) {
 	}
 	if string(want) != string(body) {
 		t.Errorf("response differs from golden %s:\n got: %s\nwant: %s", path, body, want)
+	}
+}
+
+// TestRescoreRejectsDuplicateCandidates pins the duplicate check: a name
+// listed twice used to count double in stage 2's frequency and document-
+// frequency tables (moving every candidate's score) and come back as two
+// rows. Any repeat — adjacent or not — is refused with invalid_request and
+// names the offender; the same names listed once still score.
+func TestRescoreRejectsDuplicateCandidates(t *testing.T) {
+	h := newTestService(t, newFakeClock(), nil).Handler()
+	rescore := func(candidates string) *httptest.ResponseRecorder {
+		return do(h, http.MethodPost, "/v1/rescore", "test-key",
+			[]byte(`{"subject":{"alias":"q_alice"},"candidates":`+candidates+`}`))
+	}
+	for _, dup := range []string{`["alice","alice"]`, `["alice","bob","frank","bob"]`} {
+		rec := rescore(dup)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("candidates %s: status %d, want 400 (body %s)", dup, rec.Code, rec.Body.Bytes())
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil {
+			t.Fatalf("candidates %s: no error envelope: %v (%s)", dup, err, rec.Body.Bytes())
+		}
+		if env.Error.Code != CodeInvalidRequest {
+			t.Errorf("candidates %s: code %q, want %q", dup, env.Error.Code, CodeInvalidRequest)
+		}
+	}
+	rec := rescore(`["alice","bob","frank"]`)
+	var resp RescoreResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("unique candidates: status %d, err %v (%s)", rec.Code, err, rec.Body.Bytes())
+	}
+	if len(resp.Rescored) != 3 {
+		t.Fatalf("unique candidates: %d rows, want 3", len(resp.Rescored))
 	}
 }

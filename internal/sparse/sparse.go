@@ -72,11 +72,20 @@ func (v Vector) IsSorted() bool {
 // single most expensive step of the scoring hot path; small vectors keep
 // the packed comparison sort, where the radix passes don't pay off.
 func (v *Vector) Sort() {
+	var scratch Vector
+	v.SortScratch(&scratch)
+}
+
+// SortScratch is Sort with the radix passes' second buffer taken from (and
+// grown into) scratch, so sorting vector after vector with one scratch
+// allocates nothing once it is warm. scratch's contents are unspecified
+// afterwards.
+func (v *Vector) SortScratch(scratch *Vector) {
 	if v.IsSorted() {
 		return
 	}
 	if len(v.Idx) >= 128 {
-		v.radixSort()
+		v.radixSort(scratch)
 		return
 	}
 	packed := make([]uint64, len(v.Idx))
@@ -110,7 +119,7 @@ func (v *Vector) appendSummed(i uint32, x float64) {
 // on the indices, carrying values alongside. Stability makes duplicate
 // indices end up in original order, so the duplicate-summing compaction
 // adds values in exactly the order the packed comparison sort would.
-func (v *Vector) radixSort() {
+func (v *Vector) radixSort(scratch *Vector) {
 	n := len(v.Idx)
 	maxIdx := uint32(0)
 	for _, i := range v.Idx {
@@ -119,8 +128,10 @@ func (v *Vector) radixSort() {
 		}
 	}
 	srcI, srcV := v.Idx, v.Val
-	dstI := make([]uint32, n)
-	dstV := make([]float64, n)
+	if cap(scratch.Idx) < n || cap(scratch.Val) < n {
+		scratch.Idx, scratch.Val = make([]uint32, n), make([]float64, n)
+	}
+	dstI, dstV := scratch.Idx[:n], scratch.Val[:n]
 	var counts [256]int
 	for shift := uint(0); shift == 0 || maxIdx>>shift > 0; shift += 8 {
 		clear(counts[:])

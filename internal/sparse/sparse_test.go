@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -314,6 +315,35 @@ func TestSortMatchesReference(t *testing.T) {
 		}
 		if !got.IsSorted() {
 			t.Fatalf("trial %d: result not strictly sorted", trial)
+		}
+	}
+}
+
+// TestSortScratchReuse sorts vectors of growing and shrinking sizes, and of
+// odd and even radix pass counts, through one scratch: the result must be
+// Sort's, and the vector must keep its own storage — a scratch that leaked
+// into a result would be overwritten by the next sort.
+func TestSortScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(100))
+	var scratch Vector
+	var held []Vector
+	var wants []Vector
+	for trial := 0; trial < 60; trial++ {
+		n := 128 + rng.Intn(2000)
+		maxIdx := []uint32{200, 1 << 10, 1 << 17, 1 << 25, math.MaxUint32}[trial%5]
+		var got Vector
+		for i := 0; i < n; i++ {
+			got.Idx = append(got.Idx, uint32(rng.Uint64())%maxIdx)
+			got.Val = append(got.Val, rng.NormFloat64())
+		}
+		want := got.Clone()
+		want.Sort()
+		got.SortScratch(&scratch)
+		held, wants = append(held, got), append(wants, want)
+	}
+	for i := range held {
+		if !reflect.DeepEqual(held[i], wants[i]) {
+			t.Fatalf("vector %d differs from Sort's result after later sorts reused the scratch", i)
 		}
 	}
 }

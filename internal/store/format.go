@@ -93,23 +93,36 @@ func encodeSnapshot(h header, sections []section) []byte {
 	return buf.Bytes()
 }
 
-// decodeSnapshot verifies the header and every section digest, returning
-// the sections in file order. All errors are *CorruptError (Path unset).
-func decodeSnapshot(raw []byte) (header, []section, error) {
+// headerLen is the size of the fixed header.
+const headerLen = len(magic) + 4 + 4 + 8 + 8 + digestLen
+
+// decodeHeader reads the fixed header off r, returning it and the section
+// count. All errors are *CorruptError (Path unset).
+func decodeHeader(r *reader) (header, int, error) {
 	var h header
-	r := &reader{b: raw}
 	if got := r.bytes(len(magic)); r.fail || string(got) != magic {
-		return h, nil, corrupt("header", "bad magic (not a snapshot file)")
+		return h, 0, corrupt("header", "bad magic (not a snapshot file)")
 	}
 	if v := r.u32(); r.fail || v != formatVersion {
-		return h, nil, corrupt("header", "format version %d, want %d", v, formatVersion)
+		return h, 0, corrupt("header", "format version %d, want %d", v, formatVersion)
 	}
 	count := int(r.u32())
 	h.IndexVersion = r.u64()
 	h.LastSeq = r.u64()
 	copy(h.CorpusDigest[:], r.bytes(digestLen))
 	if r.fail {
-		return h, nil, corrupt("header", "truncated header")
+		return h, 0, corrupt("header", "truncated header")
+	}
+	return h, count, nil
+}
+
+// decodeSnapshot verifies the header and every section digest, returning
+// the sections in file order. All errors are *CorruptError (Path unset).
+func decodeSnapshot(raw []byte) (header, []section, error) {
+	r := &reader{b: raw}
+	h, count, err := decodeHeader(r)
+	if err != nil {
+		return h, nil, err
 	}
 	const maxSections = 1 << 10
 	if count < 0 || count > maxSections {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -36,32 +37,68 @@ type Store struct {
 // process was killed mid-append, the journal's torn final line is
 // repaired (atomically rewritten away) so later appends start on a fresh
 // line; mid-file journal corruption fails Open.
+//
+// Appends continue after the highest sequence number the directory has
+// seen: the journal's tail or, when CompactJournal has dropped the folded
+// entries, the LastSeq in the snapshot's fixed header. (From the journal
+// alone a fresh handle on a compacted directory would restart at 1, and an
+// index whose LastSeq is past that skips those deltas on replay.) Only the
+// header is read; an unreadable one fails Open.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, nextSeq: 1}
+	s := &Store{dir: dir}
+	lastSeq, err := s.snapshotLastSeq()
+	if err != nil {
+		return nil, err
+	}
 	raw, err := os.ReadFile(s.JournalPath())
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		return s, nil
 	case err != nil:
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
-	entries, intact, jerr := readJournal(raw)
-	if jerr != nil {
-		fillPath(jerr, s.JournalPath())
-		return nil, jerr
-	}
-	if intact < len(raw) {
-		if err := WriteFileAtomic(s.JournalPath(), raw[:intact], 0o644); err != nil {
-			return nil, err
+	default:
+		entries, intact, jerr := readJournal(raw)
+		if jerr != nil {
+			fillPath(jerr, s.JournalPath())
+			return nil, jerr
+		}
+		if intact < len(raw) {
+			if err := WriteFileAtomic(s.JournalPath(), raw[:intact], 0o644); err != nil {
+				return nil, err
+			}
+		}
+		if n := len(entries); n > 0 {
+			lastSeq = max(lastSeq, entries[n-1].Seq)
 		}
 	}
-	if n := len(entries); n > 0 {
-		s.nextSeq = entries[n-1].Seq + 1
-	}
+	s.nextSeq = lastSeq + 1
 	return s, nil
+}
+
+// snapshotLastSeq reads the journal sequence the snapshot has folded in
+// from its fixed header; 0 when there is no snapshot.
+func (s *Store) snapshotLastSeq() (uint64, error) {
+	f, err := os.Open(s.SnapshotPath())
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return 0, nil
+	case err != nil:
+		return 0, fmt.Errorf("store: open %s: %w", s.dir, err)
+	}
+	defer f.Close()
+	buf := make([]byte, headerLen)
+	n, err := io.ReadFull(f, buf)
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return 0, fmt.Errorf("store: open %s: %w", s.dir, err)
+	}
+	h, _, herr := decodeHeader(&reader{b: buf[:n]})
+	if herr != nil {
+		fillPath(herr, s.SnapshotPath())
+		return 0, herr
+	}
+	return h.LastSeq, nil
 }
 
 // Dir reports the directory the store manages.

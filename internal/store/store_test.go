@@ -433,3 +433,77 @@ func TestJournalSequenceRegressionFails(t *testing.T) {
 		t.Fatalf("sequence regression returned %v, want journal CorruptError", err)
 	}
 }
+
+// TestOpenContinuesSequenceAfterCompaction: the journal alone does not say
+// where a compacted directory's sequence stands — the snapshot's LastSeq
+// does. A fresh handle (a scraper restarting beside a running daemon) must
+// continue past it: restarting at 1 would hand out sequence numbers the
+// snapshot already claims, and ReadJournal(LastSeq) would skip the fsynced
+// deltas that carry them.
+func TestOpenContinuesSequenceAfterCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(8300))
+	ds := testDataset(rng, "corpus", 12)
+	opts, subjOpts := testBuildOptions()
+	ctx := context.Background()
+	idx, err := BuildIndex(ctx, ds, opts, subjOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	for i := 0; i < n; i++ {
+		if _, err := st.AppendThread(testThread(rng, ds, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := st.ReadJournal(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded, err := Replay(ctx, idx, entries, subjOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if folded.LastSeq != n {
+		t.Fatalf("folded index at seq %d, want %d", folded.LastSeq, n)
+	}
+	if err := st.Save(folded); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CompactJournal(folded.LastSeq); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := fresh.AppendThread(testThread(rng, ds, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != n+1 {
+		t.Fatalf("AppendThread after save+compact+reopen returned seq %d, want %d", seq, n+1)
+	}
+	pending, err := fresh.ReadJournal(folded.LastSeq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 1 || pending[0].Seq != n+1 {
+		t.Fatalf("ReadJournal(%d) = %d entries %+v, want exactly seq %d", folded.LastSeq, len(pending), pending, n+1)
+	}
+
+	// An unreadable snapshot header must fail Open rather than let the
+	// sequence silently restart.
+	if err := os.WriteFile(fresh.SnapshotPath(), []byte("DLIX"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptError
+	if _, err := Open(dir); !errors.As(err, &ce) || ce.Section != "header" || ce.Path != fresh.SnapshotPath() {
+		t.Fatalf("Open on a truncated snapshot header returned %v, want a header CorruptError with the snapshot path", err)
+	}
+}
