@@ -25,7 +25,6 @@ import (
 	"darklight/internal/experiments"
 	"darklight/internal/features"
 	"darklight/internal/forum"
-	"darklight/internal/obs"
 	"darklight/internal/sparse"
 )
 
@@ -509,10 +508,9 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 
 // ------------------------------------------- matcher hot-path regression
 
-// The three benchmarks below are the perf-regression trajectory for the
-// two-stage matcher hot path. cmd/benchdiff runs exactly these and emits
-// BENCH_matcher.json; keep their names and shapes stable so before/after
-// numbers stay comparable across PRs.
+// The three benchmarks below time the two-stage matcher hot path in
+// process. They are unrecorded micro-benchmarks for use while working;
+// the recorded figures are BENCHMARK.json's (bash bench/run.sh).
 
 // BenchmarkRank measures stage-1 candidate ranking (§IV-C) in isolation:
 // one unknown scored against the full known set, top-k selected.
@@ -553,57 +551,22 @@ func BenchmarkRescore(b *testing.B) {
 	}
 }
 
-var (
-	matchAllOnce   sync.Once
-	matchAllShared *attribution.Matcher
-	matchAllProbes []attribution.Subject
-)
-
-// benchMatchAll builds (once) the matcher both MatchAll twins share, so
-// the instrumented and uninstrumented ops score through the very same
-// index memory and their ratio measures the telemetry layer alone, not
-// allocator layout luck between two independently built indexes. The
-// warm pass populates the lazy per-subject caches so every measured op
-// sees the steady state a long-running matcher runs in.
-func benchMatchAll(b *testing.B) *attribution.Matcher {
-	b.Helper()
-	known, probes := benchSubjects(b)
-	matchAllOnce.Do(func() {
-		m, err := attribution.NewMatcher(known, attribution.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.MatchAll(context.Background(), probes); err != nil {
-			b.Fatal(err)
-		}
-		matchAllShared, matchAllProbes = m, probes
-	})
-	return matchAllShared
-}
-
 // BenchmarkMatchAll measures the full §IV-I algorithm over every probe at
-// lab scale (0.03, default options) — the headline end-to-end number.
+// lab scale (0.03, default options). The warm pass populates the lazy
+// per-subject caches so every measured op sees the steady state a
+// long-running matcher runs in.
 func BenchmarkMatchAll(b *testing.B) {
-	m := benchMatchAll(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.MatchAll(context.Background(), matchAllProbes); err != nil {
-			b.Fatal(err)
-		}
+	known, probes := benchSubjects(b)
+	m, err := attribution.NewMatcher(known, attribution.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkMatchAllObs is BenchmarkMatchAll with tracing live: every op
-// builds a fresh tracer and records the full span forest (match.all,
-// per-worker, per-query rank/rescore spans) plus the match metrics.
-// cmd/benchdiff -suite obs divides this by BenchmarkMatchAll to guard the
-// telemetry overhead bound (< 3%).
-func BenchmarkMatchAllObs(b *testing.B) {
-	m := benchMatchAll(b)
+	if _, err := m.MatchAll(context.Background(), probes); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx := obs.WithTracer(context.Background(), obs.NewTracer())
-		if _, err := m.MatchAll(ctx, matchAllProbes); err != nil {
+		if _, err := m.MatchAll(context.Background(), probes); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -88,7 +88,7 @@ func main() {
 		maxBody   = flag.Int64("max-body", serve.DefaultMaxBody, "request body byte limit")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request handling deadline")
 		drain     = flag.Duration("drain", 15*time.Second, "SIGTERM drain deadline for in-flight requests")
-		preMode   = flag.String("prefilter", "", "default stage-1 candidate pre-filter: exact, pruned, or lsh (empty: pruned); /v1/rank requests may override per query")
+		preMode   = flag.String("prefilter", "", "default stage-1 candidate pre-filter: exact, pruned, or lsh (empty: exact); /v1/rank requests may override per query")
 		lshBands  = flag.Int("lsh-bands", 0, "MinHash-LSH band count (0: the built-in default)")
 		lshRows   = flag.Int("lsh-rows", 0, "MinHash rows per LSH band (0: the built-in default)")
 		indexDir  = flag.String("index-dir", "", "index store directory (index.snap + journal.jsonl): cold-start from the snapshot when present; SIGHUP replays journal deltas instead of rebuilding")

@@ -126,7 +126,8 @@ func LoadDir(dir, importPath string) (*Package, error) {
 }
 
 // packageDirs maps every import path in the module to its directory,
-// skipping testdata, vendor, and hidden directories — the same dirs the
+// skipping testdata, vendor, hidden directories, and nested modules
+// (any directory below the root with its own go.mod) — the same dirs the
 // go tool itself ignores.
 func packageDirs(root string) (map[string]string, error) {
 	modBytes, err := os.ReadFile(filepath.Join(root, "go.mod"))
@@ -140,8 +141,14 @@ func packageDirs(root string) (map[string]string, error) {
 			return err
 		}
 		if d.IsDir() {
+			if path == root {
+				return nil
+			}
 			name := d.Name()
-			if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -61,5 +62,37 @@ func TestLoadUnknownPattern(t *testing.T) {
 	root := moduleRoot(t)
 	if _, err := Load(Config{Dir: root}, "./internal/nonexistent"); err == nil {
 		t.Fatal("expected error for unknown package")
+	}
+}
+
+// TestLoadSkipsNestedModules: a directory below the root with its own
+// go.mod is another module (bench/ in this repo); "./..." must not load
+// its packages, exactly as the go tool would not.
+func TestLoadSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for path, content := range map[string]string{
+		"go.mod":              "module outer\n",
+		"a/a.go":              "package a\n",
+		"nested/go.mod":       "module outer/nested\n",
+		"nested/n.go":         "package nested\n",
+		"nested/deep/deep.go": "package deep\n",
+	} {
+		full := filepath.Join(root, filepath.FromSlash(path))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := Load(Config{Dir: root}, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "outer/a" {
+		t.Fatalf("loaded %+v, want only outer/a", pkgs)
+	}
+	if _, err := Load(Config{Dir: root}, "./nested"); err == nil {
+		t.Error("a nested module's package was loadable by path")
 	}
 }

@@ -33,8 +33,10 @@ import (
 //     cluster.
 //
 // Every benchmark reports the mean exactly-scored candidates per query as
-// a `cands/op` metric; cmd/benchdiff's prefilter suite records it next to
-// ns/op and gates the Exact/Pruned and Exact/LSH ns ratios.
+// a `cands/op` metric. These synthetic worlds are a regime the real
+// corpora we can hold in memory do not reach; what stage 1 costs on real
+// worlds is BENCHMARK.json's attribution.rank_{exact,pruned,lsh}_ms and
+// prefilter.scored_frac (bash bench/run.sh -trace 1).
 
 const (
 	benchDims        = 65536

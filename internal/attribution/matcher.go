@@ -55,9 +55,8 @@ type Options struct {
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
 	// Prefilter selects the default stage-1 candidate pre-filter and its
-	// knobs. The zero value resolves to the lossless pruned mode, whose
-	// top-k is bit-identical to the exact scan; per-query MatchOptions can
-	// override the mode. See internal/prefilter.
+	// knobs. The zero value resolves to the exact scan; per-query
+	// MatchOptions can override the mode. See internal/prefilter.
 	Prefilter prefilter.Params
 	// Incremental retains the corpus gram counters and each subject's
 	// sorted reduction-config document after the build, enabling State()
@@ -573,7 +572,7 @@ func (m *Matcher) rankDoc(doc *features.Doc, unknown *Subject, o MatchOptions, b
 	}
 	if mode == prefilter.ModeLSH && ub.grams.Len() == 0 {
 		// Nothing to hash: stay lossless rather than return nothing.
-		mode = prefilter.ModePruned
+		mode = prefilter.ModeExact
 	}
 	var out []Scored
 	var st prefilter.Stats

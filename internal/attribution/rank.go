@@ -7,8 +7,9 @@ import (
 // Stage-1 ranking paths. rankDoc (matcher.go) resolves per-query options
 // and dispatches here:
 //
-//   - rankExact: the original full scan — accumulate every subject's gram
-//     dot through the inverted index, then normalise all N scores.
+//   - rankExact (the default): the original full scan — accumulate every
+//     subject's gram dot through the inverted index, then normalise all N
+//     scores.
 //   - rankPruned: lossless WAND-style pruning. Walk only the
 //     highest-impact query terms' posting lists, bound every subject's
 //     score from the partial sums plus the unwalked tail, and exact-score

@@ -84,7 +84,8 @@ func randomWorld(rng *rand.Rand, n int) (known, probes []Subject) {
 // random worlds, random weights, random k, and random pruning knobs
 // (including a slack far below the default), the pruned top-k must equal
 // the exact scan's bit for bit — same names, same order, same float64
-// score bits.
+// score bits. A knob-less query (ModeDefault) is held to the same standard
+// and must report that it ran as exact.
 func TestPrunedBitIdenticalToExact(t *testing.T) {
 	trials := 12
 	if testing.Short() {
@@ -118,23 +119,29 @@ func TestPrunedBitIdenticalToExact(t *testing.T) {
 				ps := knobs[rng.Intn(len(knobs))]
 				exact, stE := m.RankDetailed(&probes[pi], MatchOptions{K: k, Weights: &w, Mode: prefilter.ModeExact})
 				pruned, stP := m.RankDetailed(&probes[pi], MatchOptions{K: k, Weights: &w, Mode: prefilter.ModePruned, Pruned: &ps})
-				if stE.Mode != prefilter.ModeExact {
-					t.Fatalf("probe %d: exact ran as %v", pi, stE.Mode)
+				def, stD := m.RankDetailed(&probes[pi], MatchOptions{K: k, Weights: &w})
+				if stE.Mode != prefilter.ModeExact || stD.Mode != prefilter.ModeExact {
+					t.Fatalf("probe %d: exact ran as %v, default as %v", pi, stE.Mode, stD.Mode)
 				}
 				if stP.Scored+stP.Pruned != n {
 					t.Fatalf("probe %d: stats do not cover the known set: %+v", pi, stP)
 				}
-				if len(pruned) != len(exact) {
-					t.Fatalf("probe %d (k=%d, knobs=%+v): pruned returned %d entries, exact %d",
-						pi, k, ps, len(pruned), len(exact))
-				}
-				for j := range exact {
-					if pruned[j].Name != exact[j].Name ||
-						math.Float64bits(pruned[j].Score) != math.Float64bits(exact[j].Score) {
-						t.Fatalf("probe %d (k=%d, knobs=%+v): rank %d diverges:\npruned %q %v (%x)\nexact  %q %v (%x)",
-							pi, k, ps, j,
-							pruned[j].Name, pruned[j].Score, math.Float64bits(pruned[j].Score),
-							exact[j].Name, exact[j].Score, math.Float64bits(exact[j].Score))
+				for _, c := range []struct {
+					mode string
+					got  []Scored
+				}{{"pruned", pruned}, {"default", def}} {
+					if len(c.got) != len(exact) {
+						t.Fatalf("probe %d (k=%d, knobs=%+v): %s returned %d entries, exact %d",
+							pi, k, ps, c.mode, len(c.got), len(exact))
+					}
+					for j := range exact {
+						if c.got[j].Name != exact[j].Name ||
+							math.Float64bits(c.got[j].Score) != math.Float64bits(exact[j].Score) {
+							t.Fatalf("probe %d (k=%d, knobs=%+v): rank %d diverges:\n%s %q %v (%x)\nexact  %q %v (%x)",
+								pi, k, ps, j, c.mode,
+								c.got[j].Name, c.got[j].Score, math.Float64bits(c.got[j].Score),
+								exact[j].Name, exact[j].Score, math.Float64bits(exact[j].Score))
+						}
 					}
 				}
 			}
@@ -142,10 +149,9 @@ func TestPrunedBitIdenticalToExact(t *testing.T) {
 	}
 }
 
-// TestPrunedIsDefaultMode pins the PR's headline behaviour change: a
-// matcher built from DefaultOptions pre-filters with the lossless pruned
-// mode unless told otherwise.
-func TestPrunedIsDefaultMode(t *testing.T) {
+// TestExactIsDefaultMode pins the stage-1 default: a matcher built from
+// DefaultOptions runs the exact scan unless told otherwise.
+func TestExactIsDefaultMode(t *testing.T) {
 	authors := makeAuthors(t, 12, 300)
 	known, probes := split(authors)
 	m, err := NewMatcher(known, testOptions())
@@ -153,22 +159,22 @@ func TestPrunedIsDefaultMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, st := m.RankDetailed(&probes[0], MatchOptions{})
-	if st.Mode != prefilter.ModePruned {
-		t.Fatalf("default mode = %v, want pruned", st.Mode)
+	if st.Mode != prefilter.ModeExact {
+		t.Fatalf("default mode = %v, want exact", st.Mode)
 	}
 	// An explicit per-matcher default wins.
 	opts := testOptions()
-	opts.Prefilter.Mode = prefilter.ModeExact
-	me, err := NewMatcher(known, opts)
+	opts.Prefilter.Mode = prefilter.ModePruned
+	mp, err := NewMatcher(known, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st = me.RankDetailed(&probes[0], MatchOptions{})
-	if st.Mode != prefilter.ModeExact {
-		t.Fatalf("configured exact default ran as %v", st.Mode)
+	_, st = mp.RankDetailed(&probes[0], MatchOptions{})
+	if st.Mode != prefilter.ModePruned {
+		t.Fatalf("configured pruned default ran as %v", st.Mode)
 	}
 	// And a per-query override beats both.
-	_, st = me.RankDetailed(&probes[0], MatchOptions{Mode: prefilter.ModeLSH})
+	_, st = mp.RankDetailed(&probes[0], MatchOptions{Mode: prefilter.ModeLSH})
 	if st.Mode != prefilter.ModeLSH {
 		t.Fatalf("per-query lsh override ran as %v", st.Mode)
 	}
@@ -245,8 +251,8 @@ func TestLSHEmptyQueryFallsBackLossless(t *testing.T) {
 		t.Fatal("probe needs an activity profile for this test")
 	}
 	got, st := m.RankDetailed(&probe, MatchOptions{Mode: prefilter.ModeLSH})
-	if st.Mode != prefilter.ModePruned {
-		t.Fatalf("empty-gram LSH query ran as %v, want pruned fallback", st.Mode)
+	if st.Mode != prefilter.ModeExact {
+		t.Fatalf("empty-gram LSH query ran as %v, want exact fallback", st.Mode)
 	}
 	exact, _ := m.RankDetailed(&probe, MatchOptions{Mode: prefilter.ModeExact})
 	if len(got) != len(exact) {

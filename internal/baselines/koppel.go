@@ -10,6 +10,7 @@ import (
 	"darklight/internal/eval"
 	"darklight/internal/features"
 	"darklight/internal/sparse"
+	"darklight/internal/splitmix"
 )
 
 // KoppelConfig tunes the random-subspace method of Koppel, Schler &
@@ -88,15 +89,8 @@ var koppelWeights = attribution.Weights{Freq: 0.2, Activity: 0.7}
 // inSubspace reports whether feature idx belongs to iteration it's random
 // subspace. Stateless hash of (seed, iteration, index) — no mask storage.
 func (k *Koppel) inSubspace(it int, idx uint32) bool {
-	h := splitmix(k.cfg.Seed ^ splitmix(uint64(it)*0x9e3779b97f4a7c15^uint64(idx)))
+	h := splitmix.Mix(k.cfg.Seed ^ splitmix.Mix(uint64(it)*splitmix.Gamma^uint64(idx)))
 	return float64(h>>11)/(1<<53) < k.cfg.FeatureFraction
-}
-
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 type koppelPosting struct {

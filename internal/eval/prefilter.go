@@ -9,9 +9,9 @@ package eval
 //
 // Everything here is deterministic (seeded generator, count-based work
 // metrics, no durations), so the table can be pinned by tests and emitted
-// into run manifests. Wall-clock speedups live in the benchmark suite
-// (BENCH_prefilter.json via cmd/benchdiff), not here: a manifest must not
-// change because the machine was busy.
+// into run manifests. Wall-clock cost lives in the full-path benchmark
+// (BENCHMARK.json attribution.rank_{exact,pruned,lsh}_ms), not here: a
+// manifest must not change because the machine was busy.
 
 import (
 	"fmt"

@@ -23,7 +23,7 @@ func (r *PrefilterReport) String() string {
 	b.WriteString(r.Table.String())
 	b.WriteString("(pruned rows are lossless by construction — recall 1 at any knob; ")
 	b.WriteString("work is the fraction of the known set exactly scored. ")
-	b.WriteString("Wall-clock speedups are measured separately by the benchdiff prefilter suite.)\n")
+	b.WriteString("Wall-clock cost per mode is measured separately by the full-path benchmark, bench/run.sh.)\n")
 	return b.String()
 }
 

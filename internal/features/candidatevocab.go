@@ -59,17 +59,10 @@ type aggBuffers struct {
 	sort       sparse.Vector
 }
 
-// BuildCandidateVocab selects the vocabulary over the given documents
-// under cfg's gram budgets. Equivalent to folding the same documents
-// through a VocabBuilder and freezing it.
-func BuildCandidateVocab(cfg Config, docs []*SortedDoc) *CandidateVocab {
-	v := new(CandidateVocab)
-	v.Reset(cfg, docs)
-	return v
-}
-
-// Reset is BuildCandidateVocab into v's own storage. Everything derived
-// from the previous build is invalidated.
+// Reset selects the vocabulary over the given documents under cfg's gram
+// budgets, into v's own storage — equivalent to folding the same documents
+// through a VocabBuilder and freezing it. Everything derived from the
+// previous build is invalidated.
 func (v *CandidateVocab) Reset(cfg Config, docs []*SortedDoc) {
 	s := &v.scratch
 	// Document frequencies run 0..len(docs): one math.Log per value, not per
@@ -91,17 +84,10 @@ func (v *CandidateVocab) NumWordGrams() int { return len(v.wordByID) }
 // NumCharGrams returns the size of the char-gram section.
 func (v *CandidateVocab) NumCharGrams() int { return len(v.charByID) }
 
-// VectorizeGrams mirrors Vocabulary.VectorizeGrams over a SortedDoc:
-// two-pointer merges replace the per-gram map lookups. Like it, an empty
-// result has empty, not nil, slices.
-func (v *CandidateVocab) VectorizeGrams(d *SortedDoc) sparse.Vector {
-	vec := sparse.Vector{Idx: []uint32{}, Val: []float64{}}
-	v.VectorizeGramsInto(&vec, d)
-	return vec
-}
-
-// VectorizeGramsInto is VectorizeGrams into vec's own storage, which grows
-// only when d has more grams than any document vec held before.
+// VectorizeGramsInto mirrors Vocabulary.VectorizeGrams over a SortedDoc,
+// into vec's own storage (which grows only when d has more grams than any
+// document vec held before): two-pointer merges replace the per-gram map
+// lookups.
 func (v *CandidateVocab) VectorizeGramsInto(vec *sparse.Vector, d *SortedDoc) {
 	est := len(d.WordGrams) + len(d.CharGrams)
 	vec.Idx = slices.Grow(vec.Idx[:0], est)

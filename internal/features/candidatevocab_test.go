@@ -5,7 +5,25 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"darklight/internal/sparse"
 )
+
+// BuildCandidateVocab and VectorizeGrams are the allocating forms of Reset
+// and VectorizeGramsInto the reference comparisons are written against;
+// the matcher itself only ever reuses pooled storage. Like
+// Vocabulary.VectorizeGrams, an empty result has empty, not nil, slices.
+func BuildCandidateVocab(cfg Config, docs []*SortedDoc) *CandidateVocab {
+	v := new(CandidateVocab)
+	v.Reset(cfg, docs)
+	return v
+}
+
+func (v *CandidateVocab) VectorizeGrams(d *SortedDoc) sparse.Vector {
+	vec := sparse.Vector{Idx: []uint32{}, Val: []float64{}}
+	v.VectorizeGramsInto(&vec, d)
+	return vec
+}
 
 // randomDoc builds a synthetic document from a small gram-id pool so that
 // cross-document overlaps and frequency ties are common — the cases where

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"darklight/internal/splitmix"
 )
 
 // Window estimates quantiles over a rolling time window using a ring of
@@ -109,11 +111,7 @@ func (w *Window) Quantile(now time.Time, q float64) float64 {
 
 // rand64 advances the window's splitmix64 state; callers hold w.mu.
 func (w *Window) rand64() uint64 {
-	w.rng += 0x9e3779b97f4a7c15
-	z := w.rng
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	z := splitmix.Mix(w.rng)
+	w.rng += splitmix.Gamma
+	return z
 }

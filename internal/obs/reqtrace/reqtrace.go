@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"darklight/internal/obs"
+	"darklight/internal/splitmix"
 )
 
 // Header is the W3C trace-context propagation header, honoured inbound
@@ -232,12 +233,8 @@ func (c *Recorder) randFloat() float64 {
 // stream means concurrent callers each get a distinct, well-mixed draw
 // without locking.
 func (c *Recorder) rand64() uint64 {
-	z := c.rng.Add(0x9e3779b97f4a7c15)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	// Add returns the advanced state; the draw is Mix of the one before.
+	return splitmix.Mix(c.rng.Add(splitmix.Gamma) - splitmix.Gamma)
 }
 
 // newTraceID mints a 32-hex-digit non-zero trace id.

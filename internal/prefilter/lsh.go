@@ -1,6 +1,10 @@
 package prefilter
 
-import "slices"
+import (
+	"slices"
+
+	"darklight/internal/splitmix"
+)
 
 // Banded MinHash over gram feature-id sets.
 //
@@ -15,15 +19,6 @@ import "slices"
 // id order, and Candidates sorts its union before returning, so the same
 // query against the same index yields the same candidates on every run.
 
-// splitmix64 is the standard 64-bit finalizer/mixer (public domain,
-// Vigna); one application fully diffuses a feature id.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // hashFamily is n seeded hash functions over feature ids.
 type hashFamily struct {
 	seeds []uint64
@@ -33,14 +28,14 @@ func newHashFamily(n int, seed uint64) hashFamily {
 	seeds := make([]uint64, n)
 	s := seed
 	for i := range seeds {
-		s = splitmix64(s)
+		s = splitmix.Mix(s)
 		seeds[i] = s
 	}
 	return hashFamily{seeds: seeds}
 }
 
 func (f hashFamily) hash(i int, x uint32) uint64 {
-	return splitmix64(f.seeds[i] ^ uint64(x))
+	return splitmix.Mix(f.seeds[i] ^ uint64(x))
 }
 
 // signature writes the MinHash signature of a non-empty feature set into
@@ -62,9 +57,9 @@ func (f hashFamily) signature(set []uint32, sig []uint64) {
 // participates so identical minima in different bands cannot alias when a
 // caller compares keys across bands.
 func bandKey(band int, mins []uint64) uint64 {
-	k := splitmix64(uint64(band) ^ 0x517cc1b727220a95)
+	k := splitmix.Mix(uint64(band) ^ 0x517cc1b727220a95)
 	for _, m := range mins {
-		k = splitmix64(k ^ m)
+		k = splitmix.Mix(k ^ m)
 	}
 	return k
 }

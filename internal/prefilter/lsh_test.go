@@ -26,8 +26,8 @@ func TestParseModeRoundTrip(t *testing.T) {
 
 func TestParamsWithDefaults(t *testing.T) {
 	p := Params{}.WithDefaults()
-	if p.Mode != ModePruned {
-		t.Errorf("default mode = %v, want pruned", p.Mode)
+	if p.Mode != ModeExact {
+		t.Errorf("default mode = %v, want exact", p.Mode)
 	}
 	if p.Pruned.Slack != DefaultSlack || p.Pruned.TailShare != DefaultTailShare {
 		t.Errorf("pruned defaults = %+v", p.Pruned)

@@ -1,7 +1,10 @@
-// Package prefilter implements the stage-1 candidate pre-filters that make
-// ranking sub-linear in the known-set size: a lossless WAND-style
-// upper-bound pruning pass (ModePruned, the default) and an approximate
-// banded-MinHash filter (ModeLSH) for the 100-1000x regime.
+// Package prefilter implements the stage-1 candidate pre-filters meant to
+// make ranking sub-linear in the known-set size: a lossless WAND-style
+// upper-bound pruning pass (ModePruned) and an approximate banded-MinHash
+// filter (ModeLSH). Both are opt-in: the default is the plain exact scan
+// (ModeExact), which the full-path benchmark measures as the fastest of
+// the three at the world sizes we serve (BENCHMARK.json
+// attribution.rank_{exact,pruned,lsh}_ms, prefilter.scored_frac).
 //
 // The package owns the mode/parameter vocabulary, the per-term maximum
 // contributions the pruned mode's bounds are built from, the bound heap the
@@ -26,7 +29,7 @@ import (
 type Mode uint8
 
 const (
-	// ModeDefault defers to the configured default (ModePruned unless the
+	// ModeDefault defers to the configured default (ModeExact unless the
 	// matcher options say otherwise).
 	ModeDefault Mode = iota
 	// ModeExact disables the pre-filter: every known subject is scored.
@@ -169,11 +172,10 @@ type Params struct {
 	LSH    LSHParams
 }
 
-// WithDefaults resolves ModeDefault to ModePruned (the lossless mode is
-// safe to default) and fills both knob sets.
+// WithDefaults resolves ModeDefault to ModeExact and fills both knob sets.
 func (p Params) WithDefaults() Params {
 	if p.Mode == ModeDefault {
-		p.Mode = ModePruned
+		p.Mode = ModeExact
 	}
 	p.Pruned = p.Pruned.WithDefaults()
 	p.LSH = p.LSH.WithDefaults()

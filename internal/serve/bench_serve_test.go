@@ -5,13 +5,12 @@ package serve
 // benchmark verifies every response byte-for-byte against the sequential
 // matcher answer — the load numbers are only worth recording if the served
 // bytes are correct — and reports the per-request p99 latency as a custom
-// "p99-ns" metric, which cmd/benchdiff parses and gates with -maxp99.
-//
-//	go run ./cmd/benchdiff -suite serve -phase before
+// "p99-ns" metric. These are unrecorded micro-benchmarks; the recorded
+// serving figures are BENCHMARK.json's, measured over loopback against the
+// real daemon (bash bench/run.sh).
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -23,16 +22,11 @@ import (
 	"darklight/internal/attribution"
 	"darklight/internal/forum"
 	"darklight/internal/obs"
-	"darklight/internal/obs/reqtrace"
 )
 
 // benchEnv is built once and shared by all serve benchmarks.
 type benchEnv struct {
 	handler http.Handler
-	// traced is the same service configuration with request tracing live
-	// (recorder + access log + span tree per request); the bit-identity
-	// contract lets the Obs twin verify against the same expected bytes.
-	traced http.Handler
 	// queries[i] holds the pre-marshaled request and expected response
 	// bytes for one (endpoint, alias) pair.
 	queries []benchQuery
@@ -72,20 +66,14 @@ func benchSetup(b *testing.B) *benchEnv {
 		if err != nil {
 			panic(err)
 		}
-		// Both services share one pre-built matcher (the Corpus.Matcher
-		// hook): the traced and untraced twins then score through the very
-		// same index memory, so the overhead pair measures the tracing
-		// layer alone rather than allocator layout luck between two
-		// independently built indexes.
 		m, err := attribution.NewMatcherContext(ctx, ks, testOptions())
 		if err != nil {
 			panic(err)
 		}
-		loader := func(context.Context) (*Corpus, error) {
-			return &Corpus{Known: ks, Query: qs, Matcher: m}, nil
-		}
 		svc, err := New(ctx, Config{
-			Loader:   loader,
+			Loader: func(context.Context) (*Corpus, error) {
+				return &Corpus{Known: ks, Query: qs}, nil
+			},
 			Options:  testOptions(),
 			Subjects: testSubjectOptions(),
 			APIKeys:  []string{"bench-key"},
@@ -94,22 +82,7 @@ func benchSetup(b *testing.B) *benchEnv {
 		if err != nil {
 			panic(err)
 		}
-		svcObs, err := New(ctx, Config{
-			Loader:   loader,
-			Options:  testOptions(),
-			Subjects: testSubjectOptions(),
-			APIKeys:  []string{"bench-key"},
-			Registry: obs.NewRegistry(),
-			Trace: reqtrace.NewRecorder(reqtrace.Options{
-				SampleRate: 0.01,
-				Slow:       250 * time.Millisecond,
-				AccessLog:  io.Discard,
-			}),
-		})
-		if err != nil {
-			panic(err)
-		}
-		env := &benchEnv{handler: svc.Handler(), traced: svcObs.Handler()}
+		env := &benchEnv{handler: svc.Handler()}
 		for i := range qs {
 			sub := &qs[i]
 			res := m.Match(sub)
@@ -145,7 +118,7 @@ func benchName(i int) string {
 
 // benchDrivers sizes the closed-loop driver pool to the machine: 2 per
 // core, capped at 8. On a single-core runner more drivers only measure
-// their own queueing, swamping the p99 the gate is meant to watch.
+// their own queueing, swamping the p99.
 func benchDrivers() int {
 	d := 2 * runtime.GOMAXPROCS(0)
 	if d > 8 {
@@ -208,18 +181,6 @@ func BenchmarkServeRank(b *testing.B) {
 	env := benchSetup(b)
 	ranks := rankQueries(env)
 	drive(b, env.handler, benchDrivers(), func(i int64) *benchQuery { return ranks[i%int64(len(ranks))] })
-}
-
-// BenchmarkServeRankObs is BenchmarkServeRank with request tracing live:
-// traceparent minting, the per-stage span tree, probabilistic ring
-// sampling, and a (discarded) access log line per request. cmd/benchdiff's
-// -maxoverhead gate pairs it with the base benchmark; the bodies are
-// verified against the same expected bytes because tracing must not change
-// a single response byte.
-func BenchmarkServeRankObs(b *testing.B) {
-	env := benchSetup(b)
-	ranks := rankQueries(env)
-	drive(b, env.traced, benchDrivers(), func(i int64) *benchQuery { return ranks[i%int64(len(ranks))] })
 }
 
 func rankQueries(env *benchEnv) []*benchQuery {

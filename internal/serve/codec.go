@@ -109,9 +109,9 @@ type RankRequest struct {
 	K int `json:"k,omitempty"`
 	// Prefilter selects the stage-1 candidate pre-filter for this query:
 	// "exact", "pruned" (lossless, bit-identical to exact), or "lsh"
-	// (approximate banded MinHash). Empty means the server's default, and
-	// leaves the response in its legacy shape (no "prefilter" stats
-	// object).
+	// (approximate banded MinHash). Empty means the server's default
+	// (exact unless -prefilter says otherwise), and leaves the response in
+	// its legacy shape (no "prefilter" stats object).
 	Prefilter string `json:"prefilter,omitempty"`
 }
 

@@ -17,8 +17,8 @@ import (
 // the from-scratch path (subject derivation + extraction + both build
 // passes); StoreLoad measures reading, digest-verifying, and reassembling
 // the same index from disk; StoreSave measures producing the snapshot.
-// cmd/benchdiff's store suite records all three and gates the
-// rebuild/load ratio at the largest N.
+// The recorded counterparts are BENCHMARK.json's build_s, cold_start_s
+// and store.{save,load}_s.
 
 type storeBenchWorld struct {
 	ds       *forum.Dataset

@@ -3,6 +3,8 @@ package synth
 import (
 	"math"
 	"math/rand"
+
+	"darklight/internal/splitmix"
 )
 
 // Determinism contract: every stochastic choice in the generator flows from
@@ -11,15 +13,6 @@ import (
 // *persistent* traits that must be identical whenever the same entity is
 // instantiated — a person's affinity for a word must not depend on the
 // order in which forums generate their messages.
-
-// splitmix64 is the SplitMix64 mixing function: a high-quality 64-bit
-// finaliser used to derive independent sub-seeds and stateless uniforms.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // hashString folds a string into a 64-bit value (FNV-1a core, splitmix
 // finalised).
@@ -33,14 +26,14 @@ func hashString(s string) uint64 {
 		h ^= uint64(s[i])
 		h *= prime
 	}
-	return splitmix64(h)
+	return splitmix.Mix(h)
 }
 
 // hash2 combines two 64-bit values.
-func hash2(a, b uint64) uint64 { return splitmix64(a ^ splitmix64(b)) }
+func hash2(a, b uint64) uint64 { return splitmix.Mix(a ^ splitmix.Mix(b)) }
 
 // hash3 combines three 64-bit values.
-func hash3(a, b, c uint64) uint64 { return splitmix64(hash2(a, b) ^ splitmix64(c)) }
+func hash3(a, b, c uint64) uint64 { return splitmix.Mix(hash2(a, b) ^ splitmix.Mix(c)) }
 
 // uniform01 maps a hash to (0,1). Never returns exactly 0, so it is safe
 // as a log() argument.
@@ -52,7 +45,7 @@ func uniform01(h uint64) float64 {
 // decorrelated uniforms derived from the hash.
 func gauss(h uint64) float64 {
 	u1 := uniform01(h)
-	u2 := uniform01(splitmix64(h + 0x6a09e667f3bcc909))
+	u2 := uniform01(splitmix.Mix(h + 0x6a09e667f3bcc909))
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
