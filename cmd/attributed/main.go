@@ -405,6 +405,38 @@ func makeQuerySubjects(pipe *darklight.Pipeline, known, query, forumWhich string
 	}
 }
 
+// optionDrift names each matcher option on which the flags and the
+// snapshot a cold start took its matcher from disagree — a snapshot carries
+// the options it was built with, so without this line the flag is ignored
+// in silence. Workers and Incremental are how an index is built, not what
+// it answers, and are not compared; "built-in defaults" covers every option
+// no flag sets (an index saved by a build with other defaults).
+func optionDrift(flags, snapshot attribution.Options) []string {
+	f, s := flags.WithDefaults(), snapshot.WithDefaults()
+	var drift []string
+	for _, d := range []struct {
+		name       string
+		flag, snap any
+	}{
+		{"-k", f.K, s.K},
+		{"-threshold", f.Threshold, s.Threshold},
+		{"-prefilter", f.Prefilter.Mode, s.Prefilter.Mode},
+		{"-lsh-bands", f.Prefilter.LSH.Bands, s.Prefilter.LSH.Bands},
+		{"-lsh-rows", f.Prefilter.LSH.Rows, s.Prefilter.LSH.Rows},
+	} {
+		if d.flag != d.snap {
+			drift = append(drift, fmt.Sprintf("%s is %v, snapshot has %v", d.name, d.flag, d.snap))
+		}
+	}
+	f.K, f.Threshold, f.Prefilter.Mode, f.Prefilter.LSH.Bands, f.Prefilter.LSH.Rows =
+		s.K, s.Threshold, s.Prefilter.Mode, s.Prefilter.LSH.Bands, s.Prefilter.LSH.Rows
+	f.Workers, f.Incremental = s.Workers, s.Incremental
+	if f != s {
+		drift = append(drift, "built-in defaults differ from the snapshot's")
+	}
+	return drift
+}
+
 // makeStoreLoader wires the persistent index store into the serve loader.
 // The first load cold-starts from the snapshot when one exists (building
 // from the corpus source only when it does not); every load — including
@@ -430,6 +462,9 @@ func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribu
 					return nil, err
 				}
 				log.Printf("attributed: cold-started index v%d (%d subjects) from %s", idx.Version, len(idx.Subjects), st.SnapshotPath())
+				if drift := optionDrift(opts, idx.Matcher.Options()); len(drift) > 0 {
+					log.Printf("attributed: the snapshot's matcher options win over the flags until the index is rebuilt: %s", strings.Join(drift, "; "))
+				}
 				cur = idx
 			} else {
 				ds, err := knownDS(ctx)

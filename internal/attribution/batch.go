@@ -26,7 +26,7 @@ type BatchMatcher struct {
 // least the stage-1 k, or a candidate pool could never shrink below one
 // batch.
 func NewBatchMatcher(known []Subject, opts Options, b int) (*BatchMatcher, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	if b < opts.K {
 		return nil, fmt.Errorf("attribution: batch size %d smaller than k=%d", b, opts.K)
 	}

@@ -117,7 +117,8 @@ func benchVector(rng *rand.Rand, terms []uint32) sparse.Vector {
 
 // getBenchWorld builds (and memoises) the synthetic matcher for one N,
 // assembling the index structures directly in the shapes the build pass
-// produces: subject-ascending postings, forward lists, per-term maxima.
+// produces — forward lists, per-term maxima — and inverting them with the
+// matcher's own inversion.
 func getBenchWorld(tb testing.TB, n int) *benchWorld {
 	tb.Helper()
 	benchWorldsMu.Lock()
@@ -142,15 +143,14 @@ func getBenchWorld(tb testing.TB, n int) *benchWorld {
 	}
 
 	m := &Matcher{
-		opts:     Options{K: benchTopK, Prefilter: prefilter.Params{}.WithDefaults()},
-		known:    make([]Subject, n),
-		postings: make(map[uint32][]posting),
-		mask:     make([]uint8, n),
-		freqs:    make([][]float64, n),
-		acts:     make([][]float64, n),
-		fwdIdx:   make([][]uint32, n),
-		fwdVal:   make([][]float32, n),
-		lshIdx:   make(map[prefilter.LSHParams]*prefilter.LSH),
+		opts:   Options{K: benchTopK, Prefilter: prefilter.Params{}.WithDefaults()},
+		known:  make([]Subject, n),
+		mask:   make([]uint8, n),
+		freqs:  make([][]float64, n),
+		acts:   make([][]float64, n),
+		fwdIdx: make([][]uint32, n),
+		fwdVal: make([][]float32, n),
+		lshIdx: make(map[prefilter.LSHParams]*prefilter.LSH),
 	}
 	mc := prefilter.NewMaxContrib(benchDims)
 	for i := 0; i < n; i++ {
@@ -161,13 +161,16 @@ func getBenchWorld(tb testing.TB, n int) *benchWorld {
 			f := float32(v.Val[k])
 			vals32[k] = f
 			mc.Note(idx, f)
-			m.postings[idx] = append(m.postings[idx], posting{subject: i, value: f})
 		}
 		m.mask[i] = maskGrams
 		m.fwdIdx[i] = v.Idx
 		m.fwdVal[i] = vals32
 	}
 	m.maxContrib = mc
+	var err error
+	if m.postOff, m.postSubj, m.postVal, err = invertForward(m.fwdIdx, m.fwdVal, benchDims); err != nil {
+		tb.Fatal(err)
+	}
 
 	// The query is written in cluster 0's voice, so its true top-k are
 	// real near-neighbours, not noise.

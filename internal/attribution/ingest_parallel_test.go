@@ -41,7 +41,9 @@ func TestNewMatcherWorkerInvariance(t *testing.T) {
 		if !reflect.DeepEqual(par.vocab, seq.vocab) {
 			t.Errorf("Workers=%d: vocabulary diverges from sequential build", workers)
 		}
-		if !reflect.DeepEqual(par.postings, seq.postings) {
+		if !reflect.DeepEqual(par.postOff, seq.postOff) ||
+			!reflect.DeepEqual(par.postSubj, seq.postSubj) ||
+			!reflect.DeepEqual(par.postVal, seq.postVal) {
 			t.Errorf("Workers=%d: inverted index diverges from sequential build", workers)
 		}
 		if !reflect.DeepEqual(par.mask, seq.mask) ||

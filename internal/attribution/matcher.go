@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -89,7 +90,10 @@ func (o Options) weights() Weights {
 	return w
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults resolves the zero-valued knobs — K, Workers, the pre-filter
+// parameters — to what a matcher built from o runs with, the form
+// Matcher.Options reports.
+func (o Options) WithDefaults() Options {
 	if o.K <= 0 {
 		o.K = DefaultK
 	}
@@ -132,10 +136,15 @@ type Matcher struct {
 	known []Subject
 
 	vocab *features.Vocabulary
-	// Inverted index over gram features: for each feature index, the list
-	// of (known subject, normalised value) postings. Scoring an unknown
-	// touches only postings of features the unknown actually has.
-	postings map[uint32][]posting
+	// Inverted index over gram features, as one CSR arena: the postings of
+	// gram feature g are postSubj[postOff[g]:postOff[g+1]] (known-subject
+	// indices, ascending) beside the same range of postVal (their normalised
+	// values). Scoring an unknown touches only the ranges of features the
+	// unknown actually has. invertForward derives the arena from the
+	// forward lists below, for a build, a Fold and a snapshot load alike.
+	postOff  []uint32
+	postSubj []int32
+	postVal  []float32
 	// mask records per-subject block presence (maskGrams/maskFreq/maskAct
 	// bits): the subject-side norm depends only on which blocks exist.
 	mask []uint8
@@ -145,13 +154,13 @@ type Matcher struct {
 	acts  [][]float64
 	// maxContrib holds each gram feature's largest posting value — the
 	// per-term contribution caps the pruned pre-filter builds score upper
-	// bounds from. Built shard-by-shard alongside the postings and merged.
+	// bounds from. Built shard by shard beside the forward lists and merged.
 	maxContrib *prefilter.MaxContrib
 	// fwdIdx/fwdVal are the forward gram index: each subject's sorted
 	// feature ids and the same float32 values its postings carry. The
 	// pre-filtered paths score one subject at a time with an id-ordered
 	// merge over these lists, reproducing the posting sweep's float32
-	// accumulation bit for bit.
+	// accumulation bit for bit. They are also what a snapshot persists.
 	fwdIdx [][]uint32
 	fwdVal [][]float32
 	// lshIdx lazily caches one immutable LSH index per operating point
@@ -231,6 +240,8 @@ type matchBuffers struct {
 	// indices and cached documents, the per-query candidate vocabulary with
 	// its build buffers, and the gram vectors of the unknown and of the
 	// candidate being scored. Nothing a rescore returns aliases any of it.
+	// Stage 1 runs to completion first and builds its query vector in uvec
+	// too, with cvec as the index sort's second buffer.
 	idxs       []int
 	docs       []*features.SortedDoc
 	vocab      features.CandidateVocab
@@ -287,11 +298,6 @@ func (b *matchBuffers) scoreBufs(n int) ([]float64, []float32) {
 	return b.scores, b.scores32
 }
 
-type posting struct {
-	subject int
-	value   float32
-}
-
 // NewMatcher indexes the known subjects. The known slice is retained (the
 // second stage re-reads candidate texts); callers must not mutate it.
 func NewMatcher(known []Subject, opts Options) (*Matcher, error) {
@@ -303,7 +309,7 @@ func NewMatcher(known []Subject, opts Options) (*Matcher, error) {
 // index pass a "matcher.index" span, each with one shard child per worker
 // chunk. The built index is bit-identical with tracing on or off.
 func NewMatcherContext(ctx context.Context, known []Subject, opts Options) (*Matcher, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
@@ -384,15 +390,11 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 	}
 	shards := shardCount(opts.Workers, len(known))
 
-	// Pass 2: re-extract, build blocks, and assemble per-shard posting
-	// lists in one parallel sweep over the same contiguous chunks. Each
-	// shard's postings are subject-ascending within its range, so
-	// concatenating the shards in order reproduces exactly the
-	// subject-ascending posting lists of a serial build — the order
-	// stage-1 accumulates float32 dot products in. The same sweep fills
-	// the pre-filter structures: per-feature max contributions (merged
-	// across shards; max is order-independent), the forward gram index,
-	// and the block-presence masks.
+	// Pass 2: re-extract and build blocks in one parallel sweep over the
+	// same contiguous chunks. A shard writes only its own subjects' slots —
+	// forward gram index, dense blocks, block-presence masks — and a private
+	// table of per-feature max contributions (merged across shards; max is
+	// order-independent), so any worker count builds the serial result.
 	m.mask = make([]uint8, len(known))
 	m.freqs = make([][]float64, len(known))
 	m.acts = make([][]float64, len(known))
@@ -401,22 +403,25 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 	gramDims := int(m.vocab.FreqOffset())
 	ictx, ispan := obs.Start(ctx, "matcher.index")
 	ispan.AddItems(int64(len(known)))
-	shardPostings := make([]map[uint32][]posting, shards)
 	shardMax := make([]*prefilter.MaxContrib, shards)
 	parallelChunks(shards, len(known), func(s, lo, hi int) {
 		_, ss := obs.Start(ictx, "matcher.index.shard")
 		ss.SetWorker(s)
 		ss.AddItems(int64(hi - lo))
 		defer ss.End()
-		local := make(map[uint32][]posting)
 		mc := prefilter.NewMaxContrib(gramDims)
+		var scratch sparse.Vector
 		for i := lo; i < hi; i++ {
-			var b blocks
+			var d *features.SortedDoc
 			if docs != nil {
-				b = buildBlocksFromSortedVocab(docs[i], &known[i], m.vocab)
+				d = docs[i]
 			} else {
-				b = buildBlocks(&known[i], m.vocab, opts.Reduction)
+				d = features.Extract(known[i].Text, opts.Reduction).Sorted()
 			}
+			// A fresh vector per subject: its indices stay as the forward list.
+			var vec sparse.Vector
+			m.vocab.VectorizeGramsInto(&vec, &scratch, d)
+			b := blocksOf(vec, d, &known[i])
 			var msk uint8
 			if b.grams.Len() > 0 {
 				msk |= maskGrams
@@ -435,42 +440,95 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 				v := float32(b.grams.Val[k])
 				vals[k] = v
 				mc.Note(idx, v)
-				local[idx] = append(local[idx], posting{subject: i, value: v})
 			}
 			m.fwdIdx[i] = b.grams.Idx
 			m.fwdVal[i] = vals
 		}
-		shardPostings[s] = local
 		shardMax[s] = mc
 	})
-	m.postings = make(map[uint32][]posting)
-	for _, local := range shardPostings {
-		for idx, ps := range local {
-			m.postings[idx] = append(m.postings[idx], ps...)
-		}
-	}
 	m.maxContrib = shardMax[0]
 	for _, mc := range shardMax[1:] {
 		m.maxContrib.Merge(mc)
 	}
 	m.lshIdx = make(map[prefilter.LSHParams]*prefilter.LSH)
+	err := m.finish()
 	ispan.End()
-	mKnown.Set(float64(len(known)))
-	mVocabSize.Set(float64(m.vocab.NumWordGrams() + m.vocab.NumCharGrams()))
-	mPostings.Set(float64(len(m.postings)))
+	return m, err
+}
 
-	// Stage-2 support structures, hoisted out of Rescore: the name index
-	// (previously rebuilt on every call) and the lazy Final-config doc
-	// cache (previously re-extracted on every call).
-	m.byName = make(map[string]int, len(known))
-	texts := make([]string, len(known))
-	for i := range known {
-		m.byName[known[i].Name] = i
-		texts[i] = known[i].Text
+// finish completes a matcher whose vocabulary, forward lists and dense
+// blocks are in place, from the index pass or from a snapshot: it inverts
+// the forward lists into the posting arena and sets up what stage 2 keeps
+// for the matcher's lifetime — the name index and the lazy Final-config
+// document cache.
+func (m *Matcher) finish() error {
+	var err error
+	m.postOff, m.postSubj, m.postVal, err = invertForward(m.fwdIdx, m.fwdVal, int(m.vocab.FreqOffset()))
+	if err != nil {
+		return fmt.Errorf("attribution: posting inversion: %w", err)
 	}
-	m.finalDocs = features.NewDocCache(opts.Final, texts)
-	m.sameExtract = opts.Reduction.SameExtraction(opts.Final)
-	return m, nil
+	m.byName = make(map[string]int, len(m.known))
+	texts := make([]string, len(m.known))
+	for i := range m.known {
+		m.byName[m.known[i].Name] = i
+		texts[i] = m.known[i].Text
+	}
+	m.finalDocs = features.NewDocCache(m.opts.Final, texts)
+	m.sameExtract = m.opts.Reduction.SameExtraction(m.opts.Final)
+
+	distinct := 0
+	for g := 1; g < len(m.postOff); g++ {
+		if m.postOff[g] > m.postOff[g-1] {
+			distinct++
+		}
+	}
+	mKnown.Set(float64(len(m.known)))
+	mVocabSize.Set(float64(m.vocab.NumWordGrams() + m.vocab.NumCharGrams()))
+	mPostings.Set(float64(distinct))
+	return nil
+}
+
+// invertForward turns per-subject forward lists (fwdIdx[i][k] is a gram
+// feature id, fwdVal[i][k] its value) into the CSR posting arena over dims
+// gram features: off[g]..off[g+1] bounds feature g's postings in subj and
+// val. It is a counting sort on the feature id that visits subjects in
+// ascending order, so within a feature the subjects ascend — the order
+// stage 1 accumulates float32 dot products in. Forward lists are outside
+// input on the load path: a feature id outside the vocabulary, lists of
+// unequal length and an arena past 32-bit offsets are errors.
+func invertForward(fwdIdx [][]uint32, fwdVal [][]float32, dims int) (off []uint32, subj []int32, val []float32, err error) {
+	off = make([]uint32, dims+1)
+	total := 0
+	for i, ids := range fwdIdx {
+		if len(ids) != len(fwdVal[i]) {
+			return nil, nil, nil, fmt.Errorf("subject %d forward lists disagree (%d ids, %d values)", i, len(ids), len(fwdVal[i]))
+		}
+		for _, g := range ids {
+			if int(g) >= dims {
+				return nil, nil, nil, fmt.Errorf("gram id %d outside the %d-gram vocabulary", g, dims)
+			}
+			off[g+1]++
+		}
+		total += len(ids)
+	}
+	if uint64(total) > math.MaxUint32 || len(fwdIdx) > math.MaxInt32 {
+		return nil, nil, nil, fmt.Errorf("%d postings over %d subjects overflow the arena's 32-bit offsets", total, len(fwdIdx))
+	}
+	for g := 0; g < dims; g++ {
+		off[g+1] += off[g]
+	}
+	subj = make([]int32, total)
+	val = make([]float32, total)
+	next := slices.Clone(off[:dims])
+	for i, ids := range fwdIdx {
+		vals := fwdVal[i]
+		for k, g := range ids {
+			p := next[g]
+			subj[p], val[p] = int32(i), vals[k]
+			next[g] = p + 1
+		}
+	}
+	return off, subj, val, nil
 }
 
 // shardCount bounds a chunked fan-out: at most one shard per item, at
@@ -531,15 +589,15 @@ func (m *Matcher) RankWith(unknown *Subject, k int, w Weights) []Scored {
 // RankDetailed runs stage 1 under per-query options and reports what the
 // candidate pre-filter did alongside the top-k.
 func (m *Matcher) RankDetailed(unknown *Subject, o MatchOptions) ([]Scored, prefilter.Stats) {
-	doc := features.Extract(unknown.Text, m.opts.Reduction)
+	doc := features.Extract(unknown.Text, m.opts.Reduction).Sorted()
 	return m.rankDoc(doc, unknown, o, nil)
 }
 
-// rankDoc ranks an already-extracted reduction-config document, with
-// optional per-worker scratch buffers (drawn from the matcher's pool when
-// nil). It resolves the per-query options against the matcher's defaults
-// and dispatches to the selected pre-filter path; see rank.go.
-func (m *Matcher) rankDoc(doc *features.Doc, unknown *Subject, o MatchOptions, buf *matchBuffers) ([]Scored, prefilter.Stats) {
+// rankDoc ranks an already-extracted, flattened reduction-config document,
+// with optional per-worker scratch buffers (drawn from the matcher's pool
+// when nil). It resolves the per-query options against the matcher's
+// defaults and dispatches to the selected pre-filter path; see rank.go.
+func (m *Matcher) rankDoc(doc *features.SortedDoc, unknown *Subject, o MatchOptions, buf *matchBuffers) ([]Scored, prefilter.Stats) {
 	mRankTotal.Inc()
 	k := o.K
 	if k <= 0 {
@@ -553,7 +611,8 @@ func (m *Matcher) rankDoc(doc *features.Doc, unknown *Subject, o MatchOptions, b
 		buf = m.getBuf()
 		defer m.putBuf(buf)
 	}
-	ub := buildBlocksFromDoc(doc, unknown, m.vocab)
+	m.vocab.VectorizeGramsInto(&buf.uvec, &buf.cvec, doc)
+	ub := blocksOf(buf.uvec, doc, unknown)
 	uNorm := ub.norm(w)
 	mode := o.Mode
 	if mode == prefilter.ModeDefault {
@@ -627,10 +686,11 @@ func (m *Matcher) Rescore(unknown *Subject, candidates []Scored) []Scored {
 	return m.rescoreDoc(nil, unknown, candidates, buf)
 }
 
-// rescoreDoc is Rescore with an optional pre-extracted unknown document
-// (valid only when the reduction and final configs share extraction —
-// Match checks m.sameExtract before passing one) on the caller's scratch.
-func (m *Matcher) rescoreDoc(udoc *features.Doc, unknown *Subject, candidates []Scored, buf *matchBuffers) []Scored {
+// rescoreDoc is Rescore with an optional pre-extracted, flattened unknown
+// document (valid only when the reduction and final configs share
+// extraction — Match checks m.sameExtract before passing one) on the
+// caller's scratch.
+func (m *Matcher) rescoreDoc(udoc *features.SortedDoc, unknown *Subject, candidates []Scored, buf *matchBuffers) []Scored {
 	mRescoreTotal.Inc()
 	idxs, docs := buf.idxs[:0], buf.docs[:0]
 	for _, c := range candidates {
@@ -648,13 +708,21 @@ func (m *Matcher) rescoreDoc(udoc *features.Doc, unknown *Subject, candidates []
 
 	w := m.opts.weights()
 	if udoc == nil {
-		udoc = features.Extract(unknown.Text, m.opts.Final)
+		udoc = features.Extract(unknown.Text, m.opts.Final).Sorted()
 	}
-	ub := buildBlocksFromSorted(udoc.Sorted(), unknown, vocab, &buf.uvec)
+	vocab.VectorizeGramsInto(&buf.uvec, udoc)
+	ub := blocksOf(buf.uvec, udoc, unknown)
 	out := make([]Scored, 0, len(idxs))
 	for j, i := range idxs {
 		s := &m.known[i]
-		cb := buildBlocksFromSorted(docs[j], s, vocab, &buf.cvec)
+		vocab.VectorizeGramsInto(&buf.cvec, docs[j])
+		// The index already holds the candidate's dense blocks: activity
+		// never depends on the extraction config, frequency only when the
+		// two stages' raw counts differ.
+		cb := blocks{grams: buf.cvec.Normalize(), freq: m.freqs[i], act: m.acts[i]}
+		if !m.sameExtract {
+			cb.freq = normalizedFreq(docs[j].Freq)
+		}
 		out = append(out, Scored{Name: s.Name, Score: similarity(&ub, &cb, w)})
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -680,16 +748,16 @@ func (m *Matcher) MatchWith(unknown *Subject, o MatchOptions) MatchResult {
 
 // match is Match with optional per-worker scratch and a context that may
 // carry a tracer (per-query "match.rank" / "match.rescore" spans). The
-// unknown's document is extracted once; when the two stages share an
-// extraction config (the paper's setup) the same document also feeds
-// Rescore.
+// unknown's document is extracted and flattened once; when the two stages
+// share an extraction config (the paper's setup) the same flattened
+// document also feeds Rescore.
 func (m *Matcher) match(ctx context.Context, unknown *Subject, buf *matchBuffers, o MatchOptions) MatchResult {
 	res := MatchResult{Unknown: unknown.Name}
 	if buf == nil {
 		buf = m.getBuf()
 		defer m.putBuf(buf)
 	}
-	udoc := features.Extract(unknown.Text, m.opts.Reduction)
+	udoc := features.Extract(unknown.Text, m.opts.Reduction).Sorted()
 	_, rsp := obs.Start(ctx, "match.rank")
 	res.Candidates, _ = m.rankDoc(udoc, unknown, o, buf)
 	rsp.AddItems(int64(len(res.Candidates)))

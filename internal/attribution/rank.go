@@ -8,8 +8,8 @@ import (
 // and dispatches here:
 //
 //   - rankExact (the default): the original full scan — accumulate every
-//     subject's gram dot through the inverted index, then normalise all N
-//     scores.
+//     subject's gram dot through the inverted index (one range of the
+//     posting arena per query term), then normalise all N scores.
 //   - rankPruned: lossless WAND-style pruning. Walk only the
 //     highest-impact query terms' posting lists, bound every subject's
 //     score from the partial sums plus the unwalked tail, and exact-score
@@ -71,11 +71,19 @@ const (
 // against.
 func (m *Matcher) rankExact(ub *blocks, k int, w Weights, uNorm float64, buf *matchBuffers) ([]Scored, prefilter.Stats) {
 	scores, tdots := buf.scoreBufs(len(m.known))
-	// Gram block via the inverted index.
+	// Gram block via the inverted index. A query term of float32 weight zero
+	// (IDF 0: a gram every known subject has, so the longest lists) is
+	// skipped: its products are all +0, which leave every sum's bits as they
+	// were — scoreOne, which adds them, still agrees.
 	for j, idx := range ub.grams.Idx {
 		v := float32(ub.grams.Val[j])
-		for _, p := range m.postings[idx] {
-			tdots[p.subject] += p.value * v
+		if v == 0 {
+			continue
+		}
+		lo, hi := m.postOff[idx], m.postOff[idx+1]
+		vals := m.postVal[lo:hi]
+		for p, i := range m.postSubj[lo:hi] {
+			tdots[i] += vals[p] * v
 		}
 	}
 	// Dense blocks + normalisation.
@@ -191,20 +199,22 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 			break
 		}
 		qv := g.Val[oj]
-		for _, post := range m.postings[g.Idx[oj]] {
+		lo, hi := m.postOff[g.Idx[oj]], m.postOff[g.Idx[oj]+1]
+		vals := m.postVal[lo:hi]
+		for p, i := range m.postSubj[lo:hi] {
 			// Zero contributions (idf-zero grams) are skipped rather than
 			// added: every contribution is >= 0, so a touched subject's
 			// partial sum is strictly positive — which is what lets the
 			// untouched sweep below identify touched subjects by
 			// pscore != 0, and keeps the touched list duplicate-free.
-			c := qv * float64(post.value)
+			c := qv * float64(vals[p])
 			if c == 0 {
 				continue
 			}
-			if pscore[post.subject] == 0 {
-				touched = append(touched, int32(post.subject))
+			if pscore[i] == 0 {
+				touched = append(touched, i)
 			}
-			pscore[post.subject] += c
+			pscore[i] += c
 		}
 		tail -= imps[oj]
 	}

@@ -75,11 +75,11 @@ func TestStage2ScratchConcurrent(t *testing.T) {
 // TestRescoreAllocationCeiling keeps the per-request garbage from creeping
 // back: a warm Rescore allocates what extracting and flattening the
 // unknown's document allocates (stage 2 must read the text) plus a fixed
-// handful — the returned slice, the sort of k scores, and the k+1 pairs of
-// 42- and 24-value frequency and activity blocks — and nothing that grows
-// with the documents. Measured: 26 beyond the extraction at k = 10, where
-// the code before the pooled scratch allocated 84, most of them vector and
-// radix buffers the size of a document.
+// handful — the returned slice, the sort of k scores and the unknown's own
+// frequency and activity blocks — and nothing per candidate (their dense
+// blocks are the index's) or that grows with the documents. Measured: 6
+// beyond the extraction at k = 10, where re-deriving every candidate's
+// blocks made it 26 and the code before the pooled scratch allocated 84.
 func TestRescoreAllocationCeiling(t *testing.T) {
 	authors := makeAuthors(t, 20, 1500)
 	known, probes := split(authors)
@@ -99,7 +99,7 @@ func TestRescoreAllocationCeiling(t *testing.T) {
 	rescore := testing.AllocsPerRun(20, func() {
 		m.rescoreDoc(nil, probe, cands, &buf)
 	})
-	const ceiling = 30
+	const ceiling = 8
 	if beyond := rescore - extract; beyond > ceiling {
 		t.Errorf("warm Rescore allocates %.0f beyond the %.0f of extracting its document, ceiling %d", beyond, extract, ceiling)
 	}

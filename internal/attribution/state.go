@@ -84,7 +84,7 @@ func (m *Matcher) State() (IndexState, error) {
 // Rescore, Match, and MatchAll output is bit-identical to the matcher
 // State was called on.
 func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
-	opts := st.Opts.withDefaults()
+	opts := st.Opts.WithDefaults()
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
@@ -93,11 +93,6 @@ func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
 		len(st.Acts) != n || len(st.FwdIdx) != n || len(st.FwdVal) != n {
 		return nil, fmt.Errorf("attribution: index state sized for %d subjects, got %d (docs %d mask %d freqs %d acts %d fwd %d/%d)",
 			len(st.Mask), n, len(st.Docs), len(st.Mask), len(st.Freqs), len(st.Acts), len(st.FwdIdx), len(st.FwdVal))
-	}
-	for i := range st.FwdIdx {
-		if len(st.FwdIdx[i]) != len(st.FwdVal[i]) {
-			return nil, fmt.Errorf("attribution: index state: subject %d forward lists disagree (%d ids, %d values)", i, len(st.FwdIdx[i]), len(st.FwdVal[i]))
-		}
 	}
 	vocab, err := features.NewVocabularyFromState(st.Vocab)
 	if err != nil {
@@ -119,53 +114,6 @@ func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
 		m.docs = st.Docs
 	}
 
-	// Rebuild the inverted index from the forward lists. Filling per-gram
-	// lists in ascending subject order reproduces exactly the posting
-	// order of a serial build — the order stage 1 accumulates float32
-	// dots in. Gram ids are vocabulary indices, so the inversion runs on
-	// dense arrays and one flat posting arena; the map is only assembled
-	// at the end, one insert per distinct gram rather than per posting
-	// (the difference is most of a large snapshot's load time).
-	dims := uint32(vocab.NumWordGrams() + vocab.NumCharGrams())
-	counts := make([]uint32, dims)
-	total := 0
-	distinct := 0
-	for _, ids := range st.FwdIdx {
-		for _, idx := range ids {
-			if idx >= dims {
-				return nil, fmt.Errorf("attribution: index state: gram id %d outside the %d-gram vocabulary", idx, dims)
-			}
-			if counts[idx] == 0 {
-				distinct++
-			}
-			counts[idx]++
-			total++
-		}
-	}
-	arena := make([]posting, total)
-	next := make([]uint32, dims)
-	off := uint32(0)
-	for idx, c := range counts {
-		next[idx] = off
-		off += c
-	}
-	for i, ids := range st.FwdIdx {
-		vals := st.FwdVal[i]
-		for k, idx := range ids {
-			arena[next[idx]] = posting{subject: i, value: vals[k]}
-			next[idx]++
-		}
-	}
-	m.postings = make(map[uint32][]posting, distinct)
-	off = 0
-	for idx, c := range counts {
-		if c == 0 {
-			continue
-		}
-		m.postings[uint32(idx)] = arena[off : off+c : off+c]
-		off += c
-	}
-
 	// Pre-install persisted LSH operating points; further points still
 	// build lazily on first use.
 	m.lshIdx = make(map[prefilter.LSHParams]*prefilter.LSH, len(st.LSH))
@@ -173,17 +121,11 @@ func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
 		m.lshIdx[t.Params.WithDefaults()] = prefilter.LSHFromTable(t)
 	}
 
-	m.byName = make(map[string]int, n)
-	texts := make([]string, n)
-	for i := range known {
-		m.byName[known[i].Name] = i
-		texts[i] = known[i].Text
+	// The inverted index is not persisted: finish re-derives it from the
+	// forward lists with the inversion every build uses.
+	if err := m.finish(); err != nil {
+		return nil, err
 	}
-	m.finalDocs = features.NewDocCache(opts.Final, texts)
-	m.sameExtract = opts.Reduction.SameExtraction(opts.Final)
-	mKnown.Set(float64(n))
-	mVocabSize.Set(float64(m.vocab.NumWordGrams() + m.vocab.NumCharGrams()))
-	mPostings.Set(float64(len(m.postings)))
 	return m, nil
 }
 

@@ -161,38 +161,18 @@ type blocks struct {
 
 // buildBlocks extracts and normalises the three blocks of a subject.
 func buildBlocks(s *Subject, vocab *features.Vocabulary, cfg features.Config) blocks {
-	doc := features.Extract(s.Text, cfg)
-	return buildBlocksFromDoc(doc, s, vocab)
+	d := features.Extract(s.Text, cfg).Sorted()
+	return blocksOf(vocab.VectorizeGramsSorted(d), d, s)
 }
 
-func buildBlocksFromDoc(doc *features.Doc, s *Subject, vocab *features.Vocabulary) blocks {
+// blocksOf assembles a subject's blocks around the TF-IDF gram vector
+// already vectorized from its flattened document d — by the reduction
+// vocabulary (index pass, stage-1 query) or a candidate vocabulary (stage
+// 2); one vectorizer serves both, so the blocks are bit-identical whichever
+// way d was obtained. grams is normalised in place and stays aliased.
+func blocksOf(grams sparse.Vector, d *features.SortedDoc, s *Subject) blocks {
 	return blocks{
-		grams: vocab.VectorizeGrams(doc).Normalize(),
-		freq:  normalizedFreq(doc.Freq),
-		act:   normalizedActivity(s),
-	}
-}
-
-// buildBlocksFromSortedVocab is buildBlocksFromDoc over the flattened
-// document form and the full reduction vocabulary — the incremental index
-// pass, which reuses cached sorted extractions instead of re-extracting.
-// The per-entry arithmetic matches VectorizeGrams exactly, so the blocks
-// are bit-identical to buildBlocks on the same subject.
-func buildBlocksFromSortedVocab(d *features.SortedDoc, s *Subject, vocab *features.Vocabulary) blocks {
-	return blocks{
-		grams: vocab.VectorizeGramsSorted(d).Normalize(),
-		freq:  normalizedFreq(d.Freq),
-		act:   normalizedActivity(s),
-	}
-}
-
-// buildBlocksFromSorted is buildBlocksFromDoc over the flattened document
-// form and a candidate vocabulary — the stage-2 hot path. The gram block is
-// built in vec's storage and stays valid until vec is next written.
-func buildBlocksFromSorted(d *features.SortedDoc, s *Subject, cv *features.CandidateVocab, vec *sparse.Vector) blocks {
-	cv.VectorizeGramsInto(vec, d)
-	return blocks{
-		grams: vec.Normalize(),
+		grams: grams.Normalize(),
 		freq:  normalizedFreq(d.Freq),
 		act:   normalizedActivity(s),
 	}
@@ -283,8 +263,7 @@ func similarity(u, v *blocks, w Weights) float64 {
 // raw frequency magnitudes dominate its subspaces and the comparison is
 // unfair.
 func CompositeVector(s *Subject, vocab *features.Vocabulary, cfg features.Config, w Weights) sparse.Vector {
-	doc := features.Extract(s.Text, cfg)
-	b := buildBlocksFromDoc(doc, s, vocab)
+	b := buildBlocks(s, vocab, cfg)
 	vec := b.grams.Clone()
 	if b.freq != nil && w.Freq != 0 {
 		fv := sparse.FromDense(b.freq).Scale(w.Freq)

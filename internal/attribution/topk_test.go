@@ -117,18 +117,16 @@ func referenceRescore(m *Matcher, unknown *Subject, candidates []Scored) []Score
 		}
 	}
 	vb := features.NewVocabBuilder(m.opts.Final)
-	docs := make([]*features.Doc, len(subjects))
-	for i, s := range subjects {
-		docs[i] = features.Extract(s.Text, m.opts.Final)
-		vb.Add(docs[i])
+	for _, s := range subjects {
+		vb.Add(features.Extract(s.Text, m.opts.Final))
 	}
 	vocab := vb.Build()
 
 	w := m.opts.weights()
 	ub := buildBlocks(unknown, vocab, m.opts.Final)
 	out := make([]Scored, 0, len(subjects))
-	for i, s := range subjects {
-		cb := buildBlocksFromDoc(docs[i], s, vocab)
+	for _, s := range subjects {
+		cb := buildBlocks(s, vocab, m.opts.Final)
 		out = append(out, Scored{Name: s.Name, Score: similarity(&ub, &cb, w)})
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -140,27 +138,35 @@ func referenceRescore(m *Matcher, unknown *Subject, candidates []Scored) []Score
 	return out
 }
 
-// TestRescoreUnchangedByHoistedIndex pins the byName/doc-cache hoist:
-// Rescore must produce exactly the scores the per-call implementation did,
-// on first call (cold cache) and on repeat calls (warm cache), including
-// candidates that are not in the known set at all.
+// TestRescoreUnchangedByHoistedIndex pins the byName/doc-cache hoist and
+// the reuse of the index's dense blocks: Rescore must produce exactly the
+// scores the per-call implementation did — which re-extracts every
+// candidate and re-derives its frequency and activity blocks — on first
+// call (cold cache) and on repeat calls (warm cache), including candidates
+// that are not in the known set at all, and also when the final config
+// extracts differently from the reduction config, so the index's frequency
+// blocks are not stage 2's.
 func TestRescoreUnchangedByHoistedIndex(t *testing.T) {
 	authors := makeAuthors(t, 12, 300)
 	known, probes := split(authors)
-	m, err := NewMatcher(known, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ {
-		for p := range probes[:4] {
-			cands := m.Rank(&probes[p], 6)
-			// Inject an unknown name: both paths must skip it.
-			cands = append(cands, Scored{Name: "no-such-alias", Score: 0.9})
-			got := m.Rescore(&probes[p], cands)
-			want := referenceRescore(m, &probes[p], cands)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d probe %d: Rescore diverged from reference:\ngot  %v\nwant %v",
-					round, p, got, want)
+	other := testOptions()
+	other.Final.IncludeFreq = false
+	for _, opts := range []Options{testOptions(), other} {
+		m, err := NewMatcher(known, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			for p := range probes[:4] {
+				cands := m.Rank(&probes[p], 6)
+				// Inject an unknown name: both paths must skip it.
+				cands = append(cands, Scored{Name: "no-such-alias", Score: 0.9})
+				got := m.Rescore(&probes[p], cands)
+				want := referenceRescore(m, &probes[p], cands)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("sameExtract %v round %d probe %d: Rescore diverged from reference:\ngot  %v\nwant %v",
+						m.sameExtract, round, p, got, want)
+				}
 			}
 		}
 	}

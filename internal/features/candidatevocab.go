@@ -1,6 +1,8 @@
 package features
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 
 	"darklight/internal/sparse"
@@ -84,30 +86,73 @@ func (v *CandidateVocab) NumWordGrams() int { return len(v.wordByID) }
 // NumCharGrams returns the size of the char-gram section.
 func (v *CandidateVocab) NumCharGrams() int { return len(v.charByID) }
 
-// VectorizeGramsInto mirrors Vocabulary.VectorizeGrams over a SortedDoc,
-// into vec's own storage (which grows only when d has more grams than any
-// document vec held before): two-pointer merges replace the per-gram map
-// lookups.
+// VectorizeGramsInto is Vocabulary.VectorizeGramsInto over this vocabulary,
+// with the sort scratch v keeps between builds.
 func (v *CandidateVocab) VectorizeGramsInto(vec *sparse.Vector, d *SortedDoc) {
+	vectorizeInto(vec, &v.scratch.sort, d, section{byID: v.wordByID}, section{byID: v.charByID})
+}
+
+// vectorizeInto is the one vectorizer: it writes d's TF-IDF gram vector
+// over the two id-sorted vocabulary sections into vec's own storage (which
+// grows only when d has more grams than any document vec held before) and
+// sorts it by feature index with scratch as the second buffer. Term
+// frequency is the gram count over the document's total count of the same
+// family.
+func vectorizeInto(vec, scratch *sparse.Vector, d *SortedDoc, words, chars section) {
 	est := len(d.WordGrams) + len(d.CharGrams)
 	vec.Idx = slices.Grow(vec.Idx[:0], est)
 	vec.Val = slices.Grow(vec.Val[:0], est)
-	mergeVectorize(vec, d.WordGrams, v.wordByID, float64(max(d.WordTotal, 1)))
-	mergeVectorize(vec, d.CharGrams, v.charByID, float64(max(d.CharTotal, 1)))
-	vec.SortScratch(&v.scratch.sort)
+	mergeVectorize(vec, d.WordGrams, words, float64(max(d.WordTotal, 1)))
+	mergeVectorize(vec, d.CharGrams, chars, float64(max(d.CharTotal, 1)))
+	vec.SortScratch(scratch)
 }
 
-func mergeVectorize(vec *sparse.Vector, doc []GramEntry, vocab []cvEntry, den float64) {
+// section is one gram family of a vocabulary, sorted by gram id. skip, when
+// present, is the top-bits offset table of a long-lived section: skip[h] is
+// the position of the first entry whose id>>shift is at least h.
+type section struct {
+	byID  []cvEntry
+	skip  []uint32
+	shift uint
+}
+
+// newSection sorts a long-lived section's entries by gram id, in place, and
+// attaches the offset table, one slot per entry rounded up to a power of
+// two (at most 2^16): gram ids are uniform hashes, so a slot covers about
+// one entry and a lookup lands next to its answer.
+func newSection(es []cvEntry) section {
+	slices.SortFunc(es, func(a, b cvEntry) int { return cmp.Compare(a.id, b.id) })
+	b := min(bits.Len(uint(len(es))), 16)
+	s := section{byID: es, skip: make([]uint32, 1<<b+1), shift: uint(64 - b)}
+	for _, e := range es {
+		s.skip[e.id>>s.shift+1]++
+	}
+	for h := 1; h < len(s.skip); h++ {
+		s.skip[h] += s.skip[h-1]
+	}
+	return s
+}
+
+// mergeVectorize appends the entries of the grams doc shares with vocab:
+// both are sorted by gram id, so one two-pointer pass finds them. A short
+// document against a long section would spend the pass stepping over
+// entries it has no gram for; with an offset table the section side jumps
+// to the slot of the document's next gram instead.
+func mergeVectorize(vec *sparse.Vector, doc []GramEntry, vocab section, den float64) {
+	es := vocab.byID
 	i, j := 0, 0
-	for i < len(doc) && j < len(vocab) {
+	for i < len(doc) && j < len(es) {
 		switch {
-		case doc[i].ID < vocab[j].id:
+		case doc[i].ID < es[j].id:
 			i++
-		case doc[i].ID > vocab[j].id:
+		case doc[i].ID > es[j].id:
 			j++
+			if vocab.skip != nil {
+				j = max(j, int(vocab.skip[doc[i].ID>>vocab.shift]))
+			}
 		default:
-			vec.Idx = append(vec.Idx, vocab[j].index)
-			vec.Val = append(vec.Val, float64(doc[i].Count)/den*vocab[j].idf)
+			vec.Idx = append(vec.Idx, es[j].index)
+			vec.Val = append(vec.Val, float64(doc[i].Count)/den*es[j].idf)
 			i++
 			j++
 		}

@@ -110,8 +110,7 @@ func assertMatchesReference(t *testing.T, label string, cfg Config, cv *Candidat
 		t.Fatalf("%s: vocab sizes %d/%d, reference %d/%d", label,
 			cv.NumWordGrams(), cv.NumCharGrams(), ref.NumWordGrams(), ref.NumCharGrams())
 	}
-	base := uint32(ref.NumWordGrams())
-	check := func(kind string, got []cvEntry, index map[GramID]uint32, idfs []float64, off uint32) {
+	check := func(kind string, got, want []cvEntry) {
 		if !slices.IsSortedFunc(got, func(a, b cvEntry) int {
 			if a.id < b.id {
 				return -1
@@ -120,22 +119,24 @@ func assertMatchesReference(t *testing.T, label string, cfg Config, cv *Candidat
 		}) {
 			t.Fatalf("%s: %s entries not in strictly ascending gram id", label, kind)
 		}
-		for _, e := range got {
-			want, ok := index[e.id]
-			if !ok {
-				t.Fatalf("%s: %s gram %d selected, reference dropped it", label, kind, e.id)
+		// The reference section is the same id-sorted table, cut by topN's
+		// comparison sort over the builder's maps.
+		for i, e := range got {
+			w := want[i]
+			if e.id != w.id {
+				t.Fatalf("%s: %s entry %d is gram %d, reference %d", label, kind, i, e.id, w.id)
 			}
-			if e.index != want {
-				t.Fatalf("%s: %s gram %d at index %d, reference %d", label, kind, e.id, e.index, want)
+			if e.index != w.index {
+				t.Fatalf("%s: %s gram %d at index %d, reference %d", label, kind, e.id, e.index, w.index)
 			}
-			if math.Float64bits(e.idf) != math.Float64bits(idfs[want-off]) {
+			if math.Float64bits(e.idf) != math.Float64bits(w.idf) {
 				t.Fatalf("%s: %s gram %d idf %x, reference %x", label, kind, e.id,
-					math.Float64bits(e.idf), math.Float64bits(idfs[want-off]))
+					math.Float64bits(e.idf), math.Float64bits(w.idf))
 			}
 		}
 	}
-	check("word", cv.wordByID, ref.wordIndex, ref.wordIDF, 0)
-	check("char", cv.charByID, ref.charIndex, ref.charIDF, base)
+	check("word", cv.wordByID, ref.words.byID)
+	check("char", cv.charByID, ref.chars.byID)
 	for j, d := range append(docs[:len(docs):len(docs)], probe) {
 		want := ref.VectorizeGrams(d)
 		if got := cv.VectorizeGrams(d.Sorted()); !reflect.DeepEqual(want, got) {

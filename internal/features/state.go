@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-
-	"darklight/internal/sparse"
 )
 
 // This file is the persistence and incremental-maintenance surface of the
@@ -162,17 +160,17 @@ func (v *Vocabulary) State() VocabState {
 	st := VocabState{
 		Config:  v.cfg,
 		NumDocs: v.numDocs,
-		Words:   make([]GramID, len(v.wordIndex)),
-		WordIDF: slices.Clone(v.wordIDF),
-		Chars:   make([]GramID, len(v.charIndex)),
-		CharIDF: slices.Clone(v.charIDF),
+		Words:   make([]GramID, len(v.words.byID)),
+		WordIDF: make([]float64, len(v.words.byID)),
+		Chars:   make([]GramID, len(v.chars.byID)),
+		CharIDF: make([]float64, len(v.chars.byID)),
 	}
-	for g, i := range v.wordIndex {
-		st.Words[i] = g
+	for _, e := range v.words.byID {
+		st.Words[e.index], st.WordIDF[e.index] = e.id, e.idf
 	}
-	base := uint32(len(v.wordIndex))
-	for g, i := range v.charIndex {
-		st.Chars[i-base] = g
+	base := uint32(len(v.words.byID))
+	for _, e := range v.chars.byID {
+		st.Chars[e.index-base], st.CharIDF[e.index-base] = e.id, e.idf
 	}
 	return st
 }
@@ -183,54 +181,29 @@ func NewVocabularyFromState(st VocabState) (*Vocabulary, error) {
 		return nil, fmt.Errorf("features: vocab state: %d word grams / %d word idf, %d char grams / %d char idf",
 			len(st.Words), len(st.WordIDF), len(st.Chars), len(st.CharIDF))
 	}
-	v := &Vocabulary{
-		cfg:       st.Config,
-		wordIndex: make(map[GramID]uint32, len(st.Words)),
-		charIndex: make(map[GramID]uint32, len(st.Chars)),
-		wordIDF:   slices.Clone(st.WordIDF),
-		charIDF:   slices.Clone(st.CharIDF),
-		numDocs:   st.NumDocs,
+	words, err := sectionFromState("word", st.Words, st.WordIDF, 0)
+	if err != nil {
+		return nil, err
 	}
-	for i, g := range st.Words {
-		if _, dup := v.wordIndex[g]; dup {
-			return nil, fmt.Errorf("features: vocab state: duplicate word gram %d", g)
-		}
-		v.wordIndex[g] = uint32(i)
+	chars, err := sectionFromState("char", st.Chars, st.CharIDF, uint32(len(st.Words)))
+	if err != nil {
+		return nil, err
 	}
-	base := uint32(len(st.Words))
-	for i, g := range st.Chars {
-		if _, dup := v.charIndex[g]; dup {
-			return nil, fmt.Errorf("features: vocab state: duplicate char gram %d", g)
-		}
-		v.charIndex[g] = base + uint32(i)
-	}
-	return v, nil
+	return &Vocabulary{cfg: st.Config, words: words, chars: chars, numDocs: st.NumDocs}, nil
 }
 
-// VectorizeGramsSorted is VectorizeGrams for a pre-sorted document. The
-// per-entry arithmetic is identical, so the resulting vector is
-// bit-identical to VectorizeGrams on the originating Doc.
-func (v *Vocabulary) VectorizeGramsSorted(d *SortedDoc) sparse.Vector {
-	est := len(d.WordGrams) + len(d.CharGrams)
-	vec := sparse.Vector{
-		Idx: make([]uint32, 0, est),
-		Val: make([]float64, 0, est),
+// sectionFromState rebuilds one vocabulary section from its index-ordered
+// gram ids and IDF weights, rejecting a gram listed twice.
+func sectionFromState(kind string, grams []GramID, idfs []float64, base uint32) (section, error) {
+	es := make([]cvEntry, len(grams))
+	for i, g := range grams {
+		es[i] = cvEntry{id: g, index: base + uint32(i), idf: idfs[i]}
 	}
-	wordDen := float64(max(d.WordTotal, 1))
-	for _, e := range d.WordGrams {
-		if i, ok := v.wordIndex[e.ID]; ok {
-			vec.Idx = append(vec.Idx, i)
-			vec.Val = append(vec.Val, float64(e.Count)/wordDen*v.wordIDF[i])
+	sec := newSection(es)
+	for i := 1; i < len(es); i++ {
+		if es[i].id == es[i-1].id {
+			return section{}, fmt.Errorf("features: vocab state: duplicate %s gram %d", kind, es[i].id)
 		}
 	}
-	charDen := float64(max(d.CharTotal, 1))
-	base := uint32(len(v.wordIndex))
-	for _, e := range d.CharGrams {
-		if i, ok := v.charIndex[e.ID]; ok {
-			vec.Idx = append(vec.Idx, i)
-			vec.Val = append(vec.Val, float64(e.Count)/charDen*v.charIDF[i-base])
-		}
-	}
-	vec.Sort()
-	return vec
+	return sec, nil
 }

@@ -2,7 +2,10 @@ package features
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"darklight/internal/sparse"
 )
 
 // TestBuilderStateRoundTrip pins State → NewVocabBuilderFromState to the
@@ -156,20 +159,54 @@ func TestBuilderCloneIsIndependent(t *testing.T) {
 	}
 }
 
-// TestVectorizeGramsSortedMatches pins the sorted-document vectorizer to
-// VectorizeGrams bit-for-bit.
+// mapVectorize is the map-probing vectorizer the merge replaced, kept as
+// the tests' reference: it probes an index built from the vocabulary's
+// State() for every gram of the unflattened document.
+func mapVectorize(st VocabState, d *Doc) sparse.Vector {
+	vec := sparse.Vector{Idx: []uint32{}, Val: []float64{}}
+	section := func(grams map[GramID]int, total int, ids []GramID, idfs []float64, base uint32) {
+		index := make(map[GramID]int, len(ids))
+		for i, g := range ids {
+			index[g] = i
+		}
+		den := float64(max(total, 1))
+		for g, c := range grams {
+			if i, ok := index[g]; ok {
+				vec.Idx = append(vec.Idx, base+uint32(i))
+				vec.Val = append(vec.Val, float64(c)/den*idfs[i])
+			}
+		}
+	}
+	section(d.WordGrams, d.WordTotal, st.Words, st.WordIDF, 0)
+	section(d.CharGrams, d.CharTotal, st.Chars, st.CharIDF, uint32(len(st.Words)))
+	vec.Sort()
+	return vec
+}
+
+// TestVectorizeGramsSortedMatches pins VectorizeGrams, VectorizeGramsSorted
+// and the scratch-reusing VectorizeGramsInto to the map-probing reference
+// bit for bit, on documents the vocabulary was built from and on probes
+// that are mostly outside it.
 func TestVectorizeGramsSortedMatches(t *testing.T) {
 	docs := shardTestDocs(23)
 	b := NewVocabBuilder(ReductionConfig())
-	for _, d := range docs {
+	for _, d := range docs[:17] {
 		b.Add(d)
 	}
 	v := b.Build()
-	for i, d := range docs {
-		want := v.VectorizeGrams(d)
-		got := v.VectorizeGramsSorted(d.Sorted())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("doc %d: VectorizeGramsSorted diverges from VectorizeGrams", i)
+	st := v.State()
+	var vec, scratch sparse.Vector
+	for i, d := range append(docs, Extract("", ReductionConfig())) {
+		want := mapVectorize(st, d)
+		if got := v.VectorizeGrams(d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("doc %d: VectorizeGrams diverges from the map reference", i)
+		}
+		if got := v.VectorizeGramsSorted(d.Sorted()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("doc %d: VectorizeGramsSorted diverges from the map reference", i)
+		}
+		v.VectorizeGramsInto(&vec, &scratch, d.Sorted())
+		if !slices.Equal(vec.Idx, want.Idx) || !slices.Equal(vec.Val, want.Val) {
+			t.Fatalf("doc %d: VectorizeGramsInto on reused storage diverges from the map reference", i)
 		}
 	}
 }

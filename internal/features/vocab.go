@@ -1,8 +1,9 @@
 package features
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"darklight/internal/sparse"
 )
@@ -96,28 +97,10 @@ func (b *VocabBuilder) NumDocs() int { return b.numDocs }
 // Build freezes the vocabulary. The builder can keep accumulating and be
 // rebuilt; Build itself does not mutate the builder.
 func (b *VocabBuilder) Build() *Vocabulary {
-	words := topN(b.words, b.cfg.MaxWordGrams)
-	chars := topN(b.chars, b.cfg.MaxCharGrams)
-
-	v := &Vocabulary{
-		cfg:       b.cfg,
-		wordIndex: make(map[GramID]uint32, len(words)),
-		charIndex: make(map[GramID]uint32, len(chars)),
-		wordIDF:   make([]float64, len(words)),
-		charIDF:   make([]float64, len(chars)),
-		numDocs:   b.numDocs,
-	}
 	n := float64(b.numDocs)
-	for i, g := range words {
-		v.wordIndex[g] = uint32(i)
-		v.wordIDF[i] = idf(n, float64(b.words[g].df))
-	}
-	base := uint32(len(words))
-	for i, g := range chars {
-		v.charIndex[g] = base + uint32(i)
-		v.charIDF[i] = idf(n, float64(b.chars[g].df))
-	}
-	return v
+	words := topN(b.words, b.cfg.MaxWordGrams, 0, n)
+	chars := topN(b.chars, b.cfg.MaxCharGrams, uint32(len(words)), n)
+	return &Vocabulary{cfg: b.cfg, words: newSection(words), chars: newSection(chars), numDocs: b.numDocs}
 }
 
 // idf is the smoothed inverse document frequency: ln((1+N)/(1+df)).
@@ -130,34 +113,29 @@ func idf(n, df float64) float64 {
 	return math.Log((1 + n) / (1 + df))
 }
 
-// topN returns the n highest-frequency grams, ties broken by gram id so
+// topN selects the n highest-frequency grams, ties broken by gram id so
 // vocabulary construction is deterministic regardless of how (or in how
-// many shards) the counts were accumulated.
-func topN(stats map[GramID]gramStat, n int) []GramID {
-	// Flatten to (gram, freq) pairs before sorting: a map probe per
-	// comparison dominates the sort of a large gram universe.
-	type gramFreq struct {
-		g    GramID
-		freq int
-	}
-	pairs := make([]gramFreq, 0, len(stats))
+// many shards) the counts were accumulated, and returns them in that order
+// as vocabulary entries: feature index base + rank, IDF over a corpus of
+// numDocs documents. Negative n keeps everything.
+func topN(stats map[GramID]gramStat, n int, base uint32, numDocs float64) []cvEntry {
+	// Flatten before sorting: a map probe per comparison dominates the sort
+	// of a large gram universe.
+	ranked := make([]GramCount, 0, len(stats))
 	for g, s := range stats {
-		pairs = append(pairs, gramFreq{g, s.freq})
+		ranked = append(ranked, GramCount{ID: g, Freq: int64(s.freq), DF: int64(s.df)})
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].freq != pairs[j].freq {
-			return pairs[i].freq > pairs[j].freq
-		}
-		return pairs[i].g < pairs[j].g
+	slices.SortFunc(ranked, func(a, b GramCount) int {
+		return cmp.Or(cmp.Compare(b.Freq, a.Freq), cmp.Compare(a.ID, b.ID))
 	})
-	if n >= 0 && len(pairs) > n {
-		pairs = pairs[:n]
+	if n >= 0 && len(ranked) > n {
+		ranked = ranked[:n]
 	}
-	grams := make([]GramID, len(pairs))
-	for i, p := range pairs {
-		grams[i] = p.g
+	out := make([]cvEntry, len(ranked))
+	for i, r := range ranked {
+		out[i] = cvEntry{id: r.ID, index: base + uint32(i), idf: idf(numDocs, float64(r.DF))}
 	}
-	return grams
+	return out
 }
 
 // Vocabulary maps n-grams to feature indices and carries the IDF weights.
@@ -170,27 +148,30 @@ func topN(stats map[GramID]gramStat, n int) []GramID {
 //	[W+C, W+C+42)         frequency features (punct, digits, specials)
 //	[W+C+42, W+C+42+24)   reserved for the daily activity profile,
 //	                      appended by the attribution layer
+//
+// Each section is one table sorted by gram id, every entry carrying its
+// feature index and IDF weight — the form CandidateVocab rebuilds per
+// query — so vectorizing a flattened document is a merge, never a hash
+// probe.
 type Vocabulary struct {
-	cfg       Config
-	wordIndex map[GramID]uint32
-	charIndex map[GramID]uint32
-	wordIDF   []float64
-	charIDF   []float64
-	numDocs   int
+	cfg     Config
+	words   section
+	chars   section
+	numDocs int
 }
 
 // NumWordGrams returns the size of the word-gram section.
-func (v *Vocabulary) NumWordGrams() int { return len(v.wordIndex) }
+func (v *Vocabulary) NumWordGrams() int { return len(v.words.byID) }
 
 // NumCharGrams returns the size of the char-gram section.
-func (v *Vocabulary) NumCharGrams() int { return len(v.charIndex) }
+func (v *Vocabulary) NumCharGrams() int { return len(v.chars.byID) }
 
 // NumDocs returns the corpus size the vocabulary was built from.
 func (v *Vocabulary) NumDocs() int { return v.numDocs }
 
 // FreqOffset is the index of the first frequency feature.
 func (v *Vocabulary) FreqOffset() uint32 {
-	return uint32(len(v.wordIndex) + len(v.charIndex))
+	return uint32(len(v.words.byID) + len(v.chars.byID))
 }
 
 // ActivityOffset is the index of the first daily-activity dimension.
@@ -230,26 +211,25 @@ func (v *Vocabulary) Vectorize(d *Doc) sparse.Vector {
 // frequency features are omitted. The attribution layer keeps frequency
 // and activity blocks separate so it can re-weight them at query time.
 func (v *Vocabulary) VectorizeGrams(d *Doc) sparse.Vector {
+	return v.VectorizeGramsSorted(d.Sorted())
+}
+
+// VectorizeGramsSorted is VectorizeGrams for an already flattened
+// document, into a fresh vector. An empty result has empty, not nil,
+// slices.
+func (v *Vocabulary) VectorizeGramsSorted(d *SortedDoc) sparse.Vector {
 	est := len(d.WordGrams) + len(d.CharGrams)
-	vec := sparse.Vector{
-		Idx: make([]uint32, 0, est),
-		Val: make([]float64, 0, est),
-	}
-	wordDen := float64(max(d.WordTotal, 1))
-	for g, c := range d.WordGrams {
-		if i, ok := v.wordIndex[g]; ok {
-			vec.Idx = append(vec.Idx, i)
-			vec.Val = append(vec.Val, float64(c)/wordDen*v.wordIDF[i])
-		}
-	}
-	charDen := float64(max(d.CharTotal, 1))
-	base := uint32(len(v.wordIndex))
-	for g, c := range d.CharGrams {
-		if i, ok := v.charIndex[g]; ok {
-			vec.Idx = append(vec.Idx, i)
-			vec.Val = append(vec.Val, float64(c)/charDen*v.charIDF[i-base])
-		}
-	}
-	vec.Sort()
+	vec := sparse.Vector{Idx: make([]uint32, 0, est), Val: make([]float64, 0, est)}
+	var scratch sparse.Vector
+	v.VectorizeGramsInto(&vec, &scratch, d)
 	return vec
+}
+
+// VectorizeGramsInto is VectorizeGramsSorted into vec's own storage, with
+// the index sort's second buffer taken from scratch: a caller that keeps
+// both allocates nothing once they have held its largest document. The
+// vocabulary itself is only read, so concurrent callers need only their own
+// vec and scratch.
+func (v *Vocabulary) VectorizeGramsInto(vec, scratch *sparse.Vector, d *SortedDoc) {
+	vectorizeInto(vec, scratch, d, v.words, v.chars)
 }
