@@ -19,8 +19,9 @@
 // startup the daemon cold-starts from dir/index.snap when present (no
 // rebuild), replays any journal.jsonl thread deltas on top, and — with
 // -save-index — writes the resulting generation back and compacts the
-// journal. A missing snapshot falls back to building from the corpus
-// source and (with -save-index) saving it for the next start.
+// journal. A missing snapshot — or, with -known, one written in another
+// snapshot format version — falls back to building from the corpus source
+// and (with -save-index) saving it for the next start.
 //
 // Signals: SIGHUP reloads — with -index-dir it replays new journal
 // entries onto the live index instead of rebuilding from source — and
@@ -141,7 +142,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("attributed: %v", err)
 		}
-		loader = makeStoreLoader(st, opts, pipe.SubjectOptions(), *saveIdx,
+		loader = makeStoreLoader(st, opts, pipe.SubjectOptions(), *saveIdx, *known != "",
 			makeKnownDataset(pipe, *known, *forumW, *scale, *seed, *polish, *refine),
 			makeQuerySubjects(pipe, *known, *query, *forumW, *scale, *seed, *polish))
 	}
@@ -437,6 +438,25 @@ func optionDrift(flags, snapshot attribution.Options) []string {
 	return drift
 }
 
+// rebuildInstead decides what a cold start does when the snapshot did not
+// load. A snapshot of another format version is intact, only unreadable by
+// this build, and with the corpus it indexed at hand (-known) it is treated
+// like no snapshot: the index is rebuilt from the corpus and, with
+// -save-index, saved over the old file. Without -known the only source
+// would be a generated world, no substitute for an index somebody saved, so
+// the error — which names the file and both versions — stands; so does any
+// other error.
+func rebuildInstead(loadErr error, haveKnown bool) (bool, error) {
+	var ve *store.VersionError
+	switch {
+	case !errors.As(loadErr, &ve):
+		return false, loadErr
+	case !haveKnown:
+		return false, fmt.Errorf("%w: start with -known to rebuild the index from its corpus", loadErr)
+	}
+	return true, nil
+}
+
 // makeStoreLoader wires the persistent index store into the serve loader.
 // The first load cold-starts from the snapshot when one exists (building
 // from the corpus source only when it does not); every load — including
@@ -444,7 +464,7 @@ func optionDrift(flags, snapshot attribution.Options) []string {
 // index's LastSeq onto the live generation, so a reload folds freshly
 // scraped threads in without a rebuild. With save enabled, each new
 // generation is written back atomically and the journal compacted.
-func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribution.SubjectOptions, save bool,
+func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribution.SubjectOptions, save, haveKnown bool,
 	knownDS func(context.Context) (*forum.Dataset, error),
 	querySubjects func(context.Context) ([]attribution.Subject, error)) serve.Loader {
 	var (
@@ -455,30 +475,35 @@ func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribu
 		mu.Lock()
 		defer mu.Unlock()
 		built := false
-		if cur == nil {
-			if st.HasSnapshot() {
-				idx, err := st.Load()
-				if err != nil {
-					return nil, err
-				}
+		why := "no snapshot in " + st.Dir()
+		if cur == nil && st.HasSnapshot() {
+			idx, loadErr := st.Load()
+			rebuild, err := rebuildInstead(loadErr, haveKnown)
+			switch {
+			case err != nil:
+				return nil, err
+			case rebuild:
+				why = loadErr.Error()
+			default:
 				log.Printf("attributed: cold-started index v%d (%d subjects) from %s", idx.Version, len(idx.Subjects), st.SnapshotPath())
 				if drift := optionDrift(opts, idx.Matcher.Options()); len(drift) > 0 {
 					log.Printf("attributed: the snapshot's matcher options win over the flags until the index is rebuilt: %s", strings.Join(drift, "; "))
 				}
 				cur = idx
-			} else {
-				ds, err := knownDS(ctx)
-				if err != nil {
-					return nil, err
-				}
-				idx, err := store.BuildIndex(ctx, ds, opts, subjOpts)
-				if err != nil {
-					return nil, err
-				}
-				log.Printf("attributed: no snapshot in %s, built index v%d from source", st.Dir(), idx.Version)
-				cur = idx
-				built = true
 			}
+		}
+		if cur == nil {
+			ds, err := knownDS(ctx)
+			if err != nil {
+				return nil, err
+			}
+			idx, err := store.BuildIndex(ctx, ds, opts, subjOpts)
+			if err != nil {
+				return nil, err
+			}
+			log.Printf("attributed: %s, built index v%d from source", why, idx.Version)
+			cur = idx
+			built = true
 		}
 		entries, err := st.ReadJournal(cur.LastSeq)
 		if err != nil {

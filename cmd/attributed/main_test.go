@@ -1,13 +1,17 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"darklight"
 	"darklight/internal/attribution"
 	"darklight/internal/prefilter"
+	"darklight/internal/store"
 )
 
 // TestOptionDrift pins the cold-start warning: each flag-settable matcher
@@ -53,6 +57,49 @@ func TestOptionDrift(t *testing.T) {
 		}
 		if got := optionDrift(f, s); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: drift %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestRebuildInstead pins what a cold start does with a snapshot that did
+// not load: only one of another format version, and only with the corpus at
+// hand, is rebuilt over; without -known that error comes back naming the
+// file and both versions; damage and I/O errors always come back as they
+// are; a snapshot that loaded is used.
+func TestRebuildInstead(t *testing.T) {
+	other := &store.VersionError{Path: "var/index/index.snap", Got: 1, Want: 2}
+	damaged := &store.CorruptError{Path: "var/index/index.snap", Section: "docs", Reason: "digest mismatch"}
+	for _, tc := range []struct {
+		name      string
+		loadErr   error
+		haveKnown bool
+		rebuild   bool
+		wantErr   []string // substrings of the returned error; nil: none
+	}{
+		{name: "loaded", haveKnown: true},
+		{name: "loaded, no -known"},
+		{name: "other version with -known", loadErr: other, haveKnown: true, rebuild: true},
+		{name: "other version wrapped", loadErr: fmt.Errorf("load: %w", other), haveKnown: true, rebuild: true},
+		{name: "other version without -known", loadErr: other,
+			wantErr: []string{"var/index/index.snap", "version 1", "version 2", "-known"}},
+		{name: "damage with -known", loadErr: damaged, haveKnown: true, wantErr: []string{"digest mismatch"}},
+		{name: "missing file", loadErr: os.ErrNotExist, haveKnown: true, wantErr: []string{os.ErrNotExist.Error()}},
+	} {
+		rebuild, err := rebuildInstead(tc.loadErr, tc.haveKnown)
+		if rebuild != tc.rebuild {
+			t.Errorf("%s: rebuild = %v, want %v", tc.name, rebuild, tc.rebuild)
+		}
+		if (err != nil) != (tc.wantErr != nil) {
+			t.Errorf("%s: error %v, want one: %v", tc.name, err, tc.wantErr != nil)
+			continue
+		}
+		for _, want := range tc.wantErr {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+			}
+		}
+		if err != nil && !errors.Is(err, tc.loadErr) {
+			t.Errorf("%s: returned error %v does not wrap the load error", tc.name, err)
 		}
 	}
 }

@@ -141,7 +141,7 @@ type Matcher struct {
 	// indices, ascending) beside the same range of postVal (their normalised
 	// values). Scoring an unknown touches only the ranges of features the
 	// unknown actually has. invertForward derives the arena from the
-	// forward lists below, for a build, a Fold and a snapshot load alike.
+	// forward lists below.
 	postOff  []uint32
 	postSubj []int32
 	postVal  []float32
@@ -160,7 +160,7 @@ type Matcher struct {
 	// feature ids and the same float32 values its postings carry. The
 	// pre-filtered paths score one subject at a time with an id-ordered
 	// merge over these lists, reproducing the posting sweep's float32
-	// accumulation bit for bit. They are also what a snapshot persists.
+	// accumulation bit for bit.
 	fwdIdx [][]uint32
 	fwdVal [][]float32
 	// lshIdx lazily caches one immutable LSH index per operating point
@@ -183,7 +183,8 @@ type Matcher struct {
 	// known subject: the same prolific candidates surface in top-k after
 	// top-k, and re-extracting their 1,500-word documents per query is the
 	// single largest cost of Rescore. Only subjects that actually appear in
-	// a candidate list are ever materialised.
+	// a candidate list are ever materialised — none at all when docs below
+	// already holds the same extractions (finish seeds the cache with them).
 	finalDocs *features.DocCache
 	// sameExtract records that the reduction and final configs produce
 	// identical raw extractions (they differ only in vocabulary budgets in
@@ -374,14 +375,14 @@ func validateOptions(opts Options) error {
 	return nil
 }
 
-// newMatcherFromDocs runs the index pass over a frozen vocabulary. docs,
-// when non-nil, supplies each subject's pre-sorted reduction document
-// (the incremental path — Fold and loads from a snapshot reuse cached
-// extractions); when nil every subject is re-extracted from its text. The
-// per-entry vectorizer arithmetic is identical either way, so the two
-// paths assemble bit-identical indexes. opts must already be defaulted
-// and validated; stats and docs are retained on the matcher only under
-// opts.Incremental.
+// newMatcherFromDocs runs the index pass over a frozen vocabulary — the one
+// way a matcher comes to exist: a build, a Fold and a snapshot load all end
+// here. docs, when non-nil, supplies each subject's pre-sorted reduction
+// document (Fold and a load reuse cached extractions); when nil every
+// subject is re-extracted from its text. The per-entry vectorizer
+// arithmetic is identical either way, so the paths assemble bit-identical
+// indexes. opts must already be defaulted and validated; stats and docs are
+// retained on the matcher only under opts.Incremental.
 func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.SortedDoc, stats *features.VocabBuilder, vocab *features.Vocabulary, opts Options) (*Matcher, error) {
 	m := &Matcher{opts: opts, known: known, vocab: vocab}
 	if opts.Incremental {
@@ -456,11 +457,9 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 	return m, err
 }
 
-// finish completes a matcher whose vocabulary, forward lists and dense
-// blocks are in place, from the index pass or from a snapshot: it inverts
-// the forward lists into the posting arena and sets up what stage 2 keeps
-// for the matcher's lifetime — the name index and the lazy Final-config
-// document cache.
+// finish ends the index pass: it inverts the forward lists into the posting
+// arena and sets up what stage 2 keeps for the matcher's lifetime — the
+// name index and the Final-config document cache.
 func (m *Matcher) finish() error {
 	var err error
 	m.postOff, m.postSubj, m.postVal, err = invertForward(m.fwdIdx, m.fwdVal, int(m.vocab.FreqOffset()))
@@ -475,6 +474,11 @@ func (m *Matcher) finish() error {
 	}
 	m.finalDocs = features.NewDocCache(m.opts.Final, texts)
 	m.sameExtract = m.opts.Reduction.SameExtraction(m.opts.Final)
+	if m.docs != nil && m.sameExtract {
+		// The retained reduction documents are the Final-config extractions
+		// bit for bit: stage 2 reads them instead of extracting its own.
+		m.finalDocs.Seed(m.docs)
+	}
 
 	distinct := 0
 	for g := 1; g < len(m.postOff); g++ {
@@ -493,9 +497,9 @@ func (m *Matcher) finish() error {
 // gram features: off[g]..off[g+1] bounds feature g's postings in subj and
 // val. It is a counting sort on the feature id that visits subjects in
 // ascending order, so within a feature the subjects ascend — the order
-// stage 1 accumulates float32 dot products in. Forward lists are outside
-// input on the load path: a feature id outside the vocabulary, lists of
-// unequal length and an arena past 32-bit offsets are errors.
+// stage 1 accumulates float32 dot products in. A feature id outside the
+// vocabulary, lists of unequal length and an arena past 32-bit offsets are
+// errors.
 func invertForward(fwdIdx [][]uint32, fwdVal [][]float32, dims int) (off []uint32, subj []int32, val []float32, err error) {
 	off = make([]uint32, dims+1)
 	total := 0

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"darklight/internal/features"
-	"darklight/internal/prefilter"
 )
 
 // ErrNotIncremental is returned by State and Fold on a matcher built
@@ -16,28 +15,21 @@ import (
 // extractions those operations need.
 var ErrNotIncremental = errors.New("attribution: matcher was not built with Options.Incremental")
 
-// IndexState is everything the index pass computed, as value types: the
-// frozen vocabulary and the corpus counters it was cut from, each known
-// subject's cached extraction, the dense blocks, the forward gram index
-// (from which the inverted posting lists are reconstructed), the
-// pre-filter contribution caps, and any LSH operating points already
-// built. Subjects themselves are not included — callers persist them
-// alongside and pass them back to NewMatcherFromState.
+// IndexState is what the index pass runs from, as value types: the options,
+// the frozen vocabulary, the corpus counters it was cut from, and each known
+// subject's cached extraction. Everything else a matcher holds — forward
+// and inverted gram index, dense blocks, pre-filter caps, LSH operating
+// points — is a pure function of these and is rebuilt, not persisted.
+// Subjects themselves are not included — callers persist them alongside
+// and pass them back to NewMatcherFromState.
 //
 // The state shares backing arrays with the matcher it came from; treat it
 // as read-only.
 type IndexState struct {
-	Opts       Options
-	Vocab      features.VocabState
-	Stats      features.BuilderState
-	Docs       []*features.SortedDoc
-	Mask       []uint8
-	Freqs      [][]float64
-	Acts       [][]float64
-	FwdIdx     [][]uint32
-	FwdVal     [][]float32
-	MaxContrib []float32
-	LSH        []prefilter.LSHTable
+	Opts  Options
+	Vocab features.VocabState
+	Stats features.BuilderState
+	Docs  []*features.SortedDoc
 }
 
 // State snapshots the index for persistence. Only incremental matchers
@@ -46,87 +38,28 @@ func (m *Matcher) State() (IndexState, error) {
 	if m.docs == nil {
 		return IndexState{}, ErrNotIncremental
 	}
-	st := IndexState{
-		Opts:       m.opts,
-		Vocab:      m.vocab.State(),
-		Stats:      m.stats.State(),
-		Docs:       m.docs,
-		Mask:       m.mask,
-		Freqs:      m.freqs,
-		Acts:       m.acts,
-		FwdIdx:     m.fwdIdx,
-		FwdVal:     m.fwdVal,
-		MaxContrib: m.maxContrib.Values(),
-	}
-	// The LSH cache fills lazily per operating point queried; emit the
-	// built ones in a deterministic order so the serialised form is too.
-	m.lshMu.Lock()
-	for _, l := range m.lshIdx {
-		st.LSH = append(st.LSH, l.Table())
-	}
-	m.lshMu.Unlock()
-	sort.Slice(st.LSH, func(a, b int) bool {
-		pa, pb := st.LSH[a].Params, st.LSH[b].Params
-		if pa.Bands != pb.Bands {
-			return pa.Bands < pb.Bands
-		}
-		if pa.Rows != pb.Rows {
-			return pa.Rows < pb.Rows
-		}
-		return pa.Seed < pb.Seed
-	})
-	return st, nil
+	return IndexState{Opts: m.opts, Vocab: m.vocab.State(), Stats: m.stats.State(), Docs: m.docs}, nil
 }
 
-// NewMatcherFromState reassembles a matcher from a snapshot without
-// re-running either build pass — the cold-start path. known must be the
-// exact subject slice the state was saved against (same order); Rank,
-// Rescore, Match, and MatchAll output is bit-identical to the matcher
-// State was called on.
+// NewMatcherFromState rebuilds a matcher from a snapshot — the cold-start
+// path: no extraction, no counting and no vocabulary cut, then the index
+// pass a build and a Fold end in, so the three cannot drift apart. known
+// must be the exact subject slice the state was saved against (same
+// order); Rank, Rescore, Match, and MatchAll output is bit-identical to the
+// matcher State was called on.
 func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
 	opts := st.Opts.WithDefaults()
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
-	n := len(known)
-	if len(st.Docs) != n || len(st.Mask) != n || len(st.Freqs) != n ||
-		len(st.Acts) != n || len(st.FwdIdx) != n || len(st.FwdVal) != n {
-		return nil, fmt.Errorf("attribution: index state sized for %d subjects, got %d (docs %d mask %d freqs %d acts %d fwd %d/%d)",
-			len(st.Mask), n, len(st.Docs), len(st.Mask), len(st.Freqs), len(st.Acts), len(st.FwdIdx), len(st.FwdVal))
+	if len(st.Docs) != len(known) || slices.Contains(st.Docs, nil) {
+		return nil, fmt.Errorf("attribution: index state needs one document for each of %d subjects, has %d", len(known), len(st.Docs))
 	}
 	vocab, err := features.NewVocabularyFromState(st.Vocab)
 	if err != nil {
 		return nil, err
 	}
-	m := &Matcher{
-		opts:       opts,
-		known:      known,
-		vocab:      vocab,
-		mask:       st.Mask,
-		freqs:      st.Freqs,
-		acts:       st.Acts,
-		fwdIdx:     st.FwdIdx,
-		fwdVal:     st.FwdVal,
-		maxContrib: prefilter.MaxContribFromValues(st.MaxContrib),
-	}
-	if opts.Incremental {
-		m.stats = features.NewVocabBuilderFromState(st.Stats)
-		m.docs = st.Docs
-	}
-
-	// Pre-install persisted LSH operating points; further points still
-	// build lazily on first use.
-	m.lshIdx = make(map[prefilter.LSHParams]*prefilter.LSH, len(st.LSH))
-	for _, t := range st.LSH {
-		m.lshIdx[t.Params.WithDefaults()] = prefilter.LSHFromTable(t)
-	}
-
-	// The inverted index is not persisted: finish re-derives it from the
-	// forward lists with the inversion every build uses.
-	if err := m.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return newMatcherFromDocs(context.Background(), known, st.Docs, features.NewVocabBuilderFromState(st.Stats), vocab, opts)
 }
 
 // Fold returns a new matcher with the changed subjects applied — updated

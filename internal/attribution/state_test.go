@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"darklight/internal/features"
 	"darklight/internal/prefilter"
 )
 
@@ -62,9 +63,9 @@ func TestIncrementalBuildBitIdentical(t *testing.T) {
 	assertMatchersEquivalent(t, inc, plain, probes)
 }
 
-// TestStateRoundTrip: save → load must reassemble a matcher whose output
-// is bit-identical, including pre-built LSH operating points, and the
-// loaded matcher must itself support State and Fold.
+// TestStateRoundTrip: save → load must rebuild a matcher whose output is
+// bit-identical — LSH operating points are rebuilt on first use, not
+// carried — and the loaded matcher must itself support State and Fold.
 func TestStateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7200))
 	known, probes := randomWorld(rng, 45)
@@ -75,7 +76,8 @@ func TestStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Touch the LSH path so the cache has an entry to persist.
+	// Touch the LSH path: the saved matcher has an operating point built,
+	// the loaded one must answer the same without it.
 	m.RankDetailed(&probes[0], MatchOptions{K: 3, Mode: prefilter.ModeLSH})
 
 	st, err := m.State()
@@ -88,9 +90,15 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	assertMatchersEquivalent(t, loaded, m, probes)
 
-	// The loaded matcher must be able to snapshot again and fold deltas.
-	if _, err := loaded.State(); err != nil {
+	// The loaded matcher must be able to snapshot again — to the same state,
+	// since everything it holds beyond the state is derived from it — and
+	// fold deltas.
+	again, err := loaded.State()
+	if err != nil {
 		t.Fatalf("State on loaded matcher: %v", err)
+	}
+	if !reflect.DeepEqual(again, st) {
+		t.Error("State of the loaded matcher differs from the state it was loaded from")
 	}
 	if _, err := loaded.Fold(context.Background(), known[:1]); err != nil {
 		t.Fatalf("Fold on loaded matcher: %v", err)
@@ -116,9 +124,9 @@ func TestStateRejectsMismatchedSubjects(t *testing.T) {
 		t.Error("truncated subject list accepted")
 	}
 	bad := st
-	bad.FwdVal = append([][]float32{st.FwdVal[0][:0]}, st.FwdVal[1:]...)
+	bad.Docs = append([]*features.SortedDoc{nil}, st.Docs[1:]...)
 	if _, err := NewMatcherFromState(known, bad); err == nil {
-		t.Error("forward-list length mismatch accepted")
+		t.Error("missing document accepted")
 	}
 }
 

@@ -145,16 +145,29 @@ func referenceRescore(m *Matcher, unknown *Subject, candidates []Scored) []Score
 // call (cold cache) and on repeat calls (warm cache), including candidates
 // that are not in the known set at all, and also when the final config
 // extracts differently from the reduction config, so the index's frequency
-// blocks are not stage 2's.
+// blocks are not stage 2's. An incremental matcher whose stages share an
+// extraction starts with the cache full of the documents it retains — a
+// first-touch Rescore extracts nothing — and must score the same.
 func TestRescoreUnchangedByHoistedIndex(t *testing.T) {
 	authors := makeAuthors(t, 12, 300)
 	known, probes := split(authors)
 	other := testOptions()
 	other.Final.IncludeFreq = false
-	for _, opts := range []Options{testOptions(), other} {
+	incremental, incrementalOther := testOptions(), other
+	incremental.Incremental, incrementalOther.Incremental = true, true
+	for _, opts := range []Options{testOptions(), other, incremental, incrementalOther} {
 		m, err := NewMatcher(known, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i := range known {
+			seeded := opts.Incremental && m.sameExtract
+			if m.finalDocs.Cached(i) != seeded {
+				t.Fatalf("incremental %v sameExtract %v: document %d cached = %v before any Rescore", opts.Incremental, m.sameExtract, i, !seeded)
+			}
+			if seeded && m.finalDocs.Get(i) != m.docs[i] {
+				t.Fatalf("document %d: the stage-2 cache holds another copy than the matcher retains", i)
+			}
 		}
 		for round := 0; round < 2; round++ {
 			for p := range probes[:4] {

@@ -72,7 +72,7 @@ func (v *CandidateVocab) Reset(cfg Config, docs []*SortedDoc) {
 	n := float64(len(docs))
 	s.idfByDF = s.idfByDF[:0]
 	for df := range len(docs) + 1 {
-		s.idfByDF = append(s.idfByDF, idf(n, float64(df)))
+		s.idfByDF = append(s.idfByDF, IDF(n, float64(df)))
 	}
 	words := s.mergeGramLists(docs, func(d *SortedDoc) []GramEntry { return d.WordGrams })
 	v.wordByID = s.selectGrams(v.wordByID[:0], words, cfg.MaxWordGrams, 0)
@@ -117,20 +117,29 @@ type section struct {
 }
 
 // newSection sorts a long-lived section's entries by gram id, in place, and
-// attaches the offset table, one slot per entry rounded up to a power of
-// two (at most 2^16): gram ids are uniform hashes, so a slot covers about
-// one entry and a lookup lands next to its answer.
+// attaches the offset table.
 func newSection(es []cvEntry) section {
 	slices.SortFunc(es, func(a, b cvEntry) int { return cmp.Compare(a.id, b.id) })
-	b := min(bits.Len(uint(len(es))), 16)
-	s := section{byID: es, skip: make([]uint32, 1<<b+1), shift: uint(64 - b)}
-	for _, e := range es {
-		s.skip[e.id>>s.shift+1]++
-	}
-	for h := 1; h < len(s.skip); h++ {
-		s.skip[h] += s.skip[h-1]
-	}
+	s := section{byID: es}
+	s.skip, s.shift = skipTable(es, func(e *cvEntry) GramID { return e.id })
 	return s
+}
+
+// skipTable builds the top-bits offset table of an id-sorted list: one slot
+// per entry rounded up to a power of two (at most 2^16), skip[h] the
+// position of the first entry whose id>>shift is at least h. Gram ids are
+// uniform hashes, so a slot covers a few entries at most and a lookup lands
+// next to its answer.
+func skipTable[E any](es []E, id func(*E) GramID) (skip []uint32, shift uint) {
+	b := min(bits.Len(uint(len(es))), 16)
+	skip, shift = make([]uint32, 1<<b+1), uint(64-b)
+	for i := range es {
+		skip[id(&es[i])>>shift+1]++
+	}
+	for h := 1; h < len(skip); h++ {
+		skip[h] += skip[h-1]
+	}
+	return skip, shift
 }
 
 // mergeVectorize appends the entries of the grams doc shares with vocab:

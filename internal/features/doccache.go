@@ -33,6 +33,14 @@ func NewDocCache(cfg Config, texts []string) *DocCache {
 	}
 }
 
+// Seed installs docs[i] as the extraction of texts[i], for a caller that
+// already holds what Get would compute: those entries never extract.
+func (c *DocCache) Seed(docs []*SortedDoc) {
+	for i, d := range docs {
+		c.docs[i].Store(d)
+	}
+}
+
 // Len returns the number of cacheable texts.
 func (c *DocCache) Len() int { return len(c.texts) }
 

@@ -3,6 +3,7 @@ package features
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 )
 
@@ -54,9 +55,13 @@ func gramCounts(stats map[GramID]gramStat) []GramCount {
 
 // NewVocabBuilderFromState reconstructs a builder from a snapshot.
 func NewVocabBuilderFromState(st BuilderState) *VocabBuilder {
-	b := NewVocabBuilder(st.Config)
-	b.numDocs = st.NumDocs
-	b.freqSeen = st.FreqSeen
+	b := &VocabBuilder{
+		cfg:      st.Config,
+		words:    make(map[GramID]gramStat, len(st.Words)),
+		chars:    make(map[GramID]gramStat, len(st.Chars)),
+		numDocs:  st.NumDocs,
+		freqSeen: st.FreqSeen,
+	}
 	for _, gc := range st.Words {
 		b.words[gc.ID] = gramStat{freq: int(gc.Freq), df: int(gc.DF)}
 	}
@@ -66,79 +71,76 @@ func NewVocabBuilderFromState(st BuilderState) *VocabBuilder {
 	return b
 }
 
+// GramIndex numbers grams by their position in one of a BuilderState's
+// ascending gram lists — the form a snapshot stores document and
+// vocabulary entries in — through the offset table a Vocabulary section
+// uses, so numbering an entry is a slot lookup and a step or two, not a
+// search.
+type GramIndex struct {
+	grams []GramCount
+	skip  []uint32
+	shift uint
+}
+
+// IndexGrams indexes grams, which must ascend by id.
+func IndexGrams(grams []GramCount) GramIndex {
+	x := GramIndex{grams: grams}
+	x.skip, x.shift = skipTable(grams, func(g *GramCount) GramID { return g.ID })
+	return x
+}
+
+// Number returns id's position in the indexed list, false when it is not
+// there.
+func (x GramIndex) Number(id GramID) (uint32, bool) {
+	for j := x.skip[id>>x.shift]; int(j) < len(x.grams) && x.grams[j].ID <= id; j++ {
+		if x.grams[j].ID == id {
+			return j, true
+		}
+	}
+	return 0, false
+}
+
 // Clone returns an independent copy of the builder: mutations of one never
 // affect the other. Used by incremental index maintenance to derive the
 // next corpus state while the current one keeps serving.
 func (b *VocabBuilder) Clone() *VocabBuilder {
-	c := &VocabBuilder{
-		cfg:      b.cfg,
-		words:    make(map[GramID]gramStat, len(b.words)),
-		chars:    make(map[GramID]gramStat, len(b.chars)),
-		numDocs:  b.numDocs,
-		freqSeen: b.freqSeen,
-	}
-	for g, s := range b.words {
-		c.words[g] = s
-	}
-	for g, s := range b.chars {
-		c.chars[g] = s
-	}
-	return c
+	c := *b
+	c.words, c.chars = maps.Clone(b.words), maps.Clone(b.chars)
+	return &c
 }
 
 // AddSorted is Add for a pre-sorted document. Counter-for-counter
 // equivalent to Add(d) on the Doc the SortedDoc came from.
-func (b *VocabBuilder) AddSorted(d *SortedDoc) {
-	b.numDocs++
-	for _, e := range d.WordGrams {
-		s := b.words[e.ID]
-		s.freq += int(e.Count)
-		s.df++
-		b.words[e.ID] = s
-	}
-	for _, e := range d.CharGrams {
-		s := b.chars[e.ID]
-		s.freq += int(e.Count)
-		s.df++
-		b.chars[e.ID] = s
-	}
-	for i, f := range d.Freq {
-		if f > 0 {
-			b.freqSeen[i]++
-		}
-	}
-}
+func (b *VocabBuilder) AddSorted(d *SortedDoc) { b.fold(d, 1) }
 
 // RemoveSorted subtracts a previously added document, the exact inverse of
 // AddSorted: after Remove(d) the counters equal a builder that never saw
 // d. Grams whose counters reach zero are deleted so the builder's state
 // (and therefore topN's candidate set) is identical to one that never
 // counted them.
-func (b *VocabBuilder) RemoveSorted(d *SortedDoc) {
-	b.numDocs--
-	for _, e := range d.WordGrams {
-		s := b.words[e.ID]
-		s.freq -= int(e.Count)
-		s.df--
-		if s.freq == 0 && s.df == 0 {
-			delete(b.words, e.ID)
-		} else {
-			b.words[e.ID] = s
-		}
-	}
-	for _, e := range d.CharGrams {
-		s := b.chars[e.ID]
-		s.freq -= int(e.Count)
-		s.df--
-		if s.freq == 0 && s.df == 0 {
-			delete(b.chars, e.ID)
-		} else {
-			b.chars[e.ID] = s
-		}
-	}
+func (b *VocabBuilder) RemoveSorted(d *SortedDoc) { b.fold(d, -1) }
+
+// fold adds d's counts to the corpus counters sign (+1 or -1) times.
+func (b *VocabBuilder) fold(d *SortedDoc, sign int) {
+	b.numDocs += sign
+	foldEntries(b.words, d.WordGrams, sign)
+	foldEntries(b.chars, d.CharGrams, sign)
 	for i, f := range d.Freq {
 		if f > 0 {
-			b.freqSeen[i]--
+			b.freqSeen[i] += sign
+		}
+	}
+}
+
+func foldEntries(stats map[GramID]gramStat, es []GramEntry, sign int) {
+	for _, e := range es {
+		s := stats[e.ID]
+		s.freq += sign * int(e.Count)
+		s.df += sign
+		if s == (gramStat{}) {
+			delete(stats, e.ID)
+		} else {
+			stats[e.ID] = s
 		}
 	}
 }

@@ -210,3 +210,29 @@ func TestVectorizeGramsSortedMatches(t *testing.T) {
 		}
 	}
 }
+
+// TestGramIndexNumbers: every gram of a builder state numbers to its own
+// position, and an id the list does not hold — below, between and above its
+// entries, or anything at all against an empty list — numbers to nothing.
+func TestGramIndexNumbers(t *testing.T) {
+	b := NewVocabBuilder(ReductionConfig())
+	for _, d := range shardTestDocs(29) {
+		b.Add(d)
+	}
+	for _, grams := range [][]GramCount{b.State().Words, b.State().Chars, nil} {
+		x := IndexGrams(grams)
+		for i, g := range grams {
+			if num, ok := x.Number(g.ID); !ok || int(num) != i {
+				t.Fatalf("gram %d at position %d numbers to %d, %v", g.ID, i, num, ok)
+			}
+			if _, ok := x.Number(g.ID + 1); ok != (i+1 < len(grams) && grams[i+1].ID == g.ID+1) {
+				t.Fatalf("id %d, one past the gram at %d: found = %v", g.ID+1, i, ok)
+			}
+		}
+		for _, id := range []GramID{0, 1, ^GramID(0)} {
+			if _, ok := x.Number(id); ok != slices.ContainsFunc(grams, func(g GramCount) bool { return g.ID == id }) {
+				t.Fatalf("id %d in a list of %d: found = %v", id, len(grams), ok)
+			}
+		}
+	}
+}

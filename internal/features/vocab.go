@@ -103,14 +103,23 @@ func (b *VocabBuilder) Build() *Vocabulary {
 	return &Vocabulary{cfg: b.cfg, words: newSection(words), chars: newSection(chars), numDocs: b.numDocs}
 }
 
-// idf is the smoothed inverse document frequency: ln((1+N)/(1+df)).
+// IDF is the smoothed inverse document frequency: ln((1+N)/(1+df)).
 // Corpus-universal grams (df = N) weigh ≈ 0, which is what makes TF-IDF
 // discriminate: without it the high-frequency function-word grams dominate
 // every vector's norm and all users look alike (§IV-A: TF-IDF "gives more
 // importance to features that are frequently used by only one user and
 // less importance to popular features such as stop-words").
-func idf(n, df float64) float64 {
+//
+// Exported for the snapshot store, which keeps document frequencies and
+// recomputes the weights a Build would: one function, so the same bits.
+func IDF(n, df float64) float64 {
 	return math.Log((1 + n) / (1 + df))
+}
+
+// CompareRank orders grams the way the vocabulary cut ranks them: by
+// descending corpus frequency, ties by ascending gram id.
+func CompareRank(a, b GramCount) int {
+	return cmp.Or(cmp.Compare(b.Freq, a.Freq), cmp.Compare(a.ID, b.ID))
 }
 
 // topN selects the n highest-frequency grams, ties broken by gram id so
@@ -125,15 +134,13 @@ func topN(stats map[GramID]gramStat, n int, base uint32, numDocs float64) []cvEn
 	for g, s := range stats {
 		ranked = append(ranked, GramCount{ID: g, Freq: int64(s.freq), DF: int64(s.df)})
 	}
-	slices.SortFunc(ranked, func(a, b GramCount) int {
-		return cmp.Or(cmp.Compare(b.Freq, a.Freq), cmp.Compare(a.ID, b.ID))
-	})
+	slices.SortFunc(ranked, CompareRank)
 	if n >= 0 && len(ranked) > n {
 		ranked = ranked[:n]
 	}
 	out := make([]cvEntry, len(ranked))
 	for i, r := range ranked {
-		out[i] = cvEntry{id: r.ID, index: base + uint32(i), idf: idf(numDocs, float64(r.DF))}
+		out[i] = cvEntry{id: r.ID, index: base + uint32(i), idf: IDF(numDocs, float64(r.DF))}
 	}
 	return out
 }

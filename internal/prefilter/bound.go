@@ -53,20 +53,6 @@ func (c *MaxContrib) Get(idx uint32) float32 {
 // Dims reports the table size.
 func (c *MaxContrib) Dims() int { return len(c.vals) }
 
-// Values returns a copy of the per-feature maxima for persistence.
-func (c *MaxContrib) Values() []float32 {
-	out := make([]float32, len(c.vals))
-	copy(out, c.vals)
-	return out
-}
-
-// MaxContribFromValues reconstructs a table from persisted maxima.
-func MaxContribFromValues(vals []float32) *MaxContrib {
-	out := make([]float32, len(vals))
-	copy(out, vals)
-	return &MaxContrib{vals: out}
-}
-
 // OrderTermsByImpact returns term positions sorted by descending impact,
 // ties broken by ascending position so the order is deterministic. The
 // caller's order slice is reused when it has capacity.

@@ -140,66 +140,3 @@ func (l *LSH) Candidates(set []uint32, buf []int32) []int32 {
 	slices.Sort(out)
 	return slices.Compact(out)
 }
-
-// LSHBandTable is one band's bucket map in canonical CSR form: Keys sorted
-// ascending, IDs[Offsets[i]:Offsets[i+1]] the subject ids of Keys[i].
-type LSHBandTable struct {
-	Keys    []uint64
-	Offsets []uint32 // len(Keys)+1
-	IDs     []int32
-}
-
-// LSHTable is a frozen LSH index as value types. Two indexes built from
-// the same subjects at the same operating point emit identical tables
-// regardless of map layout, so the serialised form is deterministic.
-type LSHTable struct {
-	Params LSHParams
-	Bands  []LSHBandTable
-}
-
-// Table snapshots the index in canonical form.
-func (l *LSH) Table() LSHTable {
-	t := LSHTable{Params: l.p, Bands: make([]LSHBandTable, len(l.buckets))}
-	for b, m := range l.buckets {
-		keys := make([]uint64, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		total := 0
-		for _, ids := range m {
-			total += len(ids)
-		}
-		bt := LSHBandTable{
-			Keys:    keys,
-			Offsets: make([]uint32, len(keys)+1),
-			IDs:     make([]int32, 0, total),
-		}
-		for i, k := range keys {
-			bt.Offsets[i] = uint32(len(bt.IDs))
-			bt.IDs = append(bt.IDs, m[k]...)
-		}
-		bt.Offsets[len(keys)] = uint32(len(bt.IDs))
-		t.Bands[b] = bt
-	}
-	return t
-}
-
-// LSHFromTable reconstructs an index from a snapshot; Candidates output is
-// identical to the index the table was taken from.
-func LSHFromTable(t LSHTable) *LSH {
-	p := t.Params.WithDefaults()
-	l := &LSH{
-		p:       p,
-		fam:     newHashFamily(p.Bands*p.Rows, p.Seed),
-		buckets: make([]map[uint64][]int32, len(t.Bands)),
-	}
-	for b, bt := range t.Bands {
-		m := make(map[uint64][]int32, len(bt.Keys))
-		for i, k := range bt.Keys {
-			m[k] = slices.Clone(bt.IDs[bt.Offsets[i]:bt.Offsets[i+1]])
-		}
-		l.buckets[b] = m
-	}
-	return l
-}

@@ -15,6 +15,15 @@ import (
 // truncated or interleaved hybrid, which is what a plain in-place
 // os.WriteFile risks between its truncate and its final write.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	return writeAtomic(path, perm, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// writeAtomic is WriteFileAtomic with the bytes produced by fill, which
+// writes the sibling file however it likes — a snapshot streams into it.
+func writeAtomic(path string, perm os.FileMode, fill func(*os.File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -30,7 +39,7 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("store: atomic write %s: %s: %w", path, op, opErr)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if err := fill(tmp); err != nil {
 		return fail("write", err)
 	}
 	if err := tmp.Chmod(perm); err != nil {

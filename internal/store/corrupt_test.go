@@ -1,20 +1,28 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"darklight/internal/attribution"
+	"darklight/internal/features"
 	"darklight/internal/prefilter"
 )
 
-// snapshotLayout walks the framing and returns, per section, the offset
-// of a byte in the middle of its payload — the walker is deliberately
-// independent of the reader type so a framing bug cannot hide itself.
-func snapshotLayout(t testing.TB, raw []byte) map[string]int {
+// span is one section's payload within a snapshot.
+type span struct{ off, len int }
+
+func (s span) mid() int { return s.off + s.len/2 }
+
+// snapshotLayout walks the framing and returns each section's payload span
+// — the walker is deliberately independent of the reader type so a framing
+// bug cannot hide itself.
+func snapshotLayout(t testing.TB, raw []byte) map[string]span {
 	t.Helper()
 	off := len(magic)
 	u32 := func() int {
@@ -32,14 +40,14 @@ func snapshotLayout(t testing.TB, raw []byte) map[string]int {
 	}
 	count := u32()
 	off += 8 + 8 + digestLen // index version, last seq, corpus digest
-	layout := make(map[string]int, count)
+	layout := make(map[string]span, count)
 	for i := 0; i < count; i++ {
 		nameLen := u32()
 		name := string(raw[off : off+nameLen])
 		off += nameLen
 		payloadLen := u64()
 		off += digestLen
-		layout[name] = off + payloadLen/2
+		layout[name] = span{off, payloadLen}
 		off += payloadLen
 	}
 	if off != len(raw) {
@@ -48,10 +56,48 @@ func snapshotLayout(t testing.TB, raw []byte) map[string]int {
 	return layout
 }
 
+// reseal returns raw with one section's payload replaced and its length and
+// digest made to fit: damage a digest cannot catch, which the decoder has to.
+func reseal(t testing.TB, raw []byte, name string, payload []byte) []byte {
+	t.Helper()
+	s := snapshotLayout(t, raw)[name]
+	out := append([]byte(nil), raw[:s.off-digestLen-8]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	out = append(out, sum[:]...)
+	out = append(out, payload...)
+	return append(out, raw[s.off+s.len:]...)
+}
+
+// memSink is an in-memory snapshot sink.
+type memSink struct{ b []byte }
+
+func (m *memSink) Write(p []byte) (int, error) {
+	m.b = append(m.b, p...)
+	return len(p), nil
+}
+
+func (m *memSink) WriteAt(p []byte, off int64) (int, error) {
+	return copy(m.b[off:], p), nil
+}
+
+// encodeIndex is the snapshot of idx as Save would write it.
+func encodeIndex(idx *Index) ([]byte, error) {
+	var m memSink
+	err := writeIndex(&m, idx)
+	return m.b, err
+}
+
 func smallSnapshot(t testing.TB) []byte {
+	return smallSnapshotOf(t, attribution.DefaultOptions().Reduction)
+}
+
+// smallSnapshotOf is smallSnapshot under another stage-1 configuration.
+func smallSnapshotOf(t testing.TB, reduction features.Config) []byte {
 	rng := rand.New(rand.NewSource(8400))
 	ds := testDataset(rng, "c", 10)
 	opts, subjOpts := testBuildOptions()
+	opts.Reduction = reduction
 	idx, err := BuildIndex(context.Background(), ds, opts, subjOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -71,20 +117,18 @@ func smallSnapshot(t testing.TB) []byte {
 func TestCorruptionNamesEverySection(t *testing.T) {
 	raw := smallSnapshot(t)
 	layout := snapshotLayout(t, raw)
-	wantSections := []string{
-		secOptions, secCorpus, secSubjects, secVocab, secStats,
-		secDocs, secProfiles, secPostings, secMaxContrib, secLSH,
-	}
+	// Spelled out, not sectionNames: the test pins the list.
+	wantSections := []string{"options", "corpus", "subjects", "grams", "docs", "vocab"}
 	if len(layout) != len(wantSections) {
 		t.Fatalf("snapshot has %d sections, want %d", len(layout), len(wantSections))
 	}
 	for _, name := range wantSections {
-		off, ok := layout[name]
+		sec, ok := layout[name]
 		if !ok {
 			t.Fatalf("section %q missing from snapshot", name)
 		}
 		mutated := append([]byte(nil), raw...)
-		mutated[off] ^= 0x40
+		mutated[sec.mid()] ^= 0x40
 		_, err := decodeIndex(mutated)
 		var ce *CorruptError
 		if !errors.As(err, &ce) {
@@ -95,6 +139,176 @@ func TestCorruptionNamesEverySection(t *testing.T) {
 			t.Errorf("section %q: error names section %q: %v", name, ce.Section, ce)
 		}
 	}
+}
+
+// sectionPayload returns a copy of one section's payload.
+func sectionPayload(t testing.TB, raw []byte, name string) []byte {
+	t.Helper()
+	s := snapshotLayout(t, raw)[name]
+	return append([]byte(nil), raw[s.off:s.off+s.len]...)
+}
+
+// spliceUvarint replaces the uvarint at off with the encoding of v.
+func spliceUvarint(p []byte, off int, v uint64) []byte {
+	_, n := binary.Uvarint(p[off:])
+	out := binary.AppendUvarint(append([]byte(nil), p[:off]...), v)
+	return append(out, p[off+n:]...)
+}
+
+// Offsets into the docs payload: document count (u32) and entry count
+// (u64), then document 0's word-entry count, first step and first count.
+const docsFirstList = 4 + 8
+
+func docsFirstStep(p []byte) int {
+	_, n := binary.Uvarint(p[docsFirstList:])
+	return docsFirstList + n
+}
+
+func docsFirstCount(p []byte) int {
+	_, n := binary.Uvarint(p[docsFirstStep(p):])
+	return docsFirstStep(p) + n
+}
+
+// structuralDamage lists what a fresh digest cannot hide: each entry
+// rewrites one section's payload into something well framed and wrong.
+var structuralDamage = []struct {
+	name, section string
+	mutate        func(t testing.TB, payload []byte) []byte
+}{
+	{"dictionary not ascending", secGrams, func(_ testing.TB, p []byte) []byte {
+		first, second := append([]byte(nil), p[4:12]...), append([]byte(nil), p[12:20]...)
+		copy(p[4:], second)
+		copy(p[12:], first)
+		return p
+	}},
+	{"dictionary repeats a gram", secGrams, func(_ testing.TB, p []byte) []byte {
+		copy(p[12:20], p[4:12])
+		return p
+	}},
+	{"dictionary gram in no document", secGrams, func(_ testing.TB, p []byte) []byte {
+		// One more word gram past the last: no number shifts, nothing holds it.
+		n := int(binary.LittleEndian.Uint32(p))
+		end := 4 + 8*n
+		out := binary.LittleEndian.AppendUint32(nil, uint32(n+1))
+		out = append(out, p[4:end]...)
+		out = binary.LittleEndian.AppendUint64(out, binary.LittleEndian.Uint64(p[end-8:])+1)
+		return append(out, p[end:]...)
+	}},
+	{"document gram number outside the dictionary", secDocs, func(_ testing.TB, p []byte) []byte {
+		return spliceUvarint(p, docsFirstStep(p), 1<<40)
+	}},
+	{"document repeats a gram (zero step)", secDocs, func(_ testing.TB, p []byte) []byte {
+		return spliceUvarint(p, docsFirstStep(p), 0)
+	}},
+	{"document gram count 0", secDocs, func(_ testing.TB, p []byte) []byte {
+		return spliceUvarint(p, docsFirstCount(p), 0)
+	}},
+	{"document gram count past int32", secDocs, func(_ testing.TB, p []byte) []byte {
+		return spliceUvarint(p, docsFirstCount(p), 1<<31)
+	}},
+	{"document list longer than the section declares", secDocs, func(_ testing.TB, p []byte) []byte {
+		return spliceUvarint(p, docsFirstList, 1<<40)
+	}},
+	{"payload ends inside a varint", secDocs, func(testing.TB, []byte) []byte {
+		// One document, one entry, and the entry's step never finishes.
+		return []byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0x80}
+	}},
+	{"varint past 64 bits", secDocs, func(_ testing.TB, p []byte) []byte {
+		off := docsFirstStep(p)
+		out := append(append([]byte(nil), p[:off]...), bytes.Repeat([]byte{0xFF}, 10)...)
+		return append(out, p[off:]...)
+	}},
+	{"vocabulary number outside the dictionary", secVocab, func(_ testing.TB, p []byte) []byte {
+		return spliceUvarint(p, 4, 1<<40)
+	}},
+	{"vocabulary lists a gram twice", secVocab, func(_ testing.TB, p []byte) []byte {
+		first, n := binary.Uvarint(p[4:])
+		return spliceUvarint(p, 4+n, first)
+	}},
+	{"vocabulary out of rank order", secVocab, func(_ testing.TB, p []byte) []byte {
+		first, n := binary.Uvarint(p[4:])
+		second, _ := binary.Uvarint(p[4+n:])
+		p = spliceUvarint(p, 4+n, first)
+		return spliceUvarint(p, 4, second)
+	}},
+	{"vocabulary not the whole cut", secVocab, func(t testing.TB, p []byte) []byte {
+		// Drop the last word gram: every listed one is in order, one is missing.
+		n := int(binary.LittleEndian.Uint32(p))
+		if n < 2 {
+			t.Fatalf("test snapshot lists %d word grams", n)
+		}
+		off := 4
+		for i := 0; i < n-1; i++ {
+			_, w := binary.Uvarint(p[off:])
+			off += w
+		}
+		_, w := binary.Uvarint(p[off:])
+		out := binary.LittleEndian.AppendUint32(nil, uint32(n-1))
+		return append(append(out, p[4:off]...), p[off+w:]...)
+	}},
+}
+
+// TestStructuralDamageNamesItsSection: a payload that is well framed, carries
+// a fresh digest and is wrong inside must fail as a CorruptError naming the
+// section it is in — never a panic, never an index.
+func TestStructuralDamageNamesItsSection(t *testing.T) {
+	raw := smallSnapshot(t)
+	for _, c := range structuralDamage {
+		mutated := reseal(t, raw, c.section, c.mutate(t, sectionPayload(t, raw, c.section)))
+		_, err := decodeIndex(mutated)
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: got %v, want *CorruptError", c.name, mutatedErr(err))
+			continue
+		}
+		if ce.Section != c.section || ce.Reason == "" {
+			t.Errorf("%s: error names section %q (reason %q), want %q", c.name, ce.Section, ce.Reason, c.section)
+		}
+		t.Logf("%s: %v", c.name, ce)
+	}
+	// reseal itself is sound: the untouched payload under a fresh digest loads.
+	if _, err := decodeIndex(reseal(t, raw, secDocs, sectionPayload(t, raw, secDocs))); err != nil {
+		t.Fatalf("resealed pristine snapshot no longer decodes: %v", err)
+	}
+}
+
+// TestVocabularyCutIsVerified: under a budget smaller than the dictionary the
+// vocab section is a claim about the counters — which grams rank first — and
+// a load checks the whole claim, so a snapshot cannot carry a vocabulary a
+// rebuild over its documents would not cut.
+func TestVocabularyCutIsVerified(t *testing.T) {
+	cfg := attribution.DefaultOptions().Reduction
+	cfg.MaxWordGrams, cfg.MaxCharGrams = 200, 300
+	raw := smallSnapshotOf(t, cfg)
+	idx, err := decodeIndex(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := idx.Matcher.Vocabulary()
+	if v.NumWordGrams() != 200 || v.NumCharGrams() != 300 {
+		t.Fatalf("loaded vocabulary has %d + %d grams, want the budgets 200 + 300", v.NumWordGrams(), v.NumCharGrams())
+	}
+
+	// Replace the last listed word gram by one the cut left out: still in rank
+	// order after its predecessor, and not the gram that belongs there.
+	p := sectionPayload(t, raw, secVocab)
+	listed := make(map[uint64]bool)
+	off, last := 4, 0
+	for i := 0; i < 200; i++ {
+		num, w := binary.Uvarint(p[off:])
+		listed[num] = true
+		off, last = off+w, off
+	}
+	outsider := uint64(0)
+	for listed[outsider] {
+		outsider++
+	}
+	_, err = decodeIndex(reseal(t, raw, secVocab, spliceUvarint(p, last, outsider)))
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Section != secVocab {
+		t.Fatalf("vocabulary with a gram from below the cut: got %v, want a vocab CorruptError", mutatedErr(err))
+	}
+	t.Log(ce)
 }
 
 // TestCorruptionHeaderAndTruncation covers the non-payload failure modes:
@@ -109,10 +323,12 @@ func TestCorruptionHeaderAndTruncation(t *testing.T) {
 	if _, err := decodeIndex(mutated); !errors.As(err, &ce) || ce.Section != "header" {
 		t.Errorf("bad magic: got %v, want header CorruptError", mutatedErr(err))
 	}
+	// Another format version is not damage: its own error, with both numbers.
 	mutated = append([]byte(nil), raw...)
-	mutated[len(magic)] ^= 0xFF // format version
-	if _, err := decodeIndex(mutated); !errors.As(err, &ce) || ce.Section != "header" {
-		t.Errorf("bad version: got %v, want header CorruptError", mutatedErr(err))
+	mutated[len(magic)] = formatVersion - 1
+	var ve *VersionError
+	if _, err := decodeIndex(mutated); !errors.As(err, &ve) || ve.Got != formatVersion-1 || ve.Want != formatVersion || errors.As(err, &ce) {
+		t.Errorf("other version: got %v, want a VersionError naming %d and %d", mutatedErr(err), formatVersion-1, formatVersion)
 	}
 
 	for _, cut := range []int{0, 4, len(magic) + 9, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
@@ -144,7 +360,7 @@ func mutatedErr(err error) error {
 func TestLoadFillsPath(t *testing.T) {
 	raw := smallSnapshot(t)
 	layout := snapshotLayout(t, raw)
-	raw[layout[secVocab]] ^= 0x01
+	raw[layout[secVocab].mid()] ^= 0x01
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,16 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
+	"io"
 	"math"
 )
 
-// On-disk snapshot layout (all integers little-endian):
+// On-disk snapshot layout, format 2 (all fixed-width integers
+// little-endian, "uvarint" the encoding/binary one):
 //
 //	header:
 //	  magic            8 bytes  "DLIXSNP1"
@@ -23,6 +25,10 @@ import (
 //	  payload digest   32 bytes sha-256 of the payload
 //	  payload
 //
+// The fixed header keeps this layout in every format version (the magic
+// names it), so Open can read the journal position off a snapshot whose
+// sections it cannot decode. What the sections hold is in snapshot.go.
+//
 // Every section is digest-verified on load before a single byte of it is
 // decoded, so a flipped bit anywhere surfaces as a CorruptError naming
 // the section — never a panic or a silently wrong index. Within a
@@ -32,7 +38,7 @@ import (
 
 const (
 	magic         = "DLIXSNP1"
-	formatVersion = 1
+	formatVersion = 2
 	digestLen     = sha256.Size
 )
 
@@ -53,6 +59,17 @@ func corrupt(section, format string, args ...any) *CorruptError {
 	return &CorruptError{Section: section, Reason: fmt.Sprintf(format, args...)}
 }
 
+// VersionError reports an intact snapshot of another format version: not
+// damage, but this build has one reader, so the way forward is a rebuild.
+type VersionError struct {
+	Path      string
+	Got, Want uint32
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("store: %s: snapshot format version %d, this build reads and writes version %d", e.Path, e.Got, e.Want)
+}
+
 // header is the decoded fixed header.
 type header struct {
 	IndexVersion uint64
@@ -60,52 +77,18 @@ type header struct {
 	CorpusDigest [digestLen]byte
 }
 
-// section is one named, digest-carrying payload.
-type section struct {
-	name    string
-	payload []byte
-}
-
-// encodeSnapshot frames the sections behind the fixed header.
-func encodeSnapshot(h header, sections []section) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], formatVersion)
-	buf.Write(tmp[:4])
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(sections)))
-	buf.Write(tmp[:4])
-	binary.LittleEndian.PutUint64(tmp[:], h.IndexVersion)
-	buf.Write(tmp[:])
-	binary.LittleEndian.PutUint64(tmp[:], h.LastSeq)
-	buf.Write(tmp[:])
-	buf.Write(h.CorpusDigest[:])
-	for _, s := range sections {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(s.name)))
-		buf.Write(tmp[:4])
-		buf.WriteString(s.name)
-		binary.LittleEndian.PutUint64(tmp[:], uint64(len(s.payload)))
-		buf.Write(tmp[:])
-		digest := sha256.Sum256(s.payload)
-		buf.Write(digest[:])
-		buf.Write(s.payload)
-	}
-	return buf.Bytes()
-}
-
 // headerLen is the size of the fixed header.
 const headerLen = len(magic) + 4 + 4 + 8 + 8 + digestLen
 
 // decodeHeader reads the fixed header off r, returning it and the section
-// count. All errors are *CorruptError (Path unset).
+// count. Errors are *CorruptError (Path unset) or, with the header fully
+// read and returned, *VersionError.
 func decodeHeader(r *reader) (header, int, error) {
 	var h header
 	if got := r.bytes(len(magic)); r.fail || string(got) != magic {
 		return h, 0, corrupt("header", "bad magic (not a snapshot file)")
 	}
-	if v := r.u32(); r.fail || v != formatVersion {
-		return h, 0, corrupt("header", "format version %d, want %d", v, formatVersion)
-	}
+	version := r.u32()
 	count := int(r.u32())
 	h.IndexVersion = r.u64()
 	h.LastSeq = r.u64()
@@ -113,12 +96,15 @@ func decodeHeader(r *reader) (header, int, error) {
 	if r.fail {
 		return h, 0, corrupt("header", "truncated header")
 	}
+	if version != formatVersion {
+		return h, 0, &VersionError{Got: version, Want: formatVersion}
+	}
 	return h, count, nil
 }
 
 // decodeSnapshot verifies the header and every section digest, returning
-// the sections in file order. All errors are *CorruptError (Path unset).
-func decodeSnapshot(raw []byte) (header, []section, error) {
+// the payloads by section name. Errors are decodeHeader's.
+func decodeSnapshot(raw []byte) (header, map[string][]byte, error) {
 	r := &reader{b: raw}
 	h, count, err := decodeHeader(r)
 	if err != nil {
@@ -128,7 +114,7 @@ func decodeSnapshot(raw []byte) (header, []section, error) {
 	if count < 0 || count > maxSections {
 		return h, nil, corrupt("header", "implausible section count %d", count)
 	}
-	sections := make([]section, 0, count)
+	sections := make(map[string][]byte, count)
 	for i := 0; i < count; i++ {
 		nameLen := int(r.u32())
 		if r.fail || nameLen > 256 {
@@ -148,7 +134,7 @@ func decodeSnapshot(raw []byte) (header, []section, error) {
 		if got := sha256.Sum256(payload); got != want {
 			return h, nil, corrupt(name, "digest mismatch (corrupt payload)")
 		}
-		sections = append(sections, section{name: name, payload: payload})
+		sections[name] = payload
 	}
 	if r.off != len(raw) {
 		return h, nil, corrupt("trailer", "%d trailing bytes after the last section", len(raw)-r.off)
@@ -156,31 +142,99 @@ func decodeSnapshot(raw []byte) (header, []section, error) {
 	return h, sections, nil
 }
 
-// writer is a little-endian append-only encoder.
-type writer struct {
-	b []byte
+// sink is what a snapshot is written to: sequential writes, plus one
+// positioned write per section for the length and digest that precede its
+// payload and are known only once it has gone by.
+type sink interface {
+	io.Writer
+	io.WriterAt
 }
 
-func (w *writer) u8(v uint8)    { w.b = append(w.b, v) }
-func (w *writer) u32(v uint32)  { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64)  { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *writer) i64(v int64)   { w.u64(uint64(v)) }
-func (w *writer) f32(v float32) { w.u32(math.Float32bits(v)) }
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.b = append(w.b, s...)
+// flushAt is how many pending bytes send the writer to its sink: a save
+// holds this much of the file in memory, never a section or the file.
+const flushAt = 64 << 10
+
+// writer is the little-endian streaming encoder. Bytes collect in b and
+// leave for the sink, through the digest begin resets for each section,
+// flushAt at a time; the first failed write latches in err.
+type writer struct {
+	out     sink
+	b       []byte
+	pos     int64 // file offset of b[0]
+	sum     hash.Hash
+	patchAt int64 // where the open section's length and digest go
+	err     error
 }
-func (w *writer) blob(p []byte) {
-	w.u32(uint32(len(p)))
-	w.b = append(w.b, p...)
+
+func newWriter(out sink) *writer {
+	return &writer{out: out, b: make([]byte, 0, flushAt+flushAt/8), sum: sha256.New()}
+}
+
+func (w *writer) flush() {
+	if w.err == nil {
+		_, w.err = w.sum.Write(w.b)
+	}
+	if w.err == nil {
+		_, w.err = w.out.Write(w.b)
+	}
+	w.pos += int64(len(w.b))
+	w.b = w.b[:0]
+}
+
+// room returns b for appending, flushed first when it has filled up.
+func (w *writer) room() []byte {
+	if len(w.b) >= flushAt {
+		w.flush()
+	}
+	return w.b
+}
+
+func (w *writer) u8(v uint8)       { w.b = append(w.room(), v) }
+func (w *writer) u32(v uint32)     { w.b = binary.LittleEndian.AppendUint32(w.room(), v) }
+func (w *writer) u64(v uint64)     { w.b = binary.LittleEndian.AppendUint64(w.room(), v) }
+func (w *writer) uvarint(v uint64) { w.b = binary.AppendUvarint(w.room(), v) }
+func (w *writer) i64(v int64)      { w.u64(uint64(v)) }
+func (w *writer) f64(v float64)    { w.u64(math.Float64bits(v)) }
+func (w *writer) raw(p []byte)     { w.b = append(w.room(), p...) }
+func (w *writer) str(s string)     { w.u32(uint32(len(s))); w.b = append(w.b, s...) }
+func (w *writer) blob(p []byte)    { w.u32(uint32(len(p))); w.b = append(w.b, p...) }
+func (w *writer) header(h header, sections int) {
+	w.raw([]byte(magic))
+	w.u32(formatVersion)
+	w.u32(uint32(sections))
+	w.u64(h.IndexVersion)
+	w.u64(h.LastSeq)
+	w.raw(h.CorpusDigest[:])
+}
+
+// begin frames a section: its name and room for the length and digest,
+// then everything written until end is its payload.
+func (w *writer) begin(name string) {
+	w.str(name)
+	w.raw(make([]byte, 8+digestLen))
+	w.flush()
+	w.patchAt = w.pos - (8 + digestLen)
+	w.sum.Reset()
+}
+
+// end closes the open section, writing its length and digest into the room
+// begin left.
+func (w *writer) end() {
+	w.flush()
+	frame := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+digestLen), uint64(w.pos-w.patchAt-(8+digestLen)))
+	frame = w.sum.Sum(frame)
+	if w.err == nil {
+		_, w.err = w.out.WriteAt(frame, w.patchAt)
+	}
 }
 
 // reader is the bounds-checked little-endian decoder. After the first
 // out-of-bounds read, fail latches and every value returned is zero; the
-// caller checks fail (or done) once at the end of the payload.
+// caller checks fail (or done) once at the end of the payload. text, when
+// set, is string(b): str returns substrings of it, one allocation for all.
 type reader struct {
 	b    []byte
+	text string
 	off  int
 	fail bool
 }
@@ -195,49 +249,57 @@ func (r *reader) bytes(n int) []byte {
 	return out
 }
 
-func (r *reader) u8() uint8 {
-	p := r.bytes(1)
-	if p == nil {
-		return 0
+// fixed is bytes for the fixed-width integers: zeros once fail has latched.
+func (r *reader) fixed(n int) []byte {
+	if p := r.bytes(n); p != nil {
+		return p
 	}
-	return p[0]
+	return make([]byte, n)
 }
 
-func (r *reader) u32() uint32 {
-	p := r.bytes(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
+func (r *reader) u8() uint8   { return r.fixed(1)[0] }
+func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
+func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
 
-func (r *reader) u64() uint64 {
-	p := r.bytes(8)
-	if p == nil {
+// uvarint fails on a varint the payload ends inside of, or one past 64
+// bits.
+func (r *reader) uvarint() uint64 {
+	if r.fail {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(p)
+	// Dictionary steps and gram counts, a snapshot's bulk, fit one byte.
+	if r.off < len(r.b) && r.b[r.off] < 0x80 {
+		r.off++
+		return uint64(r.b[r.off-1])
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		r.fail = true
+		return 0
+	}
+	r.off += n
+	return v
 }
 
 func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f32() float32 { return math.Float32frombits(r.u32()) }
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *reader) str() string  { return string(r.bytes(int(r.u32()))) }
 func (r *reader) blob() []byte { return r.bytes(int(r.u32())) }
 func (r *reader) done() bool   { return !r.fail && r.off == len(r.b) }
-func (r *reader) length() int  { return r.lengthBound(0) }
+
+func (r *reader) str() string {
+	p := r.bytes(int(r.u32()))
+	if r.text != "" && p != nil {
+		return r.text[r.off-len(p) : r.off]
+	}
+	return string(p)
+}
 
 // lengthBound reads a u32 element count and sanity-bounds it against the
-// remaining payload so a hostile count cannot drive a giant allocation.
+// remaining payload so a hostile count cannot drive a giant allocation:
+// every element costs at least elemSize bytes of remaining payload.
 func (r *reader) lengthBound(elemSize int) int {
 	n := int(r.u32())
-	// A hostile length must not drive a giant allocation: every element
-	// costs at least elemSize (or 1) byte of remaining payload.
-	per := elemSize
-	if per < 1 {
-		per = 1
-	}
-	if r.fail || n < 0 || n > (len(r.b)-r.off)/per+1 {
+	if r.fail || n < 0 || n > (len(r.b)-r.off)/elemSize+1 {
 		r.fail = true
 		return 0
 	}

@@ -25,10 +25,14 @@ func FuzzLoadSnapshot(f *testing.F) {
 		m[off] ^= 0xFF
 		f.Add(m)
 	}
-	for _, off := range layout {
+	for _, sec := range layout {
 		m := append([]byte(nil), raw...)
-		m[off] ^= 0x40
+		m[sec.mid()] ^= 0x40
 		f.Add(m)
+	}
+	// Structural damage under fresh digests: the decoder's own checks.
+	for _, c := range structuralDamage {
+		f.Add(reseal(f, raw, c.section, c.mutate(f, sectionPayload(f, raw, c.section))))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

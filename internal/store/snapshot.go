@@ -1,17 +1,16 @@
 package store
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math"
 	"time"
 
 	"darklight/internal/activity"
 	"darklight/internal/attribution"
 	"darklight/internal/features"
 	"darklight/internal/forum"
-	"darklight/internal/prefilter"
 )
 
 // Index is one immutable generation of the attribution state: the corpus
@@ -35,270 +34,224 @@ type Index struct {
 	Digest string
 }
 
-// Section names, in file order.
+// Section names, in file order. A snapshot holds what the index pass cannot
+// recompute — corpus, subjects, each subject's extraction — and nothing it
+// derives from those (forward and inverted index, dense blocks, pre-filter
+// caps, LSH tables, IDF weights, corpus counters):
+//
+//	options   the matcher options, JSON
+//	corpus    the dataset, field by field
+//	subjects  name, text, timestamps and activity profile of each subject
+//	grams     the dictionary: the distinct word gram ids, then the distinct
+//	          char gram ids, each list ascending, 8 bytes a gram
+//	docs      each subject's extraction with grams as dictionary numbers:
+//	          per family a uvarint entry count, then per entry the uvarint
+//	          step from the previous number (the first from -1: never 0)
+//	          and the uvarint count; then three totals, 42 frequencies
+//	vocab     the vocabulary cut as dictionary numbers in feature order
+//
+// Decoding docs sums each gram's corpus and document frequency, all a
+// VocabBuilder counts, and vocab is checked to be the cut those counters
+// give: Load hands the index pass what a rebuild over the same extractions
+// would.
 const (
-	secOptions    = "options"
-	secCorpus     = "corpus"
-	secSubjects   = "subjects"
-	secVocab      = "vocab"
-	secStats      = "stats"
-	secDocs       = "docs"
-	secProfiles   = "profiles"
-	secPostings   = "postings"
-	secMaxContrib = "maxcontrib"
-	secLSH        = "lsh"
+	secOptions  = "options"
+	secCorpus   = "corpus"
+	secSubjects = "subjects"
+	secGrams    = "grams"
+	secDocs     = "docs"
+	secVocab    = "vocab"
 )
 
-// encodeIndex serialises the index to the framed snapshot format.
-func encodeIndex(idx *Index) ([]byte, error) {
+var sectionNames = []string{secOptions, secCorpus, secSubjects, secGrams, secDocs, secVocab}
+
+// writeIndex streams idx to out in the framed snapshot format.
+func writeIndex(out sink, idx *Index) error {
 	st, err := idx.Matcher.State()
 	if err != nil {
-		return nil, err
+		return err
+	}
+	// The three things a snapshot leaves out because Load re-derives them.
+	if st.Vocab.Config != st.Opts.Reduction || st.Stats.Config != st.Opts.Reduction || st.Stats.NumDocs != len(st.Docs) {
+		return fmt.Errorf("matcher state disagrees with its own options (vocabulary or counters of another configuration)")
 	}
 	optsJSON, err := json.Marshal(st.Opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var corpus bytes.Buffer
-	if err := forum.WriteJSONL(&corpus, idx.Dataset); err != nil {
-		return nil, err
+	digest, err := hex.DecodeString(idx.Digest)
+	if err != nil || len(digest) != digestLen {
+		return fmt.Errorf("index carries no corpus digest (%q)", idx.Digest)
 	}
+	h := header{IndexVersion: idx.Version, LastSeq: idx.LastSeq}
+	copy(h.CorpusDigest[:], digest)
 
-	var sections []section
-	add := func(name string, payload []byte) {
-		sections = append(sections, section{name: name, payload: payload})
+	w := newWriter(out)
+	w.header(h, len(sectionNames))
+
+	w.begin(secOptions)
+	w.raw(optsJSON)
+	w.end()
+
+	w.begin(secCorpus)
+	if err := writeCorpus(w, idx.Dataset); err != nil {
+		return err
 	}
+	w.end()
 
-	add(secOptions, optsJSON)
-
-	var cw writer
-	cw.str(idx.Dataset.Name)
-	cw.str(idx.Dataset.Platform.String())
-	cw.blob(corpus.Bytes())
-	add(secCorpus, cw.b)
-
-	var sw writer
-	sw.u32(uint32(len(idx.Subjects)))
+	w.begin(secSubjects)
+	w.u32(uint32(len(idx.Subjects)))
 	for i := range idx.Subjects {
 		s := &idx.Subjects[i]
-		sw.str(s.Name)
-		sw.str(s.Text)
-		sw.u32(uint32(len(s.Timestamps)))
+		w.str(s.Name)
+		w.str(s.Text)
+		w.u32(uint32(len(s.Timestamps)))
 		for _, ts := range s.Timestamps {
-			sw.i64(ts.UnixNano())
+			w.i64(ts.UnixNano())
 		}
 		if p := s.Activity; p != nil {
-			sw.u8(1)
+			w.u8(1)
 			for _, b := range p.Bins {
-				sw.f64(b)
+				w.f64(b)
 			}
-			sw.i64(int64(p.Samples))
-			sw.i64(int64(p.ActiveBins))
+			w.i64(int64(p.Samples))
+			w.i64(int64(p.ActiveBins))
 		} else {
-			sw.u8(0)
+			w.u8(0)
 		}
 	}
-	add(secSubjects, sw.b)
+	w.end()
 
-	vocabJSON, err := json.Marshal(st.Vocab.Config)
-	if err != nil {
-		return nil, err
-	}
-	var vw writer
-	vw.blob(vocabJSON)
-	vw.i64(int64(st.Vocab.NumDocs))
-	vw.u32(uint32(len(st.Vocab.Words)))
-	for _, g := range st.Vocab.Words {
-		vw.u64(uint64(g))
-	}
-	for _, f := range st.Vocab.WordIDF {
-		vw.f64(f)
-	}
-	vw.u32(uint32(len(st.Vocab.Chars)))
-	for _, g := range st.Vocab.Chars {
-		vw.u64(uint64(g))
-	}
-	for _, f := range st.Vocab.CharIDF {
-		vw.f64(f)
-	}
-	add(secVocab, vw.b)
-
-	statsJSON, err := json.Marshal(st.Stats.Config)
-	if err != nil {
-		return nil, err
-	}
-	var tw writer
-	tw.blob(statsJSON)
-	tw.i64(int64(st.Stats.NumDocs))
-	for _, c := range st.Stats.FreqSeen {
-		tw.i64(int64(c))
-	}
-	writeGramCounts := func(gcs []features.GramCount) {
-		tw.u32(uint32(len(gcs)))
-		for _, gc := range gcs {
-			tw.u64(uint64(gc.ID))
-			tw.i64(gc.Freq)
-			tw.i64(gc.DF)
+	w.begin(secGrams)
+	for _, grams := range [][]features.GramCount{st.Stats.Words, st.Stats.Chars} {
+		w.u32(uint32(len(grams)))
+		for _, g := range grams {
+			w.u64(uint64(g.ID))
 		}
 	}
-	writeGramCounts(st.Stats.Words)
-	writeGramCounts(st.Stats.Chars)
-	add(secStats, tw.b)
+	w.end()
 
-	var dw writer
-	dw.u32(uint32(len(st.Docs)))
+	words, chars := features.IndexGrams(st.Stats.Words), features.IndexGrams(st.Stats.Chars)
+	w.begin(secDocs)
+	entries := 0
 	for _, d := range st.Docs {
-		dw.u32(uint32(len(d.WordGrams)))
-		for _, e := range d.WordGrams {
-			dw.u64(uint64(e.ID))
-			dw.u32(uint32(e.Count))
+		entries += len(d.WordGrams) + len(d.CharGrams)
+	}
+	w.u32(uint32(len(st.Docs)))
+	w.u64(uint64(entries))
+	for _, d := range st.Docs {
+		if err := writeEntries(w, d.WordGrams, words); err != nil {
+			return err
 		}
-		dw.u32(uint32(len(d.CharGrams)))
-		for _, e := range d.CharGrams {
-			dw.u64(uint64(e.ID))
-			dw.u32(uint32(e.Count))
+		if err := writeEntries(w, d.CharGrams, chars); err != nil {
+			return err
 		}
-		dw.i64(int64(d.WordTotal))
-		dw.i64(int64(d.CharTotal))
+		w.uvarint(uint64(d.WordTotal))
+		w.uvarint(uint64(d.CharTotal))
+		w.uvarint(uint64(d.TotalChars))
 		for _, f := range d.Freq {
-			dw.f64(f)
-		}
-		dw.i64(int64(d.TotalChars))
-	}
-	add(secDocs, dw.b)
-
-	var pw writer
-	pw.u32(uint32(len(st.Mask)))
-	for i := range st.Mask {
-		pw.u8(st.Mask[i])
-		writeDense := func(v []float64) {
-			if v == nil {
-				pw.u8(0)
-				return
-			}
-			pw.u8(1)
-			pw.u32(uint32(len(v)))
-			for _, f := range v {
-				pw.f64(f)
-			}
-		}
-		writeDense(st.Freqs[i])
-		writeDense(st.Acts[i])
-	}
-	add(secProfiles, pw.b)
-
-	var fw writer
-	fw.u32(uint32(len(st.FwdIdx)))
-	for i := range st.FwdIdx {
-		fw.u32(uint32(len(st.FwdIdx[i])))
-		for _, id := range st.FwdIdx[i] {
-			fw.u32(id)
-		}
-		for _, v := range st.FwdVal[i] {
-			fw.f32(v)
+			w.f64(f)
 		}
 	}
-	add(secPostings, fw.b)
+	w.end()
 
-	var mw writer
-	mw.u32(uint32(len(st.MaxContrib)))
-	for _, v := range st.MaxContrib {
-		mw.f32(v)
+	w.begin(secVocab)
+	if err := writeNumbers(w, st.Vocab.Words, words); err != nil {
+		return err
 	}
-	add(secMaxContrib, mw.b)
-
-	var lw writer
-	lw.u32(uint32(len(st.LSH)))
-	for _, t := range st.LSH {
-		lw.i64(int64(t.Params.Bands))
-		lw.i64(int64(t.Params.Rows))
-		lw.u64(t.Params.Seed)
-		lw.u32(uint32(len(t.Bands)))
-		for _, bt := range t.Bands {
-			lw.u32(uint32(len(bt.Keys)))
-			for _, k := range bt.Keys {
-				lw.u64(k)
-			}
-			for _, o := range bt.Offsets {
-				lw.u32(o)
-			}
-			lw.u32(uint32(len(bt.IDs)))
-			for _, id := range bt.IDs {
-				lw.u32(uint32(id))
-			}
-		}
+	if err := writeNumbers(w, st.Vocab.Chars, chars); err != nil {
+		return err
 	}
-	add(secLSH, lw.b)
-
-	corpusDigest := sha256.Sum256(corpus.Bytes())
-	h := header{IndexVersion: idx.Version, LastSeq: idx.LastSeq, CorpusDigest: corpusDigest}
-	return encodeSnapshot(h, sections), nil
+	w.end()
+	return w.err
 }
 
-// decodeIndex parses and verifies a snapshot. Every structural failure is
-// a *CorruptError naming the offending section.
+// writeCorpus writes the dataset as it stands in memory. A time keeps its
+// zone through MarshalBinary, as it does through the canonical JSONL.
+func writeCorpus(w *writer, ds *forum.Dataset) error {
+	w.str(ds.Name)
+	w.str(ds.Platform.String())
+	w.u32(uint32(len(ds.Aliases)))
+	w.u32(uint32(ds.TotalMessages()))
+	for i := range ds.Aliases {
+		a := &ds.Aliases[i]
+		w.str(a.Name)
+		w.u32(uint32(len(a.Messages)))
+		for j := range a.Messages {
+			m := &a.Messages[j]
+			for _, s := range [...]string{m.ID, m.Author, m.Board, m.Thread, m.Body, m.Quoted} {
+				w.str(s)
+			}
+			at, err := m.PostedAt.MarshalBinary()
+			if err != nil {
+				return fmt.Errorf("message %s: %w", m.ID, err)
+			}
+			w.blob(at)
+		}
+	}
+	return nil
+}
+
+// writeEntries writes one id-sorted gram list of a document as dictionary
+// numbers.
+func writeEntries(w *writer, es []features.GramEntry, dict features.GramIndex) error {
+	w.uvarint(uint64(len(es)))
+	prev := int64(-1)
+	for _, e := range es {
+		num, ok := dict.Number(e.ID)
+		if !ok || int64(num) <= prev {
+			return fmt.Errorf("document gram %d is not in the corpus counters, or not in ascending order", e.ID)
+		}
+		w.uvarint(uint64(int64(num) - prev))
+		w.uvarint(uint64(e.Count))
+		prev = int64(num)
+	}
+	return nil
+}
+
+// writeNumbers writes one vocabulary family as dictionary numbers.
+func writeNumbers(w *writer, ids []features.GramID, dict features.GramIndex) error {
+	w.u32(uint32(len(ids)))
+	for _, id := range ids {
+		num, ok := dict.Number(id)
+		if !ok {
+			return fmt.Errorf("vocabulary gram %d is not in the corpus counters", id)
+		}
+		w.uvarint(uint64(num))
+	}
+	return nil
+}
+
+// decodeIndex parses and verifies a snapshot and runs the index pass over
+// what it holds. Every structural failure is a *CorruptError naming the
+// offending section; a snapshot of another format is a *VersionError.
 func decodeIndex(raw []byte) (*Index, error) {
-	h, sections, err := decodeSnapshot(raw)
+	h, byName, err := decodeSnapshot(raw)
 	if err != nil {
 		return nil, err
 	}
-	byName := make(map[string][]byte, len(sections))
-	for _, s := range sections {
-		byName[s.name] = s.payload
-	}
-	need := func(name string) ([]byte, error) {
-		p, ok := byName[name]
-		if !ok {
+	for _, name := range sectionNames {
+		if _, ok := byName[name]; !ok {
 			return nil, corrupt(name, "section missing")
 		}
-		return p, nil
 	}
 
 	var st attribution.IndexState
-	optsRaw, err := need(secOptions)
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(optsRaw, &st.Opts); err != nil {
+	if err := json.Unmarshal(byName[secOptions], &st.Opts); err != nil {
 		return nil, corrupt(secOptions, "bad options JSON: %v", err)
 	}
-
-	corpusRaw, err := need(secCorpus)
+	ds, err := readCorpus(byName[secCorpus])
 	if err != nil {
 		return nil, err
 	}
-	cr := &reader{b: corpusRaw}
-	dsName := cr.str()
-	platName := cr.str()
-	corpusJSONL := cr.blob()
-	if !cr.done() {
-		return nil, corrupt(secCorpus, "malformed payload")
-	}
-	if got := sha256.Sum256(corpusJSONL); got != h.CorpusDigest {
-		return nil, corrupt(secCorpus, "corpus digest disagrees with header")
-	}
-	platform, err := forum.ParsePlatform(platName)
-	if err != nil {
-		return nil, corrupt(secCorpus, "unknown platform %q", platName)
-	}
-	ds, err := forum.ReadJSONL(bytes.NewReader(corpusJSONL), dsName, platform)
-	if err != nil {
-		return nil, corrupt(secCorpus, "corpus JSONL: %v", err)
-	}
 
-	subjRaw, err := need(secSubjects)
-	if err != nil {
-		return nil, err
-	}
-	sr := &reader{b: subjRaw}
-	nSubj := sr.lengthBound(8)
-	subjects := make([]attribution.Subject, nSubj)
+	sr := &reader{b: byName[secSubjects], text: string(byName[secSubjects])}
+	subjects := make([]attribution.Subject, sr.lengthBound(13))
 	for i := range subjects {
 		s := &subjects[i]
 		s.Name = sr.str()
 		s.Text = sr.str()
-		nts := sr.lengthBound(8)
-		if nts > 0 {
+		if nts := sr.lengthBound(8); nts > 0 {
 			s.Timestamps = make([]time.Time, nts)
 			for j := range s.Timestamps {
 				s.Timestamps[j] = time.Unix(0, sr.i64()).UTC()
@@ -318,193 +271,73 @@ func decodeIndex(raw []byte) (*Index, error) {
 		return nil, corrupt(secSubjects, "malformed payload")
 	}
 
-	vocabRaw, err := need(secVocab)
-	if err != nil {
-		return nil, err
-	}
-	vr := &reader{b: vocabRaw}
-	if cfg := vr.blob(); cfg != nil {
-		if err := json.Unmarshal(cfg, &st.Vocab.Config); err != nil {
-			return nil, corrupt(secVocab, "bad config JSON: %v", err)
+	gr := &reader{b: byName[secGrams]}
+	dict := [2][]features.GramCount{}
+	for f := range dict {
+		dict[f] = make([]features.GramCount, gr.lengthBound(8))
+		for i := range dict[f] {
+			dict[f][i].ID = features.GramID(gr.u64())
+			if i > 0 && dict[f][i].ID <= dict[f][i-1].ID {
+				return nil, corrupt(secGrams, "gram ids not strictly ascending at entry %d", i)
+			}
 		}
 	}
-	st.Vocab.NumDocs = int(vr.i64())
-	nw := vr.lengthBound(16)
-	st.Vocab.Words = make([]features.GramID, nw)
-	for i := range st.Vocab.Words {
-		st.Vocab.Words[i] = features.GramID(vr.u64())
-	}
-	st.Vocab.WordIDF = make([]float64, nw)
-	for i := range st.Vocab.WordIDF {
-		st.Vocab.WordIDF[i] = vr.f64()
-	}
-	nc := vr.lengthBound(16)
-	st.Vocab.Chars = make([]features.GramID, nc)
-	for i := range st.Vocab.Chars {
-		st.Vocab.Chars[i] = features.GramID(vr.u64())
-	}
-	st.Vocab.CharIDF = make([]float64, nc)
-	for i := range st.Vocab.CharIDF {
-		st.Vocab.CharIDF[i] = vr.f64()
-	}
-	if !vr.done() {
-		return nil, corrupt(secVocab, "malformed payload")
+	if !gr.done() {
+		return nil, corrupt(secGrams, "malformed payload")
 	}
 
-	statsRaw, err := need(secStats)
-	if err != nil {
-		return nil, err
+	// One block of documents and one of entries, however many grams: a load
+	// allocates by the subject, not by the gram.
+	dr := &reader{b: byName[secDocs]}
+	docs := make([]features.SortedDoc, dr.lengthBound(2+3+8*features.NumFreqFeatures))
+	entries := dr.u64()
+	if dr.fail || entries > uint64(len(dr.b))/2 {
+		return nil, corrupt(secDocs, "implausible document or entry count")
 	}
-	tr := &reader{b: statsRaw}
-	if cfg := tr.blob(); cfg != nil {
-		if err := json.Unmarshal(cfg, &st.Stats.Config); err != nil {
-			return nil, corrupt(secStats, "bad config JSON: %v", err)
+	arena := make([]features.GramEntry, entries)
+	st.Docs = make([]*features.SortedDoc, len(docs))
+	st.Stats.Config, st.Stats.NumDocs = st.Opts.Reduction, len(docs)
+	for i := range docs {
+		d := &docs[i]
+		var reason string
+		if d.WordGrams, arena, reason = readEntries(dr, arena, dict[0]); reason == "" {
+			d.CharGrams, arena, reason = readEntries(dr, arena, dict[1])
 		}
-	}
-	st.Stats.NumDocs = int(tr.i64())
-	for i := range st.Stats.FreqSeen {
-		st.Stats.FreqSeen[i] = int(tr.i64())
-	}
-	readGramCounts := func() []features.GramCount {
-		n := tr.lengthBound(24)
-		out := make([]features.GramCount, n)
-		for i := range out {
-			out[i] = features.GramCount{ID: features.GramID(tr.u64()), Freq: tr.i64(), DF: tr.i64()}
+		if reason != "" {
+			return nil, corrupt(secDocs, "document %d: %s", i, reason)
 		}
-		return out
-	}
-	st.Stats.Words = readGramCounts()
-	st.Stats.Chars = readGramCounts()
-	if !tr.done() {
-		return nil, corrupt(secStats, "malformed payload")
-	}
-
-	docsRaw, err := need(secDocs)
-	if err != nil {
-		return nil, err
-	}
-	dr := &reader{b: docsRaw}
-	nDocs := dr.lengthBound(32)
-	st.Docs = make([]*features.SortedDoc, nDocs)
-	for i := range st.Docs {
-		d := &features.SortedDoc{}
-		d.WordGrams = make([]features.GramEntry, dr.lengthBound(12))
-		for j := range d.WordGrams {
-			d.WordGrams[j] = features.GramEntry{ID: features.GramID(dr.u64()), Count: int32(dr.u32())}
-		}
-		d.CharGrams = make([]features.GramEntry, dr.lengthBound(12))
-		for j := range d.CharGrams {
-			d.CharGrams[j] = features.GramEntry{ID: features.GramID(dr.u64()), Count: int32(dr.u32())}
-		}
-		d.WordTotal = int(dr.i64())
-		d.CharTotal = int(dr.i64())
+		d.WordTotal, d.CharTotal, d.TotalChars = int(dr.uvarint()), int(dr.uvarint()), int(dr.uvarint())
 		for j := range d.Freq {
 			d.Freq[j] = dr.f64()
+			if d.Freq[j] > 0 {
+				st.Stats.FreqSeen[j]++
+			}
 		}
-		d.TotalChars = int(dr.i64())
 		st.Docs[i] = d
 	}
-	if !dr.done() {
+	if !dr.done() || len(arena) != 0 {
 		return nil, corrupt(secDocs, "malformed payload")
 	}
-
-	profRaw, err := need(secProfiles)
-	if err != nil {
-		return nil, err
-	}
-	pr := &reader{b: profRaw}
-	nProf := pr.lengthBound(3)
-	st.Mask = make([]uint8, nProf)
-	st.Freqs = make([][]float64, nProf)
-	st.Acts = make([][]float64, nProf)
-	for i := 0; i < nProf; i++ {
-		st.Mask[i] = pr.u8()
-		readDense := func() []float64 {
-			if pr.u8() == 0 {
-				return nil
-			}
-			n := pr.lengthBound(8)
-			out := make([]float64, n)
-			for j := range out {
-				out[j] = pr.f64()
-			}
-			return out
-		}
-		st.Freqs[i] = readDense()
-		st.Acts[i] = readDense()
-	}
-	if !pr.done() {
-		return nil, corrupt(secProfiles, "malformed payload")
-	}
-
-	postRaw, err := need(secPostings)
-	if err != nil {
-		return nil, err
-	}
-	fr := &reader{b: postRaw}
-	nFwd := fr.lengthBound(4)
-	st.FwdIdx = make([][]uint32, nFwd)
-	st.FwdVal = make([][]float32, nFwd)
-	for i := 0; i < nFwd; i++ {
-		n := fr.lengthBound(8)
-		ids := make([]uint32, n)
-		for j := range ids {
-			ids[j] = fr.u32()
-		}
-		vals := make([]float32, n)
-		for j := range vals {
-			vals[j] = fr.f32()
-		}
-		st.FwdIdx[i] = ids
-		st.FwdVal[i] = vals
-	}
-	if !fr.done() {
-		return nil, corrupt(secPostings, "malformed payload")
-	}
-
-	mcRaw, err := need(secMaxContrib)
-	if err != nil {
-		return nil, err
-	}
-	mr := &reader{b: mcRaw}
-	st.MaxContrib = make([]float32, mr.lengthBound(4))
-	for i := range st.MaxContrib {
-		st.MaxContrib[i] = mr.f32()
-	}
-	if !mr.done() {
-		return nil, corrupt(secMaxContrib, "malformed payload")
-	}
-
-	lshRaw, err := need(secLSH)
-	if err != nil {
-		return nil, err
-	}
-	lr := &reader{b: lshRaw}
-	nTables := lr.lengthBound(20)
-	st.LSH = make([]prefilter.LSHTable, nTables)
-	for i := range st.LSH {
-		t := &st.LSH[i]
-		t.Params = prefilter.LSHParams{Bands: int(lr.i64()), Rows: int(lr.i64()), Seed: lr.u64()}
-		t.Bands = make([]prefilter.LSHBandTable, lr.lengthBound(8))
-		for b := range t.Bands {
-			bt := &t.Bands[b]
-			nk := lr.lengthBound(12)
-			bt.Keys = make([]uint64, nk)
-			for j := range bt.Keys {
-				bt.Keys[j] = lr.u64()
-			}
-			bt.Offsets = make([]uint32, nk+1)
-			for j := range bt.Offsets {
-				bt.Offsets[j] = lr.u32()
-			}
-			bt.IDs = make([]int32, lr.lengthBound(4))
-			for j := range bt.IDs {
-				bt.IDs[j] = int32(lr.u32())
+	for f := range dict {
+		for i := range dict[f] {
+			if dict[f][i].DF == 0 {
+				return nil, corrupt(secGrams, "gram %d is in no document", dict[f][i].ID)
 			}
 		}
 	}
-	if !lr.done() {
-		return nil, corrupt(secLSH, "malformed payload")
+	st.Stats.Words, st.Stats.Chars = dict[0], dict[1]
+
+	vr := &reader{b: byName[secVocab]}
+	st.Vocab.Config, st.Vocab.NumDocs = st.Opts.Reduction, len(docs)
+	var reason string
+	if st.Vocab.Words, st.Vocab.WordIDF, reason = readCut(vr, dict[0], st.Opts.Reduction.MaxWordGrams, len(docs)); reason == "" {
+		st.Vocab.Chars, st.Vocab.CharIDF, reason = readCut(vr, dict[1], st.Opts.Reduction.MaxCharGrams, len(docs))
+	}
+	if reason == "" && !vr.done() {
+		reason = "malformed payload"
+	}
+	if reason != "" {
+		return nil, corrupt(secVocab, "%s", reason)
 	}
 
 	matcher, err := attribution.NewMatcherFromState(subjects, st)
@@ -519,4 +352,117 @@ func decodeIndex(raw []byte) (*Index, error) {
 		Matcher:  matcher,
 		Digest:   hex.EncodeToString(h.CorpusDigest[:]),
 	}, nil
+}
+
+// readCorpus decodes the corpus section. Every string is a substring of one
+// copy of the payload and every message sits in one block.
+func readCorpus(payload []byte) (*forum.Dataset, error) {
+	r := &reader{b: payload, text: string(payload)}
+	name, platName := r.str(), r.str()
+	aliases := make([]forum.Alias, r.lengthBound(8))
+	arena := make([]forum.Message, r.lengthBound(7*4))
+	if r.fail {
+		return nil, corrupt(secCorpus, "malformed payload")
+	}
+	platform, err := forum.ParsePlatform(platName)
+	if err != nil {
+		return nil, corrupt(secCorpus, "unknown platform %q", platName)
+	}
+	for i := range aliases {
+		a := &aliases[i]
+		a.Name, a.Platform = r.str(), platform
+		n := int(r.u32())
+		if n > len(arena) {
+			return nil, corrupt(secCorpus, "alias %d: more messages than the section declares", i)
+		}
+		if n > 0 {
+			a.Messages, arena = arena[:n:n], arena[n:]
+		}
+		for j := range a.Messages {
+			m := &a.Messages[j]
+			for _, s := range [...]*string{&m.ID, &m.Author, &m.Board, &m.Thread, &m.Body, &m.Quoted} {
+				*s = r.str()
+			}
+			if err := m.PostedAt.UnmarshalBinary(r.blob()); err != nil {
+				return nil, corrupt(secCorpus, "alias %d message %d: post time: %v", i, j, err)
+			}
+		}
+	}
+	if !r.done() || len(arena) != 0 {
+		return nil, corrupt(secCorpus, "malformed payload")
+	}
+	ds := forum.NewDataset(name, platform)
+	ds.Aliases = aliases
+	return ds, nil
+}
+
+// readEntries decodes one gram list of a document into the front of arena,
+// adding it to the dictionary's counters, and returns the list, the rest
+// of the arena and, when the list is malformed, why.
+func readEntries(r *reader, arena []features.GramEntry, dict []features.GramCount) (es, rest []features.GramEntry, reason string) {
+	n := r.uvarint()
+	if n > uint64(len(arena)) {
+		return nil, nil, "more entries than the section declares"
+	}
+	es, rest = arena[:n:n], arena[n:]
+	next := uint64(0) // the smallest number the entry may carry
+	for j := range es {
+		step, count := r.uvarint(), r.uvarint()
+		switch {
+		case r.fail:
+			return nil, nil, "entry list cut short, or a varint past 64 bits"
+		case step == 0:
+			return nil, nil, "repeated gram (zero step)"
+		case step > uint64(len(dict)) || next+step-1 >= uint64(len(dict)):
+			return nil, nil, fmt.Sprintf("gram number outside the %d-gram dictionary", len(dict))
+		case count == 0 || count > math.MaxInt32:
+			return nil, nil, fmt.Sprintf("gram count %d", count)
+		}
+		g := &dict[next+step-1]
+		next += step
+		es[j] = features.GramEntry{ID: g.ID, Count: int32(count)}
+		g.Freq += int64(count)
+		g.DF++
+	}
+	return es, rest, ""
+}
+
+// readCut decodes one family of the vocabulary and checks it against the
+// counters: the top of the dictionary in rank order, as long as the budget
+// allows. It returns the gram ids in feature order with the IDF weights a
+// Build computes, or why the list is not that.
+func readCut(r *reader, dict []features.GramCount, budget, numDocs int) ([]features.GramID, []float64, string) {
+	want := len(dict)
+	if budget >= 0 && budget < want {
+		want = budget
+	}
+	n := r.lengthBound(1)
+	if r.fail || n != want {
+		return nil, nil, fmt.Sprintf("%d grams listed, a budget of %d over %d counted keeps %d", n, budget, len(dict), want)
+	}
+	ids, idfs := make([]features.GramID, n), make([]float64, n)
+	var last features.GramCount
+	for i := range ids {
+		num := r.uvarint()
+		if r.fail || num >= uint64(len(dict)) {
+			return nil, nil, fmt.Sprintf("entry %d: gram number outside the %d-gram dictionary", i, len(dict))
+		}
+		g := dict[num]
+		if i > 0 && features.CompareRank(last, g) >= 0 {
+			return nil, nil, fmt.Sprintf("entry %d: gram %d listed twice or out of rank order", i, g.ID)
+		}
+		ids[i], idfs[i], last = g.ID, features.IDF(float64(numDocs), float64(g.DF)), g
+	}
+	if n > 0 && n < len(dict) {
+		ahead := 0
+		for _, g := range dict {
+			if features.CompareRank(g, last) <= 0 {
+				ahead++
+			}
+		}
+		if ahead != n {
+			return nil, nil, fmt.Sprintf("%d grams listed, %d rank at or above the last of them", n, ahead)
+		}
+	}
+	return ids, idfs, ""
 }

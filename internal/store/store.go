@@ -8,7 +8,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
+	"syscall"
 
 	"darklight/internal/forum"
 )
@@ -16,6 +18,7 @@ import (
 const (
 	snapshotName = "index.snap"
 	journalName  = "journal.jsonl"
+	lockName     = "journal.lock"
 )
 
 // Store manages one index directory: a snapshot file (index.snap, the
@@ -24,8 +27,11 @@ const (
 // records deltas durably between saves; on cold start Load + ReadJournal
 // + Replay reconstruct the current index without a full rebuild.
 //
-// A Store serialises its own writers, but there must be only one writing
-// process per directory.
+// A Store serialises its own writers, and whatever opens, writes or
+// replaces the journal file does so under an exclusive advisory lock
+// (flock on journal.lock), so one process may append while another
+// compacts. Sequence numbers are still handed out per handle: there must
+// be only one appending process per directory.
 type Store struct {
 	dir string
 
@@ -43,7 +49,9 @@ type Store struct {
 // entries, the LastSeq in the snapshot's fixed header. (From the journal
 // alone a fresh handle on a compacted directory would restart at 1, and an
 // index whose LastSeq is past that skips those deltas on replay.) Only the
-// header is read; an unreadable one fails Open.
+// header is read — it has one layout in every format version, so a snapshot
+// this build cannot load still says where the sequence stands; an
+// unreadable one fails Open.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
@@ -53,6 +61,11 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	unlock, err := s.lockJournal()
+	if err != nil {
+		return nil, err
+	}
+	defer unlock()
 	raw, err := os.ReadFile(s.JournalPath())
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -94,11 +107,36 @@ func (s *Store) snapshotLastSeq() (uint64, error) {
 		return 0, fmt.Errorf("store: open %s: %w", s.dir, err)
 	}
 	h, _, herr := decodeHeader(&reader{b: buf[:n]})
-	if herr != nil {
+	var ve *VersionError
+	if herr != nil && !errors.As(herr, &ve) {
 		fillPath(herr, s.SnapshotPath())
 		return 0, herr
 	}
 	return h.LastSeq, nil
+}
+
+// lockJournal takes the directory's exclusive advisory lock, blocking until
+// whoever holds it lets go; the returned function releases it. Appending
+// to the journal and renaming a rewritten journal over it both happen under
+// the lock, in any process: without it an append could open the old file,
+// lose the race with the rename, and fsync its acknowledged delta into an
+// inode no name points at any more.
+func (s *Store) lockJournal() (unlock func() error, err error) {
+	f, err := os.OpenFile(filepath.Join(s.dir, lockName), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: journal lock: %w", err)
+	}
+	for {
+		err = syscall.Flock(int(f.Fd()), syscall.LOCK_EX)
+		if err != syscall.EINTR {
+			break
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: journal lock: %w", errors.Join(err, f.Close()))
+	}
+	// Closing the only descriptor of this open file description drops it.
+	return f.Close, nil
 }
 
 // Dir reports the directory the store manages.
@@ -116,20 +154,18 @@ func (s *Store) HasSnapshot() bool {
 	return err == nil
 }
 
-// Save encodes idx and replaces the snapshot file atomically: a crash
-// mid-save leaves the previous snapshot intact.
+// Save streams idx into a sibling file, section by section, and replaces
+// the snapshot with it atomically: a crash mid-save leaves the previous
+// snapshot intact.
 func (s *Store) Save(idx *Index) error {
-	raw, err := encodeIndex(idx)
-	if err != nil {
-		return fmt.Errorf("store: save: %w", err)
-	}
-	return WriteFileAtomic(s.SnapshotPath(), raw, 0o644)
+	return writeAtomic(s.SnapshotPath(), 0o644, func(f *os.File) error { return writeIndex(f, idx) })
 }
 
-// Load reads and verifies the snapshot, reassembling a ready-to-serve
-// index. Corruption anywhere — a flipped bit in any section, a truncated
-// file, a mangled payload — surfaces as a *CorruptError naming the
-// section, never a panic or a silently wrong index.
+// Load reads and verifies the snapshot and runs the index pass over it,
+// returning a ready-to-serve index. Corruption anywhere — a flipped bit in
+// any section, a truncated file, a mangled payload — surfaces as a
+// *CorruptError naming the section, never a panic or a silently wrong
+// index; an intact snapshot of another format version is a *VersionError.
 func (s *Store) Load() (*Index, error) {
 	raw, err := os.ReadFile(s.SnapshotPath())
 	if err != nil {
@@ -149,6 +185,11 @@ func (s *Store) Load() (*Index, error) {
 func (s *Store) AppendThread(rec forum.ThreadRecord) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	unlock, err := s.lockJournal()
+	if err != nil {
+		return 0, err
+	}
+	defer unlock()
 	f, err := os.OpenFile(s.JournalPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("store: journal open: %w", err)
@@ -183,16 +224,9 @@ func (s *Store) ReadJournal(afterSeq uint64) ([]JournalEntry, error) {
 		fillPath(jerr, s.JournalPath())
 		return nil, jerr
 	}
-	if afterSeq == 0 {
-		return entries, nil
-	}
-	kept := entries[:0:0]
-	for _, e := range entries {
-		if e.Seq > afterSeq {
-			kept = append(kept, e)
-		}
-	}
-	return kept, nil
+	// readJournal has checked that the sequence strictly increases.
+	first := sort.Search(len(entries), func(i int) bool { return entries[i].Seq > afterSeq })
+	return entries[first:], nil
 }
 
 // CompactJournal atomically rewrites the journal keeping only entries
@@ -202,6 +236,11 @@ func (s *Store) ReadJournal(afterSeq uint64) ([]JournalEntry, error) {
 func (s *Store) CompactJournal(keepAfter uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	unlock, err := s.lockJournal()
+	if err != nil {
+		return err
+	}
+	defer unlock()
 	raw, err := os.ReadFile(s.JournalPath())
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -227,11 +266,15 @@ func (s *Store) CompactJournal(keepAfter uint64) error {
 	return WriteFileAtomic(s.JournalPath(), buf.Bytes(), 0o644)
 }
 
-// fillPath stamps the file path onto a CorruptError bubbling up from the
-// path-agnostic decode layer.
+// fillPath stamps the file path onto a CorruptError or VersionError
+// bubbling up from the path-agnostic decode layer.
 func fillPath(err error, path string) {
 	var ce *CorruptError
-	if errors.As(err, &ce) {
+	var ve *VersionError
+	switch {
+	case errors.As(err, &ce):
 		ce.Path = path
+	case errors.As(err, &ve):
+		ve.Path = path
 	}
 }

@@ -1,17 +1,23 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"darklight/internal/attribution"
+	"darklight/internal/features"
 	"darklight/internal/forum"
 	"darklight/internal/prefilter"
 )
@@ -106,6 +112,15 @@ func assertIndexesEquivalent(t *testing.T, got, want *Index, probes []attributio
 	if !reflect.DeepEqual(got.Subjects, want.Subjects) {
 		t.Fatal("subjects diverge")
 	}
+	// What a snapshot is made from: vocabulary, counters, extractions.
+	gs, gerr := got.Matcher.State()
+	ws, werr := want.Matcher.State()
+	if gerr != nil || werr != nil {
+		t.Fatalf("State errors: %v / %v", gerr, werr)
+	}
+	if !reflect.DeepEqual(gs, ws) {
+		t.Fatal("matcher state diverges")
+	}
 	w := attribution.Weights{Freq: 0.2, Activity: 0.7}
 	for pi := range probes {
 		p := &probes[pi]
@@ -132,9 +147,10 @@ func assertIndexesEquivalent(t *testing.T, got, want *Index, probes []attributio
 	}
 }
 
-// TestSaveLoadRoundTrip: the snapshot must reassemble an index whose
-// output is bit-identical to the in-RAM build, including LSH operating
-// points already built, and the loaded index must itself be save-able.
+// TestSaveLoadRoundTrip: the snapshot must load into an index whose output
+// is bit-identical to the in-RAM build — whether or not that one had LSH
+// operating points built, which a snapshot does not carry — and the loaded
+// index must itself be save-able.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8100))
 	ds := testDataset(rng, "base", 30)
@@ -150,7 +166,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Touch the LSH path so the snapshot has an operating point to carry.
+	// Touch the LSH path: an operating point the loaded index has to rebuild.
 	idx.Matcher.RankDetailed(&probes[0], attribution.MatchOptions{K: 3, Mode: prefilter.ModeLSH})
 
 	st, err := Open(t.TempDir())
@@ -171,11 +187,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIndexesEquivalent(t, loaded, idx, probes)
+	if d, err := forum.DigestJSONL(loaded.Dataset); err != nil || d != loaded.Digest {
+		t.Fatalf("loaded corpus digests to %s (err %v), the header says %s", d, err, loaded.Digest)
+	}
 
-	// The loaded index must be a full citizen: snapshot-able again and
-	// fold-able (the matcher came back incremental).
+	// The loaded index must be a full citizen: snapshot-able again — to the
+	// bytes it was loaded from, since nothing in a snapshot depends on how
+	// the index came to be — and fold-able (the matcher came back
+	// incremental).
+	first, err := os.ReadFile(st.SnapshotPath())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Save(loaded); err != nil {
 		t.Fatalf("re-save of loaded index: %v", err)
+	}
+	if again, err := os.ReadFile(st.SnapshotPath()); err != nil || !bytes.Equal(again, first) {
+		t.Fatalf("save(load(save(x))) differs from save(x) (err %v, %d vs %d bytes)", err, len(again), len(first))
 	}
 	if _, err := loaded.Matcher.Fold(ctx, loaded.Subjects[:1]); err != nil {
 		t.Fatalf("fold on loaded index: %v", err)
@@ -238,6 +266,11 @@ func TestReplayMatchesRebuild(t *testing.T) {
 			probeDS := testDataset(rng, "probe", 5)
 			opts, subjOpts := testBuildOptions()
 			opts.Workers = 1 + rng.Intn(3)
+			if trial%2 == 1 {
+				// Budgets below the gram universe, as on any real corpus: the
+				// vocabulary is a cut, and every fold moves it.
+				opts.Reduction.MaxWordGrams, opts.Reduction.MaxCharGrams = 300, 400
+			}
 			ctx := context.Background()
 
 			idx, err := BuildIndex(ctx, ds, opts, subjOpts)
@@ -505,5 +538,195 @@ func TestOpenContinuesSequenceAfterCompaction(t *testing.T) {
 	var ce *CorruptError
 	if _, err := Open(dir); !errors.As(err, &ce) || ce.Section != "header" || ce.Path != fresh.SnapshotPath() {
 		t.Fatalf("Open on a truncated snapshot header returned %v, want a header CorruptError with the snapshot path", err)
+	}
+}
+
+// TestSnapshotSizeAndAllocationCeilings pins what format 2 is for, on a world
+// big enough that constants do not dominate: the three index sections cost
+// the dictionary 8 bytes a distinct gram, a document entry little over two
+// bytes (a one-byte step, a one-byte count, sometimes more) and a vocabulary
+// gram at most three; Save allocates no more than 1.5× the file it writes
+// (it streams: no section and no file is ever held whole); and Load
+// allocates by the subject — a constant number of blocks for the corpus,
+// the documents and the counters, the hash maps' tables, and what the index
+// pass allocates per subject — not by the message or the gram.
+func TestSnapshotSizeAndAllocationCeilings(t *testing.T) {
+	rng := rand.New(rand.NewSource(8500))
+	ds := testDataset(rng, "size", 80)
+	opts, subjOpts := testBuildOptions()
+	opts.Reduction.MaxWordGrams, opts.Reduction.MaxCharGrams = 2000, 3000
+	idx, err := BuildIndex(context.Background(), ds, opts, subjOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(fn func()) (bytes, objects uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+	}
+	saveBytes, _ := allocs(func() { err = st.Save(idx) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(st.SnapshotPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, loadObjects := allocs(func() { _, err = st.Load() })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	state, err := idx.Matcher.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for _, d := range state.Docs {
+		entries += len(d.WordGrams) + len(d.CharGrams)
+	}
+	grams := len(state.Stats.Words) + len(state.Stats.Chars)
+	vocab := len(state.Vocab.Words) + len(state.Vocab.Chars)
+	subjects, messages := len(idx.Subjects), ds.TotalMessages()
+	layout := snapshotLayout(t, raw)
+	t.Logf("%d bytes: %d subjects, %d messages, %d distinct grams, %d document entries, %d vocabulary grams; grams %d B, docs %d B (%.2f B an entry), vocab %d B; Save allocated %d B, Load %d objects",
+		len(raw), subjects, messages, grams, entries, vocab, layout[secGrams].len, layout[secDocs].len,
+		float64(layout[secDocs].len-subjects*8*features.NumFreqFeatures)/float64(entries), layout[secVocab].len, saveBytes, loadObjects)
+
+	if got, max := layout[secGrams].len, 8*grams+8; got > max {
+		t.Errorf("grams section is %d bytes for %d distinct grams, ceiling %d", got, grams, max)
+	}
+	if got, max := layout[secDocs].len, entries*9/4+subjects*(8*features.NumFreqFeatures+32)+12; got > max {
+		t.Errorf("docs section is %d bytes for %d entries in %d documents, ceiling %d", got, entries, subjects, max)
+	}
+	if got, max := layout[secVocab].len, 3*vocab+8; got > max {
+		t.Errorf("vocab section is %d bytes for %d grams, ceiling %d", got, vocab, max)
+	}
+	if max := uint64(len(raw)) * 3 / 2; saveBytes > max {
+		t.Errorf("Save allocated %d bytes for a %d-byte snapshot, ceiling %d", saveBytes, len(raw), max)
+	}
+	if max := uint64(10*subjects + grams/128 + 128); loadObjects > max || loadObjects > uint64(messages) {
+		t.Errorf("Load made %d allocations for %d subjects (%d messages, %d grams), ceiling %d and fewer than one a message", loadObjects, subjects, messages, grams, max)
+	}
+}
+
+// TestCompactionKeepsConcurrentAppends: a scraper appends through one handle
+// while the daemon compacts through another. Compaction renames a rewritten
+// file over the journal; without the directory lock an append that had the
+// old file open — or landed between the rewrite's read and its rename —
+// was acknowledged, fsynced and gone. Every acknowledged sequence above the
+// last keepAfter must be in the journal afterwards. Run with -race.
+func TestCompactionKeepsConcurrentAppends(t *testing.T) {
+	dir := t.TempDir()
+	appender, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compactor, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends := 150
+	if testing.Short() {
+		appends = 40
+	}
+	rng := rand.New(rand.NewSource(8600))
+	ds := testDataset(rng, "d", 3)
+	var acked atomic.Uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < appends; i++ {
+			seq, err := appender.AppendThread(testThread(rng, ds, i))
+			if err != nil {
+				t.Errorf("append %d: %v", i, err)
+				return
+			}
+			acked.Store(seq)
+		}
+	}()
+	keepAfter, compactions := uint64(0), 0
+	for running := true; running; compactions++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		// Drop the older half of what has been acknowledged so far: most
+		// rewrites carry entries over, all of which must survive them.
+		keepAfter = acked.Load() / 2
+		if err := compactor.CompactJournal(keepAfter); err != nil {
+			t.Fatalf("compaction %d: %v", compactions, err)
+		}
+	}
+	entries, err := compactor.ReadJournal(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := make(map[uint64]bool, len(entries))
+	for _, e := range entries {
+		have[e.Seq] = true
+	}
+	for seq := keepAfter + 1; seq <= acked.Load(); seq++ {
+		if !have[seq] {
+			t.Errorf("acknowledged sequence %d (above keepAfter %d) is not in the journal after %d compactions", seq, keepAfter, compactions)
+		}
+	}
+	if acked.Load() != uint64(appends) {
+		t.Errorf("last acknowledged sequence %d, want %d", acked.Load(), appends)
+	}
+}
+
+// TestOtherFormatVersionIsNotCorruption: a snapshot written by another
+// format version is intact, just unreadable here. Load says so with its own
+// error type, naming the file and both versions, so a caller can rebuild
+// instead of alarming; Open still reads the journal position off the fixed
+// header, so appends never reuse a sequence that snapshot had folded in.
+func TestOtherFormatVersionIsNotCorruption(t *testing.T) {
+	rng := rand.New(rand.NewSource(8700))
+	opts, subjOpts := testBuildOptions()
+	idx, err := BuildIndex(context.Background(), testDataset(rng, "v", 6), opts, subjOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.LastSeq = 41
+	raw, err := encodeIndex(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[len(magic):], formatVersion+1)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open beside a snapshot of another version: %v", err)
+	}
+	_, err = st.Load()
+	var ve *VersionError
+	var ce *CorruptError
+	if !errors.As(err, &ve) || errors.As(err, &ce) {
+		t.Fatalf("Load returned %v, want a *VersionError and no *CorruptError", err)
+	}
+	if ve.Path != st.SnapshotPath() || ve.Got != formatVersion+1 || ve.Want != formatVersion {
+		t.Errorf("VersionError = %+v, want the snapshot path and versions %d, %d", ve, formatVersion+1, formatVersion)
+	}
+	if seq, err := st.AppendThread(testThread(rng, idx.Dataset, 0)); err != nil || seq != 42 {
+		t.Errorf("AppendThread = %d, %v; want 42, continuing past the old snapshot's LastSeq", seq, err)
+	}
+	// Saving over it is what a rebuild does; the directory is whole again.
+	idx.LastSeq = 0
+	if err := st.Save(idx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Load(); err != nil {
+		t.Fatalf("Load after saving over the old snapshot: %v", err)
 	}
 }
