@@ -100,7 +100,9 @@ func BenchmarkVocabBuild(b *testing.B) {
 		for _, d := range docs {
 			vb.Add(d)
 		}
-		vb.Build()
+		if _, err := vb.Build(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -638,7 +638,10 @@ func BenchmarkKoppelBaseline(b *testing.B) {
 	known, probes := benchSubjects(b)
 	cfg := baselines.DefaultKoppelConfig()
 	cfg.Iterations = 10 // a tenth of the published setting, still ~10× a cosine pass
-	k := baselines.NewKoppel(known, cfg)
+	k, err := baselines.NewKoppel(known, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := k.VoteAll(context.Background(), probes[:5]); err != nil {

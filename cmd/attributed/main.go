@@ -463,7 +463,13 @@ func rebuildInstead(loadErr error, haveKnown bool) (bool, error) {
 // the SIGHUP reload path — then replays any journal deltas above the
 // index's LastSeq onto the live generation, so a reload folds freshly
 // scraped threads in without a rebuild. With save enabled, each new
-// generation is written back atomically and the journal compacted.
+// generation is written back atomically and the journal compacted. The
+// query corpus, which depends on none of that, is prepared beside it — on a
+// cold start from the beginning, on a reload beside the save and the journal
+// compaction: both are single-threaded, so on two cores the preparation
+// costs a reload no time of its own, whereas beside the fold's two-worker
+// index pass it would take the cores from the requests the serving index is
+// still answering.
 func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribution.SubjectOptions, save, haveKnown bool,
 	knownDS func(context.Context) (*forum.Dataset, error),
 	querySubjects func(context.Context) ([]attribution.Subject, error)) serve.Loader {
@@ -471,9 +477,11 @@ func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribu
 		mu  sync.Mutex
 		cur *store.Index
 	)
-	return func(ctx context.Context) (*serve.Corpus, error) {
-		mu.Lock()
-		defer mu.Unlock()
+	// advance brings cur to the generation to serve: loaded or built when
+	// there is none yet, then the journal folded in, saved and compacted. It
+	// calls prepare once the generation exists and only single-threaded work
+	// is left.
+	advance := func(ctx context.Context, prepare func()) error {
 		built := false
 		why := "no snapshot in " + st.Dir()
 		if cur == nil && st.HasSnapshot() {
@@ -481,7 +489,7 @@ func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribu
 			rebuild, err := rebuildInstead(loadErr, haveKnown)
 			switch {
 			case err != nil:
-				return nil, err
+				return err
 			case rebuild:
 				why = loadErr.Error()
 			default:
@@ -495,11 +503,11 @@ func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribu
 		if cur == nil {
 			ds, err := knownDS(ctx)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			idx, err := store.BuildIndex(ctx, ds, opts, subjOpts)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			log.Printf("attributed: %s, built index v%d from source", why, idx.Version)
 			cur = idx
@@ -507,30 +515,55 @@ func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribu
 		}
 		entries, err := st.ReadJournal(cur.LastSeq)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		next, err := store.Replay(ctx, cur, entries, subjOpts)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if next != cur {
 			log.Printf("attributed: replayed %d journal deltas into index v%d (seq %d)", len(entries), next.Version, next.LastSeq)
 		}
+		prepare()
 		if save && (built || next != cur) {
 			if err := st.Save(next); err != nil {
-				return nil, err
+				return err
 			}
 			if err := st.CompactJournal(next.LastSeq); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		cur = next
-		q, err := querySubjects(ctx)
+		return nil
+	}
+	return func(ctx context.Context) (*serve.Corpus, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		var (
+			wg   sync.WaitGroup
+			q    []attribution.Subject
+			qerr error
+		)
+		prepare := sync.OnceFunc(func() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				q, qerr = querySubjects(ctx)
+			}()
+		})
+		if cur == nil {
+			prepare() // nothing is serving yet: the cores are the loader's
+		}
+		err := advance(ctx, prepare)
+		wg.Wait() // on every path: the preparation never outlives the load
 		if err != nil {
-			return nil, err
+			return nil, err // the index's error before the query corpus's
+		}
+		if qerr != nil {
+			return nil, qerr
 		}
 		// Surfacing LastSeq lets /v1/healthz report how current the serving
 		// snapshot is relative to the store's journal.
-		return &serve.Corpus{Known: next.Subjects, Query: q, Matcher: next.Matcher, LastJournalSeq: &next.LastSeq}, nil
+		return &serve.Corpus{Known: cur.Subjects, Query: q, Matcher: cur.Matcher, LastJournalSeq: &cur.LastSeq}, nil
 	}
 }

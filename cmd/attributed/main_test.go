@@ -1,15 +1,19 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"darklight"
 	"darklight/internal/attribution"
+	"darklight/internal/forum"
 	"darklight/internal/prefilter"
 	"darklight/internal/store"
 )
@@ -67,7 +71,7 @@ func TestOptionDrift(t *testing.T) {
 // file and both versions; damage and I/O errors always come back as they
 // are; a snapshot that loaded is used.
 func TestRebuildInstead(t *testing.T) {
-	other := &store.VersionError{Path: "var/index/index.snap", Got: 1, Want: 2}
+	other := &store.VersionError{Path: "var/index/index.snap", Got: 2, Want: 3}
 	damaged := &store.CorruptError{Path: "var/index/index.snap", Section: "docs", Reason: "digest mismatch"}
 	for _, tc := range []struct {
 		name      string
@@ -81,7 +85,7 @@ func TestRebuildInstead(t *testing.T) {
 		{name: "other version with -known", loadErr: other, haveKnown: true, rebuild: true},
 		{name: "other version wrapped", loadErr: fmt.Errorf("load: %w", other), haveKnown: true, rebuild: true},
 		{name: "other version without -known", loadErr: other,
-			wantErr: []string{"var/index/index.snap", "version 1", "version 2", "-known"}},
+			wantErr: []string{"var/index/index.snap", "version 2", "version 3", "-known"}},
 		{name: "damage with -known", loadErr: damaged, haveKnown: true, wantErr: []string{"digest mismatch"}},
 		{name: "missing file", loadErr: os.ErrNotExist, haveKnown: true, wantErr: []string{os.ErrNotExist.Error()}},
 	} {
@@ -101,5 +105,110 @@ func TestRebuildInstead(t *testing.T) {
 		if err != nil && !errors.Is(err, tc.loadErr) {
 			t.Errorf("%s: returned error %v does not wrap the load error", tc.name, err)
 		}
+	}
+}
+
+// loaderDataset is a corpus just large enough to index.
+func loaderDataset() *forum.Dataset {
+	ds := forum.NewDataset("loader", forum.PlatformSynthetic)
+	t0 := time.Date(2017, 5, 1, 9, 0, 0, 0, time.UTC)
+	for i, body := range []string{
+		"the vendor shipped fast and the stealth was better than expected",
+		"escrow released after the tracking finally updated on monday",
+		"does anyone vouch for this listing the reviews look copied",
+	} {
+		name := fmt.Sprintf("alias%d", i)
+		ds.Add(forum.Alias{Name: name, Messages: []forum.Message{
+			{ID: name + "-0", Author: name, Thread: "t", Body: body, PostedAt: t0.Add(time.Duration(i) * time.Hour)},
+			{ID: name + "-1", Author: name, Thread: "t", Body: body + " again and again", PostedAt: t0.Add(time.Duration(30+i) * time.Hour)},
+		}})
+	}
+	return ds
+}
+
+// TestStoreLoaderPreparesQueriesBesideTheIndex: on a cold start the query
+// corpus is being prepared while the index is still being built (the build
+// here waits for it to have started: the old order, one after the other,
+// times out); it is prepared again on every load, is joined before the
+// loader returns on the error paths too, and loses to an index error when
+// both fail.
+func TestStoreLoaderPreparesQueriesBesideTheIndex(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := darklight.NewPipeline().MatcherOptions()
+	subjOpts := attribution.SubjectOptions{WithActivity: true, Workers: 2}
+	errIndex, errQuery := errors.New("corpus source failed"), errors.New("query file failed")
+
+	var (
+		queryStarted           = make(chan struct{}, 1)
+		indexFinishing         = make(chan struct{}, 1)
+		queryCalls, queryEnded atomic.Int32
+		failIndex, failQuery   atomic.Bool
+	)
+	knownDS := func(context.Context) (*forum.Dataset, error) {
+		select {
+		case <-queryStarted:
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("the query corpus was not being prepared while the index was built")
+		}
+		indexFinishing <- struct{}{}
+		if failIndex.Load() {
+			return nil, errIndex
+		}
+		return loaderDataset(), nil
+	}
+	querySubjects := func(context.Context) ([]attribution.Subject, error) {
+		queryCalls.Add(1)
+		defer queryEnded.Add(1)
+		if st.HasSnapshot() {
+			return []attribution.Subject{{Name: "q"}}, nil // a reload: no build to meet
+		}
+		queryStarted <- struct{}{}
+		// Outlast the index side: a loader that did not join would return first.
+		<-indexFinishing
+		time.Sleep(20 * time.Millisecond)
+		if failQuery.Load() {
+			return nil, errQuery
+		}
+		return []attribution.Subject{{Name: "q"}}, nil
+	}
+	load := makeStoreLoader(st, opts, subjOpts, true, true, knownDS, querySubjects)
+	ctx := context.Background()
+
+	failIndex.Store(true)
+	failQuery.Store(true)
+	if _, err := load(ctx); !errors.Is(err, errIndex) {
+		t.Fatalf("both sides failing: %v, want the index error", err)
+	}
+	failIndex.Store(false)
+	if _, err := load(ctx); !errors.Is(err, errQuery) {
+		t.Fatalf("query side failing: %v, want the query error", err)
+	}
+	if queryCalls.Load() != 2 || queryEnded.Load() != 2 {
+		t.Fatalf("after two failed loads: %d preparations started, %d finished before the loader returned", queryCalls.Load(), queryEnded.Load())
+	}
+	if st.HasSnapshot() {
+		// The second load built and saved before its query side failed.
+		if err := os.Remove(st.SnapshotPath()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	failQuery.Store(false)
+	fresh := makeStoreLoader(st, opts, subjOpts, true, true, knownDS, querySubjects)
+	c, err := fresh(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Known) != 3 || len(c.Query) != 1 || c.Matcher == nil || !st.HasSnapshot() {
+		t.Fatalf("cold build served %d known, %d query subjects, matcher %v, snapshot saved %v", len(c.Known), len(c.Query), c.Matcher != nil, st.HasSnapshot())
+	}
+	if c, err = fresh(ctx); err != nil || len(c.Query) != 1 {
+		t.Fatalf("reload: %v", err)
+	}
+	if queryCalls.Load() != 4 || queryEnded.Load() != 4 {
+		t.Errorf("a cold start and a reload after two failed loads: %d preparations started, %d finished, want 4 and 4", queryCalls.Load(), queryEnded.Load())
 	}
 }

@@ -364,7 +364,10 @@ func TestVectorizeConsistentWithSimilarity(t *testing.T) {
 	vb := features.NewVocabBuilder(cfg)
 	vb.Add(features.Extract(s.Text, cfg))
 	vb.Add(features.Extract("totally different filler words go here instead.", cfg))
-	vocab := vb.Build()
+	vocab, err := vb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := buildBlocks(&s, vocab, cfg)
 	w := Weights{Freq: 0.3, Activity: 0.7}
 	if got := similarity(&b, &b, w); got < 0.999 || got > 1.001 {

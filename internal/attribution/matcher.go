@@ -316,17 +316,18 @@ func NewMatcherContext(ctx context.Context, known []Subject, opts Options) (*Mat
 	}
 
 	// Pass 1: corpus statistics → vocabulary. Each worker extracts a
-	// contiguous chunk of subjects into a private builder; the builders
-	// merge in shard order. Corpus counters are plain sums and the top-N
-	// cut breaks frequency ties by gram id, so the merged vocabulary is
-	// bit-identical to a sequential build for any worker count. Docs are
-	// dropped as soon as they are folded in — keeping every doc alive
-	// would cost ~1 MB per subject — unless Incremental retains their
-	// sorted form for Fold/State.
+	// contiguous chunk of subjects into a private builder and settles it —
+	// sorted-run merges, no hash map — and the builders merge in shard order.
+	// Corpus counters are plain sums and the cut breaks frequency ties by
+	// gram id, so the merged vocabulary is bit-identical to a sequential
+	// build for any worker count. A builder lets go of a document once its
+	// batch is merged in — keeping every doc alive would cost ~1 MB per
+	// subject — and only Incremental retains the sorted forms for Fold/State.
 	shards := shardCount(opts.Workers, len(known))
 	vctx, vspan := obs.Start(ctx, "matcher.vocab")
 	vspan.AddItems(int64(len(known)))
 	builders := make([]*features.VocabBuilder, shards)
+	shardErr := make([]error, shards)
 	var docs []*features.SortedDoc
 	if opts.Incremental {
 		docs = make([]*features.SortedDoc, len(known))
@@ -338,27 +339,28 @@ func NewMatcherContext(ctx context.Context, known []Subject, opts Options) (*Mat
 		defer ss.End()
 		vb := features.NewVocabBuilder(opts.Reduction)
 		for i := lo; i < hi; i++ {
-			d := features.Extract(known[i].Text, opts.Reduction)
+			sd := features.Extract(known[i].Text, opts.Reduction).Sorted()
 			if docs != nil {
-				sd := d.Sorted()
 				docs[i] = sd
-				vb.AddSorted(sd)
-			} else {
-				vb.Add(d)
 			}
+			vb.AddSorted(sd)
 		}
+		// Settled here so the merge runs on this worker; the builder keeps
+		// its error for Merge and Build to return.
+		shardErr[s] = vb.Settle()
 		builders[s] = vb
 	})
-	vb := builders[0]
+	vb, err := builders[0], shardErr[0]
 	for _, o := range builders[1:] {
-		vb.Merge(o)
+		if err == nil {
+			err = vb.Merge(o)
+		}
 	}
 	vspan.End()
-	var stats *features.VocabBuilder
-	if opts.Incremental {
-		stats = vb
+	if err != nil {
+		return nil, fmt.Errorf("attribution: corpus counters: %w", err)
 	}
-	return newMatcherFromDocs(ctx, known, docs, stats, vb.Build(), opts)
+	return foldTail(ctx, known, docs, vb, opts)
 }
 
 // validateOptions checks the feature configurations of already-defaulted
@@ -377,11 +379,11 @@ func validateOptions(opts Options) error {
 
 // newMatcherFromDocs runs the index pass over a frozen vocabulary — the one
 // way a matcher comes to exist: a build, a Fold and a snapshot load all end
-// here. docs, when non-nil, supplies each subject's pre-sorted reduction
-// document (Fold and a load reuse cached extractions); when nil every
-// subject is re-extracted from its text. The per-entry vectorizer
-// arithmetic is identical either way, so the paths assemble bit-identical
-// indexes. opts must already be defaulted and validated; stats and docs are
+// in foldTail, which ends here. docs, when non-nil, supplies each subject's
+// pre-sorted reduction document (a build under Incremental, a Fold and a
+// load have them at hand); when nil every subject is re-extracted from its
+// text. The per-entry vectorizer arithmetic is identical either way, so the
+// paths assemble bit-identical indexes. opts must already be defaulted and validated; stats and docs are
 // retained on the matcher only under opts.Incremental.
 func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.SortedDoc, stats *features.VocabBuilder, vocab *features.Vocabulary, opts Options) (*Matcher, error) {
 	m := &Matcher{opts: opts, known: known, vocab: vocab}
@@ -705,8 +707,8 @@ func (m *Matcher) rescoreDoc(udoc *features.SortedDoc, unknown *Subject, candida
 	}
 	buf.idxs, buf.docs = idxs, docs
 	// The per-query vocabulary rebuild runs over id-sorted gram lists (the
-	// cache stores candidates pre-flattened); the map-based VocabBuilder
-	// path costs more than everything else in Rescore combined.
+	// cache stores candidates pre-flattened) in storage buf keeps: a
+	// VocabBuilder would allocate its counters and tables per query.
 	vocab := &buf.vocab
 	vocab.Reset(m.opts.Final, docs)
 

@@ -16,10 +16,11 @@ import (
 var ErrNotIncremental = errors.New("attribution: matcher was not built with Options.Incremental")
 
 // IndexState is what the index pass runs from, as value types: the options,
-// the frozen vocabulary, the corpus counters it was cut from, and each known
-// subject's cached extraction. Everything else a matcher holds — forward
-// and inverted gram index, dense blocks, pre-filter caps, LSH operating
-// points — is a pure function of these and is rebuilt, not persisted.
+// the corpus counters, and each known subject's cached extraction.
+// Everything else a matcher holds — the vocabulary cut from the counters,
+// forward and inverted gram index, dense blocks, pre-filter caps, LSH
+// operating points — is a pure function of these and is rebuilt, not
+// persisted.
 // Subjects themselves are not included — callers persist them alongside
 // and pass them back to NewMatcherFromState.
 //
@@ -27,7 +28,6 @@ var ErrNotIncremental = errors.New("attribution: matcher was not built with Opti
 // as read-only.
 type IndexState struct {
 	Opts  Options
-	Vocab features.VocabState
 	Stats features.BuilderState
 	Docs  []*features.SortedDoc
 }
@@ -38,12 +38,17 @@ func (m *Matcher) State() (IndexState, error) {
 	if m.docs == nil {
 		return IndexState{}, ErrNotIncremental
 	}
-	return IndexState{Opts: m.opts, Vocab: m.vocab.State(), Stats: m.stats.State(), Docs: m.docs}, nil
+	stats, err := m.stats.State()
+	if err != nil {
+		return IndexState{}, err
+	}
+	return IndexState{Opts: m.opts, Stats: stats, Docs: m.docs}, nil
 }
 
 // NewMatcherFromState rebuilds a matcher from a snapshot — the cold-start
-// path: no extraction, no counting and no vocabulary cut, then the index
-// pass a build and a Fold end in, so the three cannot drift apart. known
+// path: no extraction and no counting, then the tail of a Fold — the
+// vocabulary cut and the index pass — so a load, a build and a fold cannot
+// drift apart. known
 // must be the exact subject slice the state was saved against (same
 // order); Rank, Rescore, Match, and MatchAll output is bit-identical to the
 // matcher State was called on.
@@ -55,21 +60,33 @@ func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
 	if len(st.Docs) != len(known) || slices.Contains(st.Docs, nil) {
 		return nil, fmt.Errorf("attribution: index state needs one document for each of %d subjects, has %d", len(known), len(st.Docs))
 	}
-	vocab, err := features.NewVocabularyFromState(st.Vocab)
+	stats, err := features.NewVocabBuilderFromState(st.Stats)
 	if err != nil {
 		return nil, err
 	}
-	return newMatcherFromDocs(context.Background(), known, st.Docs, features.NewVocabBuilderFromState(st.Stats), vocab, opts)
+	return foldTail(context.Background(), known, st.Docs, stats, opts)
+}
+
+// foldTail cuts the vocabulary from the counters and runs the index pass.
+func foldTail(ctx context.Context, known []Subject, docs []*features.SortedDoc, stats *features.VocabBuilder, opts Options) (*Matcher, error) {
+	vocab, err := stats.Build()
+	if err != nil {
+		return nil, fmt.Errorf("attribution: corpus counters: %w", err)
+	}
+	return newMatcherFromDocs(ctx, known, docs, stats, vocab, opts)
 }
 
 // Fold returns a new matcher with the changed subjects applied — updated
 // in place when the name is already known, appended otherwise — without
-// re-extracting or re-counting the unchanged corpus. The old counters are
-// subtracted and the new ones added (plain integer sums, so the folded
-// counters equal a from-scratch count of the new corpus), the vocabulary
-// is re-cut, and only the index pass re-runs, from cached extractions.
-// The result is bit-identical to a full rebuild over the updated subject
-// list; m itself is never mutated and keeps serving.
+// re-extracting or re-counting the unchanged corpus. The changed subjects'
+// old documents, negated, and their new ones sum to one sorted delta, which
+// is merged with the counter arrays (plain integer sums, so the folded
+// counters equal a from-scratch count of the new corpus; m's own arrays are
+// read, not written), the vocabulary is re-cut, and only the index pass
+// re-runs, from cached extractions. The result is bit-identical to a full
+// rebuild over the updated subject list; m itself is never mutated and
+// keeps serving. Counters that do not hold a document Fold takes out —
+// an index whose documents and counters disagree — are an error.
 //
 // The known set stays sorted by name, matching the canonical order
 // BuildSubjects produces from a name-sorted dataset.
@@ -109,7 +126,7 @@ func (m *Matcher) Fold(ctx context.Context, changed []Subject) (*Matcher, error)
 		sortedKnown[j] = known[i]
 		sortedDocs[j] = docs[i]
 	}
-	return newMatcherFromDocs(ctx, sortedKnown, sortedDocs, stats, stats.Build(), m.opts)
+	return foldTail(ctx, sortedKnown, sortedDocs, stats, m.opts)
 }
 
 // Subjects exposes the known subjects in index order. The slice is the

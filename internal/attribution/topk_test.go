@@ -120,7 +120,10 @@ func referenceRescore(m *Matcher, unknown *Subject, candidates []Scored) []Score
 	for _, s := range subjects {
 		vb.Add(features.Extract(s.Text, m.opts.Final))
 	}
-	vocab := vb.Build()
+	vocab, err := vb.Build()
+	if err != nil {
+		panic(err) // a few added documents: the counters cannot refuse them
+	}
 
 	w := m.opts.weights()
 	ub := buildBlocks(unknown, vocab, m.opts.Final)

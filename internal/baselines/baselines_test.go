@@ -97,7 +97,7 @@ func TestKoppelSelfAttribution(t *testing.T) {
 	cfg := DefaultKoppelConfig()
 	cfg.Iterations = 20 // keep the test fast; 100 in production
 	cfg.Workers = 2
-	k := NewKoppel(known, cfg)
+	k := newKoppel(t, known, cfg)
 	preds, err := k.Predict(context.Background(), probes)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestKoppelVoteSharesSumToOne(t *testing.T) {
 	cfg := DefaultKoppelConfig()
 	cfg.Iterations = 10
 	cfg.Workers = 1
-	k := NewKoppel(known, cfg)
+	k := newKoppel(t, known, cfg)
 	shares, err := k.VoteAll(context.Background(), probes[:1])
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +139,8 @@ func TestKoppelSubspaceDeterministic(t *testing.T) {
 	known, _ := distinctSubjects(3, 100)
 	cfg := DefaultKoppelConfig()
 	cfg.Iterations = 5
-	k1 := NewKoppel(known, cfg)
-	k2 := NewKoppel(known, cfg)
+	k1 := newKoppel(t, known, cfg)
+	k2 := newKoppel(t, known, cfg)
 	for it := 0; it < 5; it++ {
 		for idx := uint32(0); idx < 2000; idx += 37 {
 			if k1.inSubspace(it, idx) != k2.inSubspace(it, idx) {
@@ -166,7 +166,7 @@ func TestKoppelMatchSortsCandidates(t *testing.T) {
 	known, probes := distinctSubjects(4, 150)
 	cfg := DefaultKoppelConfig()
 	cfg.Iterations = 8
-	k := NewKoppel(known, cfg)
+	k := newKoppel(t, known, cfg)
 	ranked := k.Match(&probes[0])
 	if len(ranked) != 4 {
 		t.Fatalf("ranked %d", len(ranked))
@@ -188,8 +188,18 @@ func TestBaselinesCancelPromptly(t *testing.T) {
 	}
 	cfg := DefaultKoppelConfig()
 	cfg.Iterations = 50
-	k := NewKoppel(known, cfg)
+	k := newKoppel(t, known, cfg)
 	if _, err := k.Predict(ctx, probes); err == nil {
 		t.Error("koppel: cancelled context must error")
 	}
+}
+
+// newKoppel is NewKoppel for subjects whose counters are known to fit.
+func newKoppel(t *testing.T, known []attribution.Subject, cfg KoppelConfig) *Koppel {
+	t.Helper()
+	k, err := NewKoppel(known, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
 }

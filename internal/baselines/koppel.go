@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -54,7 +55,7 @@ type Koppel struct {
 }
 
 // NewKoppel indexes the known subjects over the full feature space.
-func NewKoppel(known []attribution.Subject, cfg KoppelConfig) *Koppel {
+func NewKoppel(known []attribution.Subject, cfg KoppelConfig) (*Koppel, error) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 100
 	}
@@ -74,12 +75,15 @@ func NewKoppel(known []attribution.Subject, cfg KoppelConfig) *Koppel {
 		docs[i] = features.Extract(known[i].Text, cfg.Features)
 		vb.Add(docs[i])
 	}
-	k.vocab = vb.Build()
+	var err error
+	if k.vocab, err = vb.Build(); err != nil {
+		return nil, fmt.Errorf("baselines: koppel vocabulary: %w", err)
+	}
 	k.vecs = make([]sparse.Vector, len(known))
 	for i := range known {
 		k.vecs[i] = attribution.CompositeVector(&known[i], k.vocab, cfg.Features, koppelWeights)
 	}
-	return k
+	return k, nil
 }
 
 // koppelWeights mirror the main method's block weighting so the subspace

@@ -195,7 +195,10 @@ func (l *Lab) Figure3() (*Figure3Report, error) {
 	kcfg := baselines.DefaultKoppelConfig()
 	kcfg.Seed = l.Cfg.Seed
 	kcfg.Workers = l.Cfg.Workers
-	kop := baselines.NewKoppel(known, kcfg)
+	kop, err := baselines.NewKoppel(known, kcfg)
+	if err != nil {
+		return nil, err
+	}
 	kopPreds, err := kop.Predict(ctx, unknown)
 	if err != nil {
 		return nil, err

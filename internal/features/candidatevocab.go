@@ -1,24 +1,19 @@
 package features
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
 	"darklight/internal/sparse"
 )
 
-// CandidateVocab is the candidate-set fast path of VocabBuilder +
-// Vocabulary: the same top-N-by-corpus-frequency gram selection and
-// smoothed IDF, built from id-sorted gram lists with linear merges and a
-// counting sort instead of hash maps and comparison sorts, which at the
-// ~k documents stage 2 rebuilds the vocabulary over for every query would
-// dominate the whole rescore.
-//
-// The produced vectors are bit-identical to what Vocabulary.VectorizeGrams
-// yields for the equivalent Docs: selection and index assignment follow
-// topN's exact (frequency desc, gram id asc) order, so even the
-// summation order of downstream dot products is unchanged.
+// CandidateVocab is VocabBuilder + Vocabulary for the ~k documents stage 2
+// rebuilds the vocabulary over for every query: the same two kernels the
+// corpus builder runs — mergeGramLists to count, selectGrams to cut — over
+// storage it keeps between queries, where a VocabBuilder allocates its
+// counters and a Vocabulary its tables afresh. The vectors are bit-identical
+// to what the Vocabulary a VocabBuilder fed the same documents Builds would
+// yield: one selection, one index assignment, one IDF function.
 //
 // A CandidateVocab is reusable — Reset rebuilds it in the storage of the
 // previous build, so the one a matcher worker keeps allocates nothing once
@@ -38,22 +33,12 @@ type cvEntry struct {
 	idf   float64
 }
 
-// aggEntry is one merged gram: total corpus frequency and document
-// frequency across the candidate docs. Aggregate lists are id-sorted.
-// int32 keeps the entry at 16 bytes: the merge streams every entry log k
-// times.
-type aggEntry struct {
-	id   GramID
-	freq int32
-	df   int32
-}
-
 // aggBuffers is the scratch kept between vocabulary builds: the merge's
 // ping-pong buffers and run boundaries, the counting sort's histogram,
 // ranks and permutation, the IDF table, and the second buffer of the
 // vectors' index sort.
 type aggBuffers struct {
-	a, b       []aggEntry
+	a, b       []GramCount
 	runs, next []int
 	counts     []uint32
 	rank, perm []uint32
@@ -67,17 +52,20 @@ type aggBuffers struct {
 // previous build is invalidated.
 func (v *CandidateVocab) Reset(cfg Config, docs []*SortedDoc) {
 	s := &v.scratch
-	// Document frequencies run 0..len(docs): one math.Log per value, not per
-	// gram.
-	n := float64(len(docs))
-	s.idfByDF = s.idfByDF[:0]
-	for df := range len(docs) + 1 {
-		s.idfByDF = append(s.idfByDF, IDF(n, float64(df)))
-	}
-	words := s.mergeGramLists(docs, func(d *SortedDoc) []GramEntry { return d.WordGrams })
+	s.idfTable(len(docs))
+	words := s.mergeGramLists(len(docs), func(i int) ([]GramEntry, int32) { return docs[i].WordGrams, 1 })
 	v.wordByID = s.selectGrams(v.wordByID[:0], words, cfg.MaxWordGrams, 0)
-	chars := s.mergeGramLists(docs, func(d *SortedDoc) []GramEntry { return d.CharGrams })
+	chars := s.mergeGramLists(len(docs), func(i int) ([]GramEntry, int32) { return docs[i].CharGrams, 1 })
 	v.charByID = s.selectGrams(v.charByID[:0], chars, cfg.MaxCharGrams, uint32(len(v.wordByID)))
+}
+
+// idfTable fills idfByDF for a corpus of numDocs documents. Document
+// frequencies run 0..numDocs: one math.Log per value, not per gram.
+func (s *aggBuffers) idfTable(numDocs int) {
+	s.idfByDF = s.idfByDF[:0]
+	for df := range numDocs + 1 {
+		s.idfByDF = append(s.idfByDF, idf(float64(numDocs), float64(df)))
+	}
 }
 
 // NumWordGrams returns the size of the word-gram section.
@@ -116,10 +104,9 @@ type section struct {
 	shift uint
 }
 
-// newSection sorts a long-lived section's entries by gram id, in place, and
-// attaches the offset table.
+// newSection attaches the offset table to a long-lived section's entries,
+// which selectGrams emitted in ascending gram id.
 func newSection(es []cvEntry) section {
-	slices.SortFunc(es, func(a, b cvEntry) int { return cmp.Compare(a.id, b.id) })
 	s := section{byID: es}
 	s.skip, s.shift = skipTable(es, func(e *cvEntry) GramID { return e.id })
 	return s
@@ -168,15 +155,19 @@ func mergeVectorize(vec *sparse.Vector, doc []GramEntry, vocab section, den floa
 	}
 }
 
-// mergeGramLists folds one id-sorted gram list per doc into one id-sorted
-// aggregate by pairwise tournament merging: O(total · log k) comparisons,
-// no hashing. Levels ping-pong between the two scratch buffers; the
-// returned slice aliases one of them and is only valid until the next
-// merge.
-func (s *aggBuffers) mergeGramLists(docs []*SortedDoc, grams func(*SortedDoc) []GramEntry) []aggEntry {
+// mergeGramLists folds n id-sorted gram lists, one a document, into one
+// id-sorted aggregate by pairwise tournament merging: O(total · log n)
+// comparisons, no hashing. list(i) is document i's list and the sign it
+// counts with: +1 adds the document, -1 subtracts one counted before. Sums
+// are int32 and wrap; a caller whose counts could add up past that checks
+// before it merges (VocabBuilder.settle). Levels ping-pong between the two
+// scratch buffers; the returned slice aliases one of them and is only valid
+// until the next merge.
+func (s *aggBuffers) mergeGramLists(n int, list func(i int) ([]GramEntry, int32)) []GramCount {
 	total := 0
-	for _, d := range docs {
-		total += len(grams(d))
+	for i := range n {
+		es, _ := list(i)
+		total += len(es)
 	}
 	if total == 0 {
 		return nil
@@ -186,9 +177,10 @@ func (s *aggBuffers) mergeGramLists(docs []*SortedDoc, grams func(*SortedDoc) []
 	// runs holds the boundaries of the per-doc (later per-merge) sorted
 	// runs laid out contiguously in src.
 	runs, next := append(s.runs[:0], 0), s.next
-	for _, d := range docs {
-		for _, e := range grams(d) {
-			src = append(src, aggEntry{id: e.ID, freq: e.Count, df: 1})
+	for i := range n {
+		es, sign := list(i)
+		for _, e := range es {
+			src = append(src, GramCount{ID: e.ID, Freq: sign * e.Count, DF: sign})
 		}
 		if len(src) > runs[len(runs)-1] {
 			runs = append(runs, len(src))
@@ -218,20 +210,20 @@ func (s *aggBuffers) mergeGramLists(docs []*SortedDoc, grams func(*SortedDoc) []
 // counters of grams both hold. Which side advances is a coin flip per step,
 // so the loop selects with 0/1 multipliers: mispredictions bound the
 // branching form.
-func mergeAggInto(out, a, b []aggEntry) []aggEntry {
+func mergeAggInto(out, a, b []GramCount) []GramCount {
 	k := len(out)
 	out = out[:k+len(a)+len(b)]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		x, y := a[i], b[j]
 		var tx, ty int32 // take x / take y; both when the ids are equal
-		if x.id <= y.id {
+		if x.ID <= y.ID {
 			tx = 1
 		}
-		if y.id <= x.id {
+		if y.ID <= x.ID {
 			ty = 1
 		}
-		out[k] = aggEntry{id: min(x.id, y.id), freq: tx*x.freq + ty*y.freq, df: tx*x.df + ty*y.df}
+		out[k] = GramCount{ID: min(x.ID, y.ID), Freq: tx*x.Freq + ty*y.Freq, DF: tx*x.DF + ty*y.DF}
 		k++
 		i += int(tx)
 		j += int(ty)
@@ -241,21 +233,24 @@ func mergeAggInto(out, a, b []aggEntry) []aggEntry {
 	return out[:k]
 }
 
-// selectGrams appends to out the top-n entries of agg in ascending gram id,
-// each carrying base + its rank in topN's order — descending frequency,
-// ties by ascending gram id — as feature index, and its IDF. Negative n
-// keeps everything, like topN.
-func (s *aggBuffers) selectGrams(out []cvEntry, agg []aggEntry, n int, base uint32) []cvEntry {
+// selectGrams is the vocabulary cut (§IV-A: "we order the n-grams by their
+// frequency across the dataset [and] select the top N"): it appends to out
+// the top-n entries of agg in ascending gram id, each carrying base + its
+// rank — descending frequency, ties by ascending gram id, so the cut does
+// not depend on how or in how many shards the counts were summed — as
+// feature index, and its IDF from idfByDF. Negative n keeps everything.
+func (s *aggBuffers) selectGrams(out []cvEntry, agg []GramCount, n int, base uint32) []cvEntry {
 	if n < 0 || n > len(agg) {
 		n = len(agg)
 	}
 	if n == 0 {
 		return out
 	}
+	out = slices.Grow(out, n)
 	rank := s.rankByFreq(agg)
 	for i, e := range agg {
 		if r := rank[i]; r < uint32(n) {
-			out = append(out, cvEntry{id: e.id, index: base + r, idf: s.idfByDF[e.df]})
+			out = append(out, cvEntry{id: e.ID, index: base + r, idf: s.idfByDF[e.DF]})
 		}
 	}
 	return out
@@ -269,36 +264,36 @@ const (
 	digitMask = 1<<digitBits - 1
 )
 
-// rankByFreq returns every entry's position in topN's order. agg is
+// rankByFreq returns every entry's position in the cut's order. agg is
 // id-sorted, so that order is a stable sort on descending frequency alone,
 // which a counting sort yields without a comparison: an entry's rank is the
 // number of larger frequencies plus the number of equals before it. One
-// digit covers all but pathological inputs; a positive int32 never needs
-// more than the two LSD passes below.
-func (s *aggBuffers) rankByFreq(agg []aggEntry) []uint32 {
+// digit covers a query's candidates; a corpus's commonest grams pass it, and
+// a positive int32 never needs more than the two LSD passes below.
+func (s *aggBuffers) rankByFreq(agg []GramCount) []uint32 {
 	maxFreq := int32(0)
 	for _, e := range agg {
-		maxFreq = max(maxFreq, e.freq)
+		maxFreq = max(maxFreq, e.Freq)
 	}
 	s.rank = slices.Grow(s.rank[:0], len(agg))[:len(agg)]
 	if maxFreq <= digitMask {
 		next := s.descendingOffsets(agg, 0, maxFreq)
 		for i, e := range agg {
-			s.rank[i] = next[e.freq]
-			next[e.freq]++
+			s.rank[i] = next[e.Freq]
+			next[e.Freq]++
 		}
 		return s.rank
 	}
 	s.perm = slices.Grow(s.perm[:0], len(agg))[:len(agg)]
 	next := s.descendingOffsets(agg, 0, digitMask)
 	for i, e := range agg {
-		d := e.freq & digitMask
+		d := e.Freq & digitMask
 		s.perm[next[d]] = uint32(i)
 		next[d]++
 	}
 	next = s.descendingOffsets(agg, digitBits, maxFreq>>digitBits)
 	for _, i := range s.perm {
-		d := agg[i].freq >> digitBits
+		d := agg[i].Freq >> digitBits
 		s.rank[i] = next[d]
 		next[d]++
 	}
@@ -308,11 +303,11 @@ func (s *aggBuffers) rankByFreq(agg []aggEntry) []uint32 {
 // descendingOffsets histograms the digit (freq >> shift) & digitMask, at
 // most top, and returns per digit value where its run starts in a
 // descending sort: the count of entries with a larger digit.
-func (s *aggBuffers) descendingOffsets(agg []aggEntry, shift uint, top int32) []uint32 {
+func (s *aggBuffers) descendingOffsets(agg []GramCount, shift uint, top int32) []uint32 {
 	s.counts = slices.Grow(s.counts[:0], int(top)+1)[:top+1]
 	clear(s.counts)
 	for _, e := range agg {
-		s.counts[(e.freq>>shift)&digitMask]++
+		s.counts[(e.Freq>>shift)&digitMask]++
 	}
 	sum := uint32(0)
 	for d := len(s.counts) - 1; d >= 0; d-- {

@@ -101,11 +101,7 @@ func distinctGrams(docs []*Doc) (words, chars int) {
 // vector bits of every doc plus an unseen probe.
 func assertMatchesReference(t *testing.T, label string, cfg Config, cv *CandidateVocab, docs []*Doc, probe *Doc) {
 	t.Helper()
-	vb := NewVocabBuilder(cfg)
-	for _, d := range docs {
-		vb.Add(d)
-	}
-	ref := vb.Build()
+	ref := refBuilderOf(cfg, docs...).Build()
 	if cv.NumWordGrams() != ref.NumWordGrams() || cv.NumCharGrams() != ref.NumCharGrams() {
 		t.Fatalf("%s: vocab sizes %d/%d, reference %d/%d", label,
 			cv.NumWordGrams(), cv.NumCharGrams(), ref.NumWordGrams(), ref.NumCharGrams())
@@ -119,8 +115,8 @@ func assertMatchesReference(t *testing.T, label string, cfg Config, cv *Candidat
 		}) {
 			t.Fatalf("%s: %s entries not in strictly ascending gram id", label, kind)
 		}
-		// The reference section is the same id-sorted table, cut by topN's
-		// comparison sort over the builder's maps.
+		// The reference section is the same id-sorted table, cut by a
+		// comparison sort over the reference builder's maps.
 		for i, e := range got {
 			w := want[i]
 			if e.id != w.id {
@@ -146,7 +142,7 @@ func assertMatchesReference(t *testing.T, label string, cfg Config, cv *Candidat
 }
 
 // TestCountingRankMatchesReference pins the counting-sort selection to the
-// map-based VocabBuilder + Vocabulary.VectorizeGrams reference on the
+// map-based refBuilder + Vocabulary.VectorizeGrams reference on the
 // shapes where a stable counting sort and a comparison sort could part
 // ways, under budgets that keep nothing, cut inside a tie class, keep
 // exactly everything, and keep more than there is. One CandidateVocab is
@@ -197,9 +193,9 @@ func TestRankByFreqIsStableDescending(t *testing.T) {
 	var s aggBuffers
 	for trial := 0; trial < 200; trial++ {
 		pool := pools[trial%len(pools)]
-		agg := make([]aggEntry, rng.Intn(400))
+		agg := make([]GramCount, rng.Intn(400))
 		for i := range agg {
-			agg[i] = aggEntry{id: GramID(i), freq: pool[rng.Intn(len(pool))], df: 1}
+			agg[i] = GramCount{ID: GramID(i), Freq: pool[rng.Intn(len(pool))], DF: 1}
 		}
 		want := make([]int, len(agg))
 		for i := range want {
@@ -207,9 +203,9 @@ func TestRankByFreqIsStableDescending(t *testing.T) {
 		}
 		slices.SortStableFunc(want, func(a, b int) int {
 			switch {
-			case agg[a].freq > agg[b].freq:
+			case agg[a].Freq > agg[b].Freq:
 				return -1
-			case agg[a].freq < agg[b].freq:
+			case agg[a].Freq < agg[b].Freq:
 				return 1
 			}
 			return 0
@@ -217,7 +213,7 @@ func TestRankByFreqIsStableDescending(t *testing.T) {
 		rank := s.rankByFreq(agg)
 		for r, i := range want {
 			if rank[i] != uint32(r) {
-				t.Fatalf("trial %d: entry %d (freq %d) ranked %d, want %d", trial, i, agg[i].freq, rank[i], r)
+				t.Fatalf("trial %d: entry %d (freq %d) ranked %d, want %d", trial, i, agg[i].Freq, rank[i], r)
 			}
 		}
 	}

@@ -54,10 +54,12 @@ func randomDoc(rng *rand.Rand) *Doc {
 	return d
 }
 
-// TestCandidateVocabMatchesVocabBuilder pins the fast stage-2 path to the
-// general map-based path: same gram selection, same index assignment, and
+// TestCandidateVocabMatchesVocabBuilder pins the per-query vocabulary to the
+// corpus builder's: same gram selection, same index assignment, and
 // bit-identical vectors, across gram budgets that keep everything, truncate
-// hard, or keep nothing.
+// hard, or keep nothing. (Each is held to the map reference on its own, in
+// TestCountingRankMatchesReference and
+// TestSortedRunBuilderMatchesMapReference.)
 func TestCandidateVocabMatchesVocabBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -69,7 +71,7 @@ func TestCandidateVocabMatchesVocabBuilder(t *testing.T) {
 			cfg.MaxWordGrams, cfg.MaxCharGrams = 1+rng.Intn(10), 1+rng.Intn(20)
 		case 2: // zero budgets
 			cfg.MaxWordGrams, cfg.MaxCharGrams = 0, 0
-		case 3: // negative budgets mean unlimited, like topN
+		case 3: // negative budgets mean unlimited
 			cfg.MaxWordGrams, cfg.MaxCharGrams = -1, -1
 		}
 
@@ -81,7 +83,7 @@ func TestCandidateVocabMatchesVocabBuilder(t *testing.T) {
 			sorted[i] = docs[i].Sorted()
 			vb.Add(docs[i])
 		}
-		ref := vb.Build()
+		ref := mustBuild(t, vb)
 		cv := BuildCandidateVocab(cfg, sorted)
 
 		if cv.NumWordGrams() != ref.NumWordGrams() || cv.NumCharGrams() != ref.NumCharGrams() {

@@ -115,7 +115,7 @@ func TestVocabTopNSelection(t *testing.T) {
 	cfg := Config{WordMin: 1, WordMax: 1, CharMin: 1, CharMax: 1, MaxWordGrams: 2, MaxCharGrams: 1000, IncludeFreq: false}
 	vb := NewVocabBuilder(cfg)
 	vb.Add(Extract("apple apple apple banana banana cherry", cfg))
-	v := vb.Build()
+	v := mustBuild(t, vb)
 	if v.NumWordGrams() != 2 {
 		t.Fatalf("vocab kept %d word grams, want 2", v.NumWordGrams())
 	}
@@ -137,7 +137,7 @@ func TestIDFKillsUniversalGrams(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		vb.Add(Extract("common filler", cfg))
 	}
-	v := vb.Build()
+	v := mustBuild(t, vb)
 	doc := Extract("common rare", cfg)
 	vec := v.Vectorize(doc)
 	commonW := vec.Get(lookupWordIdx(t, v, "common"))
@@ -164,7 +164,7 @@ func TestVectorizeSortedAndNamespaced(t *testing.T) {
 	vb := NewVocabBuilder(cfg)
 	doc := Extract("the quick brown fox jumps over the lazy dog, again and again! 123", cfg)
 	vb.Add(doc)
-	v := vb.Build()
+	v := mustBuild(t, vb)
 	vec := v.Vectorize(doc)
 	if !vec.IsSorted() {
 		t.Error("Vectorize must return sorted vectors")
@@ -192,7 +192,7 @@ func TestVectorizeGramsExcludesFreq(t *testing.T) {
 	vb := NewVocabBuilder(cfg)
 	doc := Extract("hello, world! 42", cfg)
 	vb.Add(doc)
-	v := vb.Build()
+	v := mustBuild(t, vb)
 	vec := v.VectorizeGrams(doc)
 	for _, idx := range vec.Idx {
 		if idx >= v.FreqOffset() {
@@ -209,7 +209,7 @@ func TestEmptyDoc(t *testing.T) {
 	}
 	vb := NewVocabBuilder(cfg)
 	vb.Add(d)
-	v := vb.Build()
+	v := mustBuild(t, vb)
 	if got := v.Vectorize(d); got.Len() != 0 {
 		t.Errorf("empty doc vector = %v", got)
 	}

@@ -16,16 +16,17 @@ func TestBuilderStateRoundTrip(t *testing.T) {
 	for _, d := range docs {
 		b.Add(d)
 	}
-	got := NewVocabBuilderFromState(b.State())
-	if !reflect.DeepEqual(got.words, b.words) || !reflect.DeepEqual(got.chars, b.chars) {
+	got, err := NewVocabBuilderFromState(mustState(t, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mustState(t, got), mustState(t, b)) {
 		t.Error("round-tripped builder counters diverge")
 	}
-	if got.numDocs != b.numDocs || got.freqSeen != b.freqSeen {
-		t.Errorf("round-tripped builder: numDocs %d/%d freqSeen %v/%v", got.numDocs, b.numDocs, got.freqSeen, b.freqSeen)
-	}
-	if !reflect.DeepEqual(got.Build(), b.Build()) {
+	if !reflect.DeepEqual(mustBuild(t, got), mustBuild(t, b)) {
 		t.Error("round-tripped builder Builds a different vocabulary")
 	}
+	assertBuilderMatchesReference(t, "round-tripped builder", got, refBuilderOf(ReductionConfig(), docs...))
 }
 
 // TestBuilderStateDeterministic pins the serialised form: two builders fed
@@ -40,54 +41,8 @@ func TestBuilderStateDeterministic(t *testing.T) {
 	for i := len(docs) - 1; i >= 0; i-- {
 		b.Add(docs[i])
 	}
-	if !reflect.DeepEqual(a.State(), b.State()) {
+	if !reflect.DeepEqual(mustState(t, a), mustState(t, b)) {
 		t.Error("builder state depends on document order")
-	}
-}
-
-// TestVocabStateRoundTrip pins Vocabulary State → NewVocabularyFromState:
-// the reconstructed vocabulary vectorizes bit-identically.
-func TestVocabStateRoundTrip(t *testing.T) {
-	docs := shardTestDocs(29)
-	b := NewVocabBuilder(ReductionConfig())
-	for _, d := range docs {
-		b.Add(d)
-	}
-	v := b.Build()
-	got, err := NewVocabularyFromState(v.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, v) {
-		t.Error("round-tripped vocabulary diverges")
-	}
-	for i, d := range docs {
-		if !reflect.DeepEqual(got.Vectorize(d), v.Vectorize(d)) {
-			t.Fatalf("doc %d: round-tripped vocabulary vectorizes differently", i)
-		}
-	}
-}
-
-// TestVocabStateRejectsMalformed: length mismatches and duplicate grams
-// must error, not build a silently wrong index.
-func TestVocabStateRejectsMalformed(t *testing.T) {
-	docs := shardTestDocs(5)
-	b := NewVocabBuilder(ReductionConfig())
-	for _, d := range docs {
-		b.Add(d)
-	}
-	st := b.Build().State()
-
-	short := st
-	short.WordIDF = short.WordIDF[:len(short.WordIDF)-1]
-	if _, err := NewVocabularyFromState(short); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	dup := st
-	dup.Words = append([]GramID{st.Words[1]}, st.Words[1:]...)
-	dup.WordIDF = append([]float64{st.WordIDF[1]}, st.WordIDF[1:]...)
-	if _, err := NewVocabularyFromState(dup); err == nil {
-		t.Error("duplicate gram accepted")
 	}
 }
 
@@ -101,18 +56,15 @@ func TestAddSortedMatchesAdd(t *testing.T) {
 		plain.Add(d)
 		sorted.AddSorted(d.Sorted())
 	}
-	if !reflect.DeepEqual(sorted.words, plain.words) || !reflect.DeepEqual(sorted.chars, plain.chars) {
-		t.Error("AddSorted counters diverge from Add")
-	}
-	if sorted.numDocs != plain.numDocs || sorted.freqSeen != plain.freqSeen {
-		t.Error("AddSorted bookkeeping diverges from Add")
+	if !reflect.DeepEqual(mustState(t, sorted), mustState(t, plain)) {
+		t.Error("AddSorted counters or bookkeeping diverge from Add")
 	}
 }
 
 // TestRemoveSortedIsInverse: Add then Remove of any subset must equal a
-// builder that never saw those documents — including the map's key set,
-// so a gram whose counters hit zero cannot linger and perturb the top-N
-// candidate ordering.
+// builder that never saw those documents — including which grams the
+// arrays hold, so a gram whose counters hit zero cannot linger and perturb
+// the cut.
 func TestRemoveSortedIsInverse(t *testing.T) {
 	docs := shardTestDocs(23)
 	full := NewVocabBuilder(ReductionConfig())
@@ -126,13 +78,10 @@ func TestRemoveSortedIsInverse(t *testing.T) {
 	for _, d := range docs[:17] {
 		want.AddSorted(d.Sorted())
 	}
-	if !reflect.DeepEqual(full.words, want.words) || !reflect.DeepEqual(full.chars, want.chars) {
+	if !reflect.DeepEqual(mustState(t, full), mustState(t, want)) {
 		t.Error("RemoveSorted left residue (or removed too much)")
 	}
-	if full.numDocs != want.numDocs || full.freqSeen != want.freqSeen {
-		t.Error("RemoveSorted bookkeeping diverges")
-	}
-	if !reflect.DeepEqual(full.Build(), want.Build()) {
+	if !reflect.DeepEqual(mustBuild(t, full), mustBuild(t, want)) {
 		t.Error("RemoveSorted builder Builds a different vocabulary")
 	}
 }
@@ -145,40 +94,51 @@ func TestBuilderCloneIsIndependent(t *testing.T) {
 	for _, d := range docs[:7] {
 		b.AddSorted(d.Sorted())
 	}
-	before := b.State()
-	c := b.Clone()
-	if !reflect.DeepEqual(c.State(), before) {
-		t.Fatal("clone does not equal original")
-	}
-	for _, d := range docs[7:] {
-		c.AddSorted(d.Sorted())
-	}
-	c.RemoveSorted(docs[0].Sorted())
-	if !reflect.DeepEqual(b.State(), before) {
-		t.Error("mutating the clone changed the original")
+	// Cloned with documents still pending, and again once settled: the arrays
+	// are shared, so what a merge writes must never be one of them.
+	for _, settled := range []bool{false, true} {
+		if settled {
+			mustState(t, b)
+		}
+		c := b.Clone()
+		before := mustState(t, b)
+		words, chars := slices.Clone(before.Words), slices.Clone(before.Chars)
+		if !reflect.DeepEqual(mustState(t, c), before) {
+			t.Fatal("clone does not equal original")
+		}
+		for _, d := range docs[7:] {
+			c.AddSorted(d.Sorted())
+		}
+		c.RemoveSorted(docs[0].Sorted())
+		if reflect.DeepEqual(mustState(t, c), before) {
+			t.Fatal("the clone did not take the documents")
+		}
+		if after := mustState(t, b); !reflect.DeepEqual(after, before) || !slices.Equal(before.Words, words) || !slices.Equal(before.Chars, chars) {
+			t.Errorf("mutating the clone (settled before: %v) changed the original", settled)
+		}
 	}
 }
 
 // mapVectorize is the map-probing vectorizer the merge replaced, kept as
-// the tests' reference: it probes an index built from the vocabulary's
-// State() for every gram of the unflattened document.
-func mapVectorize(st VocabState, d *Doc) sparse.Vector {
+// the tests' reference: it probes a hash index of the vocabulary's tables
+// for every gram of the unflattened document.
+func mapVectorize(v *Vocabulary, d *Doc) sparse.Vector {
 	vec := sparse.Vector{Idx: []uint32{}, Val: []float64{}}
-	section := func(grams map[GramID]int, total int, ids []GramID, idfs []float64, base uint32) {
-		index := make(map[GramID]int, len(ids))
-		for i, g := range ids {
-			index[g] = i
+	section := func(grams map[GramID]int, total int, table []cvEntry) {
+		index := make(map[GramID]cvEntry, len(table))
+		for _, e := range table {
+			index[e.id] = e
 		}
 		den := float64(max(total, 1))
 		for g, c := range grams {
-			if i, ok := index[g]; ok {
-				vec.Idx = append(vec.Idx, base+uint32(i))
-				vec.Val = append(vec.Val, float64(c)/den*idfs[i])
+			if e, ok := index[g]; ok {
+				vec.Idx = append(vec.Idx, e.index)
+				vec.Val = append(vec.Val, float64(c)/den*e.idf)
 			}
 		}
 	}
-	section(d.WordGrams, d.WordTotal, st.Words, st.WordIDF, 0)
-	section(d.CharGrams, d.CharTotal, st.Chars, st.CharIDF, uint32(len(st.Words)))
+	section(d.WordGrams, d.WordTotal, v.words.byID)
+	section(d.CharGrams, d.CharTotal, v.chars.byID)
 	vec.Sort()
 	return vec
 }
@@ -193,11 +153,10 @@ func TestVectorizeGramsSortedMatches(t *testing.T) {
 	for _, d := range docs[:17] {
 		b.Add(d)
 	}
-	v := b.Build()
-	st := v.State()
+	v := mustBuild(t, b)
 	var vec, scratch sparse.Vector
 	for i, d := range append(docs, Extract("", ReductionConfig())) {
-		want := mapVectorize(st, d)
+		want := mapVectorize(v, d)
 		if got := v.VectorizeGrams(d); !reflect.DeepEqual(got, want) {
 			t.Fatalf("doc %d: VectorizeGrams diverges from the map reference", i)
 		}
@@ -219,7 +178,7 @@ func TestGramIndexNumbers(t *testing.T) {
 	for _, d := range shardTestDocs(29) {
 		b.Add(d)
 	}
-	for _, grams := range [][]GramCount{b.State().Words, b.State().Chars, nil} {
+	for _, grams := range [][]GramCount{mustState(t, b).Words, mustState(t, b).Chars, nil} {
 		x := IndexGrams(grams)
 		for i, g := range grams {
 			if num, ok := x.Number(g.ID); !ok || int(num) != i {

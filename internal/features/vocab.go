@@ -1,7 +1,7 @@
 package features
 
 import (
-	"cmp"
+	"fmt"
 	"math"
 	"slices"
 
@@ -9,140 +9,218 @@ import (
 )
 
 // VocabBuilder accumulates corpus-wide n-gram statistics over a stream of
-// Docs, then freezes a Vocabulary: the top-N word grams and top-N char
+// documents, then freezes a Vocabulary: the top-N word grams and top-N char
 // grams by total corpus frequency (§IV-A: "we order the n-grams by their
 // frequency across the dataset [and] select the top N features").
+//
+// The counters are, per gram family, one flat array in ascending gram id —
+// what State emits, a snapshot's dictionary stores and the cut ranks — and
+// no hash map anywhere. Documents collect as pending id-sorted lists and are
+// merged in a batch at a time by the two kernels CandidateVocab runs per
+// query: mergeGramLists sums the batch, mergeAggInto adds it to the array. A
+// batch closes once it holds as many entries as the arrays, so the merging
+// stays linear in what the builder was fed and a builder keeps a bounded
+// number of documents alive however many pass through it. Removing a
+// document is the same merge with its counts negated.
+//
+// A settled array is never written again — every merge makes a new one — so
+// Clone shares it and State hands it out; and Settle, State, Build and Clone
+// only read a builder that has nothing pending, so the one a matcher retains
+// can be shared by a save and a fold.
 //
 // Builders shard cleanly: feed disjoint document subsets to separate
 // builders and Merge them. Corpus frequency, document frequency, and the
 // document count are all plain sums, so a merged builder Builds the exact
-// vocabulary a single builder fed every document would — the top-N cut
-// orders by (frequency desc, gram id asc), which is independent of the
-// order the counts were summed in.
+// vocabulary a single builder fed every document would — the cut orders by
+// (frequency desc, gram id asc), which is independent of the order the
+// counts were summed in.
+//
+// Counters are int32, the width that keeps stage 2's merge at 16 bytes an
+// entry. What the counters cannot hold — a gram counted more than 2^31-1
+// times, a document removed that was never added — latches as the builder's
+// error: Settle, Merge, State and Build report it.
 type VocabBuilder struct {
 	cfg      Config
-	words    map[GramID]gramStat
-	chars    map[GramID]gramStat
+	words    []GramCount
+	chars    []GramCount
 	numDocs  int
 	freqSeen [NumFreqFeatures]int
+	// pending holds the documents added or removed since the arrays were
+	// settled, pendingEntries their gram entries and pendingCount the
+	// occurrences those entries count.
+	pending        []pendingDoc
+	pendingEntries int
+	pendingCount   int64
+	err            error
 }
 
-// gramStat carries both corpus-wide counters of one gram; keeping them in
-// one map entry halves the hash probes of Add, the hot loop of vocabulary
-// construction.
-type gramStat struct {
-	freq int // total occurrences across the corpus
-	df   int // number of documents containing the gram
+// pendingDoc is one document of an open batch and the sign it counts with.
+type pendingDoc struct {
+	doc  *SortedDoc
+	sign int32
 }
+
+// minBatch is the fewest gram entries a batch closes at: below it the merge
+// into the arrays would cost more than summing the batch.
+const minBatch = 1 << 16
 
 // NewVocabBuilder returns a builder for the given configuration.
 func NewVocabBuilder(cfg Config) *VocabBuilder {
-	return &VocabBuilder{
-		cfg:   cfg,
-		words: make(map[GramID]gramStat),
-		chars: make(map[GramID]gramStat),
+	return &VocabBuilder{cfg: cfg}
+}
+
+// Add folds one document's counts into the corpus statistics. The builder
+// keeps only the flattened form, and only until its batch closes.
+func (b *VocabBuilder) Add(d *Doc) { b.AddSorted(d.Sorted()) }
+
+// AddSorted is Add for a pre-sorted document, which must not change until
+// the builder has settled.
+func (b *VocabBuilder) AddSorted(d *SortedDoc) { b.fold(d, 1) }
+
+// RemoveSorted subtracts a previously added document, the exact inverse of
+// AddSorted: once settled the counters equal a builder's that never saw d,
+// grams whose counters reach zero gone from the arrays with it.
+func (b *VocabBuilder) RemoveSorted(d *SortedDoc) { b.fold(d, -1) }
+
+// fold queues d to be counted sign (+1 or -1) times.
+func (b *VocabBuilder) fold(d *SortedDoc, sign int32) {
+	count := int64(0)
+	for _, es := range [...][]GramEntry{d.WordGrams, d.CharGrams} {
+		for _, e := range es {
+			count += int64(e.Count)
+		}
+	}
+	// mergeGramLists sums in int32 without looking: a batch never counts
+	// more occurrences than that holds.
+	if b.pendingCount+count > math.MaxInt32 {
+		b.settle()
+	}
+	b.numDocs += int(sign)
+	for i, f := range d.Freq {
+		if f > 0 {
+			b.freqSeen[i] += int(sign)
+		}
+	}
+	b.pending = append(b.pending, pendingDoc{doc: d, sign: sign})
+	b.pendingEntries += len(d.WordGrams) + len(d.CharGrams)
+	b.pendingCount += count
+	if b.pendingEntries >= max(minBatch, len(b.words)+len(b.chars)) {
+		b.settle()
 	}
 }
 
-// Add folds one document's counts into the corpus statistics. The doc can
-// be discarded afterwards.
-func (b *VocabBuilder) Add(d *Doc) {
-	b.numDocs++
-	for g, c := range d.WordGrams {
-		s := b.words[g]
-		s.freq += c
-		s.df++
-		b.words[g] = s
+// Settle merges every pending document into the counters and returns the
+// builder's error, if it has met one. Merge, State and Build settle first;
+// a goroutine that fed a builder settles it so that the merge runs there.
+func (b *VocabBuilder) Settle() error {
+	b.settle()
+	return b.err
+}
+
+func (b *VocabBuilder) settle() {
+	if len(b.pending) == 0 {
+		return
 	}
-	for g, c := range d.CharGrams {
-		s := b.chars[g]
-		s.freq += c
-		s.df++
-		b.chars[g] = s
+	if b.err == nil && b.numDocs < 0 {
+		b.err = fmt.Errorf("features: %d more documents removed than added", -b.numDocs)
 	}
-	for i, f := range d.Freq {
-		if f > 0 {
-			b.freqSeen[i]++
+	if b.err == nil {
+		var s aggBuffers
+		words := s.mergeGramLists(len(b.pending), func(i int) ([]GramEntry, int32) { return b.pending[i].doc.WordGrams, b.pending[i].sign })
+		b.words, b.err = addCounters(b.words, words, b.numDocs)
+		if b.err == nil {
+			chars := s.mergeGramLists(len(b.pending), func(i int) ([]GramEntry, int32) { return b.pending[i].doc.CharGrams, b.pending[i].sign })
+			b.chars, b.err = addCounters(b.chars, chars, b.numDocs)
 		}
 	}
+	clear(b.pending) // the documents are the callers' again
+	b.pending, b.pendingEntries, b.pendingCount = b.pending[:0], 0, 0
+}
+
+// addCounters returns a + b, both ascending by gram id, in a new array:
+// neither input is written. Entries that sum to zero are dropped, and an
+// entry no set of numDocs documents can produce is an error — see check.
+func addCounters(a, b []GramCount, numDocs int) ([]GramCount, error) {
+	out := mergeAggInto(make([]GramCount, 0, len(a)+len(b)), a, b)
+	k := 0
+	for _, e := range out {
+		if e.Freq == 0 && e.DF == 0 {
+			continue
+		}
+		if err := e.check(numDocs); err != nil {
+			return nil, err
+		}
+		out[k] = e
+		k++
+	}
+	if out = out[:k]; cap(out)-k > k/8 {
+		out = slices.Clone(out) // the arrays live as long as the index does
+	}
+	return out, nil
+}
+
+// check reports a counter pair that is not a count over numDocs documents:
+// a document frequency outside 1..numDocs, or fewer occurrences than
+// documents. A removal of what was never added leaves one (negative, or
+// occurrences in no document), and so does a sum past int32: the operands
+// are at most 2^31-1 each, so it wraps to a negative number.
+func (e GramCount) check(numDocs int) error {
+	if e.DF <= 0 || int(e.DF) > numDocs || e.Freq < e.DF {
+		return fmt.Errorf("features: gram %d counts %d occurrences in %d of %d documents: a document removed that was never added, or a count past %d",
+			e.ID, e.Freq, e.DF, numDocs, math.MaxInt32)
+	}
+	return nil
 }
 
 // Merge folds another builder's statistics into b. The other builder must
 // have seen a disjoint set of documents (each document Added exactly once
-// across all shards); it is left unchanged and may be discarded. Merging
-// commutes with Add: shard-then-merge yields counter-for-counter the same
-// builder state as a single sequential builder.
-func (b *VocabBuilder) Merge(o *VocabBuilder) {
+// across all shards); its counters are left unchanged and it may be
+// discarded. Merging commutes with Add: shard-then-merge yields
+// counter-for-counter the same builder state as a single sequential builder.
+func (b *VocabBuilder) Merge(o *VocabBuilder) error {
+	b.settle()
+	if b.err == nil {
+		b.err = o.Settle()
+	}
+	if b.err != nil {
+		return b.err
+	}
 	b.numDocs += o.numDocs
-	for g, os := range o.words {
-		s := b.words[g]
-		s.freq += os.freq
-		s.df += os.df
-		b.words[g] = s
-	}
-	for g, os := range o.chars {
-		s := b.chars[g]
-		s.freq += os.freq
-		s.df += os.df
-		b.chars[g] = s
-	}
 	for i := range o.freqSeen {
 		b.freqSeen[i] += o.freqSeen[i]
 	}
+	if b.words, b.err = addCounters(b.words, o.words, b.numDocs); b.err == nil {
+		b.chars, b.err = addCounters(b.chars, o.chars, b.numDocs)
+	}
+	return b.err
 }
 
 // NumDocs returns the number of documents added so far.
 func (b *VocabBuilder) NumDocs() int { return b.numDocs }
 
-// Build freezes the vocabulary. The builder can keep accumulating and be
-// rebuilt; Build itself does not mutate the builder.
-func (b *VocabBuilder) Build() *Vocabulary {
-	n := float64(b.numDocs)
-	words := topN(b.words, b.cfg.MaxWordGrams, 0, n)
-	chars := topN(b.chars, b.cfg.MaxCharGrams, uint32(len(words)), n)
-	return &Vocabulary{cfg: b.cfg, words: newSection(words), chars: newSection(chars), numDocs: b.numDocs}
+// Build freezes the vocabulary: selectGrams, the cut CandidateVocab makes per
+// query, over each counter array — linear, and already in the gram-id order
+// a Vocabulary section is kept in. The builder can keep accumulating and be
+// rebuilt.
+func (b *VocabBuilder) Build() (*Vocabulary, error) {
+	if err := b.Settle(); err != nil {
+		return nil, err
+	}
+	var s aggBuffers
+	s.idfTable(b.numDocs)
+	words := s.selectGrams(nil, b.words, b.cfg.MaxWordGrams, 0)
+	chars := s.selectGrams(nil, b.chars, b.cfg.MaxCharGrams, uint32(len(words)))
+	return &Vocabulary{cfg: b.cfg, words: newSection(words), chars: newSection(chars), numDocs: b.numDocs}, nil
 }
 
-// IDF is the smoothed inverse document frequency: ln((1+N)/(1+df)).
+// idf is the smoothed inverse document frequency: ln((1+N)/(1+df)).
 // Corpus-universal grams (df = N) weigh ≈ 0, which is what makes TF-IDF
 // discriminate: without it the high-frequency function-word grams dominate
 // every vector's norm and all users look alike (§IV-A: TF-IDF "gives more
 // importance to features that are frequently used by only one user and
 // less importance to popular features such as stop-words").
-//
-// Exported for the snapshot store, which keeps document frequencies and
-// recomputes the weights a Build would: one function, so the same bits.
-func IDF(n, df float64) float64 {
+func idf(n, df float64) float64 {
 	return math.Log((1 + n) / (1 + df))
-}
-
-// CompareRank orders grams the way the vocabulary cut ranks them: by
-// descending corpus frequency, ties by ascending gram id.
-func CompareRank(a, b GramCount) int {
-	return cmp.Or(cmp.Compare(b.Freq, a.Freq), cmp.Compare(a.ID, b.ID))
-}
-
-// topN selects the n highest-frequency grams, ties broken by gram id so
-// vocabulary construction is deterministic regardless of how (or in how
-// many shards) the counts were accumulated, and returns them in that order
-// as vocabulary entries: feature index base + rank, IDF over a corpus of
-// numDocs documents. Negative n keeps everything.
-func topN(stats map[GramID]gramStat, n int, base uint32, numDocs float64) []cvEntry {
-	// Flatten before sorting: a map probe per comparison dominates the sort
-	// of a large gram universe.
-	ranked := make([]GramCount, 0, len(stats))
-	for g, s := range stats {
-		ranked = append(ranked, GramCount{ID: g, Freq: int64(s.freq), DF: int64(s.df)})
-	}
-	slices.SortFunc(ranked, CompareRank)
-	if n >= 0 && len(ranked) > n {
-		ranked = ranked[:n]
-	}
-	out := make([]cvEntry, len(ranked))
-	for i, r := range ranked {
-		out[i] = cvEntry{id: r.ID, index: base + uint32(i), idf: IDF(numDocs, float64(r.DF))}
-	}
-	return out
 }
 
 // Vocabulary maps n-grams to feature indices and carries the IDF weights.
@@ -157,9 +235,9 @@ func topN(stats map[GramID]gramStat, n int, base uint32, numDocs float64) []cvEn
 //	                      appended by the attribution layer
 //
 // Each section is one table sorted by gram id, every entry carrying its
-// feature index and IDF weight — the form CandidateVocab rebuilds per
-// query — so vectorizing a flattened document is a merge, never a hash
-// probe.
+// feature index and IDF weight — the form selectGrams emits, for a corpus
+// here and per query in CandidateVocab — so vectorizing a flattened document
+// is a merge, never a hash probe.
 type Vocabulary struct {
 	cfg     Config
 	words   section

@@ -25,6 +25,13 @@ func shardTestDocs(n int) []*Doc {
 	return docs
 }
 
+func mustMerge(t *testing.T, into, from *VocabBuilder) {
+	t.Helper()
+	if err := into.Merge(from); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestVocabShardMergeMatchesSequential pins shard-then-Merge to the single
 // sequential builder: identical builder state (counters and doc counts) and
 // an identical built Vocabulary, for several shard counts and regardless of
@@ -37,7 +44,7 @@ func TestVocabShardMergeMatchesSequential(t *testing.T) {
 	for _, d := range docs {
 		seq.Add(d)
 	}
-	want := seq.Build()
+	want := mustBuild(t, seq)
 
 	for _, shards := range []int{2, 3, 8} {
 		builders := make([]*VocabBuilder, shards)
@@ -49,15 +56,15 @@ func TestVocabShardMergeMatchesSequential(t *testing.T) {
 		}
 		merged := builders[0]
 		for _, b := range builders[1:] {
-			merged.Merge(b)
+			mustMerge(t, merged, b)
 		}
-		if !reflect.DeepEqual(merged.words, seq.words) || !reflect.DeepEqual(merged.chars, seq.chars) {
+		if !reflect.DeepEqual(mustState(t, merged), mustState(t, seq)) {
 			t.Errorf("shards=%d: merged gram stats diverge from sequential", shards)
 		}
 		if merged.NumDocs() != seq.NumDocs() {
 			t.Errorf("shards=%d: NumDocs = %d, want %d", shards, merged.NumDocs(), seq.NumDocs())
 		}
-		if got := merged.Build(); !reflect.DeepEqual(got, want) {
+		if got := mustBuild(t, merged); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: merged vocabulary diverges from sequential", shards)
 		}
 	}
@@ -68,9 +75,9 @@ func TestVocabShardMergeMatchesSequential(t *testing.T) {
 		builders[i%3].Add(d)
 	}
 	rev := builders[2]
-	rev.Merge(builders[1])
-	rev.Merge(builders[0])
-	if got := rev.Build(); !reflect.DeepEqual(got, want) {
+	mustMerge(t, rev, builders[1])
+	mustMerge(t, rev, builders[0])
+	if got := mustBuild(t, rev); !reflect.DeepEqual(got, want) {
 		t.Errorf("reverse merge order diverges from sequential build")
 	}
 }
@@ -85,20 +92,20 @@ func TestVocabMergeEmpty(t *testing.T) {
 	for _, d := range docs {
 		seq.Add(d)
 	}
-	want := seq.Build()
+	want := mustBuild(t, seq)
 
 	withEmpty := NewVocabBuilder(cfg)
 	for _, d := range docs {
 		withEmpty.Add(d)
 	}
-	withEmpty.Merge(NewVocabBuilder(cfg))
-	if got := withEmpty.Build(); !reflect.DeepEqual(got, want) {
+	mustMerge(t, withEmpty, NewVocabBuilder(cfg))
+	if got := mustBuild(t, withEmpty); !reflect.DeepEqual(got, want) {
 		t.Errorf("merging an empty builder changed the result")
 	}
 
 	intoEmpty := NewVocabBuilder(cfg)
-	intoEmpty.Merge(withEmpty)
-	if got := intoEmpty.Build(); !reflect.DeepEqual(got, want) {
+	mustMerge(t, intoEmpty, withEmpty)
+	if got := mustBuild(t, intoEmpty); !reflect.DeepEqual(got, want) {
 		t.Errorf("merging into an empty builder diverges")
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"darklight/internal/attribution"
-	"darklight/internal/features"
 	"darklight/internal/prefilter"
 )
 
@@ -89,20 +89,14 @@ func encodeIndex(idx *Index) ([]byte, error) {
 }
 
 func smallSnapshot(t testing.TB) []byte {
-	return smallSnapshotOf(t, attribution.DefaultOptions().Reduction)
-}
-
-// smallSnapshotOf is smallSnapshot under another stage-1 configuration.
-func smallSnapshotOf(t testing.TB, reduction features.Config) []byte {
 	rng := rand.New(rand.NewSource(8400))
 	ds := testDataset(rng, "c", 10)
 	opts, subjOpts := testBuildOptions()
-	opts.Reduction = reduction
 	idx, err := BuildIndex(context.Background(), ds, opts, subjOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Touch LSH so every section, including secLSH, has real content.
+	// Touch LSH: an operating point built or not, the bytes are the same.
 	idx.Matcher.RankDetailed(&idx.Subjects[0], attribution.MatchOptions{K: 3, Mode: prefilter.ModeLSH})
 	raw, err := encodeIndex(idx)
 	if err != nil {
@@ -118,7 +112,7 @@ func TestCorruptionNamesEverySection(t *testing.T) {
 	raw := smallSnapshot(t)
 	layout := snapshotLayout(t, raw)
 	// Spelled out, not sectionNames: the test pins the list.
-	wantSections := []string{"options", "corpus", "subjects", "grams", "docs", "vocab"}
+	wantSections := []string{"options", "corpus", "subjects", "grams", "docs"}
 	if len(layout) != len(wantSections) {
 		t.Fatalf("snapshot has %d sections, want %d", len(layout), len(wantSections))
 	}
@@ -218,33 +212,37 @@ var structuralDamage = []struct {
 		out := append(append([]byte(nil), p[:off]...), bytes.Repeat([]byte{0xFF}, 10)...)
 		return append(out, p[off:]...)
 	}},
-	{"vocabulary number outside the dictionary", secVocab, func(_ testing.TB, p []byte) []byte {
-		return spliceUvarint(p, 4, 1<<40)
-	}},
-	{"vocabulary lists a gram twice", secVocab, func(_ testing.TB, p []byte) []byte {
-		first, n := binary.Uvarint(p[4:])
-		return spliceUvarint(p, 4+n, first)
-	}},
-	{"vocabulary out of rank order", secVocab, func(_ testing.TB, p []byte) []byte {
-		first, n := binary.Uvarint(p[4:])
-		second, _ := binary.Uvarint(p[4+n:])
-		p = spliceUvarint(p, 4+n, first)
-		return spliceUvarint(p, 4, second)
-	}},
-	{"vocabulary not the whole cut", secVocab, func(t testing.TB, p []byte) []byte {
-		// Drop the last word gram: every listed one is in order, one is missing.
-		n := int(binary.LittleEndian.Uint32(p))
-		if n < 2 {
-			t.Fatalf("test snapshot lists %d word grams", n)
+	{"gram counted past int32 over the corpus", secDocs, func(t testing.TB, p []byte) []byte {
+		// Every word gram of document 0 counted 2^31-1 times there: each count
+		// fits, and the first gram another document shares does not.
+		n, w := binary.Uvarint(p[docsFirstList:])
+		off := docsFirstList + w
+		out := append([]byte(nil), p[:off]...)
+		for i := uint64(0); i < n; i++ {
+			step, sw := binary.Uvarint(p[off:])
+			_, cw := binary.Uvarint(p[off+sw:])
+			out = binary.AppendUvarint(binary.AppendUvarint(out, step), math.MaxInt32)
+			off += sw + cw
 		}
-		off := 4
-		for i := 0; i < n-1; i++ {
-			_, w := binary.Uvarint(p[off:])
-			off += w
+		if n == 0 {
+			t.Fatal("document 0 of the test snapshot has no word grams")
 		}
-		_, w := binary.Uvarint(p[off:])
-		out := binary.LittleEndian.AppendUint32(nil, uint32(n-1))
-		return append(append(out, p[4:off]...), p[off+w:]...)
+		return append(out, p[off:]...)
+	}},
+	{"more entries declared than the documents hold", secDocs, func(_ testing.TB, p []byte) []byte {
+		binary.LittleEndian.PutUint64(p[4:], binary.LittleEndian.Uint64(p[4:])+1)
+		return p
+	}},
+	{"document count past the payload", secDocs, func(_ testing.TB, p []byte) []byte {
+		binary.LittleEndian.PutUint32(p, 1<<30)
+		return p
+	}},
+	{"bytes after the last document", secDocs, func(_ testing.TB, p []byte) []byte {
+		return append(p, 0)
+	}},
+	{"dictionary longer than its section", secGrams, func(_ testing.TB, p []byte) []byte {
+		binary.LittleEndian.PutUint32(p, 1<<30)
+		return p
 	}},
 }
 
@@ -270,45 +268,6 @@ func TestStructuralDamageNamesItsSection(t *testing.T) {
 	if _, err := decodeIndex(reseal(t, raw, secDocs, sectionPayload(t, raw, secDocs))); err != nil {
 		t.Fatalf("resealed pristine snapshot no longer decodes: %v", err)
 	}
-}
-
-// TestVocabularyCutIsVerified: under a budget smaller than the dictionary the
-// vocab section is a claim about the counters — which grams rank first — and
-// a load checks the whole claim, so a snapshot cannot carry a vocabulary a
-// rebuild over its documents would not cut.
-func TestVocabularyCutIsVerified(t *testing.T) {
-	cfg := attribution.DefaultOptions().Reduction
-	cfg.MaxWordGrams, cfg.MaxCharGrams = 200, 300
-	raw := smallSnapshotOf(t, cfg)
-	idx, err := decodeIndex(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := idx.Matcher.Vocabulary()
-	if v.NumWordGrams() != 200 || v.NumCharGrams() != 300 {
-		t.Fatalf("loaded vocabulary has %d + %d grams, want the budgets 200 + 300", v.NumWordGrams(), v.NumCharGrams())
-	}
-
-	// Replace the last listed word gram by one the cut left out: still in rank
-	// order after its predecessor, and not the gram that belongs there.
-	p := sectionPayload(t, raw, secVocab)
-	listed := make(map[uint64]bool)
-	off, last := 4, 0
-	for i := 0; i < 200; i++ {
-		num, w := binary.Uvarint(p[off:])
-		listed[num] = true
-		off, last = off+w, off
-	}
-	outsider := uint64(0)
-	for listed[outsider] {
-		outsider++
-	}
-	_, err = decodeIndex(reseal(t, raw, secVocab, spliceUvarint(p, last, outsider)))
-	var ce *CorruptError
-	if !errors.As(err, &ce) || ce.Section != secVocab {
-		t.Fatalf("vocabulary with a gram from below the cut: got %v, want a vocab CorruptError", mutatedErr(err))
-	}
-	t.Log(ce)
 }
 
 // TestCorruptionHeaderAndTruncation covers the non-payload failure modes:
@@ -360,7 +319,7 @@ func mutatedErr(err error) error {
 func TestLoadFillsPath(t *testing.T) {
 	raw := smallSnapshot(t)
 	layout := snapshotLayout(t, raw)
-	raw[layout[secVocab].mid()] ^= 0x01
+	raw[layout[secDocs].mid()] ^= 0x01
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +329,7 @@ func TestLoadFillsPath(t *testing.T) {
 	}
 	_, err = st.Load()
 	var ce *CorruptError
-	if !errors.As(err, &ce) || ce.Path != st.SnapshotPath() || ce.Section != secVocab {
-		t.Fatalf("Load on corrupt snapshot: %v, want vocab CorruptError with path", err)
+	if !errors.As(err, &ce) || ce.Path != st.SnapshotPath() || ce.Section != secDocs {
+		t.Fatalf("Load on corrupt snapshot: %v, want docs CorruptError with path", err)
 	}
 }

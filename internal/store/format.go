@@ -9,7 +9,7 @@ import (
 	"math"
 )
 
-// On-disk snapshot layout, format 2 (all fixed-width integers
+// On-disk snapshot layout, format 3 (all fixed-width integers
 // little-endian, "uvarint" the encoding/binary one):
 //
 //	header:
@@ -38,7 +38,7 @@ import (
 
 const (
 	magic         = "DLIXSNP1"
-	formatVersion = 2
+	formatVersion = 3
 	digestLen     = sha256.Size
 )
 

@@ -34,10 +34,11 @@ type Index struct {
 	Digest string
 }
 
-// Section names, in file order. A snapshot holds what the index pass cannot
+// Section names, in file order. A snapshot holds what a load cannot
 // recompute — corpus, subjects, each subject's extraction — and nothing it
-// derives from those (forward and inverted index, dense blocks, pre-filter
-// caps, LSH tables, IDF weights, corpus counters):
+// derives from those (corpus counters, the vocabulary cut and its IDF
+// weights, forward and inverted index, dense blocks, pre-filter caps, LSH
+// tables):
 //
 //	options   the matcher options, JSON
 //	corpus    the dataset, field by field
@@ -48,22 +49,20 @@ type Index struct {
 //	          per family a uvarint entry count, then per entry the uvarint
 //	          step from the previous number (the first from -1: never 0)
 //	          and the uvarint count; then three totals, 42 frequencies
-//	vocab     the vocabulary cut as dictionary numbers in feature order
 //
-// Decoding docs sums each gram's corpus and document frequency, all a
-// VocabBuilder counts, and vocab is checked to be the cut those counters
-// give: Load hands the index pass what a rebuild over the same extractions
-// would.
+// Decoding docs sums each gram's corpus and document frequency into the
+// dictionary's own array — all a VocabBuilder counts, in the form it counts
+// in — so Load hands attribution.NewMatcherFromState what a Fold ends in:
+// counters to cut the vocabulary from and documents to index.
 const (
 	secOptions  = "options"
 	secCorpus   = "corpus"
 	secSubjects = "subjects"
 	secGrams    = "grams"
 	secDocs     = "docs"
-	secVocab    = "vocab"
 )
 
-var sectionNames = []string{secOptions, secCorpus, secSubjects, secGrams, secDocs, secVocab}
+var sectionNames = []string{secOptions, secCorpus, secSubjects, secGrams, secDocs}
 
 // writeIndex streams idx to out in the framed snapshot format.
 func writeIndex(out sink, idx *Index) error {
@@ -71,9 +70,9 @@ func writeIndex(out sink, idx *Index) error {
 	if err != nil {
 		return err
 	}
-	// The three things a snapshot leaves out because Load re-derives them.
-	if st.Vocab.Config != st.Opts.Reduction || st.Stats.Config != st.Opts.Reduction || st.Stats.NumDocs != len(st.Docs) {
-		return fmt.Errorf("matcher state disagrees with its own options (vocabulary or counters of another configuration)")
+	// The two things a snapshot leaves out because Load re-derives them.
+	if st.Stats.Config != st.Opts.Reduction || st.Stats.NumDocs != len(st.Docs) {
+		return fmt.Errorf("matcher state disagrees with its own options (counters of another configuration)")
 	}
 	optsJSON, err := json.Marshal(st.Opts)
 	if err != nil {
@@ -154,15 +153,6 @@ func writeIndex(out sink, idx *Index) error {
 		}
 	}
 	w.end()
-
-	w.begin(secVocab)
-	if err := writeNumbers(w, st.Vocab.Words, words); err != nil {
-		return err
-	}
-	if err := writeNumbers(w, st.Vocab.Chars, chars); err != nil {
-		return err
-	}
-	w.end()
 	return w.err
 }
 
@@ -205,19 +195,6 @@ func writeEntries(w *writer, es []features.GramEntry, dict features.GramIndex) e
 		w.uvarint(uint64(int64(num) - prev))
 		w.uvarint(uint64(e.Count))
 		prev = int64(num)
-	}
-	return nil
-}
-
-// writeNumbers writes one vocabulary family as dictionary numbers.
-func writeNumbers(w *writer, ids []features.GramID, dict features.GramIndex) error {
-	w.u32(uint32(len(ids)))
-	for _, id := range ids {
-		num, ok := dict.Number(id)
-		if !ok {
-			return fmt.Errorf("vocabulary gram %d is not in the corpus counters", id)
-		}
-		w.uvarint(uint64(num))
 	}
 	return nil
 }
@@ -327,19 +304,6 @@ func decodeIndex(raw []byte) (*Index, error) {
 	}
 	st.Stats.Words, st.Stats.Chars = dict[0], dict[1]
 
-	vr := &reader{b: byName[secVocab]}
-	st.Vocab.Config, st.Vocab.NumDocs = st.Opts.Reduction, len(docs)
-	var reason string
-	if st.Vocab.Words, st.Vocab.WordIDF, reason = readCut(vr, dict[0], st.Opts.Reduction.MaxWordGrams, len(docs)); reason == "" {
-		st.Vocab.Chars, st.Vocab.CharIDF, reason = readCut(vr, dict[1], st.Opts.Reduction.MaxCharGrams, len(docs))
-	}
-	if reason == "" && !vr.done() {
-		reason = "malformed payload"
-	}
-	if reason != "" {
-		return nil, corrupt(secVocab, "%s", reason)
-	}
-
 	matcher, err := attribution.NewMatcherFromState(subjects, st)
 	if err != nil {
 		return nil, corrupt("index", "state rejected: %v", err)
@@ -420,49 +384,12 @@ func readEntries(r *reader, arena []features.GramEntry, dict []features.GramCoun
 		}
 		g := &dict[next+step-1]
 		next += step
+		if count > uint64(math.MaxInt32-g.Freq) {
+			return nil, nil, fmt.Sprintf("gram %d counted more than %d times over the corpus", g.ID, math.MaxInt32)
+		}
 		es[j] = features.GramEntry{ID: g.ID, Count: int32(count)}
-		g.Freq += int64(count)
+		g.Freq += int32(count)
 		g.DF++
 	}
 	return es, rest, ""
-}
-
-// readCut decodes one family of the vocabulary and checks it against the
-// counters: the top of the dictionary in rank order, as long as the budget
-// allows. It returns the gram ids in feature order with the IDF weights a
-// Build computes, or why the list is not that.
-func readCut(r *reader, dict []features.GramCount, budget, numDocs int) ([]features.GramID, []float64, string) {
-	want := len(dict)
-	if budget >= 0 && budget < want {
-		want = budget
-	}
-	n := r.lengthBound(1)
-	if r.fail || n != want {
-		return nil, nil, fmt.Sprintf("%d grams listed, a budget of %d over %d counted keeps %d", n, budget, len(dict), want)
-	}
-	ids, idfs := make([]features.GramID, n), make([]float64, n)
-	var last features.GramCount
-	for i := range ids {
-		num := r.uvarint()
-		if r.fail || num >= uint64(len(dict)) {
-			return nil, nil, fmt.Sprintf("entry %d: gram number outside the %d-gram dictionary", i, len(dict))
-		}
-		g := dict[num]
-		if i > 0 && features.CompareRank(last, g) >= 0 {
-			return nil, nil, fmt.Sprintf("entry %d: gram %d listed twice or out of rank order", i, g.ID)
-		}
-		ids[i], idfs[i], last = g.ID, features.IDF(float64(numDocs), float64(g.DF)), g
-	}
-	if n > 0 && n < len(dict) {
-		ahead := 0
-		for _, g := range dict {
-			if features.CompareRank(g, last) <= 0 {
-				ahead++
-			}
-		}
-		if ahead != n {
-			return nil, nil, fmt.Sprintf("%d grams listed, %d rank at or above the last of them", n, ahead)
-		}
-	}
-	return ids, idfs, ""
 }

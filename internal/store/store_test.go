@@ -112,7 +112,7 @@ func assertIndexesEquivalent(t *testing.T, got, want *Index, probes []attributio
 	if !reflect.DeepEqual(got.Subjects, want.Subjects) {
 		t.Fatal("subjects diverge")
 	}
-	// What a snapshot is made from: vocabulary, counters, extractions.
+	// What a snapshot is made from: counters and extractions.
 	gs, gerr := got.Matcher.State()
 	ws, werr := want.Matcher.State()
 	if gerr != nil || werr != nil {
@@ -541,15 +541,15 @@ func TestOpenContinuesSequenceAfterCompaction(t *testing.T) {
 	}
 }
 
-// TestSnapshotSizeAndAllocationCeilings pins what format 2 is for, on a world
-// big enough that constants do not dominate: the three index sections cost
-// the dictionary 8 bytes a distinct gram, a document entry little over two
-// bytes (a one-byte step, a one-byte count, sometimes more) and a vocabulary
-// gram at most three; Save allocates no more than 1.5× the file it writes
-// (it streams: no section and no file is ever held whole); and Load
-// allocates by the subject — a constant number of blocks for the corpus,
-// the documents and the counters, the hash maps' tables, and what the index
-// pass allocates per subject — not by the message or the gram.
+// TestSnapshotSizeAndAllocationCeilings pins what the format is for, on a
+// world big enough that constants do not dominate: the two index sections
+// cost the dictionary 8 bytes a distinct gram and a document entry little
+// over two bytes (a one-byte step, a one-byte count, sometimes more); Save
+// allocates no more than 1.5× the file it writes (it streams: no section and
+// no file is ever held whole); and Load and Fold allocate by the subject — a
+// constant number of blocks for the corpus, the documents, the counter
+// arrays and the cut's tables, and what the index pass allocates per
+// subject — not by the message or the gram: no hash map holds a gram.
 func TestSnapshotSizeAndAllocationCeilings(t *testing.T) {
 	rng := rand.New(rand.NewSource(8500))
 	ds := testDataset(rng, "size", 80)
@@ -582,6 +582,20 @@ func TestSnapshotSizeAndAllocationCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fold of two subjects: beyond extracting those two, it allocates what a
+	// load's index pass does.
+	changed := append([]attribution.Subject(nil), idx.Subjects[3], idx.Subjects[40])
+	changed[0].Text += " " + testBody(rng, 40)
+	changed[1].Text += " " + testBody(rng, 40)
+	_, extractObjects := allocs(func() {
+		for _, c := range changed {
+			features.Extract(c.Text, opts.Reduction).Sorted()
+		}
+	})
+	_, foldObjects := allocs(func() { _, err = idx.Matcher.Fold(context.Background(), changed) })
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	state, err := idx.Matcher.State()
 	if err != nil {
@@ -592,12 +606,11 @@ func TestSnapshotSizeAndAllocationCeilings(t *testing.T) {
 		entries += len(d.WordGrams) + len(d.CharGrams)
 	}
 	grams := len(state.Stats.Words) + len(state.Stats.Chars)
-	vocab := len(state.Vocab.Words) + len(state.Vocab.Chars)
 	subjects, messages := len(idx.Subjects), ds.TotalMessages()
 	layout := snapshotLayout(t, raw)
-	t.Logf("%d bytes: %d subjects, %d messages, %d distinct grams, %d document entries, %d vocabulary grams; grams %d B, docs %d B (%.2f B an entry), vocab %d B; Save allocated %d B, Load %d objects",
-		len(raw), subjects, messages, grams, entries, vocab, layout[secGrams].len, layout[secDocs].len,
-		float64(layout[secDocs].len-subjects*8*features.NumFreqFeatures)/float64(entries), layout[secVocab].len, saveBytes, loadObjects)
+	t.Logf("%d bytes: %d subjects, %d messages, %d distinct grams, %d document entries; grams %d B, docs %d B (%.2f B an entry); Save allocated %d B, Load %d objects, Fold %d objects beyond %d to extract the changed subjects",
+		len(raw), subjects, messages, grams, entries, layout[secGrams].len, layout[secDocs].len,
+		float64(layout[secDocs].len-subjects*8*features.NumFreqFeatures)/float64(entries), saveBytes, loadObjects, foldObjects-extractObjects, extractObjects)
 
 	if got, max := layout[secGrams].len, 8*grams+8; got > max {
 		t.Errorf("grams section is %d bytes for %d distinct grams, ceiling %d", got, grams, max)
@@ -605,14 +618,55 @@ func TestSnapshotSizeAndAllocationCeilings(t *testing.T) {
 	if got, max := layout[secDocs].len, entries*9/4+subjects*(8*features.NumFreqFeatures+32)+12; got > max {
 		t.Errorf("docs section is %d bytes for %d entries in %d documents, ceiling %d", got, entries, subjects, max)
 	}
-	if got, max := layout[secVocab].len, 3*vocab+8; got > max {
-		t.Errorf("vocab section is %d bytes for %d grams, ceiling %d", got, vocab, max)
-	}
 	if max := uint64(len(raw)) * 3 / 2; saveBytes > max {
 		t.Errorf("Save allocated %d bytes for a %d-byte snapshot, ceiling %d", saveBytes, len(raw), max)
 	}
-	if max := uint64(10*subjects + grams/128 + 128); loadObjects > max || loadObjects > uint64(messages) {
+	// Per-subject terms with room for what the race detector adds (it turns
+	// sync.Pool off); neither ceiling has a per-gram term.
+	if max := uint64(8*subjects + 32); loadObjects > max || loadObjects > uint64(messages) {
 		t.Errorf("Load made %d allocations for %d subjects (%d messages, %d grams), ceiling %d and fewer than one a message", loadObjects, subjects, messages, grams, max)
+	}
+	if max := extractObjects + uint64(7*subjects+32); foldObjects > max {
+		t.Errorf("Fold made %d allocations for %d subjects (%d grams), %d of them extracting the changed subjects, ceiling %d", foldObjects, subjects, grams, extractObjects, max)
+	}
+}
+
+// TestReplayRefusesCountersThatDoNotHoldTheDocument: an index whose counters
+// never counted the document a fold takes out of them — here one subject's
+// cached extraction swapped for another text's — fails the replay with the
+// gram named, instead of publishing a generation cut from negative counters.
+func TestReplayRefusesCountersThatDoNotHoldTheDocument(t *testing.T) {
+	rng := rand.New(rand.NewSource(8800))
+	ds := testDataset(rng, "corpus", 8)
+	opts, subjOpts := testBuildOptions()
+	ctx := context.Background()
+	idx, err := BuildIndex(ctx, ds, opts, subjOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := idx.Matcher.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	state.Docs = append([]*features.SortedDoc(nil), state.Docs...)
+	state.Docs[2] = features.Extract("words no alias of this corpus ever posted zyzzyva quokka", opts.Reduction).Sorted()
+	forged := *idx
+	if forged.Matcher, err = attribution.NewMatcherFromState(idx.Subjects, state); err != nil {
+		t.Fatal(err)
+	}
+
+	thread := forum.ThreadRecord{Thread: "t-new", Messages: []forum.Message{{
+		ID: "m-new", Thread: "t-new", Author: idx.Subjects[2].Name, Body: testBody(rng, 30), PostedAt: time.Date(2017, 9, 2, 8, 0, 0, 0, time.UTC),
+	}}}
+	entries := []JournalEntry{{Seq: 1, Thread: thread}}
+	next, err := Replay(ctx, &forged, entries, subjOpts)
+	if err == nil || next != nil || !strings.Contains(err.Error(), "never added") {
+		t.Fatalf("replay over forged counters returned index %v, error %v; want no index and the counters' refusal", next != nil, err)
+	}
+	t.Log(err)
+	// The same delta folds into the index whose counters do hold the document.
+	if _, err := Replay(ctx, idx, entries, subjOpts); err != nil {
+		t.Fatalf("replay over the sound index: %v", err)
 	}
 }
 
