@@ -111,7 +111,7 @@ func TestExactSkipOfZeroWeightTermsMovesNoBit(t *testing.T) {
 	wf2, wa2 := w.Freq*w.Freq, w.Activity*w.Activity
 	var buf, refBuf matchBuffers
 	for pi := range probes {
-		doc := features.Extract(probes[pi].Text, m.opts.Reduction).Sorted()
+		doc := features.Extract(probes[pi].Text, m.opts.Reduction)
 		ub := buildBlocks(&probes[pi], m.vocab, m.opts.Reduction)
 		qv32 := refBuf.queryVals(ub.grams.Val)
 		skipped := 0
@@ -141,7 +141,7 @@ func TestExactSkipOfZeroWeightTermsMovesNoBit(t *testing.T) {
 	}
 }
 
-// TestRankAllocationCeiling: beyond extracting and flattening the query,
+// TestRankAllocationCeiling: beyond extracting the query's document,
 // which RankDetailed does first, a warm stage-1 rank allocates a fixed
 // handful — the query's frequency and activity blocks and the returned
 // slice, 3 measured — and nothing the size of the vocabulary, the known set
@@ -157,13 +157,13 @@ func TestRankAllocationCeiling(t *testing.T) {
 	// A scratch of the test's own, as a MatchAll worker holds one: under
 	// -race sync.Pool drops buffers at random, which is not what is measured.
 	var buf matchBuffers
-	doc := features.Extract(probe.Text, m.opts.Reduction).Sorted()
+	doc := features.Extract(probe.Text, m.opts.Reduction)
 	m.rankDoc(doc, probe, MatchOptions{K: 10}, &buf)
 	rank := testing.AllocsPerRun(20, func() {
 		m.rankDoc(doc, probe, MatchOptions{K: 10}, &buf)
 	})
 	const ceiling = 4
 	if rank > ceiling {
-		t.Errorf("warm rank of a flattened document allocates %.0f, ceiling %d", rank, ceiling)
+		t.Errorf("warm rank of an extracted document allocates %.0f, ceiling %d", rank, ceiling)
 	}
 }

@@ -60,7 +60,7 @@ type Options struct {
 	// MatchOptions can override the mode. See internal/prefilter.
 	Prefilter prefilter.Params
 	// Incremental retains the corpus gram counters and each subject's
-	// sorted reduction-config document after the build, enabling State()
+	// reduction-config document after the build, enabling State()
 	// (persistence) and Fold (delta updates without a full rebuild). Costs
 	// roughly the size of the extracted corpus in memory; the built index
 	// is bit-identical either way.
@@ -132,6 +132,10 @@ type MatchResult struct {
 // activity blocks; after that Match and MatchAll are safe for concurrent
 // use.
 type Matcher struct {
+	// given is the options as the caller passed them, opts their resolved
+	// form (WithDefaults). A snapshot persists given, so that what was left
+	// to default — Workers above all — resolves again where it is loaded.
+	given Options
 	opts  Options
 	known []Subject
 
@@ -193,7 +197,7 @@ type Matcher struct {
 	sameExtract bool
 	// stats and docs are retained only under Options.Incremental: the
 	// corpus gram counters the vocabulary was built from, and each known
-	// subject's sorted reduction-config document (aligned with known).
+	// subject's reduction-config document (aligned with known).
 	// Together they let Fold subtract a subject's old counts, add its new
 	// ones, and re-run only the index pass — and let State() persist
 	// enough to do the same after a restart.
@@ -309,8 +313,8 @@ func NewMatcher(known []Subject, opts Options) (*Matcher, error) {
 // obs.Tracer: the vocabulary pass emits a "matcher.vocab" span and the
 // index pass a "matcher.index" span, each with one shard child per worker
 // chunk. The built index is bit-identical with tracing on or off.
-func NewMatcherContext(ctx context.Context, known []Subject, opts Options) (*Matcher, error) {
-	opts = opts.WithDefaults()
+func NewMatcherContext(ctx context.Context, known []Subject, given Options) (*Matcher, error) {
+	opts := given.WithDefaults()
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
@@ -322,7 +326,7 @@ func NewMatcherContext(ctx context.Context, known []Subject, opts Options) (*Mat
 	// gram id, so the merged vocabulary is bit-identical to a sequential
 	// build for any worker count. A builder lets go of a document once its
 	// batch is merged in — keeping every doc alive would cost ~1 MB per
-	// subject — and only Incremental retains the sorted forms for Fold/State.
+	// subject — and only Incremental retains the documents for Fold/State.
 	shards := shardCount(opts.Workers, len(known))
 	vctx, vspan := obs.Start(ctx, "matcher.vocab")
 	vspan.AddItems(int64(len(known)))
@@ -339,7 +343,7 @@ func NewMatcherContext(ctx context.Context, known []Subject, opts Options) (*Mat
 		defer ss.End()
 		vb := features.NewVocabBuilder(opts.Reduction)
 		for i := lo; i < hi; i++ {
-			sd := features.Extract(known[i].Text, opts.Reduction).Sorted()
+			sd := features.Extract(known[i].Text, opts.Reduction)
 			if docs != nil {
 				docs[i] = sd
 			}
@@ -360,7 +364,7 @@ func NewMatcherContext(ctx context.Context, known []Subject, opts Options) (*Mat
 	if err != nil {
 		return nil, fmt.Errorf("attribution: corpus counters: %w", err)
 	}
-	return foldTail(ctx, known, docs, vb, opts)
+	return foldTail(ctx, known, docs, vb, given)
 }
 
 // validateOptions checks the feature configurations of already-defaulted
@@ -380,13 +384,15 @@ func validateOptions(opts Options) error {
 // newMatcherFromDocs runs the index pass over a frozen vocabulary — the one
 // way a matcher comes to exist: a build, a Fold and a snapshot load all end
 // in foldTail, which ends here. docs, when non-nil, supplies each subject's
-// pre-sorted reduction document (a build under Incremental, a Fold and a
-// load have them at hand); when nil every subject is re-extracted from its
+// reduction document (a build under Incremental, a Fold and a load have them
+// at hand); when nil every subject is re-extracted from its
 // text. The per-entry vectorizer arithmetic is identical either way, so the
-// paths assemble bit-identical indexes. opts must already be defaulted and validated; stats and docs are
-// retained on the matcher only under opts.Incremental.
-func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.SortedDoc, stats *features.VocabBuilder, vocab *features.Vocabulary, opts Options) (*Matcher, error) {
-	m := &Matcher{opts: opts, known: known, vocab: vocab}
+// paths assemble bit-identical indexes. given must already have been
+// validated in its resolved form; stats and docs are retained on the matcher
+// only under Incremental.
+func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.SortedDoc, stats *features.VocabBuilder, vocab *features.Vocabulary, given Options) (*Matcher, error) {
+	opts := given.WithDefaults()
+	m := &Matcher{given: given, opts: opts, known: known, vocab: vocab}
 	if opts.Incremental {
 		m.stats = stats
 		m.docs = docs
@@ -419,7 +425,7 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 			if docs != nil {
 				d = docs[i]
 			} else {
-				d = features.Extract(known[i].Text, opts.Reduction).Sorted()
+				d = features.Extract(known[i].Text, opts.Reduction)
 			}
 			// A fresh vector per subject: its indices stay as the forward list.
 			var vec sparse.Vector
@@ -595,11 +601,11 @@ func (m *Matcher) RankWith(unknown *Subject, k int, w Weights) []Scored {
 // RankDetailed runs stage 1 under per-query options and reports what the
 // candidate pre-filter did alongside the top-k.
 func (m *Matcher) RankDetailed(unknown *Subject, o MatchOptions) ([]Scored, prefilter.Stats) {
-	doc := features.Extract(unknown.Text, m.opts.Reduction).Sorted()
+	doc := features.Extract(unknown.Text, m.opts.Reduction)
 	return m.rankDoc(doc, unknown, o, nil)
 }
 
-// rankDoc ranks an already-extracted, flattened reduction-config document,
+// rankDoc ranks an already-extracted reduction-config document,
 // with optional per-worker scratch buffers (drawn from the matcher's pool
 // when nil). It resolves the per-query options against the matcher's
 // defaults and dispatches to the selected pre-filter path; see rank.go.
@@ -692,7 +698,7 @@ func (m *Matcher) Rescore(unknown *Subject, candidates []Scored) []Scored {
 	return m.rescoreDoc(nil, unknown, candidates, buf)
 }
 
-// rescoreDoc is Rescore with an optional pre-extracted, flattened unknown
+// rescoreDoc is Rescore with an optional pre-extracted unknown
 // document (valid only when the reduction and final configs share
 // extraction — Match checks m.sameExtract before passing one) on the
 // caller's scratch.
@@ -706,15 +712,15 @@ func (m *Matcher) rescoreDoc(udoc *features.SortedDoc, unknown *Subject, candida
 		}
 	}
 	buf.idxs, buf.docs = idxs, docs
-	// The per-query vocabulary rebuild runs over id-sorted gram lists (the
-	// cache stores candidates pre-flattened) in storage buf keeps: a
+	// The per-query vocabulary rebuild runs over the documents' id-sorted
+	// gram lists in storage buf keeps: a
 	// VocabBuilder would allocate its counters and tables per query.
 	vocab := &buf.vocab
 	vocab.Reset(m.opts.Final, docs)
 
 	w := m.opts.weights()
 	if udoc == nil {
-		udoc = features.Extract(unknown.Text, m.opts.Final).Sorted()
+		udoc = features.Extract(unknown.Text, m.opts.Final)
 	}
 	vocab.VectorizeGramsInto(&buf.uvec, udoc)
 	ub := blocksOf(buf.uvec, udoc, unknown)
@@ -754,16 +760,16 @@ func (m *Matcher) MatchWith(unknown *Subject, o MatchOptions) MatchResult {
 
 // match is Match with optional per-worker scratch and a context that may
 // carry a tracer (per-query "match.rank" / "match.rescore" spans). The
-// unknown's document is extracted and flattened once; when the two stages
-// share an extraction config (the paper's setup) the same flattened
-// document also feeds Rescore.
+// unknown's document is extracted once; when the two stages share an
+// extraction config (the paper's setup) the same document also feeds
+// Rescore.
 func (m *Matcher) match(ctx context.Context, unknown *Subject, buf *matchBuffers, o MatchOptions) MatchResult {
 	res := MatchResult{Unknown: unknown.Name}
 	if buf == nil {
 		buf = m.getBuf()
 		defer m.putBuf(buf)
 	}
-	udoc := features.Extract(unknown.Text, m.opts.Reduction).Sorted()
+	udoc := features.Extract(unknown.Text, m.opts.Reduction)
 	_, rsp := obs.Start(ctx, "match.rank")
 	res.Candidates, _ = m.rankDoc(udoc, unknown, o, buf)
 	rsp.AddItems(int64(len(res.Candidates)))

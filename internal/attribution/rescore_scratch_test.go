@@ -73,7 +73,7 @@ func TestStage2ScratchConcurrent(t *testing.T) {
 }
 
 // TestRescoreAllocationCeiling keeps the per-request garbage from creeping
-// back: a warm Rescore allocates what extracting and flattening the
+// back: a warm Rescore allocates what extracting the
 // unknown's document allocates (stage 2 must read the text) plus a fixed
 // handful — the returned slice, the sort of k scores and the unknown's own
 // frequency and activity blocks — and nothing per candidate (their dense
@@ -94,7 +94,7 @@ func TestRescoreAllocationCeiling(t *testing.T) {
 	var buf matchBuffers
 	m.rescoreDoc(nil, probe, cands, &buf) // fill the document cache and size the scratch
 	extract := testing.AllocsPerRun(20, func() {
-		features.Extract(probe.Text, m.opts.Final).Sorted()
+		features.Extract(probe.Text, m.opts.Final)
 	})
 	rescore := testing.AllocsPerRun(20, func() {
 		m.rescoreDoc(nil, probe, cands, &buf)

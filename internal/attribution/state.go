@@ -32,7 +32,8 @@ type IndexState struct {
 	Docs  []*features.SortedDoc
 }
 
-// State snapshots the index for persistence. Only incremental matchers
+// State snapshots the index for persistence, with the options as the
+// matcher was given them, not as it resolved them. Only incremental matchers
 // can be snapshotted.
 func (m *Matcher) State() (IndexState, error) {
 	if m.docs == nil {
@@ -42,7 +43,7 @@ func (m *Matcher) State() (IndexState, error) {
 	if err != nil {
 		return IndexState{}, err
 	}
-	return IndexState{Opts: m.opts, Stats: stats, Docs: m.docs}, nil
+	return IndexState{Opts: m.given, Stats: stats, Docs: m.docs}, nil
 }
 
 // NewMatcherFromState rebuilds a matcher from a snapshot — the cold-start
@@ -53,8 +54,7 @@ func (m *Matcher) State() (IndexState, error) {
 // order); Rank, Rescore, Match, and MatchAll output is bit-identical to the
 // matcher State was called on.
 func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
-	opts := st.Opts.WithDefaults()
-	if err := validateOptions(opts); err != nil {
+	if err := validateOptions(st.Opts.WithDefaults()); err != nil {
 		return nil, err
 	}
 	if len(st.Docs) != len(known) || slices.Contains(st.Docs, nil) {
@@ -64,16 +64,17 @@ func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return foldTail(context.Background(), known, st.Docs, stats, opts)
+	return foldTail(context.Background(), known, st.Docs, stats, st.Opts)
 }
 
-// foldTail cuts the vocabulary from the counters and runs the index pass.
-func foldTail(ctx context.Context, known []Subject, docs []*features.SortedDoc, stats *features.VocabBuilder, opts Options) (*Matcher, error) {
+// foldTail cuts the vocabulary from the counters and runs the index pass
+// under the options as given, resolved where this runs.
+func foldTail(ctx context.Context, known []Subject, docs []*features.SortedDoc, stats *features.VocabBuilder, given Options) (*Matcher, error) {
 	vocab, err := stats.Build()
 	if err != nil {
 		return nil, fmt.Errorf("attribution: corpus counters: %w", err)
 	}
-	return newMatcherFromDocs(ctx, known, docs, stats, vocab, opts)
+	return newMatcherFromDocs(ctx, known, docs, stats, vocab, given)
 }
 
 // Fold returns a new matcher with the changed subjects applied — updated
@@ -102,7 +103,7 @@ func (m *Matcher) Fold(ctx context.Context, changed []Subject) (*Matcher, error)
 		idx[known[i].Name] = i
 	}
 	for _, c := range changed {
-		sd := features.Extract(c.Text, m.opts.Reduction).Sorted()
+		sd := features.Extract(c.Text, m.opts.Reduction)
 		if i, ok := idx[c.Name]; ok {
 			stats.RemoveSorted(docs[i])
 			stats.AddSorted(sd)
@@ -126,7 +127,7 @@ func (m *Matcher) Fold(ctx context.Context, changed []Subject) (*Matcher, error)
 		sortedKnown[j] = known[i]
 		sortedDocs[j] = docs[i]
 	}
-	return foldTail(ctx, sortedKnown, sortedDocs, stats, m.opts)
+	return foldTail(ctx, sortedKnown, sortedDocs, stats, m.given)
 }
 
 // Subjects exposes the known subjects in index order. The slice is the

@@ -161,12 +161,12 @@ type blocks struct {
 
 // buildBlocks extracts and normalises the three blocks of a subject.
 func buildBlocks(s *Subject, vocab *features.Vocabulary, cfg features.Config) blocks {
-	d := features.Extract(s.Text, cfg).Sorted()
+	d := features.Extract(s.Text, cfg)
 	return blocksOf(vocab.VectorizeGramsSorted(d), d, s)
 }
 
 // blocksOf assembles a subject's blocks around the TF-IDF gram vector
-// already vectorized from its flattened document d — by the reduction
+// already vectorized from its document d — by the reduction
 // vocabulary (index pass, stage-1 query) or a candidate vocabulary (stage
 // 2); one vectorizer serves both, so the blocks are bit-identical whichever
 // way d was obtained. grams is normalised in place and stays aliased.

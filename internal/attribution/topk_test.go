@@ -118,7 +118,7 @@ func referenceRescore(m *Matcher, unknown *Subject, candidates []Scored) []Score
 	}
 	vb := features.NewVocabBuilder(m.opts.Final)
 	for _, s := range subjects {
-		vb.Add(features.Extract(s.Text, m.opts.Final))
+		vb.AddSorted(features.Extract(s.Text, m.opts.Final))
 	}
 	vocab, err := vb.Build()
 	if err != nil {

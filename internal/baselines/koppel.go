@@ -70,10 +70,8 @@ func NewKoppel(known []attribution.Subject, cfg KoppelConfig) (*Koppel, error) {
 	}
 	k := &Koppel{cfg: cfg, known: known}
 	vb := features.NewVocabBuilder(cfg.Features)
-	docs := make([]*features.Doc, len(known))
 	for i := range known {
-		docs[i] = features.Extract(known[i].Text, cfg.Features)
-		vb.Add(docs[i])
+		vb.AddSorted(features.Extract(known[i].Text, cfg.Features))
 	}
 	var err error
 	if k.vocab, err = vb.Build(); err != nil {

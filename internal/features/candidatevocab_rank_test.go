@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// shapeDoc builds a Doc from explicit word and char gram counts.
-func shapeDoc(words, chars map[GramID]int) *Doc {
-	d := &Doc{WordGrams: words, CharGrams: chars}
+// shapeDoc builds a document from explicit word and char gram counts.
+func shapeDoc(words, chars map[GramID]int) *mapDoc {
+	d := &mapDoc{WordGrams: words, CharGrams: chars}
 	for _, c := range words {
 		d.WordTotal += c
 	}
@@ -38,25 +38,25 @@ func flatGrams(base, n, c int, sequential bool) map[GramID]int {
 
 // rankShapes are the inputs a comparison sort hides the difficulty of and a
 // counting sort has to get right explicitly.
-func rankShapes(rng *rand.Rand) map[string][]*Doc {
-	shapes := make(map[string][]*Doc)
+func rankShapes(rng *rand.Rand) map[string][]*mapDoc {
+	shapes := make(map[string][]*mapDoc)
 
 	// Every gram at one frequency: the whole aggregate is a single tie
 	// class, so any budget cuts inside it and only gram-id order decides.
-	var flat []*Doc
+	var flat []*mapDoc
 	for d := 0; d < 4; d++ {
 		flat = append(flat, shapeDoc(flatGrams(100*d, 100, 3, false), flatGrams(1000+150*d, 150, 2, true)))
 	}
 	shapes["one_tie_class"] = flat
 
-	shapes["single_doc"] = []*Doc{randomDoc(rng)}
-	shapes["empty_docs"] = []*Doc{shapeDoc(map[GramID]int{}, map[GramID]int{}), shapeDoc(map[GramID]int{}, map[GramID]int{})}
-	shapes["empty_beside_full"] = []*Doc{shapeDoc(map[GramID]int{}, map[GramID]int{}), randomDoc(rng), shapeDoc(map[GramID]int{}, map[GramID]int{})}
+	shapes["single_doc"] = []*mapDoc{randomDoc(rng)}
+	shapes["empty_docs"] = []*mapDoc{shapeDoc(map[GramID]int{}, map[GramID]int{}), shapeDoc(map[GramID]int{}, map[GramID]int{})}
+	shapes["empty_beside_full"] = []*mapDoc{shapeDoc(map[GramID]int{}, map[GramID]int{}), randomDoc(rng), shapeDoc(map[GramID]int{}, map[GramID]int{})}
 
 	// One document k times over: every document frequency is k, every IDF
 	// ln((1+k)/(1+k)) = 0, and every frequency a multiple of k.
 	rep := randomDoc(rng)
-	shapes["repeated_doc"] = []*Doc{rep, rep, rep, rep, rep, rep, rep}
+	shapes["repeated_doc"] = []*mapDoc{rep, rep, rep, rep, rep, rep, rep}
 
 	// One frequency past the 16-bit digit (and, summed over two docs, past
 	// a second one) beside thousands of singletons: the two-pass path, a
@@ -69,11 +69,11 @@ func rankShapes(rng *rand.Rand) map[string][]*Doc {
 	huge[GramID(10)] = 1<<16 - 1
 	other := flatGrams(2000, 3000, 1, false)
 	other[GramID(7)] = 1 << 29
-	shapes["huge_frequency"] = []*Doc{shapeDoc(huge, flatGrams(5000, 2000, 1, true)), shapeDoc(other, flatGrams(6000, 2000, 1, true))}
+	shapes["huge_frequency"] = []*mapDoc{shapeDoc(huge, flatGrams(5000, 2000, 1, true)), shapeDoc(other, flatGrams(6000, 2000, 1, true))}
 
 	// Random overlap, a few docs to many.
 	for _, k := range []int{2, 10, 33} {
-		docs := make([]*Doc, k)
+		docs := make([]*mapDoc, k)
 		for i := range docs {
 			docs[i] = randomDoc(rng)
 		}
@@ -83,7 +83,7 @@ func rankShapes(rng *rand.Rand) map[string][]*Doc {
 }
 
 // distinctGrams counts the distinct word and char grams over docs.
-func distinctGrams(docs []*Doc) (words, chars int) {
+func distinctGrams(docs []*mapDoc) (words, chars int) {
 	w, c := make(map[GramID]bool), make(map[GramID]bool)
 	for _, d := range docs {
 		for g := range d.WordGrams {
@@ -99,7 +99,7 @@ func distinctGrams(docs []*Doc) (words, chars int) {
 // assertMatchesReference compares cv entry by entry with the map-based
 // reference built over the same docs: feature index, IDF bits, and the
 // vector bits of every doc plus an unseen probe.
-func assertMatchesReference(t *testing.T, label string, cfg Config, cv *CandidateVocab, docs []*Doc, probe *Doc) {
+func assertMatchesReference(t *testing.T, label string, cfg Config, cv *CandidateVocab, docs []*mapDoc, probe *mapDoc) {
 	t.Helper()
 	ref := refBuilderOf(cfg, docs...).Build()
 	if cv.NumWordGrams() != ref.NumWordGrams() || cv.NumCharGrams() != ref.NumCharGrams() {
@@ -134,7 +134,7 @@ func assertMatchesReference(t *testing.T, label string, cfg Config, cv *Candidat
 	check("word", cv.wordByID, ref.words.byID)
 	check("char", cv.charByID, ref.chars.byID)
 	for j, d := range append(docs[:len(docs):len(docs)], probe) {
-		want := ref.VectorizeGrams(d)
+		want := ref.VectorizeGramsSorted(d.Sorted())
 		if got := cv.VectorizeGrams(d.Sorted()); !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: doc %d vector not bit-identical\nfast: %v\nref:  %v", label, j, got, want)
 		}
@@ -142,7 +142,7 @@ func assertMatchesReference(t *testing.T, label string, cfg Config, cv *Candidat
 }
 
 // TestCountingRankMatchesReference pins the counting-sort selection to the
-// map-based refBuilder + Vocabulary.VectorizeGrams reference on the
+// map-based refBuilder + Vocabulary.VectorizeGramsSorted reference on the
 // shapes where a stable counting sort and a comparison sort could part
 // ways, under budgets that keep nothing, cut inside a tie class, keep
 // exactly everything, and keep more than there is. One CandidateVocab is
@@ -219,9 +219,13 @@ func TestRankByFreqIsStableDescending(t *testing.T) {
 	}
 }
 
-// TestSortedIsIDOrdered checks the radix flattening against a comparison
-// sort on hashed ids (buckets split evenly), dense small ids (every
-// leading byte shared) and ids that differ only in the last byte.
+// TestSortedIsIDOrdered checks countIDs — the id sort and the run-length
+// count behind every document — against a map count on hashed ids (the two
+// radix passes order them), dense small ids and ids that differ only in the
+// last byte (one prefix group: the finishing walk sorts everything), ids
+// spread over a few large groups and over many groups of five sharing a
+// prefix, and one id repeated throughout; every id occurs one to nine times,
+// shuffled.
 func TestSortedIsIDOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	gens := map[string]func(i int) GramID{
@@ -229,14 +233,24 @@ func TestSortedIsIDOrdered(t *testing.T) {
 		"dense_small": func(i int) GramID { return GramID(i * 3) },
 		"last_byte":   func(i int) GramID { return GramID(0xabcdef0123456700 | uint64(i&0xff)) },
 		"two_levels":  func(i int) GramID { return GramID(uint64(i&3)<<56 | uint64(rng.Intn(1<<20))) },
+		"prefix_fives": func(i int) GramID {
+			return GramID(uint64(i/5)*0x9e3779b97f4a7c15&^(1<<sortShift-1) | uint64(rng.Intn(1<<30)))
+		},
+		"one_id": func(i int) GramID { return GramID(0x9e3779b97f4a7c15) },
 	}
 	for name, gen := range gens {
-		for _, n := range []int{0, 1, 31, 32, 33, 200, 5000} {
+		for _, n := range []int{0, 1, 2, 31, 32, 33, 200, 5000} {
 			m := make(map[GramID]int, n)
+			var ids []uint64
 			for i := 0; i < n; i++ {
-				m[gen(i)] = 1 + rng.Intn(9)
+				id := gen(i)
+				for c := 1 + rng.Intn(9); c > 0; c-- {
+					m[id]++
+					ids = append(ids, uint64(id))
+				}
 			}
-			got := sortedEntries(m)
+			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			got := countIDs(ids)
 			if len(got) != len(m) {
 				t.Fatalf("%s n=%d: %d entries, want %d", name, n, len(got), len(m))
 			}

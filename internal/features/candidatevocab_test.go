@@ -12,7 +12,7 @@ import (
 // BuildCandidateVocab and VectorizeGrams are the allocating forms of Reset
 // and VectorizeGramsInto the reference comparisons are written against;
 // the matcher itself only ever reuses pooled storage. Like
-// Vocabulary.VectorizeGrams, an empty result has empty, not nil, slices.
+// Vocabulary.VectorizeGramsSorted, an empty result has empty, not nil, slices.
 func BuildCandidateVocab(cfg Config, docs []*SortedDoc) *CandidateVocab {
 	v := new(CandidateVocab)
 	v.Reset(cfg, docs)
@@ -28,8 +28,8 @@ func (v *CandidateVocab) VectorizeGrams(d *SortedDoc) sparse.Vector {
 // randomDoc builds a synthetic document from a small gram-id pool so that
 // cross-document overlaps and frequency ties are common — the cases where
 // selection order and tie-breaking could drift between implementations.
-func randomDoc(rng *rand.Rand) *Doc {
-	d := &Doc{
+func randomDoc(rng *rand.Rand) *mapDoc {
+	d := &mapDoc{
 		WordGrams: make(map[GramID]int),
 		CharGrams: make(map[GramID]int),
 	}
@@ -75,13 +75,13 @@ func TestCandidateVocabMatchesVocabBuilder(t *testing.T) {
 			cfg.MaxWordGrams, cfg.MaxCharGrams = -1, -1
 		}
 
-		docs := make([]*Doc, 1+rng.Intn(12))
+		docs := make([]*mapDoc, 1+rng.Intn(12))
 		sorted := make([]*SortedDoc, len(docs))
 		vb := NewVocabBuilder(cfg)
 		for i := range docs {
 			docs[i] = randomDoc(rng)
 			sorted[i] = docs[i].Sorted()
-			vb.Add(docs[i])
+			vb.AddSorted(sorted[i])
 		}
 		ref := mustBuild(t, vb)
 		cv := BuildCandidateVocab(cfg, sorted)
@@ -93,7 +93,7 @@ func TestCandidateVocabMatchesVocabBuilder(t *testing.T) {
 		// Vectorize both the corpus docs and an unseen probe document.
 		probe := randomDoc(rng)
 		for j, d := range append(docs, probe) {
-			want := ref.VectorizeGrams(d)
+			want := ref.VectorizeGramsSorted(d.Sorted())
 			got := cv.VectorizeGrams(d.Sorted())
 			if !reflect.DeepEqual(fmt.Sprint(want), fmt.Sprint(got)) {
 				t.Fatalf("trial %d doc %d: vectors differ\nfast: %v\nref:  %v", trial, j, got, want)

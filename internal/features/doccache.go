@@ -2,17 +2,14 @@ package features
 
 import "sync/atomic"
 
-// DocCache memoises Extract (flattened to SortedDoc form) over a fixed set
-// of texts under one Config. It is the attribution layer's hook for the
-// second-stage hot path: the matcher re-reads the same known subjects'
-// documents for every unknown it rescoring-ranks, and at k = 10 candidates
-// per query the same few prolific subjects surface over and over. Entries
+// DocCache memoises Extract over a fixed set of texts under one Config. It
+// is the attribution layer's hook for the second-stage hot path: the matcher
+// re-reads the same known subjects' documents for every unknown it
+// rescoring-ranks, and at k = 10 candidates per query the same few prolific
+// subjects surface over and over. Entries
 // are extracted lazily on first Get, so a matcher that only ever touches a
 // fraction of the known set (the usual case — only subjects that surface
-// in some top-k are rescored) pays memory only for that fraction. Entries
-// are stored as SortedDocs because that is what the candidate-vocabulary
-// fast path consumes, and the flattened form is several times smaller than
-// the Doc's gram maps.
+// in some top-k are rescored) pays memory only for that fraction.
 //
 // Safe for concurrent use. Two goroutines racing on the same cold entry may
 // both extract (Extract is pure), but CompareAndSwap keeps a single
@@ -54,7 +51,7 @@ func (c *DocCache) Get(i int) *SortedDoc {
 	if d := c.docs[i].Load(); d != nil {
 		return d
 	}
-	d := Extract(c.texts[i], c.cfg).Sorted()
+	d := Extract(c.texts[i], c.cfg)
 	if !c.docs[i].CompareAndSwap(nil, d) {
 		return c.docs[i].Load()
 	}

@@ -11,6 +11,13 @@
 // experiment sweeps feasible. The hash is fixed (not seeded per process)
 // so runs are reproducible.
 //
+// A document has one form, SortedDoc: per gram family a list of (gram id,
+// count) in ascending id. Extract emits it directly — occurrence ids into
+// one slice, a radix sort, a run-length count — and the corpus counters, the
+// per-query candidate vocabulary and the vectorizer all consume it by
+// linear merges, so there is no hash map anywhere between a text and its
+// vector.
+//
 // The package is deliberately two-pass friendly: extraction (Extract) is
 // cheap and repeatable, so callers keep only compact sparse vectors and
 // rebuild vocabularies over candidate subsets — exactly what the paper's
@@ -20,6 +27,7 @@ package features
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"darklight/internal/lemma"
 	"darklight/internal/tokenize"
@@ -80,13 +88,16 @@ func (c Config) SameExtraction(o Config) bool {
 	return c == o
 }
 
+// maxCharOrder is the longest char n-gram the extractor's offset ring holds.
+const maxCharOrder = 16
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
 	case c.WordMin < 1 || c.WordMax < c.WordMin:
 		return fmt.Errorf("features: invalid word n-gram range [%d,%d]", c.WordMin, c.WordMax)
-	case c.CharMin < 1 || c.CharMax < c.CharMin:
-		return fmt.Errorf("features: invalid char n-gram range [%d,%d]", c.CharMin, c.CharMax)
+	case c.CharMin < 1 || c.CharMax < c.CharMin || c.CharMax > maxCharOrder:
+		return fmt.Errorf("features: invalid char n-gram range [%d,%d] (orders run 1..%d)", c.CharMin, c.CharMax, maxCharOrder)
 	case c.MaxWordGrams < 0 || c.MaxCharGrams < 0:
 		return fmt.Errorf("features: negative vocabulary budget")
 	}
@@ -125,36 +136,25 @@ type GramID uint64
 // HashGram returns the feature id of a gram given as a string. Exposed for
 // tests and for tools that need to look up a specific gram.
 func HashGram(s string) GramID {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+	h := uint64(fnvOffset)
 	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return GramID(h)
 }
 
-// Doc holds the raw feature counts of one document (the concatenated text
-// of one alias). Docs are transient: build them, feed them to a
-// VocabBuilder or Vectorize them, then let them go.
-type Doc struct {
-	WordGrams  map[GramID]int
-	CharGrams  map[GramID]int
-	WordTotal  int
-	CharTotal  int
-	Freq       [NumFreqFeatures]float64
-	TotalChars int
-}
+// The 64-bit FNV-1a parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
-// Extract computes all raw feature counts for one text under cfg.
-func Extract(text string, cfg Config) *Doc {
-	d := &Doc{
-		WordGrams: make(map[GramID]int, 1024),
-		CharGrams: make(map[GramID]int, 4096),
-	}
+// Extract computes all raw feature counts for one text under cfg: per gram
+// family every occurrence's id goes into one slice, which is sorted and
+// run-length counted (countIDs) — no hash map, and nothing kept between
+// calls.
+func Extract(text string, cfg Config) *SortedDoc {
+	d := new(SortedDoc)
 	words := tokenize.Words(text)
 	if cfg.Lemmatize {
 		words = lemma.LemmatizeAll(words)
@@ -164,16 +164,32 @@ func Extract(text string, cfg Config) *Doc {
 	for i, w := range words {
 		wordHashes[i] = uint64(HashGram(w))
 	}
+	ids := make([]uint64, 0, occurrences(len(words), cfg.WordMin, cfg.WordMax))
 	for n := cfg.WordMin; n <= cfg.WordMax; n++ {
-		countWordGrams(d.WordGrams, wordHashes, n, &d.WordTotal)
+		ids = appendWordGrams(ids, wordHashes, n)
 	}
-	for n := cfg.CharMin; n <= cfg.CharMax; n++ {
-		countCharGrams(d.CharGrams, text, n, &d.CharTotal)
-	}
+	d.WordTotal = len(ids)
+	d.WordGrams = countIDs(ids)
+
+	ids = make([]uint64, 0, occurrences(utf8.RuneCountInString(text), cfg.CharMin, cfg.CharMax))
+	ids = appendCharGrams(ids, text, cfg.CharMin, cfg.CharMax)
+	d.CharTotal = len(ids)
+	d.CharGrams = countIDs(ids)
+
 	if cfg.IncludeFreq {
 		extractFreq(text, &d.Freq, &d.TotalChars)
 	}
 	return d
+}
+
+// occurrences is the number of n-grams of orders lo..hi in a sequence of
+// length items.
+func occurrences(items, lo, hi int) int {
+	total := 0
+	for n := lo; n <= hi; n++ {
+		total += max(items-n+1, 0)
+	}
+	return total
 }
 
 // mix combines two 64-bit hashes order-sensitively (an n-gram is a
@@ -184,60 +200,52 @@ func mix(a, b uint64) uint64 {
 	return a ^ (a >> 33)
 }
 
-// countWordGrams counts word n-grams by chaining pre-computed word hashes.
-func countWordGrams(into map[GramID]int, wordHashes []uint64, n int, total *int) {
-	if len(wordHashes) < n {
-		return
-	}
+// appendWordGrams appends the id of every word n-gram, chaining the
+// pre-computed word hashes.
+func appendWordGrams(ids, wordHashes []uint64, n int) []uint64 {
 	for i := 0; i+n <= len(wordHashes); i++ {
 		h := wordHashes[i]
 		for j := 1; j < n; j++ {
 			h = mix(h, wordHashes[i+j])
 		}
-		into[GramID(h)]++
-		*total++
+		ids = append(ids, h)
 	}
+	return ids
 }
 
-// countCharGrams counts rune n-grams using a rolling ring of rune start
-// offsets: each gram is hashed directly from the original string slice —
-// no []rune materialisation, no per-gram allocation. Ranging over a string
-// yields rune start offsets, so a window of the last n starts identifies
-// each gram's byte range.
-func countCharGrams(into map[GramID]int, text string, n int, total *int) {
-	const maxN = 16
-	if n < 1 || n > maxN {
-		return
+// appendCharGrams appends the id of every rune n-gram of orders lo..hi — the
+// FNV-1a hash of the gram's bytes, HashGram of the gram — in one pass over
+// the text: grams[k] is the hash of the k+1 runes ending at the current one,
+// which is the hash of the k runes before it extended by this rune's bytes.
+// No []rune materialisation, no per-gram allocation, and every byte enters
+// hi hashes once instead of being re-read for every gram that covers it.
+func appendCharGrams(ids []uint64, text string, lo, hi int) []uint64 {
+	lo, hi = max(lo, 1), min(hi, maxCharOrder)
+	if lo > hi {
+		return ids
 	}
-	var ring [maxN]int
-	runeCount := 0
-	for i := range text {
-		if runeCount >= n {
-			start := ring[runeCount%n] // offset of the rune n positions back
-			into[GramID(hashBytes(text[start:i]))]++
-			*total++
+	var grams [maxCharOrder]uint64
+	for i, runes := 0, 0; i < len(text); runes++ {
+		width := 1
+		if text[i] >= utf8.RuneSelf {
+			_, width = utf8.DecodeRuneInString(text[i:])
 		}
-		ring[runeCount%n] = i
-		runeCount++
+		for k := min(runes, hi-1); k >= 0; k-- {
+			h := uint64(fnvOffset)
+			if k > 0 {
+				h = grams[k-1]
+			}
+			for _, c := range []byte(text[i : i+width]) {
+				h = (h ^ uint64(c)) * fnvPrime
+			}
+			grams[k] = h
+		}
+		if n := min(runes+1, hi); n >= lo {
+			ids = append(ids, grams[lo-1:n]...)
+		}
+		i += width
 	}
-	if runeCount >= n {
-		start := ring[runeCount%n]
-		into[GramID(hashBytes(text[start:]))]++
-		*total++
-	}
-}
-
-func hashBytes(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
+	return ids
 }
 
 func extractFreq(text string, freq *[NumFreqFeatures]float64, totalChars *int) {
@@ -262,8 +270,8 @@ func extractFreq(text string, freq *[NumFreqFeatures]float64, totalChars *int) {
 	}
 }
 
-// WordGramID returns the id of a multi-word gram the way countWordGrams
-// hashes it, for callers that need to query a specific word sequence: the
+// WordGramID returns the id of a multi-word gram the way Extract hashes
+// it, for callers that need to query a specific word sequence: the
 // id of the bigram "not sure" is WordGramID("not", "sure"). Words are
 // lowercased but not lemmatised — pass lemmas when the config lemmatises.
 func WordGramID(words ...string) GramID {

@@ -16,6 +16,8 @@ func TestConfigValidate(t *testing.T) {
 		{"bad word range", func(c *Config) { c.WordMin = 0 }, true},
 		{"inverted word range", func(c *Config) { c.WordMax = c.WordMin - 1 }, true},
 		{"bad char range", func(c *Config) { c.CharMin = 0 }, true},
+		{"longest char order", func(c *Config) { c.CharMax = maxCharOrder }, false},
+		{"char order above the longest", func(c *Config) { c.CharMax = maxCharOrder + 1 }, true},
 		{"negative budget", func(c *Config) { c.MaxWordGrams = -1 }, true},
 	}
 	for _, tt := range tests {
@@ -53,17 +55,17 @@ func TestExtractCounts(t *testing.T) {
 	if d.WordTotal != 5 {
 		t.Errorf("WordTotal = %d, want 5", d.WordTotal)
 	}
-	if got := d.WordGrams[HashGram("aa")]; got != 2 {
+	if got := gramCount(d.WordGrams, HashGram("aa")); got != 2 {
 		t.Errorf("count(aa) = %d, want 2", got)
 	}
-	if got := d.WordGrams[WordGramID("aa", "bb")]; got != 1 {
+	if got := gramCount(d.WordGrams, WordGramID("aa", "bb")); got != 1 {
 		t.Errorf("count(aa bb) = %d, want 1", got)
 	}
 	// Char unigrams: 8 chars; bigrams: 7 windows → 15.
 	if d.CharTotal != 15 {
 		t.Errorf("CharTotal = %d, want 15", d.CharTotal)
 	}
-	if got := d.CharGrams[GramID(HashGram("aa"))]; got != 2 {
+	if got := gramCount(d.CharGrams, GramID(HashGram("aa"))); got != 2 {
 		t.Errorf("char count(aa) = %d, want 2", got)
 	}
 }
@@ -87,14 +89,14 @@ func TestExtractFreqFeatures(t *testing.T) {
 func TestExtractLemmatizes(t *testing.T) {
 	cfg := ReductionConfig()
 	d := Extract("running dogs were", cfg)
-	if d.WordGrams[HashGram("run")] != 1 || d.WordGrams[HashGram("dog")] != 1 || d.WordGrams[HashGram("be")] != 1 {
+	if gramCount(d.WordGrams, HashGram("run")) != 1 || gramCount(d.WordGrams, HashGram("dog")) != 1 || gramCount(d.WordGrams, HashGram("be")) != 1 {
 		t.Error("word grams must be lemmatised")
 	}
-	if d.WordGrams[HashGram("running")] != 0 {
+	if gramCount(d.WordGrams, HashGram("running")) != 0 {
 		t.Error("inflected form must not appear")
 	}
 	// Char grams come from the raw text.
-	if d.CharGrams[GramID(HashGram("runni"))] == 0 {
+	if gramCount(d.CharGrams, GramID(HashGram("runni"))) == 0 {
 		t.Error("char grams must come from the original text")
 	}
 }
@@ -106,7 +108,7 @@ func TestExtractUnicodeCharGrams(t *testing.T) {
 	if d.CharTotal != 2 {
 		t.Fatalf("CharTotal = %d, want 2", d.CharTotal)
 	}
-	if d.CharGrams[GramID(HashGram("hé"))] != 1 || d.CharGrams[GramID(HashGram("éé"))] != 1 {
+	if gramCount(d.CharGrams, GramID(HashGram("hé"))) != 1 || gramCount(d.CharGrams, GramID(HashGram("éé"))) != 1 {
 		t.Error("unicode bigrams wrong")
 	}
 }
@@ -114,14 +116,14 @@ func TestExtractUnicodeCharGrams(t *testing.T) {
 func TestVocabTopNSelection(t *testing.T) {
 	cfg := Config{WordMin: 1, WordMax: 1, CharMin: 1, CharMax: 1, MaxWordGrams: 2, MaxCharGrams: 1000, IncludeFreq: false}
 	vb := NewVocabBuilder(cfg)
-	vb.Add(Extract("apple apple apple banana banana cherry", cfg))
+	vb.AddSorted(Extract("apple apple apple banana banana cherry", cfg))
 	v := mustBuild(t, vb)
 	if v.NumWordGrams() != 2 {
 		t.Fatalf("vocab kept %d word grams, want 2", v.NumWordGrams())
 	}
 	// apple and banana are the top-2; cherry must be out.
 	doc := Extract("cherry", cfg)
-	vec := v.VectorizeGrams(doc)
+	vec := v.VectorizeGramsSorted(doc)
 	for _, idx := range vec.Idx {
 		if idx < 2 {
 			t.Error("cherry should not map to a word-gram index")
@@ -133,13 +135,13 @@ func TestIDFKillsUniversalGrams(t *testing.T) {
 	cfg := Config{WordMin: 1, WordMax: 1, CharMin: 1, CharMax: 1, MaxWordGrams: 100, MaxCharGrams: 100, IncludeFreq: false}
 	vb := NewVocabBuilder(cfg)
 	// "common" appears in every doc; "rare" in one.
-	vb.Add(Extract("common rare", cfg))
+	vb.AddSorted(Extract("common rare", cfg))
 	for i := 0; i < 9; i++ {
-		vb.Add(Extract("common filler", cfg))
+		vb.AddSorted(Extract("common filler", cfg))
 	}
 	v := mustBuild(t, vb)
 	doc := Extract("common rare", cfg)
-	vec := v.Vectorize(doc)
+	vec := v.VectorizeGramsSorted(doc)
 	commonW := vec.Get(lookupWordIdx(t, v, "common"))
 	rareW := vec.Get(lookupWordIdx(t, v, "rare"))
 	if commonW >= rareW {
@@ -163,24 +165,20 @@ func TestVectorizeSortedAndNamespaced(t *testing.T) {
 	cfg := ReductionConfig()
 	vb := NewVocabBuilder(cfg)
 	doc := Extract("the quick brown fox jumps over the lazy dog, again and again! 123", cfg)
-	vb.Add(doc)
+	vb.AddSorted(doc)
 	v := mustBuild(t, vb)
-	vec := v.Vectorize(doc)
-	if !vec.IsSorted() {
-		t.Error("Vectorize must return sorted vectors")
+	vec := v.VectorizeGramsSorted(doc)
+	if !vec.IsSorted() || vec.Len() == 0 {
+		t.Error("VectorizeGramsSorted must return sorted, non-empty vectors")
 	}
-	// Freq features live at FreqOffset.
-	hasFreq := false
+	// Grams sit below FreqOffset; the 42 frequency features live there.
 	for _, idx := range vec.Idx {
-		if idx >= v.FreqOffset() && idx < v.ActivityOffset() {
-			hasFreq = true
-		}
-		if idx >= v.ActivityOffset() {
-			t.Error("Vectorize must not emit activity dims")
+		if idx >= v.FreqOffset() {
+			t.Error("gram vectors must stay below the frequency dims")
 		}
 	}
-	if !hasFreq {
-		t.Error("frequency features missing")
+	if v.FreqOffset() != uint32(v.NumWordGrams()+v.NumCharGrams()) || v.ActivityOffset() != v.FreqOffset()+uint32(NumFreqFeatures) {
+		t.Error("frequency features must follow the grams, activity the frequency features")
 	}
 	if v.Dims() != int(v.ActivityOffset())+24 {
 		t.Error("Dims must reserve 24 activity slots")
@@ -191,9 +189,9 @@ func TestVectorizeGramsExcludesFreq(t *testing.T) {
 	cfg := ReductionConfig()
 	vb := NewVocabBuilder(cfg)
 	doc := Extract("hello, world! 42", cfg)
-	vb.Add(doc)
+	vb.AddSorted(doc)
 	v := mustBuild(t, vb)
-	vec := v.VectorizeGrams(doc)
+	vec := v.VectorizeGramsSorted(doc)
 	for _, idx := range vec.Idx {
 		if idx >= v.FreqOffset() {
 			t.Fatal("VectorizeGrams must not emit frequency features")
@@ -208,9 +206,9 @@ func TestEmptyDoc(t *testing.T) {
 		t.Error("empty text must yield empty counts")
 	}
 	vb := NewVocabBuilder(cfg)
-	vb.Add(d)
+	vb.AddSorted(d)
 	v := mustBuild(t, vb)
-	if got := v.Vectorize(d); got.Len() != 0 {
+	if got := v.VectorizeGramsSorted(d); got.Len() != 0 {
 		t.Errorf("empty doc vector = %v", got)
 	}
 }
@@ -226,15 +224,15 @@ func TestExtractConsistencyProperty(t *testing.T) {
 			return false
 		}
 		sum := 0
-		for _, c := range a.WordGrams {
-			sum += c
+		for _, e := range a.WordGrams {
+			sum += int(e.Count)
 		}
 		if sum != a.WordTotal {
 			return false
 		}
 		sum = 0
-		for _, c := range a.CharGrams {
-			sum += c
+		for _, e := range a.CharGrams {
+			sum += int(e.Count)
 		}
 		return sum == a.CharTotal
 	}
@@ -246,10 +244,10 @@ func TestExtractConsistencyProperty(t *testing.T) {
 func TestWordGramIDMatchesExtraction(t *testing.T) {
 	cfg := Config{WordMin: 2, WordMax: 2, CharMin: 1, CharMax: 1, IncludeFreq: false, Lemmatize: false}
 	d := Extract("alpha beta gamma", cfg)
-	if d.WordGrams[WordGramID("alpha", "beta")] != 1 {
-		t.Error("WordGramID must match countWordGrams hashing")
+	if gramCount(d.WordGrams, WordGramID("alpha", "beta")) != 1 {
+		t.Error("WordGramID must match Extract's hashing")
 	}
-	if d.WordGrams[WordGramID("beta", "alpha")] != 0 {
+	if gramCount(d.WordGrams, WordGramID("beta", "alpha")) != 0 {
 		t.Error("n-gram hashing must be order-sensitive")
 	}
 }

@@ -1,17 +1,18 @@
 package features
 
+import "slices"
+
 // GramEntry is one (gram id, count) pair of an id-sorted gram list.
 type GramEntry struct {
 	ID    GramID
 	Count int32
 }
 
-// SortedDoc is a Doc flattened into id-sorted slices. It carries exactly
-// the information of a Doc but in a form the candidate-vocabulary fast
-// path can merge linearly: hash maps are where the per-query stage-2
-// rebuild spends most of its time, and none survive here. A SortedDoc is
-// also ~2-3× smaller than the Doc's maps, which matters for the matcher's
-// per-subject cache.
+// SortedDoc holds the raw feature counts of one document (the concatenated
+// text of one alias): per gram family one list in ascending gram id, the
+// form every consumer merges linearly — the corpus counters, a query's
+// candidate vocabulary, the vectorizer, a snapshot's docs section. It is the
+// only form a document has; Extract emits it directly.
 type SortedDoc struct {
 	WordGrams  []GramEntry
 	CharGrams  []GramEntry
@@ -21,71 +22,78 @@ type SortedDoc struct {
 	TotalChars int
 }
 
-// Sorted flattens the Doc. The Doc itself is unchanged and can be dropped.
-func (d *Doc) Sorted() *SortedDoc {
-	return &SortedDoc{
-		WordGrams:  sortedEntries(d.WordGrams),
-		CharGrams:  sortedEntries(d.CharGrams),
-		WordTotal:  d.WordTotal,
-		CharTotal:  d.CharTotal,
-		Freq:       d.Freq,
-		TotalChars: d.TotalChars,
-	}
-}
+// The id sort orders by an id's top 24 bits in two radix passes of 12, then
+// finishes what those bits leave unordered.
+const (
+	radixBits = 12
+	radixMask = 1<<radixBits - 1
+	sortShift = 64 - 2*radixBits
+)
 
-func sortedEntries(m map[GramID]int) []GramEntry {
-	out := make([]GramEntry, 0, len(m))
-	for g, c := range m {
-		out = append(out, GramEntry{ID: g, Count: int32(c)})
+// countIDs turns one gram family's occurrence ids into its id-sorted
+// (id, count) list: it sorts ids in place and run-length counts them.
+func countIDs(ids []uint64) []GramEntry {
+	sortIDs(ids)
+	distinct := 0
+	for i, id := range ids {
+		if i == 0 || id != ids[i-1] {
+			distinct++
+		}
 	}
-	sortEntriesByID(out, 56)
+	out := make([]GramEntry, 0, distinct)
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[i] {
+			j++
+		}
+		out = append(out, GramEntry{ID: GramID(ids[i]), Count: int32(j - i)})
+		i = j
+	}
 	return out
 }
 
-// sortEntriesByID sorts es by gram id in place, on the byte at shift and,
-// recursively, the bytes below it. Gram ids are hashes: the leading byte
-// splits a list evenly and a second level leaves buckets an insertion sort
-// finishes in a few moves, so the sort is linear where a comparison sort
-// was the largest cost of flattening a query document. Ids that share
-// leading bytes cost a pass per shared byte, at most eight.
-func sortEntriesByID(es []GramEntry, shift uint) {
-	if len(es) <= 32 {
-		for i := 1; i < len(es); i++ {
-			e := es[i]
-			j := i
-			for ; j > 0 && es[j-1].ID > e.ID; j-- {
-				es[j] = es[j-1]
-			}
-			es[j] = e
-		}
+// sortIDs sorts ids ascending, through a second buffer of its own.
+//
+// Occurrences are mostly repeats — every common char 1–3-gram is hundreds of
+// equal ids — so the sort is an LSD radix sort, which moves an id the same
+// number of times however often it repeats (a most-significant-digit sort
+// recurses through every byte of a bucket of equal ids, a comparison sort
+// compares them log n times: both measured slower than the hash map this
+// replaced). It need not cover all 64 bits: ids are hashes, so after two
+// passes over the top 24 bits only a handful of distinct ids share a prefix
+// and may be out of order, and the last walk finds those groups and sorts
+// each. (Not fewer bits: an FNV-1a id carries its last byte in bits 40–47,
+// and grams that differ only there are common.) Ids crafted to share
+// prefixes cost that walk a comparison sort of the group, never more.
+func sortIDs(ids []uint64) {
+	if len(ids) < 2 {
 		return
 	}
-	// start[b] is where bucket b begins; start[256] is len(es).
-	var start [257]int
-	for _, e := range es {
-		start[int(byte(e.ID>>shift))+1]++
-	}
-	for b := 1; b < len(start); b++ {
-		start[b] += start[b-1]
-	}
-	// Permute in place: whatever sits at a bucket's fill cursor is swapped
-	// into its own bucket until an entry of this bucket arrives.
-	next := start
-	for b := 0; b < 256; b++ {
-		for next[b] < start[b+1] {
-			e := es[next[b]]
-			for d := byte(e.ID >> shift); int(d) != b; d = byte(e.ID >> shift) {
-				e, es[next[d]] = es[next[d]], e
-				next[d]++
-			}
-			es[next[b]] = e
+	src, dst := ids, make([]uint64, len(ids))
+	for shift := uint(sortShift); shift < 64; shift += radixBits {
+		var next [1 << radixBits]int
+		for _, id := range src {
+			next[id>>shift&radixMask]++
+		}
+		sum := 0
+		for b, c := range next {
+			next[b], sum = sum, sum+c
+		}
+		for _, id := range src {
+			b := id >> shift & radixMask
+			dst[next[b]] = id
 			next[b]++
 		}
+		src, dst = dst, src // two passes: the second lands back in ids
 	}
-	if shift == 0 {
-		return
-	}
-	for b := 0; b < 256; b++ {
-		sortEntriesByID(es[start[b]:start[b+1]], shift-8)
+	for i := 0; i < len(ids); {
+		j, uniform := i+1, true
+		for ; j < len(ids) && ids[j]>>sortShift == ids[i]>>sortShift; j++ {
+			uniform = uniform && ids[j] == ids[i]
+		}
+		if !uniform {
+			slices.Sort(ids[i:j])
+		}
+		i = j
 	}
 }

@@ -69,12 +69,9 @@ func NewVocabBuilder(cfg Config) *VocabBuilder {
 	return &VocabBuilder{cfg: cfg}
 }
 
-// Add folds one document's counts into the corpus statistics. The builder
-// keeps only the flattened form, and only until its batch closes.
-func (b *VocabBuilder) Add(d *Doc) { b.AddSorted(d.Sorted()) }
-
-// AddSorted is Add for a pre-sorted document, which must not change until
-// the builder has settled.
+// AddSorted folds one document's counts into the corpus statistics. The
+// builder keeps the document only until its batch closes; it must not change
+// until the builder has settled.
 func (b *VocabBuilder) AddSorted(d *SortedDoc) { b.fold(d, 1) }
 
 // RemoveSorted subtracts a previously added document, the exact inverse of
@@ -236,7 +233,7 @@ func idf(n, df float64) float64 {
 //
 // Each section is one table sorted by gram id, every entry carrying its
 // feature index and IDF weight — the form selectGrams emits, for a corpus
-// here and per query in CandidateVocab — so vectorizing a flattened document
+// here and per query in CandidateVocab — so vectorizing a document
 // is a merge, never a hash probe.
 type Vocabulary struct {
 	cfg     Config
@@ -271,37 +268,12 @@ func (v *Vocabulary) ActivityOffset() uint32 {
 // Dims is the total dimensionality including the 24 activity slots.
 func (v *Vocabulary) Dims() int { return int(v.ActivityOffset()) + 24 }
 
-// Vectorize converts a document into a TF-IDF weighted sparse vector in
-// this vocabulary's index space. Grams outside the vocabulary are ignored.
-// Term frequency is the gram count normalised by the document's total gram
-// count of the same family, so documents of different lengths remain
-// comparable.
-func (v *Vocabulary) Vectorize(d *Doc) sparse.Vector {
-	vec := v.VectorizeGrams(d)
-	if v.cfg.IncludeFreq {
-		// Frequency indices ascend past every gram index, so appending them
-		// keeps the vector sorted.
-		off := v.FreqOffset()
-		for i, f := range d.Freq {
-			if f != 0 {
-				vec.Idx = append(vec.Idx, off+uint32(i))
-				vec.Val = append(vec.Val, f)
-			}
-		}
-	}
-	return vec
-}
-
-// VectorizeGrams is Vectorize restricted to the n-gram sections — the
-// frequency features are omitted. The attribution layer keeps frequency
-// and activity blocks separate so it can re-weight them at query time.
-func (v *Vocabulary) VectorizeGrams(d *Doc) sparse.Vector {
-	return v.VectorizeGramsSorted(d.Sorted())
-}
-
-// VectorizeGramsSorted is VectorizeGrams for an already flattened
-// document, into a fresh vector. An empty result has empty, not nil,
-// slices.
+// VectorizeGramsSorted converts a document into a TF-IDF weighted sparse
+// vector over the n-gram sections of this vocabulary's index space, in a
+// fresh vector. Grams outside the vocabulary are ignored, and the frequency
+// features are omitted: the attribution layer keeps the frequency and
+// activity blocks separate so it can re-weight them at query time. An empty
+// result has empty, not nil, slices.
 func (v *Vocabulary) VectorizeGramsSorted(d *SortedDoc) sparse.Vector {
 	est := len(d.WordGrams) + len(d.CharGrams)
 	vec := sparse.Vector{Idx: make([]uint32, 0, est), Val: make([]float64, 0, est)}

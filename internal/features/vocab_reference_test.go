@@ -32,7 +32,7 @@ func newRefBuilder(cfg Config) *refBuilder {
 }
 
 // refBuilderOf is a reference builder fed docs.
-func refBuilderOf(cfg Config, docs ...*Doc) *refBuilder {
+func refBuilderOf(cfg Config, docs ...*mapDoc) *refBuilder {
 	b := newRefBuilder(cfg)
 	for _, d := range docs {
 		b.Add(d)
@@ -40,7 +40,7 @@ func refBuilderOf(cfg Config, docs ...*Doc) *refBuilder {
 	return b
 }
 
-func (b *refBuilder) Add(d *Doc) {
+func (b *refBuilder) Add(d *mapDoc) {
 	b.numDocs++
 	for g, c := range d.WordGrams {
 		s := b.words[g]
@@ -196,8 +196,8 @@ func assertBuilderMatchesReference(t *testing.T, label string, got *VocabBuilder
 }
 
 // TestSortedRunBuilderMatchesMapReference drives the sorted-run builder and
-// the map reference through the same random histories — documents added
-// unflattened and flattened, removed (sometimes every one of them, so whole
+// the map reference through the same random histories — documents added,
+// removed (sometimes every one of them, so whole
 // grams and whole builders go back to zero), empty documents, builders
 // cloned mid-history with both copies carried on, documents dealt over 1, 2,
 // 3, 8 and 64 shards that settle and merge — under budgets that keep
@@ -221,7 +221,7 @@ func TestSortedRunBuilderMatchesMapReference(t *testing.T) {
 		type pair struct {
 			got  *VocabBuilder
 			ref  *refBuilder
-			held []*Doc // what the pair currently counts
+			held []*mapDoc // what the pair currently counts
 		}
 		label := func(step int, what string) string { return fmt.Sprintf("trial %d step %d (%s)", trial, step, what) }
 		pairs := []*pair{{got: NewVocabBuilder(cfg), ref: newRefBuilder(cfg)}}
@@ -233,7 +233,7 @@ func TestSortedRunBuilderMatchesMapReference(t *testing.T) {
 				if rng.Intn(6) == 0 {
 					d = empty
 				}
-				p.got.Add(d)
+				p.got.AddSorted(d.Sorted())
 				p.ref.Add(d)
 				p.held = append(p.held, d)
 			case op < 5:
@@ -307,7 +307,7 @@ func TestBuilderSettlesMidStream(t *testing.T) {
 			chars[GramID(rng.Intn(15000))] += 1 + rng.Intn(5)
 		}
 		d := shapeDoc(words, chars)
-		got.Add(d)
+		got.AddSorted(d.Sorted())
 		ref.Add(d)
 		if len(got.pending) == 0 {
 			settled++
@@ -335,7 +335,7 @@ func TestCutOverCorpusFrequencies(t *testing.T) {
 		cfg.MaxWordGrams, cfg.MaxCharGrams = budget[0], budget[1]
 		got := NewVocabBuilder(cfg)
 		for _, d := range docs {
-			got.Add(d)
+			got.AddSorted(d.Sorted())
 		}
 		st := mustState(t, got)
 		if top := slices.MaxFunc(st.Words, func(a, b GramCount) int { return cmp.Compare(a.Freq, b.Freq) }); top.Freq != 1<<30 {

@@ -9,7 +9,7 @@ import (
 // shardTestDocs extracts documents from synthetic texts varied enough to
 // produce frequency ties (which the deterministic gram-id tiebreak must
 // resolve identically however the counts were accumulated).
-func shardTestDocs(n int) []*Doc {
+func shardTestDocs(n int) []*mapDoc {
 	cfg := ReductionConfig()
 	texts := []string{
 		"the quick brown fox jumps over the lazy dog near the river bank",
@@ -18,9 +18,9 @@ func shardTestDocs(n int) []*Doc {
 		"does anyone know a reliable vendor for this kind of product around here",
 		"the package arrived safely and the stealth was better than expected thanks",
 	}
-	docs := make([]*Doc, n)
+	docs := make([]*mapDoc, n)
 	for i := range docs {
-		docs[i] = Extract(fmt.Sprintf("%s extra token%d", texts[i%len(texts)], i%7), cfg)
+		docs[i] = mapExtract(fmt.Sprintf("%s extra token%d", texts[i%len(texts)], i%7), cfg)
 	}
 	return docs
 }
@@ -42,7 +42,7 @@ func TestVocabShardMergeMatchesSequential(t *testing.T) {
 
 	seq := NewVocabBuilder(cfg)
 	for _, d := range docs {
-		seq.Add(d)
+		seq.AddSorted(d.Sorted())
 	}
 	want := mustBuild(t, seq)
 
@@ -52,7 +52,7 @@ func TestVocabShardMergeMatchesSequential(t *testing.T) {
 			builders[s] = NewVocabBuilder(cfg)
 		}
 		for i, d := range docs {
-			builders[i%shards].Add(d)
+			builders[i%shards].AddSorted(d.Sorted())
 		}
 		merged := builders[0]
 		for _, b := range builders[1:] {
@@ -72,7 +72,7 @@ func TestVocabShardMergeMatchesSequential(t *testing.T) {
 	// Reverse merge order: sums commute, so the result must not change.
 	builders := []*VocabBuilder{NewVocabBuilder(cfg), NewVocabBuilder(cfg), NewVocabBuilder(cfg)}
 	for i, d := range docs {
-		builders[i%3].Add(d)
+		builders[i%3].AddSorted(d.Sorted())
 	}
 	rev := builders[2]
 	mustMerge(t, rev, builders[1])
@@ -90,13 +90,13 @@ func TestVocabMergeEmpty(t *testing.T) {
 
 	seq := NewVocabBuilder(cfg)
 	for _, d := range docs {
-		seq.Add(d)
+		seq.AddSorted(d.Sorted())
 	}
 	want := mustBuild(t, seq)
 
 	withEmpty := NewVocabBuilder(cfg)
 	for _, d := range docs {
-		withEmpty.Add(d)
+		withEmpty.AddSorted(d.Sorted())
 	}
 	mustMerge(t, withEmpty, NewVocabBuilder(cfg))
 	if got := mustBuild(t, withEmpty); !reflect.DeepEqual(got, want) {

@@ -3,6 +3,7 @@ package forum
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -33,39 +34,63 @@ func WriteThreadRecord(w io.Writer, rec *ThreadRecord) error {
 }
 
 // ReadCheckpoint reads a checkpoint journal back into records, in journal
-// order. A malformed final line — the signature of a crawl killed in the
-// middle of an append — is dropped silently; a malformed line anywhere
-// else is a real corruption and errors. Later records win when a thread
-// appears twice.
+// order, under ScanTornTail's rule: a malformed final line is dropped
+// silently, a malformed line anywhere else errors. Blank lines are skipped.
+// Later records win when a thread appears twice.
 func ReadCheckpoint(r io.Reader) ([]ThreadRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24) // a record holds a whole thread
 	var recs []ThreadRecord
-	badLine := 0 // most recent undecodable line, 1-based
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
+	_, err := ScanTornTail(r, func(_ int, raw []byte) error {
 		if len(raw) == 0 {
-			continue
+			return errSkipLine
 		}
 		var rec ThreadRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			if badLine != 0 {
-				return nil, fmt.Errorf("forum: checkpoint line %d: corrupt record", badLine)
-			}
-			badLine = line
-			continue
-		}
-		if badLine != 0 {
-			// A decodable record after a bad line means the bad line was
-			// not a truncated tail.
-			return nil, fmt.Errorf("forum: checkpoint line %d: corrupt record", badLine)
+			return ErrTornLine
 		}
 		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("forum: checkpoint scan: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("forum: checkpoint %w", err)
 	}
 	return recs, nil
+}
+
+// What a ScanTornTail callback returns for a line that does not decode, and
+// for one that is neither a record nor damage.
+var (
+	ErrTornLine = errors.New("line does not decode")
+	errSkipLine = errors.New("skip line")
+)
+
+// ScanTornTail reads an append-only JSONL journal under the one rule its
+// readers share: a kill in the middle of an append leaves a final line that
+// does not decode, and exactly that line is tolerated; an undecodable line
+// with another line after it is mid-file corruption. Each line, at most
+// 16 MB, goes to decode with its 1-based number: nil takes it as a record,
+// ErrTornLine says it does not decode, any other error ends the scan and is
+// returned as it is. intact counts the bytes of the records before the torn
+// line — what a compaction keeps.
+func ScanTornTail(r io.Reader, decode func(lineNo int, line []byte) error) (intact int, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24) // a record holds a whole thread
+	torn := 0
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		err := decode(lineNo, sc.Bytes())
+		switch {
+		case err == errSkipLine:
+		case torn != 0: // a line after the bad one: that was no truncated tail
+			return 0, fmt.Errorf("line %d: corrupt record", torn)
+		case err == ErrTornLine:
+			torn = lineNo
+		case err != nil:
+			return 0, err
+		default:
+			intact += len(sc.Bytes()) + 1
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return 0, fmt.Errorf("scan: %w", err)
+	}
+	return intact, nil
 }

@@ -1,9 +1,9 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
@@ -17,10 +17,8 @@ import (
 // loads the snapshot and replays only entries above LastSeq, whether or
 // not the previous process got around to compacting.
 //
-// Torn-tail discipline follows forum.ReadCheckpoint: a kill mid-append
-// leaves a final line that does not decode, and exactly that line is
-// dropped; an undecodable line anywhere else is mid-file corruption and
-// fails the load with a structured error.
+// Torn-tail discipline is forum.ScanTornTail's, shared with the scrape
+// checkpoint; mid-file corruption fails the load with a structured error.
 
 // JournalEntry is one appended thread delta.
 type JournalEntry struct {
@@ -28,46 +26,42 @@ type JournalEntry struct {
 	Thread forum.ThreadRecord `json:"thread"`
 }
 
-// maxJournalLine bounds one journal line (a full thread of posts).
-const maxJournalLine = 1 << 24
-
-// readJournal parses raw journal bytes, dropping at most a torn final
-// line. It returns the entries and the number of bytes the intact prefix
-// spans (for compaction). Errors are *CorruptError with Section
-// "journal".
-func readJournal(raw []byte) ([]JournalEntry, int, error) {
-	var entries []JournalEntry
-	intact := 0
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 0, 64*1024), maxJournalLine)
-	lineNo := 0
-	badLine := 0 // 1-based line number of the first undecodable line
+// readJournal reads and parses the journal file, dropping at most a torn
+// final line. It returns the file's bytes (nil when there is no file), the
+// entries and the number of bytes the intact prefix spans (for compaction).
+// Damage is a *CorruptError with Section "journal" and the file's path.
+func (s *Store) readJournal() (raw []byte, entries []JournalEntry, intact int, err error) {
+	raw, err = os.ReadFile(s.JournalPath())
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil, nil, 0, nil
+	case err != nil:
+		return nil, nil, 0, fmt.Errorf("store: journal read: %w", err)
+	}
 	var lastSeq uint64
-	for sc.Scan() {
-		lineNo++
-		if badLine != 0 {
-			// A decodable line after a bad one: the tear is mid-file.
-			return nil, 0, corrupt("journal", "line %d: corrupt record", badLine)
-		}
-		line := sc.Bytes()
+	intact, err = forum.ScanTornTail(bytes.NewReader(raw), func(lineNo int, line []byte) error {
 		var e JournalEntry
 		dec := json.NewDecoder(bytes.NewReader(line))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&e); err != nil {
-			badLine = lineNo
-			continue
+			return forum.ErrTornLine
 		}
 		if e.Seq <= lastSeq {
-			return nil, 0, corrupt("journal", "line %d: sequence %d not increasing (previous %d)", lineNo, e.Seq, lastSeq)
+			return corrupt("journal", "line %d: sequence %d not increasing (previous %d)", lineNo, e.Seq, lastSeq)
 		}
 		lastSeq = e.Seq
 		entries = append(entries, e)
-		intact += len(line) + 1
+		return nil
+	})
+	if err != nil {
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			err = corrupt("journal", "%v", err)
+		}
+		fillPath(err, s.JournalPath())
+		return nil, nil, 0, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, corrupt("journal", "scan: %v", err)
-	}
-	return entries, intact, nil
+	return raw, entries, intact, nil
 }
 
 // appendJournalLine encodes one entry as a single JSON line.

@@ -66,25 +66,17 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	defer unlock()
-	raw, err := os.ReadFile(s.JournalPath())
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-	case err != nil:
-		return nil, fmt.Errorf("store: open %s: %w", dir, err)
-	default:
-		entries, intact, jerr := readJournal(raw)
-		if jerr != nil {
-			fillPath(jerr, s.JournalPath())
-			return nil, jerr
+	raw, entries, intact, err := s.readJournal()
+	if err != nil {
+		return nil, err
+	}
+	if intact < len(raw) {
+		if err := WriteFileAtomic(s.JournalPath(), raw[:intact], 0o644); err != nil {
+			return nil, err
 		}
-		if intact < len(raw) {
-			if err := WriteFileAtomic(s.JournalPath(), raw[:intact], 0o644); err != nil {
-				return nil, err
-			}
-		}
-		if n := len(entries); n > 0 {
-			lastSeq = max(lastSeq, entries[n-1].Seq)
-		}
+	}
+	if n := len(entries); n > 0 {
+		lastSeq = max(lastSeq, entries[n-1].Seq)
 	}
 	s.nextSeq = lastSeq + 1
 	return s, nil
@@ -212,17 +204,9 @@ func (s *Store) AppendThread(rec forum.ThreadRecord) (uint64, error) {
 // folded in yet; pass 0 for everything). A torn final line is dropped;
 // corruption anywhere else is a *CorruptError.
 func (s *Store) ReadJournal(afterSeq uint64) ([]JournalEntry, error) {
-	raw, err := os.ReadFile(s.JournalPath())
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		return nil, nil
-	case err != nil:
-		return nil, fmt.Errorf("store: journal read: %w", err)
-	}
-	entries, _, jerr := readJournal(raw)
-	if jerr != nil {
-		fillPath(jerr, s.JournalPath())
-		return nil, jerr
+	_, entries, _, err := s.readJournal()
+	if err != nil {
+		return nil, err
 	}
 	// readJournal has checked that the sequence strictly increases.
 	first := sort.Search(len(entries), func(i int) bool { return entries[i].Seq > afterSeq })
@@ -241,17 +225,9 @@ func (s *Store) CompactJournal(keepAfter uint64) error {
 		return err
 	}
 	defer unlock()
-	raw, err := os.ReadFile(s.JournalPath())
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		return nil
-	case err != nil:
-		return fmt.Errorf("store: journal read: %w", err)
-	}
-	entries, _, jerr := readJournal(raw)
-	if jerr != nil {
-		fillPath(jerr, s.JournalPath())
-		return jerr
+	raw, entries, _, err := s.readJournal()
+	if err != nil || raw == nil { // nothing to compact where there is no journal
+		return err
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

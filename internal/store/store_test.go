@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -207,6 +208,47 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := loaded.Matcher.Fold(ctx, loaded.Subjects[:1]); err != nil {
 		t.Fatalf("fold on loaded index: %v", err)
+	}
+}
+
+// TestSnapshotKeepsOptionsAsGiven: the options section holds what the
+// builder was asked for, not what that machine resolved it to — Workers 0
+// and the zero Prefilter stay zero on disk, through a load and a re-save, so
+// the worker count and the default stage-1 mode are decided where the index
+// is loaded; the loaded matcher itself runs on the resolved form.
+func TestSnapshotKeepsOptionsAsGiven(t *testing.T) {
+	rng := rand.New(rand.NewSource(8150))
+	opts, subjOpts := testBuildOptions()
+	opts.Workers, opts.K = 0, 0
+	idx, err := BuildIndex(context.Background(), testDataset(rng, "given", 8), opts, subjOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := encodeIndex(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := decodeIndex(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := encodeIndex(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, snap := range map[string][]byte{"saved": raw, "loaded and saved again": again} {
+		var stored attribution.Options
+		if err := json.Unmarshal(sectionPayload(t, snap, secOptions), &stored); err != nil {
+			t.Fatal(err)
+		}
+		if stored.Workers != 0 || stored.K != 0 || stored.Prefilter != (prefilter.Params{}) {
+			t.Errorf("%s: options section holds Workers %d, K %d, Prefilter %+v; all were given as zero", name, stored.Workers, stored.K, stored.Prefilter)
+		}
+	}
+	want := opts
+	want.Incremental = true // BuildIndex's own setting
+	if got := loaded.Matcher.Options(); got != want.WithDefaults() || got.Workers != runtime.GOMAXPROCS(0) {
+		t.Errorf("loaded matcher runs on %+v, want the resolved form of what was given", got)
 	}
 }
 
@@ -589,7 +631,7 @@ func TestSnapshotSizeAndAllocationCeilings(t *testing.T) {
 	changed[1].Text += " " + testBody(rng, 40)
 	_, extractObjects := allocs(func() {
 		for _, c := range changed {
-			features.Extract(c.Text, opts.Reduction).Sorted()
+			features.Extract(c.Text, opts.Reduction)
 		}
 	})
 	_, foldObjects := allocs(func() { _, err = idx.Matcher.Fold(context.Background(), changed) })
@@ -649,7 +691,7 @@ func TestReplayRefusesCountersThatDoNotHoldTheDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	state.Docs = append([]*features.SortedDoc(nil), state.Docs...)
-	state.Docs[2] = features.Extract("words no alias of this corpus ever posted zyzzyva quokka", opts.Reduction).Sorted()
+	state.Docs[2] = features.Extract("words no alias of this corpus ever posted zyzzyva quokka", opts.Reduction)
 	forged := *idx
 	if forged.Matcher, err = attribution.NewMatcherFromState(idx.Subjects, state); err != nil {
 		t.Fatal(err)
