@@ -21,12 +21,13 @@
 // -save-index — writes the resulting generation back and compacts the
 // journal. A missing snapshot — or, with -known, one written in another
 // snapshot format version — falls back to building from the corpus source
-// and (with -save-index) saving it for the next start.
+// and (with -save-index) saving it for the next start. Without -index-dir
+// the same loader runs with nothing to load, replay or save.
 //
-// Signals: SIGHUP reloads — with -index-dir it replays new journal
-// entries onto the live index instead of rebuilding from source — and
-// swaps the index atomically (in-flight queries finish on the old
-// index); SIGTERM/SIGINT stop accepting connections, drain in-flight
+// Signals: SIGHUP reloads — with -index-dir it replays new journal entries
+// onto the live index, without it the index is rebuilt from the corpus
+// source — and swaps the index atomically (in-flight queries finish on the
+// old index); SIGTERM/SIGINT stop accepting connections, drain in-flight
 // requests up to -drain, and exit. /metrics, /debug/vars, /debug/pprof,
 // and /debug/traces are mounted beside the API.
 //
@@ -126,8 +127,6 @@ func main() {
 		darklight.WithWordBudget(*budget),
 		darklight.WithWorkers(*workers),
 	)
-	loader := makeLoader(pipe, *known, *query, *forumW, *scale, *seed, *polish, *refine)
-
 	opts := pipe.MatcherOptions()
 	mode, err := prefilter.ParseMode(*preMode)
 	if err != nil {
@@ -137,20 +136,18 @@ func main() {
 	opts.Prefilter.LSH.Bands = *lshBands
 	opts.Prefilter.LSH.Rows = *lshRows
 
+	var st *store.Store
 	if *indexDir != "" {
-		st, err := store.Open(*indexDir)
-		if err != nil {
+		if st, err = store.Open(*indexDir); err != nil {
 			log.Fatalf("attributed: %v", err)
 		}
-		loader = makeStoreLoader(st, opts, pipe.SubjectOptions(), *saveIdx, *known != "",
-			makeKnownDataset(pipe, *known, *forumW, *scale, *seed, *polish, *refine),
-			makeQuerySubjects(pipe, *known, *query, *forumW, *scale, *seed, *polish))
 	}
+	src := &source{pipe: pipe, known: *known, query: *query, forum: *forumW, scale: *scale, seed: *seed, polish: *polish, refine: *refine}
 
 	ctx := context.Background()
 	start := time.Now()
 	svc, err := serve.New(ctx, serve.Config{
-		Loader:     loader,
+		Loader:     newLoader(st, opts, pipe.SubjectOptions(), *saveIdx, *known != "", src.knownDataset, src.querySubjects),
 		Options:    opts,
 		Subjects:   pipe.SubjectOptions(),
 		APIKeys:    splitKeys(*apiKeys),
@@ -282,35 +279,69 @@ func splitKeys(csv string) []string {
 	return keys
 }
 
-// makeLoader builds the corpus loader the service calls at startup and on
-// every SIGHUP. File-backed corpora re-read their JSONL sources; the
-// synthetic world regenerates from the same seed (a reload is then a
-// no-op refresh, which is exactly what you want for a demo daemon).
-func makeLoader(pipe *darklight.Pipeline, known, query, forumWhich string, scale float64, seed uint64, polish, refine bool) serve.Loader {
-	return func(ctx context.Context) (*serve.Corpus, error) {
-		if known == "" {
-			return loadSynthetic(ctx, pipe, forumWhich, scale, seed)
-		}
-		kds, err := prepareDataset(ctx, pipe, known, polish, refine)
-		if err != nil {
-			return nil, err
-		}
-		ks, err := pipe.Subjects(kds)
-		if err != nil {
-			return nil, err
-		}
-		c := &serve.Corpus{Known: ks}
-		if query != "" {
-			qds, err := prepareDataset(ctx, pipe, query, polish, false)
-			if err != nil {
-				return nil, err
-			}
-			if c.Query, err = pipe.Subjects(qds); err != nil {
-				return nil, err
-			}
-		}
-		return c, nil
+// source is where the flags say the corpora come from: the -known and
+// -query files or, without -known, the (main, alter-ego) split of a world
+// generated from the same seed on every load (a reload changes nothing).
+type source struct {
+	pipe           *darklight.Pipeline
+	known, query   string
+	forum          string
+	scale          float64
+	seed           uint64
+	polish, refine bool
+
+	mu       sync.Mutex // guards the world's halves not yet handed out
+	main, ae *forum.Dataset
+}
+
+// knownDataset is the corpus to index: the prepared -known file, or the
+// world's main half.
+func (s *source) knownDataset(ctx context.Context) (*forum.Dataset, error) {
+	if s.known != "" {
+		return prepareDataset(ctx, s.pipe, s.known, s.polish, s.refine)
 	}
+	return s.worldHalf(ctx, &s.main)
+}
+
+// querySubjects is the corpus by-alias requests resolve against: the -query
+// file, the world's alter egos, or nil — the known set is the query corpus.
+func (s *source) querySubjects(ctx context.Context) (_ []attribution.Subject, err error) {
+	var ds *forum.Dataset
+	switch {
+	case s.query != "":
+		ds, err = prepareDataset(ctx, s.pipe, s.query, s.polish, false)
+	case s.known == "":
+		ds, err = s.worldHalf(ctx, &s.ae)
+	default:
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s.pipe.Subjects(ds)
+}
+
+// worldHalf hands out s.main or s.ae, each once per generated world: the
+// half a load asks for first generates, polishes and splits the world, the
+// other is taken from it, and a half already taken starts the next world.
+func (s *source) worldHalf(ctx context.Context, half **forum.Dataset) (*forum.Dataset, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if *half == nil {
+		world, err := darklight.GenerateWorld(darklight.WorldConfig{Seed: s.seed, Scale: s.scale})
+		if err != nil {
+			return nil, err
+		}
+		d, err := world.Forum(s.forum)
+		if err != nil {
+			return nil, err
+		}
+		s.pipe.PolishContext(ctx, d)
+		s.main, s.ae = s.pipe.SplitAlterEgos(s.pipe.Refine(d))
+	}
+	d := *half
+	*half = nil
+	return d, nil
 }
 
 // prepareDataset loads one JSONL dataset and optionally polishes/refines it.
@@ -329,81 +360,6 @@ func prepareDataset(ctx context.Context, pipe *darklight.Pipeline, path string, 
 		return nil, fmt.Errorf("attributed: %s: no aliases survive preparation", path)
 	}
 	return d, nil
-}
-
-// loadSynthetic generates a world and serves its (main, alter-ego) split.
-func loadSynthetic(ctx context.Context, pipe *darklight.Pipeline, which string, scale float64, seed uint64) (*serve.Corpus, error) {
-	mainDS, ae, err := syntheticSplit(ctx, pipe, which, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	c := &serve.Corpus{}
-	if c.Known, err = pipe.Subjects(mainDS); err != nil {
-		return nil, err
-	}
-	if c.Query, err = pipe.Subjects(ae); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// syntheticSplit generates the demo world and returns its (main,
-// alter-ego) dataset halves.
-func syntheticSplit(ctx context.Context, pipe *darklight.Pipeline, which string, scale float64, seed uint64) (*darklight.Dataset, *darklight.Dataset, error) {
-	world, err := darklight.GenerateWorld(darklight.WorldConfig{Seed: seed, Scale: scale})
-	if err != nil {
-		return nil, nil, err
-	}
-	var d *darklight.Dataset
-	switch which {
-	case "reddit":
-		d = world.Reddit
-	case "tmg":
-		d = world.TMG
-	case "dm":
-		d = world.DM
-	default:
-		return nil, nil, fmt.Errorf("attributed: unknown forum %q (want reddit, tmg, or dm)", which)
-	}
-	pipe.PolishContext(ctx, d)
-	mainDS, ae := pipe.SplitAlterEgos(pipe.Refine(d))
-	return mainDS, ae, nil
-}
-
-// makeKnownDataset returns the known-corpus source the store path builds
-// from when no snapshot exists yet: the prepared JSONL dataset, or the
-// synthetic world's main split.
-func makeKnownDataset(pipe *darklight.Pipeline, known, forumWhich string, scale float64, seed uint64, polish, refine bool) func(context.Context) (*forum.Dataset, error) {
-	return func(ctx context.Context) (*forum.Dataset, error) {
-		if known != "" {
-			return prepareDataset(ctx, pipe, known, polish, refine)
-		}
-		mainDS, _, err := syntheticSplit(ctx, pipe, forumWhich, scale, seed)
-		return mainDS, err
-	}
-}
-
-// makeQuerySubjects returns the query-corpus source for the store path;
-// nil subjects mean the known set doubles as the query corpus.
-func makeQuerySubjects(pipe *darklight.Pipeline, known, query, forumWhich string, scale float64, seed uint64, polish bool) func(context.Context) ([]attribution.Subject, error) {
-	return func(ctx context.Context) ([]attribution.Subject, error) {
-		switch {
-		case query != "":
-			qds, err := prepareDataset(ctx, pipe, query, polish, false)
-			if err != nil {
-				return nil, err
-			}
-			return pipe.Subjects(qds)
-		case known == "":
-			_, ae, err := syntheticSplit(ctx, pipe, forumWhich, scale, seed)
-			if err != nil {
-				return nil, err
-			}
-			return pipe.Subjects(ae)
-		default:
-			return nil, nil
-		}
-	}
 }
 
 // optionDrift names each matcher option on which the flags and the
@@ -457,20 +413,23 @@ func rebuildInstead(loadErr error, haveKnown bool) (bool, error) {
 	return true, nil
 }
 
-// makeStoreLoader wires the persistent index store into the serve loader.
-// The first load cold-starts from the snapshot when one exists (building
-// from the corpus source only when it does not); every load — including
-// the SIGHUP reload path — then replays any journal deltas above the
-// index's LastSeq onto the live generation, so a reload folds freshly
-// scraped threads in without a rebuild. With save enabled, each new
-// generation is written back atomically and the journal compacted. The
-// query corpus, which depends on none of that, is prepared beside it — on a
-// cold start from the beginning, on a reload beside the save and the journal
-// compaction: both are single-threaded, so on two cores the preparation
-// costs a reload no time of its own, whereas beside the fold's two-worker
-// index pass it would take the cores from the requests the serving index is
-// still answering.
-func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribution.SubjectOptions, save, haveKnown bool,
+// newLoader builds the loader the service calls at startup and on every
+// SIGHUP, around the persistent index store. The first load cold-starts from
+// the snapshot when one exists (building from the corpus source only when it
+// does not); every load — including the SIGHUP reload path — then replays
+// any journal deltas above the index's LastSeq onto the live generation, so
+// a reload folds freshly scraped threads in without a rebuild. With save
+// enabled, each new generation is written back atomically and the journal
+// compacted. The query corpus, which depends on none of that, is prepared
+// beside it — on a cold start from the beginning, on a reload beside the
+// save and the journal compaction: both are single-threaded, so on two cores
+// the preparation costs a reload no time of its own, whereas beside the
+// fold's two-worker index pass it would take the cores from the requests the
+// serving index is still answering.
+//
+// A nil store (no -index-dir) is the same loader with nothing to load, fold
+// or save: every load builds the index from the corpus source again.
+func newLoader(st *store.Store, opts attribution.Options, subjOpts attribution.SubjectOptions, save, haveKnown bool,
 	knownDS func(context.Context) (*forum.Dataset, error),
 	querySubjects func(context.Context) ([]attribution.Subject, error)) serve.Loader {
 	var (
@@ -483,8 +442,11 @@ func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribu
 	// is left.
 	advance := func(ctx context.Context, prepare func()) error {
 		built := false
-		why := "no snapshot in " + st.Dir()
-		if cur == nil && st.HasSnapshot() {
+		why := "no index directory"
+		if st != nil {
+			why = "no snapshot in " + st.Dir()
+		}
+		if cur == nil && st != nil && st.HasSnapshot() {
 			idx, loadErr := st.Load()
 			rebuild, err := rebuildInstead(loadErr, haveKnown)
 			switch {
@@ -513,16 +475,18 @@ func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribu
 			cur = idx
 			built = true
 		}
-		entries, err := st.ReadJournal(cur.LastSeq)
-		if err != nil {
-			return err
-		}
-		next, err := store.Replay(ctx, cur, entries, subjOpts)
-		if err != nil {
-			return err
-		}
-		if next != cur {
-			log.Printf("attributed: replayed %d journal deltas into index v%d (seq %d)", len(entries), next.Version, next.LastSeq)
+		next := cur
+		if st != nil {
+			entries, err := st.ReadJournal(cur.LastSeq)
+			if err != nil {
+				return err
+			}
+			if next, err = store.Replay(ctx, cur, entries, subjOpts); err != nil {
+				return err
+			}
+			if next != cur {
+				log.Printf("attributed: replayed %d journal deltas into index v%d (seq %d)", len(entries), next.Version, next.LastSeq)
+			}
 		}
 		prepare()
 		if save && (built || next != cur) {
@@ -539,6 +503,9 @@ func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribu
 	return func(ctx context.Context) (*serve.Corpus, error) {
 		mu.Lock()
 		defer mu.Unlock()
+		if st == nil {
+			cur = nil // nothing persists: every load is a build, like the first
+		}
 		var (
 			wg   sync.WaitGroup
 			q    []attribution.Subject
@@ -552,7 +519,7 @@ func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribu
 			}()
 		})
 		if cur == nil {
-			prepare() // nothing is serving yet: the cores are the loader's
+			prepare() // a whole build or load is ahead: beside it from the start
 		}
 		err := advance(ctx, prepare)
 		wg.Wait() // on every path: the preparation never outlives the load
@@ -562,8 +529,12 @@ func makeStoreLoader(st *store.Store, opts attribution.Options, subjOpts attribu
 		if qerr != nil {
 			return nil, qerr
 		}
-		// Surfacing LastSeq lets /v1/healthz report how current the serving
-		// snapshot is relative to the store's journal.
-		return &serve.Corpus{Known: cur.Subjects, Query: q, Matcher: cur.Matcher, LastJournalSeq: &cur.LastSeq}, nil
+		c := &serve.Corpus{Known: cur.Subjects, Query: q, Matcher: cur.Matcher}
+		if st != nil {
+			// Surfacing LastSeq lets /v1/healthz report how current the serving
+			// snapshot is relative to the store's journal.
+			c.LastJournalSeq = &cur.LastSeq
+		}
+		return c, nil
 	}
 }

@@ -126,6 +126,171 @@ func loaderDataset() *forum.Dataset {
 	return ds
 }
 
+// TestSourceGeneratesOneWorldPerLoad: without -known the two halves of a
+// load come from one generated world, whichever is asked for first, and the
+// next load's first request generates the next.
+func TestSourceGeneratesOneWorldPerLoad(t *testing.T) {
+	src := &source{pipe: darklight.NewPipeline(), forum: "reddit", scale: 0.01, seed: 1, polish: true, refine: true}
+	ctx := context.Background()
+	for load := 1; load <= 2; load++ {
+		known, err := src.knownDataset(ctx)
+		if err != nil || known.Len() == 0 {
+			t.Fatalf("load %d: known dataset %v, %v", load, known, err)
+		}
+		ae := src.ae
+		if src.main != nil || ae == nil {
+			t.Fatalf("load %d: after the known half, main kept %v, alter egos waiting %v", load, src.main != nil, ae != nil)
+		}
+		subs, err := src.querySubjects(ctx)
+		if err != nil || len(subs) != ae.Len() || len(subs) == 0 {
+			t.Fatalf("load %d: %d query subjects, %v; want the waiting half's %d", load, len(subs), err, ae.Len())
+		}
+		if src.main != nil || src.ae != nil {
+			t.Fatalf("load %d: a half is left over for the next load", load)
+		}
+	}
+	src.forum = "nope"
+	if _, err := src.querySubjects(ctx); err == nil || !strings.Contains(err.Error(), `unknown forum "nope"`) {
+		t.Errorf("unknown forum: %v", err)
+	}
+}
+
+// countingSource is a corpus source for the loader tests: loaderDataset plus
+// whatever aliases the test has added since, counting how often each side is
+// asked.
+type countingSource struct {
+	extra                  []forum.Alias
+	knownCalls, queryCalls int
+}
+
+func (s *countingSource) knownDS(context.Context) (*forum.Dataset, error) {
+	s.knownCalls++
+	ds := loaderDataset()
+	for _, a := range s.extra {
+		ds.Add(a)
+	}
+	return ds, nil
+}
+
+func (s *countingSource) querySubjects(context.Context) ([]attribution.Subject, error) {
+	s.queryCalls++
+	return []attribution.Subject{{Name: "q"}}, nil
+}
+
+func loaderOptions() (attribution.Options, attribution.SubjectOptions) {
+	return darklight.NewPipeline().MatcherOptions(), attribution.SubjectOptions{WithActivity: true, Workers: 2}
+}
+
+// TestLoaderWithoutDirectory: with no store the one loader still hands serve
+// a pre-built matcher, reports no journal position, and builds from the
+// source again on every load — a reload sees what the source has by then.
+func TestLoaderWithoutDirectory(t *testing.T) {
+	opts, subjOpts := loaderOptions()
+	src := &countingSource{}
+	load := newLoader(nil, opts, subjOpts, false, true, src.knownDS, src.querySubjects)
+	ctx := context.Background()
+
+	c, err := load(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Known) != 3 || len(c.Query) != 1 || c.Matcher == nil || c.Matcher.NumKnown() != 3 || c.LastJournalSeq != nil {
+		t.Fatalf("first load: %d known, %d query subjects, matcher %v, journal seq %v", len(c.Known), len(c.Query), c.Matcher != nil, c.LastJournalSeq)
+	}
+	late := loaderDataset().Aliases[0]
+	late.Name = "latecomer"
+	src.extra = append(src.extra, late)
+	first := c.Matcher
+	if c, err = load(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Known) != 4 || c.Matcher == first || c.Matcher.NumKnown() != 4 {
+		t.Errorf("reload: %d known subjects, matcher rebuilt %v; want the source re-read", len(c.Known), c.Matcher != first)
+	}
+	if src.knownCalls != 2 || src.queryCalls != 2 {
+		t.Errorf("two loads asked the source for %d known datasets and %d query corpora, want 2 and 2", src.knownCalls, src.queryCalls)
+	}
+}
+
+// TestLoaderWithDirectory walks one index directory through the loader's
+// life: the first start builds from the source and saves; a restart takes
+// the snapshot and must not ask the source for the known dataset; a reload
+// folds an appended journal entry in and reports its sequence; and a
+// snapshot of another format version is, with -known, rebuilt over.
+func TestLoaderWithDirectory(t *testing.T) {
+	dir := t.TempDir()
+	opts, subjOpts := loaderOptions()
+	ctx := context.Background()
+	open := func() *store.Store {
+		t.Helper()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	src := &countingSource{}
+	st := open()
+	c, err := newLoader(st, opts, subjOpts, true, true, src.knownDS, src.querySubjects)(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.knownCalls != 1 || !st.HasSnapshot() || len(c.Known) != 3 || c.LastJournalSeq == nil || *c.LastJournalSeq != 0 {
+		t.Fatalf("first start: %d source reads, snapshot saved %v, %d known, journal seq %v", src.knownCalls, st.HasSnapshot(), len(c.Known), c.LastJournalSeq)
+	}
+
+	st = open()
+	noSource := func(context.Context) (*forum.Dataset, error) {
+		t.Error("a start from a snapshot asked the source for the known dataset")
+		return loaderDataset(), nil
+	}
+	restarted := newLoader(st, opts, subjOpts, true, true, noSource, src.querySubjects)
+	if c, err = restarted(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Known) != 3 || c.Matcher == nil || len(c.Query) != 1 || *c.LastJournalSeq != 0 {
+		t.Fatalf("restart: %d known, %d query subjects, matcher %v, journal seq %d", len(c.Known), len(c.Query), c.Matcher != nil, *c.LastJournalSeq)
+	}
+
+	msg := loaderDataset().Aliases[0].Messages[0]
+	msg.ID, msg.Author = "new-0", "newcomer"
+	seq, err := st.AppendThread(forum.ThreadRecord{Thread: "t2", Messages: []forum.Message{msg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err = restarted(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Known) != 4 || c.Matcher.NumKnown() != 4 || *c.LastJournalSeq != seq {
+		t.Fatalf("reload after an append at seq %d: %d known subjects, journal seq %d", seq, len(c.Known), *c.LastJournalSeq)
+	}
+
+	// Another format version: the u32 after the 8-byte magic.
+	raw, err := os.ReadFile(st.SnapshotPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[8]++
+	if err := os.WriteFile(st.SnapshotPath(), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st = open()
+	var ve *store.VersionError
+	if _, err := newLoader(st, opts, subjOpts, true, false, src.knownDS, src.querySubjects)(ctx); !errors.As(err, &ve) {
+		t.Fatalf("other format version without -known: %v, want the VersionError", err)
+	}
+	if c, err = newLoader(st, opts, subjOpts, true, true, src.knownDS, src.querySubjects)(ctx); err != nil {
+		t.Fatalf("other format version with -known: %v", err)
+	}
+	if src.knownCalls != 2 || len(c.Known) != 3 {
+		t.Errorf("rebuild over the old snapshot: %d source reads, %d known subjects; want 2 and 3", src.knownCalls, len(c.Known))
+	}
+	if _, err := open().Load(); err != nil {
+		t.Errorf("the rebuilt index was not saved over the old snapshot: %v", err)
+	}
+}
+
 // TestStoreLoaderPreparesQueriesBesideTheIndex: on a cold start the query
 // corpus is being prepared while the index is still being built (the build
 // here waits for it to have started: the old order, one after the other,
@@ -174,7 +339,7 @@ func TestStoreLoaderPreparesQueriesBesideTheIndex(t *testing.T) {
 		}
 		return []attribution.Subject{{Name: "q"}}, nil
 	}
-	load := makeStoreLoader(st, opts, subjOpts, true, true, knownDS, querySubjects)
+	load := newLoader(st, opts, subjOpts, true, true, knownDS, querySubjects)
 	ctx := context.Background()
 
 	failIndex.Store(true)
@@ -197,7 +362,7 @@ func TestStoreLoaderPreparesQueriesBesideTheIndex(t *testing.T) {
 	}
 
 	failQuery.Store(false)
-	fresh := makeStoreLoader(st, opts, subjOpts, true, true, knownDS, querySubjects)
+	fresh := newLoader(st, opts, subjOpts, true, true, knownDS, querySubjects)
 	c, err := fresh(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -79,16 +79,9 @@ func cmdGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	var d *forum.Dataset
-	switch *which {
-	case "reddit":
-		d = world.Reddit
-	case "tmg":
-		d = world.TMG
-	case "dm":
-		d = world.DM
-	default:
-		return fmt.Errorf("unknown forum %q", *which)
+	d, err := world.Forum(*which)
+	if err != nil {
+		return err
 	}
 	if err := darklight.SaveJSONL(*out, d); err != nil {
 		return err

@@ -96,14 +96,5 @@ func pickDataset(load, which string, scale float64, seed uint64) (*forum.Dataset
 	if err != nil {
 		return nil, err
 	}
-	switch which {
-	case "reddit":
-		return world.Reddit, nil
-	case "tmg":
-		return world.TMG, nil
-	case "dm":
-		return world.DM, nil
-	default:
-		return nil, fmt.Errorf("unknown forum %q (want reddit, tmg, or dm)", which)
-	}
+	return world.Forum(which)
 }

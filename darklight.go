@@ -215,12 +215,7 @@ func (p *Pipeline) SplitAlterEgos(d *Dataset) (main, ae *Dataset) {
 // Subjects prepares a dataset for matching under the pipeline's word
 // budget and activity settings.
 func (p *Pipeline) Subjects(d *Dataset) ([]Subject, error) {
-	return attribution.BuildSubjects(d, attribution.SubjectOptions{
-		WordBudget:   p.budget,
-		Activity:     p.actOpts,
-		WithActivity: p.opts.UseActivity,
-		Workers:      p.opts.Workers,
-	})
+	return attribution.BuildSubjects(d, p.SubjectOptions())
 }
 
 // Link runs the full §IV-I algorithm: every alias of unknown is matched
@@ -228,19 +223,7 @@ func (p *Pipeline) Subjects(d *Dataset) ([]Subject, error) {
 // threshold come back with Accepted set. All pairs (accepted or not) are
 // returned so callers can sweep their own thresholds.
 func (p *Pipeline) Link(ctx context.Context, known, unknown *Dataset) ([]Match, error) {
-	knownSubs, err := p.Subjects(known)
-	if err != nil {
-		return nil, fmt.Errorf("darklight: prepare known aliases: %w", err)
-	}
-	m, err := attribution.NewMatcherContext(ctx, knownSubs, p.opts)
-	if err != nil {
-		return nil, fmt.Errorf("darklight: index known aliases: %w", err)
-	}
-	unknownSubs, err := p.Subjects(unknown)
-	if err != nil {
-		return nil, fmt.Errorf("darklight: prepare unknown aliases: %w", err)
-	}
-	results, err := m.MatchAll(ctx, unknownSubs)
+	results, err := p.LinkDetailed(ctx, known, unknown)
 	if err != nil {
 		return nil, err
 	}

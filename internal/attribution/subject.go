@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"darklight/internal/activity"
@@ -90,37 +89,30 @@ func BuildSubjects(d *forum.Dataset, opts SubjectOptions) ([]Subject, error) {
 	workers = shardCount(workers, d.Len())
 	subjects := make([]Subject, d.Len())
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*d.Len()/workers, (w+1)*d.Len()/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				a := &d.Aliases[i]
-				s := Subject{
-					Name:       a.Name,
-					Text:       corpus.Document(a, budget),
-					Timestamps: a.Timestamps(),
-				}
-				if opts.WithActivity {
-					p, err := activity.Build(s.Timestamps, opts.Activity)
-					switch {
-					case err == nil:
-						s.Activity = p
-					case errors.Is(err, activity.ErrInsufficientTimestamps):
-						// Expected: score on text alone.
-					default:
-						if errs[w] == nil {
-							errs[w] = fmt.Errorf("attribution: subject %q: %w", a.Name, err)
-						}
+	parallelChunks(workers, d.Len(), func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a := &d.Aliases[i]
+			s := Subject{
+				Name:       a.Name,
+				Text:       corpus.Document(a, budget),
+				Timestamps: a.Timestamps(),
+			}
+			if opts.WithActivity {
+				p, err := activity.Build(s.Timestamps, opts.Activity)
+				switch {
+				case err == nil:
+					s.Activity = p
+				case errors.Is(err, activity.ErrInsufficientTimestamps):
+					// Expected: score on text alone.
+				default:
+					if errs[w] == nil {
+						errs[w] = fmt.Errorf("attribution: subject %q: %w", a.Name, err)
 					}
 				}
-				subjects[i] = s
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+			subjects[i] = s
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -7,7 +7,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -205,10 +204,4 @@ func F1(precision, recall float64) float64 {
 		return 0
 	}
 	return 2 * precision * recall / (precision + recall)
-}
-
-// RoundPct renders a ratio as a percentage with one decimal, used by the
-// experiment harnesses to print paper-style tables.
-func RoundPct(x float64) string {
-	return fmt.Sprintf("%.1f%%", 100*math.Round(x*1000)/1000)
 }

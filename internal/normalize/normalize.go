@@ -15,23 +15,25 @@
 //  11. strip armored PGP keys
 //  12. drop words longer than 34 characters (ASCII art, unarmored keys)
 //
-// Each step is a named Step value so callers can run the full paper
-// pipeline, a subset, or interleave their own steps; the Report records
-// what every step removed, which the tests and the experiment harness use.
+// Each step is a named Step value; the Report records what every step
+// removed, which the tests and the experiment harness use.
 //
-// # Parallel execution
+// # Execution
 //
-// Every paper step is alias-local: it reads and writes one alias at a time
-// and never looks across aliases (deduplication is per-alias — vendors
-// repost their own showcase). Running the whole step chain on alias A and
-// then on alias B is therefore indistinguishable from running each step
-// over all aliases in turn, and the Report's counters are plain integer
-// sums, which commute. Pipeline.Run exploits this: with Workers > 1 the
-// aliases fan out over contiguous chunks, each worker runs the full step
-// chain per alias into a private per-step counter block, and the merge sums
-// the blocks in step order. The result — surviving aliases, message bodies,
-// and every Report counter — is bit-identical to the sequential run for
-// any worker count.
+// Every step is alias-local: it reads and writes one alias at a time and
+// never looks across aliases (deduplication is per-alias — vendors repost
+// their own showcase). Running the whole step chain on alias A and then on
+// alias B is therefore indistinguishable from running each step over all
+// aliases in turn, and the Report's counters are plain integer sums, which
+// commute. Pipeline.Run is built on this: the aliases fan out over
+// contiguous chunks, one per worker, each worker runs the full step chain
+// per alias into a private per-step counter block, and the merge sums the
+// blocks in step order. One worker is the same loop over one chunk, so the
+// result — surviving aliases, message bodies, and every Report counter — is
+// bit-identical for any worker count.
+//
+// Under an obs.Tracer a run is one "polish" span with one "polish.worker"
+// span per worker nested in it.
 package normalize
 
 import (
@@ -50,8 +52,8 @@ import (
 )
 
 // Pipeline metrics. Values are derived from the merged Report counters —
-// plain integer sums identical for any worker count — so the exposed
-// series match sequential runs exactly.
+// plain integer sums — so the exposed series are identical for any worker
+// count.
 var (
 	mPolishRuns   = obs.Default().Counter("polish_runs_total", "completed polish pipeline runs")
 	mStepAliases  = obs.Default().CounterVec("polish_step_aliases_removed_total", "aliases removed per polish step", "step")
@@ -79,18 +81,14 @@ const (
 	MinEnglishProb = 0.50
 )
 
-// Step is one polishing stage. Apply mutates the dataset in place and adds
-// its effect to the report.
+// Step is one polishing stage.
 type Step struct {
 	// Name identifies the step ("strip-emoji").
 	Name string
-	// Paper is the step number in §III-C, 0 for extensions.
+	// Paper is the step number in §III-C.
 	Paper int
-	// Apply runs the step.
-	Apply func(d *forum.Dataset, r *Report)
-	// applyAlias is the alias-local form the parallel runner fans out:
-	// process one alias, accumulate into sr, and report whether the alias
-	// itself is removed. Steps without it force the sequential path.
+	// applyAlias runs the step on one alias in place: it accumulates what it
+	// changed into sr and reports whether the alias itself is removed.
 	applyAlias func(a *forum.Alias, sr *StepReport) bool
 }
 
@@ -103,7 +101,7 @@ type Report struct {
 // StepReport describes what one step changed. BytesIn/BytesOut are the
 // message-body bytes entering and surviving the step — the per-step byte
 // deltas the polish metrics export. Both are integer sums over aliases,
-// so the parallel merge reproduces them exactly.
+// so the merge over workers reproduces them exactly.
 type StepReport struct {
 	Name             string
 	AliasesRemoved   int
@@ -123,8 +121,6 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-func (r *Report) add(s StepReport) { r.Steps = append(r.Steps, s) }
-
 // Pipeline is an ordered list of steps.
 type Pipeline struct {
 	steps    []Step
@@ -134,12 +130,6 @@ type Pipeline struct {
 
 // Option configures a Pipeline.
 type Option func(*Pipeline)
-
-// WithDetector overrides the language detector (the default is the
-// embedded-profile detector).
-func WithDetector(d *langdetect.Detector) Option {
-	return func(p *Pipeline) { p.detector = d }
-}
 
 // WithWorkers bounds the pipeline's parallelism; n <= 0 means GOMAXPROCS.
 // Output is bit-identical for every worker count (see the package comment),
@@ -156,18 +146,18 @@ func NewPipeline(opts ...Option) *Pipeline {
 		o(p)
 	}
 	p.steps = []Step{
-		{Name: "drop-bots", Paper: 1, Apply: dropBots, applyAlias: dropBotsAlias},
-		{Name: "dedup-messages", Paper: 2, Apply: dedupMessages, applyAlias: dedupMessagesAlias},
-		{Name: "strip-quotes", Paper: 8, Apply: stripQuotes, applyAlias: stripQuotesAlias},
-		{Name: "strip-edit-marks", Paper: 9, Apply: stripEditMarks, applyAlias: stripEditMarksAlias},
-		{Name: "strip-pgp", Paper: 11, Apply: stripPGP, applyAlias: stripPGPAlias},
-		{Name: "tag-mail", Paper: 10, Apply: tagMail, applyAlias: tagMailAlias},
-		{Name: "normalize-urls", Paper: 3, Apply: normalizeURLs, applyAlias: normalizeURLsAlias},
-		{Name: "strip-emoji", Paper: 4, Apply: stripEmoji, applyAlias: stripEmojiAlias},
-		{Name: "drop-long-words", Paper: 12, Apply: dropLongWords, applyAlias: dropLongWordsAlias},
-		{Name: "english-only", Paper: 7, Apply: p.englishOnly, applyAlias: p.englishOnlyAlias},
-		{Name: "drop-short", Paper: 5, Apply: dropShort, applyAlias: dropShortAlias},
-		{Name: "drop-spam", Paper: 6, Apply: dropSpam, applyAlias: dropSpamAlias},
+		{Name: "drop-bots", Paper: 1, applyAlias: dropBotsAlias},
+		{Name: "dedup-messages", Paper: 2, applyAlias: dedupMessagesAlias},
+		{Name: "strip-quotes", Paper: 8, applyAlias: stripQuotesAlias},
+		{Name: "strip-edit-marks", Paper: 9, applyAlias: stripEditMarksAlias},
+		{Name: "strip-pgp", Paper: 11, applyAlias: stripPGPAlias},
+		{Name: "tag-mail", Paper: 10, applyAlias: tagMailAlias},
+		{Name: "normalize-urls", Paper: 3, applyAlias: normalizeURLsAlias},
+		{Name: "strip-emoji", Paper: 4, applyAlias: stripEmojiAlias},
+		{Name: "drop-long-words", Paper: 12, applyAlias: dropLongWordsAlias},
+		{Name: "english-only", Paper: 7, applyAlias: p.englishOnlyAlias},
+		{Name: "drop-short", Paper: 5, applyAlias: dropShortAlias},
+		{Name: "drop-spam", Paper: 6, applyAlias: dropSpamAlias},
 	}
 	return p
 }
@@ -188,54 +178,91 @@ func (p *Pipeline) Steps() []string {
 // steps (quotes, PGP, mail, URLs, emoji) run before the filters that
 // measure length, spam ratio, and language, so the filters see the text the
 // feature extractor will see.
-//
-// With more than one worker the aliases fan out over a worker pool; the
-// result is bit-identical to the sequential run (see the package comment).
 func (p *Pipeline) Run(d *forum.Dataset) *Report {
 	return p.RunContext(context.Background(), d)
 }
 
-// RunContext is Run under a context that may carry an obs.Tracer. With
-// tracing enabled the run emits a "polish" root span; sequential runs nest
-// one "polish.step.<name>" span per step, parallel runs nest one
-// "polish.worker" span per worker. The dataset, the report — including the
-// byte deltas — and every exported metric are bit-identical with tracing
-// on or off, and for any worker count.
+// RunContext is Run under a context that may carry an obs.Tracer. The
+// dataset, the report — including the byte deltas — and every exported
+// metric are bit-identical with tracing on or off, and for any worker count.
+//
+// The aliases fan out over contiguous chunks, one per worker. Each worker
+// runs the full step chain alias by alias into a private per-step counter
+// block; blocks merge by integer summation in step order, and dropped
+// aliases are compacted in input order. An empty dataset starts no worker
+// and still reports every step.
 func (p *Pipeline) RunContext(ctx context.Context, d *forum.Dataset) *Report {
 	ctx, root := obs.Start(ctx, "polish")
 	defer root.End()
-	root.AddItems(int64(d.Len()))
+	n := d.Len()
+	root.AddItems(int64(n))
 
 	workers := p.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > d.Len() {
-		workers = d.Len()
+	if workers > n {
+		workers = n
 	}
-	var r *Report
-	if workers > 1 && p.perAliasCapable() {
-		r = p.runParallel(ctx, d, workers)
-	} else {
-		r = &Report{}
-		for _, s := range p.steps {
-			_, sp := obs.Start(ctx, "polish.step."+s.Name)
-			s.Apply(d, r)
-			if n := len(r.Steps); n > 0 {
-				sr := &r.Steps[n-1]
-				sp.AddItems(int64(sr.MessagesRemoved + sr.MessagesModified))
-				sp.AddBytes(sr.BytesIn - sr.BytesOut)
+	accs := make([][]StepReport, workers)
+	dropped := make([]bool, n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		acc := make([]StepReport, len(p.steps))
+		accs[w] = acc
+		lo, hi := w*n/workers, (w+1)*n/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, sp := obs.Start(ctx, "polish.worker")
+			sp.SetWorker(w)
+			sp.AddItems(int64(hi - lo))
+			defer sp.End()
+			for i := lo; i < hi; i++ {
+				a := &d.Aliases[i]
+				for si := range p.steps {
+					acc[si].BytesIn += aliasBytes(a)
+					if p.steps[si].applyAlias(a, &acc[si]) {
+						dropped[i] = true
+						break
+					}
+					acc[si].BytesOut += aliasBytes(a)
+				}
 			}
-			sp.End()
+		}()
+	}
+	wg.Wait()
+	r := &Report{Steps: make([]StepReport, len(p.steps))}
+	for si := range p.steps {
+		m := &r.Steps[si]
+		m.Name = p.steps[si].Name
+		for w := range accs {
+			m.AliasesRemoved += accs[w][si].AliasesRemoved
+			m.MessagesRemoved += accs[w][si].MessagesRemoved
+			m.MessagesModified += accs[w][si].MessagesModified
+			m.BytesIn += accs[w][si].BytesIn
+			m.BytesOut += accs[w][si].BytesOut
 		}
 	}
-	// Final sweep: drop aliases that lost all messages (they carry zero
-	// bytes, so BytesIn == BytesOut == the surviving corpus size).
-	before := d.Len()
-	bytes := datasetBytes(d)
-	kept := d.Filter(func(a *forum.Alias) bool { return len(a.Messages) > 0 })
-	d.Aliases = kept.Aliases
-	r.add(StepReport{Name: "drop-empty-aliases", AliasesRemoved: before - d.Len(), BytesIn: bytes, BytesOut: bytes})
+	// Final sweep: drop the aliases a step removed and those that lost all
+	// messages (the latter carry zero bytes, so BytesIn == BytesOut == the
+	// surviving corpus size).
+	var bytes int64
+	removed := 0
+	kept := d.Aliases[:0]
+	for i := range d.Aliases {
+		if dropped[i] {
+			continue
+		}
+		if len(d.Aliases[i].Messages) == 0 {
+			removed++
+			continue
+		}
+		bytes += aliasBytes(&d.Aliases[i])
+		kept = append(kept, d.Aliases[i])
+	}
+	d.Aliases = kept
+	r.Steps = append(r.Steps, StepReport{Name: "drop-empty-aliases", AliasesRemoved: removed, BytesIn: bytes, BytesOut: bytes})
 	exportReport(r)
 	return r
 }
@@ -262,108 +289,7 @@ func aliasBytes(a *forum.Alias) int64 {
 	return n
 }
 
-// datasetBytes sums every alias's message-body bytes.
-func datasetBytes(d *forum.Dataset) int64 {
-	var n int64
-	for i := range d.Aliases {
-		n += aliasBytes(&d.Aliases[i])
-	}
-	return n
-}
-
-// perAliasCapable reports whether every step carries the alias-local form
-// the parallel runner needs.
-func (p *Pipeline) perAliasCapable() bool {
-	for i := range p.steps {
-		if p.steps[i].applyAlias == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// runParallel fans the aliases out over contiguous chunks. Each worker runs
-// the full step chain alias by alias into a private per-step counter block;
-// blocks merge by integer summation in step order, and dropped aliases are
-// compacted in input order — both bit-identical to the sequential run.
-func (p *Pipeline) runParallel(ctx context.Context, d *forum.Dataset, workers int) *Report {
-	n := d.Len()
-	accs := make([][]StepReport, workers)
-	dropped := make([]bool, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		acc := make([]StepReport, len(p.steps))
-		accs[w] = acc
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, sp := obs.Start(ctx, "polish.worker")
-			sp.SetWorker(w)
-			sp.AddItems(int64(hi - lo))
-			defer sp.End()
-			for i := lo; i < hi; i++ {
-				a := &d.Aliases[i]
-				for si := range p.steps {
-					// Per-alias byte accounting, computed exactly as the
-					// sequential applyPerAlias does, so the merged sums match
-					// bit for bit.
-					acc[si].BytesIn += aliasBytes(a)
-					if p.steps[si].applyAlias(a, &acc[si]) {
-						dropped[i] = true
-						break
-					}
-					acc[si].BytesOut += aliasBytes(a)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	r := &Report{Steps: make([]StepReport, len(p.steps))}
-	for si := range p.steps {
-		m := &r.Steps[si]
-		m.Name = p.steps[si].Name
-		for w := range accs {
-			m.AliasesRemoved += accs[w][si].AliasesRemoved
-			m.MessagesRemoved += accs[w][si].MessagesRemoved
-			m.MessagesModified += accs[w][si].MessagesModified
-			m.BytesIn += accs[w][si].BytesIn
-			m.BytesOut += accs[w][si].BytesOut
-		}
-	}
-	kept := d.Aliases[:0]
-	for i := range d.Aliases {
-		if dropped[i] {
-			continue
-		}
-		kept = append(kept, d.Aliases[i])
-	}
-	d.Aliases = kept
-	return r
-}
-
-// applyPerAlias runs an alias-local step over the whole dataset — the
-// sequential Apply form every paper step derives from.
-func applyPerAlias(name string, fn func(*forum.Alias, *StepReport) bool, d *forum.Dataset, r *Report) {
-	sr := StepReport{Name: name}
-	kept := d.Aliases[:0]
-	for i := range d.Aliases {
-		a := &d.Aliases[i]
-		sr.BytesIn += aliasBytes(a)
-		if fn(a, &sr) {
-			continue
-		}
-		sr.BytesOut += aliasBytes(a)
-		kept = append(kept, d.Aliases[i])
-	}
-	d.Aliases = kept
-	r.add(sr)
-}
-
 // --- step 1: bots ---
-
-func dropBots(d *forum.Dataset, r *Report) { applyPerAlias("drop-bots", dropBotsAlias, d, r) }
 
 func dropBotsAlias(a *forum.Alias, sr *StepReport) bool {
 	if !a.IsLikelyBot() {
@@ -376,13 +302,10 @@ func dropBotsAlias(a *forum.Alias, sr *StepReport) bool {
 
 // --- step 2: duplicates ---
 
-// dedupMessages removes duplicate bodies per alias (vendors repost their
-// showcase; redditors cross-post across subreddits). The first occurrence
-// by timestamp wins so activity profiles keep the original posting time.
-func dedupMessages(d *forum.Dataset, r *Report) {
-	applyPerAlias("dedup-messages", dedupMessagesAlias, d, r)
-}
-
+// dedupMessagesAlias removes duplicate bodies per alias (vendors repost
+// their showcase; redditors cross-post across subreddits). The first
+// occurrence by timestamp wins so activity profiles keep the original
+// posting time.
 func dedupMessagesAlias(a *forum.Alias, sr *StepReport) bool {
 	seen := make(map[string]int, len(a.Messages)) // body → index of kept msg
 	kept := a.Messages[:0]
@@ -425,10 +348,6 @@ func NormalizeURL(raw string) string {
 	return strings.TrimPrefix(strings.ToLower(u.Hostname()), "www.")
 }
 
-func normalizeURLs(d *forum.Dataset, r *Report) {
-	applyPerAlias("normalize-urls", normalizeURLsAlias, d, r)
-}
-
 func normalizeURLsAlias(a *forum.Alias, sr *StepReport) bool {
 	for j := range a.Messages {
 		m := &a.Messages[j]
@@ -448,8 +367,6 @@ func normalizeURLsAlias(a *forum.Alias, sr *StepReport) bool {
 
 // --- step 4: emoji ---
 
-func stripEmoji(d *forum.Dataset, r *Report) { applyPerAlias("strip-emoji", stripEmojiAlias, d, r) }
-
 func stripEmojiAlias(a *forum.Alias, sr *StepReport) bool {
 	for j := range a.Messages {
 		m := &a.Messages[j]
@@ -463,8 +380,6 @@ func stripEmojiAlias(a *forum.Alias, sr *StepReport) bool {
 }
 
 // --- step 5: short messages ---
-
-func dropShort(d *forum.Dataset, r *Report) { applyPerAlias("drop-short", dropShortAlias, d, r) }
 
 func dropShortAlias(a *forum.Alias, sr *StepReport) bool {
 	kept := a.Messages[:0]
@@ -481,8 +396,6 @@ func dropShortAlias(a *forum.Alias, sr *StepReport) bool {
 
 // --- step 6: spam ratio ---
 
-func dropSpam(d *forum.Dataset, r *Report) { applyPerAlias("drop-spam", dropSpamAlias, d, r) }
-
 func dropSpamAlias(a *forum.Alias, sr *StepReport) bool {
 	kept := a.Messages[:0]
 	for _, m := range a.Messages {
@@ -497,10 +410,6 @@ func dropSpamAlias(a *forum.Alias, sr *StepReport) bool {
 }
 
 // --- step 7: language ---
-
-func (p *Pipeline) englishOnly(d *forum.Dataset, r *Report) {
-	applyPerAlias("english-only", p.englishOnlyAlias, d, r)
-}
 
 // englishOnlyAlias shares p.detector across workers — the detector is
 // immutable after construction and documented concurrency-safe (see
@@ -575,10 +484,6 @@ func stripBBQuotes(body string) string {
 	return b.String()
 }
 
-func stripQuotes(d *forum.Dataset, r *Report) {
-	applyPerAlias("strip-quotes", stripQuotesAlias, d, r)
-}
-
 func stripQuotesAlias(a *forum.Alias, sr *StepReport) bool {
 	for j := range a.Messages {
 		m := &a.Messages[j]
@@ -620,10 +525,6 @@ func containsEditFold(s string) bool {
 	return false
 }
 
-func stripEditMarks(d *forum.Dataset, r *Report) {
-	applyPerAlias("strip-edit-marks", stripEditMarksAlias, d, r)
-}
-
 func stripEditMarksAlias(a *forum.Alias, sr *StepReport) bool {
 	for j := range a.Messages {
 		m := &a.Messages[j]
@@ -649,8 +550,6 @@ func stripEditMarksAlias(a *forum.Alias, sr *StepReport) bool {
 
 var mailRe = regexp.MustCompile(`[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}`)
 
-func tagMail(d *forum.Dataset, r *Report) { applyPerAlias("tag-mail", tagMailAlias, d, r) }
-
 func tagMailAlias(a *forum.Alias, sr *StepReport) bool {
 	for j := range a.Messages {
 		m := &a.Messages[j]
@@ -668,8 +567,6 @@ func tagMailAlias(a *forum.Alias, sr *StepReport) bool {
 }
 
 // --- step 11: PGP ---
-
-func stripPGP(d *forum.Dataset, r *Report) { applyPerAlias("strip-pgp", stripPGPAlias, d, r) }
 
 func stripPGPAlias(a *forum.Alias, sr *StepReport) bool {
 	for j := range a.Messages {
@@ -703,10 +600,6 @@ func mayHaveLongWord(s string) bool {
 		}
 	}
 	return false
-}
-
-func dropLongWords(d *forum.Dataset, r *Report) {
-	applyPerAlias("drop-long-words", dropLongWordsAlias, d, r)
 }
 
 func dropLongWordsAlias(a *forum.Alias, sr *StepReport) bool {

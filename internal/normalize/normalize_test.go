@@ -29,16 +29,29 @@ func alias(name string, bodies ...string) forum.Alias {
 	return a
 }
 
+// applyStep runs one step's alias form over every alias of d, dropping the
+// aliases it removes — what the pipeline's worker loop does for one step.
+func applyStep(d *forum.Dataset, step func(*forum.Alias, *StepReport) bool) StepReport {
+	var sr StepReport
+	kept := d.Aliases[:0]
+	for i := range d.Aliases {
+		if !step(&d.Aliases[i], &sr) {
+			kept = append(kept, d.Aliases[i])
+		}
+	}
+	d.Aliases = kept
+	return sr
+}
+
 const english = "this is a perfectly normal english sentence about shipping and quality with plenty of different words"
 
 func TestDropBots(t *testing.T) {
 	d := dataset(alias("tipbot", english), alias("alice", english))
-	r := &Report{}
-	dropBots(d, r)
+	sr := applyStep(d, dropBotsAlias)
 	if d.Len() != 1 || d.Aliases[0].Name != "alice" {
 		t.Errorf("kept %v", d.Names())
 	}
-	if r.Steps[0].AliasesRemoved != 1 {
+	if sr.AliasesRemoved != 1 {
 		t.Error("report must count the removed bot")
 	}
 }
@@ -48,8 +61,7 @@ func TestDedupMessages(t *testing.T) {
 	// Make the duplicate earlier so dedup must keep the earliest timestamp.
 	a.Messages[1].PostedAt = t0.Add(-time.Hour)
 	d := dataset(a)
-	r := &Report{}
-	dedupMessages(d, r)
+	applyStep(d, dedupMessagesAlias)
 	if len(d.Aliases[0].Messages) != 2 {
 		t.Fatalf("kept %d messages", len(d.Aliases[0].Messages))
 	}
@@ -70,7 +82,7 @@ func TestNormalizeURLStep(t *testing.T) {
 		}
 	}
 	d := dataset(alias("a", "check https://www.reddit.com/r/x/comments/1 it rocks"))
-	normalizeURLs(d, &Report{})
+	applyStep(d, normalizeURLsAlias)
 	if got := d.Aliases[0].Messages[0].Body; got != "check reddit.com it rocks" {
 		t.Errorf("body = %q", got)
 	}
@@ -94,7 +106,7 @@ func TestStripQuotesStep(t *testing.T) {
 
 func TestStripEditMarks(t *testing.T) {
 	d := dataset(alias("bob", "my real content here\nEdit by bob: fixed typo"))
-	stripEditMarks(d, &Report{})
+	applyStep(d, stripEditMarksAlias)
 	got := d.Aliases[0].Messages[0].Body
 	if strings.Contains(got, "Edit") || strings.Contains(got, "bob:") {
 		t.Errorf("edit mark survived: %q", got)
@@ -106,7 +118,7 @@ func TestStripEditMarks(t *testing.T) {
 
 func TestTagMail(t *testing.T) {
 	d := dataset(alias("a", "contact me at vendor.supreme+orders@proton-mail.com for info"))
-	tagMail(d, &Report{})
+	applyStep(d, tagMailAlias)
 	got := d.Aliases[0].Messages[0].Body
 	if !strings.Contains(got, MailTag) || strings.Contains(got, "@") {
 		t.Errorf("mail not tagged: %q", got)
@@ -116,7 +128,7 @@ func TestTagMail(t *testing.T) {
 func TestStripPGPStep(t *testing.T) {
 	body := "verify my key\n-----BEGIN PGP PUBLIC KEY BLOCK-----\nAAA\n-----END PGP PUBLIC KEY BLOCK-----\nthanks"
 	d := dataset(alias("a", body))
-	stripPGP(d, &Report{})
+	applyStep(d, stripPGPAlias)
 	got := d.Aliases[0].Messages[0].Body
 	if strings.Contains(got, "PGP") {
 		t.Errorf("PGP block survived: %q", got)
@@ -126,7 +138,7 @@ func TestStripPGPStep(t *testing.T) {
 func TestDropLongWords(t *testing.T) {
 	art := strings.Repeat("=", 50)
 	d := dataset(alias("a", "before "+art+" after"))
-	dropLongWords(d, &Report{})
+	applyStep(d, dropLongWordsAlias)
 	got := d.Aliases[0].Messages[0].Body
 	if strings.Contains(got, "=") {
 		t.Errorf("long token survived: %q", got)
@@ -142,9 +154,8 @@ func TestDropShortAndSpam(t *testing.T) {
 		english,                        // fine
 		strings.Repeat("buy now ", 10), // ratio 2/20 = 0.1 → spam
 	))
-	r := &Report{}
-	dropShort(d, r)
-	dropSpam(d, r)
+	applyStep(d, dropShortAlias)
+	applyStep(d, dropSpamAlias)
 	if len(d.Aliases[0].Messages) != 1 {
 		t.Fatalf("kept %d messages", len(d.Aliases[0].Messages))
 	}
@@ -158,8 +169,7 @@ func TestEnglishOnly(t *testing.T) {
 		english,
 		"la calidad era buena pero el envío tardó demasiado tiempo esta vez la verdad",
 	))
-	p := NewPipeline()
-	p.englishOnly(d, &Report{})
+	applyStep(d, NewPipeline().englishOnlyAlias)
 	if len(d.Aliases[0].Messages) != 1 {
 		t.Fatalf("kept %d messages", len(d.Aliases[0].Messages))
 	}

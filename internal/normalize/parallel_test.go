@@ -67,10 +67,10 @@ func cloneDataset(d *forum.Dataset) *forum.Dataset {
 	return out
 }
 
-// TestRunParallelMatchesSequential pins the parallel runner to the
-// sequential one: for every worker count the surviving aliases, every
-// message body and timestamp, and every Report counter must be
-// bit-identical to Workers=1.
+// TestRunParallelMatchesSequential pins the fan-out to the one-worker run
+// (the same loop over one chunk, in input order): for every worker count
+// the surviving aliases, every message body and timestamp, and every Report
+// counter must be bit-identical to Workers=1.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	base := messyDataset(101)
 
@@ -90,15 +90,23 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 }
 
 // TestRunParallelEmptyAndTiny covers the degenerate fan-outs: zero aliases
-// (no worker spawned) and fewer aliases than workers.
+// (no worker spawned, for any worker setting, and still one zero row per
+// step plus the final sweep) and fewer aliases than workers.
 func TestRunParallelEmptyAndTiny(t *testing.T) {
-	empty := forum.NewDataset("Empty", forum.PlatformReddit)
-	r := NewPipeline(WithWorkers(8)).Run(empty)
-	if empty.Len() != 0 {
-		t.Errorf("empty dataset grew aliases")
-	}
-	if len(r.Steps) == 0 {
-		t.Errorf("report missing steps")
+	for _, workers := range []int{0, 1, 8} {
+		empty := forum.NewDataset("Empty", forum.PlatformReddit)
+		p := NewPipeline(WithWorkers(workers))
+		r := p.Run(empty)
+		if empty.Len() != 0 {
+			t.Errorf("Workers=%d: empty dataset grew aliases", workers)
+		}
+		want := &Report{}
+		for _, name := range append(p.Steps(), "drop-empty-aliases") {
+			want.Steps = append(want.Steps, StepReport{Name: name})
+		}
+		if !reflect.DeepEqual(r, want) {
+			t.Errorf("Workers=%d: empty dataset reports\n%v\nwant one zero row per step:\n%v", workers, r, want)
+		}
 	}
 
 	tiny := messyDataset(2)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
@@ -262,12 +261,4 @@ func Serve(addr string, reg *Registry, logf func(format string, args ...any)) (s
 		})
 	}
 	return ln.Addr().String(), stop, nil
-}
-
-// WriteJSON renders the snapshot as indented JSON (the manifest embeds the
-// same structure via Snapshot).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

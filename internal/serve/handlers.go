@@ -127,7 +127,7 @@ func (s *Service) handleMatch(r *http.Request, st *state, body []byte) (any, *Er
 	}
 	res := st.matcher.Match(sub)
 	span.SetAttr("accepted", strconv.FormatBool(res.Accepted))
-	return matchResponse(st.version, &res, s.cfg.Options.Threshold), nil
+	return matchResponse(st.version, &res, st.matcher.Options().Threshold), nil
 }
 
 // matchResponse converts one MatchResult into the wire form.

@@ -8,6 +8,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -225,6 +226,47 @@ func TestLoaderSuppliedMatcher(t *testing.T) {
 	b := do(plain.Handler(), http.MethodPost, "/v1/rank", "test-key", body)
 	if a.Code != http.StatusOK || a.Body.String() != b.Body.String() {
 		t.Fatalf("prebuilt-matcher service diverges:\n%d %s\nvs %s", a.Code, a.Body.String(), b.Body.String())
+	}
+}
+
+// TestMatchReportsTheMatchersThreshold: the matcher decides "accepted", so
+// the threshold beside it must be the matcher's — a loader-supplied matcher
+// (a snapshot's) may have been built at another threshold than
+// Config.Options carries, and the response must not show accepted:false
+// beside a threshold the best score clears, or the reverse.
+func TestMatchReportsTheMatchersThreshold(t *testing.T) {
+	corpus := testCorpus(t)
+	body := []byte(`{"subject":{"alias":"q_alice"}}`)
+	match := func(svc *Service) MatchResponse {
+		t.Helper()
+		rec := do(svc.Handler(), http.MethodPost, "/v1/match", "test-key", body)
+		var resp MatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK || resp.Best == nil {
+			t.Fatalf("match: %d %s (%v)", rec.Code, rec.Body.String(), err)
+		}
+		return resp
+	}
+	score := match(newTestService(t, newFakeClock(), nil)).Best.Score
+	for _, tc := range []struct{ matcher, config float64 }{
+		{matcher: score + 0.01, config: score - 0.01},
+		{matcher: score - 0.01, config: score + 0.01},
+	} {
+		opts := testOptions()
+		opts.Threshold = tc.matcher
+		pre, err := attribution.NewMatcher(corpus.Known, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := match(newTestService(t, newFakeClock(), func(c *Config) {
+			c.Options.Threshold = tc.config
+			c.Loader = func(context.Context) (*Corpus, error) {
+				return &Corpus{Known: corpus.Known, Query: corpus.Query, Matcher: pre}, nil
+			}
+		}))
+		if resp.Threshold != tc.matcher || resp.Accepted != (resp.Best.Score >= resp.Threshold) {
+			t.Errorf("matcher built at %v, Config.Options at %v: accepted %v, best score %v, threshold %v",
+				tc.matcher, tc.config, resp.Accepted, resp.Best.Score, resp.Threshold)
+		}
 	}
 }
 

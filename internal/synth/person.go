@@ -172,14 +172,10 @@ func (p *Person) Nickname(forumID string, reuseBrand bool) string {
 	return fmt.Sprintf("%s%s%d", adj, noun, num%100)
 }
 
-// wordAffinity is the persistent per-word preference multiplier:
-// exp(style · z(person, word) + drift · z(person, word, forum)).
-func (p *Person) wordAffinity(word string, forumHash uint64, drift float64) float64 {
-	return p.wordAffinityScaled(word, forumHash, drift, 1)
-}
-
-// wordAffinityScaled scales the style strength for this word class
-// (function words get a fraction of the full strength).
+// wordAffinityScaled is the persistent per-word preference multiplier,
+// exp(style · scale · z(person, word) + drift · z(person, word, forum)),
+// the style strength scaled for this word class (function words get a
+// fraction of the full strength).
 func (p *Person) wordAffinityScaled(word string, forumHash uint64, drift, strengthScale float64) float64 {
 	z := gauss(hash2(p.Seed, hashString(word)))
 	a := p.StyleStrength * strengthScale * z

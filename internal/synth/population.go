@@ -240,6 +240,20 @@ type World struct {
 	Config Config
 }
 
+// Forum returns the dataset the commands' -forum flag names: "reddit",
+// "tmg" or "dm".
+func (w *World) Forum(which string) (*forum.Dataset, error) {
+	switch which {
+	case "reddit":
+		return w.Reddit, nil
+	case "tmg":
+		return w.TMG, nil
+	case "dm":
+		return w.DM, nil
+	}
+	return nil, fmt.Errorf("unknown forum %q (want reddit, tmg, or dm)", which)
+}
+
 // forumSpec describes per-forum generation parameters.
 type forumSpec struct {
 	id          string
