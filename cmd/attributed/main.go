@@ -29,7 +29,7 @@
 // source — and swaps the index atomically (in-flight queries finish on the
 // old index); SIGTERM/SIGINT stop accepting connections, drain in-flight
 // requests up to -drain, and exit. /metrics, /debug/vars, /debug/pprof,
-// and /debug/traces are mounted beside the API.
+// and /debug/traces are mounted beside the API, outside its -timeout.
 //
 // Request tracing is on by default (-trace=false disables it): every
 // response carries a traceparent + X-Request-Id, inbound traceparent
@@ -38,14 +38,15 @@
 // Tracing never changes a response body (the serve tests pin the bytes
 // identical either way).
 //
-// -selfcheck N runs N requests through the full in-process chain instead
-// of serving a socket — CI uses it to produce a real access log and a
-// trace-ring dump as build artifacts.
+// -selfcheck N runs N requests (rank, match, rescore, healthz in turn)
+// through the full in-process chain instead of serving a socket — CI uses
+// it to produce a real access log and a trace-ring dump as build artifacts.
 package main
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -65,7 +66,6 @@ import (
 	"darklight/internal/forum"
 	"darklight/internal/obs"
 	"darklight/internal/obs/reqtrace"
-	"darklight/internal/prefilter"
 	"darklight/internal/serve"
 	"darklight/internal/store"
 )
@@ -90,9 +90,6 @@ func main() {
 		maxBody   = flag.Int64("max-body", serve.DefaultMaxBody, "request body byte limit")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request handling deadline")
 		drain     = flag.Duration("drain", 15*time.Second, "SIGTERM drain deadline for in-flight requests")
-		preMode   = flag.String("prefilter", "", "default stage-1 candidate pre-filter: exact, pruned, or lsh (empty: exact); /v1/rank requests may override per query")
-		lshBands  = flag.Int("lsh-bands", 0, "MinHash-LSH band count (0: the built-in default)")
-		lshRows   = flag.Int("lsh-rows", 0, "MinHash rows per LSH band (0: the built-in default)")
 		indexDir  = flag.String("index-dir", "", "index store directory (index.snap + journal.jsonl): cold-start from the snapshot when present; SIGHUP replays journal deltas instead of rebuilding")
 		saveIdx   = flag.Bool("save-index", false, "write the index back to -index-dir after build/replay and compact the journal")
 		traceOn   = flag.Bool("trace", true, "request tracing: traceparent propagation, per-stage span capture, /debug/traces")
@@ -128,16 +125,10 @@ func main() {
 		darklight.WithWorkers(*workers),
 	)
 	opts := pipe.MatcherOptions()
-	mode, err := prefilter.ParseMode(*preMode)
-	if err != nil {
-		log.Fatalf("attributed: -prefilter: %v", err)
-	}
-	opts.Prefilter.Mode = mode
-	opts.Prefilter.LSH.Bands = *lshBands
-	opts.Prefilter.LSH.Rows = *lshRows
 
 	var st *store.Store
 	if *indexDir != "" {
+		var err error
 		if st, err = store.Open(*indexDir); err != nil {
 			log.Fatalf("attributed: %v", err)
 		}
@@ -161,14 +152,8 @@ func main() {
 	}
 	log.Printf("attributed: index v%d built in %s", svc.Version(), time.Since(start).Round(time.Millisecond))
 
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", svc.Handler())
-	obs.AttachDebug(mux, obs.Default())
 	obs.RegisterRuntime(obs.Default())
-	if rec != nil {
-		mux.Handle("/debug/traces", rec.Handler())
-		mux.Handle("/debug/traces/", rec.Handler())
-	}
+	mux := handler(svc.Handler(), rec, *timeout)
 
 	if *selfcheck > 0 {
 		keys := splitKeys(*apiKeys)
@@ -188,7 +173,7 @@ func main() {
 		log.Fatalf("attributed: %v", err)
 	}
 	server := &http.Server{
-		Handler:           http.TimeoutHandler(mux, *timeout, `{"error":{"code":"timeout","message":"request deadline exceeded","status":503}}`),
+		Handler:           mux,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       *timeout,
 		WriteTimeout:      *timeout + 5*time.Second,
@@ -229,34 +214,76 @@ func main() {
 	}
 }
 
+// handler assembles what the daemon serves. Only the /v1/ API runs under the
+// per-request deadline: /debug/pprof/profile takes 30 s by default — the
+// default -timeout — and under the deadline came back as its 503. The
+// server's WriteTimeout bounds everything beside the API.
+func handler(api http.Handler, rec *reqtrace.Recorder, timeout time.Duration) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/v1/", http.TimeoutHandler(api, timeout, `{"error":{"code":"timeout","message":"request deadline exceeded","status":503}}`))
+	obs.AttachDebug(mux, obs.Default())
+	if rec != nil {
+		mux.Handle("/debug/traces", rec.Handler())
+		mux.Handle("/debug/traces/", rec.Handler())
+	}
+	return mux
+}
+
 // isClosedListener matches the error Serve returns when the SIGTERM path
 // closes the listener out from under it.
 func isClosedListener(err error) bool {
 	return errors.Is(err, net.ErrClosed)
 }
 
-// selfCheck drives n requests through the assembled mux in process — the
+// selfCheck drives n requests through the served handler in process — the
 // same middleware chain, tracing, and sinks a socket client would hit —
 // then dumps the sampled-trace listing to stdout. CI runs this mode to
 // publish a real access log and trace dump as build artifacts; it fails
 // on the first non-200 so a broken chain cannot produce green artifacts.
-func selfCheck(mux http.Handler, rec *reqtrace.Recorder, n int, apiKey string) error {
-	// An inline subject keeps the probe corpus-independent: it exercises
-	// resolve + prefilter + rank without assuming any alias names.
-	rank := []byte(`{"subject":{"name":"selfcheck","messages":[{"body":"shipment arrived with stealth packaging and escrow finalize quality tracking","time":"2017-03-04T10:00:00Z"}]},"k":3}`)
+func selfCheck(h http.Handler, rec *reqtrace.Recorder, n int, apiKey string) error {
+	// An inline subject keeps the probe corpus-independent: the cycle takes it
+	// through both stages — rank, match, a rescore of the candidates the rank
+	// returned — without assuming any alias names.
+	subject := serve.SubjectSpec{Name: "selfcheck", Messages: []serve.MessageSpec{{
+		Body: "shipment arrived with stealth packaging and escrow finalize quality tracking",
+		Time: "2017-03-04T10:00:00Z",
+	}}}
+	rescore := serve.RescoreRequest{Subject: subject}
 	for i := 0; i < n; i++ {
-		method, path, body := http.MethodPost, "/v1/rank", rank
-		if i%4 == 3 {
+		method, path, body := http.MethodPost, "/v1/rank", any(serve.RankRequest{Subject: subject, K: 3})
+		switch i % 4 {
+		case 1:
+			path, body = "/v1/match", serve.MatchRequest{Subject: subject}
+		case 2:
+			path, body = "/v1/rescore", rescore
+		case 3:
 			method, path, body = http.MethodGet, "/v1/healthz", nil
 		}
-		req := httptest.NewRequest(method, path, bytes.NewReader(body))
+		var raw []byte
+		if body != nil {
+			var err error
+			if raw, err = json.Marshal(body); err != nil {
+				return fmt.Errorf("selfcheck request %d: %w", i, err)
+			}
+		}
+		req := httptest.NewRequest(method, path, bytes.NewReader(raw))
 		if apiKey != "" && method == http.MethodPost {
 			req.Header.Set("X-API-Key", apiKey)
 		}
 		w := httptest.NewRecorder()
-		mux.ServeHTTP(w, req)
+		h.ServeHTTP(w, req)
 		if w.Code != http.StatusOK {
 			return fmt.Errorf("selfcheck request %d: %s %s: %d %s", i, method, path, w.Code, w.Body.String())
+		}
+		if i%4 == 0 {
+			var ranked serve.RankResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &ranked); err != nil {
+				return fmt.Errorf("selfcheck request %d: %s %s: %w", i, method, path, err)
+			}
+			rescore.Candidates = rescore.Candidates[:0]
+			for _, c := range ranked.Candidates {
+				rescore.Candidates = append(rescore.Candidates, c.Alias)
+			}
 		}
 	}
 	if rec != nil {
@@ -371,23 +398,13 @@ func prepareDataset(ctx context.Context, pipe *darklight.Pipeline, path string, 
 func optionDrift(flags, snapshot attribution.Options) []string {
 	f, s := flags.WithDefaults(), snapshot.WithDefaults()
 	var drift []string
-	for _, d := range []struct {
-		name       string
-		flag, snap any
-	}{
-		{"-k", f.K, s.K},
-		{"-threshold", f.Threshold, s.Threshold},
-		{"-prefilter", f.Prefilter.Mode, s.Prefilter.Mode},
-		{"-lsh-bands", f.Prefilter.LSH.Bands, s.Prefilter.LSH.Bands},
-		{"-lsh-rows", f.Prefilter.LSH.Rows, s.Prefilter.LSH.Rows},
-	} {
-		if d.flag != d.snap {
-			drift = append(drift, fmt.Sprintf("%s is %v, snapshot has %v", d.name, d.flag, d.snap))
-		}
+	if f.K != s.K {
+		drift = append(drift, fmt.Sprintf("-k is %v, snapshot has %v", f.K, s.K))
 	}
-	f.K, f.Threshold, f.Prefilter.Mode, f.Prefilter.LSH.Bands, f.Prefilter.LSH.Rows =
-		s.K, s.Threshold, s.Prefilter.Mode, s.Prefilter.LSH.Bands, s.Prefilter.LSH.Rows
-	f.Workers, f.Incremental = s.Workers, s.Incremental
+	if f.Threshold != s.Threshold {
+		drift = append(drift, fmt.Sprintf("-threshold is %v, snapshot has %v", f.Threshold, s.Threshold))
+	}
+	f.K, f.Threshold, f.Workers, f.Incremental = s.K, s.Threshold, s.Workers, s.Incremental
 	if f != s {
 		drift = append(drift, "built-in defaults differ from the snapshot's")
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
@@ -14,7 +16,6 @@ import (
 	"darklight"
 	"darklight/internal/attribution"
 	"darklight/internal/forum"
-	"darklight/internal/prefilter"
 	"darklight/internal/store"
 )
 
@@ -38,17 +39,9 @@ func TestOptionDrift(t *testing.T) {
 		want []string
 	}{
 		{name: "same options"},
-		{name: "explicit defaults", flag: func(o *attribution.Options) {
-			o.K, o.Prefilter.Mode, o.Prefilter.LSH.Bands = attribution.DefaultK, prefilter.ModeExact, prefilter.DefaultBands
-		}},
+		{name: "explicit defaults", flag: func(o *attribution.Options) { o.K = attribution.DefaultK }},
 		{name: "k and threshold", flag: func(o *attribution.Options) { o.K, o.Threshold = 5, 0.5 },
 			want: []string{"-k is 5, snapshot has 10", "-threshold is 0.5, snapshot has 0.419"}},
-		{name: "older build defaulted to pruned", snap: func(o *attribution.Options) { o.Prefilter.Mode = prefilter.ModePruned },
-			want: []string{"-prefilter is exact, snapshot has pruned"}},
-		{name: "lsh geometry", flag: func(o *attribution.Options) {
-			o.Prefilter.Mode, o.Prefilter.LSH.Bands, o.Prefilter.LSH.Rows = prefilter.ModeLSH, 8, 4
-		},
-			want: []string{"-prefilter is lsh, snapshot has exact", fmt.Sprintf("-lsh-bands is 8, snapshot has %d", prefilter.DefaultBands), fmt.Sprintf("-lsh-rows is 4, snapshot has %d", prefilter.DefaultRows)}},
 		{name: "no flag for it", snap: func(o *attribution.Options) { o.Final.MaxWordGrams = 1000 },
 			want: []string{"built-in defaults differ from the snapshot's"}},
 	} {
@@ -105,6 +98,31 @@ func TestRebuildInstead(t *testing.T) {
 		if err != nil && !errors.Is(err, tc.loadErr) {
 			t.Errorf("%s: returned error %v does not wrap the load error", tc.name, err)
 		}
+	}
+}
+
+// TestHandlerTimeoutCoversOnlyTheAPI: a /v1/ request past -timeout gets the
+// timeout envelope, while a CPU profile ten times the deadline long — which
+// the deadline used to cut off with that same 503 — comes back whole.
+func TestHandlerTimeoutCoversOnlyTheAPI(t *testing.T) {
+	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-time.After(10 * time.Second):
+		}
+	})
+	h := handler(slow, nil, 100*time.Millisecond)
+
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/rank", strings.NewReader("{}")))
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), `"code":"timeout"`) {
+		t.Errorf("/v1/ request past its deadline: %d %s, want the 503 timeout envelope", w.Code, w.Body)
+	}
+
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/pprof/profile?seconds=1", nil))
+	if body := w.Body.Bytes(); w.Code != http.StatusOK || len(body) < 2 || body[0] != 0x1f || body[1] != 0x8b {
+		t.Errorf("/debug/pprof/profile?seconds=1 under a 100 ms -timeout: %d, %d bytes; want a 200 with a gzipped profile", w.Code, len(body))
 	}
 }
 

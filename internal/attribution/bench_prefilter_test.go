@@ -116,9 +116,8 @@ func benchVector(rng *rand.Rand, terms []uint32) sparse.Vector {
 }
 
 // getBenchWorld builds (and memoises) the synthetic matcher for one N,
-// assembling the index structures directly in the shapes the build pass
-// produces — forward lists, per-term maxima — and inverting them with the
-// matcher's own inversion.
+// assembling the forward lists directly in the shape the build pass
+// produces and inverting them with the matcher's own inversion.
 func getBenchWorld(tb testing.TB, n int) *benchWorld {
 	tb.Helper()
 	benchWorldsMu.Lock()
@@ -143,7 +142,7 @@ func getBenchWorld(tb testing.TB, n int) *benchWorld {
 	}
 
 	m := &Matcher{
-		opts:   Options{K: benchTopK, Prefilter: prefilter.Params{}.WithDefaults()},
+		opts:   Options{K: benchTopK},
 		known:  make([]Subject, n),
 		mask:   make([]uint8, n),
 		freqs:  make([][]float64, n),
@@ -152,21 +151,17 @@ func getBenchWorld(tb testing.TB, n int) *benchWorld {
 		fwdVal: make([][]float32, n),
 		lshIdx: make(map[prefilter.LSHParams]*prefilter.LSH),
 	}
-	mc := prefilter.NewMaxContrib(benchDims)
 	for i := 0; i < n; i++ {
 		m.known[i] = Subject{Name: fmt.Sprintf("s%06d", i)}
 		v := benchVector(rng, benchSubjectTerms(rng, bases[i/benchClusterSize]))
 		vals32 := make([]float32, len(v.Val))
-		for k, idx := range v.Idx {
-			f := float32(v.Val[k])
-			vals32[k] = f
-			mc.Note(idx, f)
+		for k, val := range v.Val {
+			vals32[k] = float32(val)
 		}
 		m.mask[i] = maskGrams
 		m.fwdIdx[i] = v.Idx
 		m.fwdVal[i] = vals32
 	}
-	m.maxContrib = mc
 	var err error
 	if m.postOff, m.postSubj, m.postVal, err = invertForward(m.fwdIdx, m.fwdVal, benchDims); err != nil {
 		tb.Fatal(err)

@@ -55,10 +55,6 @@ type Options struct {
 	TwoStage bool
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Prefilter selects the default stage-1 candidate pre-filter and its
-	// knobs. The zero value resolves to the exact scan; per-query
-	// MatchOptions can override the mode. See internal/prefilter.
-	Prefilter prefilter.Params
 	// Incremental retains the corpus gram counters and each subject's
 	// reduction-config document after the build, enabling State()
 	// (persistence) and Fold (delta updates without a full rebuild). Costs
@@ -90,9 +86,8 @@ func (o Options) weights() Weights {
 	return w
 }
 
-// WithDefaults resolves the zero-valued knobs — K, Workers, the pre-filter
-// parameters — to what a matcher built from o runs with, the form
-// Matcher.Options reports.
+// WithDefaults resolves the zero-valued knobs — K, Workers — to what a
+// matcher built from o runs with, the form Matcher.Options reports.
 func (o Options) WithDefaults() Options {
 	if o.K <= 0 {
 		o.K = DefaultK
@@ -100,7 +95,6 @@ func (o Options) WithDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	o.Prefilter = o.Prefilter.WithDefaults()
 	return o
 }
 
@@ -156,10 +150,6 @@ type Matcher struct {
 	// blocks (nil entries when absent).
 	freqs [][]float64
 	acts  [][]float64
-	// maxContrib holds each gram feature's largest posting value — the
-	// per-term contribution caps the pruned pre-filter builds score upper
-	// bounds from. Built shard by shard beside the forward lists and merged.
-	maxContrib *prefilter.MaxContrib
 	// fwdIdx/fwdVal are the forward gram index: each subject's sorted
 	// feature ids and the same float32 values its postings carry. The
 	// pre-filtered paths score one subject at a time with an id-ordered
@@ -167,6 +157,11 @@ type Matcher struct {
 	// accumulation bit for bit.
 	fwdIdx [][]uint32
 	fwdVal [][]float32
+	// termCaps holds each gram feature's largest posting value — the
+	// per-term contribution caps the pruned mode builds score upper bounds
+	// from — read off the posting arena by the first pruned query (capsOnce).
+	capsOnce sync.Once
+	termCaps []float32
 	// lshIdx lazily caches one immutable LSH index per operating point
 	// actually queried (the default point plus any per-query overrides).
 	// lshSets caches each subject's informative gram-id set — the forward
@@ -401,24 +396,20 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 
 	// Pass 2: re-extract and build blocks in one parallel sweep over the
 	// same contiguous chunks. A shard writes only its own subjects' slots —
-	// forward gram index, dense blocks, block-presence masks — and a private
-	// table of per-feature max contributions (merged across shards; max is
-	// order-independent), so any worker count builds the serial result.
+	// forward gram index, dense blocks, block-presence masks — so any worker
+	// count builds the serial result.
 	m.mask = make([]uint8, len(known))
 	m.freqs = make([][]float64, len(known))
 	m.acts = make([][]float64, len(known))
 	m.fwdIdx = make([][]uint32, len(known))
 	m.fwdVal = make([][]float32, len(known))
-	gramDims := int(m.vocab.FreqOffset())
 	ictx, ispan := obs.Start(ctx, "matcher.index")
 	ispan.AddItems(int64(len(known)))
-	shardMax := make([]*prefilter.MaxContrib, shards)
 	parallelChunks(shards, len(known), func(s, lo, hi int) {
 		_, ss := obs.Start(ictx, "matcher.index.shard")
 		ss.SetWorker(s)
 		ss.AddItems(int64(hi - lo))
 		defer ss.End()
-		mc := prefilter.NewMaxContrib(gramDims)
 		var scratch sparse.Vector
 		for i := lo; i < hi; i++ {
 			var d *features.SortedDoc
@@ -445,20 +436,13 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 			m.freqs[i] = b.freq
 			m.acts[i] = b.act
 			vals := make([]float32, len(b.grams.Idx))
-			for k, idx := range b.grams.Idx {
-				v := float32(b.grams.Val[k])
-				vals[k] = v
-				mc.Note(idx, v)
+			for k, v := range b.grams.Val {
+				vals[k] = float32(v)
 			}
 			m.fwdIdx[i] = b.grams.Idx
 			m.fwdVal[i] = vals
 		}
-		shardMax[s] = mc
 	})
-	m.maxContrib = shardMax[0]
-	for _, mc := range shardMax[1:] {
-		m.maxContrib.Merge(mc)
-	}
 	m.lshIdx = make(map[prefilter.LSHParams]*prefilter.LSH)
 	err := m.finish()
 	ispan.End()
@@ -582,8 +566,8 @@ func (m *Matcher) NumKnown() int { return len(m.known) }
 // Vocabulary exposes the reduction vocabulary (for reports and tests).
 func (m *Matcher) Vocabulary() *features.Vocabulary { return m.vocab }
 
-// Rank runs stage 1 under the matcher's configured weights and default
-// pre-filter mode.
+// Rank runs stage 1 — the exact scan — under the matcher's configured
+// weights.
 func (m *Matcher) Rank(unknown *Subject, k int) []Scored {
 	out, _ := m.RankDetailed(unknown, MatchOptions{K: k})
 	return out
@@ -599,7 +583,7 @@ func (m *Matcher) RankWith(unknown *Subject, k int, w Weights) []Scored {
 }
 
 // RankDetailed runs stage 1 under per-query options and reports what the
-// candidate pre-filter did alongside the top-k.
+// scan did (mode, subjects scored and skipped) alongside the top-k.
 func (m *Matcher) RankDetailed(unknown *Subject, o MatchOptions) ([]Scored, prefilter.Stats) {
 	doc := features.Extract(unknown.Text, m.opts.Reduction)
 	return m.rankDoc(doc, unknown, o, nil)
@@ -608,7 +592,7 @@ func (m *Matcher) RankDetailed(unknown *Subject, o MatchOptions) ([]Scored, pref
 // rankDoc ranks an already-extracted reduction-config document,
 // with optional per-worker scratch buffers (drawn from the matcher's pool
 // when nil). It resolves the per-query options against the matcher's
-// defaults and dispatches to the selected pre-filter path; see rank.go.
+// defaults and dispatches to the scan the query names; see rank.go.
 func (m *Matcher) rankDoc(doc *features.SortedDoc, unknown *Subject, o MatchOptions, buf *matchBuffers) ([]Scored, prefilter.Stats) {
 	mRankTotal.Inc()
 	k := o.K
@@ -627,9 +611,6 @@ func (m *Matcher) rankDoc(doc *features.SortedDoc, unknown *Subject, o MatchOpti
 	ub := blocksOf(buf.uvec, doc, unknown)
 	uNorm := ub.norm(w)
 	mode := o.Mode
-	if mode == prefilter.ModeDefault {
-		mode = m.opts.Prefilter.Mode
-	}
 	if uNorm == 0 {
 		// A zero-norm query scores 0 against every subject under every
 		// mode; take the exact zero path so the k-padding (all-zero
@@ -649,9 +630,9 @@ func (m *Matcher) rankDoc(doc *features.SortedDoc, unknown *Subject, o MatchOpti
 	var st prefilter.Stats
 	switch mode {
 	case prefilter.ModePruned:
-		out, st = m.rankPruned(&ub, k, w, uNorm, buf, o.prunedParams(&m.opts.Prefilter))
+		out, st = m.rankPruned(&ub, k, w, uNorm, buf, o.prunedParams())
 	case prefilter.ModeLSH:
-		out, st = m.rankLSH(&ub, k, w, uNorm, buf, o.lshParams(&m.opts.Prefilter))
+		out, st = m.rankLSH(&ub, k, w, uNorm, buf, o.lshParams())
 	default:
 		out, st = m.rankExact(&ub, k, w, uNorm, buf)
 	}

@@ -5,11 +5,13 @@ import (
 )
 
 // Stage-1 ranking paths. rankDoc (matcher.go) resolves per-query options
-// and dispatches here:
+// and dispatches here: to rankExact, unless a library caller's
+// MatchOptions.Mode (the benchmark's traced rows, the internal/eval sweep)
+// names one of the other two — no option, flag or request field does:
 //
-//   - rankExact (the default): the original full scan — accumulate every
-//     subject's gram dot through the inverted index (one range of the
-//     posting arena per query term), then normalise all N scores.
+//   - rankExact: the original full scan — accumulate every subject's gram
+//     dot through the inverted index (one range of the posting arena per
+//     query term), then normalise all N scores.
 //   - rankPruned: lossless WAND-style pruning. Walk only the
 //     highest-impact query terms' posting lists, bound every subject's
 //     score from the partial sums plus the unwalked tail, and exact-score
@@ -31,27 +33,28 @@ type MatchOptions struct {
 	K int
 	// Weights override the matcher's block weights when non-nil.
 	Weights *Weights
-	// Mode selects the stage-1 pre-filter for this query; ModeDefault
-	// uses the matcher's configured default.
+	// Mode selects the stage-1 pre-filter for this query; ModeDefault is
+	// the exact scan.
 	Mode prefilter.Mode
-	// Pruned overrides the pruned-mode safety knobs when non-nil.
+	// Pruned overrides the pruned-mode safety knobs when non-nil; what it
+	// leaves at zero, and all of them when nil, are the package defaults.
 	Pruned *prefilter.PrunedParams
-	// LSH overrides the LSH operating point when non-nil.
+	// LSH overrides the LSH operating point the same way.
 	LSH *prefilter.LSHParams
 }
 
-func (o MatchOptions) prunedParams(d *prefilter.Params) prefilter.PrunedParams {
+func (o MatchOptions) prunedParams() prefilter.PrunedParams {
 	if o.Pruned != nil {
 		return o.Pruned.WithDefaults()
 	}
-	return d.Pruned
+	return prefilter.PrunedParams{}.WithDefaults()
 }
 
-func (o MatchOptions) lshParams(d *prefilter.Params) prefilter.LSHParams {
+func (o MatchOptions) lshParams() prefilter.LSHParams {
 	if o.LSH != nil {
 		return o.LSH.WithDefaults()
 	}
-	return d.LSH
+	return prefilter.LSHParams{}.WithDefaults()
 }
 
 // Safety margins of the pruned mode's bound arithmetic. These are fixed —
@@ -175,12 +178,13 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 	}
 	// Per-term impacts: no subject can gain more than qv_j * max posting
 	// value from term j.
+	caps := m.maxContrib()
 	g := &ub.grams
 	qv32 := buf.queryVals(g.Val)
 	imps := buf.impactBuf(len(g.Idx))
 	total := 0.0
 	for j, idx := range g.Idx {
-		imps[j] = g.Val[j] * float64(m.maxContrib.Get(idx))
+		imps[j] = g.Val[j] * float64(caps[idx])
 		total += imps[j]
 	}
 	buf.order = prefilter.OrderTermsByImpact(imps, buf.order)
@@ -375,6 +379,21 @@ func (m *Matcher) rankLSH(ub *blocks, k int, w Weights, uNorm float64, buf *matc
 	buf.heap = topk
 	st := prefilter.Stats{Mode: prefilter.ModeLSH, Candidates: len(buf.cands), Scored: len(buf.cands), Pruned: n - len(buf.cands), Evictions: evictions}
 	return drainTopK(m.known, topk), st
+}
+
+// maxContrib returns each gram feature's largest posting value, taken in
+// one pass over the posting arena by the first pruned query: build, Fold and
+// load pay nothing for a mode no request reaches.
+func (m *Matcher) maxContrib() []float32 {
+	m.capsOnce.Do(func() {
+		m.termCaps = make([]float32, len(m.postOff)-1)
+		for g := range m.termCaps {
+			for _, v := range m.postVal[m.postOff[g]:m.postOff[g+1]] {
+				m.termCaps[g] = max(m.termCaps[g], v)
+			}
+		}
+	})
+	return m.termCaps
 }
 
 // lshFor returns the LSH index for one operating point, building it on

@@ -149,8 +149,9 @@ func TestPrunedBitIdenticalToExact(t *testing.T) {
 	}
 }
 
-// TestExactIsDefaultMode pins the stage-1 default: a matcher built from
-// DefaultOptions runs the exact scan unless told otherwise.
+// TestExactIsDefaultMode pins how stage 1's engine is picked: a query that
+// names no mode runs the exact scan, and MatchOptions.Mode is the one way to
+// run another.
 func TestExactIsDefaultMode(t *testing.T) {
 	authors := makeAuthors(t, 12, 300)
 	known, probes := split(authors)
@@ -162,22 +163,49 @@ func TestExactIsDefaultMode(t *testing.T) {
 	if st.Mode != prefilter.ModeExact {
 		t.Fatalf("default mode = %v, want exact", st.Mode)
 	}
-	// An explicit per-matcher default wins.
-	opts := testOptions()
-	opts.Prefilter.Mode = prefilter.ModePruned
-	mp, err := NewMatcher(known, opts)
+	for _, mode := range []prefilter.Mode{prefilter.ModePruned, prefilter.ModeLSH} {
+		if _, st = m.RankDetailed(&probes[0], MatchOptions{Mode: mode}); st.Mode != mode {
+			t.Fatalf("per-query %v ran as %v", mode, st.Mode)
+		}
+	}
+}
+
+// TestFirstPrunedQueriesAtOnce: the pruned mode's per-term caps are read off
+// the posting arena by whichever pruned query comes first. Eight goroutines
+// whose first pruned query on a fresh matcher land together must each get the
+// exact scan's top-k bit for bit (run under -race in CI).
+func TestFirstPrunedQueriesAtOnce(t *testing.T) {
+	authors := makeAuthors(t, 20, 300)
+	known, probes := split(authors)
+	m, err := NewMatcher(known, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st = mp.RankDetailed(&probes[0], MatchOptions{})
-	if st.Mode != prefilter.ModePruned {
-		t.Fatalf("configured pruned default ran as %v", st.Mode)
+	want := make([][]Scored, len(probes))
+	for i := range probes {
+		want[i], _ = m.RankDetailed(&probes[i], MatchOptions{K: 5, Mode: prefilter.ModeExact})
 	}
-	// And a per-query override beats both.
-	_, st = mp.RankDetailed(&probes[0], MatchOptions{Mode: prefilter.ModeLSH})
-	if st.Mode != prefilter.ModeLSH {
-		t.Fatalf("per-query lsh override ran as %v", st.Mode)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got, st := m.RankDetailed(&probes[i], MatchOptions{K: 5, Mode: prefilter.ModePruned})
+			if st.Mode != prefilter.ModePruned || len(got) != len(want[i]) {
+				t.Errorf("probe %d: ran as %v, %d entries, want pruned and %d", i, st.Mode, len(got), len(want[i]))
+				return
+			}
+			for j := range got {
+				if got[j].Name != want[i][j].Name || math.Float64bits(got[j].Score) != math.Float64bits(want[i][j].Score) {
+					t.Errorf("probe %d entry %d = %+v, exact has %+v", i, j, got[j], want[i][j])
+				}
+			}
+		}(g % len(probes))
 	}
+	close(start)
+	wg.Wait()
 }
 
 // TestLSHScoresMatchExactForReturnedNames: the approximate mode may miss

@@ -18,9 +18,9 @@ var ErrNotIncremental = errors.New("attribution: matcher was not built with Opti
 // IndexState is what the index pass runs from, as value types: the options,
 // the corpus counters, and each known subject's cached extraction.
 // Everything else a matcher holds — the vocabulary cut from the counters,
-// forward and inverted gram index, dense blocks, pre-filter caps, LSH
-// operating points — is a pure function of these and is rebuilt, not
-// persisted.
+// forward and inverted gram index, dense blocks — is a pure function of
+// these and is rebuilt, not persisted (what only a pre-filter mode reads is
+// derived from those when a query first asks for that mode).
 // Subjects themselves are not included — callers persist them alongside
 // and pass them back to NewMatcherFromState.
 //

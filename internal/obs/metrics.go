@@ -286,20 +286,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // use. The returned handle is stable; hot paths should resolve it once.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.get(values).counter }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labelled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if len(labels) == 0 {
-		panic("obs: GaugeVec " + name + " needs at least one label (use Gauge)")
-	}
-	return &GaugeVec{f: r.register(name, help, gaugeType, labels, nil)}
-}
-
-// With returns the gauge for one label-value tuple.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.get(values).gauge }
-
 // HistogramVec is a histogram family with labels; every series shares the
 // family's fixed bucket layout.
 type HistogramVec struct{ f *family }

@@ -5,53 +5,12 @@ import "sort"
 // Upper-bound machinery for the lossless pruned mode.
 //
 // The bound on a subject's gram dot product is classic WAND: each query
-// term j can contribute at most qv_j * max_i(posting value of j), so the
-// sum of those per-term maxima bounds any subject's dot, and a partial
-// posting walk tightens it — a subject's bound becomes its walked partial
-// sum plus the total impact of the unwalked tail. The dense blocks are
-// unit-normalised, so their dots are bounded by the block weights alone.
-
-// MaxContrib holds, per gram feature, the largest normalised posting value
-// any known subject carries for it. Shards build private tables during the
-// parallel index pass and Merge them; max is order-independent, so the
-// merged table is identical for any worker count.
-type MaxContrib struct {
-	vals []float32
-}
-
-// NewMaxContrib allocates a table covering feature indices [0, dims).
-func NewMaxContrib(dims int) *MaxContrib {
-	return &MaxContrib{vals: make([]float32, dims)}
-}
-
-// Note records one posting value. Values are non-negative (TF-IDF weights
-// of a normalised block).
-func (c *MaxContrib) Note(idx uint32, v float32) {
-	if v > c.vals[idx] {
-		c.vals[idx] = v
-	}
-}
-
-// Merge folds another shard's table in (elementwise max).
-func (c *MaxContrib) Merge(o *MaxContrib) {
-	for i, v := range o.vals {
-		if v > c.vals[i] {
-			c.vals[i] = v
-		}
-	}
-}
-
-// Get returns the recorded maximum for a feature, 0 when the feature is
-// out of range (a query gram no known subject has).
-func (c *MaxContrib) Get(idx uint32) float32 {
-	if int(idx) >= len(c.vals) {
-		return 0
-	}
-	return c.vals[idx]
-}
-
-// Dims reports the table size.
-func (c *MaxContrib) Dims() int { return len(c.vals) }
+// term j can contribute at most qv_j * max_i(posting value of j) — maxima
+// the matcher reads off its posting arena — so the sum of those per-term
+// maxima bounds any subject's dot, and a partial posting walk tightens it:
+// a subject's bound becomes its walked partial sum plus the total impact of
+// the unwalked tail. The dense blocks are unit-normalised, so their dots
+// are bounded by the block weights alone.
 
 // OrderTermsByImpact returns term positions sorted by descending impact,
 // ties broken by ascending position so the order is deterministic. The

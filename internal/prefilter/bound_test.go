@@ -6,53 +6,6 @@ import (
 	"testing"
 )
 
-func TestMaxContribNoteMergeGet(t *testing.T) {
-	a := NewMaxContrib(8)
-	a.Note(2, 0.5)
-	a.Note(2, 0.25) // lower: ignored
-	a.Note(7, 1.0)
-	b := NewMaxContrib(8)
-	b.Note(2, 0.75)
-	b.Note(3, 0.1)
-	a.Merge(b)
-	want := map[uint32]float32{0: 0, 2: 0.75, 3: 0.1, 7: 1.0}
-	for idx, v := range want {
-		if got := a.Get(idx); got != v {
-			t.Errorf("Get(%d) = %v, want %v", idx, got, v)
-		}
-	}
-	if got := a.Get(100); got != 0 {
-		t.Errorf("out-of-range Get = %v, want 0", got)
-	}
-	if a.Dims() != 8 {
-		t.Errorf("Dims = %d, want 8", a.Dims())
-	}
-}
-
-func TestMaxContribMergeOrderIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	shards := make([]*MaxContrib, 4)
-	for s := range shards {
-		shards[s] = NewMaxContrib(32)
-		for j := 0; j < 50; j++ {
-			shards[s].Note(uint32(rng.Intn(32)), rng.Float32())
-		}
-	}
-	fwd := NewMaxContrib(32)
-	for _, s := range shards {
-		fwd.Merge(s)
-	}
-	rev := NewMaxContrib(32)
-	for i := len(shards) - 1; i >= 0; i-- {
-		rev.Merge(shards[i])
-	}
-	for i := 0; i < 32; i++ {
-		if fwd.Get(uint32(i)) != rev.Get(uint32(i)) {
-			t.Fatalf("merge order changed feature %d: %v vs %v", i, fwd.Get(uint32(i)), rev.Get(uint32(i)))
-		}
-	}
-}
-
 func TestOrderTermsByImpact(t *testing.T) {
 	imp := []float64{0.5, 2, 0.5, 3, 0}
 	order := OrderTermsByImpact(imp, nil)

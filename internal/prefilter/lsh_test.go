@@ -25,20 +25,18 @@ func TestParseModeRoundTrip(t *testing.T) {
 }
 
 func TestParamsWithDefaults(t *testing.T) {
-	p := Params{}.WithDefaults()
-	if p.Mode != ModeExact {
-		t.Errorf("default mode = %v, want exact", p.Mode)
+	if p := (PrunedParams{}).WithDefaults(); p.Slack != DefaultSlack || p.TailShare != DefaultTailShare {
+		t.Errorf("pruned defaults = %+v", p)
 	}
-	if p.Pruned.Slack != DefaultSlack || p.Pruned.TailShare != DefaultTailShare {
-		t.Errorf("pruned defaults = %+v", p.Pruned)
-	}
-	if p.LSH.Bands != DefaultBands || p.LSH.Rows != DefaultRows || p.LSH.Seed != DefaultSeed {
-		t.Errorf("lsh defaults = %+v", p.LSH)
+	if p := (LSHParams{}).WithDefaults(); p.Bands != DefaultBands || p.Rows != DefaultRows || p.Seed != DefaultSeed {
+		t.Errorf("lsh defaults = %+v", p)
 	}
 	// Explicit settings survive.
-	q := Params{Mode: ModeLSH, Pruned: PrunedParams{TailShare: -1}, LSH: LSHParams{Bands: 4, Rows: 8}}.WithDefaults()
-	if q.Mode != ModeLSH || q.Pruned.TailShare != -1 || q.LSH.Bands != 4 || q.LSH.Rows != 8 {
-		t.Errorf("explicit params overwritten: %+v", q)
+	if p := (PrunedParams{TailShare: -1}).WithDefaults(); p.TailShare != -1 || p.Slack != DefaultSlack {
+		t.Errorf("explicit pruned params overwritten: %+v", p)
+	}
+	if p := (LSHParams{Bands: 4, Rows: 8}).WithDefaults(); p.Bands != 4 || p.Rows != 8 || p.Seed != DefaultSeed {
+		t.Errorf("explicit lsh params overwritten: %+v", p)
 	}
 }
 

@@ -1,17 +1,19 @@
-// Package prefilter implements the stage-1 candidate pre-filters meant to
-// make ranking sub-linear in the known-set size: a lossless WAND-style
+// Package prefilter implements the two stage-1 candidate pre-filters meant
+// to make ranking sub-linear in the known-set size: a lossless WAND-style
 // upper-bound pruning pass (ModePruned) and an approximate banded-MinHash
-// filter (ModeLSH). Both are opt-in: the default is the plain exact scan
-// (ModeExact), which the full-path benchmark measures as the fastest of
-// the three at the world sizes we serve (BENCHMARK.json
-// attribution.rank_{exact,pruned,lsh}_ms, prefilter.scored_frac).
+// filter (ModeLSH). Neither is selectable by an operator: a matcher's stage 1
+// is the plain exact scan (ModeExact), which the full-path benchmark measures
+// as the fastest of the three at the world sizes we serve (BENCHMARK.json
+// attribution.rank_{exact,pruned,lsh}_ms, prefilter.scored_frac), and the
+// two modes are reached only by a library caller passing
+// attribution.MatchOptions.Mode — the benchmark's traced rows and the
+// internal/eval sweep, kept as the instruments of the ROADMAP item 3 trial.
 //
-// The package owns the mode/parameter vocabulary, the per-term maximum
-// contributions the pruned mode's bounds are built from, the bound heap the
-// pruned scan pops candidates from, and the deterministic seeded MinHash
-// index. The attribution matcher composes these into its ranking paths; the
-// eval harness (internal/eval) measures the approximate mode's recall at
-// each operating point rather than assuming it.
+// The package owns the mode/parameter vocabulary, the term ordering and the
+// bound heap the pruned scan pops candidates from, and the deterministic
+// seeded MinHash index. The attribution matcher composes these into its
+// ranking paths; the eval harness (internal/eval) measures the approximate
+// mode's recall at each operating point rather than assuming it.
 //
 // Everything here is deterministic: the hash family is derived from a fixed
 // seed by splitmix64 (no math/rand, no time), bucket lists are built in
@@ -29,8 +31,7 @@ import (
 type Mode uint8
 
 const (
-	// ModeDefault defers to the configured default (ModeExact unless the
-	// matcher options say otherwise).
+	// ModeDefault is a query that names no mode: it runs ModeExact.
 	ModeDefault Mode = iota
 	// ModeExact disables the pre-filter: every known subject is scored.
 	ModeExact
@@ -44,7 +45,8 @@ const (
 	ModeLSH
 )
 
-// String returns the wire/flag spelling of the mode.
+// String returns the spelling of the mode in spans, metric labels and the
+// eval sweep's operating points.
 func (m Mode) String() string {
 	switch m {
 	case ModeExact:
@@ -58,8 +60,8 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode parses a flag or request value. The empty string is
-// ModeDefault, so callers can treat "knob absent" and "knob zero" alike.
+// ParseMode parses an operating point's mode string. The empty string is
+// ModeDefault.
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "":
@@ -161,24 +163,6 @@ func (p LSHParams) WithDefaults() LSHParams {
 	if p.Seed == 0 {
 		p.Seed = DefaultSeed
 	}
-	return p
-}
-
-// Params bundle a default mode with both modes' knobs; the matcher embeds
-// one in its Options and per-query MatchOptions may override pieces.
-type Params struct {
-	Mode   Mode
-	Pruned PrunedParams
-	LSH    LSHParams
-}
-
-// WithDefaults resolves ModeDefault to ModeExact and fills both knob sets.
-func (p Params) WithDefaults() Params {
-	if p.Mode == ModeDefault {
-		p.Mode = ModeExact
-	}
-	p.Pruned = p.Pruned.WithDefaults()
-	p.LSH = p.LSH.WithDefaults()
 	return p
 }
 

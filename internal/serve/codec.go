@@ -107,12 +107,6 @@ type RankRequest struct {
 	Subject SubjectSpec `json:"subject"`
 	// K overrides the candidate-set size; 0 means the server's default.
 	K int `json:"k,omitempty"`
-	// Prefilter selects the stage-1 candidate pre-filter for this query:
-	// "exact", "pruned" (lossless, bit-identical to exact), or "lsh"
-	// (approximate banded MinHash). Empty means the server's default
-	// (exact unless -prefilter says otherwise), and leaves the response in
-	// its legacy shape (no "prefilter" stats object).
-	Prefilter string `json:"prefilter,omitempty"`
 }
 
 // RescoreRequest is the /v1/rescore body. Every candidate must name a
@@ -133,25 +127,12 @@ type Candidate struct {
 	Score float64 `json:"score"`
 }
 
-// PrefilterInfo reports what the stage-1 candidate pre-filter did for one
-// query: the mode that actually ran, how many known subjects it exactly
-// scored, and how many it skipped. Candidates + Pruned is the known-set
-// size.
-type PrefilterInfo struct {
-	Mode       string `json:"mode"`
-	Candidates int    `json:"candidates"`
-	Pruned     int    `json:"pruned"`
-}
-
 // RankResponse is the /v1/rank reply: the stage-1 top-k, best first,
-// score ties broken by ascending alias name. Prefilter is present only
-// when the request set the "prefilter" knob — requests that do not opt in
-// get byte-identical legacy responses.
+// score ties broken by ascending alias name.
 type RankResponse struct {
-	IndexVersion int            `json:"index_version"`
-	Subject      string         `json:"subject"`
-	Candidates   []Candidate    `json:"candidates"`
-	Prefilter    *PrefilterInfo `json:"prefilter,omitempty"`
+	IndexVersion int         `json:"index_version"`
+	Subject      string      `json:"subject"`
+	Candidates   []Candidate `json:"candidates"`
 }
 
 // RescoreResponse is the /v1/rescore reply: the stage-2 rescoring of the

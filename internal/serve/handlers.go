@@ -11,18 +11,12 @@ import (
 	"darklight/internal/attribution"
 	"darklight/internal/forum"
 	"darklight/internal/obs"
-	"darklight/internal/prefilter"
 )
 
 // handleRank is POST /v1/rank: stage 1 only — the top-k known subjects by
-// cosine similarity under the server's weights.
-//
-// Both the legacy path (no "prefilter" knob) and the knob path go through
-// RankDetailed — Rank is literally RankDetailed with the stats dropped, so
-// the response bytes are unchanged — which lets the rank span carry the
-// pre-filter decision payload (mode, candidates examined, heap evictions)
-// for every request, not just opted-in ones. The response shape still
-// only grows the "prefilter" object when the request set the knob.
+// cosine similarity under the server's weights. It goes through
+// RankDetailed — Rank with the scan's stats kept — so the "prefilter" span
+// says what the scan that ran did: mode, subjects examined, heap evictions.
 func (s *Service) handleRank(r *http.Request, st *state, body []byte) (any, *Error) {
 	ctx, span := obs.Start(r.Context(), "rank")
 	defer span.End()
@@ -34,38 +28,23 @@ func (s *Service) handleRank(r *http.Request, st *state, body []byte) (any, *Err
 	if req.K < 0 {
 		return nil, errInvalidRequest("k must be >= 0")
 	}
-	mode, err := prefilter.ParseMode(req.Prefilter)
-	if err != nil {
-		return nil, errInvalidRequest(err.Error())
-	}
 	sub, apiErr := s.resolveSubject(ctx, st, &req.Subject)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	resp := &RankResponse{
-		IndexVersion: st.version,
-		Subject:      sub.Name,
-	}
-	start := s.clock.Now()
 	_, psp := obs.Start(ctx, "prefilter")
-	scored, pst := st.matcher.RankDetailed(sub, attribution.MatchOptions{K: req.K, Mode: mode})
+	scored, pst := st.matcher.RankDetailed(sub, attribution.MatchOptions{K: req.K})
 	psp.SetAttr("mode", pst.Mode.String())
 	psp.SetAttr("candidates", strconv.Itoa(pst.Candidates))
 	psp.SetAttr("pruned", strconv.Itoa(pst.Pruned))
 	psp.SetAttr("evictions", strconv.Itoa(pst.Evictions))
 	psp.AddItems(int64(pst.Scored))
 	psp.End()
-	resp.Candidates = candidates(scored)
-	if req.Prefilter == "" {
-		return resp, nil
-	}
-	s.met.prefilterLat.With(pst.Mode.String()).Observe(s.clock.Now().Sub(start).Seconds())
-	resp.Prefilter = &PrefilterInfo{
-		Mode:       pst.Mode.String(),
-		Candidates: pst.Candidates,
-		Pruned:     pst.Pruned,
-	}
-	return resp, nil
+	return &RankResponse{
+		IndexVersion: st.version,
+		Subject:      sub.Name,
+		Candidates:   candidates(scored),
+	}, nil
 }
 
 // handleRescore is POST /v1/rescore: stage 2 over an explicit candidate

@@ -53,15 +53,10 @@ func TestHandlerTable(t *testing.T) {
 		primeKey   string // API key for the priming request; "" = apiKey
 		wantStatus int
 		wantRetry  string // expected Retry-After header, "" = none
-		// sameCandidatesAs names a golden whose "candidates" array this
-		// row's must equal byte for byte; "" = no such check.
-		sameCandidatesAs string
 	}
 	rows := []row{
 		// /v1/rank
-		// A knob-less request runs the server's default mode, exact: its
-		// candidates are the "prefilter":"exact" golden's.
-		{name: "rank_valid", endpoint: "rank", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `}`, wantStatus: 200, sameCandidatesAs: "rank_prefilter_exact"},
+		{name: "rank_valid", endpoint: "rank", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `}`, wantStatus: 200},
 		{name: "rank_valid_k2", endpoint: "rank", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"k":2}`, wantStatus: 200},
 		{name: "rank_inline_subject", endpoint: "rank", method: "POST", apiKey: "test-key", body: `{"subject":` + inlineSubject + `,"k":3}`, wantStatus: 200},
 		{name: "rank_malformed_json", endpoint: "rank", method: "POST", apiKey: "test-key", body: `{"subject":`, wantStatus: 400},
@@ -81,13 +76,9 @@ func TestHandlerTable(t *testing.T) {
 		{name: "rank_empty_subject", endpoint: "rank", method: "POST", apiKey: "test-key", body: `{"subject":{}}`, wantStatus: 400},
 		{name: "rank_trailing_data", endpoint: "rank", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `}{"x":1}`, wantStatus: 400},
 		{name: "rank_wrong_method", endpoint: "rank", method: "GET", apiKey: "test-key", body: "", wantStatus: 405},
-		// The prefilter knob: stats appear only when it is set, "pruned"
-		// candidates must be byte-identical to the exact golden's, and
-		// unknown modes are rejected before subject resolution.
-		{name: "rank_prefilter_exact", endpoint: "rank", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"prefilter":"exact"}`, wantStatus: 200},
-		{name: "rank_prefilter_pruned", endpoint: "rank", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"prefilter":"pruned"}`, wantStatus: 200, sameCandidatesAs: "rank_prefilter_exact"},
-		{name: "rank_prefilter_lsh", endpoint: "rank", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"prefilter":"lsh"}`, wantStatus: 200},
-		{name: "rank_prefilter_unknown", endpoint: "rank", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"prefilter":"fuzzy"}`, wantStatus: 400},
+		// No request picks stage 1's engine: the former "prefilter" knob is a
+		// field like any other the API does not have.
+		{name: "rank_prefilter_field", endpoint: "rank", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"prefilter":"pruned"}`, wantStatus: 400},
 
 		// /v1/rescore
 		{name: "rescore_valid", endpoint: "rescore", method: "POST", apiKey: "test-key", body: `{"subject":` + validSubject + `,"candidates":["alice","bob","frank"]}`, wantStatus: 200},
@@ -152,29 +143,8 @@ func TestHandlerTable(t *testing.T) {
 				assertEnvelope(t, rec.Body.Bytes(), tc.wantStatus)
 			}
 			checkGolden(t, tc.name, rec.Body.Bytes())
-			if tc.sameCandidatesAs != "" {
-				other, err := os.ReadFile(filepath.Join("testdata", "golden", tc.sameCandidatesAs+".json"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := rawCandidates(t, rec.Body.Bytes()), rawCandidates(t, other); got == "" || got != want {
-					t.Errorf("candidates differ from golden %s:\n got: %s\nwant: %s", tc.sameCandidatesAs, got, want)
-				}
-			}
 		})
 	}
-}
-
-// rawCandidates returns the undecoded bytes of a rank body's "candidates".
-func rawCandidates(t *testing.T, body []byte) string {
-	t.Helper()
-	var resp struct {
-		Candidates json.RawMessage `json:"candidates"`
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatalf("not a rank body: %v (%s)", err, body)
-	}
-	return string(resp.Candidates)
 }
 
 // assertEnvelope verifies every rejection carries the structured error

@@ -126,9 +126,6 @@ type metrics struct {
 	reloadErrs *obs.Counter      // serve_index_reload_failures_total
 	version    *obs.Gauge        // serve_index_version
 	known      *obs.Gauge        // serve_known_subjects
-	// prefilterLat tracks stage-1 latency by the pre-filter mode that
-	// actually ran, for requests that set the /v1/rank "prefilter" knob.
-	prefilterLat *obs.HistogramVec // serve_prefilter_seconds{mode}
 	// p50/p99 are rolling-window request-latency quantiles, refreshed by a
 	// registry collector from the service's quantile window at exposition
 	// time — unlike the cumulative latency histogram, they answer "how slow
@@ -149,11 +146,8 @@ func newMetrics(r *obs.Registry) *metrics {
 		reloadErrs: r.Counter("serve_index_reload_failures_total", "failed index reloads (the previous index stays live)"),
 		version:    r.Gauge("serve_index_version", "version of the live index snapshot"),
 		known:      r.Gauge("serve_known_subjects", "known subjects in the live index"),
-		prefilterLat: r.HistogramVec("serve_prefilter_seconds",
-			"stage-1 latency by pre-filter mode for /v1/rank requests that set the knob",
-			latencyBuckets, "mode"),
-		p50: r.Gauge("serve_request_seconds_p50", "rolling-window request latency median"),
-		p99: r.Gauge("serve_request_seconds_p99", "rolling-window request latency 99th percentile"),
+		p50:        r.Gauge("serve_request_seconds_p50", "rolling-window request latency median"),
+		p99:        r.Gauge("serve_request_seconds_p99", "rolling-window request latency 99th percentile"),
 	}
 }
 

@@ -153,13 +153,13 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 // traceIdentityRequests is the request matrix the bit-identity test runs:
-// every endpoint, both rank shapes, and representative rejections.
+// every endpoint, rank at two k overrides, and representative rejections.
 var traceIdentityRequests = []struct {
 	name, method, path, key string
 	body                    string
 }{
 	{"rank-legacy", http.MethodPost, "/v1/rank", "test-key", `{"subject":{"alias":"q_alice"},"k":3}`},
-	{"rank-knob", http.MethodPost, "/v1/rank", "test-key", `{"subject":{"alias":"q_dave"},"prefilter":"pruned"}`},
+	{"rank-k", http.MethodPost, "/v1/rank", "test-key", `{"subject":{"alias":"q_dave"},"k":2}`},
 	{"rescore", http.MethodPost, "/v1/rescore", "test-key", `{"subject":{"alias":"q_alice"},"candidates":["alice","bob"]}`},
 	{"match", http.MethodPost, "/v1/match", "test-key", `{"subject":{"alias":"q_dave"}}`},
 	{"healthz", http.MethodGet, "/v1/healthz", "", ``},

@@ -260,56 +260,6 @@ func Concat(a Vector, b Vector, offset uint32) Vector {
 	return out
 }
 
-// Add returns the element-wise sum of two sorted vectors.
-func Add(a, b Vector) Vector {
-	out := Vector{
-		Idx: make([]uint32, 0, len(a.Idx)+len(b.Idx)),
-		Val: make([]float64, 0, len(a.Val)+len(b.Val)),
-	}
-	i, j := 0, 0
-	for i < len(a.Idx) || j < len(b.Idx) {
-		switch {
-		case j >= len(b.Idx) || (i < len(a.Idx) && a.Idx[i] < b.Idx[j]):
-			out.Idx = append(out.Idx, a.Idx[i])
-			out.Val = append(out.Val, a.Val[i])
-			i++
-		case i >= len(a.Idx) || b.Idx[j] < a.Idx[i]:
-			out.Idx = append(out.Idx, b.Idx[j])
-			out.Val = append(out.Val, b.Val[j])
-			j++
-		default:
-			s := a.Val[i] + b.Val[j]
-			if s != 0 {
-				out.Idx = append(out.Idx, a.Idx[i])
-				out.Val = append(out.Val, s)
-			}
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Project returns a copy of v restricted to the given sorted index set.
-func Project(v Vector, keep []uint32) Vector {
-	var out Vector
-	i, j := 0, 0
-	for i < len(v.Idx) && j < len(keep) {
-		switch {
-		case v.Idx[i] == keep[j]:
-			out.Idx = append(out.Idx, v.Idx[i])
-			out.Val = append(out.Val, v.Val[i])
-			i++
-			j++
-		case v.Idx[i] < keep[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
 // String renders a short human-readable form, for debugging and tests.
 func (v Vector) String() string {
 	var b strings.Builder

@@ -102,28 +102,6 @@ func TestConcat(t *testing.T) {
 	Concat(a, b, 1)
 }
 
-func TestAdd(t *testing.T) {
-	a := vec(0, 1, 2, 2)
-	b := vec(2, 3, 4, 4)
-	c := Add(a, b)
-	if c.Get(0) != 1 || c.Get(2) != 5 || c.Get(4) != 4 {
-		t.Errorf("Add = %v", c)
-	}
-	// Cancellation drops the entry.
-	d := Add(vec(1, 2), vec(1, -2))
-	if d.Len() != 0 {
-		t.Errorf("cancelled entry kept: %v", d)
-	}
-}
-
-func TestProject(t *testing.T) {
-	v := vec(1, 10, 3, 30, 5, 50)
-	p := Project(v, []uint32{3, 4, 5})
-	if p.Len() != 2 || p.Get(3) != 30 || p.Get(5) != 50 {
-		t.Errorf("Project = %v", p)
-	}
-}
-
 func TestClone(t *testing.T) {
 	a := vec(1, 2)
 	b := a.Clone()
@@ -212,35 +190,6 @@ func TestSortIdempotent(t *testing.T) {
 		}
 		for i := range v.Idx {
 			if v.Idx[i] != before.Idx[i] || v.Val[i] != before.Val[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAddCommutative(t *testing.T) {
-	f := func(am, bm map[uint32]float64) bool {
-		for k, v := range am {
-			if math.IsInf(v, 0) || math.IsNaN(v) {
-				delete(am, k)
-			}
-		}
-		for k, v := range bm {
-			if math.IsInf(v, 0) || math.IsNaN(v) {
-				delete(bm, k)
-			}
-		}
-		ab := Add(toVec(am), toVec(bm))
-		ba := Add(toVec(bm), toVec(am))
-		if ab.Len() != ba.Len() {
-			return false
-		}
-		for i := range ab.Idx {
-			if ab.Idx[i] != ba.Idx[i] || ab.Val[i] != ba.Val[i] {
 				return false
 			}
 		}

@@ -37,8 +37,7 @@ type Index struct {
 // Section names, in file order. A snapshot holds what a load cannot
 // recompute — corpus, subjects, each subject's extraction — and nothing it
 // derives from those (corpus counters, the vocabulary cut and its IDF
-// weights, forward and inverted index, dense blocks, pre-filter caps, LSH
-// tables):
+// weights, forward and inverted index, dense blocks):
 //
 //	options   the matcher options, JSON
 //	corpus    the dataset, field by field

@@ -213,9 +213,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 // TestSnapshotKeepsOptionsAsGiven: the options section holds what the
 // builder was asked for, not what that machine resolved it to — Workers 0
-// and the zero Prefilter stay zero on disk, through a load and a re-save, so
-// the worker count and the default stage-1 mode are decided where the index
-// is loaded; the loaded matcher itself runs on the resolved form.
+// and K 0 stay zero on disk, through a load and a re-save, so the worker
+// count is decided where the index is loaded; the loaded matcher itself runs
+// on the resolved form.
 func TestSnapshotKeepsOptionsAsGiven(t *testing.T) {
 	rng := rand.New(rand.NewSource(8150))
 	opts, subjOpts := testBuildOptions()
@@ -241,14 +241,48 @@ func TestSnapshotKeepsOptionsAsGiven(t *testing.T) {
 		if err := json.Unmarshal(sectionPayload(t, snap, secOptions), &stored); err != nil {
 			t.Fatal(err)
 		}
-		if stored.Workers != 0 || stored.K != 0 || stored.Prefilter != (prefilter.Params{}) {
-			t.Errorf("%s: options section holds Workers %d, K %d, Prefilter %+v; all were given as zero", name, stored.Workers, stored.K, stored.Prefilter)
+		if stored.Workers != 0 || stored.K != 0 {
+			t.Errorf("%s: options section holds Workers %d, K %d; both were given as zero", name, stored.Workers, stored.K)
 		}
 	}
 	want := opts
 	want.Incremental = true // BuildIndex's own setting
 	if got := loaded.Matcher.Options(); got != want.WithDefaults() || got.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("loaded matcher runs on %+v, want the resolved form of what was given", got)
+	}
+}
+
+// TestSnapshotWithPrefilterOptionServesExact: a snapshot from a build whose
+// matcher options still had a Prefilter object — here one that made lsh the
+// matcher's default — loads as it is, ranks with the exact scan, and is
+// saved again without the key.
+func TestSnapshotWithPrefilterOptionServesExact(t *testing.T) {
+	raw := smallSnapshot(t)
+	opts := sectionPayload(t, raw, secOptions)
+	const old = `"Prefilter":{"Mode":3,"Pruned":{"Slack":0.001,"TailShare":0.05},"LSH":{"Bands":8,"Rows":4,"Seed":7234309494949079400}},`
+	at := bytes.Index(opts, []byte(`"Incremental"`))
+	if at < 0 || bytes.Contains(opts, []byte("Prefilter")) {
+		t.Fatalf("options section is not what this test splices into: %s", opts)
+	}
+	withKey := reseal(t, raw, secOptions, append(append(append([]byte(nil), opts[:at]...), old...), opts[at:]...))
+
+	want, err := decodeIndex(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeIndex(withKey)
+	if err != nil {
+		t.Fatalf("snapshot with a Prefilter option: %v", err)
+	}
+	for i := range got.Subjects {
+		ranked, st := got.Matcher.RankDetailed(&got.Subjects[i], attribution.MatchOptions{K: 3})
+		exact, _ := want.Matcher.RankDetailed(&want.Subjects[i], attribution.MatchOptions{K: 3, Mode: prefilter.ModeExact})
+		if st.Mode != prefilter.ModeExact || !reflect.DeepEqual(ranked, exact) {
+			t.Fatalf("subject %d ranked as %v: %v, want the exact scan's %v", i, st.Mode, ranked, exact)
+		}
+	}
+	if again, err := encodeIndex(got); err != nil || !bytes.Equal(again, raw) {
+		t.Errorf("saved again: err %v, %d bytes; want the %d bytes of the snapshot without the key", err, len(again), len(raw))
 	}
 }
 
