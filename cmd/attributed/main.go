@@ -8,12 +8,15 @@
 //	attributed -listen :8787 -known main.jsonl [-query ae.jsonl] [-api-keys k1,k2] [-rate 50 -burst 100]
 //	attributed -listen :8787 -forum reddit -scale 0.02 -seed 1
 //
-// With -known, the known dataset is loaded from JSONL (polished and
-// refined unless -polish=false / -refine=false) and indexed; -query
-// optionally loads a second dataset that by-alias requests resolve
-// against. Without -known, a synthetic world is generated and split into
-// (main, alter-ego) halves: main is indexed, the alter egos become the
-// query corpus — a self-contained demo where every query has a true match.
+// The matcher is the paper's (k = 10, threshold 0.4190, 1,500-word
+// documents); an index cold-started from a snapshot serves its own options.
+//
+// With -known, the known dataset is loaded from JSONL (polished, and
+// refined unless -refine=false) and indexed; -query optionally loads a
+// second dataset that by-alias requests resolve against. Without -known, a
+// synthetic world is generated and split into (main, alter-ego) halves:
+// main is indexed, the alter egos become the query corpus — a
+// self-contained demo where every query has a true match.
 //
 // With -index-dir, the index is persisted through internal/store: on
 // startup the daemon cold-starts from dir/index.snap when present (no
@@ -31,12 +34,12 @@
 // requests up to -drain, and exit. /metrics, /debug/vars, /debug/pprof,
 // and /debug/traces are mounted beside the API, outside its -timeout.
 //
-// Request tracing is on by default (-trace=false disables it): every
-// response carries a traceparent + X-Request-Id, inbound traceparent
-// headers are honoured, sampled span trees are browsable at
-// /debug/traces, and -access-log appends one JSON line per request.
-// Tracing never changes a response body (the serve tests pin the bytes
-// identical either way).
+// Request tracing is always on: every response carries a traceparent +
+// X-Request-Id, inbound traceparent headers are honoured, the last
+// reqtrace.DefaultRing sampled span trees (-trace-sample of all requests,
+// plus every one at least slowTrace long) are browsable at /debug/traces,
+// and -access-log appends one JSON line per request. Tracing never changes
+// a response body (the serve tests pin the bytes identical either way).
 //
 // -selfcheck N runs N requests (rank, match, rescore, healthz in turn)
 // through the full in-process chain instead of serving a socket — CI uses
@@ -70,6 +73,9 @@ import (
 	"darklight/internal/store"
 )
 
+// slowTrace: a request at least this slow is always kept in the trace ring.
+const slowTrace = 250 * time.Millisecond
+
 func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:8787", "listen address")
@@ -78,12 +84,7 @@ func main() {
 		forumW    = flag.String("forum", "reddit", "synthetic world forum: reddit, tmg, or dm")
 		scale     = flag.Float64("scale", 0.02, "synthetic population scale")
 		seed      = flag.Uint64("seed", 1, "synthetic generator seed")
-		polish    = flag.Bool("polish", true, "run the §III-C cleaning pipeline on loaded datasets")
 		refine    = flag.Bool("refine", true, "drop aliases below the §IV-D thresholds before indexing")
-		thresh    = flag.Float64("threshold", darklight.DefaultThreshold, "acceptance threshold")
-		k         = flag.Int("k", darklight.DefaultK, "stage-1 candidate-set size")
-		budget    = flag.Int("budget", darklight.DefaultWordBudget, "per-alias word budget")
-		workers   = flag.Int("workers", 0, "index-build parallelism (0: GOMAXPROCS)")
 		apiKeys   = flag.String("api-keys", "", "comma-separated API keys; empty disables auth")
 		rate      = flag.Float64("rate", 0, "per-client requests/second (0: unlimited)")
 		burst     = flag.Int("burst", 20, "rate-limit burst size")
@@ -92,10 +93,7 @@ func main() {
 		drain     = flag.Duration("drain", 15*time.Second, "SIGTERM drain deadline for in-flight requests")
 		indexDir  = flag.String("index-dir", "", "index store directory (index.snap + journal.jsonl): cold-start from the snapshot when present; SIGHUP replays journal deltas instead of rebuilding")
 		saveIdx   = flag.Bool("save-index", false, "write the index back to -index-dir after build/replay and compact the journal")
-		traceOn   = flag.Bool("trace", true, "request tracing: traceparent propagation, per-stage span capture, /debug/traces")
-		traceRing = flag.Int("trace-ring", reqtrace.DefaultRing, "sampled traces retained in memory for /debug/traces")
 		traceRate = flag.Float64("trace-sample", 0.01, "probability a request's span tree is retained (slow and inbound-sampled requests are always kept)")
-		traceSlow = flag.Duration("trace-slow", 250*time.Millisecond, "always retain traces of requests at least this slow (0 disables the slow rule)")
 		accessLog = flag.String("access-log", "", "append one JSON line per request to this file (empty: no access log)")
 		selfcheck = flag.Int("selfcheck", 0, "run N in-process requests through the full chain, dump the trace listing to stdout, and exit instead of serving")
 	)
@@ -104,26 +102,18 @@ func main() {
 		log.Fatal("attributed: -save-index requires -index-dir")
 	}
 
-	var rec *reqtrace.Recorder
-	if *traceOn || *accessLog != "" {
-		o := reqtrace.Options{Ring: *traceRing, SampleRate: *traceRate, Slow: *traceSlow}
-		if *accessLog != "" {
-			f, err := os.OpenFile(*accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				log.Fatalf("attributed: -access-log: %v", err)
-			}
-			defer f.Close()
-			o.AccessLog = f
+	o := reqtrace.Options{SampleRate: *traceRate, Slow: slowTrace}
+	if *accessLog != "" {
+		f, err := os.OpenFile(*accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			log.Fatalf("attributed: -access-log: %v", err)
 		}
-		rec = reqtrace.NewRecorder(o)
+		defer f.Close()
+		o.AccessLog = f
 	}
+	rec := reqtrace.NewRecorder(o)
 
-	pipe := darklight.NewPipeline(
-		darklight.WithThreshold(*thresh),
-		darklight.WithK(*k),
-		darklight.WithWordBudget(*budget),
-		darklight.WithWorkers(*workers),
-	)
+	pipe := darklight.NewPipeline()
 	opts := pipe.MatcherOptions()
 
 	var st *store.Store
@@ -133,7 +123,7 @@ func main() {
 			log.Fatalf("attributed: %v", err)
 		}
 	}
-	src := &source{pipe: pipe, known: *known, query: *query, forum: *forumW, scale: *scale, seed: *seed, polish: *polish, refine: *refine}
+	src := &source{pipe: pipe, known: *known, query: *query, forum: *forumW, scale: *scale, seed: *seed, refine: *refine}
 
 	ctx := context.Background()
 	start := time.Now()
@@ -156,12 +146,7 @@ func main() {
 	mux := handler(svc.Handler(), rec, *timeout)
 
 	if *selfcheck > 0 {
-		keys := splitKeys(*apiKeys)
-		key := ""
-		if len(keys) > 0 {
-			key = keys[0]
-		}
-		if err := selfCheck(mux, rec, *selfcheck, key); err != nil {
+		if err := selfCheck(mux, rec, *selfcheck, splitKeys(*apiKeys)); err != nil {
 			log.Fatalf("attributed: %v", err)
 		}
 		log.Printf("attributed: selfcheck passed (%d requests)", *selfcheck)
@@ -222,10 +207,8 @@ func handler(api http.Handler, rec *reqtrace.Recorder, timeout time.Duration) ht
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", http.TimeoutHandler(api, timeout, `{"error":{"code":"timeout","message":"request deadline exceeded","status":503}}`))
 	obs.AttachDebug(mux, obs.Default())
-	if rec != nil {
-		mux.Handle("/debug/traces", rec.Handler())
-		mux.Handle("/debug/traces/", rec.Handler())
-	}
+	mux.Handle("/debug/traces", rec.Handler())
+	mux.Handle("/debug/traces/", rec.Handler())
 	return mux
 }
 
@@ -240,7 +223,8 @@ func isClosedListener(err error) bool {
 // then dumps the sampled-trace listing to stdout. CI runs this mode to
 // publish a real access log and trace dump as build artifacts; it fails
 // on the first non-200 so a broken chain cannot produce green artifacts.
-func selfCheck(h http.Handler, rec *reqtrace.Recorder, n int, apiKey string) error {
+// Its POSTs carry the first of apiKeys, if any.
+func selfCheck(h http.Handler, rec *reqtrace.Recorder, n int, apiKeys []string) error {
 	// An inline subject keeps the probe corpus-independent: the cycle takes it
 	// through both stages — rank, match, a rescore of the candidates the rank
 	// returned — without assuming any alias names.
@@ -267,8 +251,8 @@ func selfCheck(h http.Handler, rec *reqtrace.Recorder, n int, apiKey string) err
 			}
 		}
 		req := httptest.NewRequest(method, path, bytes.NewReader(raw))
-		if apiKey != "" && method == http.MethodPost {
-			req.Header.Set("X-API-Key", apiKey)
+		if len(apiKeys) > 0 && method == http.MethodPost {
+			req.Header.Set("X-API-Key", apiKeys[0])
 		}
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
@@ -286,12 +270,9 @@ func selfCheck(h http.Handler, rec *reqtrace.Recorder, n int, apiKey string) err
 			}
 		}
 	}
-	if rec != nil {
-		w := httptest.NewRecorder()
-		rec.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
-		//lint:ignore errdrop a failed stdout write has no channel left to report through
-		os.Stdout.Write(w.Body.Bytes())
-	}
+	w := httptest.NewRecorder()
+	rec.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
+	os.Stdout.Write(w.Body.Bytes())
 	return nil
 }
 
@@ -310,12 +291,12 @@ func splitKeys(csv string) []string {
 // -query files or, without -known, the (main, alter-ego) split of a world
 // generated from the same seed on every load (a reload changes nothing).
 type source struct {
-	pipe           *darklight.Pipeline
-	known, query   string
-	forum          string
-	scale          float64
-	seed           uint64
-	polish, refine bool
+	pipe         *darklight.Pipeline
+	known, query string
+	forum        string
+	scale        float64
+	seed         uint64
+	refine       bool
 
 	mu       sync.Mutex // guards the world's halves not yet handed out
 	main, ae *forum.Dataset
@@ -325,7 +306,7 @@ type source struct {
 // world's main half.
 func (s *source) knownDataset(ctx context.Context) (*forum.Dataset, error) {
 	if s.known != "" {
-		return prepareDataset(ctx, s.pipe, s.known, s.polish, s.refine)
+		return prepareDataset(ctx, s.pipe, s.known, s.refine)
 	}
 	return s.worldHalf(ctx, &s.main)
 }
@@ -336,7 +317,7 @@ func (s *source) querySubjects(ctx context.Context) (_ []attribution.Subject, er
 	var ds *forum.Dataset
 	switch {
 	case s.query != "":
-		ds, err = prepareDataset(ctx, s.pipe, s.query, s.polish, false)
+		ds, err = prepareDataset(ctx, s.pipe, s.query, false)
 	case s.known == "":
 		ds, err = s.worldHalf(ctx, &s.ae)
 	default:
@@ -371,15 +352,13 @@ func (s *source) worldHalf(ctx context.Context, half **forum.Dataset) (*forum.Da
 	return d, nil
 }
 
-// prepareDataset loads one JSONL dataset and optionally polishes/refines it.
-func prepareDataset(ctx context.Context, pipe *darklight.Pipeline, path string, polish, refine bool) (*darklight.Dataset, error) {
+// prepareDataset loads one JSONL dataset, polishes and optionally refines it.
+func prepareDataset(ctx context.Context, pipe *darklight.Pipeline, path string, refine bool) (*darklight.Dataset, error) {
 	d, err := darklight.LoadJSONL(path, path, forum.PlatformSynthetic)
 	if err != nil {
 		return nil, err
 	}
-	if polish {
-		pipe.PolishContext(ctx, d)
-	}
+	pipe.PolishContext(ctx, d)
 	if refine {
 		d = pipe.Refine(d)
 	}
@@ -387,28 +366,6 @@ func prepareDataset(ctx context.Context, pipe *darklight.Pipeline, path string, 
 		return nil, fmt.Errorf("attributed: %s: no aliases survive preparation", path)
 	}
 	return d, nil
-}
-
-// optionDrift names each matcher option on which the flags and the
-// snapshot a cold start took its matcher from disagree — a snapshot carries
-// the options it was built with, so without this line the flag is ignored
-// in silence. Workers and Incremental are how an index is built, not what
-// it answers, and are not compared; "built-in defaults" covers every option
-// no flag sets (an index saved by a build with other defaults).
-func optionDrift(flags, snapshot attribution.Options) []string {
-	f, s := flags.WithDefaults(), snapshot.WithDefaults()
-	var drift []string
-	if f.K != s.K {
-		drift = append(drift, fmt.Sprintf("-k is %v, snapshot has %v", f.K, s.K))
-	}
-	if f.Threshold != s.Threshold {
-		drift = append(drift, fmt.Sprintf("-threshold is %v, snapshot has %v", f.Threshold, s.Threshold))
-	}
-	f.K, f.Threshold, f.Workers, f.Incremental = s.K, s.Threshold, s.Workers, s.Incremental
-	if f != s {
-		drift = append(drift, "built-in defaults differ from the snapshot's")
-	}
-	return drift
 }
 
 // rebuildInstead decides what a cold start does when the snapshot did not
@@ -472,10 +429,8 @@ func newLoader(st *store.Store, opts attribution.Options, subjOpts attribution.S
 			case rebuild:
 				why = loadErr.Error()
 			default:
-				log.Printf("attributed: cold-started index v%d (%d subjects) from %s", idx.Version, len(idx.Subjects), st.SnapshotPath())
-				if drift := optionDrift(opts, idx.Matcher.Options()); len(drift) > 0 {
-					log.Printf("attributed: the snapshot's matcher options win over the flags until the index is rebuilt: %s", strings.Join(drift, "; "))
-				}
+				mo := idx.Matcher.Options().WithDefaults()
+				log.Printf("attributed: cold-started index v%d (%d subjects, k %d, threshold %v) from %s", idx.Version, len(idx.Subjects), mo.K, mo.Threshold, st.SnapshotPath())
 				cur = idx
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,45 +17,6 @@ import (
 	"darklight/internal/forum"
 	"darklight/internal/store"
 )
-
-// TestOptionDrift pins the cold-start warning: each flag-settable matcher
-// option that differs from the snapshot's is named once, options resolved
-// from their zero values do not count as differing, how the index was built
-// (Workers, Incremental) is ignored, and anything no flag sets is reported
-// as a difference in built-in defaults.
-func TestOptionDrift(t *testing.T) {
-	base := darklight.NewPipeline().MatcherOptions()
-	// What Matcher.Options reports for an index store.BuildIndex built from
-	// base on some other machine.
-	snap := base.WithDefaults()
-	snap.Incremental = true
-	snap.Workers = 17
-
-	for _, tc := range []struct {
-		name string
-		flag func(o *attribution.Options)
-		snap func(o *attribution.Options)
-		want []string
-	}{
-		{name: "same options"},
-		{name: "explicit defaults", flag: func(o *attribution.Options) { o.K = attribution.DefaultK }},
-		{name: "k and threshold", flag: func(o *attribution.Options) { o.K, o.Threshold = 5, 0.5 },
-			want: []string{"-k is 5, snapshot has 10", "-threshold is 0.5, snapshot has 0.419"}},
-		{name: "no flag for it", snap: func(o *attribution.Options) { o.Final.MaxWordGrams = 1000 },
-			want: []string{"built-in defaults differ from the snapshot's"}},
-	} {
-		f, s := base, snap
-		if tc.flag != nil {
-			tc.flag(&f)
-		}
-		if tc.snap != nil {
-			tc.snap(&s)
-		}
-		if got := optionDrift(f, s); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: drift %q, want %q", tc.name, got, tc.want)
-		}
-	}
-}
 
 // TestRebuildInstead pins what a cold start does with a snapshot that did
 // not load: only one of another format version, and only with the corpus at
@@ -148,7 +108,7 @@ func loaderDataset() *forum.Dataset {
 // load come from one generated world, whichever is asked for first, and the
 // next load's first request generates the next.
 func TestSourceGeneratesOneWorldPerLoad(t *testing.T) {
-	src := &source{pipe: darklight.NewPipeline(), forum: "reddit", scale: 0.01, seed: 1, polish: true, refine: true}
+	src := &source{pipe: darklight.NewPipeline(), forum: "reddit", scale: 0.01, seed: 1, refine: true}
 	ctx := context.Background()
 	for load := 1; load <= 2; load++ {
 		known, err := src.knownDataset(ctx)

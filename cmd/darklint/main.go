@@ -7,7 +7,6 @@
 //
 //	go run ./cmd/darklint ./...
 //	go run ./cmd/darklint -only=wallclock,errdrop ./internal/...
-//	go run ./cmd/darklint -wallclock.allow=internal/scraper,cmd ./...
 //	go run ./cmd/darklint -json ./... > darklint.json
 //
 // Analyzers: atomicmix (no plain access to variables touched by
@@ -18,7 +17,9 @@
 // (every Lock released on every path, no double-lock), maporder (no
 // map-iteration order leaking into output), utcenforce (UTC-pinned time
 // construction where the activity profiles need it), wallclock
-// (time.Now only on the allowlist). Suppress one finding with
+// (time.Now only on the allowlist). Each analyzer's package scope is the
+// DefaultScope (wallclock: DefaultAllow) constant in its package; no flag
+// widens or narrows it. Suppress one finding with
 // `//lint:ignore <analyzer> <reason>` on or above the offending line.
 //
 // With -json the findings are emitted as a JSON array of
@@ -89,12 +90,6 @@ func runLint(args []string, stdout, stderr io.Writer) int {
 		verbose = fs.Bool("v", false, "report per-package progress and suppressed-finding counts")
 		jsonOut = fs.Bool("json", false, "emit findings as JSON (includes suppressed findings)")
 	)
-	for _, a := range analyzers {
-		a := a
-		a.Flags.VisitAll(func(f *flag.Flag) {
-			fs.Var(f.Value, a.Name+"."+f.Name, f.Usage)
-		})
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

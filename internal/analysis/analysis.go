@@ -15,7 +15,6 @@
 package analysis
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -24,17 +23,13 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, flags, and
+	// Name identifies the analyzer in diagnostics, -only lists, and
 	// lint:ignore directives. Must be a valid Go identifier.
 	Name string
 
 	// Doc is the one-paragraph help text: what invariant the analyzer
 	// enforces and why the pipeline needs it.
 	Doc string
-
-	// Flags holds analyzer-specific configuration. The darklint driver
-	// exposes each flag as -<name>.<flag>.
-	Flags flag.FlagSet
 
 	// Run applies the analyzer to one package.
 	Run func(*Pass) (any, error)

@@ -41,10 +41,6 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func init() {
-	Analyzer.Flags.Var(&scope, "scope", "comma-separated package patterns the check applies to")
-}
-
 // containsSourceCtor reports whether any argument of the call invokes a
 // math/rand source constructor (which carries its own diagnostic when
 // wall-clock seeded).

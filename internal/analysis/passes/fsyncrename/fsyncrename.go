@@ -45,10 +45,6 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func init() {
-	Analyzer.Flags.Var(&scope, "scope", "comma-separated package patterns the check applies to")
-}
-
 // state is ordered least-safe-first so Join can take the minimum.
 type state int
 

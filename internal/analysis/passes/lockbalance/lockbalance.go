@@ -46,10 +46,6 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func init() {
-	Analyzer.Flags.Var(&scope, "scope", "comma-separated package patterns the check applies to")
-}
-
 // lkey identifies one mutex within one function: the receiver
 // expression's root object plus its printed path, and whether the
 // acquisition is the read side of an RWMutex.

@@ -41,10 +41,6 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func init() {
-	Analyzer.Flags.Var(&scope, "scope", "comma-separated package patterns the check applies to")
-}
-
 func run(pass *analysis.Pass) (any, error) {
 	if !scope.Matches(pass.Pkg.Path()) {
 		return nil, nil

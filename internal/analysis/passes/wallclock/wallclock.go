@@ -35,10 +35,6 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func init() {
-	Analyzer.Flags.Var(&allow, "allow", "comma-separated package patterns allowed to call time.Now")
-}
-
 func run(pass *analysis.Pass) (any, error) {
 	if allow.Matches(pass.Pkg.Path()) {
 		return nil, nil

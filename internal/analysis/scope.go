@@ -27,15 +27,6 @@ func NewScope(csv string) Scope {
 	return s
 }
 
-// String renders the scope as its flag syntax.
-func (s Scope) String() string { return strings.Join(s, ",") }
-
-// Set implements flag.Value so a Scope can back an analyzer flag.
-func (s *Scope) Set(csv string) error {
-	*s = NewScope(csv)
-	return nil
-}
-
 // Matches reports whether any positive pattern matches the package path
 // and no "!"-negated pattern does. Exclusions are checked first so they
 // win independent of where they sit in the list.

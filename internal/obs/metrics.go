@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -173,7 +174,7 @@ type Registry struct {
 
 	// collectors run (in registration order) at the start of every
 	// Snapshot, refreshing gauges whose source of truth lives outside the
-	// registry — runtime stats, rolling-window quantiles. Keyed by name so
+	// registry, such as runtime stats. Keyed by name so
 	// re-registration replaces rather than stacks.
 	collectors     map[string]func()
 	collectorOrder []string
@@ -186,8 +187,8 @@ func NewRegistry() *Registry {
 
 // RegisterCollector installs fn to run at the start of every Snapshot
 // (and therefore every Prometheus/JSON exposition), before the families
-// are read. Collectors refresh pull-style gauges — runtime stats, rolling
-// quantiles — that have no natural event to update them. Registering the
+// are read. Collectors refresh pull-style gauges, such as runtime stats,
+// that have no natural event to update them. Registering the
 // same name again replaces the previous collector, so packages that
 // register at construction time stay idempotent per registry. fn must not
 // call Snapshot (or anything that exposes the registry) itself.
@@ -238,7 +239,7 @@ func (r *Registry) register(name, help string, typ metricType, labels []string, 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
-		if f.typ != typ || !equalStrings(f.labels, labels) || !equalFloats(f.bounds, bounds) {
+		if f.typ != typ || !slices.Equal(f.labels, labels) || !slices.Equal(f.bounds, bounds) {
 			panic("obs: metric " + name + " re-registered with a different schema")
 		}
 		return f
@@ -312,28 +313,4 @@ func mustValidName(name string) {
 			panic("obs: invalid metric or label name " + name)
 		}
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

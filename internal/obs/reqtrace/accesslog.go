@@ -2,8 +2,6 @@ package reqtrace
 
 import (
 	"encoding/json"
-	"strconv"
-	"sync"
 
 	"darklight/internal/obs"
 )
@@ -12,9 +10,7 @@ import (
 // (encoding/json emits struct fields in declaration order), so the JSONL
 // output is deterministic and grep/jq-stable: id first, then the trace
 // correlation key, then the request shape, then timing, then the
-// per-stage breakdown. The hot path renders the same bytes by hand (see
-// appendAccessLine, pinned equal to encoding/json by test); this struct
-// is the schema of record.
+// per-stage breakdown.
 type AccessEntry struct {
 	ID       string             `json:"id"`
 	Trace    string             `json:"trace"`
@@ -26,22 +22,11 @@ type AccessEntry struct {
 	Stages   []obs.StageSummary `json:"stages,omitempty"`
 }
 
-// linePool recycles the per-request line buffer and stage scratch, so a
-// steady request stream logs without per-line garbage.
-var linePool = sync.Pool{New: func() any { return new(lineScratch) }}
-
-type lineScratch struct {
-	buf    []byte
-	stages []obs.StageSummary
-}
-
 // writeAccessLine renders one request as a single JSONL line. The mutex
 // makes each line atomic with respect to concurrent requests — lines may
 // interleave in any order, but never mid-line.
 func (c *Recorder) writeAccessLine(a *Active, info RequestInfo) {
-	s := linePool.Get().(*lineScratch)
-	s.stages = a.tracer.AppendStages(s.stages[:0])
-	line := appendAccessLine(s.buf[:0], AccessEntry{
+	line, err := json.Marshal(AccessEntry{
 		ID:       a.RequestID,
 		Trace:    a.TraceID,
 		Method:   info.Method,
@@ -49,81 +34,13 @@ func (c *Recorder) writeAccessLine(a *Active, info RequestInfo) {
 		Code:     info.Code,
 		DurNS:    info.Duration.Nanoseconds(),
 		Bytes:    info.Bytes,
-		Stages:   s.stages,
+		Stages:   a.tracer.Stages(),
 	})
-	line = append(line, '\n')
+	if err != nil {
+		return // strings and integers always marshal
+	}
 	c.logMu.Lock()
+	defer c.logMu.Unlock()
 	//lint:ignore errdrop the access log is advisory; a full disk must not fail requests
-	c.opts.AccessLog.Write(line)
-	c.logMu.Unlock()
-	s.buf = line[:0]
-	linePool.Put(s)
-}
-
-// appendAccessLine renders e exactly as encoding/json would, without the
-// reflection walk or intermediate allocations. TestAccessLineMatchesJSON
-// pins the equivalence, including omitempty and string-escaping corners.
-func appendAccessLine(b []byte, e AccessEntry) []byte {
-	b = append(b, `{"id":`...)
-	b = appendJSONString(b, e.ID)
-	b = append(b, `,"trace":`...)
-	b = appendJSONString(b, e.Trace)
-	b = append(b, `,"method":`...)
-	b = appendJSONString(b, e.Method)
-	b = append(b, `,"endpoint":`...)
-	b = appendJSONString(b, e.Endpoint)
-	b = append(b, `,"code":`...)
-	b = strconv.AppendInt(b, int64(e.Code), 10)
-	b = append(b, `,"dur_ns":`...)
-	b = strconv.AppendInt(b, e.DurNS, 10)
-	if e.Bytes != 0 {
-		b = append(b, `,"bytes":`...)
-		b = strconv.AppendInt(b, int64(e.Bytes), 10)
-	}
-	if len(e.Stages) > 0 {
-		b = append(b, `,"stages":[`...)
-		for i, st := range e.Stages {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"name":`...)
-			b = appendJSONString(b, st.Name)
-			b = append(b, `,"count":`...)
-			b = strconv.AppendInt(b, st.Count, 10)
-			b = append(b, `,"dur_ns":`...)
-			b = strconv.AppendInt(b, st.DurNS, 10)
-			if st.Items != 0 {
-				b = append(b, `,"items":`...)
-				b = strconv.AppendInt(b, st.Items, 10)
-			}
-			if st.Bytes != 0 {
-				b = append(b, `,"bytes":`...)
-				b = strconv.AppendInt(b, st.Bytes, 10)
-			}
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	return append(b, '}')
-}
-
-// appendJSONString quotes s the way encoding/json does. The fast path
-// covers the plain-ASCII strings this package actually emits (ids, hex,
-// methods, URL paths); anything needing escapes — control bytes, quotes,
-// backslashes, the HTML-sensitive <>&, or non-ASCII — takes the
-// encoding/json slow path so the bytes stay identical either way.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, err := json.Marshal(s)
-			if err != nil {
-				return append(b, `""`...) // a Go string cannot fail to marshal
-			}
-			return append(b, enc...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	c.opts.AccessLog.Write(append(line, '\n'))
 }

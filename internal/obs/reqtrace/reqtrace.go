@@ -18,10 +18,9 @@
 //     decision payload (prefilter mode, candidates examined, heap
 //     evictions, index version) as span attributes.
 //   - Sinks: a JSONL access log (one line per request, struct-ordered
-//     fields), a bounded in-memory ring of sampled traces served at
-//     /debug/traces and /debug/traces/{id}, and a rolling-window
-//     streaming-quantile Window that backs the serve_request_seconds_p50
-//     and _p99 gauges.
+//     fields) and a bounded in-memory ring of sampled traces served at
+//     /debug/traces and /debug/traces/{id}. Request latency itself is
+//     internal/serve's serve_request_seconds histogram, not a sink here.
 //
 // Sampling is always-keep-slow plus probabilistic: a request slower than
 // Options.Slow is always retained, everything else is retained with

@@ -262,83 +262,6 @@ func TestAccessLogLineShape(t *testing.T) {
 	}
 }
 
-// TestAccessLineMatchesJSON pins the hand-rolled marshal byte-identical
-// to encoding/json over the schema struct — omitempty corners, zero
-// values, and strings that need escaping (which must fall back to the
-// encoding/json path, HTML escapes included).
-func TestAccessLineMatchesJSON(t *testing.T) {
-	entries := []AccessEntry{
-		{},
-		{ID: "r00000001", Trace: "0af7651916cd43dd8448eb211c80319c", Method: "POST", Endpoint: "/v1/rank", Code: 200, DurNS: 2000000, Bytes: 128,
-			Stages: []obs.StageSummary{{Name: "serve", Count: 1, DurNS: 2000000}, {Name: "rank", Count: 2, DurNS: 150, Items: 3, Bytes: 64}}},
-		{ID: "r0000000a", Method: "GET", Endpoint: "/v1/healthz", Code: 200, DurNS: 1},
-		{Method: `we"ird\`, Endpoint: "/a?b=<c>&d=é\x01", Code: 404, DurNS: -5, Bytes: -1,
-			Stages: []obs.StageSummary{{Name: "spaced name\t", Count: 1, Items: -2}}},
-	}
-	for _, e := range entries {
-		want, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendAccessLine(nil, e); string(got) != string(want) {
-			t.Errorf("appendAccessLine(%+v)\n got %s\nwant %s", e, got, want)
-		}
-	}
-}
-
-func TestWindowQuantiles(t *testing.T) {
-	base := time.Date(2024, 6, 1, 12, 0, 0, 0, time.UTC)
-	w := NewWindow(60*time.Second, 6, 100, 1)
-
-	for i := 1; i <= 100; i++ {
-		w.Observe(base, float64(i))
-	}
-	if got := w.Quantile(base, 0.5); got != 50 {
-		t.Errorf("p50 = %v, want 50", got)
-	}
-	if got := w.Quantile(base, 0.99); got != 99 {
-		t.Errorf("p99 = %v, want 99", got)
-	}
-	if got := w.Quantile(base, 1); got != 100 {
-		t.Errorf("p100 = %v, want 100", got)
-	}
-	if got := w.Quantile(base, 0); got != 1 {
-		t.Errorf("p0 = %v, want 1", got)
-	}
-
-	// 30s later the old slice is still inside the window.
-	if got := w.Quantile(base.Add(30*time.Second), 0.5); got != 50 {
-		t.Errorf("p50 after 30s = %v, want 50 (still in window)", got)
-	}
-	// 90s later everything has aged out.
-	if got := w.Quantile(base.Add(90*time.Second), 0.5); got != 0 {
-		t.Errorf("p50 after 90s = %v, want 0 (window empty)", got)
-	}
-
-	// New observations land in the fresh window.
-	later := base.Add(2 * time.Minute)
-	w.Observe(later, 7)
-	if got := w.Quantile(later, 0.99); got != 7 {
-		t.Errorf("p99 after refill = %v, want 7", got)
-	}
-}
-
-func TestWindowReservoirBoundsMemory(t *testing.T) {
-	base := time.Date(2024, 6, 1, 12, 0, 0, 0, time.UTC)
-	w := NewWindow(60*time.Second, 2, 8, 1)
-	for i := 0; i < 10000; i++ {
-		w.Observe(base, 42)
-	}
-	for i := range w.slices {
-		if n := len(w.slices[i].vals); n > 8 {
-			t.Fatalf("slice %d holds %d values, cap is 8", i, n)
-		}
-	}
-	if got := w.Quantile(base, 0.99); got != 42 {
-		t.Errorf("p99 = %v, want 42", got)
-	}
-}
-
 func TestMiddleware(t *testing.T) {
 	clock := time.Date(2024, 6, 1, 12, 0, 0, 0, time.UTC)
 	now := func() time.Time {
@@ -351,7 +274,6 @@ func TestMiddleware(t *testing.T) {
 		span.SetAttr("mode", "exact")
 		span.End()
 		w.WriteHeader(http.StatusTeapot)
-		//lint:ignore errdrop test writer cannot fail
 		w.Write([]byte("hello"))
 	})
 	h := Middleware(inner, rec, now)

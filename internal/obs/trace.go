@@ -194,21 +194,14 @@ type StageSummary struct {
 	Bytes int64  `json:"bytes,omitempty"`
 }
 
-// Stages aggregates the span forest by span name, sorted by name.
+// Stages aggregates the span forest by span name, sorted by name. It walks
+// the live spans directly — no SpanData export, no attribute maps — and
+// distinct names per tree are few, so the lookup is a linear scan rather
+// than a map.
 func (t *Tracer) Stages() []StageSummary {
-	return t.AppendStages(nil)
-}
-
-// AppendStages is Stages with a caller-supplied destination, for hot
-// paths that aggregate per request (the serving access log) and want to
-// reuse a scratch slice. It walks the live spans directly — no SpanData
-// export, no attribute maps — and appends one name-sorted summary per
-// distinct span name. Distinct names per tree are few, so the lookup is
-// a linear scan rather than a map.
-func (t *Tracer) AppendStages(dst []StageSummary) []StageSummary {
+	var dst []StageSummary
 	t.mu.Lock()
-	roots := t.roots
-	for _, r := range roots {
+	for _, r := range t.roots {
 		dst = appendStage(dst, r)
 	}
 	t.mu.Unlock()

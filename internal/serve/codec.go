@@ -172,14 +172,11 @@ type HealthResponse struct {
 	Draining       bool    `json:"draining"`
 }
 
-// decodeRequest strictly decodes one JSON request body into dst: bodies
-// over limit (when limit > 0), malformed JSON, unknown fields, and
-// trailing data are all rejected with a structured *Error. It never
-// panics on hostile input (FuzzDecodeRequest pins this).
-func decodeRequest(data []byte, limit int64, dst any) *Error {
-	if limit > 0 && int64(len(data)) > limit {
-		return errPayloadTooLarge(limit)
-	}
+// decodeRequest strictly decodes one JSON request body into dst: malformed
+// JSON, unknown fields, and trailing data are all rejected with a
+// structured *Error. It never panics on hostile input (FuzzDecodeRequest
+// pins this). The body's size was bounded when it was read.
+func decodeRequest(data []byte, dst any) *Error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -240,7 +237,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)+1))
 	w.WriteHeader(status)
-	//lint:ignore errdrop a failed response write means the client hung up; there is no one left to report to
 	w.Write(append(data, '\n'))
 }
 

@@ -22,7 +22,7 @@ func (s *Service) handleRank(r *http.Request, st *state, body []byte) (any, *Err
 	defer span.End()
 	span.SetAttr("index_version", strconv.Itoa(st.version))
 	var req RankRequest
-	if apiErr := decodeRequest(body, 0, &req); apiErr != nil {
+	if apiErr := decodeRequest(body, &req); apiErr != nil {
 		return nil, apiErr
 	}
 	if req.K < 0 {
@@ -55,7 +55,7 @@ func (s *Service) handleRescore(r *http.Request, st *state, body []byte) (any, *
 	defer span.End()
 	span.SetAttr("index_version", strconv.Itoa(st.version))
 	var req RescoreRequest
-	if apiErr := decodeRequest(body, 0, &req); apiErr != nil {
+	if apiErr := decodeRequest(body, &req); apiErr != nil {
 		return nil, apiErr
 	}
 	if len(req.Candidates) == 0 {
@@ -97,7 +97,7 @@ func (s *Service) handleMatch(r *http.Request, st *state, body []byte) (any, *Er
 	defer span.End()
 	span.SetAttr("index_version", strconv.Itoa(st.version))
 	var req MatchRequest
-	if apiErr := decodeRequest(body, 0, &req); apiErr != nil {
+	if apiErr := decodeRequest(body, &req); apiErr != nil {
 		return nil, apiErr
 	}
 	sub, apiErr := s.resolveSubject(ctx, st, &req.Subject)

@@ -96,7 +96,6 @@ func (s *Service) endpoint(name string, mode endpointMode, h handlerFunc) http.H
 		elapsed := s.clock.Now().Sub(start)
 		s.met.requests.With(name, strconv.Itoa(status)).Inc()
 		s.met.latency.With(name).Observe(elapsed.Seconds())
-		s.quant.Observe(s.clock.Now(), elapsed.Seconds())
 		if act != nil {
 			root.SetAttr("code", strconv.Itoa(status))
 			if apiErr != nil {
@@ -210,8 +209,7 @@ func clientKey(apiKey string, r *http.Request) string {
 }
 
 // readBody reads the request body under the configured byte bound. An
-// over-limit body is rejected with the payload_too_large envelope whether
-// it is caught by the HTTP layer (MaxBytesReader) or by length.
+// over-limit body is rejected with the payload_too_large envelope.
 func (s *Service) readBody(r *http.Request) ([]byte, *Error) {
 	limited := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBody)
 	body, err := io.ReadAll(limited)

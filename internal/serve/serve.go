@@ -93,9 +93,6 @@ type Service struct {
 	keys    map[string]struct{}
 	limiter *rateLimiter
 	met     *metrics
-	// quant feeds the rolling-window p50/p99 latency gauges; always on
-	// (the gauges do not require tracing to be enabled).
-	quant *reqtrace.Window
 
 	state atomic.Pointer[state]
 
@@ -126,12 +123,6 @@ type metrics struct {
 	reloadErrs *obs.Counter      // serve_index_reload_failures_total
 	version    *obs.Gauge        // serve_index_version
 	known      *obs.Gauge        // serve_known_subjects
-	// p50/p99 are rolling-window request-latency quantiles, refreshed by a
-	// registry collector from the service's quantile window at exposition
-	// time — unlike the cumulative latency histogram, they answer "how slow
-	// is the server right now".
-	p50 *obs.Gauge // serve_request_seconds_p50
-	p99 *obs.Gauge // serve_request_seconds_p99
 }
 
 // latencyBuckets spans sub-millisecond handler hits through slow seconds.
@@ -146,19 +137,8 @@ func newMetrics(r *obs.Registry) *metrics {
 		reloadErrs: r.Counter("serve_index_reload_failures_total", "failed index reloads (the previous index stays live)"),
 		version:    r.Gauge("serve_index_version", "version of the live index snapshot"),
 		known:      r.Gauge("serve_known_subjects", "known subjects in the live index"),
-		p50:        r.Gauge("serve_request_seconds_p50", "rolling-window request latency median"),
-		p99:        r.Gauge("serve_request_seconds_p99", "rolling-window request latency 99th percentile"),
 	}
 }
-
-// quantWindow/quantSlices/quantCap shape the rolling latency window: one
-// minute in ten-second slices, up to 512 retained observations per slice
-// (reservoir-sampled beyond that).
-const (
-	quantWindow = time.Minute
-	quantSlices = 6
-	quantCap    = 512
-)
 
 // ErrDrainTimeout is returned by Drain when in-flight requests do not
 // complete within the deadline.
@@ -186,13 +166,7 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 		clock:   cfg.Clock,
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.Clock),
 		met:     newMetrics(cfg.Registry),
-		quant:   reqtrace.NewWindow(quantWindow, quantSlices, quantCap, 0),
 	}
-	cfg.Registry.RegisterCollector("serve_request_quantiles", func() {
-		now := s.clock.Now()
-		s.met.p50.Set(s.quant.Quantile(now, 0.5))
-		s.met.p99.Set(s.quant.Quantile(now, 0.99))
-	})
 	if len(cfg.APIKeys) > 0 {
 		s.keys = make(map[string]struct{}, len(cfg.APIKeys))
 		for _, k := range cfg.APIKeys {
