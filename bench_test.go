@@ -526,8 +526,11 @@ func BenchmarkRank(b *testing.B) {
 	}
 }
 
-// BenchmarkRescore measures stage-2 (§IV-E): per-candidate re-extraction,
-// TF-IDF rebuild over the candidate subset, and cosine rescoring.
+// BenchmarkRescore measures stage 2 (§IV-E) through the public Rescore: the
+// unknown's extraction, the TF-IDF rebuild over the candidate subset and
+// cosine rescoring. Candidate documents come from the matcher's cache, which
+// the warm pass below fills; BenchmarkRescoreKernel in internal/attribution
+// times the kernel without the extraction.
 func BenchmarkRescore(b *testing.B) {
 	known, probes := benchSubjects(b)
 	m, err := attribution.NewMatcher(known, attribution.DefaultOptions())

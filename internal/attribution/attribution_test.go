@@ -30,7 +30,7 @@ var sharedVocab = strings.Fields(`
 	place year back give line even because turn here show also around form
 	small set put end does another well large must big such`)
 
-func makeAuthors(t *testing.T, n, wordsPerHalf int) []synthAuthor {
+func makeAuthors(t testing.TB, n, wordsPerHalf int) []synthAuthor {
 	t.Helper()
 	authors := make([]synthAuthor, n)
 	for i := range authors {

@@ -237,15 +237,14 @@ type matchBuffers struct {
 	touched []int32
 
 	// Stage-2 scratch, rebuilt by every rescore: the candidates' subject
-	// indices and cached documents, the per-query candidate vocabulary with
-	// its build buffers, and the gram vectors of the unknown and of the
-	// candidate being scored. Nothing a rescore returns aliases any of it.
-	// Stage 1 runs to completion first and builds its query vector in uvec
-	// too, with cvec as the index sort's second buffer.
-	idxs       []int
-	docs       []*features.SortedDoc
-	vocab      features.CandidateVocab
-	uvec, cvec sparse.Vector
+	// indices and cached documents, and the per-query candidate vocabulary
+	// with its postings and build buffers. Nothing a rescore returns aliases
+	// any of it.
+	idxs  []int
+	docs  []*features.SortedDoc
+	vocab features.CandidateVocab
+
+	uvec, cvec sparse.Vector // stage 1's query vector; cvec is only its sort's second buffer
 }
 
 // pruneBufs returns the pruned walk's partial-score accumulator (length
@@ -651,8 +650,8 @@ func (m *Matcher) getBuf() *matchBuffers {
 
 func (m *Matcher) putBuf(b *matchBuffers) { m.bufPool.Put(b) }
 
-// normOf is blocks.norm computed from block presence alone (each block is
-// unit-normalised, so only presence matters).
+// normOf is the concatenated-vector norm of blocks present as given: each
+// block is unit-normalised, so only presence matters.
 func normOf(hasGrams, hasFreq, hasAct bool, w Weights) float64 {
 	n := 0.0
 	if hasGrams {
@@ -693,30 +692,30 @@ func (m *Matcher) rescoreDoc(udoc *features.SortedDoc, unknown *Subject, candida
 		}
 	}
 	buf.idxs, buf.docs = idxs, docs
-	// The per-query vocabulary rebuild runs over the documents' id-sorted
-	// gram lists in storage buf keeps: a
-	// VocabBuilder would allocate its counters and tables per query.
-	vocab := &buf.vocab
-	vocab.Reset(m.opts.Final, docs)
-
-	w := m.opts.weights()
 	if udoc == nil {
 		udoc = features.Extract(unknown.Text, m.opts.Final)
 	}
-	vocab.VectorizeGramsInto(&buf.uvec, udoc)
-	ub := blocksOf(buf.uvec, udoc, unknown)
+	// The vocabulary rebuild and the gram dots run in storage buf keeps: a
+	// VocabBuilder would allocate its counters and tables per query.
+	dots, has, uHas := buf.vocab.Score(m.opts.Final, docs, udoc)
+	w := m.opts.weights()
+	ufreq, uact := normalizedFreq(udoc.Freq), normalizedActivity(unknown)
+	nu := normOf(uHas, ufreq != nil, uact != nil, w)
 	out := make([]Scored, 0, len(idxs))
 	for j, i := range idxs {
-		s := &m.known[i]
-		vocab.VectorizeGramsInto(&buf.cvec, docs[j])
 		// The index already holds the candidate's dense blocks: activity
 		// never depends on the extraction config, frequency only when the
 		// two stages' raw counts differ.
-		cb := blocks{grams: buf.cvec.Normalize(), freq: m.freqs[i], act: m.acts[i]}
+		freq, act := m.freqs[i], m.acts[i]
 		if !m.sameExtract {
-			cb.freq = normalizedFreq(docs[j].Freq)
+			freq = normalizedFreq(docs[j].Freq)
 		}
-		out = append(out, Scored{Name: s.Name, Score: similarity(&ub, &cb, w)})
+		score := 0.0 // the cosine of the concatenated weighted vectors (blocks)
+		if nv := normOf(has[j], freq != nil, act != nil, w); nu != 0 && nv != 0 {
+			dot := dots[j] + w.Freq*w.Freq*denseDot(ufreq, freq) + w.Activity*w.Activity*denseDot(uact, act)
+			score = dot / (nu * nv)
+		}
+		out = append(out, Scored{Name: m.known[i].Name, Score: score})
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Score != out[b].Score {

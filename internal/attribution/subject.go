@@ -158,10 +158,11 @@ func buildBlocks(s *Subject, vocab *features.Vocabulary, cfg features.Config) bl
 }
 
 // blocksOf assembles a subject's blocks around the TF-IDF gram vector
-// already vectorized from its document d — by the reduction
-// vocabulary (index pass, stage-1 query) or a candidate vocabulary (stage
-// 2); one vectorizer serves both, so the blocks are bit-identical whichever
-// way d was obtained. grams is normalised in place and stays aliased.
+// already vectorized from its document d by the reduction vocabulary — the
+// index pass and the stage-1 query share one vectorizer, so the blocks are
+// bit-identical whichever way d was obtained. grams is normalised in place
+// and stays aliased. (Stage 2 never materialises its blocks' gram vectors:
+// rescoreDoc takes the gram dots from CandidateVocab.Score.)
 func blocksOf(grams sparse.Vector, d *features.SortedDoc, s *Subject) blocks {
 	return blocks{
 		grams: grams.Normalize(),
@@ -172,19 +173,7 @@ func blocksOf(grams sparse.Vector, d *features.SortedDoc, s *Subject) blocks {
 
 // normalizedFreq returns the unit-norm frequency block, nil when all-zero.
 func normalizedFreq(freq [features.NumFreqFeatures]float64) []float64 {
-	var fnorm float64
-	for _, x := range freq {
-		fnorm += x * x
-	}
-	if fnorm == 0 {
-		return nil
-	}
-	inv := 1 / math.Sqrt(fnorm)
-	out := make([]float64, len(freq))
-	for i, x := range freq {
-		out[i] = x * inv
-	}
-	return out
+	return unitDense(freq[:])
 }
 
 // normalizedActivity returns the unit-norm activity block, nil when the
@@ -193,17 +182,22 @@ func normalizedActivity(s *Subject) []float64 {
 	if s.Activity == nil {
 		return nil
 	}
-	bins := s.Activity.Bins
-	var anorm float64
-	for _, x := range bins {
-		anorm += x * x
+	return unitDense(s.Activity.Bins[:])
+}
+
+// unitDense returns xs scaled to unit norm in a new slice, nil when xs is
+// all-zero.
+func unitDense(xs []float64) []float64 {
+	var norm float64
+	for _, x := range xs {
+		norm += x * x
 	}
-	if anorm == 0 {
+	if norm == 0 {
 		return nil
 	}
-	inv := 1 / math.Sqrt(anorm)
-	out := make([]float64, len(bins))
-	for i, x := range bins {
+	inv := 1 / math.Sqrt(norm)
+	out := make([]float64, len(xs))
+	for i, x := range xs {
 		out[i] = x * inv
 	}
 	return out
@@ -211,17 +205,7 @@ func normalizedActivity(s *Subject) []float64 {
 
 // norm returns the concatenated-vector norm of b under w.
 func (b *blocks) norm(w Weights) float64 {
-	n := 0.0
-	if b.grams.Len() > 0 {
-		n += 1
-	}
-	if b.freq != nil {
-		n += w.Freq * w.Freq
-	}
-	if b.act != nil {
-		n += w.Activity * w.Activity
-	}
-	return math.Sqrt(n)
+	return normOf(b.grams.Len() > 0, b.freq != nil, b.act != nil, w)
 }
 
 func denseDot(a, b []float64) float64 {
@@ -233,18 +217,6 @@ func denseDot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// similarity is the cosine of the two concatenated weighted vectors.
-func similarity(u, v *blocks, w Weights) float64 {
-	nu, nv := u.norm(w), v.norm(w)
-	if nu == 0 || nv == 0 {
-		return 0
-	}
-	dot := sparse.Dot(u.grams, v.grams) +
-		w.Freq*w.Freq*denseDot(u.freq, v.freq) +
-		w.Activity*w.Activity*denseDot(u.act, v.act)
-	return dot / (nu * nv)
 }
 
 // CompositeVector builds the full block-normalised concatenated feature

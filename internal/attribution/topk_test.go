@@ -3,12 +3,14 @@ package attribution
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"darklight/internal/features"
+	"darklight/internal/sparse"
 )
 
 // referenceTopK is the historical sort-based selection (full index
@@ -139,6 +141,154 @@ func referenceRescore(m *Matcher, unknown *Subject, candidates []Scored) []Score
 		return out[a].Name < out[b].Name
 	})
 	return out
+}
+
+// similarity is the cosine of the two concatenated weighted vectors: the
+// score stage 2 computed from materialised blocks before its gram dots came
+// from one sweep over the candidates' postings.
+func similarity(u, v *blocks, w Weights) float64 {
+	nu, nv := u.norm(w), v.norm(w)
+	if nu == 0 || nv == 0 {
+		return 0
+	}
+	dot := sparse.Dot(u.grams, v.grams) +
+		w.Freq*w.Freq*denseDot(u.freq, v.freq) +
+		w.Activity*w.Activity*denseDot(u.act, v.act)
+	return dot / (nu * nv)
+}
+
+// referenceKernel is the stage-2 kernel rescoreDoc ran before
+// CandidateVocab.Score: the unknown's gram vector and then each candidate's
+// merged out of the candidate vocabulary, radix-sorted, normalised and
+// scored by similarity. The vocabulary is a VocabBuilder's over the same
+// documents, which TestCandidateVocabMatchesVocabBuilder holds the per-query
+// one to bit for bit; the rest is the old body.
+func referenceKernel(m *Matcher, udoc *features.SortedDoc, unknown *Subject, candidates []Scored) []Scored {
+	var idxs []int
+	var docs []*features.SortedDoc
+	for _, c := range candidates {
+		if i, ok := m.byName[c.Name]; ok {
+			idxs = append(idxs, i)
+			docs = append(docs, m.finalDocs.Get(i))
+		}
+	}
+	vb := features.NewVocabBuilder(m.opts.Final)
+	for _, d := range docs {
+		vb.AddSorted(d)
+	}
+	vocab, err := vb.Build()
+	if err != nil {
+		panic(err) // a few added documents: the counters cannot refuse them
+	}
+
+	w := m.opts.weights()
+	if udoc == nil {
+		udoc = features.Extract(unknown.Text, m.opts.Final)
+	}
+	var uvec, cvec, scratch sparse.Vector
+	vocab.VectorizeGramsInto(&uvec, &scratch, udoc)
+	ub := blocksOf(uvec, udoc, unknown)
+	out := make([]Scored, 0, len(idxs))
+	for j, i := range idxs {
+		s := &m.known[i]
+		vocab.VectorizeGramsInto(&cvec, &scratch, docs[j])
+		cb := blocks{grams: cvec.Normalize(), freq: m.freqs[i], act: m.acts[i]}
+		if !m.sameExtract {
+			cb.freq = normalizedFreq(docs[j].Freq)
+		}
+		out = append(out, Scored{Name: s.Name, Score: similarity(&ub, &cb, w)})
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Score != out[b].Score {
+			return out[a].Score > out[b].Score
+		}
+		return out[a].Name < out[b].Name
+	})
+	return out
+}
+
+// assertSameScores fails unless got and want name the same candidates in the
+// same order with the same score bits.
+func assertSameScores(t *testing.T, label string, got, want []Scored) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d scores, reference %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Name != want[i].Name || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s: position %d is %s %x, reference %s %x\ngot  %v\nwant %v", label, i,
+				got[i].Name, math.Float64bits(got[i].Score), want[i].Name, math.Float64bits(want[i].Score), got, want)
+		}
+	}
+}
+
+// TestRescoreKernelMatchesReference holds stage 2 to referenceKernel bit
+// for bit where the 300-word worlds cannot reach: 1,500-word halves at k 1,
+// 10 and 40, under the paper's budgets and under budgets of 64 word and 128
+// char grams, where the cut binds and ties are broken inside it; with the
+// final config's frequency block off too, so the stages do not share an
+// extraction and Match re-extracts. The unknowns include an empty one, one
+// with no selected gram, randomWorld's empty and zero-norm probes, and two
+// candidates with one text, where every gram they share has IDF 0 and both
+// gram blocks are present with norm 0.
+func TestRescoreKernelMatchesReference(t *testing.T) {
+	known, probes := split(makeAuthors(t, 44, 1500))
+	twin := known[0]
+	twin.Name += "-twin"
+	known = append(known, twin)
+	probes = append(probes[:3],
+		Subject{Name: "empty"},
+		Subject{Name: "foreign", Text: "ÿŷÿŷÿŷ"},
+		known[7])
+	rwKnown, rwProbes := randomWorld(rand.New(rand.NewSource(1500)), 44)
+	worlds := []struct {
+		name          string
+		known, probes []Subject
+	}{{"authors", known, probes}, {"random", rwKnown, rwProbes}}
+
+	paper := testOptions()
+	binding := testOptions()
+	binding.Final.MaxWordGrams, binding.Final.MaxCharGrams = 64, 128
+	paperNoFreq, bindingNoFreq := paper, binding
+	paperNoFreq.Final.IncludeFreq, bindingNoFreq.Final.IncludeFreq = false, false
+	for _, wd := range worlds {
+		for oi, opts := range []Options{paper, binding, paperNoFreq, bindingNoFreq} {
+			m, err := NewMatcher(wd.known, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf matchBuffers
+			for _, k := range []int{1, 10, 40} {
+				for p := range wd.probes {
+					u := &wd.probes[p]
+					label := fmt.Sprintf("%s options %d k %d unknown %s", wd.name, oi, k, u.Name)
+					cands := m.Rank(u, k)
+					want := referenceKernel(m, nil, u, cands)
+					assertSameScores(t, label, m.rescoreDoc(nil, u, cands, &buf), want)
+					if k == 10 {
+						res := m.MatchWith(u, MatchOptions{K: k})
+						assertSameScores(t, label+" (Match)", res.Rescored, want)
+					}
+				}
+			}
+			if wd.name != "authors" {
+				continue
+			}
+			// The cases are what they claim to be.
+			foreign := features.Extract("ÿŷÿŷÿŷ", opts.Final)
+			m.rescoreDoc(foreign, &probes[4], m.Rank(&probes[4], 10), &buf)
+			if _, _, uHas := buf.vocab.Score(opts.Final, buf.docs, foreign); uHas {
+				t.Fatalf("options %d: the foreign unknown holds a selected gram", oi)
+			}
+			pair := []Scored{{Name: known[0].Name}, {Name: twin.Name}}
+			want := referenceKernel(m, nil, &probes[0], pair)
+			assertSameScores(t, fmt.Sprintf("options %d twins", oi), m.rescoreDoc(nil, &probes[0], pair, &buf), want)
+			dots, has, _ := buf.vocab.Score(opts.Final, buf.docs, features.Extract(probes[0].Text, opts.Final))
+			if !has[0] || !has[1] || dots[0] != 0 || dots[1] != 0 {
+				t.Fatalf("options %d: twins score gram dots %v presence %v, want 0 and present", oi, dots, has)
+			}
+		}
+	}
 }
 
 // TestRescoreUnchangedByHoistedIndex pins the byName/doc-cache hoist and

@@ -1,30 +1,31 @@
 package features
 
 import (
-	"math/bits"
+	"math"
 	"slices"
-
-	"darklight/internal/sparse"
 )
 
-// CandidateVocab is VocabBuilder + Vocabulary for the ~k documents stage 2
-// rebuilds the vocabulary over for every query: the same two kernels the
-// corpus builder runs — mergeGramLists to count, selectGrams to cut — over
-// storage it keeps between queries, where a VocabBuilder allocates its
-// counters and a Vocabulary its tables afresh. The vectors are bit-identical
-// to what the Vocabulary a VocabBuilder fed the same documents Builds would
-// yield: one selection, one index assignment, one IDF function.
-//
-// A CandidateVocab is reusable — Reset rebuilds it in the storage of the
-// previous build, so the one a matcher worker keeps allocates nothing once
-// warm — and not safe for concurrent use.
+// CandidateVocab is stage 2's per-query vocabulary and gram scorer: the
+// corpus builder's kernels — mergeGramLists to count, rankByFreq to cut —
+// over the ~k candidate documents, then two sweeps over their TF-IDF weights
+// laid out by feature index. Every score is bit-identical to sparse.Dot of
+// the normalised vectors a Vocabulary built from the same documents yields:
+// each sum adds the same terms in the same order, ascending feature index.
+// Reusable — warm, it allocates nothing — and not safe for concurrent use.
 type CandidateVocab struct {
-	// wordByID / charByID hold the selected grams sorted by gram id, each
-	// carrying its assigned feature index and IDF weight, so vectorization
-	// is a two-pointer merge against a doc's sorted gram list.
-	wordByID []cvEntry
-	charByID []cvEntry
-	scratch  aggBuffers
+	// One run per selected feature, ascending, feature f's ending at end[f]:
+	// the documents' nonzero weights and their documents. uval is the
+	// unknown's weight per feature, has[j] whether document j holds a
+	// selected gram, inv[j] its 1/‖c_j‖.
+	postX   []float64
+	postDoc []int32
+	end     []int32
+	uval    []float64
+	has     []bool
+	inv     []float64
+	dots    []float64
+
+	scratch aggBuffers
 }
 
 type cvEntry struct {
@@ -34,29 +35,143 @@ type cvEntry struct {
 }
 
 // aggBuffers is the scratch kept between vocabulary builds: the merge's
-// ping-pong buffers and run boundaries, the counting sort's histogram,
-// ranks and permutation, the IDF table, and the second buffer of the
-// vectors' index sort.
+// ping-pong buffers, run boundaries and landing positions, the counting
+// sort's histogram, ranks and permutation, and the IDF table.
 type aggBuffers struct {
 	a, b       []GramCount
 	runs, next []int
+	pos, land  []int32
 	counts     []uint32
 	rank, perm []uint32
 	idfByDF    []float64
-	sort       sparse.Vector
 }
 
-// Reset selects the vocabulary over the given documents under cfg's gram
-// budgets, into v's own storage — equivalent to folding the same documents
-// through a VocabBuilder and freezing it. Everything derived from the
-// previous build is invalidated.
-func (v *CandidateVocab) Reset(cfg Config, docs []*SortedDoc) {
+// Score selects the vocabulary over docs under cfg's gram budgets — what
+// folding them through a VocabBuilder and freezing it selects — and scores
+// u against each document: dots[j] is the dot product of document j's and
+// u's unit-normalised TF-IDF gram vectors, has[j] whether document j holds a
+// selected gram, uHas whether u does. dots and has alias v's storage and are
+// valid until the next Score.
+func (v *CandidateVocab) Score(cfg Config, docs []*SortedDoc, u *SortedDoc) (dots []float64, has []bool, uHas bool) {
+	v.scratch.idfTable(len(docs))
+	v.postX, v.postDoc, v.end, v.uval = v.postX[:0], v.postDoc[:0], v.end[:0], v.uval[:0]
+	v.has = extend(v.has[:0], len(docs))
+	uw := v.addFamily(docs, u, cfg.MaxWordGrams, func(d *SortedDoc) ([]GramEntry, int) { return d.WordGrams, d.WordTotal })
+	uc := v.addFamily(docs, u, cfg.MaxCharGrams, func(d *SortedDoc) ([]GramEntry, int) { return d.CharGrams, d.CharTotal })
+
+	// The first sweep: ‖c_j‖² and ‖u‖² in ascending feature index, as Norm
+	// walks a sorted vector, and the 1/‖x‖ Normalize scales by. A zero weight
+	// adds +0, which leaves a non-negative sum as it was, so it is skipped —
+	// and a zero norm, which Normalize leaves alone, has only zero weights:
+	// its +Inf is never multiplied.
+	v.inv = extend(v.inv[:0], len(docs))
+	for p, x := range v.postX {
+		v.inv[v.postDoc[p]] += x * x
+	}
+	for j, sum := range v.inv {
+		v.inv[j] = 1 / math.Sqrt(sum)
+	}
+	sum := 0.0
+	for _, x := range v.uval {
+		sum += x * x
+	}
+	uinv := 1 / math.Sqrt(sum)
+
+	// The second sweep: the products sparse.Dot adds, in its order.
+	v.dots = extend(v.dots[:0], len(docs))
+	start := int32(0)
+	for f, x := range v.uval {
+		if x != 0 {
+			ux := x * uinv
+			for p := start; p < v.end[f]; p++ {
+				j := v.postDoc[p]
+				v.dots[j] += ux * (v.postX[p] * v.inv[j])
+			}
+		}
+		start = v.end[f]
+	}
+	return v.dots, v.has, uw || uc
+}
+
+// addFamily merges one gram family of the documents and u — which counts 0,
+// so the cut leaves out the grams only u holds — recording where each entry
+// lands, cuts the top n as selectGrams does, with feature indices after
+// those already laid out, and places every selected entry: u's in uval, the
+// documents' in the run of its feature, which holds the gram's df of
+// entries. It reports whether u holds a selected gram.
+func (v *CandidateVocab) addFamily(docs []*SortedDoc, u *SortedDoc, n int, family func(*SortedDoc) ([]GramEntry, int)) bool {
 	s := &v.scratch
-	s.idfTable(len(docs))
-	words := s.mergeGramLists(len(docs), func(i int) ([]GramEntry, int32) { return docs[i].WordGrams, 1 })
-	v.wordByID = s.selectGrams(v.wordByID[:0], words, cfg.MaxWordGrams, 0)
-	chars := s.mergeGramLists(len(docs), func(i int) ([]GramEntry, int32) { return docs[i].CharGrams, 1 })
-	v.charByID = s.selectGrams(v.charByID[:0], chars, cfg.MaxCharGrams, uint32(len(v.wordByID)))
+	doc := func(j int) *SortedDoc {
+		if j == len(docs) {
+			return u
+		}
+		return docs[j]
+	}
+	agg := s.mergeGramLists(len(docs)+1, func(j int) ([]GramEntry, int32) {
+		es, _ := family(doc(j))
+		if j == len(docs) {
+			return es, 0 // u's entries land in the aggregate but count nothing
+		}
+		return es, 1
+	}, true)
+	live := 0 // the grams a document holds: they rank before u's alone
+	for _, e := range agg {
+		if e.DF > 0 {
+			live++
+		}
+	}
+	if n < 0 || n > live {
+		n = live
+	}
+	if n == 0 {
+		return false
+	}
+	sel, base, rank := uint32(n), uint32(len(v.end)), s.rankByFreq(agg)
+	v.end, v.uval = extend(v.end, int(sel)), extend(v.uval, int(sel))
+	end := v.end[base:]
+	for i, e := range agg {
+		if r := rank[i]; r < sel && s.idfByDF[e.DF] != 0 {
+			end[r] = e.DF
+		}
+	}
+	// end is the placement cursor: from each run's start to its end.
+	next := int32(len(v.postX))
+	for f, size := range end {
+		end[f], next = next, next+size
+	}
+	v.postX = slices.Grow(v.postX, int(next)-len(v.postX))[:next]
+	v.postDoc = slices.Grow(v.postDoc, int(next)-len(v.postDoc))[:next]
+	found, e := false, 0
+	for j := range len(docs) + 1 {
+		es, total := family(doc(j))
+		den := float64(max(total, 1))
+		for _, g := range es {
+			a := s.pos[e]
+			e++
+			r := rank[a]
+			if r >= sel {
+				continue
+			}
+			x := float64(g.Count) / den * s.idfByDF[agg[a].DF]
+			if j == len(docs) {
+				v.uval[base+r], found = x, true
+				continue
+			}
+			v.has[j] = true
+			if x != 0 {
+				v.postX[end[r]], v.postDoc[end[r]] = x, int32(j)
+				end[r]++
+			}
+		}
+	}
+	return found
+}
+
+// extend appends n zero values to s, in its own storage when it has room.
+func extend[T any](s []T, n int) []T {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
 }
 
 // idfTable fills idfByDF for a corpus of numDocs documents. Document
@@ -68,93 +183,6 @@ func (s *aggBuffers) idfTable(numDocs int) {
 	}
 }
 
-// NumWordGrams returns the size of the word-gram section.
-func (v *CandidateVocab) NumWordGrams() int { return len(v.wordByID) }
-
-// NumCharGrams returns the size of the char-gram section.
-func (v *CandidateVocab) NumCharGrams() int { return len(v.charByID) }
-
-// VectorizeGramsInto is Vocabulary.VectorizeGramsInto over this vocabulary,
-// with the sort scratch v keeps between builds.
-func (v *CandidateVocab) VectorizeGramsInto(vec *sparse.Vector, d *SortedDoc) {
-	vectorizeInto(vec, &v.scratch.sort, d, section{byID: v.wordByID}, section{byID: v.charByID})
-}
-
-// vectorizeInto is the one vectorizer: it writes d's TF-IDF gram vector
-// over the two id-sorted vocabulary sections into vec's own storage (which
-// grows only when d has more grams than any document vec held before) and
-// sorts it by feature index with scratch as the second buffer. Term
-// frequency is the gram count over the document's total count of the same
-// family.
-func vectorizeInto(vec, scratch *sparse.Vector, d *SortedDoc, words, chars section) {
-	est := len(d.WordGrams) + len(d.CharGrams)
-	vec.Idx = slices.Grow(vec.Idx[:0], est)
-	vec.Val = slices.Grow(vec.Val[:0], est)
-	mergeVectorize(vec, d.WordGrams, words, float64(max(d.WordTotal, 1)))
-	mergeVectorize(vec, d.CharGrams, chars, float64(max(d.CharTotal, 1)))
-	vec.SortScratch(scratch)
-}
-
-// section is one gram family of a vocabulary, sorted by gram id. skip, when
-// present, is the top-bits offset table of a long-lived section: skip[h] is
-// the position of the first entry whose id>>shift is at least h.
-type section struct {
-	byID  []cvEntry
-	skip  []uint32
-	shift uint
-}
-
-// newSection attaches the offset table to a long-lived section's entries,
-// which selectGrams emitted in ascending gram id.
-func newSection(es []cvEntry) section {
-	s := section{byID: es}
-	s.skip, s.shift = skipTable(es, func(e *cvEntry) GramID { return e.id })
-	return s
-}
-
-// skipTable builds the top-bits offset table of an id-sorted list: one slot
-// per entry rounded up to a power of two (at most 2^16), skip[h] the
-// position of the first entry whose id>>shift is at least h. Gram ids are
-// uniform hashes, so a slot covers a few entries at most and a lookup lands
-// next to its answer.
-func skipTable[E any](es []E, id func(*E) GramID) (skip []uint32, shift uint) {
-	b := min(bits.Len(uint(len(es))), 16)
-	skip, shift = make([]uint32, 1<<b+1), uint(64-b)
-	for i := range es {
-		skip[id(&es[i])>>shift+1]++
-	}
-	for h := 1; h < len(skip); h++ {
-		skip[h] += skip[h-1]
-	}
-	return skip, shift
-}
-
-// mergeVectorize appends the entries of the grams doc shares with vocab:
-// both are sorted by gram id, so one two-pointer pass finds them. A short
-// document against a long section would spend the pass stepping over
-// entries it has no gram for; with an offset table the section side jumps
-// to the slot of the document's next gram instead.
-func mergeVectorize(vec *sparse.Vector, doc []GramEntry, vocab section, den float64) {
-	es := vocab.byID
-	i, j := 0, 0
-	for i < len(doc) && j < len(es) {
-		switch {
-		case doc[i].ID < es[j].id:
-			i++
-		case doc[i].ID > es[j].id:
-			j++
-			if vocab.skip != nil {
-				j = max(j, int(vocab.skip[doc[i].ID>>vocab.shift]))
-			}
-		default:
-			vec.Idx = append(vec.Idx, es[j].index)
-			vec.Val = append(vec.Val, float64(doc[i].Count)/den*es[j].idf)
-			i++
-			j++
-		}
-	}
-}
-
 // mergeGramLists folds n id-sorted gram lists, one a document, into one
 // id-sorted aggregate by pairwise tournament merging: O(total · log n)
 // comparisons, no hashing. list(i) is document i's list and the sign it
@@ -162,8 +190,10 @@ func mergeVectorize(vec *sparse.Vector, doc []GramEntry, vocab section, den floa
 // are int32 and wrap; a caller whose counts could add up past that checks
 // before it merges (VocabBuilder.settle). Levels ping-pong between the two
 // scratch buffers; the returned slice aliases one of them and is only valid
-// until the next merge.
-func (s *aggBuffers) mergeGramLists(n int, list func(i int) ([]GramEntry, int32)) []GramCount {
+// until the next merge. With track set, s.pos[e] is afterwards the aggregate
+// position of the e-th entry of the lists laid end to end, composed from
+// where each level's entries land; without, s.pos and s.land are dropped.
+func (s *aggBuffers) mergeGramLists(n int, list func(i int) ([]GramEntry, int32), track bool) []GramCount {
 	total := 0
 	for i := range n {
 		es, _ := list(i)
@@ -186,31 +216,53 @@ func (s *aggBuffers) mergeGramLists(n int, list func(i int) ([]GramEntry, int32)
 			runs = append(runs, len(src))
 		}
 	}
-	for len(runs) > 2 {
-		dst = dst[:0]
-		next = next[:0]
-		next = append(next, 0)
+	var pos, land []int32
+	if track {
+		pos = slices.Grow(s.pos[:0], total)[:total]
+		land = slices.Grow(s.land[:0], total)[:total]
+	}
+	level := 0
+	for ; len(runs) > 2; level++ {
+		dst, next = dst[:0], append(next[:0], 0)
 		i := 0
 		for ; i+2 < len(runs); i += 2 {
-			dst = mergeAggInto(dst, src[runs[i]:runs[i+1]], src[runs[i+1]:runs[i+2]])
+			var l []int32
+			if track {
+				l = land[runs[i]:runs[i+2]]
+			}
+			dst = mergeAggInto(dst, src[runs[i]:runs[i+1]], src[runs[i+1]:runs[i+2]], l)
 			next = append(next, len(dst))
 		}
 		if i+1 < len(runs) {
+			if track {
+				landRun(land[runs[i]:runs[i+1]], len(dst))
+			}
 			dst = append(dst, src[runs[i]:runs[i+1]]...)
 			next = append(next, len(dst))
+		}
+		if level == 0 {
+			pos, land = land, pos // the first level's entries are the lists'
+		} else {
+			for e, p := range pos {
+				pos[e] = land[p]
+			}
 		}
 		src, dst = dst, src
 		runs, next = next, runs
 	}
-	s.a, s.b, s.runs, s.next = src, dst, runs, next
+	if level == 0 {
+		landRun(pos, 0) // one list: nothing moved
+	}
+	s.a, s.b, s.runs, s.next, s.pos, s.land = src, dst, runs, next, pos, land
 	return src[runs[0]:runs[1]]
 }
 
 // mergeAggInto appends the id-ordered union of a and b to out, summing the
 // counters of grams both hold. Which side advances is a coin flip per step,
 // so the loop selects with 0/1 multipliers: mispredictions bound the
-// branching form.
-func mergeAggInto(out, a, b []GramCount) []GramCount {
+// branching form. A non-nil land (len(a)+len(b) long, a's entries first)
+// receives every input entry's position in out.
+func mergeAggInto(out, a, b []GramCount, land []int32) []GramCount {
 	k := len(out)
 	out = out[:k+len(a)+len(b)]
 	i, j := 0, 0
@@ -223,14 +275,30 @@ func mergeAggInto(out, a, b []GramCount) []GramCount {
 		if y.ID <= x.ID {
 			ty = 1
 		}
+		if land != nil {
+			// Both written every step: an entry not taken here is written
+			// again at the step that takes it.
+			land[i], land[len(a)+j] = int32(k), int32(k)
+		}
 		out[k] = GramCount{ID: min(x.ID, y.ID), Freq: tx*x.Freq + ty*y.Freq, DF: tx*x.DF + ty*y.DF}
 		k++
 		i += int(tx)
 		j += int(ty)
 	}
+	if land != nil {
+		landRun(land[i:len(a)], k)
+		landRun(land[len(a)+j:], k+len(a)-i)
+	}
 	k += copy(out[k:], a[i:])
 	k += copy(out[k:], b[j:])
 	return out[:k]
+}
+
+// landRun records a run of entries copied whole to positions from k on.
+func landRun(land []int32, k int) {
+	for p := range land {
+		land[p] = int32(k + p)
+	}
 }
 
 // selectGrams is the vocabulary cut (§IV-A: "we order the n-grams by their

@@ -96,24 +96,24 @@ func distinctGrams(docs []*mapDoc) (words, chars int) {
 	return len(w), len(c)
 }
 
-// assertMatchesReference compares cv entry by entry with the map-based
-// reference built over the same docs: feature index, IDF bits, and the
-// vector bits of every doc plus an unseen probe.
+// assertMatchesReference compares the cut the kernels make over docs — the
+// vocabulary a VocabBuilder fed them freezes — entry by entry with the
+// map-based reference built over the same docs: feature index, IDF bits,
+// and the vector bits of every doc plus an unseen probe. Then it holds cv's
+// scores to the reference's vectors.
 func assertMatchesReference(t *testing.T, label string, cfg Config, cv *CandidateVocab, docs []*mapDoc, probe *mapDoc) {
 	t.Helper()
 	ref := refBuilderOf(cfg, docs...).Build()
-	if cv.NumWordGrams() != ref.NumWordGrams() || cv.NumCharGrams() != ref.NumCharGrams() {
-		t.Fatalf("%s: vocab sizes %d/%d, reference %d/%d", label,
-			cv.NumWordGrams(), cv.NumCharGrams(), ref.NumWordGrams(), ref.NumCharGrams())
+	vb := NewVocabBuilder(cfg)
+	sorted := make([]*SortedDoc, len(docs))
+	for i, d := range docs {
+		sorted[i] = d.Sorted()
+		vb.AddSorted(sorted[i])
 	}
+	got := mustBuild(t, vb)
 	check := func(kind string, got, want []cvEntry) {
-		if !slices.IsSortedFunc(got, func(a, b cvEntry) int {
-			if a.id < b.id {
-				return -1
-			}
-			return 1 // equal ids are out of order too: ids are unique
-		}) {
-			t.Fatalf("%s: %s entries not in strictly ascending gram id", label, kind)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d %s grams, reference %d", label, len(got), kind, len(want))
 		}
 		// The reference section is the same id-sorted table, cut by a
 		// comparison sort over the reference builder's maps.
@@ -131,23 +131,25 @@ func assertMatchesReference(t *testing.T, label string, cfg Config, cv *Candidat
 			}
 		}
 	}
-	check("word", cv.wordByID, ref.words.byID)
-	check("char", cv.charByID, ref.chars.byID)
+	check("word", got.words.byID, ref.words.byID)
+	check("char", got.chars.byID, ref.chars.byID)
 	for j, d := range append(docs[:len(docs):len(docs)], probe) {
 		want := ref.VectorizeGramsSorted(d.Sorted())
-		if got := cv.VectorizeGrams(d.Sorted()); !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: doc %d vector not bit-identical\nfast: %v\nref:  %v", label, j, got, want)
+		if v := got.VectorizeGramsSorted(d.Sorted()); !reflect.DeepEqual(want, v) {
+			t.Fatalf("%s: doc %d vector not bit-identical\nfast: %v\nref:  %v", label, j, v, want)
 		}
 	}
+	assertDotsMatchReference(t, label, cfg, cv, ref, sorted, probe.Sorted())
 }
 
-// TestCountingRankMatchesReference pins the counting-sort selection to the
-// map-based refBuilder + Vocabulary.VectorizeGramsSorted reference on the
-// shapes where a stable counting sort and a comparison sort could part
-// ways, under budgets that keep nothing, cut inside a tie class, keep
-// exactly everything, and keep more than there is. One CandidateVocab is
-// Reset through every case in turn, largest inputs included, so scratch
-// left over from an earlier build must never show in a later one.
+// TestCountingRankMatchesReference pins the counting-sort selection, and the
+// scores stage 2 sweeps out of it, to the map-based refBuilder +
+// Vocabulary.VectorizeGramsSorted reference on the shapes where a stable
+// counting sort and a comparison sort could part ways, under budgets that
+// keep nothing, cut inside a tie class, keep exactly everything, and keep
+// more than there is. One CandidateVocab scores every case in turn after a
+// fresh one has, largest inputs included, so scratch left over from an
+// earlier query must never show in a later one.
 func TestCountingRankMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	shapes := rankShapes(rng)
@@ -167,14 +169,9 @@ func TestCountingRankMatchesReference(t *testing.T) {
 		for _, b := range budgets {
 			cfg := FinalConfig()
 			cfg.MaxWordGrams, cfg.MaxCharGrams = b[0], b[1]
-			sorted := make([]*SortedDoc, len(docs))
-			for i, d := range docs {
-				sorted[i] = d.Sorted()
-			}
 			probe := randomDoc(rng)
 			label := fmt.Sprintf("%s budgets %d/%d", name, b[0], b[1])
-			assertMatchesReference(t, label+" (fresh)", cfg, BuildCandidateVocab(cfg, sorted), docs, probe)
-			reused.Reset(cfg, sorted)
+			assertMatchesReference(t, label+" (fresh)", cfg, new(CandidateVocab), docs, probe)
 			assertMatchesReference(t, label+" (reused)", cfg, &reused, docs, probe)
 		}
 	}

@@ -2,27 +2,45 @@ package features
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"darklight/internal/sparse"
 )
 
-// BuildCandidateVocab and VectorizeGrams are the allocating forms of Reset
-// and VectorizeGramsInto the reference comparisons are written against;
-// the matcher itself only ever reuses pooled storage. Like
-// Vocabulary.VectorizeGramsSorted, an empty result has empty, not nil, slices.
-func BuildCandidateVocab(cfg Config, docs []*SortedDoc) *CandidateVocab {
-	v := new(CandidateVocab)
-	v.Reset(cfg, docs)
-	return v
+// referenceDots is what Score's sweeps replaced: vectorize u and every
+// document over voc, sort and normalise the vectors, then sparse.Dot each
+// pair.
+func referenceDots(voc *Vocabulary, u *SortedDoc, docs []*SortedDoc) (dots []float64, has []bool, uHas bool) {
+	uv := voc.VectorizeGramsSorted(u).Normalize()
+	for _, d := range docs {
+		cv := voc.VectorizeGramsSorted(d).Normalize()
+		dots = append(dots, sparse.Dot(uv, cv))
+		has = append(has, cv.Len() > 0)
+	}
+	return dots, has, uv.Len() > 0
 }
 
-func (v *CandidateVocab) VectorizeGrams(d *SortedDoc) sparse.Vector {
-	vec := sparse.Vector{Idx: []uint32{}, Val: []float64{}}
-	v.VectorizeGramsInto(&vec, d)
-	return vec
+// assertDotsMatchReference holds v.Score to referenceDots over voc — the
+// vocabulary selected over docs some other way — bit for bit, with u and
+// each of the documents themselves as the unknown.
+func assertDotsMatchReference(t *testing.T, label string, cfg Config, v *CandidateVocab, voc *Vocabulary, docs []*SortedDoc, u *SortedDoc) {
+	t.Helper()
+	for q, d := range append(docs[:len(docs):len(docs)], u) {
+		gotDots, gotHas, gotU := v.Score(cfg, docs, d)
+		wantDots, wantHas, wantU := referenceDots(voc, d, docs)
+		if gotU != wantU || !slices.Equal(gotHas, wantHas) || len(gotDots) != len(wantDots) {
+			t.Fatalf("%s: unknown %d: presence %v %v, reference %v %v", label, q, gotU, gotHas, wantU, wantHas)
+		}
+		for j := range wantDots {
+			if math.Float64bits(gotDots[j]) != math.Float64bits(wantDots[j]) {
+				t.Fatalf("%s: unknown %d document %d: dot %x, reference %x", label, q, j,
+					math.Float64bits(gotDots[j]), math.Float64bits(wantDots[j]))
+			}
+		}
+	}
 }
 
 // randomDoc builds a synthetic document from a small gram-id pool so that
@@ -54,14 +72,16 @@ func randomDoc(rng *rand.Rand) *mapDoc {
 	return d
 }
 
-// TestCandidateVocabMatchesVocabBuilder pins the per-query vocabulary to the
-// corpus builder's: same gram selection, same index assignment, and
-// bit-identical vectors, across gram budgets that keep everything, truncate
-// hard, or keep nothing. (Each is held to the map reference on its own, in
-// TestCountingRankMatchesReference and
-// TestSortedRunBuilderMatchesMapReference.)
+// TestCandidateVocabMatchesVocabBuilder pins the per-query scores to the
+// corpus builder's vocabulary: the same gram selection, index assignment and
+// IDF, so bit-identical dots, across gram budgets that keep everything,
+// truncate hard, or keep nothing, with every document and an unseen probe
+// as the unknown. (The builder is held to the map reference on its own, in
+// TestSortedRunBuilderMatchesMapReference; TestCountingRankMatchesReference
+// holds the scores to it directly.)
 func TestCandidateVocabMatchesVocabBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var cv CandidateVocab
 	for trial := 0; trial < 200; trial++ {
 		cfg := FinalConfig()
 		switch trial % 4 {
@@ -75,45 +95,21 @@ func TestCandidateVocabMatchesVocabBuilder(t *testing.T) {
 			cfg.MaxWordGrams, cfg.MaxCharGrams = -1, -1
 		}
 
-		docs := make([]*mapDoc, 1+rng.Intn(12))
-		sorted := make([]*SortedDoc, len(docs))
+		sorted := make([]*SortedDoc, 1+rng.Intn(12))
 		vb := NewVocabBuilder(cfg)
-		for i := range docs {
-			docs[i] = randomDoc(rng)
-			sorted[i] = docs[i].Sorted()
+		for i := range sorted {
+			sorted[i] = randomDoc(rng).Sorted()
 			vb.AddSorted(sorted[i])
 		}
-		ref := mustBuild(t, vb)
-		cv := BuildCandidateVocab(cfg, sorted)
-
-		if cv.NumWordGrams() != ref.NumWordGrams() || cv.NumCharGrams() != ref.NumCharGrams() {
-			t.Fatalf("trial %d: vocab sizes differ: fast %d/%d vs ref %d/%d",
-				trial, cv.NumWordGrams(), cv.NumCharGrams(), ref.NumWordGrams(), ref.NumCharGrams())
-		}
-		// Vectorize both the corpus docs and an unseen probe document.
-		probe := randomDoc(rng)
-		for j, d := range append(docs, probe) {
-			want := ref.VectorizeGramsSorted(d.Sorted())
-			got := cv.VectorizeGrams(d.Sorted())
-			if !reflect.DeepEqual(fmt.Sprint(want), fmt.Sprint(got)) {
-				t.Fatalf("trial %d doc %d: vectors differ\nfast: %v\nref:  %v", trial, j, got, want)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("trial %d doc %d: vectors not bit-identical", trial, j)
-			}
-		}
+		assertDotsMatchReference(t, fmt.Sprintf("trial %d", trial), cfg, &cv, mustBuild(t, vb), sorted, randomDoc(rng).Sorted())
 	}
 }
 
 // TestCandidateVocabEmpty covers the zero-candidate case Rescore can hit.
 func TestCandidateVocabEmpty(t *testing.T) {
-	cv := BuildCandidateVocab(FinalConfig(), nil)
-	if cv.NumWordGrams() != 0 || cv.NumCharGrams() != 0 {
-		t.Fatalf("empty corpus produced a non-empty vocabulary")
-	}
+	var cv CandidateVocab
 	rng := rand.New(rand.NewSource(1))
-	vec := cv.VectorizeGrams(randomDoc(rng).Sorted())
-	if vec.Len() != 0 {
-		t.Fatalf("empty vocabulary vectorized to %d entries", vec.Len())
+	if dots, has, uHas := cv.Score(FinalConfig(), nil, randomDoc(rng).Sorted()); len(dots) != 0 || len(has) != 0 || uHas {
+		t.Fatalf("empty vocabulary scored %v %v %v", dots, has, uHas)
 	}
 }

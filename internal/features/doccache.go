@@ -38,12 +38,6 @@ func (c *DocCache) Seed(docs []*SortedDoc) {
 	}
 }
 
-// Len returns the number of cacheable texts.
-func (c *DocCache) Len() int { return len(c.texts) }
-
-// Config returns the extraction configuration of the cache.
-func (c *DocCache) Config() Config { return c.cfg }
-
 // Get returns the extracted document of texts[i], extracting and caching
 // it on first use. The returned document is shared — callers must treat it
 // as read-only.

@@ -15,9 +15,6 @@ func TestDocCacheMatchesDirectExtract(t *testing.T) {
 		"",
 	}
 	c := NewDocCache(cfg, texts)
-	if c.Len() != len(texts) {
-		t.Fatalf("Len = %d", c.Len())
-	}
 	for i, text := range texts {
 		if c.Cached(i) {
 			t.Fatalf("entry %d extracted before first Get", i)

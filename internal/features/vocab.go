@@ -3,6 +3,7 @@ package features
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"darklight/internal/sparse"
@@ -17,11 +18,12 @@ import (
 // what State emits, a snapshot's dictionary stores and the cut ranks — and
 // no hash map anywhere. Documents collect as pending id-sorted lists and are
 // merged in a batch at a time by the two kernels CandidateVocab runs per
-// query: mergeGramLists sums the batch, mergeAggInto adds it to the array. A
-// batch closes once it holds as many entries as the arrays, so the merging
-// stays linear in what the builder was fed and a builder keeps a bounded
-// number of documents alive however many pass through it. Removing a
-// document is the same merge with its counts negated.
+// query, without the landing positions it records: mergeGramLists sums the
+// batch, mergeAggInto adds it to the array. A batch closes once it holds as
+// many entries as the arrays, so the merging stays linear in what the
+// builder was fed and a builder keeps a bounded number of documents alive
+// however many pass through it. Removing a document is the same merge with
+// its counts negated.
 //
 // A settled array is never written again — every merge makes a new one — so
 // Clone shares it and State hands it out; and Settle, State, Build and Clone
@@ -123,10 +125,10 @@ func (b *VocabBuilder) settle() {
 	}
 	if b.err == nil {
 		var s aggBuffers
-		words := s.mergeGramLists(len(b.pending), func(i int) ([]GramEntry, int32) { return b.pending[i].doc.WordGrams, b.pending[i].sign })
+		words := s.mergeGramLists(len(b.pending), func(i int) ([]GramEntry, int32) { return b.pending[i].doc.WordGrams, b.pending[i].sign }, false)
 		b.words, b.err = addCounters(b.words, words, b.numDocs)
 		if b.err == nil {
-			chars := s.mergeGramLists(len(b.pending), func(i int) ([]GramEntry, int32) { return b.pending[i].doc.CharGrams, b.pending[i].sign })
+			chars := s.mergeGramLists(len(b.pending), func(i int) ([]GramEntry, int32) { return b.pending[i].doc.CharGrams, b.pending[i].sign }, false)
 			b.chars, b.err = addCounters(b.chars, chars, b.numDocs)
 		}
 	}
@@ -138,7 +140,7 @@ func (b *VocabBuilder) settle() {
 // neither input is written. Entries that sum to zero are dropped, and an
 // entry no set of numDocs documents can produce is an error — see check.
 func addCounters(a, b []GramCount, numDocs int) ([]GramCount, error) {
-	out := mergeAggInto(make([]GramCount, 0, len(a)+len(b)), a, b)
+	out := mergeAggInto(make([]GramCount, 0, len(a)+len(b)), a, b, nil)
 	k := 0
 	for _, e := range out {
 		if e.Freq == 0 && e.DF == 0 {
@@ -282,11 +284,75 @@ func (v *Vocabulary) VectorizeGramsSorted(d *SortedDoc) sparse.Vector {
 	return vec
 }
 
-// VectorizeGramsInto is VectorizeGramsSorted into vec's own storage, with
+// VectorizeGramsInto is VectorizeGramsSorted into vec's own storage (which
+// grows only when d has more grams than any document vec held before), with
 // the index sort's second buffer taken from scratch: a caller that keeps
 // both allocates nothing once they have held its largest document. The
 // vocabulary itself is only read, so concurrent callers need only their own
-// vec and scratch.
+// vec and scratch. Term frequency is the gram count over the document's
+// total count of the same family.
 func (v *Vocabulary) VectorizeGramsInto(vec, scratch *sparse.Vector, d *SortedDoc) {
-	vectorizeInto(vec, scratch, d, v.words, v.chars)
+	est := len(d.WordGrams) + len(d.CharGrams)
+	vec.Idx = slices.Grow(vec.Idx[:0], est)
+	vec.Val = slices.Grow(vec.Val[:0], est)
+	mergeVectorize(vec, d.WordGrams, v.words, float64(max(d.WordTotal, 1)))
+	mergeVectorize(vec, d.CharGrams, v.chars, float64(max(d.CharTotal, 1)))
+	vec.SortScratch(scratch)
+}
+
+// section is one gram family of a vocabulary, sorted by gram id, with the
+// top-bits offset table of its ids: skip[h] is the position of the first
+// entry whose id>>shift is at least h.
+type section struct {
+	byID  []cvEntry
+	skip  []uint32
+	shift uint
+}
+
+// newSection attaches the offset table to a section's entries, which
+// selectGrams emitted in ascending gram id.
+func newSection(es []cvEntry) section {
+	s := section{byID: es}
+	s.skip, s.shift = skipTable(es, func(e *cvEntry) GramID { return e.id })
+	return s
+}
+
+// skipTable builds the top-bits offset table of an id-sorted list: one slot
+// per entry rounded up to a power of two (at most 2^16), skip[h] the
+// position of the first entry whose id>>shift is at least h. Gram ids are
+// uniform hashes, so a slot covers a few entries at most and a lookup lands
+// next to its answer.
+func skipTable[E any](es []E, id func(*E) GramID) (skip []uint32, shift uint) {
+	b := min(bits.Len(uint(len(es))), 16)
+	skip, shift = make([]uint32, 1<<b+1), uint(64-b)
+	for i := range es {
+		skip[id(&es[i])>>shift+1]++
+	}
+	for h := 1; h < len(skip); h++ {
+		skip[h] += skip[h-1]
+	}
+	return skip, shift
+}
+
+// mergeVectorize appends the entries of the grams doc shares with vocab:
+// both are sorted by gram id, so one two-pointer pass finds them. A short
+// document against a long section would spend the pass stepping over
+// entries it has no gram for, so the section side jumps to the slot of the
+// document's next gram instead.
+func mergeVectorize(vec *sparse.Vector, doc []GramEntry, vocab section, den float64) {
+	es := vocab.byID
+	i, j := 0, 0
+	for i < len(doc) && j < len(es) {
+		switch {
+		case doc[i].ID < es[j].id:
+			i++
+		case doc[i].ID > es[j].id:
+			j = max(j+1, int(vocab.skip[doc[i].ID>>vocab.shift]))
+		default:
+			vec.Idx = append(vec.Idx, es[j].index)
+			vec.Val = append(vec.Val, float64(doc[i].Count)/den*es[j].idf)
+			i++
+			j++
+		}
+	}
 }
