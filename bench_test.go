@@ -423,7 +423,6 @@ func BenchmarkAblationLemma(b *testing.B) {
 func BenchmarkAblationMessageOrder(b *testing.B) {
 	l := benchLab(b)
 	b.ResetTimer()
-	actOpts := l.SubjectOpts()
 	buildRandom := func(d *forum.Dataset) []attribution.Subject {
 		subs := make([]attribution.Subject, 0, d.Len())
 		r := rand.New(rand.NewSource(1))
@@ -441,12 +440,10 @@ func BenchmarkAblationMessageOrder(b *testing.B) {
 				sb.WriteByte('\n')
 				words += m.WordCount()
 			}
-			s := attribution.Subject{Name: a.Name, Text: sb.String(), Timestamps: a.Timestamps()}
-			subs = append(subs, s)
+			subs = append(subs, attribution.Subject{Name: a.Name, Text: sb.String()})
 		}
 		return subs
 	}
-	_ = actOpts
 	var longest, random float64
 	for i := 0; i < b.N; i++ {
 		opts := attribution.DefaultOptions()
@@ -668,10 +665,9 @@ func BenchmarkCountermeasure(b *testing.B) {
 		shielded := make([]attribution.Subject, len(probes))
 		for j, p := range probes {
 			shielded[j] = attribution.Subject{
-				Name:       p.Name,
-				Text:       anon.Text(p.Text),
-				Timestamps: p.Timestamps,
-				Activity:   nil, // rescheduling destroys the profile (see anonymize tests)
+				Name:     p.Name,
+				Text:     anon.Text(p.Text),
+				Activity: nil, // rescheduling destroys the profile (see anonymize tests)
 			}
 		}
 		protected = ablationAccuracy(b, opts, known, shielded)

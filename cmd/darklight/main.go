@@ -8,7 +8,7 @@
 //	darklight polish -in raw.jsonl -out clean.jsonl
 //	darklight stats  -in data.jsonl
 //	darklight alterego -in data.jsonl -main main.jsonl -ae ae.jsonl
-//	darklight link   -known known.jsonl -unknown unknown.jsonl [-threshold 0.4190]
+//	darklight link   -known known.jsonl -unknown unknown.jsonl
 //	darklight anonymize -in mine.jsonl -out safe.jsonl
 package main
 
@@ -170,8 +170,6 @@ func cmdLink(args []string) error {
 	fs := flag.NewFlagSet("link", flag.ExitOnError)
 	knownPath := fs.String("known", "", "known dataset JSONL")
 	unknownPath := fs.String("unknown", "", "unknown dataset JSONL")
-	threshold := fs.Float64("threshold", darklight.DefaultThreshold, "acceptance threshold")
-	all := fs.Bool("all", false, "print every pair, not only accepted ones")
 	fs.Parse(args)
 	if *knownPath == "" || *unknownPath == "" {
 		return fmt.Errorf("link: -known and -unknown are required")
@@ -184,8 +182,7 @@ func cmdLink(args []string) error {
 	if err != nil {
 		return err
 	}
-	pipe := darklight.NewPipeline(darklight.WithThreshold(*threshold))
-	matches, err := pipe.Link(context.Background(), known, unknown)
+	matches, err := darklight.NewPipeline().Link(context.Background(), known, unknown)
 	if err != nil {
 		return err
 	}
@@ -194,16 +191,10 @@ func cmdLink(args []string) error {
 	for _, m := range matches {
 		if m.Accepted {
 			accepted++
-		}
-		if m.Accepted || *all {
-			marker := " "
-			if m.Accepted {
-				marker = "*"
-			}
-			fmt.Printf("%s %.4f  %-30s -> %s\n", marker, m.Score, m.Unknown, m.Candidate)
+			fmt.Printf("* %.4f  %-30s -> %s\n", m.Score, m.Unknown, m.Candidate)
 		}
 	}
-	fmt.Printf("%d of %d unknowns linked above threshold %.4f\n", accepted, len(matches), *threshold)
+	fmt.Printf("%d of %d unknowns linked above threshold %.4f\n", accepted, len(matches), darklight.DefaultThreshold)
 	return nil
 }
 
@@ -211,7 +202,6 @@ func cmdAnonymize(args []string) error {
 	fs := flag.NewFlagSet("anonymize", flag.ExitOnError)
 	in := fs.String("in", "", "input JSONL")
 	out := fs.String("out", "", "output JSONL")
-	keepTimes := fs.Bool("keep-times", false, "do not reschedule posting times")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("anonymize: -in and -out are required")
@@ -220,15 +210,10 @@ func cmdAnonymize(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := darklight.DefaultAnonymizeOptions()
-	if *keepTimes {
-		opts.RescheduleWithin = 0
-	}
-	anon := darklight.Anonymize(d, opts)
+	anon := darklight.Anonymize(d, darklight.DefaultAnonymizeOptions())
 	if err := darklight.SaveJSONL(*out, anon); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d aliases anonymised (§VI countermeasures%s)\n",
-		*out, anon.Len(), map[bool]string{true: ", times kept", false: " incl. rescheduling"}[*keepTimes])
+	fmt.Printf("wrote %s: %d aliases anonymised (§VI countermeasures incl. rescheduling)\n", *out, anon.Len())
 	return nil
 }

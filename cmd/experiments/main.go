@@ -19,6 +19,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -42,7 +43,6 @@ func run() error {
 		seed     = flag.Uint64("seed", 1, "world seed")
 		only     = flag.String("run", "", "comma-separated experiment ids (default: all)")
 		outPath  = flag.String("out", "", "also write results to this markdown file")
-		unknowns = flag.Int("unknowns", 0, "cap on alter-ego query sets (0 = default)")
 		manifest = flag.String("manifest", "", "write a run.json manifest to this path")
 		trace    = flag.String("trace", "", "write the span trace as JSONL to this path")
 		obsAddr  = flag.String("obs.addr", "", "serve /metrics and /debug/pprof on this address for the run's duration")
@@ -52,9 +52,6 @@ func run() error {
 	cfg := experiments.DefaultLabConfig()
 	cfg.Scale = *scale
 	cfg.Seed = *seed
-	if *unknowns > 0 {
-		cfg.MaxUnknowns = *unknowns
-	}
 
 	selected := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
@@ -193,9 +190,7 @@ func writeTrace(path string, tracer *obs.Tracer) error {
 		return err
 	}
 	if err := tracer.WriteJSONL(f); err != nil {
-		//lint:ignore errdrop the write error is already fatal; the close error cannot add anything
-		f.Close()
-		return fmt.Errorf("write %s: %w", path, err)
+		return fmt.Errorf("write %s: %w", path, errors.Join(err, f.Close()))
 	}
 	return f.Close()
 }

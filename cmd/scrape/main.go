@@ -30,13 +30,10 @@ func main() {
 	var (
 		base     = flag.String("url", "http://127.0.0.1:8989", "forum base URL")
 		out      = flag.String("out", "scraped.jsonl", "output JSONL path")
-		name     = flag.String("name", "scraped", "dataset name")
 		interval = flag.Duration("interval", 20*time.Millisecond, "politeness delay between requests (shared by all workers)")
 		workers  = flag.Int("workers", 4, "concurrent thread fetchers")
 		retries  = flag.Int("retries", 4, "retry budget per page for transient failures (-1 disables retries)")
 		resume   = flag.String("resume", "", "checkpoint journal path; reused across runs to resume an interrupted crawl")
-		jitter   = flag.Int64("jitterseed", 0, "pin the backoff-jitter RNG for a reproducible retry schedule (0 = wall-clock seed)")
-		quiet    = flag.Bool("q", false, "suppress progress output")
 		manifest = flag.String("manifest", "", "write a run.json manifest to this path")
 		obsAddr  = flag.String("obs.addr", "", "serve /metrics and /debug/pprof on this address for the crawl's duration")
 	)
@@ -65,17 +62,14 @@ func main() {
 		Workers:         *workers,
 		MaxRetries:      *retries,
 		CheckpointPath:  *resume,
-		JitterSeed:      *jitter,
+		Logf:            log.Printf,
 	}
 	if *retries < 0 {
 		opts.MaxRetries = scraper.NoRetries
 	}
-	if !*quiet {
-		opts.Logf = log.Printf
-	}
 	sc := scraper.New(*base, opts)
 	start := time.Now()
-	dataset, err := sc.Scrape(ctx, *name, forum.PlatformSynthetic)
+	dataset, err := sc.Scrape(ctx, "scraped", forum.PlatformSynthetic)
 	if err != nil {
 		if ctx.Err() != nil && *resume != "" {
 			fmt.Fprintf(os.Stderr, "scrape: interrupted — re-run with -resume %s to continue\n", *resume)
@@ -99,7 +93,6 @@ func main() {
 	if *manifest != "" {
 		man := obs.NewManifest("scrape")
 		man.Config = opts
-		man.AddSeed("jitter", *jitter)
 		sum, err := forum.DigestJSONL(dataset)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scrape:", err)

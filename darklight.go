@@ -21,11 +21,11 @@ package darklight
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 
-	"darklight/internal/activity"
 	"darklight/internal/anonymize"
 	"darklight/internal/attribution"
 	"darklight/internal/corpus"
@@ -109,61 +109,18 @@ type Match struct {
 	Accepted bool
 }
 
-// Pipeline bundles the paper's processing stages under one configuration.
-// The zero value is not usable; construct with NewPipeline.
+// Pipeline bundles the paper's processing stages under its one
+// configuration: k = 10, threshold 0.4190, 1,500-word documents,
+// weekend/US-holiday-excluded UTC-aligned activity profiles. The zero value
+// is not usable; construct with NewPipeline.
 type Pipeline struct {
-	opts    attribution.Options
-	actOpts activity.Options
-	budget  int
+	opts attribution.Options
+	subj attribution.SubjectOptions
 }
 
-// Option customises a Pipeline.
-type Option func(*Pipeline)
-
-// WithThreshold overrides the acceptance threshold (default 0.4190).
-func WithThreshold(t float64) Option {
-	return func(p *Pipeline) { p.opts.Threshold = t }
-}
-
-// WithK overrides the candidate-set size (default 10).
-func WithK(k int) Option {
-	return func(p *Pipeline) { p.opts.K = k }
-}
-
-// WithoutActivity disables the daily-activity feature (text only).
-func WithoutActivity() Option {
-	return func(p *Pipeline) { p.opts.UseActivity = false }
-}
-
-// WithWordBudget overrides the per-alias document size (default 1,500).
-func WithWordBudget(words int) Option {
-	return func(p *Pipeline) { p.budget = words }
-}
-
-// WithForumUTCOffset declares the forum-local timestamp offset in minutes,
-// so activity profiles align to UTC (§IV-B).
-func WithForumUTCOffset(minutes int) Option {
-	return func(p *Pipeline) { p.actOpts.ForumUTCOffsetMinutes = minutes }
-}
-
-// WithWorkers bounds the pipeline's parallelism.
-func WithWorkers(n int) Option {
-	return func(p *Pipeline) { p.opts.Workers = n }
-}
-
-// NewPipeline returns a pipeline with the paper's configuration: k = 10,
-// threshold 0.4190, 1,500-word documents, weekend/US-holiday-excluded
-// UTC-aligned activity profiles.
-func NewPipeline(opts ...Option) *Pipeline {
-	p := &Pipeline{
-		opts:    attribution.DefaultOptions(),
-		actOpts: activity.PaperOptions(2017),
-		budget:  DefaultWordBudget,
-	}
-	for _, o := range opts {
-		o(p)
-	}
-	return p
+// NewPipeline returns a pipeline with the paper's configuration.
+func NewPipeline() *Pipeline {
+	return &Pipeline{opts: attribution.DefaultOptions(), subj: attribution.DefaultSubjectOptions()}
 }
 
 // MatcherOptions returns the attribution options the pipeline builds its
@@ -173,21 +130,13 @@ func NewPipeline(opts ...Option) *Pipeline {
 func (p *Pipeline) MatcherOptions() attribution.Options { return p.opts }
 
 // SubjectOptions returns the subject-construction settings (word budget,
-// activity alignment, workers) behind Pipeline.Subjects. The serving
-// daemon uses them to build inline query subjects through exactly the
-// batch path.
-func (p *Pipeline) SubjectOptions() attribution.SubjectOptions {
-	return attribution.SubjectOptions{
-		WordBudget:   p.budget,
-		Activity:     p.actOpts,
-		WithActivity: p.opts.UseActivity,
-		Workers:      p.opts.Workers,
-	}
-}
+// activity alignment) behind Pipeline.Subjects. The serving daemon uses
+// them to build inline query subjects through exactly the batch path.
+func (p *Pipeline) SubjectOptions() attribution.SubjectOptions { return p.subj }
 
 // Polish runs the 12-step §III-C cleaning pipeline in place and returns
-// the per-step report. The steps fan out over the pipeline's worker count;
-// the result is bit-identical for any setting.
+// the per-step report. The steps fan out over GOMAXPROCS workers; the
+// result is bit-identical for any worker count.
 func (p *Pipeline) Polish(d *Dataset) *PolishReport {
 	return p.PolishContext(context.Background(), d)
 }
@@ -196,26 +145,26 @@ func (p *Pipeline) Polish(d *Dataset) *PolishReport {
 // (see internal/obs): with tracing enabled the run emits polish spans; the
 // dataset and report are bit-identical either way.
 func (p *Pipeline) PolishContext(ctx context.Context, d *Dataset) *PolishReport {
-	return normalize.NewPipeline(normalize.WithWorkers(p.opts.Workers)).RunContext(ctx, d)
+	return normalize.NewPipeline().RunContext(ctx, d)
 }
 
 // Refine drops aliases below the §IV-D thresholds (1,500 words, 30 usable
 // timestamps) and returns the surviving dataset.
 func (p *Pipeline) Refine(d *Dataset) *Dataset {
-	return corpus.Refine(d, corpus.RefineOptions{Activity: p.actOpts})
+	return corpus.Refine(d, corpus.RefineOptions{Activity: p.subj.Activity})
 }
 
 // SplitAlterEgos builds the §IV-D evaluation ground truth: prolific
 // aliases are split into disjoint (original, alter-ego) halves that share
 // the alias name.
 func (p *Pipeline) SplitAlterEgos(d *Dataset) (main, ae *Dataset) {
-	return corpus.SplitAlterEgos(d, corpus.AlterEgoOptions{Activity: p.actOpts})
+	return corpus.SplitAlterEgos(d, corpus.AlterEgoOptions{Activity: p.subj.Activity})
 }
 
 // Subjects prepares a dataset for matching under the pipeline's word
 // budget and activity settings.
 func (p *Pipeline) Subjects(d *Dataset) ([]Subject, error) {
-	return attribution.BuildSubjects(d, p.SubjectOptions())
+	return attribution.BuildSubjects(d, p.subj)
 }
 
 // Link runs the full §IV-I algorithm: every alias of unknown is matched
@@ -278,9 +227,7 @@ func SaveJSONL(path string, d *Dataset) error {
 		return fmt.Errorf("darklight: %w", err)
 	}
 	if err := forum.WriteJSONL(f, d); err != nil {
-		//lint:ignore errdrop the WriteJSONL failure is the error worth returning; Close here only releases the fd
-		f.Close()
-		return err
+		return errors.Join(err, f.Close())
 	}
 	return f.Close()
 }

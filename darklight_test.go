@@ -73,26 +73,9 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPipelineOptions(t *testing.T) {
-	p := NewPipeline(
-		WithThreshold(0.9),
-		WithK(5),
-		WithoutActivity(),
-		WithWordBudget(500),
-		WithForumUTCOffset(-300),
-		WithWorkers(1),
-	)
-	if p.opts.Threshold != 0.9 || p.opts.K != 5 || p.opts.UseActivity || p.budget != 500 {
-		t.Error("options not applied")
-	}
-	if p.actOpts.ForumUTCOffsetMinutes != -300 {
-		t.Error("UTC offset not applied")
-	}
-}
-
 func TestLinkDetailed(t *testing.T) {
 	world := testWorld(t)
-	pipe := NewPipeline(WithWordBudget(400))
+	pipe := NewPipeline()
 	pipe.Polish(world.DM)
 	refined := pipe.Refine(world.DM)
 	if refined.Len() < 2 {
@@ -148,7 +131,7 @@ func TestPaperConstants(t *testing.T) {
 
 func TestVerify(t *testing.T) {
 	world := testWorld(t)
-	pipe := NewPipeline(WithWordBudget(400))
+	pipe := NewPipeline()
 	pipe.Polish(world.Reddit)
 	refined := pipe.Refine(world.Reddit)
 	if refined.Len() < 5 {

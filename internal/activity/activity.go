@@ -131,18 +131,6 @@ func Cosine(a, b *Profile) float64 {
 	return sparse.Cosine(a.Vector(), b.Vector())
 }
 
-// PeakHour returns the hour with maximal activity; ties resolve to the
-// earliest hour.
-func (p *Profile) PeakHour() int {
-	best := 0
-	for h := 1; h < Hours; h++ {
-		if p.Bins[h] > p.Bins[best] {
-			best = h
-		}
-	}
-	return best
-}
-
 // Entropy returns the Shannon entropy of the profile in bits. Uniform
 // posting gives log2(24) ≈ 4.58; a bot posting at one fixed hour gives 0.
 func (p *Profile) Entropy() float64 {

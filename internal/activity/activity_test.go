@@ -34,9 +34,6 @@ func TestBuildSingleHourProfile(t *testing.T) {
 	if p.Bins[14] != 1 {
 		t.Errorf("Bins[14] = %v, want 1", p.Bins[14])
 	}
-	if p.PeakHour() != 14 {
-		t.Errorf("PeakHour = %d", p.PeakHour())
-	}
 	if p.Entropy() != 0 {
 		t.Errorf("single-hour entropy = %v, want 0", p.Entropy())
 	}

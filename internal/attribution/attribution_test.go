@@ -66,17 +66,12 @@ func makeAuthors(t testing.TB, n, wordsPerHalf int) []synthAuthor {
 		peak := 6 + (i*2)%16
 		authors[i] = synthAuthor{
 			name:  name,
-			known: Subject{Name: name, Text: gen(int64(i)*7+1, wordsPerHalf), Timestamps: stamps(peak, 40)},
-			probe: Subject{Name: name, Text: gen(int64(i)*7+2, wordsPerHalf), Timestamps: stamps(peak, 40)},
+			known: Subject{Name: name, Text: gen(int64(i)*7+1, wordsPerHalf)},
+			probe: Subject{Name: name, Text: gen(int64(i)*7+2, wordsPerHalf)},
 		}
-	}
-	// Attach activity profiles.
-	for i := range authors {
-		opts := activity.Options{ExcludeWeekends: true}
-		if p, err := activity.Build(authors[i].known.Timestamps, opts); err == nil {
+		// Both halves post at the same peak hour.
+		if p, err := activity.Build(stamps(peak, 40), activity.Options{ExcludeWeekends: true}); err == nil {
 			authors[i].known.Activity = p
-		}
-		if p, err := activity.Build(authors[i].probe.Timestamps, opts); err == nil {
 			authors[i].probe.Activity = p
 		}
 	}

@@ -51,8 +51,7 @@ func randomWorld(rng *rand.Rand, n int) (known, probes []Subject) {
 			s.Text = genText(rng, pref, 40+rng.Intn(300))
 		}
 		if rng.Float64() < 0.7 {
-			s.Timestamps = stamps(rng.Intn(24), 20+rng.Intn(30))
-			if p, err := activity.Build(s.Timestamps, activity.Options{}); err == nil {
+			if p, err := activity.Build(stamps(rng.Intn(24), 20+rng.Intn(30)), activity.Options{}); err == nil {
 				s.Activity = p
 			}
 		}
@@ -69,8 +68,7 @@ func randomWorld(rng *rand.Rand, n int) (known, probes []Subject) {
 			j := rng.Intn(n)
 			p.Text = genText(rng, prefs[j], 40+rng.Intn(300))
 			if rng.Float64() < 0.7 {
-				p.Timestamps = stamps(rng.Intn(24), 25)
-				if ap, err := activity.Build(p.Timestamps, activity.Options{}); err == nil {
+				if ap, err := activity.Build(stamps(rng.Intn(24), 25), activity.Options{}); err == nil {
 					p.Activity = ap
 				}
 			}
@@ -271,8 +269,8 @@ func TestLSHEmptyQueryFallsBackLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Activity only: non-zero norm but an empty gram block.
-	probe := Subject{Name: "ghost", Timestamps: stamps(9, 30)}
-	if p, err := activity.Build(probe.Timestamps, activity.Options{}); err == nil {
+	probe := Subject{Name: "ghost"}
+	if p, err := activity.Build(stamps(9, 30), activity.Options{}); err == nil {
 		probe.Activity = p
 	}
 	if probe.Activity == nil {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"time"
 
 	"darklight/internal/activity"
 	"darklight/internal/corpus"
@@ -45,8 +44,6 @@ type Subject struct {
 	// Text is the analysis document (longest messages first, truncated to
 	// the word budget).
 	Text string
-	// Timestamps are all the alias's posting times (forum-local).
-	Timestamps []time.Time
 	// Activity is the daily activity profile, nil when unavailable or
 	// disabled.
 	Activity *activity.Profile
@@ -67,6 +64,18 @@ type SubjectOptions struct {
 	// GOMAXPROCS. Subjects are independent of each other, so the output is
 	// identical for any worker count.
 	Workers int
+}
+
+// DefaultSubjectOptions returns the paper's subject construction: 1,500-word
+// documents and UTC-aligned activity profiles with weekends and the 2017 US
+// holidays excluded (§IV-B, §IV-C1). Each call builds a fresh holiday
+// calendar, so a caller that builds subjects repeatedly keeps the result.
+func DefaultSubjectOptions() SubjectOptions {
+	return SubjectOptions{
+		WordBudget:   DefaultWordBudget,
+		Activity:     activity.PaperOptions(2017),
+		WithActivity: true,
+	}
 }
 
 // BuildSubjects converts a dataset into matchable subjects. Document
@@ -92,13 +101,9 @@ func BuildSubjects(d *forum.Dataset, opts SubjectOptions) ([]Subject, error) {
 	parallelChunks(workers, d.Len(), func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a := &d.Aliases[i]
-			s := Subject{
-				Name:       a.Name,
-				Text:       corpus.Document(a, budget),
-				Timestamps: a.Timestamps(),
-			}
+			s := Subject{Name: a.Name, Text: corpus.Document(a, budget)}
 			if opts.WithActivity {
-				p, err := activity.Build(s.Timestamps, opts.Activity)
+				p, err := activity.Build(a.Timestamps(), opts.Activity)
 				switch {
 				case err == nil:
 					s.Activity = p

@@ -8,7 +8,6 @@ package corpus
 import (
 	"math/rand"
 	"strings"
-	"time"
 
 	"darklight/internal/activity"
 	"darklight/internal/forum"
@@ -174,26 +173,6 @@ func Document(a *forum.Alias, maxWords int) string {
 		words += take
 	}
 	return b.String()
-}
-
-// Timestamps returns all posting times of the alias (the activity profile
-// uses every usable timestamp, not only those of selected messages).
-func Timestamps(a *forum.Alias) []time.Time { return a.Timestamps() }
-
-// Sample returns up to n aliases drawn without replacement, deterministic
-// in seed. The dataset is not modified.
-func Sample(d *forum.Dataset, n int, seed int64) *forum.Dataset {
-	out := forum.NewDataset(d.Name, d.Platform)
-	if n >= d.Len() {
-		out.Aliases = append(out.Aliases, d.Aliases...)
-		return out
-	}
-	r := rand.New(rand.NewSource(seed))
-	idx := r.Perm(d.Len())[:n]
-	for _, i := range idx {
-		out.Aliases = append(out.Aliases, d.Aliases[i])
-	}
-	return out
 }
 
 // WordCountCDF returns the empirical CDF of total words per alias evaluated

@@ -145,26 +145,6 @@ func TestDocumentLongestFirst(t *testing.T) {
 	}
 }
 
-func TestSample(t *testing.T) {
-	d := forum.NewDataset("T", forum.PlatformReddit)
-	for i := 0; i < 20; i++ {
-		d.Add(forum.Alias{Name: "u" + itoa(i)})
-	}
-	s1 := Sample(d, 5, 7)
-	s2 := Sample(d, 5, 7)
-	if s1.Len() != 5 {
-		t.Fatalf("sample size %d", s1.Len())
-	}
-	for i := range s1.Aliases {
-		if s1.Aliases[i].Name != s2.Aliases[i].Name {
-			t.Fatal("Sample must be deterministic")
-		}
-	}
-	if got := Sample(d, 100, 7); got.Len() != 20 {
-		t.Error("oversized sample must return everything")
-	}
-}
-
 func TestWordCountCDF(t *testing.T) {
 	d := forum.NewDataset("T", forum.PlatformReddit)
 	d.Add(makeAlias("a", 1, 10))  // 10 words

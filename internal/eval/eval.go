@@ -175,33 +175,7 @@ func AccuracyAtK(rankings []Ranking, isCorrect func(unknown, candidate string) b
 	return float64(hit) / float64(len(rankings))
 }
 
-// MeanReciprocalRank computes MRR over the rankings, an extension metric
-// not in the paper but useful for ablation comparisons.
-func MeanReciprocalRank(rankings []Ranking, isCorrect func(unknown, candidate string) bool) float64 {
-	if len(rankings) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, r := range rankings {
-		for i, c := range r.Candidates {
-			if isCorrect(r.Unknown, c) {
-				sum += 1 / float64(i+1)
-				break
-			}
-		}
-	}
-	return sum / float64(len(rankings))
-}
-
 // SameName is the correctness predicate for alter-ego experiments: the
 // alter-ego keeps the original alias name, so a match is correct iff the
 // names are equal.
 func SameName(unknown, candidate string) bool { return unknown == candidate }
-
-// F1 computes the harmonic mean of precision and recall.
-func F1(precision, recall float64) float64 {
-	if precision+recall == 0 {
-		return 0
-	}
-	return 2 * precision * recall / (precision + recall)
-}

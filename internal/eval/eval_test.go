@@ -137,30 +137,6 @@ func TestAccuracyAtK(t *testing.T) {
 	}
 }
 
-func TestMeanReciprocalRank(t *testing.T) {
-	rankings := []Ranking{
-		{Unknown: "a", Candidates: []string{"a"}},      // rr 1
-		{Unknown: "b", Candidates: []string{"x", "b"}}, // rr 1/2
-		{Unknown: "c", Candidates: []string{"x", "y"}}, // rr 0
-	}
-	want := (1.0 + 0.5 + 0) / 3
-	if got := MeanReciprocalRank(rankings, same); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MRR = %v, want %v", got, want)
-	}
-}
-
-func TestF1(t *testing.T) {
-	if got := F1(1, 1); got != 1 {
-		t.Errorf("F1(1,1) = %v", got)
-	}
-	if got := F1(0, 0); got != 0 {
-		t.Errorf("F1(0,0) = %v", got)
-	}
-	if got := F1(0.5, 1); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("F1(0.5,1) = %v", got)
-	}
-}
-
 func TestPRCurveDeterministicUnderTies(t *testing.T) {
 	preds := []Prediction{
 		{"b", "y", 0.5}, {"a", "a", 0.5}, {"c", "c", 0.9},

@@ -108,13 +108,3 @@ func (ins *Inspector) ClassifyAll(preds []Prediction, keyOfUnknown, keyOfCandida
 	sort.Slice(out, func(i, j int) bool { return out[i].Score > out[j].Score })
 	return out
 }
-
-// VerdictCounts tallies reports per verdict class — the headline numbers of
-// §V-B (7 True / 1 Unclear / 3 False) and §V-C (20/2/20/5).
-func VerdictCounts(reports []PairReport) map[Verdict]int {
-	out := make(map[Verdict]int, 4)
-	for _, r := range reports {
-		out[r.Verdict]++
-	}
-	return out
-}

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"time"
 
-	"darklight/internal/activity"
 	"darklight/internal/attribution"
 	"darklight/internal/corpus"
 	"darklight/internal/eval"
@@ -107,9 +106,9 @@ type Lab struct {
 	// PolishReports per forum, for Table-I-style diagnostics.
 	PolishReports map[string]*normalize.Report
 
-	// ActivityOpts is the shared profile configuration (UTC alignment,
-	// weekend + US-2017-holiday exclusion).
-	ActivityOpts activity.Options
+	// subjOpts is the paper's subject construction, built once so every
+	// harness shares one holiday calendar.
+	subjOpts attribution.SubjectOptions
 
 	redditMatcher *attribution.Matcher
 	darkMatcher   *attribution.Matcher
@@ -162,10 +161,10 @@ func NewLabContext(ctx context.Context, cfg LabConfig) (*Lab, error) {
 	l.PolishReports["dm"] = pipe.RunContext(ctx, world.DM)
 	l.RawReddit, l.RawTMG, l.RawDM = world.Reddit, world.TMG, world.DM
 
-	l.ActivityOpts = activity.PaperOptions(2017)
+	l.subjOpts = attribution.DefaultSubjectOptions()
 
-	refine := corpus.RefineOptions{Activity: l.ActivityOpts}
-	aeOpts := corpus.AlterEgoOptions{Activity: l.ActivityOpts, Seed: int64(cfg.Seed)}
+	refine := corpus.RefineOptions{Activity: l.subjOpts.Activity}
+	aeOpts := corpus.AlterEgoOptions{Activity: l.subjOpts.Activity, Seed: int64(cfg.Seed)}
 
 	l.Reddit, l.AEReddit = corpus.SplitAlterEgos(corpus.Refine(world.Reddit, refine), aeOpts)
 	l.TMG, l.AETMG = corpus.SplitAlterEgos(corpus.Refine(world.TMG, refine), aeOpts)
@@ -190,13 +189,8 @@ func (l *Lab) Context() context.Context {
 	return l.ctx
 }
 
-// SubjectOpts returns the standard subject-building options.
-func (l *Lab) SubjectOpts() attribution.SubjectOptions {
-	return attribution.SubjectOptions{
-		Activity:     l.ActivityOpts,
-		WithActivity: true,
-	}
-}
+// SubjectOpts returns the paper's subject-building options.
+func (l *Lab) SubjectOpts() attribution.SubjectOptions { return l.subjOpts }
 
 // MatcherOpts returns the paper-default matcher options with the lab's
 // worker bound.

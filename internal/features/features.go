@@ -115,21 +115,6 @@ const (
 // NumFreqFeatures is the number of frequency dimensions (11 + 10 + 21).
 const NumFreqFeatures = len(punctChars) + len(digitChars) + len(specialChars)
 
-// FreqFeatureNames returns a label per frequency dimension, for reports.
-func FreqFeatureNames() []string {
-	names := make([]string, 0, NumFreqFeatures)
-	for _, c := range punctChars {
-		names = append(names, "punct:"+string(c))
-	}
-	for _, c := range digitChars {
-		names = append(names, "digit:"+string(c))
-	}
-	for _, c := range specialChars {
-		names = append(names, "special:"+string(c))
-	}
-	return names
-}
-
 // GramID is the 64-bit hash identifying one n-gram.
 type GramID uint64
 

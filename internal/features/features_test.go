@@ -42,9 +42,6 @@ func TestTableIIBudgets(t *testing.T) {
 	if NumFreqFeatures != 42 {
 		t.Errorf("NumFreqFeatures = %d, want 42 (11+10+21)", NumFreqFeatures)
 	}
-	if got := len(FreqFeatureNames()); got != 42 {
-		t.Errorf("FreqFeatureNames = %d entries", got)
-	}
 }
 
 func TestExtractCounts(t *testing.T) {
@@ -179,9 +176,6 @@ func TestVectorizeSortedAndNamespaced(t *testing.T) {
 	}
 	if v.FreqOffset() != uint32(v.NumWordGrams()+v.NumCharGrams()) || v.ActivityOffset() != v.FreqOffset()+uint32(NumFreqFeatures) {
 		t.Error("frequency features must follow the grams, activity the frequency features")
-	}
-	if v.Dims() != int(v.ActivityOffset())+24 {
-		t.Error("Dims must reserve 24 activity slots")
 	}
 }
 

@@ -267,9 +267,6 @@ func (v *Vocabulary) ActivityOffset() uint32 {
 	return off
 }
 
-// Dims is the total dimensionality including the 24 activity slots.
-func (v *Vocabulary) Dims() int { return int(v.ActivityOffset()) + 24 }
-
 // VectorizeGramsSorted converts a document into a TF-IDF weighted sparse
 // vector over the n-gram sections of this vocabulary's index space, in a
 // fresh vector. Grams outside the vocabulary are ignored, and the frequency

@@ -83,16 +83,3 @@ func (m *Manifest) WriteFile(path string) error {
 	}
 	return nil
 }
-
-// ReadManifest loads a manifest written by WriteFile.
-func ReadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: read manifest: %w", err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("obs: parse manifest %s: %w", path, err)
-	}
-	return &m, nil
-}

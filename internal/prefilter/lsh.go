@@ -120,9 +120,6 @@ func BuildLSH(n int, set func(i int) []uint32, p LSHParams) *LSH {
 	return l
 }
 
-// Params reports the operating point the index was built at.
-func (l *LSH) Params() LSHParams { return l.p }
-
 // Candidates returns the subjects sharing at least one band bucket with
 // the query set, ascending and deduplicated. buf supplies reusable
 // capacity. An empty query set has no candidates.

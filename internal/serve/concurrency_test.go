@@ -4,8 +4,9 @@ package serve
 //
 //   - TestConcurrentEquivalence: 64 goroutines issuing a mix of rank,
 //     rescore, and match requests over a pipeline-generated world receive
-//     responses byte-identical to what the darklight batch facade
-//     (Pipeline.LinkDetailed) computes sequentially.
+//     responses byte-identical to what the batch path the darklight facade
+//     runs (BuildSubjects + NewMatcherContext + MatchAll) computes
+//     sequentially.
 //   - TestReloadMidBurstAtomic: a SIGHUP-style Reload in the middle of a
 //     request burst never produces a torn response — every body is exactly
 //     the v1 answer or exactly the v2 answer, and post-burst requests see v2.
@@ -38,7 +39,7 @@ func TestConcurrentEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := darklight.NewPipeline(darklight.WithWordBudget(400))
+	pipe := darklight.NewPipeline()
 	pipe.PolishContext(ctx, world.DM)
 	mainDS, aeDS := pipe.SplitAlterEgos(pipe.Refine(world.DM))
 	if aeDS.Len() < 2 {
@@ -50,8 +51,24 @@ func TestConcurrentEquivalence(t *testing.T) {
 		aeDS = &trimmed
 	}
 
-	// Sequential ground truth through the batch facade.
-	results, err := pipe.LinkDetailed(ctx, mainDS, aeDS)
+	// Sequential ground truth through the calls Pipeline.LinkDetailed makes,
+	// on 400-word documents: the paper's 1,500 would nearly double the
+	// -race run for no extra coverage.
+	subjOpts := pipe.SubjectOptions()
+	subjOpts.WordBudget = 400
+	known, err := attribution.BuildSubjects(mainDS, subjOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query, err := attribution.BuildSubjects(aeDS, subjOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := attribution.NewMatcherContext(ctx, known, pipe.MatcherOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := m.MatchAll(ctx, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,18 +95,10 @@ func TestConcurrentEquivalence(t *testing.T) {
 		rescoreReq[res.Unknown] = encodeBody(t, &req)
 	}
 
-	known, err := pipe.Subjects(mainDS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	query, err := pipe.Subjects(aeDS)
-	if err != nil {
-		t.Fatal(err)
-	}
 	svc, err := New(ctx, Config{
 		Loader:   func(context.Context) (*Corpus, error) { return &Corpus{Known: known, Query: query}, nil },
 		Options:  pipe.MatcherOptions(),
-		Subjects: pipe.SubjectOptions(),
+		Subjects: subjOpts,
 		APIKeys:  []string{"test-key"},
 		Clock:    newFakeClock(),
 		Registry: obs.NewRegistry(),

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"darklight/internal/activity"
 	"darklight/internal/attribution"
 	"darklight/internal/forum"
 	"darklight/internal/obs"
@@ -128,14 +127,11 @@ func styleAlias(name string, variant int) forum.Alias {
 	return a
 }
 
-// testSubjectOptions mirrors darklight.NewPipeline's defaults.
+// testSubjectOptions is the paper's subject construction on one worker.
 func testSubjectOptions() attribution.SubjectOptions {
-	return attribution.SubjectOptions{
-		WordBudget:   attribution.DefaultWordBudget,
-		Activity:     activity.PaperOptions(2017),
-		WithActivity: true,
-		Workers:      1,
-	}
+	o := attribution.DefaultSubjectOptions()
+	o.Workers = 1
+	return o
 }
 
 // newKnownDataset builds the six known aliases with styles offset by

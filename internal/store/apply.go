@@ -25,11 +25,7 @@ func BuildIndex(ctx context.Context, ds *forum.Dataset, opts attribution.Options
 	if err != nil {
 		return nil, err
 	}
-	digest, err := forum.DigestJSONL(ds)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{Version: 1, Dataset: ds, Subjects: m.Subjects(), Matcher: m, Digest: digest}, nil
+	return &Index{Version: 1, Dataset: ds, Subjects: m.Subjects(), Matcher: m}, nil
 }
 
 // ApplyThreads folds scraped thread records into a copy of the dataset:
@@ -120,16 +116,11 @@ func Replay(ctx context.Context, idx *Index, entries []JournalEntry, subjOpts at
 	if err != nil {
 		return nil, err
 	}
-	digest, err := forum.DigestJSONL(ds)
-	if err != nil {
-		return nil, err
-	}
 	return &Index{
 		Version:  idx.Version + 1,
 		LastSeq:  lastSeq,
 		Dataset:  ds,
 		Subjects: m.Subjects(),
 		Matcher:  m,
-		Digest:   digest,
 	}, nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,13 +32,9 @@ func writeAtomic(path string, perm os.FileMode, fill func(*os.File) error) error
 	}
 	tmpName := tmp.Name()
 	// Any failure before the rename removes the sibling and leaves the
-	// destination untouched; the original error is the one worth reporting.
+	// destination untouched; a failed cleanup is reported beside the error.
 	fail := func(op string, opErr error) error {
-		//lint:ignore errdrop the write already failed; close/remove are best-effort cleanup of the doomed sibling
-		tmp.Close()
-		//lint:ignore errdrop see above — the sibling is garbage either way
-		os.Remove(tmpName)
-		return fmt.Errorf("store: atomic write %s: %s: %w", path, op, opErr)
+		return fmt.Errorf("store: atomic write %s: %s: %w", path, op, errors.Join(opErr, tmp.Close(), os.Remove(tmpName)))
 	}
 	if err := fill(tmp); err != nil {
 		return fail("write", err)

@@ -39,7 +39,7 @@ func snapshotLayout(t testing.TB, raw []byte) map[string]span {
 		t.Fatalf("layout walker: format version %d", v)
 	}
 	count := u32()
-	off += 8 + 8 + digestLen // index version, last seq, corpus digest
+	off += 8 + 8 // index version, last seq
 	layout := make(map[string]span, count)
 	for i := 0; i < count; i++ {
 		nameLen := u32()

@@ -9,7 +9,7 @@ import (
 	"math"
 )
 
-// On-disk snapshot layout, format 3 (all fixed-width integers
+// On-disk snapshot layout, format 4 (all fixed-width integers
 // little-endian, "uvarint" the encoding/binary one):
 //
 //	header:
@@ -18,16 +18,15 @@ import (
 //	  section count    u32
 //	  index version    u64      snapshot generation, bumps on every Save
 //	  last seq         u64      journal sequence already folded in
-//	  corpus digest    32 bytes sha-256 of the canonical corpus JSONL
 //	sections, back to back:
 //	  name             u32 length + bytes
 //	  payload length   u64
 //	  payload digest   32 bytes sha-256 of the payload
 //	  payload
 //
-// The fixed header keeps this layout in every format version (the magic
-// names it), so Open can read the journal position off a snapshot whose
-// sections it cannot decode. What the sections hold is in snapshot.go.
+// The header fields up to last seq sit at these offsets in every format
+// version (the magic names the layout), so Open can read the journal
+// position off a snapshot whose sections it cannot decode. What the sections hold is in snapshot.go.
 //
 // Every section is digest-verified on load before a single byte of it is
 // decoded, so a flipped bit anywhere surfaces as a CorruptError naming
@@ -38,7 +37,7 @@ import (
 
 const (
 	magic         = "DLIXSNP1"
-	formatVersion = 3
+	formatVersion = 4
 	digestLen     = sha256.Size
 )
 
@@ -74,11 +73,10 @@ func (e *VersionError) Error() string {
 type header struct {
 	IndexVersion uint64
 	LastSeq      uint64
-	CorpusDigest [digestLen]byte
 }
 
 // headerLen is the size of the fixed header.
-const headerLen = len(magic) + 4 + 4 + 8 + 8 + digestLen
+const headerLen = len(magic) + 4 + 4 + 8 + 8
 
 // decodeHeader reads the fixed header off r, returning it and the section
 // count. Errors are *CorruptError (Path unset) or, with the header fully
@@ -92,7 +90,6 @@ func decodeHeader(r *reader) (header, int, error) {
 	count := int(r.u32())
 	h.IndexVersion = r.u64()
 	h.LastSeq = r.u64()
-	copy(h.CorpusDigest[:], r.bytes(digestLen))
 	if r.fail {
 		return h, 0, corrupt("header", "truncated header")
 	}
@@ -204,7 +201,6 @@ func (w *writer) header(h header, sections int) {
 	w.u32(uint32(sections))
 	w.u64(h.IndexVersion)
 	w.u64(h.LastSeq)
-	w.raw(h.CorpusDigest[:])
 }
 
 // begin frames a section: its name and room for the length and digest,

@@ -1,11 +1,9 @@
 package store
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
-	"time"
 
 	"darklight/internal/activity"
 	"darklight/internal/attribution"
@@ -30,8 +28,6 @@ type Index struct {
 	Subjects []attribution.Subject
 	// Matcher is the built (incremental) index over Subjects.
 	Matcher *attribution.Matcher
-	// Digest is the hex SHA-256 of the canonical corpus JSONL.
-	Digest string
 }
 
 // Section names, in file order. A snapshot holds what a load cannot
@@ -41,7 +37,7 @@ type Index struct {
 //
 //	options   the matcher options, JSON
 //	corpus    the dataset, field by field
-//	subjects  name, text, timestamps and activity profile of each subject
+//	subjects  name, text and activity profile of each subject
 //	grams     the dictionary: the distinct word gram ids, then the distinct
 //	          char gram ids, each list ascending, 8 bytes a gram
 //	docs      each subject's extraction with grams as dictionary numbers:
@@ -77,15 +73,8 @@ func writeIndex(out sink, idx *Index) error {
 	if err != nil {
 		return err
 	}
-	digest, err := hex.DecodeString(idx.Digest)
-	if err != nil || len(digest) != digestLen {
-		return fmt.Errorf("index carries no corpus digest (%q)", idx.Digest)
-	}
-	h := header{IndexVersion: idx.Version, LastSeq: idx.LastSeq}
-	copy(h.CorpusDigest[:], digest)
-
 	w := newWriter(out)
-	w.header(h, len(sectionNames))
+	w.header(header{IndexVersion: idx.Version, LastSeq: idx.LastSeq}, len(sectionNames))
 
 	w.begin(secOptions)
 	w.raw(optsJSON)
@@ -103,10 +92,6 @@ func writeIndex(out sink, idx *Index) error {
 		s := &idx.Subjects[i]
 		w.str(s.Name)
 		w.str(s.Text)
-		w.u32(uint32(len(s.Timestamps)))
-		for _, ts := range s.Timestamps {
-			w.i64(ts.UnixNano())
-		}
 		if p := s.Activity; p != nil {
 			w.u8(1)
 			for _, b := range p.Bins {
@@ -222,17 +207,11 @@ func decodeIndex(raw []byte) (*Index, error) {
 	}
 
 	sr := &reader{b: byName[secSubjects], text: string(byName[secSubjects])}
-	subjects := make([]attribution.Subject, sr.lengthBound(13))
+	subjects := make([]attribution.Subject, sr.lengthBound(9))
 	for i := range subjects {
 		s := &subjects[i]
 		s.Name = sr.str()
 		s.Text = sr.str()
-		if nts := sr.lengthBound(8); nts > 0 {
-			s.Timestamps = make([]time.Time, nts)
-			for j := range s.Timestamps {
-				s.Timestamps[j] = time.Unix(0, sr.i64()).UTC()
-			}
-		}
 		if sr.u8() != 0 {
 			p := &activity.Profile{}
 			for j := range p.Bins {
@@ -313,7 +292,6 @@ func decodeIndex(raw []byte) (*Index, error) {
 		Dataset:  ds,
 		Subjects: subjects,
 		Matcher:  matcher,
-		Digest:   hex.EncodeToString(h.CorpusDigest[:]),
 	}, nil
 }
 

@@ -188,9 +188,7 @@ func (s *Store) AppendThread(rec forum.ThreadRecord) (uint64, error) {
 	}
 	seq := s.nextSeq
 	if err := appendJournalLine(f, JournalEntry{Seq: seq, Thread: rec}); err != nil {
-		//lint:ignore errdrop the append already failed; close is best-effort cleanup
-		f.Close()
-		return 0, err
+		return 0, errors.Join(err, f.Close())
 	}
 	if err := f.Close(); err != nil {
 		return 0, fmt.Errorf("store: journal close: %w", err)

@@ -311,8 +311,3 @@ func TopicOfBoard(board string) string {
 	}
 	return ""
 }
-
-// BoardsOfTopic returns the board names of a topic (most popular first).
-func BoardsOfTopic(topic string) []string {
-	return append([]string(nil), subredditsByTopic[topic]...)
-}

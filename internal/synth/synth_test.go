@@ -289,7 +289,7 @@ func TestNicknameStability(t *testing.T) {
 
 func TestTopicOfBoardRoundtrip(t *testing.T) {
 	for _, topic := range Topics {
-		for _, b := range BoardsOfTopic(topic) {
+		for _, b := range subredditsByTopic[topic] {
 			if got := TopicOfBoard(b); got != topic {
 				t.Errorf("TopicOfBoard(%s) = %q, want %q", b, got, topic)
 			}
