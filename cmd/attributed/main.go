@@ -29,8 +29,10 @@
 //
 // Signals: SIGHUP reloads — with -index-dir it replays new journal entries
 // onto the live index, without it the index is rebuilt from the corpus
-// source — and swaps the index atomically (in-flight queries finish on the
-// old index); SIGTERM/SIGINT stop accepting connections, drain in-flight
+// source; either way it re-reads -query but re-prepares it only when its
+// bytes changed — and swaps the index atomically (in-flight queries finish
+// on the old index), logging one line that says where the load's time went;
+// SIGTERM/SIGINT stop accepting connections, drain in-flight
 // requests up to -drain, and exit. /metrics, /debug/vars, /debug/pprof,
 // and /debug/traces are mounted beside the API, outside its -timeout.
 //
@@ -49,6 +51,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -300,33 +303,73 @@ type source struct {
 
 	mu       sync.Mutex // guards the world's halves not yet handed out
 	main, ae *forum.Dataset
+
+	qmu   sync.Mutex // guards the -query memo
+	qsum  [sha256.Size]byte
+	qsubs []attribution.Subject // prepared from bytes of digest qsum; nil: nothing memoised
 }
 
 // knownDataset is the corpus to index: the prepared -known file, or the
 // world's main half.
 func (s *source) knownDataset(ctx context.Context) (*forum.Dataset, error) {
-	if s.known != "" {
-		return prepareDataset(ctx, s.pipe, s.known, s.refine)
+	if s.known == "" {
+		return s.worldHalf(ctx, &s.main)
 	}
-	return s.worldHalf(ctx, &s.main)
+	d, err := darklight.LoadJSONL(s.known, s.known, forum.PlatformSynthetic)
+	if err != nil {
+		return nil, err
+	}
+	return prepareDataset(ctx, s.pipe, d, s.refine)
 }
 
 // querySubjects is the corpus by-alias requests resolve against: the -query
 // file, the world's alter egos, or nil — the known set is the query corpus.
-func (s *source) querySubjects(ctx context.Context) (_ []attribution.Subject, err error) {
-	var ds *forum.Dataset
+func (s *source) querySubjects(ctx context.Context) ([]attribution.Subject, error) {
 	switch {
 	case s.query != "":
-		ds, err = prepareDataset(ctx, s.pipe, s.query, false)
+		return s.queryFile(ctx)
 	case s.known == "":
-		ds, err = s.worldHalf(ctx, &s.ae)
-	default:
-		return nil, nil
+		ds, err := s.worldHalf(ctx, &s.ae)
+		if err != nil {
+			return nil, err
+		}
+		return s.pipe.Subjects(ds)
 	}
+	return nil, nil
+}
+
+// queryFile reads the -query file once per load and prepares it only when
+// its bytes differ from those prepared last: a reload that folds journal
+// batches into the index finds the file unchanged and hands back the same
+// subjects, which every generation shares (serving only reads them). Any
+// error clears the memo, so a failed load never leaves stale subjects to
+// be served by the next.
+func (s *source) queryFile(ctx context.Context) ([]attribution.Subject, error) {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	raw, err := os.ReadFile(s.query)
+	if err != nil {
+		s.qsubs = nil
+		return nil, fmt.Errorf("attributed: %w", err)
+	}
+	sum := sha256.Sum256(raw)
+	if s.qsubs != nil && sum == s.qsum {
+		return s.qsubs, nil
+	}
+	s.qsubs = nil
+	d, err := darklight.ReadJSONL(bytes.NewReader(raw), s.query, forum.PlatformSynthetic)
+	if err != nil {
+		return nil, fmt.Errorf("attributed: %s: %w", s.query, err)
+	}
+	if d, err = prepareDataset(ctx, s.pipe, d, false); err != nil {
+		return nil, err
+	}
+	subs, err := s.pipe.Subjects(d)
 	if err != nil {
 		return nil, err
 	}
-	return s.pipe.Subjects(ds)
+	s.qsum, s.qsubs = sum, subs
+	return subs, nil
 }
 
 // worldHalf hands out s.main or s.ae, each once per generated world: the
@@ -352,18 +395,14 @@ func (s *source) worldHalf(ctx context.Context, half **forum.Dataset) (*forum.Da
 	return d, nil
 }
 
-// prepareDataset loads one JSONL dataset, polishes and optionally refines it.
-func prepareDataset(ctx context.Context, pipe *darklight.Pipeline, path string, refine bool) (*darklight.Dataset, error) {
-	d, err := darklight.LoadJSONL(path, path, forum.PlatformSynthetic)
-	if err != nil {
-		return nil, err
-	}
+// prepareDataset polishes a loaded dataset and optionally refines it.
+func prepareDataset(ctx context.Context, pipe *darklight.Pipeline, d *darklight.Dataset, refine bool) (*darklight.Dataset, error) {
 	pipe.PolishContext(ctx, d)
 	if refine {
 		d = pipe.Refine(d)
 	}
 	if d.Len() == 0 {
-		return nil, fmt.Errorf("attributed: %s: no aliases survive preparation", path)
+		return nil, fmt.Errorf("attributed: %s: no aliases survive preparation", d.Name)
 	}
 	return d, nil
 }
@@ -394,12 +433,17 @@ func rebuildInstead(loadErr error, haveKnown bool) (bool, error) {
 // any journal deltas above the index's LastSeq onto the live generation, so
 // a reload folds freshly scraped threads in without a rebuild. With save
 // enabled, each new generation is written back atomically and the journal
-// compacted. The query corpus, which depends on none of that, is prepared
-// beside it — on a cold start from the beginning, on a reload beside the
-// save and the journal compaction: both are single-threaded, so on two cores
-// the preparation costs a reload no time of its own, whereas beside the
-// fold's two-worker index pass it would take the cores from the requests the
-// serving index is still answering.
+// compacted.
+//
+// The query corpus, which depends on none of that, is asked for beside it:
+// on a cold start from the beginning, on a reload once the fold's
+// two-worker index pass is done, whose cores it would otherwise take from
+// the requests the serving index is still answering. Beside the save it is
+// not free — re-polishing an unchanged deep-world -query file measured
+// longer than the replay and slowed the save it ran beside — so the source
+// hands back the corpus it prepared last while the file's bytes are
+// unchanged, as they are on a reload that only folds journal batches. One
+// log line per load says where its time went.
 //
 // A nil store (no -index-dir) is the same loader with nothing to load, fold
 // or save: every load builds the index from the corpus source again.
@@ -407,20 +451,22 @@ func newLoader(st *store.Store, opts attribution.Options, subjOpts attribution.S
 	knownDS func(context.Context) (*forum.Dataset, error),
 	querySubjects func(context.Context) ([]attribution.Subject, error)) serve.Loader {
 	var (
-		mu  sync.Mutex
-		cur *store.Index
+		mu    sync.Mutex
+		cur   *store.Index
+		lastQ []attribution.Subject // the query corpus cur is served with
 	)
 	// advance brings cur to the generation to serve: loaded or built when
 	// there is none yet, then the journal folded in, saved and compacted. It
 	// calls prepare once the generation exists and only single-threaded work
-	// is left.
-	advance := func(ctx context.Context, prepare func()) error {
+	// is left, and spent after each step it took.
+	advance := func(ctx context.Context, prepare func(), spent func(step string, since time.Time)) error {
 		built := false
 		why := "no index directory"
 		if st != nil {
 			why = "no snapshot in " + st.Dir()
 		}
 		if cur == nil && st != nil && st.HasSnapshot() {
+			t0 := time.Now()
 			idx, loadErr := st.Load()
 			rebuild, err := rebuildInstead(loadErr, haveKnown)
 			switch {
@@ -432,9 +478,11 @@ func newLoader(st *store.Store, opts attribution.Options, subjOpts attribution.S
 				mo := idx.Matcher.Options().WithDefaults()
 				log.Printf("attributed: cold-started index v%d (%d subjects, k %d, threshold %v) from %s", idx.Version, len(idx.Subjects), mo.K, mo.Threshold, st.SnapshotPath())
 				cur = idx
+				spent("cold start", t0)
 			}
 		}
 		if cur == nil {
+			t0 := time.Now()
 			ds, err := knownDS(ctx)
 			if err != nil {
 				return err
@@ -446,9 +494,11 @@ func newLoader(st *store.Store, opts attribution.Options, subjOpts attribution.S
 			log.Printf("attributed: %s, built index v%d from source", why, idx.Version)
 			cur = idx
 			built = true
+			spent("build", t0)
 		}
 		next := cur
 		if st != nil {
+			t0 := time.Now()
 			entries, err := st.ReadJournal(cur.LastSeq)
 			if err != nil {
 				return err
@@ -459,15 +509,18 @@ func newLoader(st *store.Store, opts attribution.Options, subjOpts attribution.S
 			if next != cur {
 				log.Printf("attributed: replayed %d journal deltas into index v%d (seq %d)", len(entries), next.Version, next.LastSeq)
 			}
+			spent("replay", t0)
 		}
 		prepare()
 		if save && (built || next != cur) {
+			t0 := time.Now()
 			if err := st.Save(next); err != nil {
 				return err
 			}
 			if err := st.CompactJournal(next.LastSeq); err != nil {
 				return err
 			}
+			spent("save+compact", t0)
 		}
 		cur = next
 		return nil
@@ -479,21 +532,28 @@ func newLoader(st *store.Store, opts attribution.Options, subjOpts attribution.S
 			cur = nil // nothing persists: every load is a build, like the first
 		}
 		var (
-			wg   sync.WaitGroup
-			q    []attribution.Subject
-			qerr error
+			wg    sync.WaitGroup
+			q     []attribution.Subject
+			qerr  error
+			qtime time.Duration
+			steps []string
 		)
 		prepare := sync.OnceFunc(func() {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				t0 := time.Now()
 				q, qerr = querySubjects(ctx)
+				qtime = time.Since(t0)
 			}()
 		})
+		spent := func(step string, since time.Time) {
+			steps = append(steps, step+" "+time.Since(since).Round(time.Millisecond).String())
+		}
 		if cur == nil {
 			prepare() // a whole build or load is ahead: beside it from the start
 		}
-		err := advance(ctx, prepare)
+		err := advance(ctx, prepare, spent)
 		wg.Wait() // on every path: the preparation never outlives the load
 		if err != nil {
 			return nil, err // the index's error before the query corpus's
@@ -501,6 +561,15 @@ func newLoader(st *store.Store, opts attribution.Options, subjOpts attribution.S
 		if qerr != nil {
 			return nil, qerr
 		}
+		switch {
+		case q == nil: // the known set answers by-alias requests
+		case len(lastQ) > 0 && &q[0] == &lastQ[0]:
+			steps = append(steps, "query corpus reused")
+		default:
+			steps = append(steps, fmt.Sprintf("query corpus prepared in %s", qtime.Round(time.Millisecond)))
+		}
+		log.Printf("attributed: load: %s", strings.Join(steps, ", "))
+		lastQ = q
 		c := &serve.Corpus{Known: cur.Subjects, Query: q, Matcher: cur.Matcher}
 		if st != nil {
 			// Surfacing LastSeq lets /v1/healthz report how current the serving

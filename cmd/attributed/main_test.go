@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -353,5 +355,109 @@ func TestStoreLoaderPreparesQueriesBesideTheIndex(t *testing.T) {
 	}
 	if queryCalls.Load() != 4 || queryEnded.Load() != 4 {
 		t.Errorf("a cold start and a reload after two failed loads: %d preparations started, %d finished, want 4 and 4", queryCalls.Load(), queryEnded.Load())
+	}
+}
+
+// writeQueryFile writes d as the JSONL file a -query flag names.
+func writeQueryFile(t *testing.T, path string, d *forum.Dataset) {
+	t.Helper()
+	if err := darklight.SaveJSONL(path, d); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueryFileMemo: the -query corpus is prepared again only when the
+// file's bytes change. An unchanged file hands back the very subjects of the
+// last load; a rewritten message gives what a fresh preparation of the new
+// file gives; a file that cannot be read is an error and empties the memo,
+// so the next good file is prepared afresh even when its bytes are the ones
+// prepared before.
+func TestQueryFileMemo(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "query.jsonl")
+	writeQueryFile(t, path, loaderDataset())
+	pipe := darklight.NewPipeline()
+	src := &source{pipe: pipe, known: "known.jsonl", query: path}
+	ctx := context.Background()
+
+	first, err := src.querySubjects(ctx)
+	if err != nil || len(first) != 3 {
+		t.Fatalf("first load: %d subjects, %v", len(first), err)
+	}
+	again, err := src.querySubjects(ctx)
+	if err != nil || len(again) != len(first) || &again[0] != &first[0] {
+		t.Fatalf("unchanged file: %d subjects, %v; want the first load's own", len(again), err)
+	}
+
+	edited := loaderDataset()
+	edited.Aliases[1].Messages[0].Body = "the escrow dispute was settled in the buyer's favour after a week"
+	writeQueryFile(t, path, edited)
+	got, err := src.querySubjects(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := darklight.LoadJSONL(path, path, forum.PlatformSynthetic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err = prepareDataset(ctx, pipe, d, false); err != nil {
+		t.Fatal(err)
+	}
+	want, err := pipe.Subjects(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] == &first[0] || !reflect.DeepEqual(got, want) {
+		t.Fatal("a rewritten message: the subjects are not a fresh preparation of the new file")
+	}
+
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if subs, err := src.querySubjects(ctx); err == nil || subs != nil {
+		t.Fatalf("removed file: %d subjects, error %v; want an error and no subjects", len(subs), err)
+	}
+	writeQueryFile(t, path, edited)
+	back, err := src.querySubjects(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &back[0] == &got[0] || !reflect.DeepEqual(back, want) {
+		t.Fatal("after a failed read the same bytes were served from the memo, not prepared afresh")
+	}
+}
+
+// TestLoaderReusesUnchangedQueryCorpus: a reload over an unchanged -query
+// file serves the previous generation's query subjects while it folds the
+// journal into the index.
+func TestLoaderReusesUnchangedQueryCorpus(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "query.jsonl")
+	writeQueryFile(t, path, loaderDataset())
+	st, err := store.Open(filepath.Join(dir, "index"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, subjOpts := loaderOptions()
+	known := &countingSource{}
+	src := &source{pipe: darklight.NewPipeline(), known: "known.jsonl", query: path}
+	load := newLoader(st, opts, subjOpts, true, true, known.knownDS, src.querySubjects)
+	ctx := context.Background()
+
+	first, err := load(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := loaderDataset().Aliases[0].Messages[0]
+	msg.ID, msg.Author = "new-0", "newcomer"
+	if _, err := st.AppendThread(forum.ThreadRecord{Thread: "t2", Messages: []forum.Message{msg}}); err != nil {
+		t.Fatal(err)
+	}
+	next, err := load(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next.Known) != 4 || len(next.Query) != 3 || &next.Query[0] != &first.Query[0] {
+		t.Fatalf("reload: %d known, %d query subjects, query corpus shared %v; want 4, 3 and the previous generation's",
+			len(next.Known), len(next.Query), len(next.Query) > 0 && &next.Query[0] == &first.Query[0])
 	}
 }

@@ -163,7 +163,7 @@ func getBenchWorld(tb testing.TB, n int) *benchWorld {
 		m.fwdVal[i] = vals32
 	}
 	var err error
-	if m.postOff, m.postSubj, m.postVal, err = invertForward(m.fwdIdx, m.fwdVal, benchDims); err != nil {
+	if m.postOff, m.postSubj, m.postVal, err = invertForward(m.fwdIdx, m.fwdVal, benchDims, 1); err != nil {
 		tb.Fatal(err)
 	}
 

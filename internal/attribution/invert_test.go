@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -36,27 +37,34 @@ func randomForward(rng *rand.Rand, n, dims int) ([][]uint32, [][]float32) {
 // float32 sums in), and every (gram, subject, value) of the forward lists
 // present exactly once — walking the arena gram by gram must hand each
 // subject its own forward list back, in order. Empty and single-subject
-// worlds and a zero-gram vocabulary included.
+// worlds and a zero-gram vocabulary included, and worlds of several
+// hundred thousand postings, which span several tiles: at 2, 3 and 7
+// workers every arena must equal the one-worker arena bit for bit.
 func TestInvertForwardProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2200))
 	for trial := 0; trial < 300; trial++ {
 		n, dims := rng.Intn(40), rng.Intn(60)
-		switch trial % 10 {
-		case 0:
+		switch {
+		case trial%10 == 0:
 			n = 0
-		case 1:
+		case trial%10 == 1:
 			n = 1
-		case 2:
+		case trial%10 == 2:
 			dims = 0
+		case trial%50 == 3:
+			n, dims = 300, 3000
 		}
 		fwdIdx, fwdVal := randomForward(rng, n, dims)
-		off, subj, val, err := invertForward(fwdIdx, fwdVal, dims)
+		off, subj, val, err := invertForward(fwdIdx, fwdVal, dims, 1)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		total := 0
 		for _, ids := range fwdIdx {
 			total += len(ids)
+		}
+		if trial%50 == 3 && total < 4<<15 {
+			t.Fatalf("trial %d: %d postings do not span several tiles", trial, total)
 		}
 		if len(off) != dims+1 || off[0] != 0 || int(off[dims]) != total || len(subj) != total || len(val) != total {
 			t.Fatalf("trial %d: %d offsets closing on %d, %d subjects, %d values; want %d offsets, %d postings",
@@ -78,21 +86,46 @@ func TestInvertForwardProperty(t *testing.T) {
 		if !reflect.DeepEqual(backIdx, fwdIdx) || !reflect.DeepEqual(backVal, fwdVal) {
 			t.Fatalf("trial %d: the arena does not hold the forward lists' postings exactly once", trial)
 		}
+		for _, workers := range []int{2, 3, 7} {
+			woff, wsubj, wval, err := invertForward(fwdIdx, fwdVal, dims, workers)
+			if err != nil {
+				t.Fatalf("trial %d, %d workers: %v", trial, workers, err)
+			}
+			if !slices.Equal(woff, off) || !slices.Equal(wsubj, subj) || len(wval) != len(val) {
+				t.Fatalf("trial %d: the %d-worker arena's offsets or subjects differ from one worker's", trial, workers)
+			}
+			for p := range val {
+				if math.Float32bits(wval[p]) != math.Float32bits(val[p]) {
+					t.Fatalf("trial %d: posting %d holds %x at %d workers, %x at one", trial, p, math.Float32bits(wval[p]), workers, math.Float32bits(val[p]))
+				}
+			}
+		}
 	}
 }
 
 // TestInvertForwardRejectsMalformed: forward lists come from a snapshot on
-// the load path, so an id outside the vocabulary or lists of unequal
-// length must fail the inversion, not index past an array.
+// the load path, so an id outside the vocabulary, lists of unequal length
+// and a list that does not strictly ascend — the tiled walk depends on the
+// order — must fail the inversion, not index past an array or misplace a
+// posting.
 func TestInvertForwardRejectsMalformed(t *testing.T) {
-	if _, _, _, err := invertForward([][]uint32{{0, 4}, {5}}, [][]float32{{1, 1}, {1}}, 5); err == nil {
-		t.Error("gram id equal to the vocabulary size accepted")
-	}
-	if _, _, _, err := invertForward([][]uint32{{0, 4}}, [][]float32{{1}}, 5); err == nil {
-		t.Error("forward lists of unequal length accepted")
-	}
-	if _, _, _, err := invertForward([][]uint32{{0}}, [][]float32{{1}}, 0); err == nil {
-		t.Error("a posting in a zero-gram vocabulary accepted")
+	for _, tc := range []struct {
+		name   string
+		fwdIdx [][]uint32
+		fwdVal [][]float32
+		dims   int
+	}{
+		{"gram id equal to the vocabulary size", [][]uint32{{0, 4}, {5}}, [][]float32{{1, 1}, {1}}, 5},
+		{"forward lists of unequal length", [][]uint32{{0, 4}}, [][]float32{{1}}, 5},
+		{"a posting in a zero-gram vocabulary", [][]uint32{{0}}, [][]float32{{1}}, 0},
+		{"a descending id", [][]uint32{{0, 1}, {3, 2}}, [][]float32{{1, 1}, {1, 1}}, 5},
+		{"a duplicate id", [][]uint32{{1, 1}}, [][]float32{{1, 1}}, 5},
+	} {
+		for _, workers := range []int{1, 2} {
+			if _, _, _, err := invertForward(tc.fwdIdx, tc.fwdVal, tc.dims, workers); err == nil {
+				t.Errorf("%s accepted at %d workers", tc.name, workers)
+			}
+		}
 	}
 }
 

@@ -453,7 +453,7 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 // name index and the Final-config document cache.
 func (m *Matcher) finish() error {
 	var err error
-	m.postOff, m.postSubj, m.postVal, err = invertForward(m.fwdIdx, m.fwdVal, int(m.vocab.FreqOffset()))
+	m.postOff, m.postSubj, m.postVal, err = invertForward(m.fwdIdx, m.fwdVal, int(m.vocab.FreqOffset()), m.opts.Workers)
 	if err != nil {
 		return fmt.Errorf("attribution: posting inversion: %w", err)
 	}
@@ -486,21 +486,33 @@ func (m *Matcher) finish() error {
 // invertForward turns per-subject forward lists (fwdIdx[i][k] is a gram
 // feature id, fwdVal[i][k] its value) into the CSR posting arena over dims
 // gram features: off[g]..off[g+1] bounds feature g's postings in subj and
-// val. It is a counting sort on the feature id that visits subjects in
-// ascending order, so within a feature the subjects ascend — the order
-// stage 1 accumulates float32 dot products in. A feature id outside the
-// vocabulary, lists of unequal length and an arena past 32-bit offsets are
-// errors.
-func invertForward(fwdIdx [][]uint32, fwdVal [][]float32, dims int) (off []uint32, subj []int32, val []float32, err error) {
+// val, and within a feature the subjects ascend — the order stage 1
+// accumulates float32 dot products in.
+//
+// The postings are counted per feature, then placed one tile at a time. A
+// tile is a run of consecutive feature ids holding about max(2^15, 64·n)
+// postings for n subjects, filled by walking every subject's forward list
+// on from where the previous tile stopped: the tile's write cursors and the
+// arena range it fills stay in cache, where placing one subject at a time
+// scatters writes over the whole arena. The 64·n floor keeps the n cursor
+// steps a tile costs below one in 64 postings. The workers fill disjoint
+// runs of tiles, so the arena is the same for any count. The walk needs
+// every forward list strictly ascending, so a repeated or descending id is
+// an error, as are a feature id outside the vocabulary, lists of unequal
+// length and an arena past 32-bit offsets.
+func invertForward(fwdIdx [][]uint32, fwdVal [][]float32, dims, workers int) (off []uint32, subj []int32, val []float32, err error) {
 	off = make([]uint32, dims+1)
 	total := 0
 	for i, ids := range fwdIdx {
 		if len(ids) != len(fwdVal[i]) {
 			return nil, nil, nil, fmt.Errorf("subject %d forward lists disagree (%d ids, %d values)", i, len(ids), len(fwdVal[i]))
 		}
-		for _, g := range ids {
+		for k, g := range ids {
 			if int(g) >= dims {
 				return nil, nil, nil, fmt.Errorf("gram id %d outside the %d-gram vocabulary", g, dims)
+			}
+			if k > 0 && g <= ids[k-1] {
+				return nil, nil, nil, fmt.Errorf("subject %d forward ids do not ascend (%d after %d)", i, g, ids[k-1])
 			}
 			off[g+1]++
 		}
@@ -514,15 +526,38 @@ func invertForward(fwdIdx [][]uint32, fwdVal [][]float32, dims int) (off []uint3
 	}
 	subj = make([]int32, total)
 	val = make([]float32, total)
-	next := slices.Clone(off[:dims])
-	for i, ids := range fwdIdx {
-		vals := fwdVal[i]
-		for k, g := range ids {
-			p := next[g]
-			subj[p], val[p] = int32(i), vals[k]
-			next[g] = p + 1
+
+	// Tile t covers the feature ids tiles[t]..tiles[t+1].
+	per := max(1<<15, 64*len(fwdIdx))
+	tiles := []int{0}
+	for g := 1; g < dims; g++ {
+		if int(off[g]-off[tiles[len(tiles)-1]]) >= per {
+			tiles = append(tiles, g)
 		}
 	}
+	tiles = append(tiles, dims)
+	n := len(tiles) - 1
+	parallelChunks(shardCount(workers, n), n, func(_, lo, hi int) {
+		first := uint32(tiles[lo])
+		next := slices.Clone(off[first:tiles[hi]]) // next[g-first]: where feature g's next posting goes
+		cur := make([]int, len(fwdIdx))            // cur[i]: subject i's first forward entry not yet placed
+		for i, ids := range fwdIdx {
+			cur[i], _ = slices.BinarySearch(ids, first)
+		}
+		for t := lo; t < hi; t++ {
+			end := uint32(tiles[t+1])
+			for i, ids := range fwdIdx {
+				vals := fwdVal[i]
+				k := cur[i]
+				for ; k < len(ids) && ids[k] < end; k++ {
+					p := next[ids[k]-first]
+					subj[p], val[p] = int32(i), vals[k]
+					next[ids[k]-first] = p + 1
+				}
+				cur[i] = k
+			}
+		}
+	})
 	return off, subj, val, nil
 }
 

@@ -102,8 +102,16 @@ func (m *Matcher) Fold(ctx context.Context, changed []Subject) (*Matcher, error)
 	for i := range known {
 		idx[known[i].Name] = i
 	}
-	for _, c := range changed {
-		sd := features.Extract(c.Text, m.opts.Reduction)
+	// Extraction, the one per-subject cost of a batch, runs on the workers;
+	// the counters and the known set take the documents in the given order.
+	sds := make([]*features.SortedDoc, len(changed))
+	parallelChunks(shardCount(m.opts.Workers, len(changed)), len(changed), func(_, lo, hi int) {
+		for j := lo; j < hi; j++ {
+			sds[j] = features.Extract(changed[j].Text, m.opts.Reduction)
+		}
+	})
+	for j, c := range changed {
+		sd := sds[j]
 		if i, ok := idx[c.Name]; ok {
 			stats.RemoveSorted(docs[i])
 			stats.AddSorted(sd)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -150,7 +151,9 @@ func TestNonIncrementalRefusesStateAndFold(t *testing.T) {
 // random worlds, folding updated and brand-new subjects into a live
 // matcher must produce the same outputs as a from-scratch build over the
 // updated subject list — the incremental df/TF-IDF maintenance cannot
-// drift by even a bit.
+// drift by even a bit. The batch repeats one name, which applies twice in
+// batch order, and is folded at 1 and 3 workers: the extractions run in
+// parallel, and both folds must leave the same state and rank bits.
 func TestFoldMatchesRebuild(t *testing.T) {
 	trials := 6
 	if testing.Short() {
@@ -162,16 +165,10 @@ func TestFoldMatchesRebuild(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(7400 + trial)))
 			known, probes := randomWorld(rng, 20+rng.Intn(25))
-			opts := DefaultOptions()
-			opts.Workers = 1 + rng.Intn(3)
-			opts.Incremental = true
-			base, err := NewMatcher(known, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
 
 			// Mutate a few existing subjects (as a new thread folding into
-			// their alias would) and mint a few new ones.
+			// their alias would), mint a few new ones, and fold a second
+			// thread into the first of them.
 			var changed []Subject
 			for _, i := range rng.Perm(len(known))[:2+rng.Intn(3)] {
 				s := known[i]
@@ -185,11 +182,9 @@ func TestFoldMatchesRebuild(t *testing.T) {
 				}
 				changed = append(changed, s)
 			}
-
-			folded, err := base.Fold(context.Background(), changed)
-			if err != nil {
-				t.Fatal(err)
-			}
+			again := changed[0]
+			again.Text += " and a later thread from the same batch"
+			changed = append(changed, again)
 
 			// Reference: full rebuild over the updated, name-sorted list.
 			byName := make(map[string]int, len(known))
@@ -206,22 +201,59 @@ func TestFoldMatchesRebuild(t *testing.T) {
 				}
 			}
 			sort.SliceStable(updated, func(a, b int) bool { return updated[a].Name < updated[b].Name })
-			rebuilt, err := NewMatcher(updated, opts)
-			if err != nil {
-				t.Fatal(err)
+
+			var folds []*Matcher
+			for _, workers := range []int{1, 3} {
+				opts := DefaultOptions()
+				opts.Workers = workers
+				opts.Incremental = true
+				base, err := NewMatcher(known, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				folded, err := base.Fold(context.Background(), changed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rebuilt, err := NewMatcher(updated, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(folded.Subjects(), rebuilt.Subjects()) {
+					t.Fatalf("%d workers: folded subject list diverges from rebuild", workers)
+				}
+				assertMatchersEquivalent(t, folded, rebuilt, probes)
+
+				// And the fold must not have disturbed the matcher it came from.
+				prev, err := NewMatcher(known, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertMatchersEquivalent(t, base, prev, probes[:2])
+				folds = append(folds, folded)
 			}
 
-			if !reflect.DeepEqual(folded.Subjects(), rebuilt.Subjects()) {
-				t.Fatal("folded subject list diverges from rebuild")
+			one, three := folds[0], folds[1]
+			st1, err1 := one.State()
+			st3, err3 := three.State()
+			if err1 != nil || err3 != nil {
+				t.Fatalf("State: %v / %v", err1, err3)
 			}
-			assertMatchersEquivalent(t, folded, rebuilt, probes)
-
-			// And the fold must not have disturbed the matcher it came from.
-			prev, err := NewMatcher(known, opts)
-			if err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(st1.Stats, st3.Stats) || !reflect.DeepEqual(st1.Docs, st3.Docs) {
+				t.Fatal("the folds at 1 and 3 workers leave different index states")
 			}
-			assertMatchersEquivalent(t, base, prev, probes[:2])
+			for pi := range probes {
+				r1, r3 := one.Rank(&probes[pi], len(updated)), three.Rank(&probes[pi], len(updated))
+				if len(r1) != len(r3) {
+					t.Fatalf("probe %d: %d ranked at 1 worker, %d at 3", pi, len(r1), len(r3))
+				}
+				for j := range r1 {
+					if r1[j].Name != r3[j].Name || math.Float64bits(r1[j].Score) != math.Float64bits(r3[j].Score) {
+						t.Fatalf("probe %d rank %d: %q %x at 1 worker, %q %x at 3", pi, j,
+							r1[j].Name, math.Float64bits(r1[j].Score), r3[j].Name, math.Float64bits(r3[j].Score))
+					}
+				}
+			}
 		})
 	}
 }
