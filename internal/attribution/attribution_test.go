@@ -139,8 +139,9 @@ func TestRankWithWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	textOnly := m.RankWith(&probes[0], 3, Weights{Freq: 0.3, Activity: 0})
-	withAct := m.RankWith(&probes[0], 3, Weights{Freq: 0.3, Activity: 0.7})
+	q := m.Prepare(&probes[0])
+	textOnly, _ := q.Rank(MatchOptions{K: 3, Weights: &Weights{Freq: 0.3, Activity: 0}})
+	withAct, _ := q.Rank(MatchOptions{K: 3, Weights: &Weights{Freq: 0.3, Activity: 0.7}})
 	if len(textOnly) != 3 || len(withAct) != 3 {
 		t.Fatal("rank sizes wrong")
 	}

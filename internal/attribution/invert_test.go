@@ -144,7 +144,6 @@ func TestExactSkipOfZeroWeightTermsMovesNoBit(t *testing.T) {
 	wf2, wa2 := w.Freq*w.Freq, w.Activity*w.Activity
 	var buf, refBuf matchBuffers
 	for pi := range probes {
-		doc := features.Extract(probes[pi].Text, m.opts.Reduction)
 		ub := buildBlocks(&probes[pi], m.vocab, m.opts.Reduction)
 		qv32 := refBuf.queryVals(ub.grams.Val)
 		skipped := 0
@@ -161,7 +160,7 @@ func TestExactSkipOfZeroWeightTermsMovesNoBit(t *testing.T) {
 			scores[i] = m.scoreOne(i, &ub, qv32, wf2, wa2, w, ub.norm(w))
 		}
 		want, _ := topKScores(m.known, scores, len(known), nil)
-		got, st := m.rankDoc(doc, &probes[pi], MatchOptions{K: len(known), Mode: prefilter.ModeExact}, &buf)
+		got, st := m.prepare(&probes[pi], &buf).rank(MatchOptions{K: len(known), Mode: prefilter.ModeExact}, &buf)
 		if st.Mode != prefilter.ModeExact || len(got) != len(want) {
 			t.Fatalf("probe %d: ran as %v, %d results, want %d", pi, st.Mode, len(got), len(want))
 		}
@@ -174,12 +173,13 @@ func TestExactSkipOfZeroWeightTermsMovesNoBit(t *testing.T) {
 	}
 }
 
-// TestRankAllocationCeiling: beyond extracting the query's document,
-// which RankDetailed does first, a warm stage-1 rank allocates a fixed
-// handful — the query's frequency and activity blocks and the returned
-// slice, 3 measured — and nothing the size of the vocabulary, the known set
-// or the document: the query vector, the accumulators and the heap are the
-// buffer's.
+// TestRankAllocationCeiling: beyond extracting the query's document, a
+// preparation and a warm stage-1 rank allocate a fixed handful — the
+// Query, its own gram vector (two slices at the length of its in-vocabulary
+// grams), its frequency and activity blocks and the returned slice, 6
+// measured — and nothing the size of the vocabulary or the known set: the
+// vectorizer's scratch, the accumulators and the heap are the buffer's. A
+// rank of a prepared query allocates only the returned slice.
 func TestRankAllocationCeiling(t *testing.T) {
 	known, probes := split(makeAuthors(t, 20, 1500))
 	m, err := NewMatcher(known, testOptions())
@@ -190,13 +190,19 @@ func TestRankAllocationCeiling(t *testing.T) {
 	// A scratch of the test's own, as a MatchAll worker holds one: under
 	// -race sync.Pool drops buffers at random, which is not what is measured.
 	var buf matchBuffers
-	doc := features.Extract(probe.Text, m.opts.Reduction)
-	m.rankDoc(doc, probe, MatchOptions{K: 10}, &buf)
-	rank := testing.AllocsPerRun(20, func() {
-		m.rankDoc(doc, probe, MatchOptions{K: 10}, &buf)
+	q := m.prepare(probe, &buf)
+	q.rank(MatchOptions{K: 10}, &buf)
+	extract := testing.AllocsPerRun(20, func() {
+		features.Extract(probe.Text, m.opts.Reduction)
 	})
-	const ceiling = 4
-	if rank > ceiling {
-		t.Errorf("warm rank of an extracted document allocates %.0f, ceiling %d", rank, ceiling)
+	fresh := testing.AllocsPerRun(20, func() {
+		m.prepare(probe, &buf).rank(MatchOptions{K: 10}, &buf)
+	})
+	const ceiling = 6
+	if beyond := fresh - extract; beyond > ceiling {
+		t.Errorf("preparing and ranking allocate %.0f beyond the %.0f of extracting the document, ceiling %d", beyond, extract, ceiling)
+	}
+	if warm := testing.AllocsPerRun(20, func() { q.rank(MatchOptions{K: 10}, &buf) }); warm > 1 {
+		t.Errorf("warm rank of a prepared query allocates %.0f, ceiling 1", warm)
 	}
 }

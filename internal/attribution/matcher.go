@@ -244,7 +244,9 @@ type matchBuffers struct {
 	docs  []*features.SortedDoc
 	vocab features.CandidateVocab
 
-	uvec, cvec sparse.Vector // stage 1's query vector; cvec is only its sort's second buffer
+	// prepare's vectorizer scratch: uvec is built and normalised here, then
+	// copied out into the Query; cvec is only its sort's second buffer.
+	uvec, cvec sparse.Vector
 }
 
 // pruneBufs returns the pruned walk's partial-score accumulator (length
@@ -607,27 +609,62 @@ func (m *Matcher) Rank(unknown *Subject, k int) []Scored {
 	return out
 }
 
-// RankWith runs stage 1 — cosine similarity of the unknown against every
-// known subject — under explicit block weights, returning the top-k best
-// first. One index serves any weighting: Table III and Fig. 4 compare
-// "text only" (Activity 0) against "all features" from the same matcher.
-func (m *Matcher) RankWith(unknown *Subject, k int, w Weights) []Scored {
-	out, _ := m.RankDetailed(unknown, MatchOptions{K: k, Weights: &w})
-	return out
-}
-
 // RankDetailed runs stage 1 under per-query options and reports what the
 // scan did (mode, subjects scored and skipped) alongside the top-k.
 func (m *Matcher) RankDetailed(unknown *Subject, o MatchOptions) ([]Scored, prefilter.Stats) {
-	doc := features.Extract(unknown.Text, m.opts.Reduction)
-	return m.rankDoc(doc, unknown, o, nil)
+	buf := m.getBuf()
+	defer m.putBuf(buf)
+	return m.prepare(unknown, buf).rank(o, buf)
 }
 
-// rankDoc ranks an already-extracted reduction-config document,
-// with optional per-worker scratch buffers (drawn from the matcher's pool
-// when nil). It resolves the per-query options against the matcher's
-// defaults and dispatches to the scan the query names; see rank.go.
-func (m *Matcher) rankDoc(doc *features.SortedDoc, unknown *Subject, o MatchOptions, buf *matchBuffers) ([]Scored, prefilter.Stats) {
+// Query is an unknown prepared against one matcher: its reduction-config
+// document and its normalised stage-1 blocks. Every ranking and match
+// starts from one, so a caller that asks about the same unknown again —
+// under another weighting, k or mode, or in stage 2 after stage 1 — pays
+// the extraction and the vectorization once. (A one-shot Matcher.Rescore
+// prepares none: stage 2 reads no stage-1 vector.) The blocks do not depend on the
+// weights; only the norm the scan divides by does, and that is taken per
+// query. A Query is immutable and safe for concurrent use. Its gram vector
+// is in the preparing matcher's vocabulary, so it answers against that
+// matcher only.
+type Query struct {
+	m       *Matcher
+	subject *Subject
+	doc     *features.SortedDoc
+	ub      blocks
+}
+
+// Prepare extracts and vectorizes unknown for m. The Query keeps unknown,
+// which must not change while the Query is in use.
+func (m *Matcher) Prepare(unknown *Subject) *Query {
+	buf := m.getBuf()
+	defer m.putBuf(buf)
+	return m.prepare(unknown, buf)
+}
+
+// prepare is Prepare on the caller's scratch: the vector is built in buf and
+// copied out at its final length, so the Query holds no slack and buf keeps
+// its storage for the next one.
+func (m *Matcher) prepare(unknown *Subject, buf *matchBuffers) *Query {
+	doc := features.Extract(unknown.Text, m.opts.Reduction)
+	m.vocab.VectorizeGramsInto(&buf.uvec, &buf.cvec, doc)
+	ub := blocksOf(buf.uvec, doc, unknown)
+	ub.grams = ub.grams.Clone()
+	return &Query{m: m, subject: unknown, doc: doc, ub: ub}
+}
+
+// Rank is RankDetailed on the prepared unknown.
+func (q *Query) Rank(o MatchOptions) ([]Scored, prefilter.Stats) {
+	buf := q.m.getBuf()
+	defer q.m.putBuf(buf)
+	return q.rank(o, buf)
+}
+
+// rank resolves the per-query options against the matcher's defaults and
+// dispatches to the scan the query names (see rank.go), on the caller's
+// scratch.
+func (q *Query) rank(o MatchOptions, buf *matchBuffers) ([]Scored, prefilter.Stats) {
+	m := q.m
 	mRankTotal.Inc()
 	k := o.K
 	if k <= 0 {
@@ -637,12 +674,7 @@ func (m *Matcher) rankDoc(doc *features.SortedDoc, unknown *Subject, o MatchOpti
 	if o.Weights != nil {
 		w = *o.Weights
 	}
-	if buf == nil {
-		buf = m.getBuf()
-		defer m.putBuf(buf)
-	}
-	m.vocab.VectorizeGramsInto(&buf.uvec, &buf.cvec, doc)
-	ub := blocksOf(buf.uvec, doc, unknown)
+	ub := &q.ub
 	uNorm := ub.norm(w)
 	mode := o.Mode
 	if uNorm == 0 {
@@ -664,11 +696,11 @@ func (m *Matcher) rankDoc(doc *features.SortedDoc, unknown *Subject, o MatchOpti
 	var st prefilter.Stats
 	switch mode {
 	case prefilter.ModePruned:
-		out, st = m.rankPruned(&ub, k, w, uNorm, buf, o.prunedParams())
+		out, st = m.rankPruned(ub, k, w, uNorm, buf, o.prunedParams())
 	case prefilter.ModeLSH:
-		out, st = m.rankLSH(&ub, k, w, uNorm, buf, o.lshParams())
+		out, st = m.rankLSH(ub, k, w, uNorm, buf, o.lshParams())
 	default:
-		out, st = m.rankExact(&ub, k, w, uNorm, buf)
+		out, st = m.rankExact(ub, k, w, uNorm, buf)
 	}
 	prefilter.Observe(st)
 	return out, st
@@ -710,14 +742,37 @@ func normOf(hasGrams, hasFreq, hasAct bool, w Weights) float64 {
 func (m *Matcher) Rescore(unknown *Subject, candidates []Scored) []Scored {
 	buf := m.getBuf()
 	defer m.putBuf(buf)
-	return m.rescoreDoc(nil, unknown, candidates, buf)
+	return m.rescoreSubject(unknown, candidates, buf)
 }
 
-// rescoreDoc is Rescore with an optional pre-extracted unknown
-// document (valid only when the reduction and final configs share
-// extraction — Match checks m.sameExtract before passing one) on the
-// caller's scratch.
-func (m *Matcher) rescoreDoc(udoc *features.SortedDoc, unknown *Subject, candidates []Scored, buf *matchBuffers) []Scored {
+// rescoreSubject is Rescore on the caller's scratch. Stage 2 reads nothing
+// of stage 1's gram vector, so a one-shot rescore extracts the unknown
+// under the final config and prepares no Query.
+func (m *Matcher) rescoreSubject(unknown *Subject, candidates []Scored, buf *matchBuffers) []Scored {
+	udoc := features.Extract(unknown.Text, m.opts.Final)
+	return m.rescoreDoc(udoc, normalizedFreq(udoc.Freq), normalizedActivity(unknown), candidates, buf)
+}
+
+// Rescore is Matcher.Rescore on the prepared unknown.
+func (q *Query) Rescore(candidates []Scored) []Scored {
+	buf := q.m.getBuf()
+	defer q.m.putBuf(buf)
+	return q.rescore(candidates, buf)
+}
+
+// rescore is Rescore on the caller's scratch. When the reduction and final
+// configs share extraction (the paper's setup) the prepared document and
+// its dense blocks are stage 2's too; otherwise it is a one-shot rescore.
+func (q *Query) rescore(candidates []Scored, buf *matchBuffers) []Scored {
+	if !q.m.sameExtract {
+		return q.m.rescoreSubject(q.subject, candidates, buf)
+	}
+	return q.m.rescoreDoc(q.doc, q.ub.freq, q.ub.act, candidates, buf)
+}
+
+// rescoreDoc scores the candidates against the unknown's final-config
+// document udoc and its normalised frequency and activity blocks.
+func (m *Matcher) rescoreDoc(udoc *features.SortedDoc, ufreq, uact []float64, candidates []Scored, buf *matchBuffers) []Scored {
 	mRescoreTotal.Inc()
 	idxs, docs := buf.idxs[:0], buf.docs[:0]
 	for _, c := range candidates {
@@ -727,14 +782,10 @@ func (m *Matcher) rescoreDoc(udoc *features.SortedDoc, unknown *Subject, candida
 		}
 	}
 	buf.idxs, buf.docs = idxs, docs
-	if udoc == nil {
-		udoc = features.Extract(unknown.Text, m.opts.Final)
-	}
 	// The vocabulary rebuild and the gram dots run in storage buf keeps: a
 	// VocabBuilder would allocate its counters and tables per query.
 	dots, has, uHas := buf.vocab.Score(m.opts.Final, docs, udoc)
 	w := m.opts.weights()
-	ufreq, uact := normalizedFreq(udoc.Freq), normalizedActivity(unknown)
 	nu := normOf(uHas, ufreq != nil, uact != nil, w)
 	out := make([]Scored, 0, len(idxs))
 	for j, i := range idxs {
@@ -763,30 +814,33 @@ func (m *Matcher) rescoreDoc(udoc *features.SortedDoc, unknown *Subject, candida
 
 // Match runs the full §IV-I algorithm for one unknown.
 func (m *Matcher) Match(unknown *Subject) MatchResult {
-	return m.match(context.Background(), unknown, nil, MatchOptions{})
+	return m.MatchWith(unknown, MatchOptions{})
 }
 
 // MatchWith is Match under per-query ranking options (pre-filter mode,
 // k, weights). Stage 2 is unaffected: it rescores whatever candidate set
 // stage 1 produced.
 func (m *Matcher) MatchWith(unknown *Subject, o MatchOptions) MatchResult {
-	return m.match(context.Background(), unknown, nil, o)
+	buf := m.getBuf()
+	defer m.putBuf(buf)
+	return m.prepare(unknown, buf).match(context.Background(), buf, o)
 }
 
-// match is Match with optional per-worker scratch and a context that may
-// carry a tracer (per-query "match.rank" / "match.rescore" spans). The
-// unknown's document is extracted once; when the two stages share an
-// extraction config (the paper's setup) the same document also feeds
-// Rescore.
-func (m *Matcher) match(ctx context.Context, unknown *Subject, buf *matchBuffers, o MatchOptions) MatchResult {
-	res := MatchResult{Unknown: unknown.Name}
-	if buf == nil {
-		buf = m.getBuf()
-		defer m.putBuf(buf)
-	}
-	udoc := features.Extract(unknown.Text, m.opts.Reduction)
+// Match is MatchWith on the prepared unknown.
+func (q *Query) Match(o MatchOptions) MatchResult {
+	buf := q.m.getBuf()
+	defer q.m.putBuf(buf)
+	return q.match(context.Background(), buf, o)
+}
+
+// match is Match on the caller's scratch under a context that may carry a
+// tracer (per-query "match.rank" / "match.rescore" spans). Both stages
+// start from the one prepared unknown.
+func (q *Query) match(ctx context.Context, buf *matchBuffers, o MatchOptions) MatchResult {
+	m := q.m
+	res := MatchResult{Unknown: q.subject.Name}
 	_, rsp := obs.Start(ctx, "match.rank")
-	res.Candidates, _ = m.rankDoc(udoc, unknown, o, buf)
+	res.Candidates, _ = q.rank(o, buf)
 	rsp.AddItems(int64(len(res.Candidates)))
 	rsp.End()
 	mCandidates.Observe(float64(len(res.Candidates)))
@@ -795,12 +849,8 @@ func (m *Matcher) match(ctx context.Context, unknown *Subject, buf *matchBuffers
 		return res
 	}
 	if m.opts.TwoStage {
-		rdoc := udoc
-		if !m.sameExtract {
-			rdoc = nil
-		}
 		_, ssp := obs.Start(ctx, "match.rescore")
-		res.Rescored = m.rescoreDoc(rdoc, unknown, res.Candidates, buf)
+		res.Rescored = q.rescore(res.Candidates, buf)
 		ssp.AddItems(int64(len(res.Rescored)))
 		ssp.End()
 	} else {
@@ -846,7 +896,7 @@ func (m *Matcher) MatchAll(ctx context.Context, unknowns []Subject) ([]MatchResu
 			// reused across every query the worker picks up.
 			var buf matchBuffers
 			for i := range jobs {
-				results[i] = m.match(wctx, &unknowns[i], &buf, MatchOptions{})
+				results[i] = m.prepare(&unknowns[i], &buf).match(wctx, &buf, MatchOptions{})
 				wsp.AddItems(1)
 			}
 		}()

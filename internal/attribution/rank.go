@@ -4,7 +4,7 @@ import (
 	"darklight/internal/prefilter"
 )
 
-// Stage-1 ranking paths. rankDoc (matcher.go) resolves per-query options
+// Stage-1 ranking paths. Query.rank (matcher.go) resolves per-query options
 // and dispatches here: to rankExact, unless a library caller's
 // MatchOptions.Mode (the benchmark's traced rows, the internal/eval sweep)
 // names one of the other two — no option, flag or request field does:

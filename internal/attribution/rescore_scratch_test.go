@@ -77,9 +77,12 @@ func TestStage2ScratchConcurrent(t *testing.T) {
 // unknown's document allocates (stage 2 must read the text) plus a fixed
 // handful — the returned slice, the sort of k scores and the unknown's own
 // frequency and activity blocks — and nothing per candidate (their dense
-// blocks are the index's) or that grows with the documents. Measured: 6
-// beyond the extraction at k = 10, where re-deriving every candidate's
-// blocks made it 26 and the code before the pooled scratch allocated 84.
+// blocks are the index's) or that grows with the documents, and in
+// particular no stage-1 gram vector. Measured: 6 beyond the extraction at
+// k = 10, where re-deriving every candidate's blocks made it 26 and the
+// code before the pooled scratch allocated 84. A rescore of a prepared
+// query, whose document and dense blocks stage 2 shares, allocates only
+// the returned slice and the sort (measured 4).
 func TestRescoreAllocationCeiling(t *testing.T) {
 	authors := makeAuthors(t, 20, 1500)
 	known, probes := split(authors)
@@ -92,16 +95,23 @@ func TestRescoreAllocationCeiling(t *testing.T) {
 	// A scratch of the test's own, as a MatchAll worker holds one: under
 	// -race sync.Pool drops buffers at random, which is not what is measured.
 	var buf matchBuffers
-	m.rescoreDoc(nil, probe, cands, &buf) // fill the document cache and size the scratch
+	m.rescoreSubject(probe, cands, &buf) // fill the document cache and size the scratch
 	extract := testing.AllocsPerRun(20, func() {
 		features.Extract(probe.Text, m.opts.Final)
 	})
 	rescore := testing.AllocsPerRun(20, func() {
-		m.rescoreDoc(nil, probe, cands, &buf)
+		m.rescoreSubject(probe, cands, &buf)
 	})
 	const ceiling = 8
 	if beyond := rescore - extract; beyond > ceiling {
 		t.Errorf("warm Rescore allocates %.0f beyond the %.0f of extracting its document, ceiling %d", beyond, extract, ceiling)
+	}
+	q := m.prepare(probe, &buf)
+	prepared := testing.AllocsPerRun(20, func() {
+		q.rescore(cands, &buf)
+	})
+	if prepared > ceiling {
+		t.Errorf("warm rescore of a prepared query allocates %.0f, ceiling %d", prepared, ceiling)
 	}
 
 	// What the warm scratch keeps is linear in the gram entries the rescore
@@ -157,16 +167,16 @@ func BenchmarkRescoreKernel(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf matchBuffers
-	udocs := make([]*features.SortedDoc, len(probes))
+	qs := make([]*Query, len(probes))
 	cands := make([][]Scored, len(probes))
 	for i := range probes {
-		udocs[i] = features.Extract(probes[i].Text, m.opts.Final)
-		cands[i] = m.Rank(&probes[i], 10)
-		m.rescoreDoc(udocs[i], &probes[i], cands[i], &buf)
+		qs[i] = m.Prepare(&probes[i])
+		cands[i], _ = qs[i].Rank(MatchOptions{K: 10})
+		qs[i].rescore(cands[i], &buf)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(probes)
-		m.rescoreDoc(udocs[j], &probes[j], cands[j], &buf)
+		qs[j].rescore(cands[j], &buf)
 	}
 }

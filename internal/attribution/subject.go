@@ -167,7 +167,7 @@ func buildBlocks(s *Subject, vocab *features.Vocabulary, cfg features.Config) bl
 // index pass and the stage-1 query share one vectorizer, so the blocks are
 // bit-identical whichever way d was obtained. grams is normalised in place
 // and stays aliased. (Stage 2 never materialises its blocks' gram vectors:
-// rescoreDoc takes the gram dots from CandidateVocab.Score.)
+// Query.rescore takes the gram dots from CandidateVocab.Score.)
 func blocksOf(grams sparse.Vector, d *features.SortedDoc, s *Subject) blocks {
 	return blocks{
 		grams: grams.Normalize(),

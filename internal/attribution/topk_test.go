@@ -157,7 +157,7 @@ func similarity(u, v *blocks, w Weights) float64 {
 	return dot / (nu * nv)
 }
 
-// referenceKernel is the stage-2 kernel rescoreDoc ran before
+// referenceKernel is the stage-2 kernel rescore ran before
 // CandidateVocab.Score: the unknown's gram vector and then each candidate's
 // merged out of the candidate vocabulary, radix-sorted, normalised and
 // scored by similarity. The vocabulary is a VocabBuilder's over the same
@@ -264,7 +264,7 @@ func TestRescoreKernelMatchesReference(t *testing.T) {
 					label := fmt.Sprintf("%s options %d k %d unknown %s", wd.name, oi, k, u.Name)
 					cands := m.Rank(u, k)
 					want := referenceKernel(m, nil, u, cands)
-					assertSameScores(t, label, m.rescoreDoc(nil, u, cands, &buf), want)
+					assertSameScores(t, label, m.prepare(u, &buf).rescore(cands, &buf), want)
 					if k == 10 {
 						res := m.MatchWith(u, MatchOptions{K: k})
 						assertSameScores(t, label+" (Match)", res.Rescored, want)
@@ -276,13 +276,13 @@ func TestRescoreKernelMatchesReference(t *testing.T) {
 			}
 			// The cases are what they claim to be.
 			foreign := features.Extract("ÿŷÿŷÿŷ", opts.Final)
-			m.rescoreDoc(foreign, &probes[4], m.Rank(&probes[4], 10), &buf)
+			m.prepare(&probes[4], &buf).rescore(m.Rank(&probes[4], 10), &buf)
 			if _, _, uHas := buf.vocab.Score(opts.Final, buf.docs, foreign); uHas {
 				t.Fatalf("options %d: the foreign unknown holds a selected gram", oi)
 			}
 			pair := []Scored{{Name: known[0].Name}, {Name: twin.Name}}
 			want := referenceKernel(m, nil, &probes[0], pair)
-			assertSameScores(t, fmt.Sprintf("options %d twins", oi), m.rescoreDoc(nil, &probes[0], pair, &buf), want)
+			assertSameScores(t, fmt.Sprintf("options %d twins", oi), m.prepare(&probes[0], &buf).rescore(pair, &buf), want)
 			dots, has, _ := buf.vocab.Score(opts.Final, buf.docs, features.Extract(probes[0].Text, opts.Final))
 			if !has[0] || !has[1] || dots[0] != 0 || dots[1] != 0 {
 				t.Fatalf("options %d: twins score gram dots %v presence %v, want 0 and present", oi, dots, has)

@@ -286,10 +286,15 @@ func (l *Lab) Figure4() (*Figure4Report, error) {
 	return rep, nil
 }
 
+// rankPair ranks every probe's top 10 under both weightings. A probe is
+// prepared once: its blocks do not depend on the weights.
 func rankPair(m *attribution.Matcher, probes []attribution.Subject, textW, allW attribution.Weights) (text, all []eval.Ranking) {
 	for i := range probes {
-		text = append(text, rankingOf(probes[i].Name, m.RankWith(&probes[i], 10, textW)))
-		all = append(all, rankingOf(probes[i].Name, m.RankWith(&probes[i], 10, allW)))
+		q := m.Prepare(&probes[i])
+		rt, _ := q.Rank(attribution.MatchOptions{K: 10, Weights: &textW})
+		ra, _ := q.Rank(attribution.MatchOptions{K: 10, Weights: &allW})
+		text = append(text, rankingOf(probes[i].Name, rt))
+		all = append(all, rankingOf(probes[i].Name, ra))
 	}
 	return text, all
 }

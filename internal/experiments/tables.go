@@ -211,13 +211,7 @@ func (l *Lab) table3Row(words int) (*Table3Row, error) {
 	allW := attribution.Weights{Freq: w.FreqWeight, Activity: w.ActivityWeight}
 
 	row := &Table3Row{Words: words, Unknowns: len(unknown), KnownSize: len(known)}
-	var textRanks, allRanks []eval.Ranking
-	for i := range unknown {
-		rt := m.RankWith(&unknown[i], 10, textW)
-		ra := m.RankWith(&unknown[i], 10, allW)
-		textRanks = append(textRanks, rankingOf(unknown[i].Name, rt))
-		allRanks = append(allRanks, rankingOf(unknown[i].Name, ra))
-	}
+	textRanks, allRanks := rankPair(m, unknown, textW, allW)
 	row.K1Text = eval.AccuracyAtK(textRanks, eval.SameName, 1)
 	row.K1All = eval.AccuracyAtK(allRanks, eval.SameName, 1)
 	row.K10Text = eval.AccuracyAtK(textRanks, eval.SameName, 10)

@@ -14,9 +14,9 @@ import (
 )
 
 // handleRank is POST /v1/rank: stage 1 only — the top-k known subjects by
-// cosine similarity under the server's weights. It goes through
-// RankDetailed — Rank with the scan's stats kept — so the "prefilter" span
-// says what the scan that ran did: mode, subjects examined, heap evictions.
+// cosine similarity under the server's weights. Query.Rank reports the
+// scan's stats beside the top-k, so the "prefilter" span says what the scan
+// that ran did: mode, subjects examined, heap evictions.
 func (s *Service) handleRank(r *http.Request, st *state, body []byte) (any, *Error) {
 	ctx, span := obs.Start(r.Context(), "rank")
 	defer span.End()
@@ -28,12 +28,15 @@ func (s *Service) handleRank(r *http.Request, st *state, body []byte) (any, *Err
 	if req.K < 0 {
 		return nil, errInvalidRequest("k must be >= 0")
 	}
-	sub, apiErr := s.resolveSubject(ctx, st, &req.Subject)
+	q, sub, apiErr := s.resolveSubject(ctx, st, &req.Subject)
 	if apiErr != nil {
 		return nil, apiErr
 	}
+	if q == nil {
+		q = st.matcher.Prepare(sub)
+	}
 	_, psp := obs.Start(ctx, "prefilter")
-	scored, pst := st.matcher.RankDetailed(sub, attribution.MatchOptions{K: req.K})
+	scored, pst := q.Rank(attribution.MatchOptions{K: req.K})
 	psp.SetAttr("mode", pst.Mode.String())
 	psp.SetAttr("candidates", strconv.Itoa(pst.Candidates))
 	psp.SetAttr("pruned", strconv.Itoa(pst.Pruned))
@@ -76,12 +79,19 @@ func (s *Service) handleRescore(r *http.Request, st *state, body []byte) (any, *
 		seen[name] = struct{}{}
 		list[i] = attribution.Scored{Name: name}
 	}
-	sub, apiErr := s.resolveSubject(ctx, st, &req.Subject)
+	q, sub, apiErr := s.resolveSubject(ctx, st, &req.Subject)
 	if apiErr != nil {
 		return nil, apiErr
 	}
 	span.AddItems(int64(len(list)))
-	scored := st.matcher.Rescore(sub, list)
+	// Stage 2 reads no stage-1 vector: an inline subject is rescored as it
+	// is, not prepared.
+	var scored []attribution.Scored
+	if q != nil {
+		scored = q.Rescore(list)
+	} else {
+		scored = st.matcher.Rescore(sub, list)
+	}
 	return &RescoreResponse{
 		IndexVersion: st.version,
 		Subject:      sub.Name,
@@ -100,11 +110,14 @@ func (s *Service) handleMatch(r *http.Request, st *state, body []byte) (any, *Er
 	if apiErr := decodeRequest(body, &req); apiErr != nil {
 		return nil, apiErr
 	}
-	sub, apiErr := s.resolveSubject(ctx, st, &req.Subject)
+	q, sub, apiErr := s.resolveSubject(ctx, st, &req.Subject)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	res := st.matcher.Match(sub)
+	if q == nil {
+		q = st.matcher.Prepare(sub)
+	}
+	res := q.Match(attribution.MatchOptions{})
 	span.SetAttr("accepted", strconv.FormatBool(res.Accepted))
 	return matchResponse(st.version, &res, st.matcher.Options().Threshold), nil
 }
@@ -168,23 +181,33 @@ func candidates(scored []attribution.Scored) []Candidate {
 }
 
 // resolveSubject turns a SubjectSpec into a matchable subject: a by-alias
-// reference into the snapshot's query corpus, or an inline subject built
-// through the exact BuildSubjects path the batch pipeline uses. The
-// "resolve" span separates cheap alias lookups from expensive inline
-// subject builds in a retained trace.
-func (s *Service) resolveSubject(ctx context.Context, st *state, spec *SubjectSpec) (*attribution.Subject, *Error) {
+// reference into the snapshot's query corpus, returned with its query
+// prepared against the snapshot's matcher (on the alias's first touch in
+// this generation, shared from then on), or an inline subject built
+// through the exact BuildSubjects path the batch pipeline uses, returned
+// with a nil query for the handler to prepare for this request alone if
+// it needs one. The "resolve" span covers an alias's preparation, so a
+// retained trace tells its first touch (prepared "built") from a warm
+// lookup ("cached"), and both from an inline subject build.
+func (s *Service) resolveSubject(ctx context.Context, st *state, spec *SubjectSpec) (*attribution.Query, *attribution.Subject, *Error) {
 	_, span := obs.Start(ctx, "resolve")
 	defer span.End()
 	if apiErr := spec.validate(); apiErr != nil {
-		return nil, apiErr
+		return nil, nil, apiErr
 	}
 	if spec.Alias != "" {
 		span.SetAttr("source", "alias")
-		sub, ok := st.query[spec.Alias]
+		i, ok := st.query[spec.Alias]
 		if !ok {
-			return nil, errUnknownAlias(spec.Alias)
+			return nil, nil, errUnknownAlias(spec.Alias)
 		}
-		return sub, nil
+		q, built := s.prepared(st, i)
+		if built {
+			span.SetAttr("prepared", "built")
+		} else {
+			span.SetAttr("prepared", "cached")
+		}
+		return q, &st.queries[i], nil
 	}
 	span.SetAttr("source", "inline")
 	span.AddItems(int64(len(spec.Messages)))
@@ -193,7 +216,7 @@ func (s *Service) resolveSubject(ctx context.Context, st *state, spec *SubjectSp
 	for i, m := range spec.Messages {
 		t, err := time.Parse(time.RFC3339, m.Time)
 		if err != nil {
-			return nil, errInvalidRequest(fmt.Sprintf("messages[%d].time: %v (want RFC 3339)", i, err))
+			return nil, nil, errInvalidRequest(fmt.Sprintf("messages[%d].time: %v (want RFC 3339)", i, err))
 		}
 		// The sequential id makes the longest-first document selection a
 		// pure function of the request: length ties keep request order.
@@ -207,7 +230,7 @@ func (s *Service) resolveSubject(ctx context.Context, st *state, spec *SubjectSp
 	ds.Add(a)
 	subs, err := attribution.BuildSubjects(ds, s.cfg.Subjects)
 	if err != nil {
-		return nil, &Error{Code: CodeInternal, Message: "building query subject: " + err.Error(), Status: http.StatusInternalServerError}
+		return nil, nil, &Error{Code: CodeInternal, Message: "building query subject: " + err.Error(), Status: http.StatusInternalServerError}
 	}
-	return &subs[0], nil
+	return nil, &subs[0], nil
 }

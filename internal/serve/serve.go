@@ -66,19 +66,28 @@ type Config struct {
 	Trace *reqtrace.Recorder
 }
 
-// state is one immutable index snapshot. Handlers load it once per request
-// through an atomic pointer, so a concurrent Reload is invisible to
-// in-flight queries: every response is computed entirely against a single
-// version and stamps that version into its body.
+// state is one index snapshot, immutable but for its prepared-query slots,
+// which only ever go from empty to filled. Handlers load it once per
+// request through an atomic pointer, so a concurrent Reload is invisible
+// to in-flight queries: every response is computed entirely against a
+// single version and stamps that version into its body.
 type state struct {
 	version int
 	matcher *attribution.Matcher
 	known   []attribution.Subject
 	// knownSet validates rescore candidate names.
 	knownSet map[string]struct{}
-	// query resolves by-alias subjects; duplicate names resolve to the
-	// last occurrence (the matcher's own byName rule).
-	query map[string]*attribution.Subject
+	// query resolves a by-alias subject to its position in queries;
+	// duplicate names resolve to the last occurrence (the matcher's own
+	// byName rule).
+	query   map[string]int
+	queries []attribution.Subject
+	// prepared holds one slot per queries entry, filled on the entry's
+	// first by-alias request with the subject prepared against this
+	// snapshot's matcher (Service.prepared). The slots are the snapshot's
+	// own: a prepared query's vector is in its matcher's vocabulary, so a
+	// reload starts empty ones, and nothing fills them at load.
+	prepared []atomic.Pointer[attribution.Query]
 	// lastSeq is the loader-reported journal sequence this snapshot was
 	// built from (nil when the corpus has no durable store behind it).
 	lastSeq *uint64
@@ -111,6 +120,10 @@ type Service struct {
 	// in-flight and before it is handled — the drain tests use it to hold
 	// a request open deterministically.
 	hookInflight func(endpoint string)
+	// hookPrepared, when set by a test, runs after a first touch has
+	// prepared its query and before it publishes it — the concurrency test
+	// uses it to line every racing first touch up at the compare-and-swap.
+	hookPrepared func()
 }
 
 // metrics is the per-endpoint observability surface, registered on the
@@ -211,11 +224,32 @@ func (s *Service) build(ctx context.Context, version int) (*state, error) {
 	if qs == nil {
 		qs = c.Known
 	}
-	st.query = make(map[string]*attribution.Subject, len(qs))
+	st.query = make(map[string]int, len(qs))
 	for i := range qs {
-		st.query[qs[i].Name] = &qs[i]
+		st.query[qs[i].Name] = i
 	}
+	st.queries = qs
+	st.prepared = make([]atomic.Pointer[attribution.Query], len(qs))
 	return st, nil
+}
+
+// prepared returns query subject i prepared against st's matcher. The
+// generation's first touch prepares it and publishes it by compare-and-swap;
+// first touches that race all answer with the query that won, so a filled
+// slot never changes. built reports that this call paid the preparation.
+func (s *Service) prepared(st *state, i int) (q *attribution.Query, built bool) {
+	slot := &st.prepared[i]
+	if q := slot.Load(); q != nil {
+		return q, false
+	}
+	q = st.matcher.Prepare(&st.queries[i])
+	if s.hookPrepared != nil {
+		s.hookPrepared()
+	}
+	if !slot.CompareAndSwap(nil, q) {
+		q = slot.Load()
+	}
+	return q, true
 }
 
 // install publishes a snapshot and updates the index gauges.

@@ -121,8 +121,8 @@ func TestTraceEndToEnd(t *testing.T) {
 	if rank.Attrs["index_version"] != "1" {
 		t.Fatalf("rank attrs %v", rank.Attrs)
 	}
-	if findSpan(rank, "resolve") == nil {
-		t.Fatalf("resolve span missing under rank: %+v", rank)
+	if res := findSpan(rank, "resolve"); res == nil || res.Attrs["prepared"] != "built" {
+		t.Fatalf("resolve span under rank missing or not marked as the alias's first touch: %+v", rank)
 	}
 	pf := findSpan(rank, "prefilter")
 	if pf == nil {
@@ -149,6 +149,23 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	if body.Retained != 1 || len(body.Traces) != 1 || body.Traces[0].TraceID != inboundTrace {
 		t.Fatalf("listing: %s", list.Body.String())
+	}
+
+	// The alias's second request finds it prepared.
+	const warmTrace = "1bf7651916cd43dd8448eb211c80319c"
+	req = httptest.NewRequest(http.MethodPost, "/v1/rank",
+		bytes.NewReader([]byte(`{"subject":{"alias":"q_alice"},"k":3}`)))
+	req.Header.Set("X-API-Key", "test-key")
+	req.Header.Set(reqtrace.Header, "00-"+warmTrace+"-"+inboundSpan+"-01")
+	svc.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	dbg = httptest.NewRecorder()
+	rec.Handler().ServeHTTP(dbg, httptest.NewRequest(http.MethodGet, "/debug/traces/"+warmTrace, nil))
+	var warm reqtrace.Trace
+	if err := json.Unmarshal(dbg.Body.Bytes(), &warm); err != nil || len(warm.Spans) != 1 {
+		t.Fatalf("warm trace: %v %s", err, dbg.Body.String())
+	}
+	if res := findSpan(&warm.Spans[0], "resolve"); res == nil || res.Attrs["prepared"] != "cached" {
+		t.Fatalf("warm request's resolve span not marked cached: %+v", warm.Spans[0])
 	}
 }
 
