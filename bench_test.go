@@ -20,12 +20,9 @@ import (
 	"darklight/internal/anonymize"
 	"darklight/internal/attribution"
 	"darklight/internal/baselines"
-	"darklight/internal/corpus"
 	"darklight/internal/eval"
 	"darklight/internal/experiments"
-	"darklight/internal/features"
 	"darklight/internal/forum"
-	"darklight/internal/sparse"
 )
 
 var (
@@ -574,33 +571,6 @@ func BenchmarkMatchAll(b *testing.B) {
 
 // ---------------------------------------------------------- micro-benches
 
-func BenchmarkExtractReductionFeatures(b *testing.B) {
-	l := benchLab(b)
-	b.ResetTimer()
-	text := corpus.Document(&l.Reddit.Aliases[0], 1500)
-	cfg := features.ReductionConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		features.Extract(text, cfg)
-	}
-}
-
-func BenchmarkSparseCosine(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	mk := func() sparse.Vector {
-		m := make(map[uint32]float64, 8000)
-		for len(m) < 8000 {
-			m[uint32(r.Intn(90000))] = r.Float64()
-		}
-		return sparse.FromMap(m)
-	}
-	x, y := mk(), mk()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sparse.Cosine(x, y)
-	}
-}
-
 // BenchmarkOurMethod times one full two-stage match (§IV-I), the "ours"
 // row of the §IV-F wall-clock ordering beside BenchmarkStandardBaseline
 // and BenchmarkKoppelBaseline.
@@ -636,14 +606,6 @@ func BenchmarkKoppelBaseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := k.VoteAll(context.Background(), probes[:5]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGenerateWorld(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := GenerateWorld(WorldConfig{Seed: uint64(i + 1), Scale: 0.01}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,8 +7,8 @@
 //	experiments [-scale 0.12] [-seed 1] [-run tab1,fig3] [-out results.md]
 //	            [-manifest run.json] [-trace trace.jsonl] [-obs.addr 127.0.0.1:0]
 //
-// Experiment ids: tab1..tab6, fig1..fig5, tmgdm, dewhole, profile, batch,
-// prefilter.
+// Experiment ids: tab1..tab6, fig1..fig5, tmgdm, dewhole, profile, batch.
+// An unknown id is an error before any world is built.
 //
 // With -manifest the run writes a run.json audit artifact: configuration,
 // seeds, dataset digests, per-stage span summaries, the final metric
@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -53,11 +54,10 @@ func run() error {
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 
-	selected := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			selected[id] = true
-		}
+	list := experimentList()
+	selected, err := selectExperiments(*only, list)
+	if err != nil {
+		return err
 	}
 	want := func(id string) bool { return len(selected) == 0 || selected[id] }
 
@@ -99,50 +99,13 @@ func run() error {
 		lab.TMG.Len(), lab.RawTMG.Len(),
 		lab.DM.Len(), lab.RawDM.Len())
 
-	type experiment struct {
-		id  string
-		run func() (fmt.Stringer, error)
-	}
-	var crossDark *experiments.CrossForumReport
-	list := []experiment{
-		{"tab1", func() (fmt.Stringer, error) { return lab.Table1(), nil }},
-		{"fig1", func() (fmt.Stringer, error) { return lab.Figure1(), nil }},
-		{"tab2", func() (fmt.Stringer, error) { return lab.Table2() }},
-		{"tab4", func() (fmt.Stringer, error) { return lab.Table4(), nil }},
-		{"tab3", func() (fmt.Stringer, error) { return lab.Table3() }},
-		{"fig2", func() (fmt.Stringer, error) { return lab.Figure2() }},
-		{"tab5", func() (fmt.Stringer, error) { return lab.Table5() }},
-		{"tab6", func() (fmt.Stringer, error) { return lab.Table6() }},
-		{"fig5", func() (fmt.Stringer, error) { return lab.Figure5() }},
-		{"fig4", func() (fmt.Stringer, error) { return lab.Figure4() }},
-		{"fig3", func() (fmt.Stringer, error) { return lab.Figure3() }},
-		{"tmgdm", func() (fmt.Stringer, error) { return lab.TMGvsDM() }},
-		{"dewhole", func() (fmt.Stringer, error) {
-			rep, err := lab.RedditVsDarkWeb()
-			crossDark = rep
-			return rep, err
-		}},
-		{"profile", func() (fmt.Stringer, error) {
-			if crossDark == nil {
-				var err error
-				crossDark, err = lab.RedditVsDarkWeb()
-				if err != nil {
-					return nil, err
-				}
-			}
-			return lab.ProfileBestMatch(crossDark), nil
-		}},
-		{"batch", func() (fmt.Stringer, error) { return lab.BatchProcedure() }},
-		{"prefilter", func() (fmt.Stringer, error) { return lab.Prefilter() }},
-	}
-
 	results := make(map[string]string)
 	for _, e := range list {
 		if !want(e.id) {
 			continue
 		}
 		t0 := time.Now()
-		rep, err := e.run()
+		rep, err := e.run(lab)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.id, err)
 		}
@@ -182,6 +145,68 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "experiments: trace written to %s\n", *trace)
 	}
 	return nil
+}
+
+type experiment struct {
+	id  string
+	run func(*experiments.Lab) (fmt.Stringer, error)
+}
+
+// experimentList is every experiment in run order. Its ids are known before
+// any lab is built, so -run can be checked first.
+func experimentList() []experiment {
+	var crossDark *experiments.CrossForumReport
+	return []experiment{
+		{"tab1", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.Table1(), nil }},
+		{"fig1", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.Figure1(), nil }},
+		{"tab2", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.Table2() }},
+		{"tab4", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.Table4(), nil }},
+		{"tab3", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.Table3() }},
+		{"fig2", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.Figure2() }},
+		{"tab5", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.Table5() }},
+		{"tab6", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.Table6() }},
+		{"fig5", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.Figure5() }},
+		{"fig4", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.Figure4() }},
+		{"fig3", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.Figure3() }},
+		{"tmgdm", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.TMGvsDM() }},
+		{"dewhole", func(lab *experiments.Lab) (fmt.Stringer, error) {
+			rep, err := lab.RedditVsDarkWeb()
+			crossDark = rep
+			return rep, err
+		}},
+		{"profile", func(lab *experiments.Lab) (fmt.Stringer, error) {
+			if crossDark == nil {
+				var err error
+				crossDark, err = lab.RedditVsDarkWeb()
+				if err != nil {
+					return nil, err
+				}
+			}
+			return lab.ProfileBestMatch(crossDark), nil
+		}},
+		{"batch", func(lab *experiments.Lab) (fmt.Stringer, error) { return lab.BatchProcedure() }},
+	}
+}
+
+// selectExperiments parses -run: a comma-separated id list, where empty
+// selects every experiment. An id not in list is an error naming it and the
+// valid ids.
+func selectExperiments(only string, list []experiment) (map[string]bool, error) {
+	valid := make([]string, len(list))
+	for i, e := range list {
+		valid[i] = e.id
+	}
+	selected := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("-run: unknown experiment %q (valid: %s)", id, strings.Join(valid, ", "))
+		}
+		selected[id] = true
+	}
+	return selected, nil
 }
 
 func writeTrace(path string, tracer *obs.Tracer) error {

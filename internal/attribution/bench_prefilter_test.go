@@ -149,7 +149,6 @@ func getBenchWorld(tb testing.TB, n int) *benchWorld {
 		acts:   make([][]float64, n),
 		fwdIdx: make([][]uint32, n),
 		fwdVal: make([][]float32, n),
-		lshIdx: make(map[prefilter.LSHParams]*prefilter.LSH),
 	}
 	for i := 0; i < n; i++ {
 		m.known[i] = Subject{Name: fmt.Sprintf("s%06d", i)}
@@ -237,11 +236,10 @@ func BenchmarkRankPrepared(b *testing.B) {
 }
 
 func BenchmarkRankPruned(b *testing.B) {
-	p := prefilter.PrunedParams{}.WithDefaults()
 	for _, n := range benchSizes(b) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			benchRank(b, n, func(w *benchWorld, buf *matchBuffers) prefilter.Stats {
-				_, st := w.m.rankPruned(&w.query, benchTopK, w.w, 1, buf, p)
+				_, st := w.m.rankPruned(&w.query, benchTopK, w.w, 1, buf)
 				return st
 			})
 		})
@@ -249,13 +247,12 @@ func BenchmarkRankPruned(b *testing.B) {
 }
 
 func BenchmarkRankLSH(b *testing.B) {
-	p := prefilter.LSHParams{}.WithDefaults()
 	for _, n := range benchSizes(b) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			w := getBenchWorld(b, n)
-			w.m.lshFor(p) // build outside the timed loop; queries share it
+			w.m.lshIndex() // build outside the timed loop; queries share it
 			benchRank(b, n, func(w *benchWorld, buf *matchBuffers) prefilter.Stats {
-				_, st := w.m.rankLSH(&w.query, benchTopK, w.w, 1, buf, p)
+				_, st := w.m.rankLSH(&w.query, benchTopK, w.w, 1, buf)
 				return st
 			})
 		})
@@ -271,7 +268,7 @@ func TestBenchWorldAgrees(t *testing.T) {
 	w := getBenchWorld(t, 1000)
 	var buf matchBuffers
 	exact, est := w.m.rankExact(&w.query, benchTopK, w.w, 1, &buf)
-	pruned, pst := w.m.rankPruned(&w.query, benchTopK, w.w, 1, &buf, prefilter.PrunedParams{}.WithDefaults())
+	pruned, pst := w.m.rankPruned(&w.query, benchTopK, w.w, 1, &buf)
 	if len(exact) != len(pruned) {
 		t.Fatalf("pruned returned %d, exact %d", len(pruned), len(exact))
 	}
@@ -283,7 +280,7 @@ func TestBenchWorldAgrees(t *testing.T) {
 	if pst.Scored >= est.Scored {
 		t.Errorf("pruned scored %d of %d: no pruning on the bench world", pst.Scored, est.Scored)
 	}
-	lsh, lst := w.m.rankLSH(&w.query, benchTopK, w.w, 1, &buf, prefilter.LSHParams{}.WithDefaults())
+	lsh, lst := w.m.rankLSH(&w.query, benchTopK, w.w, 1, &buf)
 	truth := make(map[string]bool, len(exact))
 	for _, s := range exact {
 		truth[s.Name] = true

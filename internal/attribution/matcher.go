@@ -162,15 +162,10 @@ type Matcher struct {
 	// from — read off the posting arena by the first pruned query (capsOnce).
 	capsOnce sync.Once
 	termCaps []float32
-	// lshIdx lazily caches one immutable LSH index per operating point
-	// actually queried (the default point plus any per-query overrides).
-	// lshSets caches each subject's informative gram-id set — the forward
-	// list with weightless grams (value below prefilter.MinHashValueFloor)
-	// removed — built once on the first LSH query and shared by every
-	// operating point.
-	lshMu   sync.Mutex
-	lshIdx  map[prefilter.LSHParams]*prefilter.LSH
-	lshSets [][]uint32
+	// lsh is the banded-MinHash index the LSH mode draws candidates from,
+	// built by the first LSH query (lshOnce) the way termCaps is.
+	lshOnce sync.Once
+	lsh     *prefilter.LSH
 	// bufPool backs the bufferless entry points: the serve path calls Rank
 	// per request, and without pooling every request would allocate two
 	// known-set-sized accumulators.
@@ -444,7 +439,6 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 			m.fwdVal[i] = vals
 		}
 	})
-	m.lshIdx = make(map[prefilter.LSHParams]*prefilter.LSH)
 	err := m.finish()
 	ispan.End()
 	return m, err
@@ -685,25 +679,19 @@ func (q *Query) rank(o MatchOptions, buf *matchBuffers) ([]Scored, prefilter.Sta
 		st := prefilter.Stats{Mode: prefilter.ModeExact, Candidates: len(m.known), Scored: len(m.known)}
 		out, ev := topKScores(m.known, scores, k, &buf.heap)
 		st.Evictions = ev
-		prefilter.Observe(st)
 		return out, st
 	}
 	if mode == prefilter.ModeLSH && ub.grams.Len() == 0 {
 		// Nothing to hash: stay lossless rather than return nothing.
 		mode = prefilter.ModeExact
 	}
-	var out []Scored
-	var st prefilter.Stats
 	switch mode {
 	case prefilter.ModePruned:
-		out, st = m.rankPruned(ub, k, w, uNorm, buf, o.prunedParams())
+		return m.rankPruned(ub, k, w, uNorm, buf)
 	case prefilter.ModeLSH:
-		out, st = m.rankLSH(ub, k, w, uNorm, buf, o.lshParams())
-	default:
-		out, st = m.rankExact(ub, k, w, uNorm, buf)
+		return m.rankLSH(ub, k, w, uNorm, buf)
 	}
-	prefilter.Observe(st)
-	return out, st
+	return m.rankExact(ub, k, w, uNorm, buf)
 }
 
 // getBuf and putBuf recycle scratch buffers for the bufferless entry

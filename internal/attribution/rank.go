@@ -6,8 +6,9 @@ import (
 
 // Stage-1 ranking paths. Query.rank (matcher.go) resolves per-query options
 // and dispatches here: to rankExact, unless a library caller's
-// MatchOptions.Mode (the benchmark's traced rows, the internal/eval sweep)
-// names one of the other two — no option, flag or request field does:
+// MatchOptions.Mode (the benchmark's traced rows) names one of the other
+// two — no option, flag or request field does. Each of the two runs at one
+// fixed operating point:
 //
 //   - rankExact: the original full scan — accumulate every subject's gram
 //     dot through the inverted index (one range of the posting arena per
@@ -19,8 +20,8 @@ import (
 //     the running k-th score. Bit-identical to rankExact (rank_test.go
 //     pins ids, order, and score bits across random worlds).
 //   - rankLSH: approximate banded MinHash. Exact-score only subjects
-//     sharing a band bucket with the query; recall is measured by
-//     internal/eval, not assumed.
+//     sharing a band bucket with the query; recall is measured by the
+//     benchmark's traced run, not assumed.
 //
 // All three paths score a subject with identical arithmetic (scoreOne
 // reproduces the posting sweep's float32 accumulation order), so the modes
@@ -36,37 +37,24 @@ type MatchOptions struct {
 	// Mode selects the stage-1 pre-filter for this query; ModeDefault is
 	// the exact scan.
 	Mode prefilter.Mode
-	// Pruned overrides the pruned-mode safety knobs when non-nil; what it
-	// leaves at zero, and all of them when nil, are the package defaults.
-	Pruned *prefilter.PrunedParams
-	// LSH overrides the LSH operating point the same way.
-	LSH *prefilter.LSHParams
 }
 
-func (o MatchOptions) prunedParams() prefilter.PrunedParams {
-	if o.Pruned != nil {
-		return o.Pruned.WithDefaults()
-	}
-	return prefilter.PrunedParams{}.WithDefaults()
-}
-
-func (o MatchOptions) lshParams() prefilter.LSHParams {
-	if o.LSH != nil {
-		return o.LSH.WithDefaults()
-	}
-	return prefilter.LSHParams{}.WithDefaults()
-}
-
-// Safety margins of the pruned mode's bound arithmetic. These are fixed —
-// correctness must not be tunable — and the per-query PrunedParams.Slack
-// is added on top. boundMul covers the float64 multiply/divide roundings
-// of the bound itself; f32ulp scales with the query-term count to cover
-// the worst-case drift of the exact scan's float32 gram accumulation
-// ((terms-1) rounding steps, each at most 2^-24 of a sum bounded by 1 —
-// 2^-23 per term is double that).
+// The pruned mode's bound arithmetic. boundMul covers the float64
+// multiply/divide roundings of the bound itself; f32ulp scales with the
+// query-term count to cover the worst-case drift of the exact scan's
+// float32 gram accumulation ((terms-1) rounding steps, each at most 2^-24
+// of a sum bounded by 1 — 2^-23 per term is double that). pruneSlack is an
+// extra additive margin on every bound, deliberately generous relative to
+// float32 accumulation error (scores are at most ~1): losslessness must
+// never hinge on a tight epsilon. pruneTailShare is the fraction of total
+// query impact left unwalked after the posting sweep and folded into every
+// bound instead. The last two trade pruning power for bound tightness,
+// never correctness: the top-k is bit-identical to the exact scan's.
 const (
-	boundMul = 1 + 1.0/(1<<20)
-	f32ulp   = 1.0 / (1 << 23)
+	boundMul       = 1 + 1.0/(1<<20)
+	f32ulp         = 1.0 / (1 << 23)
+	pruneSlack     = 1e-3
+	pruneTailShare = 0.05
 )
 
 // rankExact is the full O(N) scan, unchanged from the pre-prefilter
@@ -168,7 +156,7 @@ func (m *Matcher) scoreOne(i int, ub *blocks, qv32 []float32, wf2, wa2 float64, 
 // The processing order (touched heap first, untouched sweep second) does
 // not affect the result: the top-k set is unique under the total
 // (score desc, name asc) order, whichever order candidates are offered.
-func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *matchBuffers, p prefilter.PrunedParams) ([]Scored, prefilter.Stats) {
+func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *matchBuffers) ([]Scored, prefilter.Stats) {
 	n := len(m.known)
 	if k > n {
 		k = n
@@ -190,14 +178,14 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 	buf.order = prefilter.OrderTermsByImpact(imps, buf.order)
 
 	// Walk posting lists heaviest-term first until the unwalked tail is
-	// below TailShare of the total impact: the long tail of near-zero-IDF
-	// terms costs most of the scan but barely moves any bound. pscore is
-	// all-zero between queries (the touched list below is how it gets
-	// cleared), so only subjects this walk reaches are ever visited —
-	// never all N.
+	// below pruneTailShare of the total impact: the long tail of
+	// near-zero-IDF terms costs most of the scan but barely moves any
+	// bound. pscore is all-zero between queries (the touched list below is
+	// how it gets cleared), so only subjects this walk reaches are ever
+	// visited — never all N.
 	pscore, touched := buf.pruneBufs(n)
 	tail := total
-	budget := p.TailShare * total
+	budget := pruneTailShare * total
 	for _, oj := range buf.order {
 		if tail <= budget {
 			break
@@ -256,7 +244,7 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 			}
 			gb += f32Guard
 		}
-		tailUB[msk] = (gb+addC[msk])*invKn[msk] + p.Slack
+		tailUB[msk] = (gb+addC[msk])*invKn[msk] + pruneSlack
 	}
 	bounds := buf.bounds[:0]
 	for _, id := range touched {
@@ -267,7 +255,7 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 			gb = 1
 		}
 		gb += f32Guard
-		bounds = append(bounds, prefilter.Bound{UB: (gb+addC[msk])*invKn[msk] + p.Slack, ID: id})
+		bounds = append(bounds, prefilter.Bound{UB: (gb+addC[msk])*invKn[msk] + pruneSlack, ID: id})
 	}
 	buf.bounds = bounds
 	bounds.Init()
@@ -291,11 +279,11 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 	buf.bounds = buf.bounds[:0]
 
 	// Untouched sweep: needed only while some mask class's shared bound
-	// can still reach the running k-th score (a large TailShare, a large
-	// Slack, or a top-k not yet full). tailUB never changes but the k-th
-	// score only rises, so the per-mask check inside the loop prunes the
-	// sweep further as it goes. Touched subjects have nonzero pscore and
-	// are skipped (they were already offered).
+	// can still reach the running k-th score (a tail or slack the k-th
+	// score has not yet outgrown, or a top-k not yet full). tailUB never
+	// changes but the k-th score only rises, so the per-mask check inside
+	// the loop prunes the sweep further as it goes. Touched subjects have
+	// nonzero pscore and are skipped (they were already offered).
 	maxTailUB := 0.0
 	for _, ubm := range tailUB {
 		if ubm > maxTailUB {
@@ -337,7 +325,7 @@ func (m *Matcher) rankPruned(ub *blocks, k int, w Weights, uNorm float64, buf *m
 // lossless paths, so an LSH result differs from exact only by absence —
 // never by a different score for a returned name. Fewer than k results
 // (or zero) are possible when few subjects collide with the query.
-func (m *Matcher) rankLSH(ub *blocks, k int, w Weights, uNorm float64, buf *matchBuffers, lp prefilter.LSHParams) ([]Scored, prefilter.Stats) {
+func (m *Matcher) rankLSH(ub *blocks, k int, w Weights, uNorm float64, buf *matchBuffers) ([]Scored, prefilter.Stats) {
 	n := len(m.known)
 	if k > n {
 		k = n
@@ -345,7 +333,7 @@ func (m *Matcher) rankLSH(ub *blocks, k int, w Weights, uNorm float64, buf *matc
 	if k < 0 {
 		k = 0
 	}
-	l := m.lshFor(lp)
+	l := m.lshIndex()
 	// Hash the query's informative gram set — the same MinHash floor the
 	// index side applies, so the Jaccard estimate stays symmetric. A query
 	// whose grams are ALL weightless (impossible for a unit-norm vector
@@ -396,29 +384,18 @@ func (m *Matcher) maxContrib() []float32 {
 	return m.termCaps
 }
 
-// lshFor returns the LSH index for one operating point, building it on
-// first use. The default point is built on the first LSH query; per-query
-// overrides each get their own cached index. Indexes hash each subject's
-// informative gram set (prefilter.MinHashValueFloor applied): corpus-
-// universal grams carry IDF ≈ 0, so hashing them would inflate every
-// cross-subject Jaccard — and with it the candidate count — without
-// making true matches any likelier to collide.
-func (m *Matcher) lshFor(p prefilter.LSHParams) *prefilter.LSH {
-	p = p.WithDefaults()
-	m.lshMu.Lock()
-	defer m.lshMu.Unlock()
-	if l, ok := m.lshIdx[p]; ok {
-		return l
-	}
-	if m.lshSets == nil {
-		m.lshSets = make([][]uint32, len(m.known))
-		for i := range m.lshSets {
-			m.lshSets[i] = lshInformative(m.fwdIdx[i], m.fwdVal[i])
-		}
-	}
-	l := prefilter.BuildLSH(len(m.known), func(i int) []uint32 { return m.lshSets[i] }, p)
-	m.lshIdx[p] = l
-	return l
+// lshIndex returns the LSH index, built by the first LSH query (lshOnce).
+// It hashes each subject's informative gram set (prefilter.MinHashValueFloor
+// applied): corpus-universal grams carry IDF ≈ 0, so hashing them would
+// inflate every cross-subject Jaccard — and with it the candidate count —
+// without making true matches any likelier to collide.
+func (m *Matcher) lshIndex() *prefilter.LSH {
+	m.lshOnce.Do(func() {
+		m.lsh = prefilter.BuildLSH(len(m.known), func(i int) []uint32 {
+			return lshInformative(m.fwdIdx[i], m.fwdVal[i])
+		})
+	})
+	return m.lsh
 }
 
 // lshInformative filters a forward list to the ids whose value clears the

@@ -79,24 +79,16 @@ func randomWorld(rng *rand.Rand, n int) (known, probes []Subject) {
 }
 
 // TestPrunedBitIdenticalToExact is the losslessness property test: across
-// random worlds, random weights, random k, and random pruning knobs
-// (including a slack far below the default), the pruned top-k must equal
+// random worlds, random weights and random k, the pruned top-k must equal
 // the exact scan's bit for bit — same names, same order, same float64
-// score bits. A knob-less query (ModeDefault) is held to the same standard
-// and must report that it ran as exact.
+// score bits. A query that names no mode (ModeDefault) is held to the same
+// standard and must report that it ran as exact.
 func TestPrunedBitIdenticalToExact(t *testing.T) {
 	trials := 12
 	if testing.Short() {
 		trials = 4
 	}
 	weights := []Weights{{}, {Freq: 0.2}, {Freq: 0.2, Activity: 0.7}, {Freq: 1.3, Activity: 0.1}, {Activity: 2.5}}
-	knobs := []prefilter.PrunedParams{
-		{},                             // defaults
-		{Slack: 1e-12, TailShare: -1},  // minimal slack, full walk
-		{Slack: 1e-12, TailShare: 0.5}, // minimal slack, aggressive early stop
-		{Slack: 0.05, TailShare: 0.9},  // loose everything
-		{Slack: prefilter.DefaultSlack * 10, TailShare: 0.2},
-	}
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("world%d", trial), func(t *testing.T) {
@@ -114,9 +106,8 @@ func TestPrunedBitIdenticalToExact(t *testing.T) {
 			for pi := range probes {
 				w := weights[rng.Intn(len(weights))]
 				k := 1 + rng.Intn(n+5)
-				ps := knobs[rng.Intn(len(knobs))]
 				exact, stE := m.RankDetailed(&probes[pi], MatchOptions{K: k, Weights: &w, Mode: prefilter.ModeExact})
-				pruned, stP := m.RankDetailed(&probes[pi], MatchOptions{K: k, Weights: &w, Mode: prefilter.ModePruned, Pruned: &ps})
+				pruned, stP := m.RankDetailed(&probes[pi], MatchOptions{K: k, Weights: &w, Mode: prefilter.ModePruned})
 				def, stD := m.RankDetailed(&probes[pi], MatchOptions{K: k, Weights: &w})
 				if stE.Mode != prefilter.ModeExact || stD.Mode != prefilter.ModeExact {
 					t.Fatalf("probe %d: exact ran as %v, default as %v", pi, stE.Mode, stD.Mode)
@@ -129,14 +120,14 @@ func TestPrunedBitIdenticalToExact(t *testing.T) {
 					got  []Scored
 				}{{"pruned", pruned}, {"default", def}} {
 					if len(c.got) != len(exact) {
-						t.Fatalf("probe %d (k=%d, knobs=%+v): %s returned %d entries, exact %d",
-							pi, k, ps, c.mode, len(c.got), len(exact))
+						t.Fatalf("probe %d (k=%d): %s returned %d entries, exact %d",
+							pi, k, c.mode, len(c.got), len(exact))
 					}
 					for j := range exact {
 						if c.got[j].Name != exact[j].Name ||
 							math.Float64bits(c.got[j].Score) != math.Float64bits(exact[j].Score) {
-							t.Fatalf("probe %d (k=%d, knobs=%+v): rank %d diverges:\n%s %q %v (%x)\nexact  %q %v (%x)",
-								pi, k, ps, j, c.mode,
+							t.Fatalf("probe %d (k=%d): rank %d diverges:\n%s %q %v (%x)\nexact  %q %v (%x)",
+								pi, k, j, c.mode,
 								c.got[j].Name, c.got[j].Score, math.Float64bits(c.got[j].Score),
 								exact[j].Name, exact[j].Score, math.Float64bits(exact[j].Score))
 						}
@@ -161,9 +152,10 @@ func TestExactIsDefaultMode(t *testing.T) {
 	if st.Mode != prefilter.ModeExact {
 		t.Fatalf("default mode = %v, want exact", st.Mode)
 	}
-	for _, mode := range []prefilter.Mode{prefilter.ModePruned, prefilter.ModeLSH} {
-		if _, st = m.RankDetailed(&probes[0], MatchOptions{Mode: mode}); st.Mode != mode {
-			t.Fatalf("per-query %v ran as %v", mode, st.Mode)
+	// The spelling is what a /v1/rank trace's prefilter span reports.
+	for mode, name := range map[prefilter.Mode]string{prefilter.ModeExact: "exact", prefilter.ModePruned: "pruned", prefilter.ModeLSH: "lsh"} {
+		if _, st = m.RankDetailed(&probes[0], MatchOptions{Mode: mode}); st.Mode != mode || st.Mode.String() != name {
+			t.Fatalf("per-query %q ran as %q", name, st.Mode)
 		}
 	}
 }
@@ -206,6 +198,56 @@ func TestFirstPrunedQueriesAtOnce(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFirstLSHQueriesAtOnce: the LSH index is built by whichever LSH query
+// comes first. Eight goroutines whose first LSH query on a fresh matcher
+// lands together must each get what the same query gets on a matcher whose
+// index was built sequentially, bit for bit, and all of them must be handed
+// the one index built (run under -race in CI).
+func TestFirstLSHQueriesAtOnce(t *testing.T) {
+	authors := makeAuthors(t, 20, 300)
+	known, probes := split(authors)
+	ref, err := NewMatcher(known, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]Scored, len(probes))
+	for i := range probes {
+		want[i], _ = ref.RankDetailed(&probes[i], MatchOptions{K: 5, Mode: prefilter.ModeLSH})
+	}
+	m, err := NewMatcher(known, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	idx := make([]*prefilter.LSH, 8)
+	for g := range idx {
+		wg.Add(1)
+		go func(g, i int) {
+			defer wg.Done()
+			<-start
+			got, st := m.RankDetailed(&probes[i], MatchOptions{K: 5, Mode: prefilter.ModeLSH})
+			idx[g] = m.lsh
+			if st.Mode != prefilter.ModeLSH || len(got) != len(want[i]) {
+				t.Errorf("probe %d: ran as %v, %d entries, want lsh and %d", i, st.Mode, len(got), len(want[i]))
+				return
+			}
+			for j := range got {
+				if got[j].Name != want[i][j].Name || math.Float64bits(got[j].Score) != math.Float64bits(want[i][j].Score) {
+					t.Errorf("probe %d entry %d = %+v, sequential LSH has %+v", i, j, got[j], want[i][j])
+				}
+			}
+		}(g, g%len(probes))
+	}
+	close(start)
+	wg.Wait()
+	for g, l := range idx {
+		if l == nil || l != m.lshIndex() {
+			t.Fatalf("goroutine %d saw LSH index %p, the matcher holds %p", g, l, m.lshIndex())
+		}
+	}
+}
+
 // TestLSHScoresMatchExactForReturnedNames: the approximate mode may miss
 // candidates but must never score a returned name differently from the
 // exact scan.
@@ -243,9 +285,10 @@ func TestLSHScoresMatchExactForReturnedNames(t *testing.T) {
 		// world is adversarially homogeneous — every author draws from the
 		// same 90-word vocabulary, so same-author Jaccard (~0.34) barely
 		// clears different-author (~0.27) and no operating point separates
-		// them sharply. The real recall floor is pinned by internal/eval on
-		// a population with distinct community vocabularies; here we only
-		// assert the mode is usefully better than chance.
+		// them sharply. The real recall floor is pinned by
+		// TestDefaultPointsOnCommunityWorld on a population with distinct
+		// community vocabularies; here we only assert the mode is usefully
+		// better than chance.
 		for _, c := range lsh {
 			if c.Name == probes[i].Name {
 				hits++

@@ -273,34 +273,3 @@ func attributionAESubjects(l *Lab, opts attribution.SubjectOptions) []attributio
 	}
 	return subs
 }
-
-func TestPrefilterReport(t *testing.T) {
-	// The sweep world is independent of the lab datasets, so a bare Lab
-	// carrying only the seed is enough — no expensive world generation.
-	l := &Lab{Cfg: LabConfig{Seed: 1}}
-	rep, err := l.Prefilter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Table.Rows) == 0 {
-		t.Fatal("empty sweep table")
-	}
-	var lshDefault bool
-	for _, row := range rep.Table.Rows {
-		if row.Point.Mode == "pruned" && row.Recall != 1 {
-			t.Errorf("%s: pruned row must be lossless, recall = %v", row.Point.Label(), row.Recall)
-		}
-		if row.Point.Mode == "lsh" && row.Point.Bands == 0 && row.Point.Rows == 0 {
-			lshDefault = true
-			if row.Recall < 0.95 {
-				t.Errorf("default LSH recall = %.3f, want >= 0.95", row.Recall)
-			}
-		}
-	}
-	if !lshDefault {
-		t.Fatal("default LSH point missing from sweep")
-	}
-	if !strings.Contains(rep.String(), "lossless by construction") {
-		t.Error("report note missing")
-	}
-}

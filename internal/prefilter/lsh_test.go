@@ -5,41 +5,6 @@ import (
 	"testing"
 )
 
-func TestParseModeRoundTrip(t *testing.T) {
-	for _, m := range []Mode{ModeDefault, ModeExact, ModePruned, ModeLSH} {
-		s := m.String()
-		if m == ModeDefault {
-			s = "" // the wire spelling of "unset"
-		}
-		got, err := ParseMode(s)
-		if err != nil {
-			t.Fatalf("ParseMode(%q): %v", s, err)
-		}
-		if got != m {
-			t.Errorf("ParseMode(%q) = %v, want %v", s, got, m)
-		}
-	}
-	if _, err := ParseMode("fancy"); err == nil {
-		t.Error("ParseMode accepted an unknown mode")
-	}
-}
-
-func TestParamsWithDefaults(t *testing.T) {
-	if p := (PrunedParams{}).WithDefaults(); p.Slack != DefaultSlack || p.TailShare != DefaultTailShare {
-		t.Errorf("pruned defaults = %+v", p)
-	}
-	if p := (LSHParams{}).WithDefaults(); p.Bands != DefaultBands || p.Rows != DefaultRows || p.Seed != DefaultSeed {
-		t.Errorf("lsh defaults = %+v", p)
-	}
-	// Explicit settings survive.
-	if p := (PrunedParams{TailShare: -1}).WithDefaults(); p.TailShare != -1 || p.Slack != DefaultSlack {
-		t.Errorf("explicit pruned params overwritten: %+v", p)
-	}
-	if p := (LSHParams{Bands: 4, Rows: 8}).WithDefaults(); p.Bands != 4 || p.Rows != 8 || p.Seed != DefaultSeed {
-		t.Errorf("explicit lsh params overwritten: %+v", p)
-	}
-}
-
 // randomSet draws a sorted set of feature ids from [0, universe).
 func randomSet(rng *rand.Rand, universe, size int) []uint32 {
 	seen := make(map[uint32]bool, size)
@@ -73,7 +38,7 @@ func TestLSHFindsNearDuplicatesNotStrangers(t *testing.T) {
 	for i := range sets {
 		sets[i] = randomSet(rng, 1<<20, 120)
 	}
-	l := BuildLSH(n, func(i int) []uint32 { return sets[i] }, LSHParams{})
+	l := BuildLSH(n, func(i int) []uint32 { return sets[i] })
 
 	hit, miss := 0, 0
 	for i := 0; i < 50; i++ {
@@ -109,9 +74,9 @@ func TestLSHCandidatesSortedDedupedDeterministic(t *testing.T) {
 	const n = 100
 	sets := make([][]uint32, n)
 	for i := range sets {
-		sets[i] = randomSet(rng, 4096, 60) // small universe: forced collisions
+		sets[i] = randomSet(rng, 128, 60) // small universe: forced collisions
 	}
-	l := BuildLSH(n, func(i int) []uint32 { return sets[i] }, LSHParams{Bands: 32, Rows: 1})
+	l := BuildLSH(n, func(i int) []uint32 { return sets[i] })
 	q := sets[17]
 	a := l.Candidates(q, nil)
 	b := l.Candidates(q, make([]int32, 0, 8))
@@ -134,46 +99,25 @@ func TestLSHCandidatesSortedDedupedDeterministic(t *testing.T) {
 	}
 }
 
-func TestLSHSeedChangesBucketsButStaysDeterministic(t *testing.T) {
-	set := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
-	a := BandSignature(set, LSHParams{Seed: 1})
-	b := BandSignature(set, LSHParams{Seed: 1})
-	c := BandSignature(set, LSHParams{Seed: 2})
-	if len(a) != DefaultBands {
-		t.Fatalf("signature has %d bands, want %d", len(a), DefaultBands)
-	}
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed produced different signatures at band %d", i)
-		}
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical signatures")
-	}
-	if got := BandSignature(nil, LSHParams{}); got != nil {
-		t.Errorf("empty set signature = %v, want nil", got)
-	}
-}
-
-// FuzzBandHash pins the banding kernel: no panic on arbitrary sets and
-// parameters, and bit-identical output across repeated calls.
+// FuzzBandHash pins the banding kernel: no panic on arbitrary sets, one
+// key per band, and bit-identical output across repeated calls.
 func FuzzBandHash(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(16), uint8(3), uint64(0))
-	f.Add([]byte{}, uint8(0), uint8(0), uint64(7))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(1), uint8(64), uint64(1<<63))
-	f.Fuzz(func(t *testing.T, raw []byte, bands, rows uint8, seed uint64) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, raw []byte) {
 		set := make([]uint32, 0, len(raw)/4)
 		for i := 0; i+4 <= len(raw); i += 4 {
 			set = append(set, uint32(raw[i])|uint32(raw[i+1])<<8|uint32(raw[i+2])<<16|uint32(raw[i+3])<<24)
 		}
-		// Cap the family size so hostile inputs stay cheap.
-		p := LSHParams{Bands: int(bands % 65), Rows: int(rows % 17), Seed: seed}
-		a := BandSignature(set, p)
-		b := BandSignature(set, p)
+		a := BandSignature(set)
+		b := BandSignature(set)
+		switch {
+		case len(set) == 0 && a != nil:
+			t.Fatalf("empty set signature = %v, want nil", a)
+		case len(set) > 0 && len(a) != numBands:
+			t.Fatalf("signature has %d bands, want %d", len(a), numBands)
+		}
 		if len(a) != len(b) {
 			t.Fatalf("signature length changed across calls: %d vs %d", len(a), len(b))
 		}
