@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"darklight/internal/features"
 	"darklight/internal/obs"
@@ -173,18 +174,28 @@ type Matcher struct {
 	// byName maps a known subject's name to its index (last wins on
 	// duplicates, matching historical Rescore behaviour).
 	byName map[string]int
-	// finalDocs lazily caches the stage-2 (Final-config) extraction of each
-	// known subject: the same prolific candidates surface in top-k after
-	// top-k, and re-extracting their 1,500-word documents per query is the
-	// single largest cost of Rescore. Only subjects that actually appear in
-	// a candidate list are ever materialised — none at all when docs below
-	// already holds the same extractions (finish seeds the cache with them).
-	finalDocs *features.DocCache
+	// dict numbers stage 2's grams and finalDocs lazily caches the
+	// stage-2 (Final-config) extraction of each known subject, numbered by
+	// dict: the same prolific candidates surface in top-k after top-k, and
+	// re-extracting and renumbering their 1,500-word documents per query
+	// would be the largest cost of Rescore. Both are set up by the
+	// generation's first rescore (stage2Once), and only subjects that
+	// actually appear in a candidate list are ever materialised — and never
+	// extracted when docs below already holds the same extractions.
+	stage2Once sync.Once
+	dict       *features.Dictionary
+	finalDocs  *features.DocCache
 	// sameExtract records that the reduction and final configs produce
 	// identical raw extractions (they differ only in vocabulary budgets in
 	// the paper's setup), letting Match share one unknown-document
-	// extraction across both stages.
+	// extraction across both stages. sameGrams records that at least their
+	// gram lists are the same, so the corpus counters' gram lists, words
+	// and chars, are stage 2's dictionary; otherwise they are dropped and
+	// the first rescore counts the Final-config corpus for one.
 	sameExtract bool
+	sameGrams   bool
+	words       []features.GramCount
+	chars       []features.GramCount
 	// stats and docs are retained only under Options.Incremental: the
 	// corpus gram counters the vocabulary was built from, and each known
 	// subject's reduction-config document (aligned with known).
@@ -232,11 +243,12 @@ type matchBuffers struct {
 	touched []int32
 
 	// Stage-2 scratch, rebuilt by every rescore: the candidates' subject
-	// indices and cached documents, and the per-query candidate vocabulary
-	// with its postings and build buffers. Nothing a rescore returns aliases
-	// any of it.
+	// indices and cached documents, a one-shot unknown's numbers, and the
+	// per-query candidate vocabulary with its postings and build buffers.
+	// Nothing a rescore returns aliases any of it.
 	idxs  []int
-	docs  []*features.SortedDoc
+	docs  []*features.NumberedDoc
+	unum  features.NumberedDoc
 	vocab features.CandidateVocab
 
 	// prepare's vectorizer scratch: uvec is built and normalised here, then
@@ -310,31 +322,41 @@ func NewMatcherContext(ctx context.Context, known []Subject, given Options) (*Ma
 		return nil, err
 	}
 
-	// Pass 1: corpus statistics → vocabulary. Each worker extracts a
-	// contiguous chunk of subjects into a private builder and settles it —
-	// sorted-run merges, no hash map — and the builders merge in shard order.
-	// Corpus counters are plain sums and the cut breaks frequency ties by
-	// gram id, so the merged vocabulary is bit-identical to a sequential
-	// build for any worker count. A builder lets go of a document once its
-	// batch is merged in — keeping every doc alive would cost ~1 MB per
-	// subject — and only Incremental retains the documents for Fold/State.
-	shards := shardCount(opts.Workers, len(known))
-	vctx, vspan := obs.Start(ctx, "matcher.vocab")
-	vspan.AddItems(int64(len(known)))
-	builders := make([]*features.VocabBuilder, shards)
-	shardErr := make([]error, shards)
 	var docs []*features.SortedDoc
 	if opts.Incremental {
 		docs = make([]*features.SortedDoc, len(known))
 	}
+	vb, err := countCorpus(ctx, known, opts.Reduction, opts.Workers, docs)
+	if err != nil {
+		return nil, fmt.Errorf("attribution: corpus counters: %w", err)
+	}
+	return foldTail(ctx, known, docs, vb, given)
+}
+
+// countCorpus is pass 1, corpus statistics: each worker extracts a
+// contiguous chunk of subjects under cfg into a private builder and settles
+// it — sorted-run merges, no hash map — and the builders merge in shard
+// order. Corpus counters are plain sums and the cut breaks frequency ties by
+// gram id, so the merged vocabulary is bit-identical to a sequential build
+// for any worker count. A builder lets go of a document once its batch is
+// merged in — keeping every doc alive would cost ~1 MB per subject — so
+// only docs, when non-nil, keeps each extraction. The pass is a
+// "matcher.vocab" span with one shard child per worker chunk.
+func countCorpus(ctx context.Context, known []Subject, cfg features.Config, workers int, docs []*features.SortedDoc) (*features.VocabBuilder, error) {
+	shards := shardCount(workers, len(known))
+	vctx, vspan := obs.Start(ctx, "matcher.vocab")
+	defer vspan.End()
+	vspan.AddItems(int64(len(known)))
+	builders := make([]*features.VocabBuilder, shards)
+	shardErr := make([]error, shards)
 	parallelChunks(shards, len(known), func(s, lo, hi int) {
 		_, ss := obs.Start(vctx, "matcher.vocab.shard")
 		ss.SetWorker(s)
 		ss.AddItems(int64(hi - lo))
 		defer ss.End()
-		vb := features.NewVocabBuilder(opts.Reduction)
+		vb := features.NewVocabBuilder(cfg)
 		for i := lo; i < hi; i++ {
-			sd := features.Extract(known[i].Text, opts.Reduction)
+			sd := features.Extract(known[i].Text, cfg)
 			if docs != nil {
 				docs[i] = sd
 			}
@@ -351,11 +373,7 @@ func NewMatcherContext(ctx context.Context, known []Subject, given Options) (*Ma
 			err = vb.Merge(o)
 		}
 	}
-	vspan.End()
-	if err != nil {
-		return nil, fmt.Errorf("attribution: corpus counters: %w", err)
-	}
-	return foldTail(ctx, known, docs, vb, given)
+	return vb, err
 }
 
 // validateOptions checks the feature configurations of already-defaulted
@@ -380,13 +398,23 @@ func validateOptions(opts Options) error {
 // text. The per-entry vectorizer arithmetic is identical either way, so the
 // paths assemble bit-identical indexes. given must already have been
 // validated in its resolved form; stats and docs are retained on the matcher
-// only under Incremental.
+// only under Incremental, the counters' gram lists whenever they are stage
+// 2's dictionary.
 func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.SortedDoc, stats *features.VocabBuilder, vocab *features.Vocabulary, given Options) (*Matcher, error) {
 	opts := given.WithDefaults()
 	m := &Matcher{given: given, opts: opts, known: known, vocab: vocab}
 	if opts.Incremental {
 		m.stats = stats
 		m.docs = docs
+	}
+	m.sameExtract = opts.Reduction.SameExtraction(opts.Final)
+	m.sameGrams = opts.Reduction.SameGrams(opts.Final)
+	if m.sameGrams {
+		st, err := stats.State()
+		if err != nil {
+			return nil, fmt.Errorf("attribution: corpus counters: %w", err)
+		}
+		m.words, m.chars = st.Words, st.Chars
 	}
 	shards := shardCount(opts.Workers, len(known))
 
@@ -445,8 +473,7 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 }
 
 // finish ends the index pass: it inverts the forward lists into the posting
-// arena and sets up what stage 2 keeps for the matcher's lifetime — the
-// name index and the Final-config document cache.
+// arena and builds the name index stage 2 looks candidates up by.
 func (m *Matcher) finish() error {
 	var err error
 	m.postOff, m.postSubj, m.postVal, err = invertForward(m.fwdIdx, m.fwdVal, int(m.vocab.FreqOffset()), m.opts.Workers)
@@ -454,17 +481,8 @@ func (m *Matcher) finish() error {
 		return fmt.Errorf("attribution: posting inversion: %w", err)
 	}
 	m.byName = make(map[string]int, len(m.known))
-	texts := make([]string, len(m.known))
 	for i := range m.known {
 		m.byName[m.known[i].Name] = i
-		texts[i] = m.known[i].Text
-	}
-	m.finalDocs = features.NewDocCache(m.opts.Final, texts)
-	m.sameExtract = m.opts.Reduction.SameExtraction(m.opts.Final)
-	if m.docs != nil && m.sameExtract {
-		// The retained reduction documents are the Final-config extractions
-		// bit for bit: stage 2 reads them instead of extracting its own.
-		m.finalDocs.Seed(m.docs)
 	}
 
 	distinct := 0
@@ -477,6 +495,52 @@ func (m *Matcher) finish() error {
 	mVocabSize.Set(float64(m.vocab.NumWordGrams() + m.vocab.NumCharGrams()))
 	mPostings.Set(float64(distinct))
 	return nil
+}
+
+// stage2 returns the dictionary stage 2 numbers grams by and the cache of
+// candidate documents numbered by it, setting both up on the generation's
+// first call. Nothing is numbered before a rescore asks, so a build, a Fold
+// and a load pay none of it, and a Fold's matcher numbers afresh: its
+// dictionary is the new counters'.
+func (m *Matcher) stage2() (*features.Dictionary, *features.DocCache) {
+	m.stage2Once.Do(func() {
+		words, chars := m.words, m.chars
+		if !m.sameGrams {
+			words, chars = m.finalGrams()
+		}
+		m.dict = features.NewDictionary(words, chars)
+		texts := make([]string, len(m.known))
+		for i := range m.known {
+			texts[i] = m.known[i].Text
+		}
+		var seed []*features.SortedDoc
+		if m.sameExtract {
+			// The retained reduction documents, when there are any, are the
+			// Final-config extractions bit for bit: stage 2 numbers them
+			// instead of extracting its own.
+			seed = m.docs
+		}
+		m.finalDocs = features.NewDocCache(m.opts.Final, texts, seed, m.dict)
+	})
+	return m.dict, m.finalDocs
+}
+
+// finalGrams counts every known subject's Final-config document for the
+// gram lists stage 2 numbers by when the Final config extracts other grams
+// than the Reduction config: each candidate's document holds only grams of
+// those lists. The counters are summed only to be dropped, so the one way
+// they can fail — a gram counted past 2^31-1 times, more words than any
+// known set held in memory has — is a panic.
+func (m *Matcher) finalGrams() (words, chars []features.GramCount) {
+	vb, err := countCorpus(context.Background(), m.known, m.opts.Final, m.opts.Workers, nil)
+	var st features.BuilderState
+	if err == nil {
+		st, err = vb.State()
+	}
+	if err != nil {
+		panic(fmt.Sprintf("attribution: final-config dictionary: %v", err))
+	}
+	return st.Words, st.Chars
 }
 
 // invertForward turns per-subject forward lists (fwdIdx[i][k] is a gram
@@ -618,14 +682,19 @@ func (m *Matcher) RankDetailed(unknown *Subject, o MatchOptions) ([]Scored, pref
 // the extraction and the vectorization once. (A one-shot Matcher.Rescore
 // prepares none: stage 2 reads no stage-1 vector.) The blocks do not depend on the
 // weights; only the norm the scan divides by does, and that is taken per
-// query. A Query is immutable and safe for concurrent use. Its gram vector
-// is in the preparing matcher's vocabulary, so it answers against that
-// matcher only.
+// query. A Query is safe for concurrent use: all it gains after Prepare is
+// its document's stage-2 numbers, set once. Its gram vector and numbers are
+// in the preparing matcher's vocabulary and dictionary, so it answers
+// against that matcher only.
 type Query struct {
 	m       *Matcher
 	subject *Subject
 	doc     *features.SortedDoc
 	ub      blocks
+	// unum is doc numbered by the matcher's stage-2 dictionary, by the
+	// first rescore that reads it; compare-and-swap keeps one canonical
+	// numbering when rescores race to it.
+	unum atomic.Pointer[features.NumberedDoc]
 }
 
 // Prepare extracts and vectorizes unknown for m. The Query keeps unknown,
@@ -726,7 +795,7 @@ func normOf(hasGrams, hasFreq, hasAct bool, w Weights) float64 {
 // n-grams and hence every vector, including the unknown's), then rescore
 // by cosine under the matcher's weights. Candidate documents come from the
 // matcher's lazy Final-config cache, so repeat candidates cost one
-// extraction per matcher lifetime, not one per query.
+// extraction and one numbering per matcher lifetime, not one per query.
 func (m *Matcher) Rescore(unknown *Subject, candidates []Scored) []Scored {
 	buf := m.getBuf()
 	defer m.putBuf(buf)
@@ -735,10 +804,14 @@ func (m *Matcher) Rescore(unknown *Subject, candidates []Scored) []Scored {
 
 // rescoreSubject is Rescore on the caller's scratch. Stage 2 reads nothing
 // of stage 1's gram vector, so a one-shot rescore extracts the unknown
-// under the final config and prepares no Query.
+// under the final config, numbers it in buf and prepares no Query.
 func (m *Matcher) rescoreSubject(unknown *Subject, candidates []Scored, buf *matchBuffers) []Scored {
 	udoc := features.Extract(unknown.Text, m.opts.Final)
-	return m.rescoreDoc(udoc, normalizedFreq(udoc.Freq), normalizedActivity(unknown), candidates, buf)
+	dict, _ := m.stage2()
+	dict.NumberInto(&buf.unum, udoc)
+	out := m.rescoreDoc(&buf.unum, normalizedFreq(udoc.Freq), normalizedActivity(unknown), candidates, buf)
+	buf.unum.Doc = nil // the scratch keeps the numbers' storage, not the document
+	return out
 }
 
 // Rescore is Matcher.Rescore on the prepared unknown.
@@ -750,29 +823,39 @@ func (q *Query) Rescore(candidates []Scored) []Scored {
 
 // rescore is Rescore on the caller's scratch. When the reduction and final
 // configs share extraction (the paper's setup) the prepared document and
-// its dense blocks are stage 2's too; otherwise it is a one-shot rescore.
+// its dense blocks are stage 2's too, and the document is numbered once per
+// Query; otherwise it is a one-shot rescore.
 func (q *Query) rescore(candidates []Scored, buf *matchBuffers) []Scored {
-	if !q.m.sameExtract {
-		return q.m.rescoreSubject(q.subject, candidates, buf)
+	m := q.m
+	if !m.sameExtract {
+		return m.rescoreSubject(q.subject, candidates, buf)
 	}
-	return q.m.rescoreDoc(q.doc, q.ub.freq, q.ub.act, candidates, buf)
+	u := q.unum.Load()
+	if u == nil {
+		dict, _ := m.stage2()
+		if u = dict.Number(q.doc); !q.unum.CompareAndSwap(nil, u) {
+			u = q.unum.Load()
+		}
+	}
+	return m.rescoreDoc(u, q.ub.freq, q.ub.act, candidates, buf)
 }
 
-// rescoreDoc scores the candidates against the unknown's final-config
-// document udoc and its normalised frequency and activity blocks.
-func (m *Matcher) rescoreDoc(udoc *features.SortedDoc, ufreq, uact []float64, candidates []Scored, buf *matchBuffers) []Scored {
+// rescoreDoc scores the candidates against the unknown's numbered
+// final-config document u and its normalised frequency and activity blocks.
+func (m *Matcher) rescoreDoc(u *features.NumberedDoc, ufreq, uact []float64, candidates []Scored, buf *matchBuffers) []Scored {
 	mRescoreTotal.Inc()
+	_, cache := m.stage2()
 	idxs, docs := buf.idxs[:0], buf.docs[:0]
 	for _, c := range candidates {
 		if i, ok := m.byName[c.Name]; ok {
 			idxs = append(idxs, i)
-			docs = append(docs, m.finalDocs.Get(i))
+			docs = append(docs, cache.Get(i))
 		}
 	}
 	buf.idxs, buf.docs = idxs, docs
 	// The vocabulary rebuild and the gram dots run in storage buf keeps: a
 	// VocabBuilder would allocate its counters and tables per query.
-	dots, has, uHas := buf.vocab.Score(m.opts.Final, docs, udoc)
+	dots, has, uHas := buf.vocab.Score(m.opts.Final, docs, u)
 	w := m.opts.weights()
 	nu := normOf(uHas, ufreq != nil, uact != nil, w)
 	out := make([]Scored, 0, len(idxs))
@@ -782,7 +865,7 @@ func (m *Matcher) rescoreDoc(udoc *features.SortedDoc, ufreq, uact []float64, ca
 		// two stages' raw counts differ.
 		freq, act := m.freqs[i], m.acts[i]
 		if !m.sameExtract {
-			freq = normalizedFreq(docs[j].Freq)
+			freq = normalizedFreq(docs[j].Doc.Freq)
 		}
 		score := 0.0 // the cosine of the concatenated weighted vectors (blocks)
 		if nv := normOf(has[j], freq != nil, act != nil, w); nu != 0 && nv != 0 {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestStage2ScratchConcurrent: Match and Rescore draw their stage-2 scratch
-// (candidate vocabulary, merge buffers, postings) from the matcher's
+// (candidate vocabulary, tile counters, postings) from the matcher's
 // pool. Eight goroutines walking the probes in different orders must get,
 // bit for bit, what a sequential pass got — documents of very different
 // sizes, empty ones and zero-norm probes included, so a buffer sized by
@@ -72,6 +72,114 @@ func TestStage2ScratchConcurrent(t *testing.T) {
 	}
 }
 
+// TestStage2FirstUseConcurrent: a fresh matcher sets stage 2 up — its
+// dictionary, a Final-config one counted on the workers where the stages'
+// grams differ, and the document cache — on its first rescore, and numbers
+// each candidate document and each prepared query on first use. Eight
+// goroutines released at once on a fresh matcher, each rescoring every
+// probe through shared prepared queries and through one-shot Rescore in an
+// order of its own, must all get the bits a sequential pass over another
+// matcher got, see one dictionary and one cache, and see for every
+// candidate entry and every prepared query one canonical numbering — the
+// numbers the dictionary gives its document. Run under -race in CI.
+func TestStage2FirstUseConcurrent(t *testing.T) {
+	known, probes := randomWorld(rand.New(rand.NewSource(1616)), 40)
+	incremental, unlemmatised := testOptions(), testOptions()
+	incremental.Incremental = true
+	unlemmatised.Final.Lemmatize = false
+	for oi, opts := range []Options{testOptions(), incremental, unlemmatised} {
+		seq, err := NewMatcher(known, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := make([][]Scored, len(probes))
+		want := make([][2][]Scored, len(probes))
+		for i := range probes {
+			cands[i] = seq.Rank(&probes[i], 10)
+			want[i] = [2][]Scored{seq.Prepare(&probes[i]).Rescore(cands[i]), seq.Rescore(&probes[i], cands[i])}
+		}
+
+		m, err := NewMatcher(known, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := make([]*Query, len(probes))
+		for i := range probes {
+			qs[i] = m.Prepare(&probes[i])
+		}
+		const goroutines = 8
+		type seen struct {
+			dict    *features.Dictionary
+			cache   *features.DocCache
+			queries []*features.NumberedDoc
+			docs    []*features.NumberedDoc
+		}
+		views := make([]seen, goroutines)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range goroutines {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(probes)) {
+					got := [2][]Scored{qs[i].Rescore(cands[i]), m.Rescore(&probes[i], cands[i])}
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("options %d goroutine %d probe %d:\n got %+v\nwant %+v", oi, g, i, got, want[i])
+						return
+					}
+				}
+				v := &views[g]
+				v.dict, v.cache = m.stage2()
+				for _, q := range qs {
+					v.queries = append(v.queries, q.unum.Load())
+				}
+				for i := range known {
+					if v.cache.Cached(i) {
+						v.docs = append(v.docs, v.cache.Get(i))
+					} else {
+						v.docs = append(v.docs, nil)
+					}
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		first := views[0]
+		for g, v := range views[1:] {
+			if v.dict != first.dict || v.cache != first.cache {
+				t.Fatalf("options %d goroutine %d: another stage-2 dictionary or cache", oi, g+1)
+			}
+			for i := range v.queries {
+				if v.queries[i] != first.queries[i] {
+					t.Fatalf("options %d goroutine %d: query %d numbered twice", oi, g+1, i)
+				}
+			}
+			for i := range v.docs {
+				if v.docs[i] != first.docs[i] {
+					t.Fatalf("options %d goroutine %d: candidate %d numbered twice", oi, g+1, i)
+				}
+			}
+		}
+		for i, q := range first.queries {
+			if m.sameExtract != (q != nil) {
+				t.Fatalf("options %d: query %d numbered = %v, its document is stage 2's = %v", oi, i, q != nil, m.sameExtract)
+			}
+			if q != nil && !reflect.DeepEqual(q, first.dict.Number(qs[i].doc)) {
+				t.Fatalf("options %d: query %d holds other numbers than its document's", oi, i)
+			}
+		}
+		for i, d := range first.docs {
+			if d != nil && !reflect.DeepEqual(d, first.dict.Number(d.Doc)) {
+				t.Fatalf("options %d: candidate %d holds other numbers than its document's", oi, i)
+			}
+		}
+	}
+}
+
 // TestRescoreAllocationCeiling keeps the per-request garbage from creeping
 // back: a warm Rescore allocates what extracting the
 // unknown's document allocates (stage 2 must read the text) plus a fixed
@@ -117,14 +225,19 @@ func TestRescoreAllocationCeiling(t *testing.T) {
 	// What the warm scratch keeps is linear in the gram entries the rescore
 	// read — the candidates' and the unknown's — and not in, say, the known
 	// set or the square of anything: peak RSS holds one per pooled buffer.
-	// Per entry it keeps two 16-byte merge buffers, two 4-byte landing
-	// positions and a 4-byte rank, a 12-byte posting, and per selected gram
-	// (no more than the entries) a 4-byte run end and an 8-byte weight of the
-	// unknown's: 68 bytes at most. Measured: 44, where the materialised
-	// vectors kept 35.
-	entries := 0
-	for _, d := range append(buf.docs, features.Extract(probe.Text, m.opts.Final)) {
-		entries += len(d.WordGrams) + len(d.CharGrams)
+	// Per entry it keeps a 16-byte aggregate counter and a 4-byte rank (one
+	// each per gram the candidates hold, no more than their entries), an
+	// 8-byte tile record (one per tile holding a gram, no more either), a
+	// 12-byte posting, the one-shot unknown's 4-byte number, and per selected
+	// gram a 4-byte run end and an 8-byte weight of the unknown's: 56 bytes
+	// at most, beside the one tile's counters, slots and occupancy bits,
+	// 48.5 KB whatever the dictionary — under a byte an entry here, where the
+	// rescore reads ~83k entries. Measured: 24, where the id merge kept 46
+	// and the materialised vectors 35.
+	u := features.Extract(probe.Text, m.opts.Final)
+	entries := len(u.WordGrams) + len(u.CharGrams)
+	for _, d := range buf.docs {
+		entries += len(d.Doc.WordGrams) + len(d.Doc.CharGrams)
 	}
 	const bytesPerEntry = 68
 	if kept := retainedBytes(reflect.ValueOf(buf)); kept > bytesPerEntry*entries {
@@ -135,7 +248,8 @@ func TestRescoreAllocationCeiling(t *testing.T) {
 // retainedBytes sums the backing arrays v holds by value: each slice's
 // capacity times its element size, through structs and arrays. Pointers are
 // not followed — a matchBuffers points only at documents the matcher's
-// cache owns — and no scratch slice holds slices.
+// cache owns — and a scratch slice of slices is cleared after every
+// rescore.
 func retainedBytes(v reflect.Value) int {
 	switch v.Kind() {
 	case reflect.Slice:
@@ -157,12 +271,22 @@ func retainedBytes(v reflect.Value) int {
 }
 
 // BenchmarkRescoreKernel times stage 2 alone, the way Match runs it: the
-// unknown's document already extracted (Match shares stage 1's), every
-// candidate's document in the matcher's cache and the scratch warm, k = 10
-// over 1,500-word documents.
+// unknown's document already extracted (Match shares stage 1's), k = 10
+// over 1,500-word documents, every candidate's document retained by the
+// index. warm has every candidate's document and the query numbered and the
+// scratch warm. first-use rescores each probe once on a fresh generation —
+// a matcher loaded from the same state, its queries prepared untimed — so
+// it includes what a generation's first rescores number: the query, and
+// each candidate the generation has not met yet.
 func BenchmarkRescoreKernel(b *testing.B) {
 	known, probes := split(makeAuthors(b, 20, 1500))
-	m, err := NewMatcher(known, testOptions())
+	opts := testOptions()
+	opts.Incremental = true
+	m, err := NewMatcher(known, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := m.State()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -174,9 +298,28 @@ func BenchmarkRescoreKernel(b *testing.B) {
 		cands[i], _ = qs[i].Rank(MatchOptions{K: 10})
 		qs[i].rescore(cands[i], &buf)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(probes)
-		qs[j].rescore(cands[j], &buf)
-	}
+	b.Run("warm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			j := i % len(probes)
+			qs[j].rescore(cands[j], &buf)
+		}
+	})
+	b.Run("first-use", func(b *testing.B) {
+		fresh := make([]*Query, len(probes))
+		for i := 0; i < b.N; i++ {
+			j := i % len(probes)
+			if j == 0 {
+				b.StopTimer()
+				g, err := NewMatcherFromState(known, st)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for p := range probes {
+					fresh[p] = g.Prepare(&probes[p])
+				}
+				b.StartTimer()
+			}
+			fresh[j].rescore(cands[j], &buf)
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -169,7 +170,7 @@ func referenceKernel(m *Matcher, udoc *features.SortedDoc, unknown *Subject, can
 	for _, c := range candidates {
 		if i, ok := m.byName[c.Name]; ok {
 			idxs = append(idxs, i)
-			docs = append(docs, m.finalDocs.Get(i))
+			docs = append(docs, features.Extract(m.known[i].Text, m.opts.Final))
 		}
 	}
 	vb := features.NewVocabBuilder(m.opts.Final)
@@ -227,10 +228,15 @@ func assertSameScores(t *testing.T, label string, got, want []Scored) {
 // 10 and 40, under the paper's budgets and under budgets of 64 word and 128
 // char grams, where the cut binds and ties are broken inside it; with the
 // final config's frequency block off too, so the stages do not share an
-// extraction and Match re-extracts. The unknowns include an empty one, one
-// with no selected gram, randomWorld's empty and zero-norm probes, and two
+// extraction and Match re-extracts; and with the final config not
+// lemmatising, so its grams are not the corpus counters' and the first
+// rescore counts a Final-config dictionary of its own. The unknowns include
+// an empty one, one with no selected gram, one whose grams the dictionary
+// mostly lacks, randomWorld's empty and zero-norm probes, and two
 // candidates with one text, where every gram they share has IDF 0 and both
-// gram blocks are present with norm 0.
+// gram blocks are present with norm 0. The authors' dictionary spans many
+// tiles of the stage-2 count, and the candidates hold grams numbered at a
+// tile's last and the next tile's first slot.
 func TestRescoreKernelMatchesReference(t *testing.T) {
 	known, probes := split(makeAuthors(t, 44, 1500))
 	twin := known[0]
@@ -239,7 +245,8 @@ func TestRescoreKernelMatchesReference(t *testing.T) {
 	probes = append(probes[:3],
 		Subject{Name: "empty"},
 		Subject{Name: "foreign", Text: "ÿŷÿŷÿŷ"},
-		known[7])
+		known[7],
+		Subject{Name: "mixed", Text: "ÿŷÿŷ zqxjv wuvk " + probes[3].Text[:400]})
 	rwKnown, rwProbes := randomWorld(rand.New(rand.NewSource(1500)), 44)
 	worlds := []struct {
 		name          string
@@ -251,8 +258,10 @@ func TestRescoreKernelMatchesReference(t *testing.T) {
 	binding.Final.MaxWordGrams, binding.Final.MaxCharGrams = 64, 128
 	paperNoFreq, bindingNoFreq := paper, binding
 	paperNoFreq.Final.IncludeFreq, bindingNoFreq.Final.IncludeFreq = false, false
+	unlemmatised := paper
+	unlemmatised.Final.Lemmatize = false
 	for _, wd := range worlds {
-		for oi, opts := range []Options{paper, binding, paperNoFreq, bindingNoFreq} {
+		for oi, opts := range []Options{paper, binding, paperNoFreq, bindingNoFreq, unlemmatised} {
 			m, err := NewMatcher(wd.known, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -275,20 +284,110 @@ func TestRescoreKernelMatchesReference(t *testing.T) {
 				continue
 			}
 			// The cases are what they claim to be.
-			foreign := features.Extract("ÿŷÿŷÿŷ", opts.Final)
+			dict, cache := m.stage2()
+			if m.sameGrams == (oi == 4) {
+				t.Fatalf("options %d: the stages share grams = %v", oi, m.sameGrams)
+			}
+			foreign := dict.Number(features.Extract("ÿŷÿŷÿŷ", opts.Final))
 			m.prepare(&probes[4], &buf).rescore(m.Rank(&probes[4], 10), &buf)
 			if _, _, uHas := buf.vocab.Score(opts.Final, buf.docs, foreign); uHas {
 				t.Fatalf("options %d: the foreign unknown holds a selected gram", oi)
 			}
+			mixed := dict.Number(features.Extract(probes[6].Text, opts.Final))
+			if !slices.Contains(mixed.Chars, math.MaxUint32) || !slices.ContainsFunc(mixed.Chars, func(n uint32) bool { return n != math.MaxUint32 }) {
+				t.Fatalf("options %d: the mixed unknown's numbers do not mix dictionary grams with others", oi)
+			}
+			assertTileEdgesCovered(t, fmt.Sprintf("options %d", oi), m, cache)
 			pair := []Scored{{Name: known[0].Name}, {Name: twin.Name}}
 			want := referenceKernel(m, nil, &probes[0], pair)
 			assertSameScores(t, fmt.Sprintf("options %d twins", oi), m.prepare(&probes[0], &buf).rescore(pair, &buf), want)
-			dots, has, _ := buf.vocab.Score(opts.Final, buf.docs, features.Extract(probes[0].Text, opts.Final))
+			dots, has, _ := buf.vocab.Score(opts.Final, buf.docs, dict.Number(features.Extract(probes[0].Text, opts.Final)))
 			if !has[0] || !has[1] || dots[0] != 0 || dots[1] != 0 {
 				t.Fatalf("options %d: twins score gram dots %v presence %v, want 0 and present", oi, dots, has)
 			}
 		}
 	}
+}
+
+// TestFoldRescoresAsRebuilt: a Fold's matcher numbers by its own counters.
+// The first generation numbers its candidates and queries; a Fold then adds
+// subjects and rewrites one with words no document held, so grams come into
+// the dictionary between and after the old ones and most numbers move,
+// while the unchanged subjects' documents are shared with the first
+// generation. Every rescore of the folded matcher must equal
+// referenceKernel's and a rebuild's over the same subjects bit for bit —
+// which numbers carried over from the first generation would break.
+func TestFoldRescoresAsRebuilt(t *testing.T) {
+	known, probes := split(makeAuthors(t, 24, 1500))
+	opts := testOptions()
+	opts.Incremental = true
+	first, err := NewMatcher(known[:16], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf matchBuffers
+	for p := range probes {
+		first.prepare(&probes[p], &buf).rescore(first.Rank(&probes[p], 10), &buf)
+	}
+	changed := append([]Subject(nil), known[16:]...)
+	rewritten := known[3]
+	rewritten.Text += " aardvark quokka zyzzyva xylophone quixotic"
+	changed = append(changed, rewritten)
+	folded, err := first.Fold(context.Background(), changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	updated := append([]Subject(nil), known...)
+	updated[3] = rewritten
+	rebuilt, err := NewMatcher(updated, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(folded.words) <= len(first.words) || len(folded.chars) <= len(first.chars) {
+		t.Fatalf("the fold adds no grams: %d/%d word, %d/%d char", len(folded.words), len(first.words), len(folded.chars), len(first.chars))
+	}
+	for p := range probes {
+		u := &probes[p]
+		cands := folded.Rank(u, 10)
+		got := folded.prepare(u, &buf).rescore(cands, &buf)
+		label := fmt.Sprintf("unknown %s", u.Name)
+		assertSameScores(t, label, got, referenceKernel(folded, nil, u, cands))
+		assertSameScores(t, label+" (rebuilt)", got, rebuilt.Prepare(u).Rescore(cands))
+	}
+}
+
+// countTile is the tile of the stage-2 count: features' tileSize.
+const countTile = 1 << 12
+
+// assertTileEdgesCovered fails unless the candidates m has numbered so far
+// hold, in one gram family, grams at the last slot of some tile and the
+// first of the next, and numbers from at least three tiles.
+func assertTileEdgesCovered(t *testing.T, label string, m *Matcher, cache *features.DocCache) {
+	t.Helper()
+	held := [2]map[uint32]bool{{}, {}}
+	for i := range m.known {
+		if !cache.Cached(i) {
+			continue
+		}
+		d := cache.Get(i)
+		for f, nums := range [2][]uint32{d.Words, d.Chars} {
+			for _, n := range nums {
+				held[f][n] = true
+			}
+		}
+	}
+	for _, nums := range held {
+		tiles := make(map[uint32]bool)
+		for n := range nums {
+			tiles[n/countTile] = true
+		}
+		for n := range nums {
+			if n%countTile == countTile-1 && nums[n+1] && len(tiles) >= 3 {
+				return
+			}
+		}
+	}
+	t.Fatalf("%s: no candidate grams straddle a tile edge of a dictionary spanning three tiles", label)
 }
 
 // TestRescoreUnchangedByHoistedIndex pins the byName/doc-cache hoist and
@@ -313,12 +412,15 @@ func TestRescoreUnchangedByHoistedIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if m.finalDocs != nil {
+			t.Fatalf("incremental %v sameExtract %v: stage 2 set up before any Rescore", opts.Incremental, m.sameExtract)
+		}
+		_, cache := m.stage2()
 		for i := range known {
-			seeded := opts.Incremental && m.sameExtract
-			if m.finalDocs.Cached(i) != seeded {
-				t.Fatalf("incremental %v sameExtract %v: document %d cached = %v before any Rescore", opts.Incremental, m.sameExtract, i, !seeded)
+			if cache.Cached(i) {
+				t.Fatalf("document %d numbered before any Rescore", i)
 			}
-			if seeded && m.finalDocs.Get(i) != m.docs[i] {
+			if seeded := opts.Incremental && m.sameExtract; seeded && cache.Get(i).Doc != m.docs[i] {
 				t.Fatalf("document %d: the stage-2 cache holds another copy than the matcher retains", i)
 			}
 		}

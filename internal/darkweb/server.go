@@ -71,7 +71,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	rng     *rand.Rand
-	hits    map[string]int             // URL → requests seen (FailFirstN)
+	hits    map[string]int // URL → requests seen (FailFirstN)
 	boards  []string
 	threads map[string][]string        // board → thread ids (sorted)
 	posts   map[string][]forum.Message // thread id → posts by time

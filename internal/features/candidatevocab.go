@@ -2,16 +2,18 @@ package features
 
 import (
 	"math"
+	mathbits "math/bits"
 	"slices"
 )
 
 // CandidateVocab is stage 2's per-query vocabulary and gram scorer: the
-// corpus builder's kernels — mergeGramLists to count, rankByFreq to cut —
-// over the ~k candidate documents, then two sweeps over their TF-IDF weights
-// laid out by feature index. Every score is bit-identical to sparse.Dot of
-// the normalised vectors a Vocabulary built from the same documents yields:
-// each sum adds the same terms in the same order, ascending feature index.
-// Reusable — warm, it allocates nothing — and not safe for concurrent use.
+// candidates' grams counted by dictionary number, the corpus builder's cut
+// (rankByFreq) over the ~k candidate documents, then two sweeps over their
+// TF-IDF weights laid out by feature index. Every score is bit-identical to
+// sparse.Dot of the normalised vectors a Vocabulary built from the same
+// documents yields: each sum adds the same terms in the same order,
+// ascending feature index. Reusable — warm, it allocates nothing — and not
+// safe for concurrent use.
 type CandidateVocab struct {
 	// One run per selected feature, ascending, feature f's ending at end[f]:
 	// the documents' nonzero weights and their documents. uval is the
@@ -26,6 +28,7 @@ type CandidateVocab struct {
 	dots    []float64
 
 	scratch aggBuffers
+	tiles   tileBuffers
 }
 
 type cvEntry struct {
@@ -35,29 +38,71 @@ type cvEntry struct {
 }
 
 // aggBuffers is the scratch kept between vocabulary builds: the merge's
-// ping-pong buffers, run boundaries and landing positions, the counting
-// sort's histogram, ranks and permutation, and the IDF table.
+// ping-pong buffers and run boundaries, the counting sort's histogram, ranks
+// and permutation, and the IDF table.
 type aggBuffers struct {
 	a, b       []GramCount
 	runs, next []int
-	pos, land  []int32
 	counts     []uint32
 	rank, perm []uint32
 	idfByDF    []float64
+}
+
+// Stage 2 counts grams one tile of tileSize consecutive dictionary numbers
+// at a time: a tile's counters, landing slots and occupancy bits stay in
+// cache however large the dictionary is, and scratch stays constant beside
+// what is linear in the entries read.
+const tileSize = 1 << 12
+
+// tileBuffers is the tiled count's scratch. count, slot and occupied cover
+// one tile; the rest grows with the entries read. agg is the aggregate: per
+// gram the candidates hold, in ascending number, its counters, with the
+// number in place of the gram id (numbers ascend as ids do). spans[t] is the
+// t-th tile holding a gram, where its aggregate begins.
+type tileBuffers struct {
+	count    []tileCount
+	slot     []int32
+	occupied []uint64
+	agg      []GramCount
+	spans    []tileSpan
+	lists    []numberedList
+}
+
+type tileCount struct{ freq, df int32 }
+
+type tileSpan struct {
+	base  uint32
+	start int32
+}
+
+// numberedList is one document's gram family and its numbers, with the
+// walk's cursor: the first entry not yet in a tile.
+type numberedList struct {
+	es   []GramEntry
+	nums []uint32
+	den  float64
+	cur  int
 }
 
 // Score selects the vocabulary over docs under cfg's gram budgets — what
 // folding them through a VocabBuilder and freezing it selects — and scores
 // u against each document: dots[j] is the dot product of document j's and
 // u's unit-normalised TF-IDF gram vectors, has[j] whether document j holds a
-// selected gram, uHas whether u does. dots and has alias v's storage and are
-// valid until the next Score.
-func (v *CandidateVocab) Score(cfg Config, docs []*SortedDoc, u *SortedDoc) (dots []float64, has []bool, uHas bool) {
+// selected gram, uHas whether u does. All are numbered by one dictionary,
+// which must hold every gram of docs; u's grams it lacks are held by no
+// document, so they fall outside the cut and are skipped. dots and has alias
+// v's storage and are valid until the next Score.
+func (v *CandidateVocab) Score(cfg Config, docs []*NumberedDoc, u *NumberedDoc) (dots []float64, has []bool, uHas bool) {
 	v.scratch.idfTable(len(docs))
 	v.postX, v.postDoc, v.end, v.uval = v.postX[:0], v.postDoc[:0], v.end[:0], v.uval[:0]
 	v.has = extend(v.has[:0], len(docs))
-	uw := v.addFamily(docs, u, cfg.MaxWordGrams, func(d *SortedDoc) ([]GramEntry, int) { return d.WordGrams, d.WordTotal })
-	uc := v.addFamily(docs, u, cfg.MaxCharGrams, func(d *SortedDoc) ([]GramEntry, int) { return d.CharGrams, d.CharTotal })
+	uw := v.addFamily(docs, u, cfg.MaxWordGrams, func(d *NumberedDoc) numberedList {
+		return numberedList{es: d.Doc.WordGrams, nums: d.Words, den: float64(max(d.Doc.WordTotal, 1))}
+	})
+	uc := v.addFamily(docs, u, cfg.MaxCharGrams, func(d *NumberedDoc) numberedList {
+		return numberedList{es: d.Doc.CharGrams, nums: d.Chars, den: float64(max(d.Doc.CharTotal, 1))}
+	})
+	clear(v.tiles.lists) // the documents are the caller's again
 
 	// The first sweep: ‖c_j‖² and ‖u‖² in ascending feature index, as Norm
 	// walks a sorted vector, and the 1/‖x‖ Normalize scales by. A zero weight
@@ -93,35 +138,20 @@ func (v *CandidateVocab) Score(cfg Config, docs []*SortedDoc, u *SortedDoc) (dot
 	return v.dots, v.has, uw || uc
 }
 
-// addFamily merges one gram family of the documents and u — which counts 0,
-// so the cut leaves out the grams only u holds — recording where each entry
-// lands, cuts the top n as selectGrams does, with feature indices after
-// those already laid out, and places every selected entry: u's in uval, the
-// documents' in the run of its feature, which holds the gram's df of
-// entries. It reports whether u holds a selected gram.
-func (v *CandidateVocab) addFamily(docs []*SortedDoc, u *SortedDoc, n int, family func(*SortedDoc) ([]GramEntry, int)) bool {
-	s := &v.scratch
-	doc := func(j int) *SortedDoc {
-		if j == len(docs) {
-			return u
-		}
-		return docs[j]
+// addFamily counts one gram family of the documents by number (countTiles),
+// cuts the top n as selectGrams does, with feature indices after those
+// already laid out, and places every selected entry (placeTiles): u's in
+// uval, the documents' in the run of its feature, which holds the gram's df
+// of entries. It reports whether u holds a selected gram.
+func (v *CandidateVocab) addFamily(docs []*NumberedDoc, u *NumberedDoc, n int, family func(*NumberedDoc) numberedList) bool {
+	s, t := &v.scratch, &v.tiles
+	t.lists = t.lists[:0]
+	for _, d := range append(docs, u) {
+		t.lists = append(t.lists, family(d))
 	}
-	agg := s.mergeGramLists(len(docs)+1, func(j int) ([]GramEntry, int32) {
-		es, _ := family(doc(j))
-		if j == len(docs) {
-			return es, 0 // u's entries land in the aggregate but count nothing
-		}
-		return es, 1
-	}, true)
-	live := 0 // the grams a document holds: they rank before u's alone
-	for _, e := range agg {
-		if e.DF > 0 {
-			live++
-		}
-	}
-	if n < 0 || n > live {
-		n = live
+	agg := t.countTiles()
+	if n < 0 || n > len(agg) {
+		n = len(agg)
 	}
 	if n == 0 {
 		return false
@@ -141,28 +171,137 @@ func (v *CandidateVocab) addFamily(docs []*SortedDoc, u *SortedDoc, n int, famil
 	}
 	v.postX = slices.Grow(v.postX, int(next)-len(v.postX))[:next]
 	v.postDoc = slices.Grow(v.postDoc, int(next)-len(v.postDoc))[:next]
-	found, e := false, 0
-	for j := range len(docs) + 1 {
-		es, total := family(doc(j))
-		den := float64(max(total, 1))
-		for _, g := range es {
-			a := s.pos[e]
-			e++
-			r := rank[a]
-			if r >= sel {
-				continue
-			}
-			x := float64(g.Count) / den * s.idfByDF[agg[a].DF]
-			if j == len(docs) {
-				v.uval[base+r], found = x, true
-				continue
-			}
-			v.has[j] = true
-			if x != 0 {
-				v.postX[end[r]], v.postDoc[end[r]] = x, int32(j)
-				end[r]++
+	return v.placeTiles(rank, sel, base, end)
+}
+
+// countTiles sums the documents' lists — all of t.lists but the last, the
+// unknown's — into the aggregate, one tile at a time: each tile the lowest
+// number left opens, every list's entries in it counted in the tile's
+// counters and then emitted in ascending number, which is ascending gram id.
+func (t *tileBuffers) countTiles() []GramCount {
+	if t.count == nil {
+		t.count = make([]tileCount, tileSize)
+		t.slot = make([]int32, tileSize)
+		t.occupied = make([]uint64, tileSize/64)
+	}
+	lists := t.lists[:len(t.lists)-1]
+	for i := range lists {
+		lists[i].cur = 0
+	}
+	agg, spans := t.agg[:0], t.spans[:0]
+	count, occupied := t.count[:tileSize], t.occupied[:tileSize/64]
+	for {
+		low := uint32(notNumbered)
+		for i := range lists {
+			if l := &lists[i]; l.cur < len(l.nums) {
+				low = min(low, l.nums[l.cur])
 			}
 		}
+		if low == notNumbered {
+			break
+		}
+		base := low &^ (tileSize - 1)
+		end := base + tileSize
+		spans = append(spans, tileSpan{base: base, start: int32(len(agg))})
+		for i := range lists {
+			l := &lists[i]
+			k := l.cur
+			nums, es := l.nums, l.es
+			for ; k < len(nums) && nums[k] < end; k++ {
+				slot := (nums[k] - base) & (tileSize - 1)
+				occupied[slot/64] |= 1 << (slot % 64)
+				c := &count[slot]
+				c.freq += es[k].Count
+				c.df++
+			}
+			l.cur = k
+		}
+		for w, bits := range occupied {
+			for ; bits != 0; bits &= bits - 1 {
+				slot := w*64 + mathbits.TrailingZeros64(bits)
+				c := &count[slot]
+				agg = append(agg, GramCount{ID: GramID(base) + GramID(slot), Freq: c.freq, DF: c.df})
+				*c = tileCount{}
+			}
+			occupied[w] = 0
+		}
+	}
+	t.agg, t.spans = agg, spans
+	return agg
+}
+
+// placeTiles walks the tiles again once the cut has ranked the aggregate:
+// per tile, the slot of each of its grams records where the gram is in the
+// aggregate, and then each list — the documents' in order, the unknown's
+// last — places its entries in the tile. A run lies inside one tile and is
+// filled in document order, so every run holds its postings in the order a
+// whole-list walk would place them. It reports whether the unknown holds a
+// selected gram.
+func (v *CandidateVocab) placeTiles(rank []uint32, sel, base uint32, end []int32) bool {
+	t := &v.tiles
+	idf, agg, slot := v.scratch.idfByDF, t.agg, t.slot[:tileSize]
+	postX, postDoc := v.postX, v.postDoc
+	docs, u := t.lists[:len(t.lists)-1], &t.lists[len(t.lists)-1]
+	for i := range t.lists {
+		t.lists[i].cur = 0
+	}
+	found := false
+	for ti, span := range t.spans {
+		lo, hi := span.start, int32(len(agg))
+		if ti+1 < len(t.spans) {
+			hi = t.spans[ti+1].start
+		}
+		tileEnd := span.base + tileSize
+		for a := lo; a < hi; a++ {
+			slot[(uint32(agg[a].ID)-span.base)&(tileSize-1)] = a
+		}
+		for j := range docs {
+			l := &docs[j]
+			nums, es, den := l.nums, l.es, l.den
+			k, held := l.cur, false
+			for ; k < len(nums) && nums[k] < tileEnd; k++ {
+				a := slot[(nums[k]-span.base)&(tileSize-1)]
+				r := rank[a]
+				if r >= sel {
+					continue
+				}
+				held = true
+				// The weight is zero only where the IDF is: a count over
+				// its total and a nonzero IDF are both far above underflow.
+				w := idf[agg[a].DF]
+				if w == 0 {
+					continue
+				}
+				p := end[r]
+				postX[p], postDoc[p] = float64(es[k].Count)/den*w, int32(j)
+				end[r] = p + 1
+			}
+			l.cur = k
+			if held {
+				v.has[j] = true
+			}
+		}
+		// The unknown's numbers skip what the dictionary lacks and grams in
+		// tiles no document touches; a slot holds one of the tile's grams
+		// only if the aggregate entry it names is that gram.
+		k := u.cur
+		for ; k < len(u.nums); k++ {
+			num := u.nums[k]
+			if num < span.base || num == notNumbered {
+				continue
+			}
+			if num >= tileEnd {
+				break
+			}
+			a := slot[(num-span.base)&(tileSize-1)]
+			if a < lo || a >= hi || uint32(agg[a].ID) != num {
+				continue
+			}
+			if r := rank[a]; r < sel {
+				v.uval[base+r], found = float64(u.es[k].Count)/u.den*idf[agg[a].DF], true
+			}
+		}
+		u.cur = k
 	}
 	return found
 }
@@ -190,10 +329,8 @@ func (s *aggBuffers) idfTable(numDocs int) {
 // are int32 and wrap; a caller whose counts could add up past that checks
 // before it merges (VocabBuilder.settle). Levels ping-pong between the two
 // scratch buffers; the returned slice aliases one of them and is only valid
-// until the next merge. With track set, s.pos[e] is afterwards the aggregate
-// position of the e-th entry of the lists laid end to end, composed from
-// where each level's entries land; without, s.pos and s.land are dropped.
-func (s *aggBuffers) mergeGramLists(n int, list func(i int) ([]GramEntry, int32), track bool) []GramCount {
+// until the next merge.
+func (s *aggBuffers) mergeGramLists(n int, list func(i int) ([]GramEntry, int32)) []GramCount {
 	total := 0
 	for i := range n {
 		es, _ := list(i)
@@ -216,53 +353,29 @@ func (s *aggBuffers) mergeGramLists(n int, list func(i int) ([]GramEntry, int32)
 			runs = append(runs, len(src))
 		}
 	}
-	var pos, land []int32
-	if track {
-		pos = slices.Grow(s.pos[:0], total)[:total]
-		land = slices.Grow(s.land[:0], total)[:total]
-	}
-	level := 0
-	for ; len(runs) > 2; level++ {
+	for len(runs) > 2 {
 		dst, next = dst[:0], append(next[:0], 0)
 		i := 0
 		for ; i+2 < len(runs); i += 2 {
-			var l []int32
-			if track {
-				l = land[runs[i]:runs[i+2]]
-			}
-			dst = mergeAggInto(dst, src[runs[i]:runs[i+1]], src[runs[i+1]:runs[i+2]], l)
+			dst = mergeAggInto(dst, src[runs[i]:runs[i+1]], src[runs[i+1]:runs[i+2]])
 			next = append(next, len(dst))
 		}
 		if i+1 < len(runs) {
-			if track {
-				landRun(land[runs[i]:runs[i+1]], len(dst))
-			}
 			dst = append(dst, src[runs[i]:runs[i+1]]...)
 			next = append(next, len(dst))
-		}
-		if level == 0 {
-			pos, land = land, pos // the first level's entries are the lists'
-		} else {
-			for e, p := range pos {
-				pos[e] = land[p]
-			}
 		}
 		src, dst = dst, src
 		runs, next = next, runs
 	}
-	if level == 0 {
-		landRun(pos, 0) // one list: nothing moved
-	}
-	s.a, s.b, s.runs, s.next, s.pos, s.land = src, dst, runs, next, pos, land
+	s.a, s.b, s.runs, s.next = src, dst, runs, next
 	return src[runs[0]:runs[1]]
 }
 
 // mergeAggInto appends the id-ordered union of a and b to out, summing the
 // counters of grams both hold. Which side advances is a coin flip per step,
 // so the loop selects with 0/1 multipliers: mispredictions bound the
-// branching form. A non-nil land (len(a)+len(b) long, a's entries first)
-// receives every input entry's position in out.
-func mergeAggInto(out, a, b []GramCount, land []int32) []GramCount {
+// branching form.
+func mergeAggInto(out, a, b []GramCount) []GramCount {
 	k := len(out)
 	out = out[:k+len(a)+len(b)]
 	i, j := 0, 0
@@ -275,30 +388,14 @@ func mergeAggInto(out, a, b []GramCount, land []int32) []GramCount {
 		if y.ID <= x.ID {
 			ty = 1
 		}
-		if land != nil {
-			// Both written every step: an entry not taken here is written
-			// again at the step that takes it.
-			land[i], land[len(a)+j] = int32(k), int32(k)
-		}
 		out[k] = GramCount{ID: min(x.ID, y.ID), Freq: tx*x.Freq + ty*y.Freq, DF: tx*x.DF + ty*y.DF}
 		k++
 		i += int(tx)
 		j += int(ty)
 	}
-	if land != nil {
-		landRun(land[i:len(a)], k)
-		landRun(land[len(a)+j:], k+len(a)-i)
-	}
 	k += copy(out[k:], a[i:])
 	k += copy(out[k:], b[j:])
 	return out[:k]
-}
-
-// landRun records a run of entries copied whole to positions from k on.
-func landRun(land []int32, k int) {
-	for p := range land {
-		land[p] = int32(k + p)
-	}
 }
 
 // selectGrams is the vocabulary cut (§IV-A: "we order the n-grams by their

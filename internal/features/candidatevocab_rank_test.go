@@ -100,7 +100,7 @@ func distinctGrams(docs []*mapDoc) (words, chars int) {
 // vocabulary a VocabBuilder fed them freezes — entry by entry with the
 // map-based reference built over the same docs: feature index, IDF bits,
 // and the vector bits of every doc plus an unseen probe. Then it holds cv's
-// scores to the reference's vectors.
+// scores, numbered by the dictionary of docs, to the reference's vectors.
 func assertMatchesReference(t *testing.T, label string, cfg Config, cv *CandidateVocab, docs []*mapDoc, probe *mapDoc) {
 	t.Helper()
 	ref := refBuilderOf(cfg, docs...).Build()
@@ -139,7 +139,7 @@ func assertMatchesReference(t *testing.T, label string, cfg Config, cv *Candidat
 			t.Fatalf("%s: doc %d vector not bit-identical\nfast: %v\nref:  %v", label, j, v, want)
 		}
 	}
-	assertDotsMatchReference(t, label, cfg, cv, ref, sorted, probe.Sorted())
+	assertDotsMatchReference(t, label, cfg, cv, ref, dictionaryOf(t, sorted...), sorted, probe.Sorted())
 }
 
 // TestCountingRankMatchesReference pins the counting-sort selection, and the

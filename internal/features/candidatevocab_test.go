@@ -23,13 +23,27 @@ func referenceDots(voc *Vocabulary, u *SortedDoc, docs []*SortedDoc) (dots []flo
 	return dots, has, uv.Len() > 0
 }
 
+// dictionaryOf is the dictionary a VocabBuilder fed docs holds.
+func dictionaryOf(t testing.TB, docs ...*SortedDoc) *Dictionary {
+	b := NewVocabBuilder(FinalConfig())
+	for _, d := range docs {
+		b.AddSorted(d)
+	}
+	st := mustState(t, b)
+	return NewDictionary(st.Words, st.Chars)
+}
+
 // assertDotsMatchReference holds v.Score to referenceDots over voc — the
 // vocabulary selected over docs some other way — bit for bit, with u and
-// each of the documents themselves as the unknown.
-func assertDotsMatchReference(t *testing.T, label string, cfg Config, v *CandidateVocab, voc *Vocabulary, docs []*SortedDoc, u *SortedDoc) {
+// each of the documents themselves as the unknown, all numbered by dict.
+func assertDotsMatchReference(t *testing.T, label string, cfg Config, v *CandidateVocab, voc *Vocabulary, dict *Dictionary, docs []*SortedDoc, u *SortedDoc) {
 	t.Helper()
+	numbered := make([]*NumberedDoc, len(docs))
+	for j, d := range docs {
+		numbered[j] = dict.Number(d)
+	}
 	for q, d := range append(docs[:len(docs):len(docs)], u) {
-		gotDots, gotHas, gotU := v.Score(cfg, docs, d)
+		gotDots, gotHas, gotU := v.Score(cfg, numbered, dict.Number(d))
 		wantDots, wantHas, wantU := referenceDots(voc, d, docs)
 		if gotU != wantU || !slices.Equal(gotHas, wantHas) || len(gotDots) != len(wantDots) {
 			t.Fatalf("%s: unknown %d: presence %v %v, reference %v %v", label, q, gotU, gotHas, wantU, wantHas)
@@ -76,9 +90,12 @@ func randomDoc(rng *rand.Rand) *mapDoc {
 // corpus builder's vocabulary: the same gram selection, index assignment and
 // IDF, so bit-identical dots, across gram budgets that keep everything,
 // truncate hard, or keep nothing, with every document and an unseen probe
-// as the unknown. (The builder is held to the map reference on its own, in
-// TestSortedRunBuilderMatchesMapReference; TestCountingRankMatchesReference
-// holds the scores to it directly.)
+// as the unknown. Every other trial numbers by a dictionary of the
+// documents alone, so the probe mixes numbered and unnumbered grams; the
+// rest by one that also holds the probe and a document no candidate is,
+// so the candidates' numbers have gaps. (The builder is held to the map
+// reference on its own, in TestSortedRunBuilderMatchesMapReference;
+// TestCountingRankMatchesReference holds the scores to it directly.)
 func TestCandidateVocabMatchesVocabBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var cv CandidateVocab
@@ -101,7 +118,12 @@ func TestCandidateVocabMatchesVocabBuilder(t *testing.T) {
 			sorted[i] = randomDoc(rng).Sorted()
 			vb.AddSorted(sorted[i])
 		}
-		assertDotsMatchReference(t, fmt.Sprintf("trial %d", trial), cfg, &cv, mustBuild(t, vb), sorted, randomDoc(rng).Sorted())
+		probe := randomDoc(rng).Sorted()
+		dict := dictionaryOf(t, sorted...)
+		if trial%2 == 1 {
+			dict = dictionaryOf(t, append(sorted, probe, randomDoc(rng).Sorted())...)
+		}
+		assertDotsMatchReference(t, fmt.Sprintf("trial %d", trial), cfg, &cv, mustBuild(t, vb), dict, sorted, probe)
 	}
 }
 
@@ -109,7 +131,82 @@ func TestCandidateVocabMatchesVocabBuilder(t *testing.T) {
 func TestCandidateVocabEmpty(t *testing.T) {
 	var cv CandidateVocab
 	rng := rand.New(rand.NewSource(1))
-	if dots, has, uHas := cv.Score(FinalConfig(), nil, randomDoc(rng).Sorted()); len(dots) != 0 || len(has) != 0 || uHas {
+	u := randomDoc(rng).Sorted()
+	if dots, has, uHas := cv.Score(FinalConfig(), nil, dictionaryOf(t, u).Number(u)); len(dots) != 0 || len(has) != 0 || uHas {
 		t.Fatalf("empty vocabulary scored %v %v %v", dots, has, uHas)
+	}
+}
+
+// TestCandidateVocabTileEdges holds Score to the reference where the tiled
+// count turns over: a dictionary of four tiles and more, documents holding
+// the grams numbered at each tile's last and the next tile's first slot
+// beside random ones and one tile's every gram, and an unknown mixing
+// dictionary grams — the edges included — with grams the dictionary lacks,
+// below, between and above its own. A tile no document touches but the
+// unknown does lies between two that documents touch.
+func TestCandidateVocabTileEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(4096))
+	const grams = 4*tileSize + 77
+	id := func(num int) GramID { return GramID(7*num + 3) } // gaps for ids the dictionary lacks
+	dictDoc := &SortedDoc{}
+	for num := range grams {
+		dictDoc.WordGrams = append(dictDoc.WordGrams, GramEntry{ID: id(num), Count: 1})
+		dictDoc.CharGrams = append(dictDoc.CharGrams, GramEntry{ID: id(num), Count: 1})
+	}
+	dict := dictionaryOf(t, dictDoc)
+	edges := []int{0, tileSize - 1, tileSize, 2*tileSize - 1, 2*tileSize + 1, 4*tileSize - 1, 4 * tileSize, grams - 1}
+	doc := func(nums []int, extra int) *SortedDoc {
+		words, chars := make(map[GramID]int), make(map[GramID]int)
+		for _, num := range nums {
+			words[id(num)] += 1 + rng.Intn(3)
+			chars[id(num)] += 1 + rng.Intn(2)
+		}
+		for range extra {
+			num := rng.Intn(grams)
+			if num/tileSize == 2 {
+				continue // the tile only the unknown touches
+			}
+			words[id(num)] += 1 + rng.Intn(3)
+			chars[id(num)] += 1 + rng.Intn(2)
+		}
+		return shapeDoc(words, chars).Sorted()
+	}
+	var whole []int
+	for num := 3 * tileSize; num < 4*tileSize; num++ {
+		whole = append(whole, num)
+	}
+	docs := []*SortedDoc{
+		doc([]int{edges[1], edges[2], edges[5], edges[6]}, 300),
+		doc([]int{edges[0], edges[1], edges[6], edges[7]}, 2000),
+		doc(whole, 50),
+		doc(nil, 5),
+		doc([]int{edges[2], edges[3], edges[4]}, 0),
+	}
+	uw, uc := make(map[GramID]int), make(map[GramID]int)
+	for _, num := range append(edges, 2*tileSize+5, 2*tileSize+6, 17, 9000, 12000) {
+		uw[id(num)] += 2
+		uc[id(num)]++
+	}
+	for _, g := range []GramID{0, 1, id(tileSize) + 1, id(2*tileSize) + 2, id(grams)} {
+		uw[g] += 3
+		uc[g] += 3
+	}
+	u := shapeDoc(uw, uc).Sorted()
+	nu := dict.Number(u)
+	if !slices.Contains(nu.Words, notNumbered) || slices.Index(nu.Words, notNumbered) == len(nu.Words)-1 {
+		t.Fatalf("the unknown's numbers %v do not mix numbered and unnumbered grams", nu.Words)
+	}
+	var cv CandidateVocab
+	for _, budget := range []int{-1, 1, 100, tileSize + 3, 3 * tileSize} {
+		cfg := FinalConfig()
+		cfg.MaxWordGrams, cfg.MaxCharGrams = budget, budget/2
+		vb := NewVocabBuilder(cfg)
+		for _, d := range docs {
+			vb.AddSorted(d)
+		}
+		assertDotsMatchReference(t, fmt.Sprintf("budget %d", budget), cfg, &cv, mustBuild(t, vb), dict, docs, u)
+	}
+	if spans := len(cv.tiles.spans); spans < 3 {
+		t.Fatalf("the documents span %d tiles, want at least 3", spans)
 	}
 }

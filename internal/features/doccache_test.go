@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// cacheDictionary is the dictionary of texts extracted under cfg.
+func cacheDictionary(t testing.TB, cfg Config, texts []string) *Dictionary {
+	docs := make([]*SortedDoc, len(texts))
+	for i, text := range texts {
+		docs[i] = Extract(text, cfg)
+	}
+	return dictionaryOf(t, docs...)
+}
+
 func TestDocCacheMatchesDirectExtract(t *testing.T) {
 	cfg := FinalConfig()
 	texts := []string{
@@ -14,14 +23,15 @@ func TestDocCacheMatchesDirectExtract(t *testing.T) {
 		"an entirely different document with: punctuation; and 123 digits",
 		"",
 	}
-	c := NewDocCache(cfg, texts)
+	dict := cacheDictionary(t, cfg, texts)
+	c := NewDocCache(cfg, texts, nil, dict)
 	for i, text := range texts {
 		if c.Cached(i) {
 			t.Fatalf("entry %d extracted before first Get", i)
 		}
 		got := c.Get(i)
-		if !reflect.DeepEqual(got, Extract(text, cfg)) {
-			t.Fatalf("entry %d: cached doc differs from direct Extract", i)
+		if want := dict.Number(Extract(text, cfg)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("entry %d: cached doc differs from direct Extract and Number", i)
 		}
 		if !c.Cached(i) {
 			t.Fatalf("entry %d not cached after Get", i)
@@ -32,20 +42,39 @@ func TestDocCacheMatchesDirectExtract(t *testing.T) {
 	}
 }
 
+// TestDocCacheSeedIsNumberedNotExtracted: a seeded entry is the seed's own
+// document, numbered on first Get.
+func TestDocCacheSeedIsNumberedNotExtracted(t *testing.T) {
+	cfg := FinalConfig()
+	texts := []string{"one seeded document", "and another one"}
+	seed := []*SortedDoc{Extract(texts[0], cfg), Extract(texts[1], cfg)}
+	dict := dictionaryOf(t, seed...)
+	c := NewDocCache(cfg, texts, seed, dict)
+	for i := range texts {
+		if c.Cached(i) {
+			t.Fatalf("entry %d numbered before first Get", i)
+		}
+		got := c.Get(i)
+		if got.Doc != seed[i] || !reflect.DeepEqual(got, dict.Number(seed[i])) {
+			t.Fatalf("entry %d: not the seed's document under the dictionary's numbers", i)
+		}
+	}
+}
+
 func TestDocCacheConcurrentGetCanonical(t *testing.T) {
 	texts := make([]string, 8)
 	for i := range texts {
 		texts[i] = fmt.Sprintf("document number %d with some shared words and its own marker m%dx", i, i)
 	}
-	c := NewDocCache(ReductionConfig(), texts)
+	c := NewDocCache(ReductionConfig(), texts, nil, cacheDictionary(t, ReductionConfig(), texts))
 	const goroutines = 16
-	ptrs := make([][]*SortedDoc, goroutines)
+	ptrs := make([][]*NumberedDoc, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ptrs[g] = make([]*SortedDoc, len(texts))
+			ptrs[g] = make([]*NumberedDoc, len(texts))
 			for i := range texts {
 				ptrs[g][i] = c.Get(i)
 			}

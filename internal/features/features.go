@@ -88,6 +88,14 @@ func (c Config) SameExtraction(o Config) bool {
 	return c == o
 }
 
+// SameGrams reports whether c and o extract the same gram lists from every
+// text: SameExtraction but for the frequency features, which no gram list
+// holds.
+func (c Config) SameGrams(o Config) bool {
+	c.IncludeFreq, o.IncludeFreq = false, false
+	return c.SameExtraction(o)
+}
+
 // maxCharOrder is the longest char n-gram the extractor's offset ring holds.
 const maxCharOrder = 16
 

@@ -2,6 +2,7 @@ package features
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -15,8 +16,9 @@ import (
 
 // GramCount is one gram's corpus counters: total occurrences and the number
 // of documents holding it. Lists of them ascend by gram id. It is the entry
-// of every counting merge, a query's candidates and a corpus's shards alike;
-// int32 keeps it at 16 bytes, and a merge streams every entry log n times.
+// of every counting merge of a corpus's documents and shards, and of stage
+// 2's aggregate over a query's candidates; int32 keeps it at 16 bytes, and a
+// merge streams every entry log n times.
 type GramCount struct {
 	ID   GramID
 	Freq int32
@@ -86,6 +88,68 @@ func (x GramIndex) Number(id GramID) (uint32, bool) {
 		}
 	}
 	return 0, false
+}
+
+// notNumbered stands for the number of a gram the dictionary does not hold.
+const notNumbered = math.MaxUint32
+
+// numberAll appends the number of every entry of es, an id-sorted gram list,
+// to out: one forward walk, since the list and the indexed grams both ascend,
+// that jumps to the slot of the next entry's id rather than stepping over
+// grams the list does not hold. A gram the index lacks is notNumbered.
+func (x GramIndex) numberAll(out []uint32, es []GramEntry) []uint32 {
+	j := 0
+	for _, e := range es {
+		j = max(j, int(x.skip[e.ID>>x.shift]))
+		for j < len(x.grams) && x.grams[j].ID < e.ID {
+			j++
+		}
+		if j < len(x.grams) && x.grams[j].ID == e.ID {
+			out = append(out, uint32(j))
+		} else {
+			out = append(out, notNumbered)
+		}
+	}
+	return out
+}
+
+// Dictionary numbers the grams of a corpus: a word gram by its position in
+// one ascending gram list, a char gram by its position in another — the
+// lists a BuilderState holds. Numbers ascend with gram id, so a numbered
+// document's entries ascend in number as they do in id. Immutable; safe for
+// concurrent use.
+type Dictionary struct {
+	words, chars GramIndex
+}
+
+// NewDictionary indexes the word and char gram lists, which must ascend by
+// id. The lists are retained, not copied.
+func NewDictionary(words, chars []GramCount) *Dictionary {
+	return &Dictionary{words: IndexGrams(words), chars: IndexGrams(chars)}
+}
+
+// NumberedDoc is a document beside its entries' dictionary numbers, aligned
+// with its gram lists: Words[e] numbers Doc.WordGrams[e], Chars[e]
+// Doc.CharGrams[e]. It is what stage 2 reads a document as.
+type NumberedDoc struct {
+	Doc          *SortedDoc
+	Words, Chars []uint32
+}
+
+// Number numbers d in one fresh array of 4 bytes an entry.
+func (x *Dictionary) Number(d *SortedDoc) *NumberedDoc {
+	nums := make([]uint32, 0, len(d.WordGrams)+len(d.CharGrams))
+	nd := &NumberedDoc{Doc: d, Words: x.words.numberAll(nums, d.WordGrams)}
+	nd.Chars = x.chars.numberAll(nd.Words[len(nd.Words):], d.CharGrams)
+	return nd
+}
+
+// NumberInto is Number into nd's own storage, which grows only when d has
+// more entries than nd held before.
+func (x *Dictionary) NumberInto(nd *NumberedDoc, d *SortedDoc) {
+	nd.Doc = d
+	nd.Words = x.words.numberAll(nd.Words[:0], d.WordGrams)
+	nd.Chars = x.chars.numberAll(nd.Chars[:0], d.CharGrams)
 }
 
 // Clone returns an independent copy of the builder: mutations of one never

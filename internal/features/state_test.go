@@ -155,10 +155,41 @@ func TestVectorizeGramsSortedMatches(t *testing.T) {
 // TestGramIndexNumbers: every gram of a builder state numbers to its own
 // position, and an id the list does not hold — below, between and above its
 // entries, or anything at all against an empty list — numbers to nothing.
+// A Dictionary's forward walk numbers a document's entries as one lookup
+// each does, those of documents the builder never saw included.
 func TestGramIndexNumbers(t *testing.T) {
 	b := NewVocabBuilder(ReductionConfig())
-	for _, d := range shardTestDocs(29) {
+	docs := shardTestDocs(29)
+	for _, d := range docs[:20] {
 		b.AddSorted(d.Sorted())
+	}
+	st := mustState(t, b)
+	dict, words, chars := NewDictionary(st.Words, st.Chars), IndexGrams(st.Words), IndexGrams(st.Chars)
+	for i, md := range docs {
+		d := md.Sorted()
+		nd := dict.Number(d)
+		into := &NumberedDoc{Words: make([]uint32, 3)}
+		dict.NumberInto(into, d)
+		for _, got := range []*NumberedDoc{nd, into} {
+			for f, fam := range []struct {
+				x    GramIndex
+				es   []GramEntry
+				nums []uint32
+			}{{words, d.WordGrams, got.Words}, {chars, d.CharGrams, got.Chars}} {
+				if got.Doc != d || len(fam.nums) != len(fam.es) {
+					t.Fatalf("doc %d family %d: %d numbers for %d entries", i, f, len(fam.nums), len(fam.es))
+				}
+				for e, g := range fam.es {
+					want := uint32(notNumbered)
+					if num, ok := fam.x.Number(g.ID); ok {
+						want = num
+					}
+					if fam.nums[e] != want {
+						t.Fatalf("doc %d family %d entry %d: number %d, lookup %d", i, f, e, fam.nums[e], want)
+					}
+				}
+			}
+		}
 	}
 	for _, grams := range [][]GramCount{mustState(t, b).Words, mustState(t, b).Chars, nil} {
 		x := IndexGrams(grams)

@@ -17,12 +17,11 @@ import (
 // The counters are, per gram family, one flat array in ascending gram id —
 // what State emits, a snapshot's dictionary stores and the cut ranks — and
 // no hash map anywhere. Documents collect as pending id-sorted lists and are
-// merged in a batch at a time by the two kernels CandidateVocab runs per
-// query, without the landing positions it records: mergeGramLists sums the
-// batch, mergeAggInto adds it to the array. A batch closes once it holds as
-// many entries as the arrays, so the merging stays linear in what the
-// builder was fed and a builder keeps a bounded number of documents alive
-// however many pass through it. Removing a document is the same merge with
+// merged in a batch at a time: mergeGramLists sums the batch, mergeAggInto
+// adds it to the array. A batch closes once it holds as many entries as the
+// arrays, so the merging stays linear in what the builder was fed and a
+// builder keeps a bounded number of documents alive however many pass
+// through it. Removing a document is the same merge with
 // its counts negated.
 //
 // A settled array is never written again — every merge makes a new one — so
@@ -37,10 +36,10 @@ import (
 // (frequency desc, gram id asc), which is independent of the order the
 // counts were summed in.
 //
-// Counters are int32, the width that keeps stage 2's merge at 16 bytes an
-// entry. What the counters cannot hold — a gram counted more than 2^31-1
-// times, a document removed that was never added — latches as the builder's
-// error: Settle, Merge, State and Build report it.
+// Counters are int32, the width that keeps a merge at 16 bytes an entry.
+// What the counters cannot hold — a gram counted more than 2^31-1 times, a
+// document removed that was never added — latches as the builder's error:
+// Settle, Merge, State and Build report it.
 type VocabBuilder struct {
 	cfg      Config
 	words    []GramCount
@@ -125,10 +124,10 @@ func (b *VocabBuilder) settle() {
 	}
 	if b.err == nil {
 		var s aggBuffers
-		words := s.mergeGramLists(len(b.pending), func(i int) ([]GramEntry, int32) { return b.pending[i].doc.WordGrams, b.pending[i].sign }, false)
+		words := s.mergeGramLists(len(b.pending), func(i int) ([]GramEntry, int32) { return b.pending[i].doc.WordGrams, b.pending[i].sign })
 		b.words, b.err = addCounters(b.words, words, b.numDocs)
 		if b.err == nil {
-			chars := s.mergeGramLists(len(b.pending), func(i int) ([]GramEntry, int32) { return b.pending[i].doc.CharGrams, b.pending[i].sign }, false)
+			chars := s.mergeGramLists(len(b.pending), func(i int) ([]GramEntry, int32) { return b.pending[i].doc.CharGrams, b.pending[i].sign })
 			b.chars, b.err = addCounters(b.chars, chars, b.numDocs)
 		}
 	}
@@ -140,7 +139,7 @@ func (b *VocabBuilder) settle() {
 // neither input is written. Entries that sum to zero are dropped, and an
 // entry no set of numDocs documents can produce is an error — see check.
 func addCounters(a, b []GramCount, numDocs int) ([]GramCount, error) {
-	out := mergeAggInto(make([]GramCount, 0, len(a)+len(b)), a, b, nil)
+	out := mergeAggInto(make([]GramCount, 0, len(a)+len(b)), a, b)
 	k := 0
 	for _, e := range out {
 		if e.Freq == 0 && e.DF == 0 {
