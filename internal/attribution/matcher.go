@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"darklight/internal/features"
 	"darklight/internal/obs"
@@ -174,36 +173,37 @@ type Matcher struct {
 	// byName maps a known subject's name to its index (last wins on
 	// duplicates, matching historical Rescore behaviour).
 	byName map[string]int
-	// dict numbers stage 2's grams and finalDocs lazily caches the
-	// stage-2 (Final-config) extraction of each known subject, numbered by
-	// dict: the same prolific candidates surface in top-k after top-k, and
-	// re-extracting and renumbering their 1,500-word documents per query
-	// would be the largest cost of Rescore. Both are set up by the
-	// generation's first rescore (stage2Once), and only subjects that
-	// actually appear in a candidate list are ever materialised — and never
-	// extracted when docs below already holds the same extractions.
+	// dict numbers stage 2's grams: the reduction vocabulary's dictionary
+	// when the stages extract the same grams (sameGrams), otherwise the gram
+	// lists of a Final-config count of the known set, made by the
+	// generation's first rescore (stage2Once). finalDocs, set up there too,
+	// caches the Final-config document of each candidate numbered by dict
+	// where stage 2 cannot read docs below: when the stages' extractions
+	// differ (sameExtract is false) or the matcher kept no documents. Only
+	// subjects that actually appear in a candidate list are ever
+	// materialised.
 	stage2Once sync.Once
 	dict       *features.Dictionary
 	finalDocs  *features.DocCache
 	// sameExtract records that the reduction and final configs produce
 	// identical raw extractions (they differ only in vocabulary budgets in
 	// the paper's setup), letting Match share one unknown-document
-	// extraction across both stages. sameGrams records that at least their
-	// gram lists are the same, so the corpus counters' gram lists, words
-	// and chars, are stage 2's dictionary; otherwise they are dropped and
-	// the first rescore counts the Final-config corpus for one.
+	// extraction across both stages and stage 2 read the known documents as
+	// they are held. sameGrams records that at least their gram lists are
+	// the same, so the corpus counters' gram lists are stage 2's dictionary.
 	sameExtract bool
 	sameGrams   bool
-	words       []features.GramCount
-	chars       []features.GramCount
 	// stats and docs are retained only under Options.Incremental: the
 	// corpus gram counters the vocabulary was built from, and each known
-	// subject's reduction-config document (aligned with known).
-	// Together they let Fold subtract a subject's old counts, add its new
-	// ones, and re-run only the index pass — and let State() persist
+	// subject's reduction-config document (aligned with known), numbered by
+	// the counters' gram lists. Every generation's documents are numbered
+	// before it serves — by the index pass of a build, as read by a load,
+	// renumbered by a Fold — so stage 2 reads them with no numbering of its
+	// own. Together they let Fold subtract a subject's old counts, add its
+	// new ones, and re-run only the index pass — and let State() persist
 	// enough to do the same after a restart.
 	stats *features.VocabBuilder
-	docs  []*features.SortedDoc
+	docs  []*features.NumberedDoc
 }
 
 // Subject block-presence bits of Matcher.mask.
@@ -243,7 +243,7 @@ type matchBuffers struct {
 	touched []int32
 
 	// Stage-2 scratch, rebuilt by every rescore: the candidates' subject
-	// indices and cached documents, a one-shot unknown's numbers, and the
+	// indices and documents, a one-shot unknown's numbered document, and the
 	// per-query candidate vocabulary with its postings and build buffers.
 	// Nothing a rescore returns aliases any of it.
 	idxs  []int
@@ -322,15 +322,15 @@ func NewMatcherContext(ctx context.Context, known []Subject, given Options) (*Ma
 		return nil, err
 	}
 
-	var docs []*features.SortedDoc
+	var fresh []*features.SortedDoc
 	if opts.Incremental {
-		docs = make([]*features.SortedDoc, len(known))
+		fresh = make([]*features.SortedDoc, len(known))
 	}
-	vb, err := countCorpus(ctx, known, opts.Reduction, opts.Workers, docs)
+	vb, err := countCorpus(ctx, known, opts.Reduction, opts.Workers, fresh)
 	if err != nil {
 		return nil, fmt.Errorf("attribution: corpus counters: %w", err)
 	}
-	return foldTail(ctx, known, docs, vb, given)
+	return foldTail(ctx, known, nil, fresh, vb, given)
 }
 
 // countCorpus is pass 1, corpus statistics: each worker extracts a
@@ -392,36 +392,34 @@ func validateOptions(opts Options) error {
 
 // newMatcherFromDocs runs the index pass over a frozen vocabulary — the one
 // way a matcher comes to exist: a build, a Fold and a snapshot load all end
-// in foldTail, which ends here. docs, when non-nil, supplies each subject's
-// reduction document (a build under Incremental, a Fold and a load have them
-// at hand); when nil every subject is re-extracted from its
-// text. The per-entry vectorizer arithmetic is identical either way, so the
-// paths assemble bit-identical indexes. given must already have been
-// validated in its resolved form; stats and docs are retained on the matcher
-// only under Incremental, the counters' gram lists whenever they are stage
-// 2's dictionary.
-func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.SortedDoc, stats *features.VocabBuilder, vocab *features.Vocabulary, given Options) (*Matcher, error) {
+// in foldTail, which ends here. docs[i], when docs is non-nil and docs[i]
+// is, is subject i's reduction document numbered by vocab's dictionary (a
+// load has every one, a Fold those it renumbered); any other is numbered
+// here, on the workers, from fresh[i] when fresh is non-nil (a build under
+// Incremental, a Fold's changed subjects) or else from the subject's text
+// re-extracted. The vectorizer reads only numbers, so the paths assemble
+// bit-identical indexes. given must already have been validated in its
+// resolved form; stats and docs are retained on the matcher only under
+// Incremental.
+func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.NumberedDoc, fresh []*features.SortedDoc, stats *features.VocabBuilder, vocab *features.Vocabulary, given Options) (*Matcher, error) {
 	opts := given.WithDefaults()
 	m := &Matcher{given: given, opts: opts, known: known, vocab: vocab}
+	if docs == nil {
+		docs = make([]*features.NumberedDoc, len(known))
+	}
 	if opts.Incremental {
 		m.stats = stats
 		m.docs = docs
 	}
 	m.sameExtract = opts.Reduction.SameExtraction(opts.Final)
 	m.sameGrams = opts.Reduction.SameGrams(opts.Final)
-	if m.sameGrams {
-		st, err := stats.State()
-		if err != nil {
-			return nil, fmt.Errorf("attribution: corpus counters: %w", err)
-		}
-		m.words, m.chars = st.Words, st.Chars
-	}
 	shards := shardCount(opts.Workers, len(known))
+	dict := vocab.Dictionary()
 
-	// Pass 2: re-extract and build blocks in one parallel sweep over the
-	// same contiguous chunks. A shard writes only its own subjects' slots —
-	// forward gram index, dense blocks, block-presence masks — so any worker
-	// count builds the serial result.
+	// Pass 2: number what is not numbered yet and build blocks in one
+	// parallel sweep over the same contiguous chunks. A shard writes only its
+	// own subjects' slots — documents, forward gram index, dense blocks,
+	// block-presence masks — so any worker count builds the serial result.
 	m.mask = make([]uint8, len(known))
 	m.freqs = make([][]float64, len(known))
 	m.acts = make([][]float64, len(known))
@@ -435,17 +433,29 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.S
 		ss.AddItems(int64(hi - lo))
 		defer ss.End()
 		var scratch sparse.Vector
+		var numbered features.NumberedDoc // a document the matcher does not keep
 		for i := lo; i < hi; i++ {
-			var d *features.SortedDoc
-			if docs != nil {
-				d = docs[i]
-			} else {
-				d = features.Extract(known[i].Text, opts.Reduction)
+			d := docs[i]
+			if d == nil {
+				var sd *features.SortedDoc
+				if fresh != nil {
+					// Numbered, the extraction is garbage: let it go now.
+					sd, fresh[i] = fresh[i], nil
+				} else {
+					sd = features.Extract(known[i].Text, opts.Reduction)
+				}
+				if opts.Incremental {
+					d = dict.Number(sd)
+					docs[i] = d
+				} else {
+					dict.NumberInto(&numbered, sd)
+					d = &numbered
+				}
 			}
 			// A fresh vector per subject: its indices stay as the forward list.
 			var vec sparse.Vector
 			m.vocab.VectorizeGramsInto(&vec, &scratch, d)
-			b := blocksOf(vec, d, &known[i])
+			b := blocksOf(vec, &d.Freq, &known[i])
 			var msk uint8
 			if b.grams.Len() > 0 {
 				msk |= maskGrams
@@ -497,30 +507,27 @@ func (m *Matcher) finish() error {
 	return nil
 }
 
-// stage2 returns the dictionary stage 2 numbers grams by and the cache of
-// candidate documents numbered by it, setting both up on the generation's
-// first call. Nothing is numbered before a rescore asks, so a build, a Fold
-// and a load pay none of it, and a Fold's matcher numbers afresh: its
-// dictionary is the new counters'.
+// stage2 returns the dictionary stage 2 numbers grams by and, where stage 2
+// cannot read the retained documents, the cache of Final-config documents
+// numbered by it (nil otherwise), setting both up on the generation's first
+// call. Where the stages share an extraction and the matcher keeps its
+// documents — an incremental matcher under the paper's configs — there is
+// nothing to set up: the dictionary is the vocabulary's, and each candidate
+// is read as it is held.
 func (m *Matcher) stage2() (*features.Dictionary, *features.DocCache) {
 	m.stage2Once.Do(func() {
-		words, chars := m.words, m.chars
+		m.dict = m.vocab.Dictionary()
 		if !m.sameGrams {
-			words, chars = m.finalGrams()
+			m.dict = features.NewDictionary(m.finalGrams())
 		}
-		m.dict = features.NewDictionary(words, chars)
+		if m.sameExtract && m.docs != nil {
+			return
+		}
 		texts := make([]string, len(m.known))
 		for i := range m.known {
 			texts[i] = m.known[i].Text
 		}
-		var seed []*features.SortedDoc
-		if m.sameExtract {
-			// The retained reduction documents, when there are any, are the
-			// Final-config extractions bit for bit: stage 2 numbers them
-			// instead of extracting its own.
-			seed = m.docs
-		}
-		m.finalDocs = features.NewDocCache(m.opts.Final, texts, seed, m.dict)
+		m.finalDocs = features.NewDocCache(m.opts.Final, texts, m.dict)
 	})
 	return m.dict, m.finalDocs
 }
@@ -676,29 +683,25 @@ func (m *Matcher) RankDetailed(unknown *Subject, o MatchOptions) ([]Scored, pref
 }
 
 // Query is an unknown prepared against one matcher: its reduction-config
-// document and its normalised stage-1 blocks. Every ranking and match
-// starts from one, so a caller that asks about the same unknown again —
-// under another weighting, k or mode, or in stage 2 after stage 1 — pays
-// the extraction and the vectorization once. (A one-shot Matcher.Rescore
-// prepares none: stage 2 reads no stage-1 vector.) The blocks do not depend on the
-// weights; only the norm the scan divides by does, and that is taken per
-// query. A Query is safe for concurrent use: all it gains after Prepare is
-// its document's stage-2 numbers, set once. Its gram vector and numbers are
-// in the preparing matcher's vocabulary and dictionary, so it answers
-// against that matcher only.
+// document, numbered by the matcher's dictionary, and its normalised stage-1
+// blocks. Every ranking and match starts from one, so a caller that asks
+// about the same unknown again — under another weighting, k or mode, or in
+// stage 2 after stage 1 — pays the extraction, the numbering and the
+// vectorization once. (A one-shot Matcher.Rescore prepares none: stage 2
+// reads no stage-1 vector.) The blocks do not depend on the weights; only
+// the norm the scan divides by does, and that is taken per query. A Query
+// is immutable after Prepare and safe for concurrent use. Its gram vector
+// and numbers are in the preparing matcher's vocabulary and dictionary, so
+// it answers against that matcher only.
 type Query struct {
 	m       *Matcher
 	subject *Subject
-	doc     *features.SortedDoc
+	doc     features.NumberedDoc
 	ub      blocks
-	// unum is doc numbered by the matcher's stage-2 dictionary, by the
-	// first rescore that reads it; compare-and-swap keeps one canonical
-	// numbering when rescores race to it.
-	unum atomic.Pointer[features.NumberedDoc]
 }
 
-// Prepare extracts and vectorizes unknown for m. The Query keeps unknown,
-// which must not change while the Query is in use.
+// Prepare extracts, numbers and vectorizes unknown for m. The Query keeps
+// unknown, which must not change while the Query is in use.
 func (m *Matcher) Prepare(unknown *Subject) *Query {
 	buf := m.getBuf()
 	defer m.putBuf(buf)
@@ -707,13 +710,16 @@ func (m *Matcher) Prepare(unknown *Subject) *Query {
 
 // prepare is Prepare on the caller's scratch: the vector is built in buf and
 // copied out at its final length, so the Query holds no slack and buf keeps
-// its storage for the next one.
+// its storage for the next one. The document is numbered once, by the
+// dictionary stage 1's feature table and, where the stages share an
+// extraction, stage 2 read.
 func (m *Matcher) prepare(unknown *Subject, buf *matchBuffers) *Query {
-	doc := features.Extract(unknown.Text, m.opts.Reduction)
-	m.vocab.VectorizeGramsInto(&buf.uvec, &buf.cvec, doc)
-	ub := blocksOf(buf.uvec, doc, unknown)
-	ub.grams = ub.grams.Clone()
-	return &Query{m: m, subject: unknown, doc: doc, ub: ub}
+	q := &Query{m: m, subject: unknown}
+	m.vocab.Dictionary().NumberInto(&q.doc, features.Extract(unknown.Text, m.opts.Reduction))
+	m.vocab.VectorizeGramsInto(&buf.uvec, &buf.cvec, &q.doc)
+	q.ub = blocksOf(buf.uvec, &q.doc.Freq, unknown)
+	q.ub.grams = q.ub.grams.Clone()
+	return q
 }
 
 // Rank is RankDetailed on the prepared unknown.
@@ -793,9 +799,10 @@ func normOf(hasGrams, hasFreq, hasAct bool, w Weights) float64 {
 // Rescore runs stage 2 on a candidate list: rebuild the vocabulary and
 // TF-IDF over only the candidates' documents (changing the selected
 // n-grams and hence every vector, including the unknown's), then rescore
-// by cosine under the matcher's weights. Candidate documents come from the
-// matcher's lazy Final-config cache, so repeat candidates cost one
-// extraction and one numbering per matcher lifetime, not one per query.
+// by cosine under the matcher's weights. Candidate documents are the ones
+// the matcher holds, or come from its lazy Final-config cache, so repeat
+// candidates cost at most one extraction and one numbering per matcher
+// lifetime, not one per query.
 func (m *Matcher) Rescore(unknown *Subject, candidates []Scored) []Scored {
 	buf := m.getBuf()
 	defer m.putBuf(buf)
@@ -809,9 +816,7 @@ func (m *Matcher) rescoreSubject(unknown *Subject, candidates []Scored, buf *mat
 	udoc := features.Extract(unknown.Text, m.opts.Final)
 	dict, _ := m.stage2()
 	dict.NumberInto(&buf.unum, udoc)
-	out := m.rescoreDoc(&buf.unum, normalizedFreq(udoc.Freq), normalizedActivity(unknown), candidates, buf)
-	buf.unum.Doc = nil // the scratch keeps the numbers' storage, not the document
-	return out
+	return m.rescoreDoc(&buf.unum, normalizedFreq(udoc.Freq), normalizedActivity(unknown), candidates, buf)
 }
 
 // Rescore is Matcher.Rescore on the prepared unknown.
@@ -822,22 +827,15 @@ func (q *Query) Rescore(candidates []Scored) []Scored {
 }
 
 // rescore is Rescore on the caller's scratch. When the reduction and final
-// configs share extraction (the paper's setup) the prepared document and
-// its dense blocks are stage 2's too, and the document is numbered once per
-// Query; otherwise it is a one-shot rescore.
+// configs share extraction (the paper's setup) the prepared document, its
+// numbers and its dense blocks are stage 2's too; otherwise it is a one-shot
+// rescore.
 func (q *Query) rescore(candidates []Scored, buf *matchBuffers) []Scored {
 	m := q.m
 	if !m.sameExtract {
 		return m.rescoreSubject(q.subject, candidates, buf)
 	}
-	u := q.unum.Load()
-	if u == nil {
-		dict, _ := m.stage2()
-		if u = dict.Number(q.doc); !q.unum.CompareAndSwap(nil, u) {
-			u = q.unum.Load()
-		}
-	}
-	return m.rescoreDoc(u, q.ub.freq, q.ub.act, candidates, buf)
+	return m.rescoreDoc(&q.doc, q.ub.freq, q.ub.act, candidates, buf)
 }
 
 // rescoreDoc scores the candidates against the unknown's numbered
@@ -849,7 +847,11 @@ func (m *Matcher) rescoreDoc(u *features.NumberedDoc, ufreq, uact []float64, can
 	for _, c := range candidates {
 		if i, ok := m.byName[c.Name]; ok {
 			idxs = append(idxs, i)
-			docs = append(docs, cache.Get(i))
+			if cache != nil {
+				docs = append(docs, cache.Get(i))
+			} else {
+				docs = append(docs, m.docs[i])
+			}
 		}
 	}
 	buf.idxs, buf.docs = idxs, docs
@@ -865,7 +867,7 @@ func (m *Matcher) rescoreDoc(u *features.NumberedDoc, ufreq, uact []float64, can
 		// two stages' raw counts differ.
 		freq, act := m.freqs[i], m.acts[i]
 		if !m.sameExtract {
-			freq = normalizedFreq(docs[j].Doc.Freq)
+			freq = normalizedFreq(docs[j].Freq)
 		}
 		score := 0.0 // the cosine of the concatenated weighted vectors (blocks)
 		if nv := normOf(has[j], freq != nil, act != nil, w); nu != 0 && nv != 0 {

@@ -74,14 +74,17 @@ func TestStage2ScratchConcurrent(t *testing.T) {
 
 // TestStage2FirstUseConcurrent: a fresh matcher sets stage 2 up — its
 // dictionary, a Final-config one counted on the workers where the stages'
-// grams differ, and the document cache — on its first rescore, and numbers
-// each candidate document and each prepared query on first use. Eight
-// goroutines released at once on a fresh matcher, each rescoring every
-// probe through shared prepared queries and through one-shot Rescore in an
-// order of its own, must all get the bits a sequential pass over another
-// matcher got, see one dictionary and one cache, and see for every
-// candidate entry and every prepared query one canonical numbering — the
-// numbers the dictionary gives its document. Run under -race in CI.
+// grams differ, and, where stage 2 cannot read the documents the matcher
+// holds, the document cache — on its first rescore, and numbers each cached
+// candidate document on first use. Eight goroutines released at once on a
+// fresh matcher, each rescoring every probe through shared prepared queries
+// and through one-shot Rescore in an order of its own, must all get the
+// bits a sequential pass over another matcher got, see one dictionary and
+// one cache, and see for every candidate entry one canonical numbering —
+// the numbers the dictionary gives its Final-config document. A prepared
+// query holds the one numbering Prepare gave it, which is stage 2's where
+// the stages share an extraction; an incremental matcher's candidates are
+// the documents it holds, with no cache. Run under -race in CI.
 func TestStage2FirstUseConcurrent(t *testing.T) {
 	known, probes := randomWorld(rand.New(rand.NewSource(1616)), 40)
 	incremental, unlemmatised := testOptions(), testOptions()
@@ -109,10 +112,9 @@ func TestStage2FirstUseConcurrent(t *testing.T) {
 		}
 		const goroutines = 8
 		type seen struct {
-			dict    *features.Dictionary
-			cache   *features.DocCache
-			queries []*features.NumberedDoc
-			docs    []*features.NumberedDoc
+			dict  *features.Dictionary
+			cache *features.DocCache
+			docs  []*features.NumberedDoc
 		}
 		views := make([]seen, goroutines)
 		start := make(chan struct{})
@@ -131,13 +133,13 @@ func TestStage2FirstUseConcurrent(t *testing.T) {
 				}
 				v := &views[g]
 				v.dict, v.cache = m.stage2()
-				for _, q := range qs {
-					v.queries = append(v.queries, q.unum.Load())
-				}
 				for i := range known {
-					if v.cache.Cached(i) {
+					switch {
+					case v.cache == nil:
+						v.docs = append(v.docs, m.docs[i])
+					case v.cache.Cached(i):
 						v.docs = append(v.docs, v.cache.Get(i))
-					} else {
+					default:
 						v.docs = append(v.docs, nil)
 					}
 				}
@@ -153,27 +155,22 @@ func TestStage2FirstUseConcurrent(t *testing.T) {
 			if v.dict != first.dict || v.cache != first.cache {
 				t.Fatalf("options %d goroutine %d: another stage-2 dictionary or cache", oi, g+1)
 			}
-			for i := range v.queries {
-				if v.queries[i] != first.queries[i] {
-					t.Fatalf("options %d goroutine %d: query %d numbered twice", oi, g+1, i)
-				}
-			}
 			for i := range v.docs {
 				if v.docs[i] != first.docs[i] {
 					t.Fatalf("options %d goroutine %d: candidate %d numbered twice", oi, g+1, i)
 				}
 			}
 		}
-		for i, q := range first.queries {
-			if m.sameExtract != (q != nil) {
-				t.Fatalf("options %d: query %d numbered = %v, its document is stage 2's = %v", oi, i, q != nil, m.sameExtract)
-			}
-			if q != nil && !reflect.DeepEqual(q, first.dict.Number(qs[i].doc)) {
-				t.Fatalf("options %d: query %d holds other numbers than its document's", oi, i)
+		if held := opts.Incremental && m.sameExtract; (first.cache == nil) != held {
+			t.Fatalf("options %d: stage 2 keeps a cache = %v, reads the held documents = %v", oi, first.cache != nil, held)
+		}
+		for i, q := range qs {
+			if m.sameExtract && !reflect.DeepEqual(&q.doc, first.dict.Number(features.Extract(probes[i].Text, opts.Final))) {
+				t.Fatalf("options %d: query %d holds other numbers than stage 2's dictionary gives its document", oi, i)
 			}
 		}
 		for i, d := range first.docs {
-			if d != nil && !reflect.DeepEqual(d, first.dict.Number(d.Doc)) {
+			if d != nil && !reflect.DeepEqual(d, first.dict.Number(features.Extract(known[i].Text, opts.Final))) {
 				t.Fatalf("options %d: candidate %d holds other numbers than its document's", oi, i)
 			}
 		}
@@ -237,7 +234,7 @@ func TestRescoreAllocationCeiling(t *testing.T) {
 	u := features.Extract(probe.Text, m.opts.Final)
 	entries := len(u.WordGrams) + len(u.CharGrams)
 	for _, d := range buf.docs {
-		entries += len(d.Doc.WordGrams) + len(d.Doc.CharGrams)
+		entries += len(d.Words) + len(d.Chars)
 	}
 	const bytesPerEntry = 68
 	if kept := retainedBytes(reflect.ValueOf(buf)); kept > bytesPerEntry*entries {

@@ -16,7 +16,8 @@ import (
 var ErrNotIncremental = errors.New("attribution: matcher was not built with Options.Incremental")
 
 // IndexState is what the index pass runs from, as value types: the options,
-// the corpus counters, and each known subject's cached extraction.
+// the corpus counters, and each known subject's reduction document, its
+// grams numbered by the counters' gram lists (Stats.Words, Stats.Chars).
 // Everything else a matcher holds — the vocabulary cut from the counters,
 // forward and inverted gram index, dense blocks — is a pure function of
 // these and is rebuilt, not persisted (what only a pre-filter mode reads is
@@ -29,7 +30,7 @@ var ErrNotIncremental = errors.New("attribution: matcher was not built with Opti
 type IndexState struct {
 	Opts  Options
 	Stats features.BuilderState
-	Docs  []*features.SortedDoc
+	Docs  []*features.NumberedDoc
 }
 
 // State snapshots the index for persistence, with the options as the
@@ -47,9 +48,9 @@ func (m *Matcher) State() (IndexState, error) {
 }
 
 // NewMatcherFromState rebuilds a matcher from a snapshot — the cold-start
-// path: no extraction and no counting, then the tail of a Fold — the
-// vocabulary cut and the index pass — so a load, a build and a fold cannot
-// drift apart. known
+// path: no extraction, no counting and no numbering, then the tail of a
+// Fold — the vocabulary cut and the index pass — so a load, a build and a
+// fold cannot drift apart. The documents are kept as they are. known
 // must be the exact subject slice the state was saved against (same
 // order); Rank, Rescore, Match, and MatchAll output is bit-identical to the
 // matcher State was called on.
@@ -64,27 +65,36 @@ func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return foldTail(context.Background(), known, st.Docs, stats, st.Opts)
+	dict := features.NewDictionary(st.Stats.Words, st.Stats.Chars)
+	for i, d := range st.Docs {
+		if err := dict.Check(d); err != nil {
+			return nil, fmt.Errorf("attribution: index state document %d: %w", i, err)
+		}
+	}
+	return foldTail(context.Background(), known, st.Docs, nil, stats, st.Opts)
 }
 
 // foldTail cuts the vocabulary from the counters and runs the index pass
 // under the options as given, resolved where this runs.
-func foldTail(ctx context.Context, known []Subject, docs []*features.SortedDoc, stats *features.VocabBuilder, given Options) (*Matcher, error) {
+func foldTail(ctx context.Context, known []Subject, docs []*features.NumberedDoc, fresh []*features.SortedDoc, stats *features.VocabBuilder, given Options) (*Matcher, error) {
 	vocab, err := stats.Build()
 	if err != nil {
 		return nil, fmt.Errorf("attribution: corpus counters: %w", err)
 	}
-	return newMatcherFromDocs(ctx, known, docs, stats, vocab, given)
+	return newMatcherFromDocs(ctx, known, docs, fresh, stats, vocab, given)
 }
 
 // Fold returns a new matcher with the changed subjects applied — updated
 // in place when the name is already known, appended otherwise — without
-// re-extracting or re-counting the unchanged corpus. The changed subjects'
-// old documents, negated, and their new ones sum to one sorted delta, which
-// is merged with the counter arrays (plain integer sums, so the folded
-// counters equal a from-scratch count of the new corpus; m's own arrays are
-// read, not written), the vocabulary is re-cut, and only the index pass
-// re-runs, from cached extractions. The result is bit-identical to a full
+// re-extracting or re-counting the unchanged corpus. The replaced
+// subjects' documents leave the counters by number, a decrement each entry;
+// the new extractions join them by id, merged as a batch (plain integer
+// sums, so the folded counters equal a from-scratch count of the new
+// corpus; m's own arrays are read, not written). The grams that entered or
+// left the counters renumber every unchanged document in one pass over the
+// workers — or none at all when no gram did, and the documents are shared
+// with m — the vocabulary is re-cut, and only the index pass re-runs, which
+// numbers the new extractions. The result is bit-identical to a full
 // rebuild over the updated subject list; m itself is never mutated and
 // keeps serving. Counters that do not hold a document Fold takes out —
 // an index whose documents and counters disagree — are an error.
@@ -95,6 +105,10 @@ func (m *Matcher) Fold(ctx context.Context, changed []Subject) (*Matcher, error)
 	if m.docs == nil {
 		return nil, ErrNotIncremental
 	}
+	before, err := m.stats.State()
+	if err != nil {
+		return nil, err
+	}
 	stats := m.stats.Clone()
 	known := slices.Clone(m.known)
 	docs := slices.Clone(m.docs)
@@ -102,40 +116,91 @@ func (m *Matcher) Fold(ctx context.Context, changed []Subject) (*Matcher, error)
 	for i := range known {
 		idx[known[i].Name] = i
 	}
-	// Extraction, the one per-subject cost of a batch, runs on the workers;
-	// the counters and the known set take the documents in the given order.
+	// Extraction, the one per-subject cost of a batch, runs on the workers.
 	sds := make([]*features.SortedDoc, len(changed))
 	parallelChunks(shardCount(m.opts.Workers, len(changed)), len(changed), func(_, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			sds[j] = features.Extract(changed[j].Text, m.opts.Reduction)
 		}
 	})
+	// A subject's old document leaves and its last extraction of the batch
+	// comes in; the counters are sums, so the order they change in is free.
+	// The old documents go first, while their numbers still name the counters.
+	fresh := make([]*features.SortedDoc, len(known), len(known)+len(changed))
+	var gone []*features.NumberedDoc
 	for j, c := range changed {
-		sd := sds[j]
-		if i, ok := idx[c.Name]; ok {
-			stats.RemoveSorted(docs[i])
-			stats.AddSorted(sd)
-			known[i] = c
-			docs[i] = sd
-		} else {
-			idx[c.Name] = len(known)
+		i, ok := idx[c.Name]
+		if !ok {
+			i = len(known)
+			idx[c.Name] = i
 			known = append(known, c)
-			docs = append(docs, sd)
+			docs = append(docs, nil)
+			fresh = append(fresh, nil)
+		} else if docs[i] != nil {
+			gone = append(gone, docs[i])
+			docs[i] = nil
+		}
+		known[i] = c
+		fresh[i] = sds[j]
+	}
+	stats.RemoveNumbered(gone)
+	for _, sd := range fresh {
+		if sd != nil {
 			stats.AddSorted(sd)
 		}
 	}
+	after, err := stats.State()
+	if err != nil {
+		return nil, fmt.Errorf("attribution: corpus counters: %w", err)
+	}
+	if err := renumberDocs(docs, features.NewRenumbering(before.Words, before.Chars, after.Words, after.Chars), m.opts.Workers); err != nil {
+		return nil, fmt.Errorf("attribution: %w", err)
+	}
+
 	order := make([]int, len(known))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return known[order[a]].Name < known[order[b]].Name })
 	sortedKnown := make([]Subject, len(known))
-	sortedDocs := make([]*features.SortedDoc, len(known))
+	sortedDocs := make([]*features.NumberedDoc, len(known))
+	sortedFresh := make([]*features.SortedDoc, len(known))
 	for j, i := range order {
 		sortedKnown[j] = known[i]
 		sortedDocs[j] = docs[i]
+		sortedFresh[j] = fresh[i]
 	}
-	return foldTail(ctx, sortedKnown, sortedDocs, stats, m.given)
+	return foldTail(ctx, sortedKnown, sortedDocs, sortedFresh, stats, m.given)
+}
+
+// renumberDocs carries the documents of docs (nil slots are skipped) to the
+// new numbers in place, one contiguous chunk of them on each worker, each
+// chunk's documents and entries in one allocation of its own. When no gram
+// entered or left, the documents stay as they are.
+func renumberDocs(docs []*features.NumberedDoc, r features.Renumbering, workers int) error {
+	if r.Identity() {
+		return nil
+	}
+	shards := shardCount(workers, len(docs))
+	errs := make([]error, shards)
+	parallelChunks(shards, len(docs), func(s, lo, hi int) {
+		n, entries := 0, 0
+		for _, d := range docs[lo:hi] {
+			if d != nil {
+				n++
+				entries += len(d.Words) + len(d.Chars)
+			}
+		}
+		out, arena := make([]features.NumberedDoc, n), make([]features.NumEntry, entries)
+		for i := lo; i < hi && errs[s] == nil; i++ {
+			if docs[i] == nil {
+				continue
+			}
+			arena, errs[s] = r.Apply(&out[0], docs[i], arena)
+			docs[i], out = &out[0], out[1:]
+		}
+	})
+	return errors.Join(errs...)
 }
 
 // Subjects exposes the known subjects in index order. The slice is the

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -125,9 +126,15 @@ func TestStateRejectsMismatchedSubjects(t *testing.T) {
 		t.Error("truncated subject list accepted")
 	}
 	bad := st
-	bad.Docs = append([]*features.SortedDoc{nil}, st.Docs[1:]...)
+	bad.Docs = append([]*features.NumberedDoc{nil}, st.Docs[1:]...)
 	if _, err := NewMatcherFromState(known, bad); err == nil {
 		t.Error("missing document accepted")
+	}
+	past := *st.Docs[0]
+	past.Chars = append(slices.Clone(past.Chars), features.NumEntry{Num: uint32(len(st.Stats.Chars)), Count: 1})
+	bad.Docs = append([]*features.NumberedDoc{&past}, st.Docs[1:]...)
+	if _, err := NewMatcherFromState(known, bad); err == nil {
+		t.Error("document numbered past the dictionary accepted")
 	}
 }
 

@@ -159,19 +159,20 @@ type blocks struct {
 // buildBlocks extracts and normalises the three blocks of a subject.
 func buildBlocks(s *Subject, vocab *features.Vocabulary, cfg features.Config) blocks {
 	d := features.Extract(s.Text, cfg)
-	return blocksOf(vocab.VectorizeGramsSorted(d), d, s)
+	return blocksOf(vocab.VectorizeGramsSorted(d), &d.Freq, s)
 }
 
 // blocksOf assembles a subject's blocks around the TF-IDF gram vector
-// already vectorized from its document d by the reduction vocabulary — the
-// index pass and the stage-1 query share one vectorizer, so the blocks are
-// bit-identical whichever way d was obtained. grams is normalised in place
-// and stays aliased. (Stage 2 never materialises its blocks' gram vectors:
-// Query.rescore takes the gram dots from CandidateVocab.Score.)
-func blocksOf(grams sparse.Vector, d *features.SortedDoc, s *Subject) blocks {
+// already vectorized from its document by the reduction vocabulary, and
+// that document's frequencies — the index pass and the stage-1 query share
+// one vectorizer, so the blocks are bit-identical whichever way the
+// document was obtained. grams is normalised in place and stays aliased.
+// (Stage 2 never materialises its blocks' gram vectors: Query.rescore takes
+// the gram dots from CandidateVocab.Score.)
+func blocksOf(grams sparse.Vector, freq *[features.NumFreqFeatures]float64, s *Subject) blocks {
 	return blocks{
 		grams: grams.Normalize(),
-		freq:  normalizedFreq(d.Freq),
+		freq:  normalizedFreq(*freq),
 		act:   normalizedActivity(s),
 	}
 }

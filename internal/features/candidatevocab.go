@@ -31,12 +31,6 @@ type CandidateVocab struct {
 	tiles   tileBuffers
 }
 
-type cvEntry struct {
-	id    GramID
-	index uint32
-	idf   float64
-}
-
 // aggBuffers is the scratch kept between vocabulary builds: the merge's
 // ping-pong buffers and run boundaries, the counting sort's histogram, ranks
 // and permutation, and the IDF table.
@@ -75,13 +69,12 @@ type tileSpan struct {
 	start int32
 }
 
-// numberedList is one document's gram family and its numbers, with the
-// walk's cursor: the first entry not yet in a tile.
+// numberedList is one document's gram family, with the walk's cursor: the
+// first entry not yet in a tile.
 type numberedList struct {
-	es   []GramEntry
-	nums []uint32
-	den  float64
-	cur  int
+	es  []NumEntry
+	den float64
+	cur int
 }
 
 // Score selects the vocabulary over docs under cfg's gram budgets — what
@@ -89,18 +82,18 @@ type numberedList struct {
 // u against each document: dots[j] is the dot product of document j's and
 // u's unit-normalised TF-IDF gram vectors, has[j] whether document j holds a
 // selected gram, uHas whether u does. All are numbered by one dictionary,
-// which must hold every gram of docs; u's grams it lacks are held by no
-// document, so they fall outside the cut and are skipped. dots and has alias
-// v's storage and are valid until the next Score.
+// which must hold every gram of docs; the grams of u it lacks, which
+// numbering dropped, are held by no document, so they would fall outside the
+// cut. dots and has alias v's storage and are valid until the next Score.
 func (v *CandidateVocab) Score(cfg Config, docs []*NumberedDoc, u *NumberedDoc) (dots []float64, has []bool, uHas bool) {
 	v.scratch.idfTable(len(docs))
 	v.postX, v.postDoc, v.end, v.uval = v.postX[:0], v.postDoc[:0], v.end[:0], v.uval[:0]
 	v.has = extend(v.has[:0], len(docs))
 	uw := v.addFamily(docs, u, cfg.MaxWordGrams, func(d *NumberedDoc) numberedList {
-		return numberedList{es: d.Doc.WordGrams, nums: d.Words, den: float64(max(d.Doc.WordTotal, 1))}
+		return numberedList{es: d.Words, den: float64(max(d.WordTotal, 1))}
 	})
 	uc := v.addFamily(docs, u, cfg.MaxCharGrams, func(d *NumberedDoc) numberedList {
-		return numberedList{es: d.Doc.CharGrams, nums: d.Chars, den: float64(max(d.Doc.CharTotal, 1))}
+		return numberedList{es: d.Chars, den: float64(max(d.CharTotal, 1))}
 	})
 	clear(v.tiles.lists) // the documents are the caller's again
 
@@ -139,7 +132,7 @@ func (v *CandidateVocab) Score(cfg Config, docs []*NumberedDoc, u *NumberedDoc) 
 }
 
 // addFamily counts one gram family of the documents by number (countTiles),
-// cuts the top n as selectGrams does, with feature indices after those
+// cuts the top n as a Vocabulary's cut does, with feature indices after those
 // already laid out, and places every selected entry (placeTiles): u's in
 // uval, the documents' in the run of its feature, which holds the gram's df
 // of entries. It reports whether u holds a selected gram.
@@ -193,8 +186,8 @@ func (t *tileBuffers) countTiles() []GramCount {
 	for {
 		low := uint32(notNumbered)
 		for i := range lists {
-			if l := &lists[i]; l.cur < len(l.nums) {
-				low = min(low, l.nums[l.cur])
+			if l := &lists[i]; l.cur < len(l.es) {
+				low = min(low, l.es[l.cur].Num)
 			}
 		}
 		if low == notNumbered {
@@ -205,10 +198,9 @@ func (t *tileBuffers) countTiles() []GramCount {
 		spans = append(spans, tileSpan{base: base, start: int32(len(agg))})
 		for i := range lists {
 			l := &lists[i]
-			k := l.cur
-			nums, es := l.nums, l.es
-			for ; k < len(nums) && nums[k] < end; k++ {
-				slot := (nums[k] - base) & (tileSize - 1)
+			k, es := l.cur, l.es
+			for ; k < len(es) && es[k].Num < end; k++ {
+				slot := (es[k].Num - base) & (tileSize - 1)
 				occupied[slot/64] |= 1 << (slot % 64)
 				c := &count[slot]
 				c.freq += es[k].Count
@@ -257,10 +249,10 @@ func (v *CandidateVocab) placeTiles(rank []uint32, sel, base uint32, end []int32
 		}
 		for j := range docs {
 			l := &docs[j]
-			nums, es, den := l.nums, l.es, l.den
+			es, den := l.es, l.den
 			k, held := l.cur, false
-			for ; k < len(nums) && nums[k] < tileEnd; k++ {
-				a := slot[(nums[k]-span.base)&(tileSize-1)]
+			for ; k < len(es) && es[k].Num < tileEnd; k++ {
+				a := slot[(es[k].Num-span.base)&(tileSize-1)]
 				r := rank[a]
 				if r >= sel {
 					continue
@@ -281,13 +273,13 @@ func (v *CandidateVocab) placeTiles(rank []uint32, sel, base uint32, end []int32
 				v.has[j] = true
 			}
 		}
-		// The unknown's numbers skip what the dictionary lacks and grams in
-		// tiles no document touches; a slot holds one of the tile's grams
-		// only if the aggregate entry it names is that gram.
+		// The unknown's numbers skip grams in tiles no document touches; a
+		// slot holds one of the tile's grams only if the aggregate entry it
+		// names is that gram.
 		k := u.cur
-		for ; k < len(u.nums); k++ {
-			num := u.nums[k]
-			if num < span.base || num == notNumbered {
+		for ; k < len(u.es); k++ {
+			num := u.es[k].Num
+			if num < span.base {
 				continue
 			}
 			if num >= tileEnd {
@@ -396,29 +388,6 @@ func mergeAggInto(out, a, b []GramCount) []GramCount {
 	k += copy(out[k:], a[i:])
 	k += copy(out[k:], b[j:])
 	return out[:k]
-}
-
-// selectGrams is the vocabulary cut (§IV-A: "we order the n-grams by their
-// frequency across the dataset [and] select the top N"): it appends to out
-// the top-n entries of agg in ascending gram id, each carrying base + its
-// rank — descending frequency, ties by ascending gram id, so the cut does
-// not depend on how or in how many shards the counts were summed — as
-// feature index, and its IDF from idfByDF. Negative n keeps everything.
-func (s *aggBuffers) selectGrams(out []cvEntry, agg []GramCount, n int, base uint32) []cvEntry {
-	if n < 0 || n > len(agg) {
-		n = len(agg)
-	}
-	if n == 0 {
-		return out
-	}
-	out = slices.Grow(out, n)
-	rank := s.rankByFreq(agg)
-	for i, e := range agg {
-		if r := rank[i]; r < uint32(n) {
-			out = append(out, cvEntry{id: e.ID, index: base + r, idf: s.idfByDF[e.DF]})
-		}
-	}
-	return out
 }
 
 // rankByFreq sorts on 16-bit digits of the frequency, so its histogram

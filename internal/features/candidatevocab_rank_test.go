@@ -131,8 +131,8 @@ func assertMatchesReference(t *testing.T, label string, cfg Config, cv *Candidat
 			}
 		}
 	}
-	check("word", got.words.byID, ref.words.byID)
-	check("char", got.chars.byID, ref.chars.byID)
+	check("word", tablesOf(got).words, ref.words)
+	check("char", tablesOf(got).chars, ref.chars)
 	for j, d := range append(docs[:len(docs):len(docs)], probe) {
 		want := ref.VectorizeGramsSorted(d.Sorted())
 		if v := got.VectorizeGramsSorted(d.Sorted()); !reflect.DeepEqual(want, v) {

@@ -13,7 +13,7 @@ import (
 // referenceDots is what Score's sweeps replaced: vectorize u and every
 // document over voc, sort and normalise the vectors, then sparse.Dot each
 // pair.
-func referenceDots(voc *Vocabulary, u *SortedDoc, docs []*SortedDoc) (dots []float64, has []bool, uHas bool) {
+func referenceDots(voc gramVectorizer, u *SortedDoc, docs []*SortedDoc) (dots []float64, has []bool, uHas bool) {
 	uv := voc.VectorizeGramsSorted(u).Normalize()
 	for _, d := range docs {
 		cv := voc.VectorizeGramsSorted(d).Normalize()
@@ -36,7 +36,7 @@ func dictionaryOf(t testing.TB, docs ...*SortedDoc) *Dictionary {
 // assertDotsMatchReference holds v.Score to referenceDots over voc — the
 // vocabulary selected over docs some other way — bit for bit, with u and
 // each of the documents themselves as the unknown, all numbered by dict.
-func assertDotsMatchReference(t *testing.T, label string, cfg Config, v *CandidateVocab, voc *Vocabulary, dict *Dictionary, docs []*SortedDoc, u *SortedDoc) {
+func assertDotsMatchReference(t *testing.T, label string, cfg Config, v *CandidateVocab, voc gramVectorizer, dict *Dictionary, docs []*SortedDoc, u *SortedDoc) {
 	t.Helper()
 	numbered := make([]*NumberedDoc, len(docs))
 	for j, d := range docs {
@@ -192,9 +192,11 @@ func TestCandidateVocabTileEdges(t *testing.T) {
 		uc[g] += 3
 	}
 	u := shapeDoc(uw, uc).Sorted()
-	nu := dict.Number(u)
-	if !slices.Contains(nu.Words, notNumbered) || slices.Index(nu.Words, notNumbered) == len(nu.Words)-1 {
-		t.Fatalf("the unknown's numbers %v do not mix numbered and unnumbered grams", nu.Words)
+	if nu := dict.Number(u); len(nu.Words) == 0 || len(nu.Words) == len(u.WordGrams) || !slices.ContainsFunc(u.WordGrams[:len(u.WordGrams)-1], func(e GramEntry) bool {
+		_, ok := dict.words.Number(e.ID)
+		return !ok
+	}) {
+		t.Fatalf("the unknown's grams %v do not mix grams the dictionary holds with others before its last", u.WordGrams)
 	}
 	var cv CandidateVocab
 	for _, budget := range []int{-1, 1, 100, tileSize + 3, 3 * tileSize} {

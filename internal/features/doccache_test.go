@@ -24,7 +24,7 @@ func TestDocCacheMatchesDirectExtract(t *testing.T) {
 		"",
 	}
 	dict := cacheDictionary(t, cfg, texts)
-	c := NewDocCache(cfg, texts, nil, dict)
+	c := NewDocCache(cfg, texts, dict)
 	for i, text := range texts {
 		if c.Cached(i) {
 			t.Fatalf("entry %d extracted before first Get", i)
@@ -42,31 +42,12 @@ func TestDocCacheMatchesDirectExtract(t *testing.T) {
 	}
 }
 
-// TestDocCacheSeedIsNumberedNotExtracted: a seeded entry is the seed's own
-// document, numbered on first Get.
-func TestDocCacheSeedIsNumberedNotExtracted(t *testing.T) {
-	cfg := FinalConfig()
-	texts := []string{"one seeded document", "and another one"}
-	seed := []*SortedDoc{Extract(texts[0], cfg), Extract(texts[1], cfg)}
-	dict := dictionaryOf(t, seed...)
-	c := NewDocCache(cfg, texts, seed, dict)
-	for i := range texts {
-		if c.Cached(i) {
-			t.Fatalf("entry %d numbered before first Get", i)
-		}
-		got := c.Get(i)
-		if got.Doc != seed[i] || !reflect.DeepEqual(got, dict.Number(seed[i])) {
-			t.Fatalf("entry %d: not the seed's document under the dictionary's numbers", i)
-		}
-	}
-}
-
 func TestDocCacheConcurrentGetCanonical(t *testing.T) {
 	texts := make([]string, 8)
 	for i := range texts {
 		texts[i] = fmt.Sprintf("document number %d with some shared words and its own marker m%dx", i, i)
 	}
-	c := NewDocCache(ReductionConfig(), texts, nil, cacheDictionary(t, ReductionConfig(), texts))
+	c := NewDocCache(ReductionConfig(), texts, cacheDictionary(t, ReductionConfig(), texts))
 	const goroutines = 16
 	ptrs := make([][]*NumberedDoc, goroutines)
 	var wg sync.WaitGroup

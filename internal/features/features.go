@@ -11,12 +11,14 @@
 // experiment sweeps feasible. The hash is fixed (not seeded per process)
 // so runs are reproducible.
 //
-// A document has one form, SortedDoc: per gram family a list of (gram id,
-// count) in ascending id. Extract emits it directly — occurrence ids into
-// one slice, a radix sort, a run-length count — and the corpus counters, the
-// per-query candidate vocabulary and the vectorizer all consume it by
-// linear merges, so there is no hash map anywhere between a text and its
-// vector.
+// Extract emits a document as a SortedDoc: per gram family a list of (gram
+// id, count) in ascending id — occurrence ids into one slice, a radix sort,
+// a run-length count — which the corpus counters merge in. Numbered by the
+// corpus's Dictionary (a gram's position in the counters' ascending id
+// list), it becomes the NumberedDoc a matcher holds, a snapshot stores, the
+// vectorizer reads through a feature table and the per-query candidate
+// vocabulary counts, so there is no hash map anywhere between a text and
+// its vector.
 //
 // The package is deliberately two-pass friendly: extraction (Extract) is
 // cheap and repeatable, so callers keep only compact sparse vectors and

@@ -149,7 +149,7 @@ func TestIDFKillsUniversalGrams(t *testing.T) {
 func lookupWordIdx(t *testing.T, v *Vocabulary, gram string) uint32 {
 	t.Helper()
 	id := HashGram(gram)
-	for _, e := range v.words.byID {
+	for _, e := range tablesOf(v).words {
 		if e.id == id {
 			return e.index
 		}

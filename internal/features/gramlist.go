@@ -9,10 +9,10 @@ type GramEntry struct {
 }
 
 // SortedDoc holds the raw feature counts of one document (the concatenated
-// text of one alias): per gram family one list in ascending gram id, the
-// form every consumer merges linearly — the corpus counters, a query's
-// candidate vocabulary, the vectorizer, a snapshot's docs section. It is the
-// only form a document has; Extract emits it directly.
+// text of one alias): per gram family one list in ascending gram id, as
+// Extract emits it. The corpus counters merge it in by id; everything else
+// reads a document numbered by a Dictionary (NumberedDoc), which is what a
+// matcher holds.
 type SortedDoc struct {
 	WordGrams  []GramEntry
 	CharGrams  []GramEntry

@@ -3,6 +3,7 @@ package features
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -63,9 +64,9 @@ func NewVocabBuilderFromState(st BuilderState) (*VocabBuilder, error) {
 }
 
 // GramIndex numbers grams by their position in one of a BuilderState's
-// ascending gram lists — the form a snapshot stores document entries in —
-// through the offset table a Vocabulary section uses, so numbering an entry
-// is a slot lookup and a step or two, not a search.
+// ascending gram lists — the form a document is held, saved and loaded in —
+// through a top-bits offset table of the ids, so numbering an entry is a
+// slot lookup and a step or two, not a search.
 type GramIndex struct {
 	grams []GramCount
 	skip  []uint32
@@ -74,8 +75,18 @@ type GramIndex struct {
 
 // IndexGrams indexes grams, which must ascend by id.
 func IndexGrams(grams []GramCount) GramIndex {
-	x := GramIndex{grams: grams}
-	x.skip, x.shift = skipTable(grams, func(g *GramCount) GramID { return g.ID })
+	b := min(bits.Len(uint(len(grams))), 16)
+	x := GramIndex{grams: grams, skip: make([]uint32, 1<<b+1), shift: uint(64 - b)}
+	// skip[h] is the position of the first gram whose id>>shift is at least
+	// h: one slot per gram rounded up to a power of two (at most 2^16). Gram
+	// ids are uniform hashes, so a slot covers a few grams at most and a
+	// lookup lands next to its answer.
+	for _, g := range grams {
+		x.skip[g.ID>>x.shift+1]++
+	}
+	for h := 1; h < len(x.skip); h++ {
+		x.skip[h] += x.skip[h-1]
+	}
 	return x
 }
 
@@ -90,14 +101,16 @@ func (x GramIndex) Number(id GramID) (uint32, bool) {
 	return 0, false
 }
 
-// notNumbered stands for the number of a gram the dictionary does not hold.
+// notNumbered is above every dictionary number: the end sentinel of stage
+// 2's walk, and a gram a renumbering drops.
 const notNumbered = math.MaxUint32
 
-// numberAll appends the number of every entry of es, an id-sorted gram list,
-// to out: one forward walk, since the list and the indexed grams both ascend,
-// that jumps to the slot of the next entry's id rather than stepping over
-// grams the list does not hold. A gram the index lacks is notNumbered.
-func (x GramIndex) numberAll(out []uint32, es []GramEntry) []uint32 {
+// numberAll appends an entry for every gram of es, an id-sorted gram list,
+// that the index holds, with its number in place of its id: one forward
+// walk, since the list and the indexed grams both ascend, that jumps to the
+// slot of the next entry's id rather than stepping over grams the list does
+// not hold.
+func (x GramIndex) numberAll(out []NumEntry, es []GramEntry) []NumEntry {
 	j := 0
 	for _, e := range es {
 		j = max(j, int(x.skip[e.ID>>x.shift]))
@@ -105,9 +118,7 @@ func (x GramIndex) numberAll(out []uint32, es []GramEntry) []uint32 {
 			j++
 		}
 		if j < len(x.grams) && x.grams[j].ID == e.ID {
-			out = append(out, uint32(j))
-		} else {
-			out = append(out, notNumbered)
+			out = append(out, NumEntry{Num: uint32(j), Count: e.Count})
 		}
 	}
 	return out
@@ -128,28 +139,183 @@ func NewDictionary(words, chars []GramCount) *Dictionary {
 	return &Dictionary{words: IndexGrams(words), chars: IndexGrams(chars)}
 }
 
-// NumberedDoc is a document beside its entries' dictionary numbers, aligned
-// with its gram lists: Words[e] numbers Doc.WordGrams[e], Chars[e]
-// Doc.CharGrams[e]. It is what stage 2 reads a document as.
-type NumberedDoc struct {
-	Doc          *SortedDoc
-	Words, Chars []uint32
+// NumEntry is one (dictionary number, count) pair of a numbered gram list.
+type NumEntry struct {
+	Num   uint32
+	Count int32
 }
 
-// Number numbers d in one fresh array of 4 bytes an entry.
+// NumberedDoc is a document with its grams as dictionary numbers: per gram
+// family one list of (number, count) ascending by number, beside the totals
+// and frequencies of the SortedDoc it was numbered from. A gram the
+// dictionary does not hold is not in it; the totals still count it. It is
+// the one form a known subject's document is held in — what a snapshot
+// stores, what stage 1 vectorizes and what stage 2 reads — and the form a
+// query is vectorized and rescored in.
+type NumberedDoc struct {
+	Words, Chars []NumEntry
+	WordTotal    int
+	CharTotal    int
+	Freq         [NumFreqFeatures]float64
+	TotalChars   int
+}
+
+// Number numbers d, its two lists in one fresh array of 8 bytes an entry.
 func (x *Dictionary) Number(d *SortedDoc) *NumberedDoc {
-	nums := make([]uint32, 0, len(d.WordGrams)+len(d.CharGrams))
-	nd := &NumberedDoc{Doc: d, Words: x.words.numberAll(nums, d.WordGrams)}
-	nd.Chars = x.chars.numberAll(nd.Words[len(nd.Words):], d.CharGrams)
+	nd := new(NumberedDoc)
+	x.NumberInto(nd, d)
 	return nd
 }
 
-// NumberInto is Number into nd's own storage, which grows only when d has
-// more entries than nd held before.
+// NumberInto is Number into nd: into its own storage, which grows only when
+// d has more entries than nd held before, or into one fresh array for both
+// lists when nd holds none.
 func (x *Dictionary) NumberInto(nd *NumberedDoc, d *SortedDoc) {
-	nd.Doc = d
-	nd.Words = x.words.numberAll(nd.Words[:0], d.WordGrams)
-	nd.Chars = x.chars.numberAll(nd.Chars[:0], d.CharGrams)
+	if cap(nd.Words) == 0 && cap(nd.Chars) == 0 {
+		// The words are clipped, so that reusing nd never grows them into
+		// the chars that follow.
+		nd.Words = x.words.numberAll(make([]NumEntry, 0, len(d.WordGrams)+len(d.CharGrams)), d.WordGrams)
+		nd.Chars = x.chars.numberAll(nd.Words[len(nd.Words):], d.CharGrams)
+		nd.Words = slices.Clip(nd.Words)
+	} else {
+		nd.Words = x.words.numberAll(nd.Words[:0], d.WordGrams)
+		nd.Chars = x.chars.numberAll(nd.Chars[:0], d.CharGrams)
+	}
+	nd.WordTotal, nd.CharTotal, nd.Freq, nd.TotalChars = d.WordTotal, d.CharTotal, d.Freq, d.TotalChars
+}
+
+// Check reports a document that is not numbered by x: a number past the
+// dictionary, or numbers that do not strictly ascend.
+func (x *Dictionary) Check(d *NumberedDoc) error {
+	for _, fam := range [...]struct {
+		es   []NumEntry
+		size int
+	}{{d.Words, len(x.words.grams)}, {d.Chars, len(x.chars.grams)}} {
+		for k, e := range fam.es {
+			if int64(e.Num) >= int64(fam.size) || k > 0 && e.Num <= fam.es[k-1].Num {
+				return fmt.Errorf("features: gram number %d at entry %d of a list over a %d-gram dictionary: out of range or out of order", e.Num, k, fam.size)
+			}
+		}
+	}
+	return nil
+}
+
+// RemoveNumbered subtracts documents numbered by the builder's own counter
+// arrays — the lists State returned, before anything was added or removed
+// since — from the counters, each entry a decrement of the counter its
+// number names: no merge, no lookup. Grams whose counters reach zero leave
+// the arrays. The builder must have nothing pending. A document the counters
+// do not hold, or a number past them, latches the builder's error.
+func (b *VocabBuilder) RemoveNumbered(docs []*NumberedDoc) {
+	if b.err != nil || len(docs) == 0 {
+		return
+	}
+	if len(b.pending) > 0 {
+		b.err = fmt.Errorf("features: numbered removal from a builder with %d documents pending", len(b.pending))
+		return
+	}
+	// The settled arrays may be shared (Clone, State): the decrements go to
+	// copies.
+	words, chars := slices.Clone(b.words), slices.Clone(b.chars)
+	for _, d := range docs {
+		for _, fam := range [...]struct {
+			es     []NumEntry
+			counts []GramCount
+		}{{d.Words, words}, {d.Chars, chars}} {
+			for _, e := range fam.es {
+				if int64(e.Num) >= int64(len(fam.counts)) {
+					b.err = fmt.Errorf("features: removed document names gram number %d of %d", e.Num, len(fam.counts))
+					return
+				}
+				// What is left is a count over the documents still held, so
+				// it never drops below DF occurrences in DF >= 0 documents.
+				g := &fam.counts[e.Num]
+				if g.Freq, g.DF = g.Freq-e.Count, g.DF-1; g.DF < 0 || g.Freq < g.DF {
+					b.err = fmt.Errorf("features: gram %d left with %d occurrences in %d documents: a document removed that was never added", g.ID, g.Freq, g.DF)
+					return
+				}
+			}
+		}
+		b.numDocs--
+		for i, f := range d.Freq {
+			if f > 0 {
+				b.freqSeen[i]--
+			}
+		}
+	}
+	if b.numDocs < 0 {
+		b.err = fmt.Errorf("features: %d more documents removed than added", -b.numDocs)
+		return
+	}
+	if b.words, b.err = dropEmpty(words, b.numDocs); b.err == nil {
+		b.chars, b.err = dropEmpty(chars, b.numDocs)
+	}
+}
+
+// Renumbering carries documents from one generation of a dictionary to the
+// next: per family, the new number of each old number, notNumbered where
+// the gram left. Gram ids keep their order, so the map is monotone and a
+// renumbered list still ascends.
+type Renumbering struct {
+	words, chars []uint32
+	moved        bool
+}
+
+// NewRenumbering maps the numbers of the old counter lists onto the new
+// ones'.
+func NewRenumbering(oldWords, oldChars, newWords, newChars []GramCount) Renumbering {
+	words, wm := renumber(oldWords, newWords)
+	chars, cm := renumber(oldChars, newChars)
+	return Renumbering{words: words, chars: chars, moved: wm || cm}
+}
+
+// renumber merges two id-sorted lists into the old→new map, and reports
+// whether any gram's number moved.
+func renumber(old, cur []GramCount) ([]uint32, bool) {
+	moved := len(old) != len(cur)
+	out := make([]uint32, len(old))
+	j := 0
+	for i, g := range old {
+		for j < len(cur) && cur[j].ID < g.ID {
+			j++
+		}
+		if j < len(cur) && cur[j].ID == g.ID {
+			out[i] = uint32(j)
+		} else {
+			out[i] = notNumbered
+		}
+		moved = moved || out[i] != uint32(i)
+	}
+	return out, moved
+}
+
+// Identity reports that no gram entered or left: every document keeps its
+// numbers.
+func (r Renumbering) Identity() bool { return !r.moved }
+
+// Apply returns d under the new numbers in out, a document of its own whose
+// lists take their storage from the front of arena, and the rest of arena,
+// which must hold d's entries. A gram of d the new lists lack — counters
+// that did not hold d — is an error.
+func (r Renumbering) Apply(out *NumberedDoc, d *NumberedDoc, arena []NumEntry) ([]NumEntry, error) {
+	*out = *d
+	for _, fam := range [...]struct {
+		dst *[]NumEntry
+		num []uint32
+	}{{&out.Words, r.words}, {&out.Chars, r.chars}} {
+		src := *fam.dst
+		es := arena[:len(src):len(src)]
+		arena = arena[len(src):]
+		for k, e := range src {
+			n := fam.num[e.Num]
+			if n == notNumbered {
+				return arena, fmt.Errorf("features: a document holds gram number %d, which the counters no longer hold", e.Num)
+			}
+			es[k] = NumEntry{Num: n, Count: e.Count}
+		}
+		*fam.dst = es
+	}
+	return arena, nil
 }
 
 // Clone returns an independent copy of the builder: mutations of one never

@@ -71,6 +71,79 @@ func TestRemoveSortedIsInverse(t *testing.T) {
 	}
 }
 
+// TestRemoveNumberedIsRemoveSorted: taking documents out by number — a
+// decrement each entry on copies of the settled arrays — leaves the
+// counters RemoveSorted leaves, and the original builder's arrays as they
+// were. The renumbering from the old lists to the new carries every
+// remaining document to the numbers a fresh numbering gives it; it is the
+// identity when the same documents are taken out and put back. A document
+// the counters never held, or one numbered past them, is refused.
+func TestRemoveNumberedIsRemoveSorted(t *testing.T) {
+	docs := shardTestDocs(23)
+	full := NewVocabBuilder(ReductionConfig())
+	for _, d := range docs {
+		full.AddSorted(d.Sorted())
+	}
+	before := mustState(t, full)
+	kept := slices.Clone(before.Words)
+	dict := NewDictionary(before.Words, before.Chars)
+	var gone []*NumberedDoc
+	for _, d := range docs[17:] {
+		gone = append(gone, dict.Number(d.Sorted()))
+	}
+	byNumber, bySorted := full.Clone(), full.Clone()
+	byNumber.RemoveNumbered(gone)
+	for _, d := range docs[17:] {
+		bySorted.RemoveSorted(d.Sorted())
+	}
+	after := mustState(t, byNumber)
+	if !reflect.DeepEqual(after, mustState(t, bySorted)) {
+		t.Fatal("RemoveNumbered and RemoveSorted leave different counters")
+	}
+	if !slices.Equal(mustState(t, full).Words, kept) {
+		t.Fatal("RemoveNumbered wrote the arrays it was cloned from")
+	}
+	r := NewRenumbering(before.Words, before.Chars, after.Words, after.Chars)
+	if r.Identity() {
+		t.Fatal("the removal took no gram out of the dictionary")
+	}
+	next := NewDictionary(after.Words, after.Chars)
+	for i, d := range docs[:17] {
+		var out NumberedDoc
+		old := dict.Number(d.Sorted())
+		arena := make([]NumEntry, len(old.Words)+len(old.Chars))
+		if rest, err := r.Apply(&out, old, arena); err != nil || len(rest) != 0 {
+			t.Fatalf("doc %d: %v, %d entries of the arena left", i, err, len(rest))
+		}
+		if !reflect.DeepEqual(&out, next.Number(d.Sorted())) {
+			t.Fatalf("doc %d: renumbered other than a fresh numbering", i)
+		}
+	}
+	if _, err := r.Apply(new(NumberedDoc), gone[0], make([]NumEntry, len(gone[0].Words)+len(gone[0].Chars))); err == nil {
+		t.Fatal("a removed document renumbered into counters that lost its grams")
+	}
+	back := byNumber.Clone()
+	for _, d := range docs[17:] {
+		back.AddSorted(d.Sorted())
+	}
+	if st := mustState(t, back); !NewRenumbering(before.Words, before.Chars, st.Words, st.Chars).Identity() {
+		t.Fatal("taking documents out and putting them back moved numbers")
+	}
+
+	foreign := *gone[0]
+	foreign.Words = slices.Clone(foreign.Words)
+	foreign.Words[0].Count += before.Words[foreign.Words[0].Num].Freq
+	past := *gone[0]
+	past.Chars = append(slices.Clone(past.Chars), NumEntry{Num: uint32(len(before.Chars)), Count: 1})
+	for name, d := range map[string]*NumberedDoc{"the counters never held": &foreign, "numbered past the counters": &past} {
+		c := full.Clone()
+		c.RemoveNumbered([]*NumberedDoc{d})
+		if _, err := c.State(); err == nil {
+			t.Fatalf("a document %s was taken out", name)
+		}
+	}
+}
+
 // TestBuilderCloneIsIndependent: mutating a clone never leaks into the
 // original.
 func TestBuilderCloneIsIndependent(t *testing.T) {
@@ -122,14 +195,16 @@ func mapVectorize(v *Vocabulary, d *mapDoc) sparse.Vector {
 			}
 		}
 	}
-	section(d.WordGrams, d.WordTotal, v.words.byID)
-	section(d.CharGrams, d.CharTotal, v.chars.byID)
+	tables := tablesOf(v)
+	section(d.WordGrams, d.WordTotal, tables.words)
+	section(d.CharGrams, d.CharTotal, tables.chars)
 	vec.Sort()
 	return vec
 }
 
 // TestVectorizeGramsSortedMatches pins VectorizeGramsSorted and the
-// scratch-reusing VectorizeGramsInto to the map-probing reference
+// scratch-reusing VectorizeGramsInto of the numbered document to the
+// map-probing reference
 // bit for bit, on documents the vocabulary was built from and on probes
 // that are mostly outside it.
 func TestVectorizeGramsSortedMatches(t *testing.T) {
@@ -145,7 +220,7 @@ func TestVectorizeGramsSortedMatches(t *testing.T) {
 		if got := v.VectorizeGramsSorted(d.Sorted()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("doc %d: VectorizeGramsSorted diverges from the map reference", i)
 		}
-		v.VectorizeGramsInto(&vec, &scratch, d.Sorted())
+		v.VectorizeGramsInto(&vec, &scratch, v.Dictionary().Number(d.Sorted()))
 		if !slices.Equal(vec.Idx, want.Idx) || !slices.Equal(vec.Val, want.Val) {
 			t.Fatalf("doc %d: VectorizeGramsInto on reused storage diverges from the map reference", i)
 		}
@@ -156,7 +231,8 @@ func TestVectorizeGramsSortedMatches(t *testing.T) {
 // position, and an id the list does not hold — below, between and above its
 // entries, or anything at all against an empty list — numbers to nothing.
 // A Dictionary's forward walk numbers a document's entries as one lookup
-// each does, those of documents the builder never saw included.
+// each does and drops those no lookup finds, for documents the builder
+// never saw too, fresh or into storage that held another document.
 func TestGramIndexNumbers(t *testing.T) {
 	b := NewVocabBuilder(ReductionConfig())
 	docs := shardTestDocs(29)
@@ -165,29 +241,32 @@ func TestGramIndexNumbers(t *testing.T) {
 	}
 	st := mustState(t, b)
 	dict, words, chars := NewDictionary(st.Words, st.Chars), IndexGrams(st.Words), IndexGrams(st.Chars)
+	into := &NumberedDoc{Words: make([]NumEntry, 3)}
 	for i, md := range docs {
 		d := md.Sorted()
 		nd := dict.Number(d)
-		into := &NumberedDoc{Words: make([]uint32, 3)}
 		dict.NumberInto(into, d)
 		for _, got := range []*NumberedDoc{nd, into} {
+			if got.WordTotal != d.WordTotal || got.CharTotal != d.CharTotal || got.TotalChars != d.TotalChars || got.Freq != d.Freq {
+				t.Fatalf("doc %d: totals and frequencies not the document's", i)
+			}
 			for f, fam := range []struct {
 				x    GramIndex
 				es   []GramEntry
-				nums []uint32
+				nums []NumEntry
 			}{{words, d.WordGrams, got.Words}, {chars, d.CharGrams, got.Chars}} {
-				if got.Doc != d || len(fam.nums) != len(fam.es) {
-					t.Fatalf("doc %d family %d: %d numbers for %d entries", i, f, len(fam.nums), len(fam.es))
-				}
-				for e, g := range fam.es {
-					want := uint32(notNumbered)
+				var want []NumEntry
+				for _, g := range fam.es {
 					if num, ok := fam.x.Number(g.ID); ok {
-						want = num
-					}
-					if fam.nums[e] != want {
-						t.Fatalf("doc %d family %d entry %d: number %d, lookup %d", i, f, e, fam.nums[e], want)
+						want = append(want, NumEntry{Num: num, Count: g.Count})
 					}
 				}
+				if !slices.Equal(fam.nums, want) {
+					t.Fatalf("doc %d family %d: numbered %v, lookups %v", i, f, fam.nums, want)
+				}
+			}
+			if err := dict.Check(got); err != nil {
+				t.Fatalf("doc %d: %v", i, err)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package features
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"darklight/internal/sparse"
@@ -21,8 +20,9 @@ import (
 // adds it to the array. A batch closes once it holds as many entries as the
 // arrays, so the merging stays linear in what the builder was fed and a
 // builder keeps a bounded number of documents alive however many pass
-// through it. Removing a document is the same merge with
-// its counts negated.
+// through it. Removing a document is the same merge with its counts
+// negated, or, for documents numbered by the settled arrays, a decrement an
+// entry on copies of them (RemoveNumbered).
 //
 // A settled array is never written again — every merge makes a new one — so
 // Clone shares it and State hands it out; and Settle, State, Build and Clone
@@ -139,7 +139,12 @@ func (b *VocabBuilder) settle() {
 // neither input is written. Entries that sum to zero are dropped, and an
 // entry no set of numDocs documents can produce is an error — see check.
 func addCounters(a, b []GramCount, numDocs int) ([]GramCount, error) {
-	out := mergeAggInto(make([]GramCount, 0, len(a)+len(b)), a, b)
+	return dropEmpty(mergeAggInto(make([]GramCount, 0, len(a)+len(b)), a, b), numDocs)
+}
+
+// dropEmpty compacts counters the caller owns: entries at zero leave, and an
+// entry no set of numDocs documents can produce is an error — see check.
+func dropEmpty(out []GramCount, numDocs int) ([]GramCount, error) {
 	k := 0
 	for _, e := range out {
 		if e.Freq == 0 && e.DF == 0 {
@@ -196,9 +201,8 @@ func (b *VocabBuilder) Merge(o *VocabBuilder) error {
 // NumDocs returns the number of documents added so far.
 func (b *VocabBuilder) NumDocs() int { return b.numDocs }
 
-// Build freezes the vocabulary: selectGrams, the cut CandidateVocab makes per
-// query, over each counter array — linear, and already in the gram-id order
-// a Vocabulary section is kept in. The builder can keep accumulating and be
+// Build freezes the vocabulary: the cut over each counter array, a feature
+// table by dictionary number. The builder can keep accumulating and be
 // rebuilt.
 func (b *VocabBuilder) Build() (*Vocabulary, error) {
 	if err := b.Settle(); err != nil {
@@ -206,9 +210,35 @@ func (b *VocabBuilder) Build() (*Vocabulary, error) {
 	}
 	var s aggBuffers
 	s.idfTable(b.numDocs)
-	words := s.selectGrams(nil, b.words, b.cfg.MaxWordGrams, 0)
-	chars := s.selectGrams(nil, b.chars, b.cfg.MaxCharGrams, uint32(len(words)))
-	return &Vocabulary{cfg: b.cfg, words: newSection(words), chars: newSection(chars), numDocs: b.numDocs}, nil
+	v := &Vocabulary{cfg: b.cfg, dict: NewDictionary(b.words, b.chars), idfByDF: s.idfByDF, numDocs: b.numDocs}
+	v.words, v.numWords = s.cut(b.words, b.cfg.MaxWordGrams, 0)
+	v.chars, v.numChars = s.cut(b.chars, b.cfg.MaxCharGrams, uint32(v.numWords))
+	return v, nil
+}
+
+// notSelected is the feature of a dictionary gram the cut left out.
+const notSelected = math.MaxUint32
+
+// cut is the vocabulary cut (§IV-A: "we order the n-grams by their frequency
+// across the dataset [and] select the top N"): it returns the feature of
+// each of counts' grams, by position — base plus its rank, descending
+// frequency and ties by ascending gram id, for the top n; notSelected for
+// the rest — and how many it selected. Ranking by (frequency, gram id)
+// keeps the cut independent of how or in how many shards the counts were
+// summed. Negative n keeps everything.
+func (s *aggBuffers) cut(counts []GramCount, n int, base uint32) ([]uint32, int) {
+	if n < 0 || n > len(counts) {
+		n = len(counts)
+	}
+	feat := make([]uint32, len(counts))
+	rank := s.rankByFreq(counts)
+	for i := range counts {
+		feat[i] = notSelected
+		if r := rank[i]; r < uint32(n) {
+			feat[i] = base + r
+		}
+	}
+	return feat, n
 }
 
 // idf is the smoothed inverse document frequency: ln((1+N)/(1+df)).
@@ -232,29 +262,38 @@ func idf(n, df float64) float64 {
 //	[W+C+42, W+C+42+24)   reserved for the daily activity profile,
 //	                      appended by the attribution layer
 //
-// Each section is one table sorted by gram id, every entry carrying its
-// feature index and IDF weight — the form selectGrams emits, for a corpus
-// here and per query in CandidateVocab — so vectorizing a document
-// is a merge, never a hash probe.
+// The grams are addressed by their number in the dictionary of the counters
+// the vocabulary was cut from: per family, a feature table gives each
+// number its feature index (4 bytes a dictionary gram), and a gram's IDF is
+// that of its document frequency, which the dictionary's counters hold, in
+// a table of one entry per possible frequency. Vectorizing a numbered
+// document is a lookup or two an entry — no merge, no probe.
 type Vocabulary struct {
-	cfg     Config
-	words   section
-	chars   section
-	numDocs int
+	cfg          Config
+	dict         *Dictionary
+	words, chars []uint32
+	idfByDF      []float64
+	numWords     int
+	numChars     int
+	numDocs      int
 }
 
-// NumWordGrams returns the size of the word-gram section.
-func (v *Vocabulary) NumWordGrams() int { return len(v.words.byID) }
+// Dictionary returns the dictionary the vocabulary's grams are numbered by:
+// the gram lists of the counters it was cut from.
+func (v *Vocabulary) Dictionary() *Dictionary { return v.dict }
 
-// NumCharGrams returns the size of the char-gram section.
-func (v *Vocabulary) NumCharGrams() int { return len(v.chars.byID) }
+// NumWordGrams returns how many word grams the cut selected.
+func (v *Vocabulary) NumWordGrams() int { return v.numWords }
+
+// NumCharGrams returns how many char grams the cut selected.
+func (v *Vocabulary) NumCharGrams() int { return v.numChars }
 
 // NumDocs returns the corpus size the vocabulary was built from.
 func (v *Vocabulary) NumDocs() int { return v.numDocs }
 
 // FreqOffset is the index of the first frequency feature.
 func (v *Vocabulary) FreqOffset() uint32 {
-	return uint32(len(v.words.byID) + len(v.chars.byID))
+	return uint32(v.numWords + v.numChars)
 }
 
 // ActivityOffset is the index of the first daily-activity dimension.
@@ -268,87 +307,45 @@ func (v *Vocabulary) ActivityOffset() uint32 {
 
 // VectorizeGramsSorted converts a document into a TF-IDF weighted sparse
 // vector over the n-gram sections of this vocabulary's index space, in a
-// fresh vector. Grams outside the vocabulary are ignored, and the frequency
+// fresh vector: it numbers d by the vocabulary's dictionary and vectorizes
+// that. Grams outside the vocabulary are ignored, and the frequency
 // features are omitted: the attribution layer keeps the frequency and
 // activity blocks separate so it can re-weight them at query time. An empty
 // result has empty, not nil, slices.
 func (v *Vocabulary) VectorizeGramsSorted(d *SortedDoc) sparse.Vector {
-	est := len(d.WordGrams) + len(d.CharGrams)
+	nd := v.dict.Number(d)
+	est := len(nd.Words) + len(nd.Chars)
 	vec := sparse.Vector{Idx: make([]uint32, 0, est), Val: make([]float64, 0, est)}
 	var scratch sparse.Vector
-	v.VectorizeGramsInto(&vec, &scratch, d)
+	v.VectorizeGramsInto(&vec, &scratch, nd)
 	return vec
 }
 
-// VectorizeGramsInto is VectorizeGramsSorted into vec's own storage (which
-// grows only when d has more grams than any document vec held before), with
-// the index sort's second buffer taken from scratch: a caller that keeps
-// both allocates nothing once they have held its largest document. The
+// VectorizeGramsInto is VectorizeGramsSorted of a document already numbered
+// by the vocabulary's dictionary, into vec's own storage (which grows only
+// when d has more grams than any document vec held before), with the index
+// sort's second buffer taken from scratch: a caller that keeps both
+// allocates nothing once they have held its largest document. The
 // vocabulary itself is only read, so concurrent callers need only their own
 // vec and scratch. Term frequency is the gram count over the document's
 // total count of the same family.
-func (v *Vocabulary) VectorizeGramsInto(vec, scratch *sparse.Vector, d *SortedDoc) {
-	est := len(d.WordGrams) + len(d.CharGrams)
+func (v *Vocabulary) VectorizeGramsInto(vec, scratch *sparse.Vector, d *NumberedDoc) {
+	est := len(d.Words) + len(d.Chars)
 	vec.Idx = slices.Grow(vec.Idx[:0], est)
 	vec.Val = slices.Grow(vec.Val[:0], est)
-	mergeVectorize(vec, d.WordGrams, v.words, float64(max(d.WordTotal, 1)))
-	mergeVectorize(vec, d.CharGrams, v.chars, float64(max(d.CharTotal, 1)))
+	v.vectorize(vec, d.Words, v.words, v.dict.words.grams, float64(max(d.WordTotal, 1)))
+	v.vectorize(vec, d.Chars, v.chars, v.dict.chars.grams, float64(max(d.CharTotal, 1)))
 	vec.SortScratch(scratch)
 }
 
-// section is one gram family of a vocabulary, sorted by gram id, with the
-// top-bits offset table of its ids: skip[h] is the position of the first
-// entry whose id>>shift is at least h.
-type section struct {
-	byID  []cvEntry
-	skip  []uint32
-	shift uint
-}
-
-// newSection attaches the offset table to a section's entries, which
-// selectGrams emitted in ascending gram id.
-func newSection(es []cvEntry) section {
-	s := section{byID: es}
-	s.skip, s.shift = skipTable(es, func(e *cvEntry) GramID { return e.id })
-	return s
-}
-
-// skipTable builds the top-bits offset table of an id-sorted list: one slot
-// per entry rounded up to a power of two (at most 2^16), skip[h] the
-// position of the first entry whose id>>shift is at least h. Gram ids are
-// uniform hashes, so a slot covers a few entries at most and a lookup lands
-// next to its answer.
-func skipTable[E any](es []E, id func(*E) GramID) (skip []uint32, shift uint) {
-	b := min(bits.Len(uint(len(es))), 16)
-	skip, shift = make([]uint32, 1<<b+1), uint(64-b)
-	for i := range es {
-		skip[id(&es[i])>>shift+1]++
-	}
-	for h := 1; h < len(skip); h++ {
-		skip[h] += skip[h-1]
-	}
-	return skip, shift
-}
-
-// mergeVectorize appends the entries of the grams doc shares with vocab:
-// both are sorted by gram id, so one two-pointer pass finds them. A short
-// document against a long section would spend the pass stepping over
-// entries it has no gram for, so the section side jumps to the slot of the
-// document's next gram instead.
-func mergeVectorize(vec *sparse.Vector, doc []GramEntry, vocab section, den float64) {
-	es := vocab.byID
-	i, j := 0, 0
-	for i < len(doc) && j < len(es) {
-		switch {
-		case doc[i].ID < es[j].id:
-			i++
-		case doc[i].ID > es[j].id:
-			j = max(j+1, int(vocab.skip[doc[i].ID>>vocab.shift]))
-		default:
-			vec.Idx = append(vec.Idx, es[j].index)
-			vec.Val = append(vec.Val, float64(doc[i].Count)/den*es[j].idf)
-			i++
-			j++
+// vectorize appends the (feature, weight) of every entry of es whose gram
+// the cut selected, in the entries' order; counts are the dictionary's
+// counters, whose document frequencies give the IDF.
+func (v *Vocabulary) vectorize(vec *sparse.Vector, es []NumEntry, feat []uint32, counts []GramCount, den float64) {
+	for _, e := range es {
+		if f := feat[e.Num]; f != notSelected {
+			vec.Idx = append(vec.Idx, f)
+			vec.Val = append(vec.Val, float64(e.Count)/den*v.idfByDF[counts[e.Num].DF])
 		}
 	}
 }

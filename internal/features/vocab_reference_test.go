@@ -16,7 +16,7 @@ import (
 // as the tests' reference: two maps of counters, a comparison sort by rank
 // for the cut and another by gram id for the state and the tables. It shares
 // no counting, merging or ranking code with the builder under test — only
-// idf and, for the section's offset table, newSection.
+// idf.
 type refBuilder struct {
 	cfg      Config
 	words    map[GramID]refStat
@@ -134,10 +134,10 @@ func refTopN(stats map[GramID]refStat, n int, base uint32, numDocs float64) []cv
 	return out
 }
 
-func (b *refBuilder) Build() *Vocabulary {
+func (b *refBuilder) Build() refVocab {
 	words := refTopN(b.words, b.cfg.MaxWordGrams, 0, float64(b.numDocs))
 	chars := refTopN(b.chars, b.cfg.MaxCharGrams, uint32(len(words)), float64(b.numDocs))
-	return &Vocabulary{cfg: b.cfg, words: newSection(words), chars: newSection(chars), numDocs: b.numDocs}
+	return refVocab{words: words, chars: chars}
 }
 
 // mustBuild is Build on a builder whose counters are known to be sound.
@@ -171,26 +171,24 @@ func assertBuilderMatchesReference(t *testing.T, label string, got *VocabBuilder
 	if !slices.Equal(gs.Words, ws.Words) || !slices.Equal(gs.Chars, ws.Chars) {
 		t.Fatalf("%s: counters diverge from the map reference\nwords %v\nref   %v\nchars %v\nref   %v", label, gs.Words, ws.Words, gs.Chars, ws.Chars)
 	}
-	gv, wv := mustBuild(t, got), ref.Build()
-	if gv.numDocs != wv.numDocs || gv.cfg != wv.cfg {
+	built := mustBuild(t, got)
+	gv, wv := tablesOf(built), ref.Build()
+	if built.numDocs != ref.numDocs || built.cfg != ref.cfg {
 		t.Fatalf("%s: built vocabulary header diverges", label)
 	}
 	for _, fam := range []struct {
 		kind      string
-		got, want section
+		got, want []cvEntry
 	}{{"word", gv.words, wv.words}, {"char", gv.chars, wv.chars}} {
-		if len(fam.got.byID) != len(fam.want.byID) {
-			t.Fatalf("%s: %d %s grams kept, reference %d", label, len(fam.got.byID), fam.kind, len(fam.want.byID))
+		if len(fam.got) != len(fam.want) {
+			t.Fatalf("%s: %d %s grams kept, reference %d", label, len(fam.got), fam.kind, len(fam.want))
 		}
-		for i, e := range fam.got.byID {
-			w := fam.want.byID[i]
+		for i, e := range fam.got {
+			w := fam.want[i]
 			if e.id != w.id || e.index != w.index || math.Float64bits(e.idf) != math.Float64bits(w.idf) {
 				t.Fatalf("%s: %s entry %d is {gram %d, index %d, idf %x}, reference {gram %d, index %d, idf %x}", label, fam.kind, i,
 					e.id, e.index, math.Float64bits(e.idf), w.id, w.index, math.Float64bits(w.idf))
 			}
-		}
-		if !slices.Equal(fam.got.skip, fam.want.skip) || fam.got.shift != fam.want.shift {
-			t.Fatalf("%s: %s offset table diverges", label, fam.kind)
 		}
 	}
 }

@@ -114,19 +114,18 @@ func writeIndex(out sink, idx *Index) error {
 	}
 	w.end()
 
-	words, chars := features.IndexGrams(st.Stats.Words), features.IndexGrams(st.Stats.Chars)
 	w.begin(secDocs)
 	entries := 0
 	for _, d := range st.Docs {
-		entries += len(d.WordGrams) + len(d.CharGrams)
+		entries += len(d.Words) + len(d.Chars)
 	}
 	w.u32(uint32(len(st.Docs)))
 	w.u64(uint64(entries))
 	for _, d := range st.Docs {
-		if err := writeEntries(w, d.WordGrams, words); err != nil {
+		if err := writeEntries(w, d.Words, len(st.Stats.Words)); err != nil {
 			return err
 		}
-		if err := writeEntries(w, d.CharGrams, chars); err != nil {
+		if err := writeEntries(w, d.Chars, len(st.Stats.Chars)); err != nil {
 			return err
 		}
 		w.uvarint(uint64(d.WordTotal))
@@ -166,19 +165,18 @@ func writeCorpus(w *writer, ds *forum.Dataset) error {
 	return nil
 }
 
-// writeEntries writes one id-sorted gram list of a document as dictionary
-// numbers.
-func writeEntries(w *writer, es []features.GramEntry, dict features.GramIndex) error {
+// writeEntries writes one numbered gram list of a document as it is held:
+// its numbers already name the grams of a dictionary of size grams.
+func writeEntries(w *writer, es []features.NumEntry, grams int) error {
 	w.uvarint(uint64(len(es)))
 	prev := int64(-1)
 	for _, e := range es {
-		num, ok := dict.Number(e.ID)
-		if !ok || int64(num) <= prev {
-			return fmt.Errorf("document gram %d is not in the corpus counters, or not in ascending order", e.ID)
+		if int64(e.Num) <= prev || int64(e.Num) >= int64(grams) {
+			return fmt.Errorf("document gram number %d is past the %d-gram corpus counters, or not in ascending order", e.Num, grams)
 		}
-		w.uvarint(uint64(int64(num) - prev))
+		w.uvarint(uint64(int64(e.Num) - prev))
 		w.uvarint(uint64(e.Count))
-		prev = int64(num)
+		prev = int64(e.Num)
 	}
 	return nil
 }
@@ -244,19 +242,19 @@ func decodeIndex(raw []byte) (*Index, error) {
 	// One block of documents and one of entries, however many grams: a load
 	// allocates by the subject, not by the gram.
 	dr := &reader{b: byName[secDocs]}
-	docs := make([]features.SortedDoc, dr.lengthBound(2+3+8*features.NumFreqFeatures))
+	docs := make([]features.NumberedDoc, dr.lengthBound(2+3+8*features.NumFreqFeatures))
 	entries := dr.u64()
 	if dr.fail || entries > uint64(len(dr.b))/2 {
 		return nil, corrupt(secDocs, "implausible document or entry count")
 	}
-	arena := make([]features.GramEntry, entries)
-	st.Docs = make([]*features.SortedDoc, len(docs))
+	arena := make([]features.NumEntry, entries)
+	st.Docs = make([]*features.NumberedDoc, len(docs))
 	st.Stats.Config, st.Stats.NumDocs = st.Opts.Reduction, len(docs)
 	for i := range docs {
 		d := &docs[i]
 		var reason string
-		if d.WordGrams, arena, reason = readEntries(dr, arena, dict[0]); reason == "" {
-			d.CharGrams, arena, reason = readEntries(dr, arena, dict[1])
+		if d.Words, arena, reason = readEntries(dr, arena, dict[0]); reason == "" {
+			d.Chars, arena, reason = readEntries(dr, arena, dict[1])
 		}
 		if reason != "" {
 			return nil, corrupt(secDocs, "document %d: %s", i, reason)
@@ -338,9 +336,10 @@ func readCorpus(payload []byte) (*forum.Dataset, error) {
 }
 
 // readEntries decodes one gram list of a document into the front of arena,
-// adding it to the dictionary's counters, and returns the list, the rest
-// of the arena and, when the list is malformed, why.
-func readEntries(r *reader, arena []features.GramEntry, dict []features.GramCount) (es, rest []features.GramEntry, reason string) {
+// its numbers kept as read, adding it to the dictionary's counters, and
+// returns the list, the rest of the arena and, when the list is malformed,
+// why.
+func readEntries(r *reader, arena []features.NumEntry, dict []features.GramCount) (es, rest []features.NumEntry, reason string) {
 	n := r.uvarint()
 	if n > uint64(len(arena)) {
 		return nil, nil, "more entries than the section declares"
@@ -359,12 +358,13 @@ func readEntries(r *reader, arena []features.GramEntry, dict []features.GramCoun
 		case count == 0 || count > math.MaxInt32:
 			return nil, nil, fmt.Sprintf("gram count %d", count)
 		}
-		g := &dict[next+step-1]
+		num := next + step - 1
+		g := &dict[num]
 		next += step
 		if count > uint64(math.MaxInt32-g.Freq) {
 			return nil, nil, fmt.Sprintf("gram %d counted more than %d times over the corpus", g.ID, math.MaxInt32)
 		}
-		es[j] = features.GramEntry{ID: g.ID, Count: int32(count)}
+		es[j] = features.NumEntry{Num: uint32(num), Count: int32(count)}
 		g.Freq += int32(count)
 		g.DF++
 	}

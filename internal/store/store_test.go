@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -681,7 +682,7 @@ func TestSnapshotSizeAndAllocationCeilings(t *testing.T) {
 	}
 	entries := 0
 	for _, d := range state.Docs {
-		entries += len(d.WordGrams) + len(d.CharGrams)
+		entries += len(d.Words) + len(d.Chars)
 	}
 	grams := len(state.Stats.Words) + len(state.Stats.Chars)
 	subjects, messages := len(idx.Subjects), ds.TotalMessages()
@@ -711,8 +712,8 @@ func TestSnapshotSizeAndAllocationCeilings(t *testing.T) {
 
 // TestReplayRefusesCountersThatDoNotHoldTheDocument: an index whose counters
 // never counted the document a fold takes out of them — here one subject's
-// cached extraction swapped for another text's — fails the replay with the
-// gram named, instead of publishing a generation cut from negative counters.
+// document with counts its text never had — fails the replay with the gram
+// named, instead of publishing a generation cut from negative counters.
 func TestReplayRefusesCountersThatDoNotHoldTheDocument(t *testing.T) {
 	rng := rand.New(rand.NewSource(8800))
 	ds := testDataset(rng, "corpus", 8)
@@ -726,8 +727,15 @@ func TestReplayRefusesCountersThatDoNotHoldTheDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state.Docs = append([]*features.SortedDoc(nil), state.Docs...)
-	state.Docs[2] = features.Extract("words no alias of this corpus ever posted zyzzyva quokka", opts.Reduction)
+	// Subject 2's document with every count raised past what the counters
+	// hold: its numbers are the dictionary's, its counts another text's.
+	forgedDoc := *state.Docs[2]
+	forgedDoc.Words = slices.Clone(forgedDoc.Words)
+	for k := range forgedDoc.Words {
+		forgedDoc.Words[k].Count += 1000
+	}
+	state.Docs = append([]*features.NumberedDoc(nil), state.Docs...)
+	state.Docs[2] = &forgedDoc
 	forged := *idx
 	if forged.Matcher, err = attribution.NewMatcherFromState(idx.Subjects, state); err != nil {
 		t.Fatal(err)
