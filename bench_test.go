@@ -407,7 +407,8 @@ func BenchmarkAblationLemma(b *testing.B) {
 		opts := attribution.DefaultOptions()
 		opts.TwoStage = false
 		with = ablationAccuracy(b, opts, known, probes)
-		opts.Reduction.Lemmatize = false
+		// Both stages read one extraction, so the final config follows.
+		opts.Reduction.Lemmatize, opts.Final.Lemmatize = false, false
 		without = ablationAccuracy(b, opts, known, probes)
 	}
 	b.ReportMetric(100*with, "acc-lemma-%")

@@ -268,6 +268,59 @@ func TestInvalidConfigRejected(t *testing.T) {
 	}
 }
 
+// TestFinalConfigMustExtractAsReduction: both stages read one extraction,
+// so a Final config that extracts differently from the Reduction config —
+// in any one of its extraction fields — is refused by a build, with stage 2
+// on or off, and by a load from state. A Final whose budgets alone differ is
+// accepted by all three.
+func TestFinalConfigMustExtractAsReduction(t *testing.T) {
+	known, _ := split(makeAuthors(t, 6, 200))
+	opts := testOptions()
+	opts.Incremental = true
+	m, err := NewMatcher(known, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string]func(*features.Config){
+		"Lemmatize":   func(c *features.Config) { c.Lemmatize = !c.Lemmatize },
+		"IncludeFreq": func(c *features.Config) { c.IncludeFreq = !c.IncludeFreq },
+		"WordMin":     func(c *features.Config) { c.WordMin++ },
+		"WordMax":     func(c *features.Config) { c.WordMax-- },
+		"CharMin":     func(c *features.Config) { c.CharMin++ },
+		"CharMax":     func(c *features.Config) { c.CharMax-- },
+		"budgets": func(c *features.Config) {
+			c.MaxWordGrams, c.MaxCharGrams = c.MaxWordGrams/7, c.MaxCharGrams/3
+		},
+	}
+	for name, change := range fields {
+		refused := name != "budgets"
+		check := func(how string, err error) {
+			t.Helper()
+			switch {
+			case refused && (err == nil || !strings.Contains(err.Error(), "only MaxWordGrams and MaxCharGrams may differ")):
+				t.Errorf("Final.%s changed, %s: error %v, want the one-extraction refusal", name, how, err)
+			case !refused && err != nil:
+				t.Errorf("Final.%s changed, %s: %v", name, how, err)
+			}
+		}
+		for _, twoStage := range []bool{true, false} {
+			o := opts
+			o.TwoStage = twoStage
+			change(&o.Final)
+			_, err := NewMatcher(known, o)
+			check(fmt.Sprintf("NewMatcher with TwoStage %v", twoStage), err)
+		}
+		s := st
+		change(&s.Opts.Final)
+		_, err := NewMatcherFromState(known, s)
+		check("NewMatcherFromState", err)
+	}
+}
+
 func TestBatchMatcherAgreesWithDirect(t *testing.T) {
 	authors := makeAuthors(t, 30, 250)
 	known, probes := split(authors)

@@ -40,7 +40,10 @@ type Options struct {
 	Threshold float64
 	// Reduction is the stage-1 feature configuration (Table II left).
 	Reduction features.Config
-	// Final is the stage-2 feature configuration (Table II right).
+	// Final is the stage-2 feature configuration (Table II right). Both
+	// stages read one extraction, so Final may differ from Reduction only in
+	// its vocabulary budgets (MaxWordGrams, MaxCharGrams); any other
+	// difference is refused.
 	Final features.Config
 	// UseActivity includes the daily activity profile in the score.
 	UseActivity bool
@@ -55,11 +58,10 @@ type Options struct {
 	TwoStage bool
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Incremental retains the corpus gram counters and each subject's
-	// reduction-config document after the build, enabling State()
-	// (persistence) and Fold (delta updates without a full rebuild). Costs
-	// roughly the size of the extracted corpus in memory; the built index
-	// is bit-identical either way.
+	// Incremental retains the corpus gram counters after the build, enabling
+	// State() (persistence) and Fold (delta updates without a full rebuild).
+	// Every matcher keeps its numbered documents; the counters are what
+	// Incremental adds. The built index is bit-identical either way.
 	Incremental bool
 }
 
@@ -173,37 +175,17 @@ type Matcher struct {
 	// byName maps a known subject's name to its index (last wins on
 	// duplicates, matching historical Rescore behaviour).
 	byName map[string]int
-	// dict numbers stage 2's grams: the reduction vocabulary's dictionary
-	// when the stages extract the same grams (sameGrams), otherwise the gram
-	// lists of a Final-config count of the known set, made by the
-	// generation's first rescore (stage2Once). finalDocs, set up there too,
-	// caches the Final-config document of each candidate numbered by dict
-	// where stage 2 cannot read docs below: when the stages' extractions
-	// differ (sameExtract is false) or the matcher kept no documents. Only
-	// subjects that actually appear in a candidate list are ever
-	// materialised.
-	stage2Once sync.Once
-	dict       *features.Dictionary
-	finalDocs  *features.DocCache
-	// sameExtract records that the reduction and final configs produce
-	// identical raw extractions (they differ only in vocabulary budgets in
-	// the paper's setup), letting Match share one unknown-document
-	// extraction across both stages and stage 2 read the known documents as
-	// they are held. sameGrams records that at least their gram lists are
-	// the same, so the corpus counters' gram lists are stage 2's dictionary.
-	sameExtract bool
-	sameGrams   bool
-	// stats and docs are retained only under Options.Incremental: the
-	// corpus gram counters the vocabulary was built from, and each known
-	// subject's reduction-config document (aligned with known), numbered by
-	// the counters' gram lists. Every generation's documents are numbered
-	// before it serves — by the index pass of a build, as read by a load,
-	// renumbered by a Fold — so stage 2 reads them with no numbering of its
-	// own. Together they let Fold subtract a subject's old counts, add its
-	// new ones, and re-run only the index pass — and let State() persist
-	// enough to do the same after a restart.
-	stats *features.VocabBuilder
+	// docs holds each known subject's document (aligned with known), the one
+	// extraction both stages read, numbered by the vocabulary's dictionary.
+	// Every generation's documents are numbered before it serves — by the
+	// index pass of a build, as read by a load, renumbered by a Fold — so
+	// stage 2 reads them with no numbering of its own. stats, the corpus gram
+	// counters the vocabulary was cut from, is retained only under
+	// Options.Incremental. Together they let Fold subtract a subject's old
+	// counts, add its new ones, and re-run only the index pass — and let
+	// State() persist enough to do the same after a restart.
 	docs  []*features.NumberedDoc
+	stats *features.VocabBuilder
 }
 
 // Subject block-presence bits of Matcher.mask.
@@ -322,10 +304,7 @@ func NewMatcherContext(ctx context.Context, known []Subject, given Options) (*Ma
 		return nil, err
 	}
 
-	var fresh []*features.SortedDoc
-	if opts.Incremental {
-		fresh = make([]*features.SortedDoc, len(known))
-	}
+	fresh := make([]*features.SortedDoc, len(known))
 	vb, err := countCorpus(ctx, known, opts.Reduction, opts.Workers, fresh)
 	if err != nil {
 		return nil, fmt.Errorf("attribution: corpus counters: %w", err)
@@ -339,9 +318,9 @@ func NewMatcherContext(ctx context.Context, known []Subject, given Options) (*Ma
 // order. Corpus counters are plain sums and the cut breaks frequency ties by
 // gram id, so the merged vocabulary is bit-identical to a sequential build
 // for any worker count. A builder lets go of a document once its batch is
-// merged in — keeping every doc alive would cost ~1 MB per subject — so
-// only docs, when non-nil, keeps each extraction. The pass is a
-// "matcher.vocab" span with one shard child per worker chunk.
+// merged in; docs[i] keeps subject i's extraction for the index pass, which
+// lets each go once it is numbered. The pass is a "matcher.vocab" span with
+// one shard child per worker chunk.
 func countCorpus(ctx context.Context, known []Subject, cfg features.Config, workers int, docs []*features.SortedDoc) (*features.VocabBuilder, error) {
 	shards := shardCount(workers, len(known))
 	vctx, vspan := obs.Start(ctx, "matcher.vocab")
@@ -356,11 +335,8 @@ func countCorpus(ctx context.Context, known []Subject, cfg features.Config, work
 		defer ss.End()
 		vb := features.NewVocabBuilder(cfg)
 		for i := lo; i < hi; i++ {
-			sd := features.Extract(known[i].Text, cfg)
-			if docs != nil {
-				docs[i] = sd
-			}
-			vb.AddSorted(sd)
+			docs[i] = features.Extract(known[i].Text, cfg)
+			vb.AddSorted(docs[i])
 		}
 		// Settled here so the merge runs on this worker; the builder keeps
 		// its error for Merge and Build to return.
@@ -377,10 +353,15 @@ func countCorpus(ctx context.Context, known []Subject, cfg features.Config, work
 }
 
 // validateOptions checks the feature configurations of already-defaulted
-// options.
+// options. Both stages read one extraction, so the final config may differ
+// from the reduction config only in its vocabulary budgets, whether or not
+// stage 2 runs.
 func validateOptions(opts Options) error {
 	if err := opts.Reduction.Validate(); err != nil {
 		return fmt.Errorf("attribution: reduction config: %w", err)
+	}
+	if !opts.Reduction.SameExtraction(opts.Final) {
+		return fmt.Errorf("attribution: final config extracts differently from the reduction config: only MaxWordGrams and MaxCharGrams may differ")
 	}
 	if opts.TwoStage {
 		if err := opts.Final.Validate(); err != nil {
@@ -395,24 +376,20 @@ func validateOptions(opts Options) error {
 // in foldTail, which ends here. docs[i], when docs is non-nil and docs[i]
 // is, is subject i's reduction document numbered by vocab's dictionary (a
 // load has every one, a Fold those it renumbered); any other is numbered
-// here, on the workers, from fresh[i] when fresh is non-nil (a build under
-// Incremental, a Fold's changed subjects) or else from the subject's text
-// re-extracted. The vectorizer reads only numbers, so the paths assemble
-// bit-identical indexes. given must already have been validated in its
-// resolved form; stats and docs are retained on the matcher only under
+// here, on the workers, from the extraction fresh[i] (a build's pass 1, a
+// Fold's changed subjects). The vectorizer reads only numbers, so the paths
+// assemble bit-identical indexes. given must already have been validated in
+// its resolved form; stats is retained on the matcher only under
 // Incremental.
 func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.NumberedDoc, fresh []*features.SortedDoc, stats *features.VocabBuilder, vocab *features.Vocabulary, given Options) (*Matcher, error) {
 	opts := given.WithDefaults()
-	m := &Matcher{given: given, opts: opts, known: known, vocab: vocab}
 	if docs == nil {
 		docs = make([]*features.NumberedDoc, len(known))
 	}
+	m := &Matcher{given: given, opts: opts, known: known, vocab: vocab, docs: docs}
 	if opts.Incremental {
 		m.stats = stats
-		m.docs = docs
 	}
-	m.sameExtract = opts.Reduction.SameExtraction(opts.Final)
-	m.sameGrams = opts.Reduction.SameGrams(opts.Final)
 	shards := shardCount(opts.Workers, len(known))
 	dict := vocab.Dictionary()
 
@@ -433,25 +410,13 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.N
 		ss.AddItems(int64(hi - lo))
 		defer ss.End()
 		var scratch sparse.Vector
-		var numbered features.NumberedDoc // a document the matcher does not keep
 		for i := lo; i < hi; i++ {
-			d := docs[i]
-			if d == nil {
-				var sd *features.SortedDoc
-				if fresh != nil {
-					// Numbered, the extraction is garbage: let it go now.
-					sd, fresh[i] = fresh[i], nil
-				} else {
-					sd = features.Extract(known[i].Text, opts.Reduction)
-				}
-				if opts.Incremental {
-					d = dict.Number(sd)
-					docs[i] = d
-				} else {
-					dict.NumberInto(&numbered, sd)
-					d = &numbered
-				}
+			if docs[i] == nil {
+				// Numbered, the extraction is garbage: let it go now.
+				docs[i] = dict.Number(fresh[i])
+				fresh[i] = nil
 			}
+			d := docs[i]
 			// A fresh vector per subject: its indices stay as the forward list.
 			var vec sparse.Vector
 			m.vocab.VectorizeGramsInto(&vec, &scratch, d)
@@ -505,49 +470,6 @@ func (m *Matcher) finish() error {
 	mVocabSize.Set(float64(m.vocab.NumWordGrams() + m.vocab.NumCharGrams()))
 	mPostings.Set(float64(distinct))
 	return nil
-}
-
-// stage2 returns the dictionary stage 2 numbers grams by and, where stage 2
-// cannot read the retained documents, the cache of Final-config documents
-// numbered by it (nil otherwise), setting both up on the generation's first
-// call. Where the stages share an extraction and the matcher keeps its
-// documents — an incremental matcher under the paper's configs — there is
-// nothing to set up: the dictionary is the vocabulary's, and each candidate
-// is read as it is held.
-func (m *Matcher) stage2() (*features.Dictionary, *features.DocCache) {
-	m.stage2Once.Do(func() {
-		m.dict = m.vocab.Dictionary()
-		if !m.sameGrams {
-			m.dict = features.NewDictionary(m.finalGrams())
-		}
-		if m.sameExtract && m.docs != nil {
-			return
-		}
-		texts := make([]string, len(m.known))
-		for i := range m.known {
-			texts[i] = m.known[i].Text
-		}
-		m.finalDocs = features.NewDocCache(m.opts.Final, texts, m.dict)
-	})
-	return m.dict, m.finalDocs
-}
-
-// finalGrams counts every known subject's Final-config document for the
-// gram lists stage 2 numbers by when the Final config extracts other grams
-// than the Reduction config: each candidate's document holds only grams of
-// those lists. The counters are summed only to be dropped, so the one way
-// they can fail — a gram counted past 2^31-1 times, more words than any
-// known set held in memory has — is a panic.
-func (m *Matcher) finalGrams() (words, chars []features.GramCount) {
-	vb, err := countCorpus(context.Background(), m.known, m.opts.Final, m.opts.Workers, nil)
-	var st features.BuilderState
-	if err == nil {
-		st, err = vb.State()
-	}
-	if err != nil {
-		panic(fmt.Sprintf("attribution: final-config dictionary: %v", err))
-	}
-	return st.Words, st.Chars
 }
 
 // invertForward turns per-subject forward lists (fwdIdx[i][k] is a gram
@@ -711,8 +633,7 @@ func (m *Matcher) Prepare(unknown *Subject) *Query {
 // prepare is Prepare on the caller's scratch: the vector is built in buf and
 // copied out at its final length, so the Query holds no slack and buf keeps
 // its storage for the next one. The document is numbered once, by the
-// dictionary stage 1's feature table and, where the stages share an
-// extraction, stage 2 read.
+// dictionary both stage 1's feature table and stage 2 read.
 func (m *Matcher) prepare(unknown *Subject, buf *matchBuffers) *Query {
 	q := &Query{m: m, subject: unknown}
 	m.vocab.Dictionary().NumberInto(&q.doc, features.Extract(unknown.Text, m.opts.Reduction))
@@ -800,9 +721,8 @@ func normOf(hasGrams, hasFreq, hasAct bool, w Weights) float64 {
 // TF-IDF over only the candidates' documents (changing the selected
 // n-grams and hence every vector, including the unknown's), then rescore
 // by cosine under the matcher's weights. Candidate documents are the ones
-// the matcher holds, or come from its lazy Final-config cache, so repeat
-// candidates cost at most one extraction and one numbering per matcher
-// lifetime, not one per query.
+// the matcher holds, numbered once per generation, so a candidate costs no
+// extraction and no numbering at query time.
 func (m *Matcher) Rescore(unknown *Subject, candidates []Scored) []Scored {
 	buf := m.getBuf()
 	defer m.putBuf(buf)
@@ -810,12 +730,11 @@ func (m *Matcher) Rescore(unknown *Subject, candidates []Scored) []Scored {
 }
 
 // rescoreSubject is Rescore on the caller's scratch. Stage 2 reads nothing
-// of stage 1's gram vector, so a one-shot rescore extracts the unknown
-// under the final config, numbers it in buf and prepares no Query.
+// of stage 1's gram vector, so a one-shot rescore extracts the unknown,
+// numbers it in buf by the vocabulary's dictionary and prepares no Query.
 func (m *Matcher) rescoreSubject(unknown *Subject, candidates []Scored, buf *matchBuffers) []Scored {
-	udoc := features.Extract(unknown.Text, m.opts.Final)
-	dict, _ := m.stage2()
-	dict.NumberInto(&buf.unum, udoc)
+	udoc := features.Extract(unknown.Text, m.opts.Reduction)
+	m.vocab.Dictionary().NumberInto(&buf.unum, udoc)
 	return m.rescoreDoc(&buf.unum, normalizedFreq(udoc.Freq), normalizedActivity(unknown), candidates, buf)
 }
 
@@ -826,32 +745,22 @@ func (q *Query) Rescore(candidates []Scored) []Scored {
 	return q.rescore(candidates, buf)
 }
 
-// rescore is Rescore on the caller's scratch. When the reduction and final
-// configs share extraction (the paper's setup) the prepared document, its
-// numbers and its dense blocks are stage 2's too; otherwise it is a one-shot
-// rescore.
+// rescore is Rescore on the caller's scratch. The stages share one
+// extraction, so the prepared document, its numbers and its dense blocks are
+// stage 2's too.
 func (q *Query) rescore(candidates []Scored, buf *matchBuffers) []Scored {
-	m := q.m
-	if !m.sameExtract {
-		return m.rescoreSubject(q.subject, candidates, buf)
-	}
-	return m.rescoreDoc(&q.doc, q.ub.freq, q.ub.act, candidates, buf)
+	return q.m.rescoreDoc(&q.doc, q.ub.freq, q.ub.act, candidates, buf)
 }
 
-// rescoreDoc scores the candidates against the unknown's numbered
-// final-config document u and its normalised frequency and activity blocks.
+// rescoreDoc scores the candidates against the unknown's numbered document
+// u and its normalised frequency and activity blocks.
 func (m *Matcher) rescoreDoc(u *features.NumberedDoc, ufreq, uact []float64, candidates []Scored, buf *matchBuffers) []Scored {
 	mRescoreTotal.Inc()
-	_, cache := m.stage2()
 	idxs, docs := buf.idxs[:0], buf.docs[:0]
 	for _, c := range candidates {
 		if i, ok := m.byName[c.Name]; ok {
 			idxs = append(idxs, i)
-			if cache != nil {
-				docs = append(docs, cache.Get(i))
-			} else {
-				docs = append(docs, m.docs[i])
-			}
+			docs = append(docs, m.docs[i])
 		}
 	}
 	buf.idxs, buf.docs = idxs, docs
@@ -862,13 +771,8 @@ func (m *Matcher) rescoreDoc(u *features.NumberedDoc, ufreq, uact []float64, can
 	nu := normOf(uHas, ufreq != nil, uact != nil, w)
 	out := make([]Scored, 0, len(idxs))
 	for j, i := range idxs {
-		// The index already holds the candidate's dense blocks: activity
-		// never depends on the extraction config, frequency only when the
-		// two stages' raw counts differ.
+		// The index already holds the candidate's dense blocks.
 		freq, act := m.freqs[i], m.acts[i]
-		if !m.sameExtract {
-			freq = normalizedFreq(docs[j].Freq)
-		}
 		score := 0.0 // the cosine of the concatenated weighted vectors (blocks)
 		if nv := normOf(has[j], freq != nil, act != nil, w); nu != 0 && nv != 0 {
 			dot := dots[j] + w.Freq*w.Freq*denseDot(ufreq, freq) + w.Activity*w.Activity*denseDot(uact, act)

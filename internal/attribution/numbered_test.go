@@ -106,15 +106,12 @@ func assertVectorBits(t *testing.T, label string, got, want sparse.Vector) {
 // no known subject used (grams absent from the dictionary), one mixing such
 // words into a known text, and one of a single subject's private word,
 // which budgets of 40 word grams and no char gram leave with no gram in the
-// cut; under the paper's budgets and those, and on a matcher whose Final
-// config does not lemmatise (so its stages' grams differ).
+// cut; under the paper's budgets and those.
 func TestVectorizeMatchesMergeReference(t *testing.T) {
 	paper := testOptions()
 	paper.Incremental = true
 	binding := paper
 	binding.Reduction.MaxWordGrams, binding.Reduction.MaxCharGrams = 40, 0
-	unlemmatised := paper
-	unlemmatised.Final.Lemmatize = false
 	for world := range 4 {
 		known, probes := randomWorld(rand.New(rand.NewSource(int64(4200+world))), 30)
 		private := ""
@@ -127,7 +124,7 @@ func TestVectorizeMatchesMergeReference(t *testing.T) {
 			Subject{Name: "absent", Text: "zqxjv wuvk"},
 			Subject{Name: "mixed", Text: "ÿŷÿŷ zqxjv wuvk " + known[1].Text},
 			Subject{Name: "private", Text: private})
-		for oi, opts := range []Options{paper, binding, unlemmatised} {
+		for oi, opts := range []Options{paper, binding} {
 			m, err := NewMatcher(known, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 // which prepare the unknown afresh on every call — under every pre-filter
 // mode, the all-features weighting (the matcher's own) and text only, k
 // of 1, 10 and 40, for randomWorld's probes plus a zero-norm one and one
-// with activity but no text, and with stages that share an extraction and
-// stages that do not. Every query is prepared on one scratch before any is
+// with activity but no text, under the paper's budgets and under final
+// budgets the cut binds. Every query is prepared on one scratch before any is
 // asked, so a Query that kept the scratch's vector instead of its own would
 // answer with the last one prepared; and each is asked again and again, so
 // one that a ranking mutated would drift.
@@ -30,15 +30,12 @@ func TestPreparedQueryMatchesFresh(t *testing.T) {
 	probes = append(probes, Subject{Name: "zero-norm"}, Subject{Name: "activity-only", Activity: act})
 
 	paper := testOptions()
-	unshared := testOptions()
-	unshared.Final.Lemmatize = false
-	for _, opts := range []Options{paper, unshared} {
+	binding := testOptions()
+	binding.Final.MaxWordGrams, binding.Final.MaxCharGrams = 64, 128
+	for oi, opts := range []Options{paper, binding} {
 		m, err := NewMatcher(known, opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if m.sameExtract != (opts.Final.Lemmatize == opts.Reduction.Lemmatize) {
-			t.Fatalf("lemmatize %v: sameExtract %v", opts.Final.Lemmatize, m.sameExtract)
 		}
 		var buf matchBuffers
 		qs := make([]*Query, len(probes))
@@ -52,7 +49,7 @@ func TestPreparedQueryMatchesFresh(t *testing.T) {
 					o := MatchOptions{K: k, Weights: w, Mode: mode}
 					for i, q := range qs {
 						u := &probes[i]
-						label := fmt.Sprintf("sameExtract %v mode %v weights %d k %d probe %s", m.sameExtract, mode, wi, k, u.Name)
+						label := fmt.Sprintf("options %d mode %v weights %d k %d probe %s", oi, mode, wi, k, u.Name)
 						got, gst := q.Rank(o)
 						want, wst := m.RankDetailed(u, o)
 						assertSameScores(t, label+" rank", got, want)

@@ -72,25 +72,19 @@ func TestStage2ScratchConcurrent(t *testing.T) {
 	}
 }
 
-// TestStage2FirstUseConcurrent: a fresh matcher sets stage 2 up — its
-// dictionary, a Final-config one counted on the workers where the stages'
-// grams differ, and, where stage 2 cannot read the documents the matcher
-// holds, the document cache — on its first rescore, and numbers each cached
-// candidate document on first use. Eight goroutines released at once on a
-// fresh matcher, each rescoring every probe through shared prepared queries
-// and through one-shot Rescore in an order of its own, must all get the
-// bits a sequential pass over another matcher got, see one dictionary and
-// one cache, and see for every candidate entry one canonical numbering —
-// the numbers the dictionary gives its Final-config document. A prepared
-// query holds the one numbering Prepare gave it, which is stage 2's where
-// the stages share an extraction; an incremental matcher's candidates are
-// the documents it holds, with no cache. Run under -race in CI.
+// TestStage2FirstUseConcurrent: a fresh matcher's first rescores read the
+// documents it holds, numbered before it serves, and set nothing up. Eight
+// goroutines released at once on a fresh matcher, each rescoring every probe
+// through shared prepared queries and through one-shot Rescore in an order of
+// its own, must all get the bits a sequential pass over another matcher got,
+// incremental or not. Every held document and every prepared query must
+// carry the numbers the vocabulary's dictionary gives its extraction. Run
+// under -race in CI.
 func TestStage2FirstUseConcurrent(t *testing.T) {
 	known, probes := randomWorld(rand.New(rand.NewSource(1616)), 40)
-	incremental, unlemmatised := testOptions(), testOptions()
+	incremental := testOptions()
 	incremental.Incremental = true
-	unlemmatised.Final.Lemmatize = false
-	for oi, opts := range []Options{testOptions(), incremental, unlemmatised} {
+	for oi, opts := range []Options{testOptions(), incremental} {
 		seq, err := NewMatcher(known, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -111,12 +105,6 @@ func TestStage2FirstUseConcurrent(t *testing.T) {
 			qs[i] = m.Prepare(&probes[i])
 		}
 		const goroutines = 8
-		type seen struct {
-			dict  *features.Dictionary
-			cache *features.DocCache
-			docs  []*features.NumberedDoc
-		}
-		views := make([]seen, goroutines)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := range goroutines {
@@ -131,18 +119,6 @@ func TestStage2FirstUseConcurrent(t *testing.T) {
 						return
 					}
 				}
-				v := &views[g]
-				v.dict, v.cache = m.stage2()
-				for i := range known {
-					switch {
-					case v.cache == nil:
-						v.docs = append(v.docs, m.docs[i])
-					case v.cache.Cached(i):
-						v.docs = append(v.docs, v.cache.Get(i))
-					default:
-						v.docs = append(v.docs, nil)
-					}
-				}
 			}(g)
 		}
 		close(start)
@@ -150,27 +126,14 @@ func TestStage2FirstUseConcurrent(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		first := views[0]
-		for g, v := range views[1:] {
-			if v.dict != first.dict || v.cache != first.cache {
-				t.Fatalf("options %d goroutine %d: another stage-2 dictionary or cache", oi, g+1)
-			}
-			for i := range v.docs {
-				if v.docs[i] != first.docs[i] {
-					t.Fatalf("options %d goroutine %d: candidate %d numbered twice", oi, g+1, i)
-				}
-			}
-		}
-		if held := opts.Incremental && m.sameExtract; (first.cache == nil) != held {
-			t.Fatalf("options %d: stage 2 keeps a cache = %v, reads the held documents = %v", oi, first.cache != nil, held)
-		}
+		dict := m.vocab.Dictionary()
 		for i, q := range qs {
-			if m.sameExtract && !reflect.DeepEqual(&q.doc, first.dict.Number(features.Extract(probes[i].Text, opts.Final))) {
-				t.Fatalf("options %d: query %d holds other numbers than stage 2's dictionary gives its document", oi, i)
+			if !reflect.DeepEqual(&q.doc, dict.Number(features.Extract(probes[i].Text, opts.Final))) {
+				t.Fatalf("options %d: query %d holds other numbers than the dictionary gives its document", oi, i)
 			}
 		}
-		for i, d := range first.docs {
-			if d != nil && !reflect.DeepEqual(d, first.dict.Number(features.Extract(known[i].Text, opts.Final))) {
+		for i, d := range m.docs {
+			if !reflect.DeepEqual(d, dict.Number(features.Extract(known[i].Text, opts.Final))) {
 				t.Fatalf("options %d: candidate %d holds other numbers than its document's", oi, i)
 			}
 		}
@@ -200,7 +163,7 @@ func TestRescoreAllocationCeiling(t *testing.T) {
 	// A scratch of the test's own, as a MatchAll worker holds one: under
 	// -race sync.Pool drops buffers at random, which is not what is measured.
 	var buf matchBuffers
-	m.rescoreSubject(probe, cands, &buf) // fill the document cache and size the scratch
+	m.rescoreSubject(probe, cands, &buf) // size the scratch
 	extract := testing.AllocsPerRun(20, func() {
 		features.Extract(probe.Text, m.opts.Final)
 	})
@@ -244,9 +207,8 @@ func TestRescoreAllocationCeiling(t *testing.T) {
 
 // retainedBytes sums the backing arrays v holds by value: each slice's
 // capacity times its element size, through structs and arrays. Pointers are
-// not followed — a matchBuffers points only at documents the matcher's
-// cache owns — and a scratch slice of slices is cleared after every
-// rescore.
+// not followed — a matchBuffers points only at documents the matcher
+// holds — and a scratch slice of slices is cleared after every rescore.
 func retainedBytes(v reflect.Value) int {
 	switch v.Kind() {
 	case reflect.Slice:
@@ -273,8 +235,8 @@ func retainedBytes(v reflect.Value) int {
 // index. warm has every candidate's document and the query numbered and the
 // scratch warm. first-use rescores each probe once on a fresh generation —
 // a matcher loaded from the same state, its queries prepared untimed — so
-// it includes what a generation's first rescores number: the query, and
-// each candidate the generation has not met yet.
+// it includes the cold memory of a generation's first rescores; nothing is
+// numbered at query time.
 func BenchmarkRescoreKernel(b *testing.B) {
 	known, probes := split(makeAuthors(b, 20, 1500))
 	opts := testOptions()

@@ -11,8 +11,8 @@ import (
 )
 
 // ErrNotIncremental is returned by State and Fold on a matcher built
-// without Options.Incremental: it dropped the corpus counters and cached
-// extractions those operations need.
+// without Options.Incremental: it keeps its documents but dropped the corpus
+// counters those operations need.
 var ErrNotIncremental = errors.New("attribution: matcher was not built with Options.Incremental")
 
 // IndexState is what the index pass runs from, as value types: the options,
@@ -37,7 +37,7 @@ type IndexState struct {
 // matcher was given them, not as it resolved them. Only incremental matchers
 // can be snapshotted.
 func (m *Matcher) State() (IndexState, error) {
-	if m.docs == nil {
+	if m.stats == nil {
 		return IndexState{}, ErrNotIncremental
 	}
 	stats, err := m.stats.State()
@@ -102,7 +102,7 @@ func foldTail(ctx context.Context, known []Subject, docs []*features.NumberedDoc
 // The known set stays sorted by name, matching the canonical order
 // BuildSubjects produces from a name-sorted dataset.
 func (m *Matcher) Fold(ctx context.Context, changed []Subject) (*Matcher, error) {
-	if m.docs == nil {
+	if m.stats == nil {
 		return nil, ErrNotIncremental
 	}
 	before, err := m.stats.State()

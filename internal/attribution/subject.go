@@ -6,10 +6,10 @@
 // unknown by cosine similarity over the space-reduction feature space
 // (Table II) and keep the top k = 10 candidates.
 //
-// Stage 2 (§IV-E, §IV-I): re-extract features and recompute TF-IDF over
-// only those k candidates (which reselects the n-gram vocabulary), rescore
-// with cosine, and accept the best candidate iff its score clears the
-// global threshold t = 0.4190.
+// Stage 2 (§IV-E, §IV-I): recompute TF-IDF over only those k candidates'
+// documents — the extraction stage 1 read — which reselects the n-gram
+// vocabulary under the final budgets, rescore with cosine, and accept the
+// best candidate iff its score clears the global threshold t = 0.4190.
 package attribution
 
 import (

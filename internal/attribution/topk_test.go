@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestTopKScratchReuse(t *testing.T) {
 
 // referenceRescore is the pre-hoist Rescore: byName rebuilt per call,
 // candidate documents re-extracted per call. The production path must
-// return identical output from its matcher-lifetime caches.
+// return identical output from the documents the matcher holds.
 func referenceRescore(m *Matcher, unknown *Subject, candidates []Scored) []Scored {
 	byName := make(map[string]*Subject, len(m.known))
 	for i := range m.known {
@@ -192,9 +193,6 @@ func referenceKernel(m *Matcher, udoc *features.SortedDoc, unknown *Subject, can
 		s := &m.known[i]
 		cvec := vocab.vectorize(docs[j])
 		cb := blocks{grams: cvec.Normalize(), freq: m.freqs[i], act: m.acts[i]}
-		if !m.sameExtract {
-			cb.freq = normalizedFreq(docs[j].Freq)
-		}
 		out = append(out, Scored{Name: s.Name, Score: similarity(&ub, &cb, w)})
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -224,11 +222,8 @@ func assertSameScores(t *testing.T, label string, got, want []Scored) {
 // TestRescoreKernelMatchesReference holds stage 2 to referenceKernel bit
 // for bit where the 300-word worlds cannot reach: 1,500-word halves at k 1,
 // 10 and 40, under the paper's budgets and under budgets of 64 word and 128
-// char grams, where the cut binds and ties are broken inside it; with the
-// final config's frequency block off too, so the stages do not share an
-// extraction and Match re-extracts; and with the final config not
-// lemmatising, so its grams are not the corpus counters' and the first
-// rescore counts a Final-config dictionary of its own. The unknowns include
+// char grams, where the cut binds and ties are broken inside it. The unknowns
+// include
 // an empty one, one with no selected gram, one whose grams the dictionary
 // mostly lacks, randomWorld's empty and zero-norm probes, and two
 // candidates with one text, where every gram they share has IDF 0 and both
@@ -254,17 +249,14 @@ func TestRescoreKernelMatchesReference(t *testing.T) {
 	paper := testOptions()
 	binding := testOptions()
 	binding.Final.MaxWordGrams, binding.Final.MaxCharGrams = 64, 128
-	paperNoFreq, bindingNoFreq := paper, binding
-	paperNoFreq.Final.IncludeFreq, bindingNoFreq.Final.IncludeFreq = false, false
-	unlemmatised := paper
-	unlemmatised.Final.Lemmatize = false
 	for _, wd := range worlds {
-		for oi, opts := range []Options{paper, binding, paperNoFreq, bindingNoFreq, unlemmatised} {
+		for oi, opts := range []Options{paper, binding} {
 			m, err := NewMatcher(wd.known, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var buf matchBuffers
+			rescored := make(map[int]bool) // the candidates stage 2 has read
 			for _, k := range []int{1, 10, 40} {
 				for p := range wd.probes {
 					u := &wd.probes[p]
@@ -272,6 +264,9 @@ func TestRescoreKernelMatchesReference(t *testing.T) {
 					cands := m.Rank(u, k)
 					want := referenceKernel(m, nil, u, cands)
 					assertSameScores(t, label, m.prepare(u, &buf).rescore(cands, &buf), want)
+					for _, i := range buf.idxs {
+						rescored[i] = true
+					}
 					if k == 10 {
 						res := m.MatchWith(u, MatchOptions{K: k})
 						assertSameScores(t, label+" (Match)", res.Rescored, want)
@@ -282,10 +277,7 @@ func TestRescoreKernelMatchesReference(t *testing.T) {
 				continue
 			}
 			// The cases are what they claim to be.
-			dict, cache := m.stage2()
-			if m.sameGrams == (oi == 4) {
-				t.Fatalf("options %d: the stages share grams = %v", oi, m.sameGrams)
-			}
+			dict := m.vocab.Dictionary()
 			foreign := dict.Number(features.Extract("ÿŷÿŷÿŷ", opts.Final))
 			m.prepare(&probes[4], &buf).rescore(m.Rank(&probes[4], 10), &buf)
 			if _, _, uHas := buf.vocab.Score(opts.Final, buf.docs, foreign); uHas {
@@ -295,7 +287,7 @@ func TestRescoreKernelMatchesReference(t *testing.T) {
 			if mixed := dict.Number(mixedDoc); len(mixed.Chars) == 0 || len(mixed.Chars) == len(mixedDoc.CharGrams) {
 				t.Fatalf("options %d: the mixed unknown's grams do not mix dictionary grams with others", oi)
 			}
-			assertTileEdgesCovered(t, fmt.Sprintf("options %d", oi), m, cache)
+			assertTileEdgesCovered(t, fmt.Sprintf("options %d", oi), m, rescored)
 			pair := []Scored{{Name: known[0].Name}, {Name: twin.Name}}
 			want := referenceKernel(m, nil, &probes[0], pair)
 			assertSameScores(t, fmt.Sprintf("options %d twins", oi), m.prepare(&probes[0], &buf).rescore(pair, &buf), want)
@@ -359,17 +351,14 @@ func TestFoldRescoresAsRebuilt(t *testing.T) {
 // countTile is the tile of the stage-2 count: features' tileSize.
 const countTile = 1 << 12
 
-// assertTileEdgesCovered fails unless the candidates m has numbered so far
-// hold, in one gram family, grams at the last slot of some tile and the
-// first of the next, and numbers from at least three tiles.
-func assertTileEdgesCovered(t *testing.T, label string, m *Matcher, cache *features.DocCache) {
+// assertTileEdgesCovered fails unless the candidates of m listed in
+// rescored hold, in one gram family, grams at the last slot of some tile and
+// the first of the next, and numbers from at least three tiles.
+func assertTileEdgesCovered(t *testing.T, label string, m *Matcher, rescored map[int]bool) {
 	t.Helper()
 	held := [2]map[uint32]bool{{}, {}}
-	for i := range m.known {
-		if !cache.Cached(i) {
-			continue
-		}
-		d := cache.Get(i)
+	for i := range rescored {
+		d := m.docs[i]
 		for f, es := range [2][]features.NumEntry{d.Words, d.Chars} {
 			for _, e := range es {
 				held[f][e.Num] = true
@@ -390,39 +379,26 @@ func assertTileEdgesCovered(t *testing.T, label string, m *Matcher, cache *featu
 	t.Fatalf("%s: no candidate grams straddle a tile edge of a dictionary spanning three tiles", label)
 }
 
-// TestRescoreUnchangedByHoistedIndex pins the byName/doc-cache hoist and
-// the reuse of the index's dense blocks: Rescore must produce exactly the
-// scores the per-call implementation did — which re-extracts every
-// candidate and re-derives its frequency and activity blocks — on first
-// call (cold cache) and on repeat calls (warm cache), including candidates
-// that are not in the known set at all, and also when the final config
-// extracts differently from the reduction config, so the index's frequency
-// blocks are not stage 2's. An incremental matcher whose stages share an
-// extraction starts with the cache full of the documents it retains — a
-// first-touch Rescore extracts nothing — and must score the same.
+// TestRescoreUnchangedByHoistedIndex pins the byName hoist, the held
+// documents and the reuse of the index's dense blocks: Rescore must produce
+// exactly the scores the per-call implementation did — which re-extracts
+// every candidate and re-derives its frequency and activity blocks — on
+// first call and on repeat calls, including candidates that are not in the
+// known set at all. A matcher holds every candidate's numbered document
+// before its first Rescore, incremental or not, so a first-touch Rescore
+// extracts no candidate.
 func TestRescoreUnchangedByHoistedIndex(t *testing.T) {
 	authors := makeAuthors(t, 12, 300)
 	known, probes := split(authors)
-	other := testOptions()
-	other.Final.IncludeFreq = false
-	incremental, incrementalOther := testOptions(), other
-	incremental.Incremental, incrementalOther.Incremental = true, true
-	for _, opts := range []Options{testOptions(), other, incremental, incrementalOther} {
+	incremental := testOptions()
+	incremental.Incremental = true
+	for _, opts := range []Options{testOptions(), incremental} {
 		m, err := NewMatcher(known, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.finalDocs != nil {
-			t.Fatalf("incremental %v sameExtract %v: stage 2 set up before any Rescore", opts.Incremental, m.sameExtract)
-		}
-		if _, cache := m.stage2(); (cache == nil) != (opts.Incremental && m.sameExtract) {
-			t.Fatalf("incremental %v sameExtract %v: stage 2 keeps a cache = %v", opts.Incremental, m.sameExtract, cache != nil)
-		} else if cache != nil {
-			for i := range known {
-				if cache.Cached(i) {
-					t.Fatalf("document %d numbered before any Rescore", i)
-				}
-			}
+		if len(m.docs) != len(known) || slices.Contains(m.docs, nil) {
+			t.Fatalf("incremental %v: %d of %d documents held before any Rescore", opts.Incremental, len(m.docs), len(known))
 		}
 		for round := 0; round < 2; round++ {
 			for p := range probes[:4] {
@@ -432,8 +408,8 @@ func TestRescoreUnchangedByHoistedIndex(t *testing.T) {
 				got := m.Rescore(&probes[p], cands)
 				want := referenceRescore(m, &probes[p], cands)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("sameExtract %v round %d probe %d: Rescore diverged from reference:\ngot  %v\nwant %v",
-						m.sameExtract, round, p, got, want)
+					t.Fatalf("incremental %v round %d probe %d: Rescore diverged from reference:\ngot  %v\nwant %v",
+						opts.Incremental, round, p, got, want)
 				}
 			}
 		}
@@ -450,9 +426,6 @@ func TestMatchSharedExtractionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.sameExtract {
-		t.Fatal("paper configs must share extraction (budgets differ, nothing else)")
-	}
 	for p := range probes {
 		got := m.Match(&probes[p])
 		wantCands := m.Rank(&probes[p], m.opts.K)
@@ -463,23 +436,6 @@ func TestMatchSharedExtractionEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(got.Rescored, wantRescored) {
 			t.Fatalf("probe %d: Match rescoring diverges from Rescore", p)
 		}
-	}
-
-	// And when the configs do NOT share extraction, Match must fall back to
-	// a per-stage extraction and still agree with the composition.
-	opts := testOptions()
-	opts.Final.Lemmatize = false
-	m2, err := NewMatcher(known, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.sameExtract {
-		t.Fatal("lemmatisation toggle must break extraction sharing")
-	}
-	got := m2.Match(&probes[0])
-	want := m2.Rescore(&probes[0], m2.Rank(&probes[0], m2.opts.K))
-	if !reflect.DeepEqual(got.Rescored, want) {
-		t.Fatal("non-shared-extraction Match diverges from Rank+Rescore composition")
 	}
 }
 

@@ -81,21 +81,13 @@ func FinalConfig() Config {
 // for every text. The vocabulary budgets (MaxWordGrams, MaxCharGrams) are
 // selection-time parameters consumed by VocabBuilder.Build — Extract never
 // reads them — while every other field changes the raw counts. The
-// attribution layer uses this to extract an unknown's document once and
-// share it between the two stages: the paper's reduction and final configs
-// differ only in their budgets.
+// attribution layer requires it of its two configs, so both stages read one
+// extraction: the paper's reduction and final configs differ only in their
+// budgets.
 func (c Config) SameExtraction(o Config) bool {
 	c.MaxWordGrams, c.MaxCharGrams = 0, 0
 	o.MaxWordGrams, o.MaxCharGrams = 0, 0
 	return c == o
-}
-
-// SameGrams reports whether c and o extract the same gram lists from every
-// text: SameExtraction but for the frequency features, which no gram list
-// holds.
-func (c Config) SameGrams(o Config) bool {
-	c.IncludeFreq, o.IncludeFreq = false, false
-	return c.SameExtraction(o)
 }
 
 // maxCharOrder is the longest char n-gram the extractor's offset ring holds.
