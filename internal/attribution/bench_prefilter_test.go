@@ -142,14 +142,13 @@ func getBenchWorld(tb testing.TB, n int) *benchWorld {
 	}
 
 	m := &Matcher{
-		opts:   Options{K: benchTopK},
-		known:  make([]Subject, n),
-		mask:   make([]uint8, n),
-		freqs:  make([][]float64, n),
-		acts:   make([][]float64, n),
-		fwdIdx: make([][]uint32, n),
-		fwdVal: make([][]float32, n),
+		opts:  Options{K: benchTopK},
+		known: make([]Subject, n),
+		mask:  make([]uint8, n),
+		freqs: make([][]float64, n),
+		acts:  make([][]float64, n),
 	}
+	fwdIdx, fwdVal := make([][]uint32, n), make([][]float32, n)
 	for i := 0; i < n; i++ {
 		m.known[i] = Subject{Name: fmt.Sprintf("s%06d", i)}
 		v := benchVector(rng, benchSubjectTerms(rng, bases[i/benchClusterSize]))
@@ -158,11 +157,11 @@ func getBenchWorld(tb testing.TB, n int) *benchWorld {
 			vals32[k] = float32(val)
 		}
 		m.mask[i] = maskGrams
-		m.fwdIdx[i] = v.Idx
-		m.fwdVal[i] = vals32
+		fwdIdx[i] = v.Idx
+		fwdVal[i] = vals32
 	}
 	var err error
-	if m.postOff, m.postSubj, m.postVal, err = invertForward(m.fwdIdx, m.fwdVal, benchDims, 1); err != nil {
+	if m.postOff, m.postSubj, m.postVal, err = invertForward(fwdIdx, fwdVal, benchDims, 1); err != nil {
 		tb.Fatal(err)
 	}
 
@@ -238,6 +237,9 @@ func BenchmarkRankPrepared(b *testing.B) {
 func BenchmarkRankPruned(b *testing.B) {
 	for _, n := range benchSizes(b) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			w := getBenchWorld(b, n)
+			w.m.forward() // derive the pruned mode's tables outside the timed loop
+			w.m.maxContrib()
 			benchRank(b, n, func(w *benchWorld, buf *matchBuffers) prefilter.Stats {
 				_, st := w.m.rankPruned(&w.query, benchTopK, w.w, 1, buf)
 				return st
@@ -250,7 +252,7 @@ func BenchmarkRankLSH(b *testing.B) {
 	for _, n := range benchSizes(b) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			w := getBenchWorld(b, n)
-			w.m.lshIndex() // build outside the timed loop; queries share it
+			w.m.lshIndex() // build (forward lists first) outside the timed loop; queries share it
 			benchRank(b, n, func(w *benchWorld, buf *matchBuffers) prefilter.Stats {
 				_, st := w.m.rankLSH(&w.query, benchTopK, w.w, 1, buf)
 				return st

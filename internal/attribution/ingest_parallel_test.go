@@ -9,6 +9,7 @@ import (
 
 	"darklight/internal/activity"
 	"darklight/internal/forum"
+	"darklight/internal/prefilter"
 )
 
 // TestNewMatcherWorkerInvariance pins the sharded index build to the
@@ -51,7 +52,12 @@ func TestNewMatcherWorkerInvariance(t *testing.T) {
 			!reflect.DeepEqual(par.acts, seq.acts) {
 			t.Errorf("Workers=%d: dense blocks diverge from sequential build", workers)
 		}
-		if !reflect.DeepEqual(par.fwdIdx, seq.fwdIdx) ||
+		// The forward lists are released after inversion; compare the ones
+		// the first pruned query re-derives from each arena.
+		for _, m := range []*Matcher{par, seq} {
+			m.RankDetailed(&probes[0], MatchOptions{Mode: prefilter.ModePruned})
+		}
+		if len(seq.fwdIdx) != len(known) || !reflect.DeepEqual(par.fwdIdx, seq.fwdIdx) ||
 			!reflect.DeepEqual(par.fwdVal, seq.fwdVal) {
 			t.Errorf("Workers=%d: forward lists diverge from sequential build", workers)
 		}

@@ -156,9 +156,13 @@ type Matcher struct {
 	// feature ids and the same float32 values its postings carry. The
 	// pre-filtered paths score one subject at a time with an id-ordered
 	// merge over these lists, reproducing the posting sweep's float32
-	// accumulation bit for bit.
-	fwdIdx [][]uint32
-	fwdVal [][]float32
+	// accumulation bit for bit. The index pass builds them for the
+	// inversion and finish releases them, so a serving matcher holds each
+	// posting once; the first pruned or LSH query re-derives them from the
+	// arena (forward, fwdOnce).
+	fwdOnce sync.Once
+	fwdIdx  [][]uint32
+	fwdVal  [][]float32
 	// termCaps holds each gram feature's largest posting value — the
 	// per-term contribution caps the pruned mode builds score upper bounds
 	// from — read off the posting arena by the first pruned query (capsOnce).
@@ -448,10 +452,12 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.N
 }
 
 // finish ends the index pass: it inverts the forward lists into the posting
-// arena and builds the name index stage 2 looks candidates up by.
+// arena, releases the lists, and builds the name index stage 2 looks
+// candidates up by.
 func (m *Matcher) finish() error {
 	var err error
 	m.postOff, m.postSubj, m.postVal, err = invertForward(m.fwdIdx, m.fwdVal, int(m.vocab.FreqOffset()), m.opts.Workers)
+	m.fwdIdx, m.fwdVal = nil, nil
 	if err != nil {
 		return fmt.Errorf("attribution: posting inversion: %w", err)
 	}

@@ -98,8 +98,9 @@ func assertVectorBits(t *testing.T, label string, got, want sparse.Vector) {
 }
 
 // TestVectorizeMatchesMergeReference: stage 1 vectorizes every known
-// subject in the index pass and every query in Prepare through the cut's
-// feature table, from documents numbered by the dictionary. Both must equal,
+// subject in the index pass (read back through the forward lists a pruned
+// query re-derives from the arena) and every query in Prepare through the
+// cut's feature table, from documents numbered by the dictionary. Both must equal,
 // bit for bit, mergeVectorize of the subject's id-sorted extraction against
 // refCut of the matcher's counters, normalised — across random worlds, with
 // empty known subjects, probes of noise and empty probes, a probe of words
@@ -134,13 +135,14 @@ func TestVectorizeMatchesMergeReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := refCut(st, opts.Reduction)
+			fwdIdx, fwdVal := m.forward()
 			for i := range known {
 				want := ref.vectorize(features.Extract(known[i].Text, opts.Reduction)).Normalize()
 				for k, v := range want.Val {
 					want.Val[k] = float64(float32(v)) // the forward lists hold the postings' float32
 				}
-				got := sparse.Vector{Idx: m.fwdIdx[i], Val: make([]float64, len(m.fwdVal[i]))}
-				for k, v := range m.fwdVal[i] {
+				got := sparse.Vector{Idx: fwdIdx[i], Val: make([]float64, len(fwdVal[i]))}
+				for k, v := range fwdVal[i] {
 					got.Val[k] = float64(v)
 				}
 				assertVectorBits(t, fmt.Sprintf("world %d options %d known %d", world, oi, i), got, want)

@@ -109,8 +109,8 @@ func (m *Matcher) rankExact(ub *blocks, k int, w Weights, uNorm float64, buf *ma
 func (m *Matcher) scoreOne(i int, ub *blocks, qv32 []float32, wf2, wa2 float64, w Weights, uNorm float64) float64 {
 	var t float32
 	qi := ub.grams.Idx
-	si := m.fwdIdx[i]
-	sv := m.fwdVal[i]
+	fwdIdx, fwdVal := m.forward()
+	si, sv := fwdIdx[i], fwdVal[i]
 	a, b := 0, 0
 	for a < len(qi) && b < len(si) {
 		switch {
@@ -384,6 +384,37 @@ func (m *Matcher) maxContrib() []float32 {
 	return m.termCaps
 }
 
+// forward returns the forward gram lists, re-derived by the first pruned or
+// LSH query (fwdOnce) in one transpose of the posting arena: walking the
+// features in ascending id gives each subject its ids ascending, beside the
+// very float32 values its postings hold — the lists the index pass built.
+// The exact scan never calls it.
+func (m *Matcher) forward() ([][]uint32, [][]float32) {
+	m.fwdOnce.Do(func() {
+		n := len(m.known)
+		next := make([]int, n+1) // next[i]: where subject i's next entry goes
+		for _, i := range m.postSubj {
+			next[i+1]++
+		}
+		for i := range n {
+			next[i+1] += next[i]
+		}
+		ids, vals := make([]uint32, len(m.postSubj)), make([]float32, len(m.postSubj))
+		m.fwdIdx, m.fwdVal = make([][]uint32, n), make([][]float32, n)
+		for i := range n {
+			m.fwdIdx[i], m.fwdVal[i] = ids[next[i]:next[i+1]:next[i+1]], vals[next[i]:next[i+1]:next[i+1]]
+		}
+		for g := 0; g+1 < len(m.postOff); g++ {
+			for p := m.postOff[g]; p < m.postOff[g+1]; p++ {
+				i := m.postSubj[p]
+				ids[next[i]], vals[next[i]] = uint32(g), m.postVal[p]
+				next[i]++
+			}
+		}
+	})
+	return m.fwdIdx, m.fwdVal
+}
+
 // lshIndex returns the LSH index, built by the first LSH query (lshOnce).
 // It hashes each subject's informative gram set (prefilter.MinHashValueFloor
 // applied): corpus-universal grams carry IDF ≈ 0, so hashing them would
@@ -391,8 +422,9 @@ func (m *Matcher) maxContrib() []float32 {
 // without making true matches any likelier to collide.
 func (m *Matcher) lshIndex() *prefilter.LSH {
 	m.lshOnce.Do(func() {
+		fwdIdx, fwdVal := m.forward()
 		m.lsh = prefilter.BuildLSH(len(m.known), func(i int) []uint32 {
-			return lshInformative(m.fwdIdx[i], m.fwdVal[i])
+			return lshInformative(fwdIdx[i], fwdVal[i])
 		})
 	})
 	return m.lsh

@@ -1,15 +1,18 @@
 package attribution
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"darklight/internal/activity"
 	"darklight/internal/prefilter"
+	"darklight/internal/sparse"
 )
 
 // randomWorld builds a known set and probe set with deliberately messy
@@ -244,6 +247,160 @@ func TestFirstLSHQueriesAtOnce(t *testing.T) {
 	for g, l := range idx {
 		if l == nil || l != m.lshIndex() {
 			t.Fatalf("goroutine %d saw LSH index %p, the matcher holds %p", g, l, m.lshIndex())
+		}
+	}
+}
+
+// TestForwardListsReleased: a built, a loaded and a folded matcher hold each
+// posting once, in the arena, and no forward lists — nor does an exact query
+// bring them back. The first pruned query, and apart from it the first LSH
+// query, re-derive the lists, which must equal bit for bit each subject's
+// vector from VectorizeGramsInto, normalised and held as float32. Pruned
+// top-k must equal the exact scan's; LSH may miss a name but must score
+// every name it returns as the exact scan does and find a known subject
+// from its own text. Eight goroutines whose first pruned and LSH queries
+// reach a fresh matcher at once must all get the sequential answers (run
+// under -race in CI).
+func TestForwardListsReleased(t *testing.T) {
+	known, probes := randomWorld(rand.New(rand.NewSource(4400)), 40)
+	self := len(probes)
+	for i := 0; len(probes) < self+3; i += 5 {
+		if len(known[i].Text) > 200 {
+			probes = append(probes, known[i])
+		}
+	}
+	opts := testOptions()
+	opts.Incremental = true
+	build := func(known []Subject) *Matcher {
+		m, err := NewMatcher(known, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	kinds := []struct {
+		name  string
+		fresh func() *Matcher
+	}{
+		{"built", func() *Matcher { return build(known) }},
+		{"loaded", func() *Matcher {
+			st, err := build(known).State()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewMatcherFromState(known, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}},
+		{"folded", func() *Matcher {
+			base := slices.Clone(known[:30])
+			base[2].Text = known[9].Text
+			m, err := build(base).Fold(context.Background(), append(slices.Clone(known[30:]), known[2]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}},
+	}
+	rank := func(m *Matcher, p *Subject, k int, mode prefilter.Mode) []Scored {
+		got, _ := m.RankDetailed(p, MatchOptions{K: k, Mode: mode})
+		return got
+	}
+	for _, kind := range kinds {
+		for _, mode := range []prefilter.Mode{prefilter.ModePruned, prefilter.ModeLSH} {
+			label := fmt.Sprintf("%s, first %s query", kind.name, mode)
+			m := kind.fresh()
+			exact, all := make([][]Scored, len(probes)), make([]map[string]float64, len(probes))
+			for i := range probes {
+				exact[i] = rank(m, &probes[i], 5, prefilter.ModeExact)
+				all[i] = map[string]float64{}
+				for _, s := range rank(m, &probes[i], len(known), prefilter.ModeExact) {
+					all[i][s.Name] = s.Score
+				}
+			}
+			if m.fwdIdx != nil || m.fwdVal != nil {
+				t.Fatalf("%s: the matcher holds forward lists before it", label)
+			}
+			for i := range probes {
+				got := rank(m, &probes[i], 5, mode)
+				if mode == prefilter.ModePruned {
+					assertSameScored(t, fmt.Sprintf("%s: probe %d", label, i), got, exact[i])
+					continue
+				}
+				for _, s := range got {
+					if math.Float64bits(s.Score) != math.Float64bits(all[i][s.Name]) {
+						t.Fatalf("%s: probe %d scores %s %v, exact %v", label, i, s.Name, s.Score, all[i][s.Name])
+					}
+				}
+				if i >= self && (len(got) == 0 || got[0] != exact[i][0]) {
+					t.Fatalf("%s: own text of %s ranks %v first, exact %v", label, probes[i].Name, got, exact[i][0])
+				}
+			}
+			assertForwardLists(t, label, m)
+		}
+	}
+
+	modes := [2]prefilter.Mode{prefilter.ModePruned, prefilter.ModeLSH}
+	ref := build(known)
+	want := make([][2][]Scored, len(probes))
+	for i := range probes {
+		want[i] = [2][]Scored{rank(ref, &probes[i], 5, modes[0]), rank(ref, &probes[i], 5, modes[1])}
+	}
+	m := build(known)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g, i int) {
+			defer wg.Done()
+			<-start
+			for j := range 2 { // even goroutines start pruned, odd ones LSH
+				k := (g + j) % 2
+				got, _ := m.RankDetailed(&probes[i], MatchOptions{K: 5, Mode: modes[k]})
+				assertSameScored(t, fmt.Sprintf("goroutine %d, %s probe %d", g, modes[k], i), got, want[i][k])
+			}
+		}(g, g%len(probes))
+	}
+	close(start)
+	wg.Wait()
+	assertForwardLists(t, "concurrent first queries", m)
+}
+
+// assertSameScored fails unless got holds want's names in order with the
+// same score bits. It may run on any goroutine.
+func assertSameScored(t *testing.T, label string, got, want []Scored) {
+	if len(got) != len(want) {
+		t.Errorf("%s: %d entries, want %d", label, len(got), len(want))
+		return
+	}
+	for j := range got {
+		if got[j].Name != want[j].Name || math.Float64bits(got[j].Score) != math.Float64bits(want[j].Score) {
+			t.Errorf("%s: entry %d = %+v, want %+v", label, j, got[j], want[j])
+		}
+	}
+}
+
+// assertForwardLists fails unless m holds, for every subject, the ids and
+// float32 value bits of VectorizeGramsInto over its document, normalised.
+func assertForwardLists(t *testing.T, label string, m *Matcher) {
+	t.Helper()
+	if len(m.fwdIdx) != len(m.known) || len(m.fwdVal) != len(m.known) {
+		t.Fatalf("%s: %d/%d forward lists for %d subjects", label, len(m.fwdIdx), len(m.fwdVal), len(m.known))
+	}
+	var scratch sparse.Vector
+	for i := range m.known {
+		var vec sparse.Vector
+		m.vocab.VectorizeGramsInto(&vec, &scratch, m.docs[i])
+		want := vec.Normalize()
+		if !slices.Equal(m.fwdIdx[i], want.Idx) || len(m.fwdVal[i]) != len(want.Val) {
+			t.Fatalf("%s: subject %d holds ids %v, want %v", label, i, m.fwdIdx[i], want.Idx)
+		}
+		for k, v := range want.Val {
+			if math.Float32bits(m.fwdVal[i][k]) != math.Float32bits(float32(v)) {
+				t.Fatalf("%s: subject %d value %d is %x, want %x", label, i, k, math.Float32bits(m.fwdVal[i][k]), math.Float32bits(float32(v)))
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -129,8 +130,26 @@ func BenchmarkStoreLoad(b *testing.B) {
 					b.Fatal("load returned no matcher")
 				}
 			}
+			b.StopTimer()
+			b.ReportMetric(residentPerSubject(b, st, n), "resident-B/subject")
 		})
 	}
+}
+
+// residentPerSubject is the live heap one loaded Index keeps, per subject:
+// the HeapAlloc gain, after a collection, of holding a fresh Load alive.
+func residentPerSubject(b *testing.B, st *Store, n int) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	idx, err := st.Load()
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(idx)
+	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
 }
 
 func BenchmarkStoreRebuild(b *testing.B) {
