@@ -86,7 +86,7 @@ func run() error {
 	}
 
 	start := time.Now()
-	emit("darklight experiment suite — scale %.2f, seed %d, started %s\n\n",
+	emit("darklight experiment suite — scale %g, seed %d, started %s\n\n",
 		*scale, *seed, time.Now().Format(time.RFC3339))
 
 	lab, err := experiments.NewLabContext(ctx, cfg)

@@ -180,12 +180,12 @@ type Matcher struct {
 	// duplicates, matching historical Rescore behaviour).
 	byName map[string]int
 	// docs holds each known subject's document (aligned with known), the one
-	// extraction both stages read, numbered by the vocabulary's dictionary.
-	// Every generation's documents are numbered before it serves — by the
-	// index pass of a build, as read by a load, renumbered by a Fold — so
-	// stage 2 reads them with no numbering of its own. stats, the corpus gram
-	// counters the vocabulary was cut from, is retained only under
-	// Options.Incremental. Together they let Fold subtract a subject's old
+	// extraction both stages read, numbered by the vocabulary's dictionary
+	// and packed. Every generation's documents are numbered before it serves
+	// — by the index pass of a build, as read by a load, renumbered by a
+	// Fold — so stage 2 reads them with no numbering of its own. stats, the
+	// corpus gram counters the vocabulary was cut from, is retained only
+	// under Options.Incremental. Together they let Fold subtract a subject's old
 	// counts, add its new ones, and re-run only the index pass — and let
 	// State() persist enough to do the same after a restart.
 	docs  []*features.NumberedDoc
@@ -238,8 +238,10 @@ type matchBuffers struct {
 	vocab features.CandidateVocab
 
 	// prepare's vectorizer scratch: uvec is built and normalised here, then
-	// copied out into the Query; cvec is only its sort's second buffer.
-	uvec, cvec sparse.Vector
+	// copied out into the Query; vs holds the entries numbering and
+	// vectorizing pass through and the sort's second buffer.
+	uvec sparse.Vector
+	vs   features.Scratch
 }
 
 // pruneBufs returns the pruned walk's partial-score accumulator (length
@@ -413,16 +415,18 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.N
 		ss.SetWorker(s)
 		ss.AddItems(int64(hi - lo))
 		defer ss.End()
-		var scratch sparse.Vector
+		var (
+			scratch features.Scratch
+			vec     sparse.Vector
+		)
 		for i := lo; i < hi; i++ {
 			if docs[i] == nil {
 				// Numbered, the extraction is garbage: let it go now.
-				docs[i] = dict.Number(fresh[i])
+				docs[i] = new(features.NumberedDoc)
+				dict.NumberInto(docs[i], fresh[i], &scratch)
 				fresh[i] = nil
 			}
 			d := docs[i]
-			// A fresh vector per subject: its indices stay as the forward list.
-			var vec sparse.Vector
 			m.vocab.VectorizeGramsInto(&vec, &scratch, d)
 			b := blocksOf(vec, &d.Freq, &known[i])
 			var msk uint8
@@ -442,7 +446,9 @@ func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.N
 			for k, v := range b.grams.Val {
 				vals[k] = float32(v)
 			}
-			m.fwdIdx[i] = b.grams.Idx
+			// The vector is the shard's scratch: the forward list is a copy
+			// of its selected features, at their count.
+			m.fwdIdx[i] = slices.Clone(b.grams.Idx)
 			m.fwdVal[i] = vals
 		}
 	})
@@ -642,8 +648,8 @@ func (m *Matcher) Prepare(unknown *Subject) *Query {
 // dictionary both stage 1's feature table and stage 2 read.
 func (m *Matcher) prepare(unknown *Subject, buf *matchBuffers) *Query {
 	q := &Query{m: m, subject: unknown}
-	m.vocab.Dictionary().NumberInto(&q.doc, features.Extract(unknown.Text, m.opts.Reduction))
-	m.vocab.VectorizeGramsInto(&buf.uvec, &buf.cvec, &q.doc)
+	m.vocab.Dictionary().NumberInto(&q.doc, features.Extract(unknown.Text, m.opts.Reduction), &buf.vs)
+	m.vocab.VectorizeGramsInto(&buf.uvec, &buf.vs, &q.doc)
 	q.ub = blocksOf(buf.uvec, &q.doc.Freq, unknown)
 	q.ub.grams = q.ub.grams.Clone()
 	return q
@@ -740,7 +746,7 @@ func (m *Matcher) Rescore(unknown *Subject, candidates []Scored) []Scored {
 // numbers it in buf by the vocabulary's dictionary and prepares no Query.
 func (m *Matcher) rescoreSubject(unknown *Subject, candidates []Scored, buf *matchBuffers) []Scored {
 	udoc := features.Extract(unknown.Text, m.opts.Reduction)
-	m.vocab.Dictionary().NumberInto(&buf.unum, udoc)
+	m.vocab.Dictionary().NumberInto(&buf.unum, udoc, &buf.vs)
 	return m.rescoreDoc(&buf.unum, normalizedFreq(udoc.Freq), normalizedActivity(unknown), candidates, buf)
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"darklight/internal/activity"
+	"darklight/internal/features"
 	"darklight/internal/prefilter"
 	"darklight/internal/sparse"
 )
@@ -389,7 +390,7 @@ func assertForwardLists(t *testing.T, label string, m *Matcher) {
 	if len(m.fwdIdx) != len(m.known) || len(m.fwdVal) != len(m.known) {
 		t.Fatalf("%s: %d/%d forward lists for %d subjects", label, len(m.fwdIdx), len(m.fwdVal), len(m.known))
 	}
-	var scratch sparse.Vector
+	var scratch features.Scratch
 	for i := range m.known {
 		var vec sparse.Vector
 		m.vocab.VectorizeGramsInto(&vec, &scratch, m.docs[i])

@@ -197,7 +197,7 @@ func TestRescoreAllocationCeiling(t *testing.T) {
 	u := features.Extract(probe.Text, m.opts.Final)
 	entries := len(u.WordGrams) + len(u.CharGrams)
 	for _, d := range buf.docs {
-		entries += len(d.Words) + len(d.Chars)
+		entries += d.Entries()
 	}
 	const bytesPerEntry = 68
 	if kept := retainedBytes(reflect.ValueOf(buf)); kept > bytesPerEntry*entries {

@@ -17,7 +17,9 @@ var ErrNotIncremental = errors.New("attribution: matcher was not built with Opti
 
 // IndexState is what the index pass runs from, as value types: the options,
 // the corpus counters, and each known subject's reduction document, its
-// grams numbered by the counters' gram lists (Stats.Words, Stats.Chars).
+// grams numbered by the counters' gram lists (Stats.Words, Stats.Chars) and
+// held in packed lists — the bytes a snapshot stores, which
+// NewMatcherFromState checks before anything decodes them.
 // Everything else a matcher holds — the vocabulary cut from the counters,
 // forward and inverted gram index, dense blocks — is a pure function of
 // these and is rebuilt, not persisted (what only a pre-filter mode reads is
@@ -175,8 +177,8 @@ func (m *Matcher) Fold(ctx context.Context, changed []Subject) (*Matcher, error)
 
 // renumberDocs carries the documents of docs (nil slots are skipped) to the
 // new numbers in place, one contiguous chunk of them on each worker, each
-// chunk's documents and entries in one allocation of its own. When no gram
-// entered or left, the documents stay as they are.
+// document packed again in an array of its own. When no gram entered or
+// left, the documents stay as they are.
 func renumberDocs(docs []*features.NumberedDoc, r features.Renumbering, workers int) error {
 	if r.Identity() {
 		return nil
@@ -184,20 +186,13 @@ func renumberDocs(docs []*features.NumberedDoc, r features.Renumbering, workers 
 	shards := shardCount(workers, len(docs))
 	errs := make([]error, shards)
 	parallelChunks(shards, len(docs), func(s, lo, hi int) {
-		n, entries := 0, 0
-		for _, d := range docs[lo:hi] {
-			if d != nil {
-				n++
-				entries += len(d.Words) + len(d.Chars)
-			}
-		}
-		out, arena := make([]features.NumberedDoc, n), make([]features.NumEntry, entries)
+		out := make([]features.NumberedDoc, hi-lo)
+		var scratch features.Scratch
 		for i := lo; i < hi && errs[s] == nil; i++ {
-			if docs[i] == nil {
-				continue
+			if docs[i] != nil {
+				errs[s] = r.Apply(&out[i-lo], docs[i], &scratch)
+				docs[i] = &out[i-lo]
 			}
-			arena, errs[s] = r.Apply(&out[0], docs[i], arena)
-			docs[i], out = &out[0], out[1:]
 		}
 	})
 	return errors.Join(errs...)

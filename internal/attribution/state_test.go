@@ -131,7 +131,8 @@ func TestStateRejectsMismatchedSubjects(t *testing.T) {
 		t.Error("missing document accepted")
 	}
 	past := *st.Docs[0]
-	past.Chars = append(slices.Clone(past.Chars), features.NumEntry{Num: uint32(len(st.Stats.Chars)), Count: 1})
+	words, chars := past.Lists()
+	past.Packed = features.AppendPacked(slices.Clone(words), append(features.Unpack(nil, chars), features.NumEntry{Num: uint32(len(st.Stats.Chars)), Count: 1}))
 	bad.Docs = append([]*features.NumberedDoc{&past}, st.Docs[1:]...)
 	if _, err := NewMatcherFromState(known, bad); err == nil {
 		t.Error("document numbered past the dictionary accepted")
@@ -262,5 +263,46 @@ func TestFoldMatchesRebuild(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFoldLeavesServingDocumentsAlone: a Fold that renumbers carries each
+// unchanged document to the new numbers in an array of its own, exactly its
+// size, and the serving generation's documents keep every byte — a
+// renumbering packs into fresh storage, never into what it reads.
+func TestFoldLeavesServingDocumentsAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(7700))
+	known, _ := randomWorld(rng, 30)
+	opts := DefaultOptions()
+	opts.Incremental, opts.Workers = true, 2
+	m, err := NewMatcher(known, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make([][]byte, len(m.docs))
+	for i, d := range m.docs {
+		served[i] = slices.Clone(d.Packed)
+	}
+	changed := []Subject{{Name: "aaa-newcomer", Text: "zymurgy quixotic fjord vexes every dictionary number after it"}}
+	folded, err := m.Fold(context.Background(), changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for i, d := range m.docs {
+		if !slices.Equal(d.Packed, served[i]) {
+			t.Fatalf("subject %d: the fold rewrote the serving generation's document", i)
+		}
+	}
+	for i, d := range folded.docs[1:] {
+		if cap(d.Packed) != len(d.Packed) {
+			t.Fatalf("subject %d: renumbered into %d bytes of a %d-byte array", i, len(d.Packed), cap(d.Packed))
+		}
+		if !slices.Equal(d.Packed, served[i]) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the fold moved no document's numbers")
 	}
 }

@@ -284,7 +284,7 @@ func TestRescoreKernelMatchesReference(t *testing.T) {
 				t.Fatalf("options %d: the foreign unknown holds a selected gram", oi)
 			}
 			mixedDoc := features.Extract(probes[6].Text, opts.Final)
-			if mixed := dict.Number(mixedDoc); len(mixed.Chars) == 0 || len(mixed.Chars) == len(mixedDoc.CharGrams) {
+			if _, chars := dict.Number(mixedDoc).Lists(); features.PackedLen(chars) == 0 || features.PackedLen(chars) == len(mixedDoc.CharGrams) {
 				t.Fatalf("options %d: the mixed unknown's grams do not mix dictionary grams with others", oi)
 			}
 			assertTileEdgesCovered(t, fmt.Sprintf("options %d", oi), m, rescored)
@@ -358,9 +358,9 @@ func assertTileEdgesCovered(t *testing.T, label string, m *Matcher, rescored map
 	t.Helper()
 	held := [2]map[uint32]bool{{}, {}}
 	for i := range rescored {
-		d := m.docs[i]
-		for f, es := range [2][]features.NumEntry{d.Words, d.Chars} {
-			for _, e := range es {
+		words, chars := m.docs[i].Lists()
+		for f, p := range [2][]byte{words, chars} {
+			for _, e := range features.Unpack(nil, p) {
 				held[f][e.Num] = true
 			}
 		}

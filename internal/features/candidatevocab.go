@@ -49,7 +49,8 @@ type aggBuffers struct {
 const tileSize = 1 << 12
 
 // tileBuffers is the tiled count's scratch. count, slot and occupied cover
-// one tile; the rest grows with the entries read. agg is the aggregate: per
+// one tile; the rest grows with the entries read, which entries holds
+// decoded, one gram family at a time. agg is the aggregate: per
 // gram the candidates hold, in ascending number, its counters, with the
 // number in place of the gram id (numbers ascend as ids do). spans[t] is the
 // t-th tile holding a gram, where its aggregate begins.
@@ -60,6 +61,7 @@ type tileBuffers struct {
 	agg      []GramCount
 	spans    []tileSpan
 	lists    []numberedList
+	entries  []NumEntry
 }
 
 type tileCount struct{ freq, df int32 }
@@ -89,13 +91,14 @@ func (v *CandidateVocab) Score(cfg Config, docs []*NumberedDoc, u *NumberedDoc) 
 	v.scratch.idfTable(len(docs))
 	v.postX, v.postDoc, v.end, v.uval = v.postX[:0], v.postDoc[:0], v.end[:0], v.uval[:0]
 	v.has = extend(v.has[:0], len(docs))
-	uw := v.addFamily(docs, u, cfg.MaxWordGrams, func(d *NumberedDoc) numberedList {
-		return numberedList{es: d.Words, den: float64(max(d.WordTotal, 1))}
+	uw := v.addFamily(docs, u, cfg.MaxWordGrams, func(d *NumberedDoc) ([]byte, int) {
+		words, _ := d.Lists()
+		return words, d.WordTotal
 	})
-	uc := v.addFamily(docs, u, cfg.MaxCharGrams, func(d *NumberedDoc) numberedList {
-		return numberedList{es: d.Chars, den: float64(max(d.CharTotal, 1))}
+	uc := v.addFamily(docs, u, cfg.MaxCharGrams, func(d *NumberedDoc) ([]byte, int) {
+		_, chars := d.Lists()
+		return chars, d.CharTotal
 	})
-	clear(v.tiles.lists) // the documents are the caller's again
 
 	// The first sweep: ‖c_j‖² and ‖u‖² in ascending feature index, as Norm
 	// walks a sorted vector, and the 1/‖x‖ Normalize scales by. A zero weight
@@ -131,16 +134,28 @@ func (v *CandidateVocab) Score(cfg Config, docs []*NumberedDoc, u *NumberedDoc) 
 	return v.dots, v.has, uw || uc
 }
 
-// addFamily counts one gram family of the documents by number (countTiles),
-// cuts the top n as a Vocabulary's cut does, with feature indices after those
-// already laid out, and places every selected entry (placeTiles): u's in
-// uval, the documents' in the run of its feature, which holds the gram's df
-// of entries. It reports whether u holds a selected gram.
-func (v *CandidateVocab) addFamily(docs []*NumberedDoc, u *NumberedDoc, n int, family func(*NumberedDoc) numberedList) bool {
+// addFamily decodes one gram family of the documents and u — family(d) is
+// d's packed list and its total — into t.entries, counts it by number
+// (countTiles), cuts the top n as a Vocabulary's cut does, with feature
+// indices after those already laid out, and places every selected entry
+// (placeTiles): u's in uval, the documents' in the run of its feature, which
+// holds the gram's df of entries. It reports whether u holds a selected
+// gram.
+func (v *CandidateVocab) addFamily(docs []*NumberedDoc, u *NumberedDoc, n int, family func(*NumberedDoc) ([]byte, int)) bool {
 	s, t := &v.scratch, &v.tiles
 	t.lists = t.lists[:0]
+	entries := 0
 	for _, d := range append(docs, u) {
-		t.lists = append(t.lists, family(d))
+		p, _ := family(d)
+		entries += PackedLen(p)
+	}
+	// Sized first, so that every list is a window on the one array.
+	t.entries = slices.Grow(t.entries[:0], entries)
+	for _, d := range append(docs, u) {
+		p, total := family(d)
+		start := len(t.entries)
+		t.entries = Unpack(t.entries, p)
+		t.lists = append(t.lists, numberedList{es: t.entries[start:], den: float64(max(total, 1))})
 	}
 	agg := t.countTiles()
 	if n < 0 || n > len(agg) {

@@ -247,7 +247,7 @@ func TestSortedIsIDOrdered(t *testing.T) {
 				}
 			}
 			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-			got := countIDs(ids)
+			got := countIDs(ids, make([]uint64, len(ids)))
 			if len(got) != len(m) {
 				t.Fatalf("%s n=%d: %d entries, want %d", name, n, len(got), len(m))
 			}

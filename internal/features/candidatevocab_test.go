@@ -192,7 +192,7 @@ func TestCandidateVocabTileEdges(t *testing.T) {
 		uc[g] += 3
 	}
 	u := shapeDoc(uw, uc).Sorted()
-	if nu := dict.Number(u); len(nu.Words) == 0 || len(nu.Words) == len(u.WordGrams) || !slices.ContainsFunc(u.WordGrams[:len(u.WordGrams)-1], func(e GramEntry) bool {
+	if nw, _ := entriesOf(dict.Number(u)); len(nw) == 0 || len(nw) == len(u.WordGrams) || !slices.ContainsFunc(u.WordGrams[:len(u.WordGrams)-1], func(e GramEntry) bool {
 		_, ok := dict.words.Number(e.ID)
 		return !ok
 	}) {

@@ -29,6 +29,7 @@ package features
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"darklight/internal/lemma"
@@ -136,10 +137,15 @@ const (
 	fnvPrime  = 1099511628211
 )
 
+// idBuffers recycles what Extract counts through — the occurrence ids and
+// the id sort's second buffer, most of what an extraction allocates and
+// garbage once counted — so that a burst of extractions (a daemon's first
+// touch of its queries, a build's pass 1) does not drive the collector.
+var idBuffers sync.Pool // *[]uint64
+
 // Extract computes all raw feature counts for one text under cfg: per gram
 // family every occurrence's id goes into one slice, which is sorted and
-// run-length counted (countIDs) — no hash map, and nothing kept between
-// calls.
+// run-length counted (countIDs) — no hash map; the id buffers are pooled.
 func Extract(text string, cfg Config) *SortedDoc {
 	d := new(SortedDoc)
 	words := tokenize.Words(text)
@@ -151,17 +157,23 @@ func Extract(text string, cfg Config) *SortedDoc {
 	for i, w := range words {
 		wordHashes[i] = uint64(HashGram(w))
 	}
-	ids := make([]uint64, 0, occurrences(len(words), cfg.WordMin, cfg.WordMax))
+	need := max(occurrences(len(words), cfg.WordMin, cfg.WordMax), occurrences(utf8.RuneCountInString(text), cfg.CharMin, cfg.CharMax))
+	buf, _ := idBuffers.Get().(*[]uint64)
+	if buf == nil || cap(*buf) < 2*need {
+		b := make([]uint64, 2*need)
+		buf = &b
+	}
+	defer idBuffers.Put(buf)
+	ids, scratch := (*buf)[:0:need], (*buf)[need:2*need]
 	for n := cfg.WordMin; n <= cfg.WordMax; n++ {
 		ids = appendWordGrams(ids, wordHashes, n)
 	}
 	d.WordTotal = len(ids)
-	d.WordGrams = countIDs(ids)
+	d.WordGrams = countIDs(ids, scratch)
 
-	ids = make([]uint64, 0, occurrences(utf8.RuneCountInString(text), cfg.CharMin, cfg.CharMax))
-	ids = appendCharGrams(ids, text, cfg.CharMin, cfg.CharMax)
+	ids = appendCharGrams(ids[:0], text, cfg.CharMin, cfg.CharMax)
 	d.CharTotal = len(ids)
-	d.CharGrams = countIDs(ids)
+	d.CharGrams = countIDs(ids, scratch)
 
 	if cfg.IncludeFreq {
 		extractFreq(text, &d.Freq, &d.TotalChars)

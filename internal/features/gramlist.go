@@ -31,9 +31,10 @@ const (
 )
 
 // countIDs turns one gram family's occurrence ids into its id-sorted
-// (id, count) list: it sorts ids in place and run-length counts them.
-func countIDs(ids []uint64) []GramEntry {
-	sortIDs(ids)
+// (id, count) list: it sorts ids in place, through scratch, which must be as
+// long, and run-length counts them.
+func countIDs(ids, scratch []uint64) []GramEntry {
+	sortIDs(ids, scratch)
 	distinct := 0
 	for i, id := range ids {
 		if i == 0 || id != ids[i-1] {
@@ -52,7 +53,8 @@ func countIDs(ids []uint64) []GramEntry {
 	return out
 }
 
-// sortIDs sorts ids ascending, through a second buffer of its own.
+// sortIDs sorts ids ascending, through scratch, a second buffer at least as
+// long.
 //
 // Occurrences are mostly repeats — every common char 1–3-gram is hundreds of
 // equal ids — so the sort is an LSD radix sort, which moves an id the same
@@ -65,11 +67,11 @@ func countIDs(ids []uint64) []GramEntry {
 // each. (Not fewer bits: an FNV-1a id carries its last byte in bits 40–47,
 // and grams that differ only there are common.) Ids crafted to share
 // prefixes cost that walk a comparison sort of the group, never more.
-func sortIDs(ids []uint64) {
+func sortIDs(ids, scratch []uint64) {
 	if len(ids) < 2 {
 		return
 	}
-	src, dst := ids, make([]uint64, len(ids))
+	src, dst := ids, scratch[:len(ids)]
 	for shift := uint(sortShift); shift < 64; shift += radixBits {
 		var next [1 << radixBits]int
 		for _, id := range src {

@@ -1,0 +1,129 @@
+package features
+
+import (
+	"bytes"
+	"math"
+	"slices"
+	"testing"
+)
+
+// entriesOf decodes d's two lists.
+func entriesOf(d *NumberedDoc) (words, chars []NumEntry) {
+	w, c := d.Lists()
+	return Unpack(nil, w), Unpack(nil, c)
+}
+
+// withEntries is d with its lists packed from words and chars.
+func withEntries(d *NumberedDoc, words, chars []NumEntry) *NumberedDoc {
+	out := *d
+	out.Packed = AppendPacked(nil, words)
+	out.CharsAt = len(out.Packed)
+	out.Packed = AppendPacked(out.Packed, chars)
+	return &out
+}
+
+// dictionaryOfSize is a dictionary of n word grams and n char grams.
+func dictionaryOfSize(n int) *Dictionary {
+	grams := make([]GramCount, n)
+	for i := range grams {
+		grams[i] = GramCount{ID: GramID(i)*7 + 1, Freq: 1, DF: 1}
+	}
+	return NewDictionary(grams, grams)
+}
+
+// TestPackedListRoundTrip: a list packs to the bytes the snapshot's docs
+// section has always stored — a uvarint entry count, then per entry the
+// uvarint step from the previous number (the first from -1) and the uvarint
+// count — at the size packedSize predicts, and Unpack, PackedLen and Check
+// read it back, at the varint widths' edges, at the largest count, and for
+// empty and one-entry lists.
+func TestPackedListRoundTrip(t *testing.T) {
+	cases := []struct {
+		name string
+		es   []NumEntry
+		want []byte // nil: not spelled out
+	}{
+		{"empty", nil, []byte{0}},
+		{"one entry", []NumEntry{{0, 1}}, []byte{1, 1, 1}},
+		{"steps 127 and 128, counts 255 and 256", []NumEntry{{126, 255}, {254, 256}}, []byte{2, 0x7F, 0xFF, 0x01, 0x80, 0x01, 0x80, 0x02}},
+		{"steps 16383 and 16384", []NumEntry{{16382, 1}, {32766, 2}}, []byte{2, 0xFF, 0x7F, 1, 0x80, 0x80, 0x01, 2}},
+		{"count 2^31-1", []NumEntry{{5, math.MaxInt32}}, []byte{1, 6, 0xFF, 0xFF, 0xFF, 0xFF, 0x07}},
+		{"dense run", []NumEntry{{0, 3}, {1, 1}, {2, 127}, {3, 128}}, nil},
+	}
+	dict := dictionaryOfSize(1 << 15)
+	for _, c := range cases {
+		p := AppendPacked(nil, c.es)
+		if c.want != nil && !bytes.Equal(p, c.want) {
+			t.Errorf("%s: packed % x, want % x", c.name, p, c.want)
+		}
+		if size := packedSize(c.es); size != len(p) {
+			t.Errorf("%s: packedSize %d, packed %d bytes", c.name, size, len(p))
+		}
+		if n := PackedLen(p); n != len(c.es) {
+			t.Errorf("%s: PackedLen %d, want %d", c.name, n, len(c.es))
+		}
+		if got := Unpack([]NumEntry{{9, 9}}, p); !slices.Equal(got[1:], c.es) || got[0] != (NumEntry{9, 9}) {
+			t.Errorf("%s: unpacked %v, want %v after the entry already there", c.name, got, c.es)
+		}
+		for _, d := range []*NumberedDoc{withEntries(&NumberedDoc{}, c.es, nil), withEntries(&NumberedDoc{}, nil, c.es), withEntries(&NumberedDoc{}, c.es, c.es)} {
+			if err := dict.Check(d); err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+			var s Scratch
+			var packed NumberedDoc
+			es, nw := d.unpack(nil)
+			packed.pack(es, nw)
+			if !bytes.Equal(packed.Packed, d.Packed) || packed.CharsAt != d.CharsAt {
+				t.Errorf("%s: pack after unpack gives other bytes", c.name)
+			}
+			if err := (Renumbering{words: identity(1 << 15), chars: identity(1 << 15)}).Apply(&packed, d, &s); err != nil || !bytes.Equal(packed.Packed, d.Packed) {
+				t.Errorf("%s: the identity renumbering gives other bytes (%v)", c.name, err)
+			}
+		}
+	}
+}
+
+func identity(n int) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = uint32(i)
+	}
+	return out
+}
+
+// TestCheckRefusesDamagedLists: every list Check accepts decodes safely, so
+// it must refuse each way a list can be damaged.
+func TestCheckRefusesDamagedLists(t *testing.T) {
+	dict := dictionaryOfSize(300)
+	good := AppendPacked(nil, []NumEntry{{3, 2}, {299, 1}})
+	cases := map[string][]byte{
+		"no entry count":             {},
+		"zero step":                  {2, 4, 2, 0, 1},
+		"number past the dictionary": {1, 0xAD, 0x02, 1}, // step 301: number 300
+		"step past 32 bits":          {1, 0x80, 0x80, 0x80, 0x80, 0x10, 1},
+		"count 0":                    {1, 1, 0},
+		"count past int32":           {1, 1, 0x80, 0x80, 0x80, 0x80, 0x08},
+		"varint cut short":           {1, 1, 0x80},
+		"varint past 64 bits":        append([]byte{1}, bytes.Repeat([]byte{0xFF}, 10)...),
+		"more entries than it holds": append([]byte{3}, good[1:]...),
+		"bytes after the last entry": append(slices.Clone(good), 1),
+	}
+	for name, p := range cases {
+		for _, d := range []*NumberedDoc{
+			{Packed: append(slices.Clone(p), good...), CharsAt: len(p)},
+			{Packed: append(slices.Clone(good), p...), CharsAt: len(good)},
+		} {
+			if err := dict.Check(d); err == nil {
+				t.Errorf("%s: accepted", name)
+			}
+		}
+	}
+	for _, at := range []int{-1, 2*len(good) + 1} {
+		if err := dict.Check(&NumberedDoc{Packed: append(slices.Clone(good), good...), CharsAt: at}); err == nil {
+			t.Errorf("char list at byte %d accepted", at)
+		}
+	}
+	if err := dict.Check(&NumberedDoc{Packed: append(slices.Clone(good), good...), CharsAt: len(good)}); err != nil {
+		t.Fatalf("the sound document: %v", err)
+	}
+}

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -139,65 +140,210 @@ func NewDictionary(words, chars []GramCount) *Dictionary {
 	return &Dictionary{words: IndexGrams(words), chars: IndexGrams(chars)}
 }
 
-// NumEntry is one (dictionary number, count) pair of a numbered gram list.
+// NumEntry is one (dictionary number, count) pair of a numbered gram list:
+// the form a packed list is decoded into, for as long as one reader needs
+// it.
 type NumEntry struct {
 	Num   uint32
 	Count int32
 }
 
-// NumberedDoc is a document with its grams as dictionary numbers: per gram
-// family one list of (number, count) ascending by number, beside the totals
-// and frequencies of the SortedDoc it was numbered from. A gram the
-// dictionary does not hold is not in it; the totals still count it. It is
-// the one form a known subject's document is held in — what a snapshot
-// stores, what stage 1 vectorizes and what stage 2 reads — and the form a
-// query is vectorized and rescored in.
+// NumberedDoc is a document with its grams as dictionary numbers, beside
+// the totals and frequencies of the SortedDoc it was numbered from. Per gram
+// family it holds one packed list: a uvarint entry count, then per entry, in
+// ascending number, the uvarint step from the previous number (the first
+// from -1, so never 0) and the uvarint count — the bytes a snapshot's docs
+// section stores, about two an entry. Packed holds the word list and then,
+// from CharsAt, the char list. A gram the dictionary does not hold is not in
+// it; the totals still count it. It is the one form a known subject's
+// document is held in — what a snapshot stores, what stage 1 vectorizes and
+// what stage 2 reads — and the form a query is vectorized and rescored in.
+// Every reader decodes the lists with Unpack into scratch of its own.
 type NumberedDoc struct {
-	Words, Chars []NumEntry
-	WordTotal    int
-	CharTotal    int
-	Freq         [NumFreqFeatures]float64
-	TotalChars   int
+	Packed     []byte
+	CharsAt    int
+	WordTotal  int
+	CharTotal  int
+	Freq       [NumFreqFeatures]float64
+	TotalChars int
 }
 
-// Number numbers d, its two lists in one fresh array of 8 bytes an entry.
+// Lists returns the document's packed word and char lists.
+func (d *NumberedDoc) Lists() (words, chars []byte) {
+	return d.Packed[:d.CharsAt], d.Packed[d.CharsAt:]
+}
+
+// Entries returns how many entries the two lists hold.
+func (d *NumberedDoc) Entries() int {
+	words, chars := d.Lists()
+	return PackedLen(words) + PackedLen(chars)
+}
+
+// unpack appends the word entries and then the char entries to dst, and
+// returns it with where the char entries begin.
+func (d *NumberedDoc) unpack(dst []NumEntry) ([]NumEntry, int) {
+	words, chars := d.Lists()
+	dst = Unpack(dst, words)
+	nw := len(dst)
+	return Unpack(dst, chars), nw
+}
+
+// pack sets d's lists to es's first nw entries (words) and the rest (chars),
+// in d's own storage when it has room, else in one array of their exact
+// size.
+func (d *NumberedDoc) pack(es []NumEntry, nw int) {
+	if size := packedSize(es[:nw]) + packedSize(es[nw:]); cap(d.Packed) < size {
+		d.Packed = make([]byte, 0, size)
+	}
+	d.Packed = AppendPacked(d.Packed[:0], es[:nw])
+	d.CharsAt = len(d.Packed)
+	d.Packed = AppendPacked(d.Packed, es[nw:])
+}
+
+// AppendPacked appends es, strictly ascending by number, to dst as a packed
+// list.
+func AppendPacked(dst []byte, es []NumEntry) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(es)))
+	prev := uint32(notNumbered) // -1: the first step is the number plus one
+	for _, e := range es {
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(e.Num-prev)), uint64(e.Count))
+		prev = e.Num
+	}
+	return dst
+}
+
+// packedSize is len(AppendPacked(nil, es)).
+func packedSize(es []NumEntry) int {
+	size, prev := uvarintSize(uint64(len(es))), uint32(notNumbered)
+	for _, e := range es {
+		size += uvarintSize(uint64(e.Num-prev)) + uvarintSize(uint64(e.Count))
+		prev = e.Num
+	}
+	return size
+}
+
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// PackedLen returns how many entries packed list p holds.
+func PackedLen(p []byte) int {
+	n, _ := binary.Uvarint(p)
+	return int(n)
+}
+
+// Unpack appends the entries of packed list p to dst. p must be well formed:
+// encoded by AppendPacked, or accepted by Dictionary.Check or CheckPacked.
+func Unpack(dst []NumEntry, p []byte) []NumEntry {
+	n, i := binary.Uvarint(p)
+	dst = slices.Grow(dst, int(n))
+	out := dst[len(dst) : len(dst)+int(n)]
+	num := uint32(notNumbered)
+	for k := range out {
+		if i+1 < len(p) && p[i]|p[i+1] < 0x80 {
+			num += uint32(p[i])
+			out[k] = NumEntry{Num: num, Count: int32(p[i+1])}
+			i += 2
+			continue
+		}
+		step, count, next := entryAt(p, i)
+		num += uint32(step)
+		out[k] = NumEntry{Num: num, Count: int32(count)}
+		i = next
+	}
+	return dst[:len(dst)+int(n)]
+}
+
+// entryAt decodes the entry at p[i:]: its step, its count and the offset
+// after it, -1 when p ends inside it or a varint runs past 64 bits. Its
+// callers take an entry of two one-byte varints, a packed list's bulk,
+// without a call.
+func entryAt(p []byte, i int) (step, count uint64, next int) {
+	step, n := binary.Uvarint(p[i:])
+	if n <= 0 {
+		return 0, 0, -1
+	}
+	count, m := binary.Uvarint(p[i+n:])
+	if m <= 0 {
+		return 0, 0, -1
+	}
+	return step, count, i + n + m
+}
+
+// Number numbers d into a document of its own, its lists in one array of
+// their exact size.
 func (x *Dictionary) Number(d *SortedDoc) *NumberedDoc {
 	nd := new(NumberedDoc)
-	x.NumberInto(nd, d)
+	x.NumberInto(nd, d, new(Scratch))
 	return nd
 }
 
-// NumberInto is Number into nd: into its own storage, which grows only when
-// d has more entries than nd held before, or into one fresh array for both
-// lists when nd holds none.
-func (x *Dictionary) NumberInto(nd *NumberedDoc, d *SortedDoc) {
-	if cap(nd.Words) == 0 && cap(nd.Chars) == 0 {
-		// The words are clipped, so that reusing nd never grows them into
-		// the chars that follow.
-		nd.Words = x.words.numberAll(make([]NumEntry, 0, len(d.WordGrams)+len(d.CharGrams)), d.WordGrams)
-		nd.Chars = x.chars.numberAll(nd.Words[len(nd.Words):], d.CharGrams)
-		nd.Words = slices.Clip(nd.Words)
-	} else {
-		nd.Words = x.words.numberAll(nd.Words[:0], d.WordGrams)
-		nd.Chars = x.chars.numberAll(nd.Chars[:0], d.CharGrams)
-	}
+// NumberInto is Number into nd, whose storage is reused when it has room,
+// with the numbered entries passing through s.
+func (x *Dictionary) NumberInto(nd *NumberedDoc, d *SortedDoc, s *Scratch) {
+	s.entries = x.words.numberAll(s.entries[:0], d.WordGrams)
+	nw := len(s.entries)
+	s.entries = x.chars.numberAll(s.entries, d.CharGrams)
+	nd.pack(s.entries, nw)
 	nd.WordTotal, nd.CharTotal, nd.Freq, nd.TotalChars = d.WordTotal, d.CharTotal, d.Freq, d.TotalChars
 }
 
-// Check reports a document that is not numbered by x: a number past the
-// dictionary, or numbers that do not strictly ascend.
+// Check reports a document that is not numbered by x: a list CheckPacked
+// refuses, or bytes after a list's last entry. A document Check accepts
+// decodes safely.
 func (x *Dictionary) Check(d *NumberedDoc) error {
+	if d.CharsAt < 0 || d.CharsAt > len(d.Packed) {
+		return fmt.Errorf("features: char list at byte %d of a %d-byte document", d.CharsAt, len(d.Packed))
+	}
+	words, chars := d.Lists()
 	for _, fam := range [...]struct {
-		es   []NumEntry
-		size int
-	}{{d.Words, len(x.words.grams)}, {d.Chars, len(x.chars.grams)}} {
-		for k, e := range fam.es {
-			if int64(e.Num) >= int64(fam.size) || k > 0 && e.Num <= fam.es[k-1].Num {
-				return fmt.Errorf("features: gram number %d at entry %d of a list over a %d-gram dictionary: out of range or out of order", e.Num, k, fam.size)
-			}
+		p     []byte
+		grams []GramCount
+	}{{words, x.words.grams}, {chars, x.chars.grams}} {
+		if n, err := CheckPacked(fam.p, fam.grams, false); err != nil {
+			return err
+		} else if n != len(fam.p) {
+			return fmt.Errorf("features: %d bytes after the last entry of a packed list", len(fam.p)-n)
 		}
 	}
 	return nil
+}
+
+// CheckPacked checks the packed list at the front of p against a dictionary
+// whose counters are counts, and returns the list's length in bytes. A list
+// cut short, a varint past 64 bits, a zero step (a repeated number), a
+// number past the dictionary or a count outside 1..2^31-1 is an error. With
+// add, every entry is also added to its gram's counters, and a gram counted
+// more than 2^31-1 times is an error.
+func CheckPacked(p []byte, counts []GramCount, add bool) (int, error) {
+	n, i := binary.Uvarint(p)
+	if i <= 0 {
+		return 0, fmt.Errorf("features: packed list without an entry count")
+	}
+	next := uint64(0) // the smallest number the next entry may carry
+	for k := uint64(0); k < n; k++ {
+		var step, count uint64
+		if i+1 < len(p) && p[i]|p[i+1] < 0x80 {
+			step, count, i = uint64(p[i]), uint64(p[i+1]), i+2
+		} else if step, count, i = entryAt(p, i); i < 0 {
+			return 0, fmt.Errorf("features: packed list cut short at entry %d of %d, or a varint past 64 bits", k, n)
+		}
+		switch {
+		case step == 0:
+			return 0, fmt.Errorf("features: entry %d of a packed list repeats a number (step 0)", k)
+		case step > uint64(len(counts))-next:
+			return 0, fmt.Errorf("features: entry %d of a packed list is past the %d-gram dictionary", k, len(counts))
+		case count == 0 || count > math.MaxInt32:
+			return 0, fmt.Errorf("features: entry %d of a packed list counts %d, outside 1..%d", k, count, math.MaxInt32)
+		}
+		next += step
+		if g := &counts[next-1]; add {
+			if count > uint64(math.MaxInt32-g.Freq) {
+				return 0, fmt.Errorf("features: gram %d counted more than %d times", g.ID, math.MaxInt32)
+			}
+			g.Freq += int32(count)
+			g.DF++
+		}
+	}
+	return i, nil
 }
 
 // RemoveNumbered subtracts documents numbered by the builder's own counter
@@ -217,11 +363,14 @@ func (b *VocabBuilder) RemoveNumbered(docs []*NumberedDoc) {
 	// The settled arrays may be shared (Clone, State): the decrements go to
 	// copies.
 	words, chars := slices.Clone(b.words), slices.Clone(b.chars)
+	var es []NumEntry
 	for _, d := range docs {
+		var nw int
+		es, nw = d.unpack(es[:0])
 		for _, fam := range [...]struct {
 			es     []NumEntry
 			counts []GramCount
-		}{{d.Words, words}, {d.Chars, chars}} {
+		}{{es[:nw], words}, {es[nw:], chars}} {
 			for _, e := range fam.es {
 				if int64(e.Num) >= int64(len(fam.counts)) {
 					b.err = fmt.Errorf("features: removed document names gram number %d of %d", e.Num, len(fam.counts))
@@ -293,29 +442,27 @@ func renumber(old, cur []GramCount) ([]uint32, bool) {
 // numbers.
 func (r Renumbering) Identity() bool { return !r.moved }
 
-// Apply returns d under the new numbers in out, a document of its own whose
-// lists take their storage from the front of arena, and the rest of arena,
-// which must hold d's entries. A gram of d the new lists lack — counters
-// that did not hold d — is an error.
-func (r Renumbering) Apply(out *NumberedDoc, d *NumberedDoc, arena []NumEntry) ([]NumEntry, error) {
-	*out = *d
-	for _, fam := range [...]struct {
-		dst *[]NumEntry
-		num []uint32
-	}{{&out.Words, r.words}, {&out.Chars, r.chars}} {
-		src := *fam.dst
-		es := arena[:len(src):len(src)]
-		arena = arena[len(src):]
-		for k, e := range src {
-			n := fam.num[e.Num]
-			if n == notNumbered {
-				return arena, fmt.Errorf("features: a document holds gram number %d, which the counters no longer hold", e.Num)
-			}
-			es[k] = NumEntry{Num: n, Count: e.Count}
+// Apply sets out to d under the new numbers — decoded, mapped and packed
+// again in one array of out's own — with the entries passing through s. A
+// gram of d the new lists lack — counters that did not hold d — is an error.
+func (r Renumbering) Apply(out, d *NumberedDoc, s *Scratch) error {
+	var nw int
+	s.entries, nw = d.unpack(s.entries[:0])
+	for k := range s.entries {
+		num := r.words
+		if k >= nw {
+			num = r.chars
 		}
-		*fam.dst = es
+		n := num[s.entries[k].Num]
+		if n == notNumbered {
+			return fmt.Errorf("features: a document holds gram number %d, which the counters no longer hold", s.entries[k].Num)
+		}
+		s.entries[k].Num = n
 	}
-	return arena, nil
+	*out = *d
+	out.Packed = nil // d's array is d's
+	out.pack(s.entries, nw)
+	return nil
 }
 
 // Clone returns an independent copy of the builder: mutations of one never

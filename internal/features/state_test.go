@@ -108,18 +108,22 @@ func TestRemoveNumberedIsRemoveSorted(t *testing.T) {
 		t.Fatal("the removal took no gram out of the dictionary")
 	}
 	next := NewDictionary(after.Words, after.Chars)
+	var s Scratch
 	for i, d := range docs[:17] {
 		var out NumberedDoc
 		old := dict.Number(d.Sorted())
-		arena := make([]NumEntry, len(old.Words)+len(old.Chars))
-		if rest, err := r.Apply(&out, old, arena); err != nil || len(rest) != 0 {
-			t.Fatalf("doc %d: %v, %d entries of the arena left", i, err, len(rest))
+		kept := slices.Clone(old.Packed)
+		if err := r.Apply(&out, old, &s); err != nil {
+			t.Fatalf("doc %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(&out, next.Number(d.Sorted())) {
 			t.Fatalf("doc %d: renumbered other than a fresh numbering", i)
 		}
+		if !slices.Equal(old.Packed, kept) {
+			t.Fatalf("doc %d: the renumbering wrote the document it read", i)
+		}
 	}
-	if _, err := r.Apply(new(NumberedDoc), gone[0], make([]NumEntry, len(gone[0].Words)+len(gone[0].Chars))); err == nil {
+	if err := r.Apply(new(NumberedDoc), gone[0], &s); err == nil {
 		t.Fatal("a removed document renumbered into counters that lost its grams")
 	}
 	back := byNumber.Clone()
@@ -130,12 +134,12 @@ func TestRemoveNumberedIsRemoveSorted(t *testing.T) {
 		t.Fatal("taking documents out and putting them back moved numbers")
 	}
 
-	foreign := *gone[0]
-	foreign.Words = slices.Clone(foreign.Words)
-	foreign.Words[0].Count += before.Words[foreign.Words[0].Num].Freq
-	past := *gone[0]
-	past.Chars = append(slices.Clone(past.Chars), NumEntry{Num: uint32(len(before.Chars)), Count: 1})
-	for name, d := range map[string]*NumberedDoc{"the counters never held": &foreign, "numbered past the counters": &past} {
+	words, chars := entriesOf(gone[0])
+	words[0].Count += before.Words[words[0].Num].Freq
+	foreign := withEntries(gone[0], words, chars)
+	words, chars = entriesOf(gone[0])
+	past := withEntries(gone[0], words, append(chars, NumEntry{Num: uint32(len(before.Chars)), Count: 1}))
+	for name, d := range map[string]*NumberedDoc{"the counters never held": foreign, "numbered past the counters": past} {
 		c := full.Clone()
 		c.RemoveNumbered([]*NumberedDoc{d})
 		if _, err := c.State(); err == nil {
@@ -214,7 +218,8 @@ func TestVectorizeGramsSortedMatches(t *testing.T) {
 		b.AddSorted(d.Sorted())
 	}
 	v := mustBuild(t, b)
-	var vec, scratch sparse.Vector
+	var vec sparse.Vector
+	var scratch Scratch
 	for i, d := range append(docs, mapExtract("", ReductionConfig())) {
 		want := mapVectorize(v, d)
 		if got := v.VectorizeGramsSorted(d.Sorted()); !reflect.DeepEqual(got, want) {
@@ -240,13 +245,15 @@ func TestGramIndexNumbers(t *testing.T) {
 		b.AddSorted(d.Sorted())
 	}
 	st := mustState(t, b)
-	dict, words, chars := NewDictionary(st.Words, st.Chars), IndexGrams(st.Words), IndexGrams(st.Chars)
-	into := &NumberedDoc{Words: make([]NumEntry, 3)}
+	dict, wordIndex, charIndex := NewDictionary(st.Words, st.Chars), IndexGrams(st.Words), IndexGrams(st.Chars)
+	into := &NumberedDoc{Packed: make([]byte, 3)}
+	var s Scratch
 	for i, md := range docs {
 		d := md.Sorted()
 		nd := dict.Number(d)
-		dict.NumberInto(into, d)
+		dict.NumberInto(into, d, &s)
 		for _, got := range []*NumberedDoc{nd, into} {
+			words, chars := entriesOf(got)
 			if got.WordTotal != d.WordTotal || got.CharTotal != d.CharTotal || got.TotalChars != d.TotalChars || got.Freq != d.Freq {
 				t.Fatalf("doc %d: totals and frequencies not the document's", i)
 			}
@@ -254,7 +261,7 @@ func TestGramIndexNumbers(t *testing.T) {
 				x    GramIndex
 				es   []GramEntry
 				nums []NumEntry
-			}{{words, d.WordGrams, got.Words}, {chars, d.CharGrams, got.Chars}} {
+			}{{wordIndex, d.WordGrams, words}, {charIndex, d.CharGrams, chars}} {
 				var want []NumEntry
 				for _, g := range fam.es {
 					if num, ok := fam.x.Number(g.ID); ok {

@@ -128,7 +128,8 @@ func assertSameVector(t *testing.T, label string, got, want sparse.Vector) {
 // lacks, a probe with no gram in the cut, and an empty one.
 func TestVectorizeByNumberMatchesMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(4141))
-	var vec, scratch sparse.Vector
+	var vec sparse.Vector
+	var scratch Scratch
 	for world := range 6 {
 		docs := make([]*SortedDoc, 3+rng.Intn(20))
 		for i := range docs {

@@ -314,28 +314,37 @@ func (v *Vocabulary) ActivityOffset() uint32 {
 // result has empty, not nil, slices.
 func (v *Vocabulary) VectorizeGramsSorted(d *SortedDoc) sparse.Vector {
 	nd := v.dict.Number(d)
-	est := len(nd.Words) + len(nd.Chars)
+	est := nd.Entries()
 	vec := sparse.Vector{Idx: make([]uint32, 0, est), Val: make([]float64, 0, est)}
-	var scratch sparse.Vector
-	v.VectorizeGramsInto(&vec, &scratch, nd)
+	var s Scratch
+	v.VectorizeGramsInto(&vec, &s, nd)
 	return vec
+}
+
+// Scratch is what numbering and vectorizing keep between documents: the
+// entries of the document at hand, decoded, and the index sort's second
+// buffer. A caller that keeps one allocates nothing for them once it has
+// held its largest document. Not safe for concurrent use.
+type Scratch struct {
+	entries []NumEntry
+	sort    sparse.Vector
 }
 
 // VectorizeGramsInto is VectorizeGramsSorted of a document already numbered
 // by the vocabulary's dictionary, into vec's own storage (which grows only
-// when d has more grams than any document vec held before), with the index
-// sort's second buffer taken from scratch: a caller that keeps both
-// allocates nothing once they have held its largest document. The
-// vocabulary itself is only read, so concurrent callers need only their own
-// vec and scratch. Term frequency is the gram count over the document's
-// total count of the same family.
-func (v *Vocabulary) VectorizeGramsInto(vec, scratch *sparse.Vector, d *NumberedDoc) {
-	est := len(d.Words) + len(d.Chars)
-	vec.Idx = slices.Grow(vec.Idx[:0], est)
-	vec.Val = slices.Grow(vec.Val[:0], est)
-	v.vectorize(vec, d.Words, v.words, v.dict.words.grams, float64(max(d.WordTotal, 1)))
-	v.vectorize(vec, d.Chars, v.chars, v.dict.chars.grams, float64(max(d.CharTotal, 1)))
-	vec.SortScratch(scratch)
+// when d has more grams than any document vec held before), with the
+// decoded entries and the index sort's second buffer in s. The vocabulary
+// itself is only read, so concurrent callers need only their own vec and
+// s. Term frequency is the gram count over the document's total count of
+// the same family.
+func (v *Vocabulary) VectorizeGramsInto(vec *sparse.Vector, s *Scratch, d *NumberedDoc) {
+	var nw int
+	s.entries, nw = d.unpack(s.entries[:0])
+	vec.Idx = slices.Grow(vec.Idx[:0], len(s.entries))
+	vec.Val = slices.Grow(vec.Val[:0], len(s.entries))
+	v.vectorize(vec, s.entries[:nw], v.words, v.dict.words.grams, float64(max(d.WordTotal, 1)))
+	v.vectorize(vec, s.entries[nw:], v.chars, v.dict.chars.grams, float64(max(d.CharTotal, 1)))
+	vec.SortScratch(&s.sort)
 }
 
 // vectorize appends the (feature, weight) of every entry of es whose gram

@@ -233,6 +233,24 @@ var structuralDamage = []struct {
 		binary.LittleEndian.PutUint64(p[4:], binary.LittleEndian.Uint64(p[4:])+1)
 		return p
 	}},
+	{"payload ends inside the first document's frequencies", secDocs, func(_ testing.TB, p []byte) []byte {
+		// The rest of the payload is then too short for those reads, and the
+		// next document's lists must not be read from where they stopped.
+		off := docsFirstList
+		for range 2 {
+			n, w := binary.Uvarint(p[off:])
+			off += w
+			for range 2 * n {
+				_, w := binary.Uvarint(p[off:])
+				off += w
+			}
+		}
+		for range 3 {
+			_, w := binary.Uvarint(p[off:])
+			off += w
+		}
+		return p[:off+5]
+	}},
 	{"document count past the payload", secDocs, func(_ testing.TB, p []byte) []byte {
 		binary.LittleEndian.PutUint32(p, 1<<30)
 		return p

@@ -1,13 +1,19 @@
 package store
 
 import (
+	"context"
 	"testing"
+
+	"darklight/internal/attribution"
 )
 
 // FuzzLoadSnapshot drives the full verify-and-decode path over mutated
 // headers and sections. The invariant is the corruption contract: any
 // input either decodes to a usable index or returns an error — never a
-// panic, never a runaway allocation.
+// panic, never a runaway allocation. A usable index holds its documents as
+// the packed lists Load accepted, which every later reader trusts, so each
+// one then answers a Prepare and a Match and folds a small batch: a list
+// Load let through that a later decoder misreads panics here.
 func FuzzLoadSnapshot(f *testing.F) {
 	raw := smallSnapshot(f)
 	layout := snapshotLayout(f, raw)
@@ -37,8 +43,21 @@ func FuzzLoadSnapshot(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := decodeIndex(data)
-		if err == nil && (idx == nil || idx.Matcher == nil || idx.Dataset == nil) {
+		if err != nil {
+			return
+		}
+		if idx == nil || idx.Matcher == nil || idx.Dataset == nil {
 			t.Fatal("decodeIndex returned neither an index nor an error")
+		}
+		batch := []attribution.Subject{{Name: "fuzz-new-alias", Text: "a new alias folded in with words of its own"}}
+		if len(idx.Subjects) > 0 {
+			s := idx.Subjects[0]
+			idx.Matcher.Prepare(&s).Match(attribution.MatchOptions{})
+			s.Text += " and a few more words"
+			batch = append(batch, s)
+		}
+		if _, err := idx.Matcher.Fold(context.Background(), batch); err != nil {
+			t.Logf("fold: %v", err)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"darklight/internal/activity"
 	"darklight/internal/attribution"
@@ -43,12 +42,15 @@ type Index struct {
 //	docs      each subject's extraction with grams as dictionary numbers:
 //	          per family a uvarint entry count, then per entry the uvarint
 //	          step from the previous number (the first from -1: never 0)
-//	          and the uvarint count; then three totals, 42 frequencies
+//	          and the uvarint count — the packed lists a NumberedDoc holds,
+//	          byte for byte; then three totals, 42 frequencies
 //
-// Decoding docs sums each gram's corpus and document frequency into the
-// dictionary's own array — all a VocabBuilder counts, in the form it counts
-// in — so Load hands attribution.NewMatcherFromState what a Fold ends in:
-// counters to cut the vocabulary from and documents to index.
+// Save copies each document's lists as they are. Load walks docs once,
+// checking every entry and summing each gram's corpus and document
+// frequency into the dictionary's own array — all a VocabBuilder counts, in
+// the form it counts in — and copies the lists out of the file's buffer, so
+// it hands attribution.NewMatcherFromState what a Fold ends in: counters to
+// cut the vocabulary from and documents to index, and nothing of the file.
 const (
 	secOptions  = "options"
 	secCorpus   = "corpus"
@@ -117,17 +119,12 @@ func writeIndex(out sink, idx *Index) error {
 	w.begin(secDocs)
 	entries := 0
 	for _, d := range st.Docs {
-		entries += len(d.Words) + len(d.Chars)
+		entries += d.Entries()
 	}
 	w.u32(uint32(len(st.Docs)))
 	w.u64(uint64(entries))
 	for _, d := range st.Docs {
-		if err := writeEntries(w, d.Words, len(st.Stats.Words)); err != nil {
-			return err
-		}
-		if err := writeEntries(w, d.Chars, len(st.Stats.Chars)); err != nil {
-			return err
-		}
+		w.raw(d.Packed) // the lists as held: the matcher checked or packed them
 		w.uvarint(uint64(d.WordTotal))
 		w.uvarint(uint64(d.CharTotal))
 		w.uvarint(uint64(d.TotalChars))
@@ -161,22 +158,6 @@ func writeCorpus(w *writer, ds *forum.Dataset) error {
 			}
 			w.blob(at)
 		}
-	}
-	return nil
-}
-
-// writeEntries writes one numbered gram list of a document as it is held:
-// its numbers already name the grams of a dictionary of size grams.
-func writeEntries(w *writer, es []features.NumEntry, grams int) error {
-	w.uvarint(uint64(len(es)))
-	prev := int64(-1)
-	for _, e := range es {
-		if int64(e.Num) <= prev || int64(e.Num) >= int64(grams) {
-			return fmt.Errorf("document gram number %d is past the %d-gram corpus counters, or not in ascending order", e.Num, grams)
-		}
-		w.uvarint(uint64(int64(e.Num) - prev))
-		w.uvarint(uint64(e.Count))
-		prev = int64(e.Num)
 	}
 	return nil
 }
@@ -239,26 +220,31 @@ func decodeIndex(raw []byte) (*Index, error) {
 		return nil, corrupt(secGrams, "malformed payload")
 	}
 
-	// One block of documents and one of entries, however many grams: a load
-	// allocates by the subject, not by the gram.
+	// One block of documents and one copy of their lists, however many
+	// grams: a load allocates by the subject, not by the gram.
 	dr := &reader{b: byName[secDocs]}
 	docs := make([]features.NumberedDoc, dr.lengthBound(2+3+8*features.NumFreqFeatures))
-	entries := dr.u64()
-	if dr.fail || entries > uint64(len(dr.b))/2 {
-		return nil, corrupt(secDocs, "implausible document or entry count")
-	}
-	arena := make([]features.NumEntry, entries)
+	declared, entries := dr.u64(), uint64(0)
 	st.Docs = make([]*features.NumberedDoc, len(docs))
 	st.Stats.Config, st.Stats.NumDocs = st.Opts.Reduction, len(docs)
-	for i := range docs {
+	packed := 0
+	// A read past the payload stops the walk: the lists are framed from where
+	// the reader stands.
+	for i := 0; i < len(docs) && !dr.fail; i++ {
 		d := &docs[i]
-		var reason string
-		if d.Words, arena, reason = readEntries(dr, arena, dict[0]); reason == "" {
-			d.Chars, arena, reason = readEntries(dr, arena, dict[1])
+		start := dr.off
+		for f := range dict {
+			n, err := features.CheckPacked(dr.b[dr.off:], dict[f], true)
+			if err != nil {
+				return nil, corrupt(secDocs, "document %d: %v", i, err)
+			}
+			if dr.bytes(n); f == 0 {
+				d.CharsAt = n
+			}
 		}
-		if reason != "" {
-			return nil, corrupt(secDocs, "document %d: %s", i, reason)
-		}
+		d.Packed = dr.b[start:dr.off:dr.off]
+		packed += len(d.Packed)
+		entries += uint64(d.Entries())
 		d.WordTotal, d.CharTotal, d.TotalChars = int(dr.uvarint()), int(dr.uvarint()), int(dr.uvarint())
 		for j := range d.Freq {
 			d.Freq[j] = dr.f64()
@@ -268,8 +254,19 @@ func decodeIndex(raw []byte) (*Index, error) {
 		}
 		st.Docs[i] = d
 	}
-	if !dr.done() || len(arena) != 0 {
+	if !dr.done() {
 		return nil, corrupt(secDocs, "malformed payload")
+	}
+	if entries != declared {
+		return nil, corrupt(secDocs, "%d entries where the section declares %d", entries, declared)
+	}
+	// The lists leave the file's buffer for one array of their own: the
+	// index keeps nothing of the file.
+	arena := make([]byte, 0, packed)
+	for i := range docs {
+		start := len(arena)
+		arena = append(arena, docs[i].Packed...)
+		docs[i].Packed = arena[start:len(arena):len(arena)]
 	}
 	for f := range dict {
 		for i := range dict[f] {
@@ -333,40 +330,4 @@ func readCorpus(payload []byte) (*forum.Dataset, error) {
 	ds := forum.NewDataset(name, platform)
 	ds.Aliases = aliases
 	return ds, nil
-}
-
-// readEntries decodes one gram list of a document into the front of arena,
-// its numbers kept as read, adding it to the dictionary's counters, and
-// returns the list, the rest of the arena and, when the list is malformed,
-// why.
-func readEntries(r *reader, arena []features.NumEntry, dict []features.GramCount) (es, rest []features.NumEntry, reason string) {
-	n := r.uvarint()
-	if n > uint64(len(arena)) {
-		return nil, nil, "more entries than the section declares"
-	}
-	es, rest = arena[:n:n], arena[n:]
-	next := uint64(0) // the smallest number the entry may carry
-	for j := range es {
-		step, count := r.uvarint(), r.uvarint()
-		switch {
-		case r.fail:
-			return nil, nil, "entry list cut short, or a varint past 64 bits"
-		case step == 0:
-			return nil, nil, "repeated gram (zero step)"
-		case step > uint64(len(dict)) || next+step-1 >= uint64(len(dict)):
-			return nil, nil, fmt.Sprintf("gram number outside the %d-gram dictionary", len(dict))
-		case count == 0 || count > math.MaxInt32:
-			return nil, nil, fmt.Sprintf("gram count %d", count)
-		}
-		num := next + step - 1
-		g := &dict[num]
-		next += step
-		if count > uint64(math.MaxInt32-g.Freq) {
-			return nil, nil, fmt.Sprintf("gram %d counted more than %d times over the corpus", g.ID, math.MaxInt32)
-		}
-		es[j] = features.NumEntry{Num: uint32(num), Count: int32(count)}
-		g.Freq += int32(count)
-		g.DF++
-	}
-	return es, rest, ""
 }

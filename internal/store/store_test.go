@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -682,7 +681,7 @@ func TestSnapshotSizeAndAllocationCeilings(t *testing.T) {
 	}
 	entries := 0
 	for _, d := range state.Docs {
-		entries += len(d.Words) + len(d.Chars)
+		entries += d.Entries()
 	}
 	grams := len(state.Stats.Words) + len(state.Stats.Chars)
 	subjects, messages := len(idx.Subjects), ds.TotalMessages()
@@ -730,10 +729,14 @@ func TestReplayRefusesCountersThatDoNotHoldTheDocument(t *testing.T) {
 	// Subject 2's document with every count raised past what the counters
 	// hold: its numbers are the dictionary's, its counts another text's.
 	forgedDoc := *state.Docs[2]
-	forgedDoc.Words = slices.Clone(forgedDoc.Words)
-	for k := range forgedDoc.Words {
-		forgedDoc.Words[k].Count += 1000
+	words, chars := forgedDoc.Lists()
+	forgedWords := features.Unpack(nil, words)
+	for k := range forgedWords {
+		forgedWords[k].Count += 1000
 	}
+	forgedDoc.Packed = features.AppendPacked(nil, forgedWords)
+	forgedDoc.CharsAt = len(forgedDoc.Packed)
+	forgedDoc.Packed = append(forgedDoc.Packed, chars...)
 	state.Docs = append([]*features.NumberedDoc(nil), state.Docs...)
 	state.Docs[2] = &forgedDoc
 	forged := *idx
