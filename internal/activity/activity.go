@@ -12,8 +12,8 @@ package activity
 
 import (
 	"errors"
-	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"darklight/internal/sparse"
@@ -28,7 +28,8 @@ const MinTimestamps = 30
 const Hours = 24
 
 // ErrInsufficientTimestamps is returned when, after exclusions, fewer than
-// the required minimum timestamps remain.
+// the required minimum timestamps remain. It is returned as it is, not
+// wrapped: a subject build meets it for every alias short of timestamps.
 var ErrInsufficientTimestamps = errors.New("activity: not enough usable timestamps")
 
 // Options configure profile construction. The zero value gives the paper's
@@ -80,15 +81,15 @@ type Profile struct {
 	ActiveBins int
 }
 
-// Build constructs the profile from raw timestamps.
-func Build(timestamps []time.Time, opts Options) (*Profile, error) {
+// Build constructs the profile from raw timestamps. hours is scratch for
+// the usable timestamps' hours since the epoch: given room for one a
+// timestamp, the profile is all Build allocates; nil will do.
+func Build(timestamps []time.Time, opts Options, hours []int64) (*Profile, error) {
 	minTS := opts.MinTimestamps
 	if minTS <= 0 {
 		minTS = MinTimestamps
 	}
-	seen := make(map[timeutil.DayHour]struct{})
-	var hourCounts [Hours]int
-	usable := 0
+	hours = hours[:0]
 	for _, ts := range timestamps {
 		utc := timeutil.AlignUTC(ts, opts.ForumUTCOffsetMinutes)
 		if opts.ExcludeWeekends && timeutil.IsWeekend(utc) {
@@ -97,23 +98,31 @@ func Build(timestamps []time.Time, opts Options) (*Profile, error) {
 		if opts.Holidays.Contains(utc) {
 			continue
 		}
-		usable++
-		bin := timeutil.BinUTC(utc)
-		if _, dup := seen[bin]; dup {
+		// A UTC day is 24 whole hours from the epoch on, so the hour since the
+		// epoch names the (day, hour) cell.
+		sec := utc.Unix()
+		h := sec / 3600
+		if sec%3600 < 0 {
+			h--
+		}
+		hours = append(hours, h)
+	}
+	if len(hours) < minTS {
+		return nil, ErrInsufficientTimestamps
+	}
+	slices.Sort(hours)
+	var hourCounts [Hours]int
+	active := 0
+	for i, h := range hours {
+		if i > 0 && h == hours[i-1] {
 			continue // a_u(d,h) is binary: one post per (day,hour) counts
 		}
-		seen[bin] = struct{}{}
-		hourCounts[bin.Hour]++
+		active++
+		hourCounts[(h%Hours+Hours)%Hours]++
 	}
-	if usable < minTS {
-		return nil, fmt.Errorf("%w: %d usable of %d required", ErrInsufficientTimestamps, usable, minTS)
-	}
-	p := &Profile{Samples: usable, ActiveBins: len(seen)}
-	total := float64(len(seen))
-	if total > 0 {
-		for h, c := range hourCounts {
-			p.Bins[h] = float64(c) / total
-		}
+	p := &Profile{Samples: len(hours), ActiveBins: active}
+	for h, c := range hourCounts {
+		p.Bins[h] = float64(c) / float64(active)
 	}
 	return p, nil
 }

@@ -73,6 +73,15 @@ func TestTextPreservesContentWords(t *testing.T) {
 	}
 }
 
+// postTimes lists the alias's post times in message order.
+func postTimes(a forum.Alias) []time.Time {
+	ts := make([]time.Time, len(a.Messages))
+	for i := range a.Messages {
+		ts[i] = a.Messages[i].PostedAt
+	}
+	return ts
+}
+
 func TestReschedulingDestroysProfile(t *testing.T) {
 	// Build an alias with a sharp 21:00 habit.
 	in := forum.Alias{Name: "night_owl"}
@@ -83,12 +92,12 @@ func TestReschedulingDestroysProfile(t *testing.T) {
 			PostedAt: day.AddDate(0, 0, i).Add(21 * time.Hour),
 		})
 	}
-	before, err := activity.Build(in.Timestamps(), activity.Options{})
+	before, err := activity.Build(postTimes(in), activity.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := New(DefaultOptions()).Alias(in)
-	after, err := activity.Build(out.Timestamps(), activity.Options{})
+	after, err := activity.Build(postTimes(out), activity.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func makeAuthors(t testing.TB, n, wordsPerHalf int) []synthAuthor {
 			probe: Subject{Name: name, Text: gen(int64(i)*7+2, wordsPerHalf)},
 		}
 		// Both halves post at the same peak hour.
-		if p, err := activity.Build(stamps(peak, 40), activity.Options{ExcludeWeekends: true}); err == nil {
+		if p, err := activity.Build(stamps(peak, 40), activity.Options{ExcludeWeekends: true}, nil); err == nil {
 			authors[i].known.Activity = p
 			authors[i].probe.Activity = p
 		}
@@ -388,7 +388,7 @@ func TestBuildSubjects(t *testing.T) {
 		t.Error("activity profile missing")
 	}
 	// Word budget must match corpus.Document.
-	if subs[0].Text != corpus.Document(&d.Aliases[0], 100) {
+	if subs[0].Text != corpus.Document(&d.Aliases[0], 100, nil) {
 		t.Error("subject text must be the corpus document")
 	}
 	// Insufficient timestamps → nil profile, no error.

@@ -23,7 +23,7 @@ import (
 func TestPreparedQueryMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	known, probes := randomWorld(rng, 40)
-	act, err := activity.Build(stamps(9, 30), activity.Options{})
+	act, err := activity.Build(stamps(9, 30), activity.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

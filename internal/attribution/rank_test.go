@@ -55,7 +55,7 @@ func randomWorld(rng *rand.Rand, n int) (known, probes []Subject) {
 			s.Text = genText(rng, pref, 40+rng.Intn(300))
 		}
 		if rng.Float64() < 0.7 {
-			if p, err := activity.Build(stamps(rng.Intn(24), 20+rng.Intn(30)), activity.Options{}); err == nil {
+			if p, err := activity.Build(stamps(rng.Intn(24), 20+rng.Intn(30)), activity.Options{}, nil); err == nil {
 				s.Activity = p
 			}
 		}
@@ -72,7 +72,7 @@ func randomWorld(rng *rand.Rand, n int) (known, probes []Subject) {
 			j := rng.Intn(n)
 			p.Text = genText(rng, prefs[j], 40+rng.Intn(300))
 			if rng.Float64() < 0.7 {
-				if ap, err := activity.Build(stamps(rng.Intn(24), 25), activity.Options{}); err == nil {
+				if ap, err := activity.Build(stamps(rng.Intn(24), 25), activity.Options{}, nil); err == nil {
 					p.Activity = ap
 				}
 			}
@@ -471,7 +471,7 @@ func TestLSHEmptyQueryFallsBackLossless(t *testing.T) {
 	}
 	// Activity only: non-zero norm but an empty gram block.
 	probe := Subject{Name: "ghost"}
-	if p, err := activity.Build(stamps(9, 30), activity.Options{}); err == nil {
+	if p, err := activity.Build(stamps(9, 30), activity.Options{}, nil); err == nil {
 		probe.Activity = p
 	}
 	if probe.Activity == nil {

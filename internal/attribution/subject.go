@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"time"
 
 	"darklight/internal/activity"
 	"darklight/internal/corpus"
@@ -62,8 +64,9 @@ type SubjectOptions struct {
 	WithActivity bool
 	// Workers bounds the parallelism of subject construction; 0 means
 	// GOMAXPROCS. Subjects are independent of each other, so the output is
-	// identical for any worker count.
-	Workers int
+	// identical for any worker count, and a record of the options leaves it
+	// out.
+	Workers int `json:"-"`
 }
 
 // DefaultSubjectOptions returns the paper's subject construction: 1,500-word
@@ -99,11 +102,21 @@ func BuildSubjects(d *forum.Dataset, opts SubjectOptions) ([]Subject, error) {
 	subjects := make([]Subject, d.Len())
 	errs := make([]error, workers)
 	parallelChunks(workers, d.Len(), func(w, lo, hi int) {
+		// One worker's working memory, kept from alias to alias: a subject
+		// then allocates its text and its profile.
+		var doc corpus.DocScratch
+		var stamps []time.Time
+		var hours []int64
 		for i := lo; i < hi; i++ {
 			a := &d.Aliases[i]
-			s := Subject{Name: a.Name, Text: corpus.Document(a, budget)}
+			s := Subject{Name: a.Name, Text: corpus.Document(a, budget, &doc)}
 			if opts.WithActivity {
-				p, err := activity.Build(a.Timestamps(), opts.Activity)
+				stamps = stamps[:0]
+				for j := range a.Messages {
+					stamps = append(stamps, a.Messages[j].PostedAt)
+				}
+				hours = slices.Grow(hours[:0], len(stamps))
+				p, err := activity.Build(stamps, opts.Activity, hours)
 				switch {
 				case err == nil:
 					s.Activity = p

@@ -6,7 +6,9 @@
 package corpus
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"darklight/internal/activity"
@@ -147,33 +149,56 @@ func splitMessages(r *rand.Rand, msgs []forum.Message) (a, b []forum.Message) {
 // longest-first until the word budget is reached, the final message
 // truncated at the budget (§IV-D: "we sort the messages by length and
 // select the messages from the longest to the shortest until we reach the
-// limit of 1,500 words"). maxWords <= 0 returns all text.
-func Document(a *forum.Alias, maxWords int) string {
+// limit of 1,500 words"). Messages of equal length go in ID order, then in
+// message order; each contributes its words one space apart, a newline
+// between messages. maxWords <= 0 returns all text. sc is working memory
+// kept from one call to the next (nil: Document makes its own); with it,
+// the text is all Document allocates.
+func Document(a *forum.Alias, maxWords int, sc *DocScratch) string {
 	if maxWords <= 0 {
 		return a.Text()
 	}
-	clone := forum.Alias{Name: a.Name, Platform: a.Platform,
-		Messages: append([]forum.Message(nil), a.Messages...)}
-	clone.SortMessagesByLengthDesc()
-	var b strings.Builder
-	words := 0
-	for i := range clone.Messages {
+	if sc == nil {
+		sc = new(DocScratch)
+	}
+	sc.order = sc.order[:0]
+	for i := range a.Messages {
+		sc.order = append(sc.order, ranked{words: a.Messages[i].WordCount(), at: i})
+	}
+	slices.SortFunc(sc.order, func(x, y ranked) int {
+		if x.words != y.words {
+			return cmp.Compare(y.words, x.words)
+		}
+		if c := strings.Compare(a.Messages[x.at].ID, a.Messages[y.at].ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.at, y.at)
+	})
+	text, words := sc.text[:0], 0
+	for _, r := range sc.order {
 		if words >= maxWords {
 			break
 		}
-		fields := strings.Fields(clone.Messages[i].Body)
-		take := len(fields)
-		if words+take > maxWords {
-			take = maxWords - words
+		if len(text) > 0 {
+			text = append(text, '\n')
 		}
-		if b.Len() > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(strings.Join(fields[:take], " "))
+		take := min(r.words, maxWords-words)
+		text = a.Messages[r.at].AppendWords(text, take)
 		words += take
 	}
-	return b.String()
+	sc.text = text
+	return string(text)
 }
+
+// DocScratch is Document's working memory: the zero value is ready, and one
+// serves one goroutine.
+type DocScratch struct {
+	order []ranked
+	text  []byte
+}
+
+// ranked is a message's place in the longest-first order.
+type ranked struct{ words, at int }
 
 // WordCountCDF returns the empirical CDF of total words per alias evaluated
 // at the given thresholds — the data behind Fig. 1 of the paper.

@@ -1,6 +1,8 @@
 package corpus
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -126,7 +128,7 @@ func TestDocumentLongestFirst(t *testing.T) {
 		{ID: "long", Body: "a b c d e f g h i j"},
 		{ID: "mid", Body: "p q r s t"},
 	}}
-	doc := Document(&a, 12)
+	doc := Document(&a, 12, nil)
 	words := strings.Fields(doc)
 	if len(words) != 12 {
 		t.Fatalf("doc has %d words, want 12", len(words))
@@ -136,12 +138,82 @@ func TestDocumentLongestFirst(t *testing.T) {
 		t.Errorf("order wrong: %v", words)
 	}
 	// Unlimited.
-	if got := len(strings.Fields(Document(&a, -1))); got != 18 {
+	if got := len(strings.Fields(Document(&a, -1, nil))); got != 18 {
 		t.Errorf("unlimited doc = %d words", got)
 	}
 	// Original order untouched.
 	if a.Messages[0].ID != "short" {
 		t.Error("Document must not reorder the alias's messages")
+	}
+}
+
+func TestDocumentLongestFirstTiesByID(t *testing.T) {
+	a := forum.Alias{Messages: []forum.Message{
+		{ID: "b", Body: "b1 b2"},
+		{ID: "a", Body: "a1 a2"},
+		{ID: "c", Body: "c1 c2 c3 c4"},
+		{ID: "d", Body: "d1"},
+	}}
+	// Longest first, ties by ID.
+	if got, want := Document(&a, 100, nil), "c1 c2 c3 c4\na1 a2\nb1 b2\nd1"; got != want {
+		t.Errorf("Document = %q, want %q", got, want)
+	}
+}
+
+// referenceDocument is Document as first written: a sorted copy of the
+// messages, then strings.Fields and strings.Join for each.
+func referenceDocument(a *forum.Alias, maxWords int) string {
+	msgs := append([]forum.Message(nil), a.Messages...)
+	sort.SliceStable(msgs, func(i, j int) bool {
+		if wi, wj := msgs[i].WordCount(), msgs[j].WordCount(); wi != wj {
+			return wi > wj
+		}
+		return msgs[i].ID < msgs[j].ID
+	})
+	var b strings.Builder
+	words := 0
+	for i := range msgs {
+		if words >= maxWords {
+			break
+		}
+		fields := strings.Fields(msgs[i].Body)
+		take := min(len(fields), maxWords-words)
+		if b.Len() > 0 {
+			b.WriteByte('\n')
+		}
+		b.WriteString(strings.Join(fields[:take], " "))
+		words += take
+	}
+	return b.String()
+}
+
+// TestDocumentMatchesReference: on random aliases — Unicode and repeated
+// spaces, empty and space-only bodies, repeated IDs and lengths — Document
+// with one scratch reused across every call is the reference text byte for
+// byte, and with its scratch grown it allocates the text and nothing else.
+func TestDocumentMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	tokens := []string{"w", "word", "caf\u00e9", "\u65e5\u672c", "x\xffy", " ", "  ", "\t", "\n", "\u00a0", "\u3000"}
+	var sc DocScratch
+	for trial := 0; trial < 300; trial++ {
+		a := forum.Alias{}
+		for m := rng.Intn(12); m > 0; m-- {
+			var body strings.Builder
+			for k := rng.Intn(25); k > 0; k-- {
+				body.WriteString(tokens[rng.Intn(len(tokens))])
+			}
+			a.Messages = append(a.Messages, forum.Message{ID: string(rune('a' + rng.Intn(4))), Body: body.String()})
+		}
+		for _, budget := range []int{1, 2, 7, 30, 1500} {
+			if got, want := Document(&a, budget, &sc), referenceDocument(&a, budget); got != want {
+				t.Fatalf("trial %d budget %d: Document = %q, want %q", trial, budget, got, want)
+			}
+		}
+	}
+	a := makeAlias("x", 40, 30)
+	Document(&a, 1500, &sc)
+	if allocs := testing.AllocsPerRun(20, func() { Document(&a, 1500, &sc) }); allocs != 1 {
+		t.Errorf("Document with scratch made %v allocations, want 1 (the text)", allocs)
 	}
 }
 

@@ -124,6 +124,35 @@ func countWords(s string) int {
 	return n
 }
 
+// AppendWords appends the body's first n words, as countWords counts them,
+// to dst one space apart: strings.Join(strings.Fields(m.Body)[:n], " ")
+// without the slices.
+func (m *Message) AppendWords(dst []byte, n int) []byte {
+	s, start, words := m.Body, -1, 0
+	for i := 0; i <= len(s) && words < n; {
+		space, size := true, 1 // the end of the body ends the last word
+		if i < len(s) {
+			if c := s[i]; c < utf8.RuneSelf {
+				space = asciiSpace[c]
+			} else {
+				var r rune
+				r, size = utf8.DecodeRuneInString(s[i:])
+				space = unicode.IsSpace(r)
+			}
+		}
+		if !space && start < 0 {
+			start = i
+		} else if space && start >= 0 {
+			if words > 0 {
+				dst = append(dst, ' ')
+			}
+			dst, start, words = append(dst, s[start:i]...), -1, words+1
+		}
+		i += size
+	}
+	return dst
+}
+
 // asciiSpace marks the ASCII bytes unicode.IsSpace reports true for.
 var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
@@ -166,17 +195,8 @@ func (a *Alias) TotalWords() int {
 	return total
 }
 
-// Timestamps returns the posting times of all messages, in message order.
-func (a *Alias) Timestamps() []time.Time {
-	ts := make([]time.Time, len(a.Messages))
-	for i := range a.Messages {
-		ts[i] = a.Messages[i].PostedAt
-	}
-	return ts
-}
-
 // Text concatenates all message bodies separated by newlines. Stages that
-// need a bounded amount of text should use corpus.SelectWords instead.
+// need a bounded amount of text should use corpus.Document instead.
 func (a *Alias) Text() string {
 	var b strings.Builder
 	for i := range a.Messages {
@@ -186,32 +206,6 @@ func (a *Alias) Text() string {
 		b.WriteString(a.Messages[i].Body)
 	}
 	return b.String()
-}
-
-// SortMessagesByLengthDesc orders messages from the longest (in words) to
-// the shortest, breaking ties by ID for determinism. The paper selects
-// messages longest-first when truncating an alias to 1,500 words.
-// Word counts are computed once per message up front; recomputing them in
-// the comparator made the sort O(n log n) body scans.
-func (a *Alias) SortMessagesByLengthDesc() {
-	counts := make([]int, len(a.Messages))
-	order := make([]int, len(a.Messages))
-	for i := range a.Messages {
-		counts[i] = a.Messages[i].WordCount()
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		oi, oj := order[i], order[j]
-		if counts[oi] != counts[oj] {
-			return counts[oi] > counts[oj]
-		}
-		return a.Messages[oi].ID < a.Messages[oj].ID
-	})
-	sorted := make([]Message, len(a.Messages))
-	for k, idx := range order {
-		sorted[k] = a.Messages[idx]
-	}
-	copy(a.Messages, sorted)
 }
 
 // IsLikelyBot reports whether the alias name starts or ends with "bot"

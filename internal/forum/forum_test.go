@@ -36,6 +36,29 @@ func TestMessageWordCount(t *testing.T) {
 	}
 }
 
+// TestWordsAreStringsFields: WordCount and AppendWords split a body where
+// strings.Fields does — ASCII and Unicode spaces, invalid UTF-8 inside a
+// word — and AppendWords joins the first n words as strings.Join does.
+func TestWordsAreStringsFields(t *testing.T) {
+	bodies := []string{
+		"", "   ", "one", " one  two\tthree\n", "a\u00a0b\u2003c\u0085d", "x\xffy \xfe z",
+		"caf\u00e9 na\u00efve\u3000\u65e5\u672c", "\v\f\r lead and trail \r\n",
+	}
+	for _, body := range bodies {
+		m := Message{Body: body}
+		fields := strings.Fields(body)
+		if got := m.WordCount(); got != len(fields) {
+			t.Errorf("WordCount(%q) = %d, want %d", body, got, len(fields))
+		}
+		for n := 0; n <= len(fields)+1; n++ {
+			want := strings.Join(fields[:min(n, len(fields))], " ")
+			if got := string(m.AppendWords([]byte("kept|"), n)); got != "kept|"+want {
+				t.Errorf("AppendWords(%q, %d) = %q, want %q", body, n, got, "kept|"+want)
+			}
+		}
+	}
+}
+
 func TestMessageDistinctWordRatio(t *testing.T) {
 	tests := []struct {
 		name string
@@ -89,30 +112,6 @@ func TestAliasTotalWordsAndText(t *testing.T) {
 	}
 	if got := a.Text(); got != "one two\nthree" {
 		t.Errorf("Text = %q", got)
-	}
-	ts := a.Timestamps()
-	if len(ts) != 2 || !ts[0].Equal(t0) {
-		t.Errorf("Timestamps = %v", ts)
-	}
-}
-
-func TestSortMessagesByLengthDesc(t *testing.T) {
-	a := Alias{Messages: []Message{
-		msg("b", "x", "one two", t0),
-		msg("a", "x", "one two", t0),
-		msg("c", "x", "one two three four", t0),
-		msg("d", "x", "one", t0),
-	}}
-	a.SortMessagesByLengthDesc()
-	gotIDs := []string{}
-	for _, m := range a.Messages {
-		gotIDs = append(gotIDs, m.ID)
-	}
-	want := []string{"c", "a", "b", "d"} // longest first, ties by ID
-	for i := range want {
-		if gotIDs[i] != want[i] {
-			t.Fatalf("order = %v, want %v", gotIDs, want)
-		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,9 +14,10 @@ import (
 )
 
 // BuildIndex builds the first index generation from a corpus: the
-// dataset is canonicalised (name-sorted), subjects are derived, and the
-// matcher is built incrementally so the result can be snapshotted and
-// folded. The dataset is sorted in place and retained by the index.
+// dataset is canonicalised (name-sorted), subjects are derived under
+// subjOpts, which the index records, and the matcher is built incrementally
+// so the result can be snapshotted and folded. The dataset is sorted in
+// place and retained by the index.
 func BuildIndex(ctx context.Context, ds *forum.Dataset, opts attribution.Options, subjOpts attribution.SubjectOptions) (*Index, error) {
 	ds.SortByName()
 	subjects, err := attribution.BuildSubjects(ds, subjOpts)
@@ -25,7 +29,7 @@ func BuildIndex(ctx context.Context, ds *forum.Dataset, opts attribution.Options
 	if err != nil {
 		return nil, err
 	}
-	return &Index{Version: 1, Dataset: ds, Subjects: m.Subjects(), Matcher: m}, nil
+	return &Index{Version: 1, Dataset: ds, Subjects: m.Subjects(), SubjectOptions: subjOpts, Matcher: m}, nil
 }
 
 // ApplyThreads folds scraped thread records into a copy of the dataset:
@@ -82,7 +86,20 @@ func ApplyThreads(ds *forum.Dataset, recs []forum.ThreadRecord) (*forum.Dataset,
 // and folded; the result is bit-identical to a full rebuild over the
 // merged corpus. idx itself is never mutated and keeps serving while the
 // fold runs; with no new entries it is returned unchanged.
+//
+// subjOpts must be the options the index records (Index.SubjectOptions), as
+// JSON encodes them: a load derives every subject under those, so subjects
+// replayed under others would come back different from the generation that
+// served them. Other options are an error before anything is folded.
 func Replay(ctx context.Context, idx *Index, entries []JournalEntry, subjOpts attribution.SubjectOptions) (*Index, error) {
+	given, gerr := json.Marshal(subjOpts)
+	recorded, rerr := json.Marshal(idx.SubjectOptions)
+	if err := errors.Join(gerr, rerr); err != nil {
+		return nil, fmt.Errorf("store: replay: %w", err)
+	}
+	if !bytes.Equal(given, recorded) {
+		return nil, fmt.Errorf("store: replay: subject options %s, the index was built with %s", given, recorded)
+	}
 	lastSeq := idx.LastSeq
 	var recs []forum.ThreadRecord
 	for _, e := range entries {
@@ -117,10 +134,11 @@ func Replay(ctx context.Context, idx *Index, entries []JournalEntry, subjOpts at
 		return nil, err
 	}
 	return &Index{
-		Version:  idx.Version + 1,
-		LastSeq:  lastSeq,
-		Dataset:  ds,
-		Subjects: m.Subjects(),
-		Matcher:  m,
+		Version:        idx.Version + 1,
+		LastSeq:        lastSeq,
+		Dataset:        ds,
+		Subjects:       m.Subjects(),
+		SubjectOptions: idx.SubjectOptions,
+		Matcher:        m,
 	}, nil
 }

@@ -90,7 +90,7 @@ func encodeIndex(idx *Index) ([]byte, error) {
 
 func smallSnapshot(t testing.TB) []byte {
 	rng := rand.New(rand.NewSource(8400))
-	ds := testDataset(rng, "c", 10)
+	ds := addFrequentPosters(rng, testDataset(rng, "c", 8), 2)
 	opts, subjOpts := testBuildOptions()
 	idx, err := BuildIndex(context.Background(), ds, opts, subjOpts)
 	if err != nil {
@@ -112,7 +112,7 @@ func TestCorruptionNamesEverySection(t *testing.T) {
 	raw := smallSnapshot(t)
 	layout := snapshotLayout(t, raw)
 	// Spelled out, not sectionNames: the test pins the list.
-	wantSections := []string{"options", "corpus", "subjects", "grams", "docs"}
+	wantSections := []string{"options", "corpus", "grams", "docs"}
 	if len(layout) != len(wantSections) {
 		t.Fatalf("snapshot has %d sections, want %d", len(layout), len(wantSections))
 	}
@@ -169,6 +169,13 @@ var structuralDamage = []struct {
 	name, section string
 	mutate        func(t testing.TB, payload []byte) []byte
 }{
+	{"unparsable holiday date", secOptions, func(t testing.TB, p []byte) []byte {
+		const none = `"Holidays":null`
+		if !bytes.Contains(p, []byte(none)) {
+			t.Fatalf("options section has no %s to replace: %s", none, p)
+		}
+		return bytes.Replace(p, []byte(none), []byte(`"Holidays":{"2017-7-4":"Independence Day"}`), 1)
+	}},
 	{"dictionary not ascending", secGrams, func(_ testing.TB, p []byte) []byte {
 		first, second := append([]byte(nil), p[4:12]...), append([]byte(nil), p[12:20]...)
 		copy(p[4:], second)

@@ -9,7 +9,7 @@ import (
 	"math"
 )
 
-// On-disk snapshot layout, format 4 (all fixed-width integers
+// On-disk snapshot layout, format 5 (all fixed-width integers
 // little-endian, "uvarint" the encoding/binary one):
 //
 //	header:
@@ -26,7 +26,8 @@ import (
 //
 // The header fields up to last seq sit at these offsets in every format
 // version (the magic names the layout), so Open can read the journal
-// position off a snapshot whose sections it cannot decode. What the sections hold is in snapshot.go.
+// position off a snapshot whose sections it cannot decode. What the four
+// sections hold — options, corpus, grams, docs — is in snapshot.go.
 //
 // Every section is digest-verified on load before a single byte of it is
 // decoded, so a flipped bit anywhere surfaces as a CorruptError naming
@@ -37,7 +38,7 @@ import (
 
 const (
 	magic         = "DLIXSNP1"
-	formatVersion = 4
+	formatVersion = 5
 	digestLen     = sha256.Size
 )
 
@@ -186,11 +187,9 @@ func (w *writer) room() []byte {
 	return w.b
 }
 
-func (w *writer) u8(v uint8)       { w.b = append(w.room(), v) }
 func (w *writer) u32(v uint32)     { w.b = binary.LittleEndian.AppendUint32(w.room(), v) }
 func (w *writer) u64(v uint64)     { w.b = binary.LittleEndian.AppendUint64(w.room(), v) }
 func (w *writer) uvarint(v uint64) { w.b = binary.AppendUvarint(w.room(), v) }
-func (w *writer) i64(v int64)      { w.u64(uint64(v)) }
 func (w *writer) f64(v float64)    { w.u64(math.Float64bits(v)) }
 func (w *writer) raw(p []byte)     { w.b = append(w.room(), p...) }
 func (w *writer) str(s string)     { w.u32(uint32(len(s))); w.b = append(w.b, s...) }
@@ -253,7 +252,6 @@ func (r *reader) fixed(n int) []byte {
 	return make([]byte, n)
 }
 
-func (r *reader) u8() uint8   { return r.fixed(1)[0] }
 func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
 func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
 
@@ -277,7 +275,6 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
-func (r *reader) i64() int64   { return int64(r.u64()) }
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *reader) blob() []byte { return r.bytes(int(r.u32())) }
 func (r *reader) done() bool   { return !r.fail && r.off == len(r.b) }

@@ -4,16 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"darklight/internal/activity"
 	"darklight/internal/attribution"
 	"darklight/internal/features"
 	"darklight/internal/forum"
 )
 
 // Index is one immutable generation of the attribution state: the corpus
-// it was built from, the subjects derived from it, the fully-built
-// matcher, and the journal position already folded in. A Store persists
-// and reloads it; Replay derives the next generation from it.
+// it was built from, the subjects derived from it and the options they were
+// derived with, the fully-built matcher, and the journal position already
+// folded in. A Store persists and reloads it; Replay derives the next
+// generation from it.
 type Index struct {
 	// Version is the snapshot generation, bumped on every Save.
 	Version uint64
@@ -25,18 +25,22 @@ type Index struct {
 	// Subjects are the attribution subjects built from Dataset, aligned
 	// with the matcher's known set.
 	Subjects []attribution.Subject
+	// SubjectOptions are the options Subjects were built with. A load
+	// builds them again under these, and a replay under nothing else.
+	SubjectOptions attribution.SubjectOptions
 	// Matcher is the built (incremental) index over Subjects.
 	Matcher *attribution.Matcher
 }
 
 // Section names, in file order. A snapshot holds what a load cannot
-// recompute — corpus, subjects, each subject's extraction — and nothing it
-// derives from those (corpus counters, the vocabulary cut and its IDF
-// weights, forward and inverted index, dense blocks):
+// recompute — the options, the corpus, each subject's extraction — and
+// nothing it derives from those (the subjects, corpus counters, the
+// vocabulary cut and its IDF weights, forward and inverted index, dense
+// blocks):
 //
-//	options   the matcher options, JSON
+//	options   the matcher options with the subject options beside them,
+//	          JSON (recordedOptions)
 //	corpus    the dataset, field by field
-//	subjects  name, text and activity profile of each subject
 //	grams     the dictionary: the distinct word gram ids, then the distinct
 //	          char gram ids, each list ascending, 8 bytes a gram
 //	docs      each subject's extraction with grams as dictionary numbers:
@@ -45,21 +49,29 @@ type Index struct {
 //	          and the uvarint count — the packed lists a NumberedDoc holds,
 //	          byte for byte; then three totals, 42 frequencies
 //
-// Save copies each document's lists as they are. Load walks docs once,
-// checking every entry and summing each gram's corpus and document
-// frequency into the dictionary's own array — all a VocabBuilder counts, in
-// the form it counts in — and copies the lists out of the file's buffer, so
-// it hands attribution.NewMatcherFromState what a Fold ends in: counters to
-// cut the vocabulary from and documents to index, and nothing of the file.
+// Save copies each document's lists as they are. Load builds the subjects
+// from the corpus under the recorded options through BuildSubjects, the one
+// place subjects come from; walks docs once, checking every entry and
+// summing each gram's corpus and document frequency into the dictionary's
+// own array — all a VocabBuilder counts, in the form it counts in — and
+// copies the lists out of the file's buffer, so it hands
+// attribution.NewMatcherFromState what a Fold ends in: counters to cut the
+// vocabulary from and documents to index, and nothing of the file.
 const (
-	secOptions  = "options"
-	secCorpus   = "corpus"
-	secSubjects = "subjects"
-	secGrams    = "grams"
-	secDocs     = "docs"
+	secOptions = "options"
+	secCorpus  = "corpus"
+	secGrams   = "grams"
+	secDocs    = "docs"
 )
 
-var sectionNames = []string{secOptions, secCorpus, secSubjects, secGrams, secDocs}
+var sectionNames = []string{secOptions, secCorpus, secGrams, secDocs}
+
+// recordedOptions is the options section: the matcher options as given, and
+// the subject options beside them.
+type recordedOptions struct {
+	attribution.Options
+	Subjects attribution.SubjectOptions
+}
 
 // writeIndex streams idx to out in the framed snapshot format.
 func writeIndex(out sink, idx *Index) error {
@@ -71,7 +83,7 @@ func writeIndex(out sink, idx *Index) error {
 	if st.Stats.Config != st.Opts.Reduction || st.Stats.NumDocs != len(st.Docs) {
 		return fmt.Errorf("matcher state disagrees with its own options (counters of another configuration)")
 	}
-	optsJSON, err := json.Marshal(st.Opts)
+	optsJSON, err := json.Marshal(recordedOptions{st.Opts, idx.SubjectOptions})
 	if err != nil {
 		return err
 	}
@@ -85,25 +97,6 @@ func writeIndex(out sink, idx *Index) error {
 	w.begin(secCorpus)
 	if err := writeCorpus(w, idx.Dataset); err != nil {
 		return err
-	}
-	w.end()
-
-	w.begin(secSubjects)
-	w.u32(uint32(len(idx.Subjects)))
-	for i := range idx.Subjects {
-		s := &idx.Subjects[i]
-		w.str(s.Name)
-		w.str(s.Text)
-		if p := s.Activity; p != nil {
-			w.u8(1)
-			for _, b := range p.Bins {
-				w.f64(b)
-			}
-			w.i64(int64(p.Samples))
-			w.i64(int64(p.ActiveBins))
-		} else {
-			w.u8(0)
-		}
 	}
 	w.end()
 
@@ -176,34 +169,19 @@ func decodeIndex(raw []byte) (*Index, error) {
 		}
 	}
 
-	var st attribution.IndexState
-	if err := json.Unmarshal(byName[secOptions], &st.Opts); err != nil {
+	var opts recordedOptions
+	if err := json.Unmarshal(byName[secOptions], &opts); err != nil {
 		return nil, corrupt(secOptions, "bad options JSON: %v", err)
 	}
 	ds, err := readCorpus(byName[secCorpus])
 	if err != nil {
 		return nil, err
 	}
-
-	sr := &reader{b: byName[secSubjects], text: string(byName[secSubjects])}
-	subjects := make([]attribution.Subject, sr.lengthBound(9))
-	for i := range subjects {
-		s := &subjects[i]
-		s.Name = sr.str()
-		s.Text = sr.str()
-		if sr.u8() != 0 {
-			p := &activity.Profile{}
-			for j := range p.Bins {
-				p.Bins[j] = sr.f64()
-			}
-			p.Samples = int(sr.i64())
-			p.ActiveBins = int(sr.i64())
-			s.Activity = p
-		}
+	subjects, err := attribution.BuildSubjects(ds, opts.Subjects)
+	if err != nil {
+		return nil, corrupt(secCorpus, "subjects: %v", err)
 	}
-	if !sr.done() {
-		return nil, corrupt(secSubjects, "malformed payload")
-	}
+	st := attribution.IndexState{Opts: opts.Options}
 
 	gr := &reader{b: byName[secGrams]}
 	dict := [2][]features.GramCount{}
@@ -260,6 +238,9 @@ func decodeIndex(raw []byte) (*Index, error) {
 	if entries != declared {
 		return nil, corrupt(secDocs, "%d entries where the section declares %d", entries, declared)
 	}
+	if len(docs) != len(subjects) {
+		return nil, corrupt(secDocs, "%d documents for the corpus's %d aliases", len(docs), len(subjects))
+	}
 	// The lists leave the file's buffer for one array of their own: the
 	// index keeps nothing of the file.
 	arena := make([]byte, 0, packed)
@@ -282,11 +263,12 @@ func decodeIndex(raw []byte) (*Index, error) {
 		return nil, corrupt("index", "state rejected: %v", err)
 	}
 	return &Index{
-		Version:  h.IndexVersion,
-		LastSeq:  h.LastSeq,
-		Dataset:  ds,
-		Subjects: subjects,
-		Matcher:  matcher,
+		Version:        h.IndexVersion,
+		LastSeq:        h.LastSeq,
+		Dataset:        ds,
+		Subjects:       subjects,
+		SubjectOptions: opts.Subjects,
+		Matcher:        matcher,
 	}, nil
 }
 

@@ -36,8 +36,9 @@ func testBody(rng *rand.Rand, n int) string {
 	return strings.Join(words, " ")
 }
 
-// testDataset builds a deterministic corpus of n aliases with enough
-// messages and spread-out timestamps that most get activity profiles.
+// testDataset builds a deterministic corpus of n aliases, each with a few
+// messages: too few timestamps for an activity profile (addFrequentPosters
+// adds aliases that have one).
 func testDataset(rng *rand.Rand, name string, n int) *forum.Dataset {
 	ds := forum.NewDataset(name, forum.PlatformTheMajesticGarden)
 	t0 := time.Date(2017, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -51,6 +52,33 @@ func testDataset(rng *rand.Rand, name string, n int) *forum.Dataset {
 				Thread:   fmt.Sprintf("t%02d", rng.Intn(8)),
 				Body:     testBody(rng, 8+rng.Intn(30)),
 				PostedAt: t0.Add(time.Duration(rng.Intn(90*24)) * time.Hour),
+			})
+		}
+		ds.Add(a)
+	}
+	return ds
+}
+
+// addFrequentPosters adds n aliases that post often enough for an activity
+// profile: 45 to 64 short messages over 90 days, weekends among them, the
+// first two on Memorial Day and Independence Day — days the paper's options
+// leave out and the test options keep — so a profile depends on the subject
+// options, and some aliases have one under only one of the two.
+func addFrequentPosters(rng *rand.Rand, ds *forum.Dataset, n int) *forum.Dataset {
+	t0 := time.Date(2017, 5, 1, 0, 0, 0, 0, time.UTC)
+	holidays := []time.Time{time.Date(2017, 5, 29, 15, 0, 0, 0, time.UTC), time.Date(2017, 7, 4, 9, 0, 0, 0, time.UTC)}
+	for i := 0; i < n; i++ {
+		a := forum.Alias{Name: fmt.Sprintf("%s-poster%03d", ds.Name, i)}
+		for m := 45 + rng.Intn(20); m > 0; m-- {
+			at := t0.Add(time.Duration(rng.Intn(90*24)) * time.Hour)
+			if k := len(a.Messages); k < len(holidays) {
+				at = holidays[k]
+			}
+			a.Messages = append(a.Messages, forum.Message{
+				ID:       fmt.Sprintf("%s-p%03d-%03d", ds.Name, i, m),
+				Author:   a.Name,
+				Body:     testBody(rng, 3+rng.Intn(8)),
+				PostedAt: at,
 			})
 		}
 		ds.Add(a)
@@ -159,7 +187,7 @@ func assertIndexesEquivalent(t *testing.T, got, want *Index, probes []attributio
 // index must itself be save-able.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8100))
-	ds := testDataset(rng, "base", 30)
+	ds := addFrequentPosters(rng, testDataset(rng, "base", 24), 6)
 	probeDS := testDataset(rng, "probe", 6)
 	opts, subjOpts := testBuildOptions()
 	ctx := context.Background()
@@ -210,6 +238,96 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := loaded.Matcher.Fold(ctx, loaded.Subjects[:1]); err != nil {
 		t.Fatalf("fold on loaded index: %v", err)
+	}
+}
+
+// TestLoadDerivesSubjectsAsBuilt: a snapshot stores no subject; Load builds
+// them from the corpus under the subject options the index recorded. Under
+// the test options and under the paper's (weekends and US holidays left out),
+// which give some aliases different profiles and some a profile under only
+// one of the two, the loaded subjects are the built ones, profiles included,
+// and the options come back as recorded, less the worker count.
+func TestLoadDerivesSubjectsAsBuilt(t *testing.T) {
+	opts, testSubj := testBuildOptions()
+	paperSubj := attribution.DefaultSubjectOptions()
+	paperSubj.Workers = 2
+	var built [2][]attribution.Subject
+	for k, subjOpts := range []attribution.SubjectOptions{testSubj, paperSubj} {
+		rng := rand.New(rand.NewSource(8120))
+		idx, err := BuildIndex(context.Background(), addFrequentPosters(rng, testDataset(rng, "derive", 10), 8), opts, subjOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := encodeIndex(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := decodeIndex(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles := 0
+		for i := range idx.Subjects {
+			if idx.Subjects[i].Activity != nil {
+				profiles++
+			}
+		}
+		if profiles == 0 || profiles == len(idx.Subjects) {
+			t.Fatalf("options %d: %d of %d subjects have a profile; the world needs some with and some without", k, profiles, len(idx.Subjects))
+		}
+		if !reflect.DeepEqual(loaded.Subjects, idx.Subjects) {
+			t.Errorf("options %d: loaded subjects differ from the built ones", k)
+		}
+		want := subjOpts
+		want.Workers = 0
+		if !reflect.DeepEqual(loaded.SubjectOptions, want) {
+			t.Errorf("options %d: loaded with subject options %+v, want %+v", k, loaded.SubjectOptions, want)
+		}
+		built[k] = idx.Subjects
+	}
+	differ := 0
+	for i := range built[0] {
+		if !reflect.DeepEqual(built[0][i].Activity, built[1][i].Activity) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Error("the two option sets build the same profiles: the test cannot tell which one a load used")
+	}
+}
+
+// TestReplayRefusesOtherSubjectOptions: a replay derives the changed
+// subjects, and a later load derives all of them under the options the
+// index records. Replayed under other options, the two would disagree, so
+// Replay refuses them before it folds anything; the worker count, which
+// changes no subject, is not part of the record.
+func TestReplayRefusesOtherSubjectOptions(t *testing.T) {
+	rng := rand.New(rand.NewSource(8130))
+	ds := addFrequentPosters(rng, testDataset(rng, "corpus", 6), 3)
+	opts, subjOpts := testBuildOptions()
+	ctx := context.Background()
+	idx, err := BuildIndex(ctx, ds, opts, subjOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []JournalEntry{{Seq: 1, Thread: testThread(rng, ds, 0)}}
+	for name, other := range map[string]attribution.SubjectOptions{
+		"paper options":        attribution.DefaultSubjectOptions(),
+		"another word budget":  {WordBudget: 200, WithActivity: true},
+		"no activity profiles": {},
+	} {
+		next, err := Replay(ctx, idx, entries, other)
+		if err == nil || next != nil {
+			t.Errorf("replay under %s: index %v, error %v; want no index and an error", name, next != nil, err)
+		}
+	}
+	subjOpts.Workers = 1
+	next, err := Replay(ctx, idx, entries, subjOpts)
+	if err != nil {
+		t.Fatalf("replay under the recorded options with another worker count: %v", err)
+	}
+	if !reflect.DeepEqual(next.SubjectOptions, idx.SubjectOptions) {
+		t.Errorf("replayed index records %+v, want the index's %+v", next.SubjectOptions, idx.SubjectOptions)
 	}
 }
 
@@ -340,8 +458,8 @@ func TestReplayMatchesRebuild(t *testing.T) {
 		t.Run(fmt.Sprintf("world%d", trial), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(8200 + trial)))
-			ds := testDataset(rng, "corpus", 15+rng.Intn(15))
-			probeDS := testDataset(rng, "probe", 5)
+			ds := addFrequentPosters(rng, testDataset(rng, "corpus", 12+rng.Intn(15)), 3)
+			probeDS := addFrequentPosters(rng, testDataset(rng, "probe", 4), 1)
 			opts, subjOpts := testBuildOptions()
 			opts.Workers = 1 + rng.Intn(3)
 			if trial%2 == 1 {
@@ -875,30 +993,37 @@ func TestOtherFormatVersionIsNotCorruption(t *testing.T) {
 }
 
 // TestFormat3SnapshotIsAVersionError: a snapshot saved by a format-3 build
-// carried a corpus digest after last seq. Open still reads its LastSeq, which
-// sits at the same offset, and Load calls it another version, not damage.
+// carried a corpus digest after last seq, and one saved by a format-4 build
+// a subjects section. Open still reads their LastSeq, which sits at the same
+// offset, and Load calls each another version, not damage.
 func TestFormat3SnapshotIsAVersionError(t *testing.T) {
-	raw := []byte(magic)
-	raw = binary.LittleEndian.AppendUint32(raw, 3)       // format version
-	raw = binary.LittleEndian.AppendUint32(raw, 0)       // section count
-	raw = binary.LittleEndian.AppendUint64(raw, 7)       // index version
-	raw = binary.LittleEndian.AppendUint64(raw, 41)      // last seq
-	raw = append(raw, bytes.Repeat([]byte{0xAB}, 32)...) // corpus digest
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), raw, 0o644); err != nil {
-		t.Fatal(err)
+	header := func(version, sections uint32) []byte {
+		raw := []byte(magic)
+		raw = binary.LittleEndian.AppendUint32(raw, version)
+		raw = binary.LittleEndian.AppendUint32(raw, sections)
+		raw = binary.LittleEndian.AppendUint64(raw, 7)   // index version
+		return binary.LittleEndian.AppendUint64(raw, 41) // last seq
 	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open beside a format-3 snapshot: %v", err)
-	}
-	_, err = st.Load()
-	var ve *VersionError
-	if !errors.As(err, &ve) || ve.Got != 3 || ve.Want != formatVersion {
-		t.Fatalf("Load returned %v, want a *VersionError naming 3 and %d", err, formatVersion)
-	}
-	rng := rand.New(rand.NewSource(8710))
-	if seq, err := st.AppendThread(testThread(rng, testDataset(rng, "v3", 2), 0)); err != nil || seq != 42 {
-		t.Errorf("AppendThread = %d, %v; want 42, continuing past the format-3 snapshot's LastSeq", seq, err)
+	for version, raw := range map[uint32][]byte{
+		3: append(header(3, 0), bytes.Repeat([]byte{0xAB}, 32)...), // corpus digest
+		4: header(4, 5),                                            // sections not read
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapshotName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open beside a format-%d snapshot: %v", version, err)
+		}
+		_, err = st.Load()
+		var ve *VersionError
+		if !errors.As(err, &ve) || ve.Got != version || ve.Want != formatVersion {
+			t.Fatalf("Load returned %v, want a *VersionError naming %d and %d", err, version, formatVersion)
+		}
+		rng := rand.New(rand.NewSource(8710))
+		if seq, err := st.AppendThread(testThread(rng, testDataset(rng, "old", 2), 0)); err != nil || seq != 42 {
+			t.Errorf("AppendThread = %d, %v; want 42, continuing past the format-%d snapshot's LastSeq", seq, err, version)
+		}
 	}
 }

@@ -6,6 +6,7 @@
 package timeutil
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 )
@@ -80,6 +81,42 @@ func (c *HolidayCalendar) Len() int {
 	return len(c.days)
 }
 
+// MarshalJSON writes the calendar as an object from date ("2006-01-02") to
+// holiday name. encoding/json writes its keys sorted, so equal calendars
+// encode to equal bytes. A day Add was given that is no calendar day, or
+// one whose year is not four digits, is an error: it would not read back.
+func (c *HolidayCalendar) MarshalJSON() ([]byte, error) {
+	if c == nil {
+		return []byte("null"), nil
+	}
+	days := make(map[string]string, len(c.days))
+	for k, name := range c.days {
+		t := time.Date(k.y, k.m, k.d, 12, 0, 0, 0, time.UTC)
+		if keyOf(t) != k || k.y < 1 || k.y > 9999 {
+			return nil, fmt.Errorf("timeutil: holiday %q on %d-%d-%d: not a calendar day", name, k.y, k.m, k.d)
+		}
+		days[t.Format(time.DateOnly)] = name
+	}
+	return json.Marshal(days)
+}
+
+// UnmarshalJSON reads what MarshalJSON writes.
+func (c *HolidayCalendar) UnmarshalJSON(b []byte) error {
+	var days map[string]string
+	if err := json.Unmarshal(b, &days); err != nil {
+		return err
+	}
+	c.days = make(map[dateKey]string, len(days))
+	for date, name := range days {
+		t, err := time.Parse(time.DateOnly, date)
+		if err != nil {
+			return fmt.Errorf("timeutil: holiday %q: %w", name, err)
+		}
+		c.days[keyOf(t)] = name
+	}
+	return nil
+}
+
 // USHolidays returns the federal US holidays (observed dates) for the given
 // year, computed from the statutory rules. This covers the years the
 // paper's datasets span without embedding a static table per year.
@@ -126,22 +163,4 @@ func lastWeekday(year int, month time.Month, wd time.Weekday) int {
 	last := time.Date(year, month+1, 1, 12, 0, 0, 0, time.UTC).AddDate(0, 0, -1)
 	offset := (int(last.Weekday()) - int(wd) + 7) % 7
 	return last.Day() - offset
-}
-
-// DayHour identifies one (day, hour) activity bin as used by eq. (1):
-// a_u(d, h) is 1 when the user posted at least once in hour h of day d.
-type DayHour struct {
-	Day  dateKey
-	Hour int
-}
-
-// BinUTC returns the DayHour bin of a timestamp after UTC conversion.
-func BinUTC(t time.Time) DayHour {
-	u := t.UTC()
-	return DayHour{Day: keyOf(u), Hour: u.Hour()}
-}
-
-// String implements fmt.Stringer for debugging.
-func (dh DayHour) String() string {
-	return fmt.Sprintf("%04d-%02d-%02d@%02dh", dh.Day.y, dh.Day.m, dh.Day.d, dh.Hour)
 }

@@ -1,6 +1,8 @@
 package timeutil
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -120,24 +122,6 @@ func TestNthAndLastWeekday(t *testing.T) {
 	}
 }
 
-func TestBinUTC(t *testing.T) {
-	a := time.Date(2017, 6, 1, 13, 5, 0, 0, time.UTC)
-	b := time.Date(2017, 6, 1, 13, 55, 0, 0, time.UTC)
-	c := time.Date(2017, 6, 1, 14, 0, 0, 0, time.UTC)
-	if BinUTC(a) != BinUTC(b) {
-		t.Error("same hour must share a bin")
-	}
-	if BinUTC(a) == BinUTC(c) {
-		t.Error("different hours must not share a bin")
-	}
-	if BinUTC(a).Hour != 13 {
-		t.Errorf("Hour = %d", BinUTC(a).Hour)
-	}
-	if got := BinUTC(a).String(); got != "2017-06-01@13h" {
-		t.Errorf("String = %q", got)
-	}
-}
-
 func TestObservedHolidaysShift(t *testing.T) {
 	// July 4 2020 is a Saturday → observed Friday July 3.
 	cal := USHolidays(2020)
@@ -151,5 +135,65 @@ func TestObservedHolidaysShift(t *testing.T) {
 	cal21 := USHolidays(2021)
 	if !cal21.Contains(time.Date(2021, 7, 5, 12, 0, 0, 0, time.UTC)) {
 		t.Error("Sunday holiday must be observed on Monday")
+	}
+}
+
+// TestHolidayCalendarJSONRoundTrip: a calendar is a date → name object with
+// its keys in date order, and reads back to the same days under the same
+// names; nil stays nil and empty stays empty.
+func TestHolidayCalendarJSONRoundTrip(t *testing.T) {
+	type holder struct{ Cal *HolidayCalendar }
+	roundTrip := func(in *HolidayCalendar) ([]byte, *HolidayCalendar) {
+		t.Helper()
+		b, err := json.Marshal(holder{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out holder
+		if err := json.Unmarshal(b, &out); err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		return b, out.Cal
+	}
+	if b, out := roundTrip(nil); string(b) != `{"Cal":null}` || out != nil {
+		t.Errorf("nil calendar: %s reads back as %v", b, out)
+	}
+	if b, out := roundTrip(NewHolidayCalendar()); string(b) != `{"Cal":{}}` || out == nil || out.Len() != 0 {
+		t.Errorf("empty calendar: %s reads back as %v", b, out)
+	}
+
+	cal := USHolidays(2017)
+	cal.Add(2016, time.December, 26, "Boxing Day")
+	b, out := roundTrip(cal)
+	const head = `{"Cal":{"2016-12-26":"Boxing Day","2017-01-02":"New Year's Day","2017-01-16":"Martin Luther King Jr. Day",`
+	if !strings.HasPrefix(string(b), head) {
+		t.Errorf("encoded as %s, want dates in order from %s", b, head)
+	}
+	if out.Len() != cal.Len() {
+		t.Fatalf("%d days read back, want %d", out.Len(), cal.Len())
+	}
+	for d := time.Date(2016, 12, 1, 12, 0, 0, 0, time.UTC); d.Year() < 2018; d = d.AddDate(0, 0, 1) {
+		gn, gok := out.Name(d)
+		wn, wok := cal.Name(d)
+		if gn != wn || gok != wok {
+			t.Errorf("%s reads back as %q (%v), want %q (%v)", d.Format(time.DateOnly), gn, gok, wn, wok)
+		}
+	}
+	if again, _ := roundTrip(out); string(again) != string(b) {
+		t.Errorf("encoded again as %s, want %s", again, b)
+	}
+
+	if _, err := json.Marshal(holder{func() *HolidayCalendar {
+		c := NewHolidayCalendar()
+		c.Add(2017, time.February, 30, "no such day")
+		return c
+	}()}); err == nil {
+		t.Error("a day that is no calendar day encoded without error")
+	}
+	for _, bad := range []string{`{"2017-13-01":"x"}`, `{"July 4":"x"}`, `["2017-07-04"]`} {
+		var c HolidayCalendar
+		if err := json.Unmarshal([]byte(bad), &c); err == nil {
+			t.Errorf("%s read as a calendar of %d days", bad, c.Len())
+		}
 	}
 }
