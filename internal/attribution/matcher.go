@@ -642,13 +642,40 @@ func (m *Matcher) Prepare(unknown *Subject) *Query {
 	return m.prepare(unknown, buf)
 }
 
-// prepare is Prepare on the caller's scratch: the vector is built in buf and
-// copied out at its final length, so the Query holds no slack and buf keeps
-// its storage for the next one. The document is numbered once, by the
-// dictionary both stage 1's feature table and stage 2 read.
+// PrepareCarried is Prepare with the extraction carried between calls. Given
+// x — unknown's extraction as an earlier PrepareCarried returned it, on m or
+// on any matcher whose Reduction config is SameExtraction as m's — it
+// numbers and vectorizes x's grams and extracts nothing; given nil, it
+// extracts unknown and returns the extraction packed for the next call.
+// Either way the Query is bit-identical to Prepare's. The extraction names
+// grams by id and refers to no matcher, so it stays valid across a Fold,
+// which renumbers every gram, and keeps no matcher alive.
+func (m *Matcher) PrepareCarried(unknown *Subject, x *features.PackedDoc) (*Query, *features.PackedDoc) {
+	var sd *features.SortedDoc
+	if x != nil {
+		sd = x.Unpack()
+	} else {
+		sd = features.Extract(unknown.Text, m.opts.Reduction)
+		x = sd.Pack()
+	}
+	buf := m.getBuf()
+	defer m.putBuf(buf)
+	return m.prepareDoc(unknown, sd, buf), x
+}
+
+// prepare is Prepare on the caller's scratch.
 func (m *Matcher) prepare(unknown *Subject, buf *matchBuffers) *Query {
+	return m.prepareDoc(unknown, features.Extract(unknown.Text, m.opts.Reduction), buf)
+}
+
+// prepareDoc prepares unknown from its extraction sd on the caller's
+// scratch: the vector is built in buf and copied out at its final length, so
+// the Query holds no slack and buf keeps its storage for the next one. The
+// document is numbered once, by the dictionary both stage 1's feature table
+// and stage 2 read.
+func (m *Matcher) prepareDoc(unknown *Subject, sd *features.SortedDoc, buf *matchBuffers) *Query {
 	q := &Query{m: m, subject: unknown}
-	m.vocab.Dictionary().NumberInto(&q.doc, features.Extract(unknown.Text, m.opts.Reduction), &buf.vs)
+	m.vocab.Dictionary().NumberInto(&q.doc, sd, &buf.vs)
 	m.vocab.VectorizeGramsInto(&buf.uvec, &buf.vs, &q.doc)
 	q.ub = blocksOf(buf.uvec, &q.doc.Freq, unknown)
 	q.ub.grams = q.ub.grams.Clone()

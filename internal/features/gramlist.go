@@ -1,6 +1,9 @@
 package features
 
-import "slices"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // GramEntry is one (gram id, count) pair of an id-sorted gram list.
 type GramEntry struct {
@@ -20,6 +23,73 @@ type SortedDoc struct {
 	CharTotal  int
 	Freq       [NumFreqFeatures]float64
 	TotalChars int
+}
+
+// PackedDoc is a SortedDoc at about nine bytes an entry where the SortedDoc
+// takes sixteen: every gram id as a little-endian 8-byte word, the word
+// list's and then the char list's, and after them every count as a uvarint
+// in the same order, all in one array of exact size, beside the totals and
+// frequencies. It is how an extraction is kept between uses — a by-alias
+// query's, from one generation of a serving index to the next. It names
+// grams by id, not by a dictionary's numbers, so no change of corpus
+// invalidates it. Unpack gives back the SortedDoc it was packed from.
+// Immutable; safe for concurrent use.
+type PackedDoc struct {
+	doc          SortedDoc // the totals and frequencies; no gram lists
+	data         []byte
+	words, chars int // the lists' entry counts
+}
+
+// Pack packs d, which it does not keep.
+func (d *SortedDoc) Pack() *PackedDoc {
+	lists := [...][]GramEntry{d.WordGrams, d.CharGrams}
+	n := len(d.WordGrams) + len(d.CharGrams)
+	size := 8 * n
+	for _, es := range lists {
+		for _, e := range es {
+			size += uvarintSize(uint64(e.Count))
+		}
+	}
+	data := make([]byte, 8*n, size)
+	ids := data
+	for _, es := range lists {
+		for _, e := range es {
+			binary.LittleEndian.PutUint64(ids, uint64(e.ID))
+			ids = ids[8:]
+		}
+	}
+	for _, es := range lists {
+		for _, e := range es {
+			data = binary.AppendUvarint(data, uint64(e.Count))
+		}
+	}
+	p := &PackedDoc{doc: *d, data: data, words: len(d.WordGrams), chars: len(d.CharGrams)}
+	p.doc.WordGrams, p.doc.CharGrams = nil, nil
+	return p
+}
+
+// Entries returns how many gram entries p holds.
+func (p *PackedDoc) Entries() int { return p.words + p.chars }
+
+// Unpack returns the SortedDoc p was packed from, both gram lists in one
+// new array.
+func (p *PackedDoc) Unpack() *SortedDoc {
+	d := p.doc
+	es := make([]GramEntry, p.Entries())
+	ids, counts := p.data[:8*len(es)], p.data[8*len(es):]
+	for k := range es {
+		count := uint64(counts[0])
+		if count < 0x80 {
+			counts = counts[1:]
+		} else {
+			var n int
+			count, n = binary.Uvarint(counts)
+			counts = counts[n:]
+		}
+		es[k] = GramEntry{ID: GramID(binary.LittleEndian.Uint64(ids[8*k:])), Count: int32(count)}
+	}
+	d.WordGrams, d.CharGrams = es[:p.words:p.words], es[p.words:]
+	return &d
 }
 
 // The id sort orders by an id's top 24 bits in two radix passes of 12, then

@@ -2,9 +2,14 @@ package features
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // entriesOf decodes d's two lists.
@@ -80,6 +85,74 @@ func TestPackedListRoundTrip(t *testing.T) {
 				t.Errorf("%s: the identity renumbering gives other bytes (%v)", c.name, err)
 			}
 		}
+	}
+}
+
+// TestPackedDocRoundTrip: a SortedDoc packs to its ids as 8-byte
+// little-endian words, the word list's then the char list's, followed by its
+// counts as uvarints in the same order, in an array of exactly that size —
+// at the ids' extremes, at the counts' varint edges and largest value, and
+// for empty lists — and Unpack gives back every entry, total and frequency.
+// Pack keeps nothing of the document it packed.
+func TestPackedDocRoundTrip(t *testing.T) {
+	ones := bytes.Repeat([]byte{0xFF}, 8)
+	id := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	cases := []struct {
+		name         string
+		words, chars []GramEntry
+		want         []byte
+	}{
+		{"empty lists", nil, nil, []byte{}},
+		{"ids 0 and 2^64-1, counts 1 and 2^31-1", []GramEntry{{0, 1}, {math.MaxUint64, math.MaxInt32}}, nil,
+			slices.Concat(id(0), ones, []byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0x07})},
+		{"counts 127 and 128, chars only", nil, []GramEntry{{5, 127}, {6, 128}},
+			slices.Concat(id(5), id(6), []byte{0x7F, 0x80, 0x01})},
+		{"both lists", []GramEntry{{1, 3}, {2, 128}}, []GramEntry{{0, 1}, {math.MaxUint64, 127}},
+			slices.Concat(id(1), id(2), id(0), ones, []byte{3, 0x80, 0x01, 1, 0x7F})},
+	}
+	for _, c := range cases {
+		d := &SortedDoc{WordGrams: slices.Clone(c.words), CharGrams: slices.Clone(c.chars), WordTotal: 7, CharTotal: 11, TotalChars: 13}
+		d.Freq[0], d.Freq[NumFreqFeatures-1] = 0.25, math.SmallestNonzeroFloat64
+		want := *d
+		p := d.Pack()
+		if !bytes.Equal(p.data, c.want) || cap(p.data) != len(p.data) {
+			t.Errorf("%s: packed % x (capacity %d), want % x", c.name, p.data, cap(p.data), c.want)
+		}
+		if n := p.Entries(); n != len(c.words)+len(c.chars) {
+			t.Errorf("%s: %d entries, want %d", c.name, n, len(c.words)+len(c.chars))
+		}
+		for i := range d.WordGrams {
+			d.WordGrams[i].Count++
+		}
+		d.WordTotal, d.Freq[0] = 0, 0
+		got := p.Unpack()
+		if !slices.Equal(got.WordGrams, c.words) || !slices.Equal(got.CharGrams, c.chars) {
+			t.Errorf("%s: unpacked words %v chars %v, want %v and %v", c.name, got.WordGrams, got.CharGrams, c.words, c.chars)
+		}
+		got.WordGrams, got.CharGrams, want.WordGrams, want.CharGrams = nil, nil, nil, nil
+		if !reflect.DeepEqual(*got, want) {
+			t.Errorf("%s: unpacked totals and frequencies %+v, want %+v", c.name, *got, want)
+		}
+	}
+}
+
+// TestPackedDocSize: on a fixed text, a packed extraction holds at most 9.5
+// bytes an entry, its header included — 8 for the id and, for nearly every
+// count, one.
+func TestPackedDocSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	words := strings.Fields("the quick brown fox jumps over a lazy dog while shipping was fast and every vendor sent the package")
+	var b strings.Builder
+	for range 4000 {
+		b.WriteString(words[rng.Intn(len(words))])
+		b.WriteByte(' ')
+	}
+	d := Extract(b.String(), ReductionConfig())
+	p := d.Pack()
+	perEntry := float64(int(unsafe.Sizeof(*p))+cap(p.data)) / float64(p.Entries())
+	t.Logf("%d entries, %.2f B an entry", p.Entries(), perEntry)
+	if perEntry > 9.5 {
+		t.Errorf("packed extraction holds %.2f B an entry, ceiling 9.5", perEntry)
 	}
 }
 

@@ -347,57 +347,39 @@ func CheckPacked(p []byte, counts []GramCount, add bool) (int, error) {
 }
 
 // RemoveNumbered subtracts documents numbered by the builder's own counter
-// arrays — the lists State returned, before anything was added or removed
-// since — from the counters, each entry a decrement of the counter its
-// number names: no merge, no lookup. Grams whose counters reach zero leave
-// the arrays. The builder must have nothing pending. A document the counters
-// do not hold, or a number past them, latches the builder's error.
+// arrays — the lists State returned, which no settle has replaced since.
+// Each entry's number names its gram in the arrays, so a document leaves by
+// id: it joins the pending batch with its counts negated, as RemoveSorted's
+// would, and a Fold's removals and additions settle in one merge into one
+// new array. A number past the arrays latches the builder's error, and a
+// document the counters do not hold latches it when the batch settles.
 func (b *VocabBuilder) RemoveNumbered(docs []*NumberedDoc) {
-	if b.err != nil || len(docs) == 0 {
+	if b.err != nil {
 		return
 	}
-	if len(b.pending) > 0 {
-		b.err = fmt.Errorf("features: numbered removal from a builder with %d documents pending", len(b.pending))
-		return
-	}
-	// The settled arrays may be shared (Clone, State): the decrements go to
-	// copies.
-	words, chars := slices.Clone(b.words), slices.Clone(b.chars)
+	// Every document takes its ids before any joins the batch: a batch that
+	// fills up settles, and then the arrays the numbers name are gone.
+	sds := make([]*SortedDoc, len(docs))
 	var es []NumEntry
-	for _, d := range docs {
+	for i, d := range docs {
 		var nw int
 		es, nw = d.unpack(es[:0])
-		for _, fam := range [...]struct {
-			es     []NumEntry
-			counts []GramCount
-		}{{es[:nw], words}, {es[nw:], chars}} {
-			for _, e := range fam.es {
-				if int64(e.Num) >= int64(len(fam.counts)) {
-					b.err = fmt.Errorf("features: removed document names gram number %d of %d", e.Num, len(fam.counts))
-					return
-				}
-				// What is left is a count over the documents still held, so
-				// it never drops below DF occurrences in DF >= 0 documents.
-				g := &fam.counts[e.Num]
-				if g.Freq, g.DF = g.Freq-e.Count, g.DF-1; g.DF < 0 || g.Freq < g.DF {
-					b.err = fmt.Errorf("features: gram %d left with %d occurrences in %d documents: a document removed that was never added", g.ID, g.Freq, g.DF)
-					return
-				}
+		byID := make([]GramEntry, len(es))
+		for k, e := range es {
+			counts := b.words
+			if k >= nw {
+				counts = b.chars
 			}
-		}
-		b.numDocs--
-		for i, f := range d.Freq {
-			if f > 0 {
-				b.freqSeen[i]--
+			if int64(e.Num) >= int64(len(counts)) {
+				b.err = fmt.Errorf("features: removed document names gram number %d of %d", e.Num, len(counts))
+				return
 			}
+			byID[k] = GramEntry{ID: counts[e.Num].ID, Count: e.Count}
 		}
+		sds[i] = &SortedDoc{WordGrams: byID[:nw:nw], CharGrams: byID[nw:], Freq: d.Freq}
 	}
-	if b.numDocs < 0 {
-		b.err = fmt.Errorf("features: %d more documents removed than added", -b.numDocs)
-		return
-	}
-	if b.words, b.err = dropEmpty(words, b.numDocs); b.err == nil {
-		b.chars, b.err = dropEmpty(chars, b.numDocs)
+	for _, sd := range sds {
+		b.RemoveSorted(sd)
 	}
 }
 

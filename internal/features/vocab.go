@@ -21,8 +21,8 @@ import (
 // arrays, so the merging stays linear in what the builder was fed and a
 // builder keeps a bounded number of documents alive however many pass
 // through it. Removing a document is the same merge with its counts
-// negated, or, for documents numbered by the settled arrays, a decrement an
-// entry on copies of them (RemoveNumbered).
+// negated; a document numbered by the settled arrays first takes its ids
+// from them (RemoveNumbered).
 //
 // A settled array is never written again — every merge makes a new one — so
 // Clone shares it and State hands it out; and Settle, State, Build and Clone

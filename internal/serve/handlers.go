@@ -187,8 +187,10 @@ func candidates(scored []attribution.Scored) []Candidate {
 // through the exact BuildSubjects path the batch pipeline uses, returned
 // with a nil query for the handler to prepare for this request alone if
 // it needs one. The "resolve" span covers an alias's preparation, so a
-// retained trace tells its first touch (prepared "built") from a warm
-// lookup ("cached"), and both from an inline subject build.
+// retained trace tells a first touch that extracted (prepared "built") from
+// one that prepared from an extraction kept from an earlier generation
+// ("carried") and both from a warm lookup ("cached"), and all three from an
+// inline subject build.
 func (s *Service) resolveSubject(ctx context.Context, st *state, spec *SubjectSpec) (*attribution.Query, *attribution.Subject, *Error) {
 	_, span := obs.Start(ctx, "resolve")
 	defer span.End()
@@ -201,12 +203,8 @@ func (s *Service) resolveSubject(ctx context.Context, st *state, spec *SubjectSp
 		if !ok {
 			return nil, nil, errUnknownAlias(spec.Alias)
 		}
-		q, built := s.prepared(st, i)
-		if built {
-			span.SetAttr("prepared", "built")
-		} else {
-			span.SetAttr("prepared", "cached")
-		}
+		q, how := s.prepare(st, i)
+		span.SetAttr("prepared", how)
 		return q, &st.queries[i], nil
 	}
 	span.SetAttr("source", "inline")

@@ -6,6 +6,11 @@ package serve
 //   - TestReloadPreparesEveryAliasAfresh: after a Fold that adds a known
 //     subject (every IDF moves), the by-alias answers are the new matcher's,
 //     not those of a query prepared in the previous generation.
+//   - TestReloadCarriesExtractions: a reload whose query texts and
+//     reduction config extract alike carries the query subjects'
+//     extractions into the new generation, whose first touches prepare
+//     from them and answer as the new matcher; another text or another
+//     extraction config starts with none.
 //   - TestInlineSubjectsAreNeverPrepared: an inline rank, rescore or match
 //     fills no slot, even under a query alias's name.
 //   - TestConcurrentFirstTouch: 64 first touches of one alias at once all
@@ -20,8 +25,16 @@ import (
 	"time"
 
 	"darklight/internal/attribution"
+	"darklight/internal/features"
 	"darklight/internal/forum"
 )
+
+// prepared is Service.prepare reporting only whether this call paid a
+// preparation, from an extraction or not.
+func (s *Service) prepared(st *state, i int) (q *attribution.Query, built bool) {
+	q, how := s.prepare(st, i)
+	return q, how != preparedCached
+}
 
 // aliasRequest is one by-alias request and the key of its expected body.
 type aliasRequest struct {
@@ -133,6 +146,96 @@ func TestReloadPreparesEveryAliasAfresh(t *testing.T) {
 		}
 	}
 	checkAliasBodies(t, h, corpus.Query, want)
+}
+
+func TestReloadCarriesExtractions(t *testing.T) {
+	ctx := context.Background()
+	corpus := testCorpus(t)
+	opts := testOptions()
+	opts.Incremental = true
+	m1, err := attribution.NewMatcher(corpus.Known, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := forum.NewDataset("batch", forum.PlatformSynthetic)
+	batch.Add(styleAlias("grace", 0))
+	newcomer, err := attribution.BuildSubjects(batch, testSubjectOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := m1.Fold(ctx, newcomer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A matcher that extracts otherwise: no lemmatiser in either stage.
+	unlemmatized := testOptions()
+	unlemmatized.Reduction.Lemmatize, unlemmatized.Final.Lemmatize = false, false
+	m3, err := attribution.NewMatcher(corpus.Known, unlemmatized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The query corpus with q_dave writing in another style.
+	query := forum.NewDataset("query", forum.PlatformSynthetic)
+	query.Add(styleAlias("q_alice", 0))
+	query.Add(styleAlias("q_dave", 4))
+	rewritten, err := attribution.BuildSubjects(query, testSubjectOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := []struct {
+		m       *attribution.Matcher
+		query   []attribution.Subject
+		carries bool
+	}{
+		{m1, corpus.Query, false},
+		{m2, corpus.Query, true},
+		{m2, rewritten, false}, // another text, the same extraction config
+		{m3, rewritten, false}, // the same texts, another extraction config
+	}
+	var loads atomic.Int32
+	svc := newTestService(t, newFakeClock(), func(c *Config) {
+		c.Loader = func(context.Context) (*Corpus, error) {
+			g := gens[loads.Add(1)-1]
+			return &Corpus{Known: g.m.Subjects(), Query: g.query, Matcher: g.m}, nil
+		}
+	})
+	h := svc.Handler()
+	var kept []*features.PackedDoc // the previous generation's extractions
+	for v, g := range gens {
+		if v > 0 {
+			if err := svc.Reload(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := svc.state.Load()
+		for i := range st.extracted {
+			x := st.extracted[i].Load()
+			if g.carries && x != kept[i] {
+				t.Fatalf("generation %d: query subject %d's extraction was not carried", v+1, i)
+			}
+			if !g.carries && x != nil {
+				t.Fatalf("generation %d: query subject %d starts with an extraction", v+1, i)
+			}
+		}
+		want := libraryBodies(t, g.m, g.query, v+1)
+		if g.carries {
+			// Every first touch prepares from the carried extraction.
+			for i := range g.query {
+				if _, how := svc.prepare(st, i); how != preparedCarried {
+					t.Fatalf("generation %d: first touch of %s prepared %q", v+1, g.query[i].Name, how)
+				}
+			}
+		}
+		checkAliasBodies(t, h, g.query, want)
+		kept = kept[:0]
+		for i := range st.extracted {
+			x := st.extracted[i].Load()
+			if x == nil {
+				t.Fatalf("generation %d: query subject %d was asked about but holds no extraction", v+1, i)
+			}
+			kept = append(kept, x)
+		}
+	}
 }
 
 func TestInlineSubjectsAreNeverPrepared(t *testing.T) {

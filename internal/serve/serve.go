@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"darklight/internal/attribution"
+	"darklight/internal/features"
 	"darklight/internal/obs"
 	"darklight/internal/obs/reqtrace"
 )
@@ -84,10 +85,20 @@ type state struct {
 	queries []attribution.Subject
 	// prepared holds one slot per queries entry, filled on the entry's
 	// first by-alias request with the subject prepared against this
-	// snapshot's matcher (Service.prepared). The slots are the snapshot's
-	// own: a prepared query's vector is in its matcher's vocabulary, so a
-	// reload starts empty ones, and nothing fills them at load.
+	// snapshot's matcher (Service.prepare). The slots are the snapshot's
+	// own: a prepared query's numbers and vector are in its matcher's
+	// dictionary and vocabulary, which a fold moves, so a reload starts
+	// empty ones, and nothing fills them at load. What a reload can carry
+	// is the extraction they were prepared from (extracted).
 	prepared []atomic.Pointer[attribution.Query]
+	// extracted holds one slot per queries entry, filled with the entry's
+	// extraction by whichever first touch extracts it. An extraction is a
+	// function of the text and the reduction config alone, so a reload
+	// whose query texts and config extract alike shares these slots with
+	// the generation before it (Service.build), and a first touch there
+	// prepares from the carried extraction instead of extracting again.
+	// They refer to no matcher, so sharing them keeps no old one alive.
+	extracted []atomic.Pointer[features.PackedDoc]
 	// lastSeq is the loader-reported journal sequence this snapshot was
 	// built from (nil when the corpus has no durable store behind it).
 	lastSeq *uint64
@@ -186,7 +197,7 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 			s.keys[k] = struct{}{}
 		}
 	}
-	st, err := s.build(ctx, 1)
+	st, err := s.build(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -194,8 +205,9 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// build loads the corpus and constructs one immutable snapshot.
-func (s *Service) build(ctx context.Context, version int) (*state, error) {
+// build loads the corpus and constructs one immutable snapshot, the one
+// after prev (nil: the first).
+func (s *Service) build(ctx context.Context, prev *state) (*state, error) {
 	c, err := s.cfg.Loader(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("serve: load corpus: %w", err)
@@ -206,6 +218,10 @@ func (s *Service) build(ctx context.Context, version int) (*state, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: index corpus: %w", err)
 		}
+	}
+	version := 1
+	if prev != nil {
+		version = prev.version + 1
 	}
 	st := &state{
 		version:  version,
@@ -230,26 +246,63 @@ func (s *Service) build(ctx context.Context, version int) (*state, error) {
 	}
 	st.queries = qs
 	st.prepared = make([]atomic.Pointer[attribution.Query], len(qs))
+	if prev != nil && sameExtractions(prev, st) {
+		st.extracted = prev.extracted
+	} else {
+		st.extracted = make([]atomic.Pointer[features.PackedDoc], len(qs))
+	}
 	return st, nil
 }
 
-// prepared returns query subject i prepared against st's matcher. The
-// generation's first touch prepares it and publishes it by compare-and-swap;
-// first touches that race all answer with the query that won, so a filled
-// slot never changes. built reports that this call paid the preparation.
-func (s *Service) prepared(st *state, i int) (q *attribution.Query, built bool) {
+// sameExtractions reports whether every query subject of cur extracts as the
+// one in its place in prev: the texts are the same and both matchers'
+// reduction configs extract alike.
+func sameExtractions(prev, cur *state) bool {
+	if len(prev.queries) != len(cur.queries) ||
+		!prev.matcher.Options().Reduction.SameExtraction(cur.matcher.Options().Reduction) {
+		return false
+	}
+	for i := range cur.queries {
+		if prev.queries[i].Text != cur.queries[i].Text {
+			return false
+		}
+	}
+	return true
+}
+
+// How a by-alias request came by its prepared query, as the "resolve"
+// span's "prepared" attribute reports it.
+const (
+	preparedBuilt   = "built"   // this request extracted and prepared it
+	preparedCarried = "carried" // this request prepared it from a kept extraction
+	preparedCached  = "cached"  // an earlier request of the generation prepared it
+)
+
+// prepare returns query subject i prepared against st's matcher, and how
+// this call came by it. The generation's first touch prepares it — from the
+// subject's extraction slot when that is filled, else extracting and
+// filling it — and publishes the query by compare-and-swap; first touches
+// that race all answer with the query that won, so a filled slot never
+// changes.
+func (s *Service) prepare(st *state, i int) (*attribution.Query, string) {
 	slot := &st.prepared[i]
 	if q := slot.Load(); q != nil {
-		return q, false
+		return q, preparedCached
 	}
-	q = st.matcher.Prepare(&st.queries[i])
+	x := st.extracted[i].Load()
+	how := preparedCarried
+	q, packed := st.matcher.PrepareCarried(&st.queries[i], x)
+	if x == nil {
+		how = preparedBuilt
+		st.extracted[i].CompareAndSwap(nil, packed)
+	}
 	if s.hookPrepared != nil {
 		s.hookPrepared()
 	}
 	if !slot.CompareAndSwap(nil, q) {
 		q = slot.Load()
 	}
-	return q, true
+	return q, how
 }
 
 // install publishes a snapshot and updates the index gauges.
@@ -267,7 +320,7 @@ func (s *Service) install(st *state) {
 func (s *Service) Reload(ctx context.Context) error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	st, err := s.build(ctx, s.state.Load().version+1)
+	st, err := s.build(ctx, s.state.Load())
 	if err != nil {
 		s.met.reloadErrs.Inc()
 		return err
