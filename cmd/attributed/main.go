@@ -62,6 +62,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -309,13 +310,14 @@ type source struct {
 	qsubs []attribution.Subject // prepared from bytes of digest qsum; nil: nothing memoised
 }
 
-// knownDataset is the corpus to index: the prepared -known file, or the
-// world's main half.
+// knownDataset is the corpus to index: the prepared -known file, named by
+// its base name so that a snapshot does not depend on where the file sits,
+// or the world's main half.
 func (s *source) knownDataset(ctx context.Context) (*forum.Dataset, error) {
 	if s.known == "" {
 		return s.worldHalf(ctx, &s.main)
 	}
-	d, err := darklight.LoadJSONL(s.known, s.known, forum.PlatformSynthetic)
+	d, err := darklight.LoadJSONL(s.known, filepath.Base(s.known), forum.PlatformSynthetic)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -268,6 +269,35 @@ func TestLoaderWithDirectory(t *testing.T) {
 	}
 	if _, err := open().Load(); err != nil {
 		t.Errorf("the rebuilt index was not saved over the old snapshot: %v", err)
+	}
+}
+
+// TestSnapshotDoesNotDependOnTheKnownPath: the same -known file in two
+// directories, each loaded with -save-index, gives byte-identical snapshots:
+// the corpus is named by the file's base name, not by where it sits.
+func TestSnapshotDoesNotDependOnTheKnownPath(t *testing.T) {
+	opts, subjOpts := loaderOptions()
+	var snaps [2][]byte
+	for i := range snaps {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "known.jsonl")
+		if err := darklight.SaveJSONL(path, loaderDataset()); err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(filepath.Join(dir, "index"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &source{pipe: darklight.NewPipeline(), known: path}
+		if _, err := newLoader(st, opts, subjOpts, true, true, src.knownDataset, src.querySubjects)(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if snaps[i], err = os.ReadFile(st.SnapshotPath()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Errorf("the same known.jsonl in two directories saved snapshots of %d and %d bytes that differ", len(snaps[0]), len(snaps[1]))
 	}
 }
 

@@ -29,12 +29,13 @@ type refTables struct {
 	words, chars []refEntry
 }
 
-// refCut is the cut by its definition over a builder's counters: per family
-// every gram by descending frequency, ties by ascending gram id, the first n
-// kept (all when n is negative) and numbered from base in that order, with
-// the smoothed IDF ln((1+N)/(1+df)); then sorted back by gram id. It shares
-// no code with the builder's counting-sort cut.
-func refCut(st features.BuilderState, cfg features.Config) refTables {
+// refCut is the cut by its definition over a builder's counters and its
+// document count N: per family every gram by descending frequency, ties by
+// ascending gram id, the first n kept (all when n is negative) and numbered
+// from base in that order, with the smoothed IDF ln((1+N)/(1+df)); then
+// sorted back by gram id. It shares no code with the builder's
+// counting-sort cut.
+func refCut(st features.BuilderState, numDocs int, cfg features.Config) refTables {
 	family := func(counts []features.GramCount, n int, base uint32) []refEntry {
 		ranked := slices.Clone(counts)
 		slices.SortFunc(ranked, func(a, b features.GramCount) int {
@@ -44,9 +45,8 @@ func refCut(st features.BuilderState, cfg features.Config) refTables {
 			ranked = ranked[:n]
 		}
 		out := make([]refEntry, 0, len(ranked))
-		numDocs := float64(st.NumDocs)
 		for i, g := range ranked {
-			out = append(out, refEntry{id: g.ID, index: base + uint32(i), idf: math.Log((1 + numDocs) / (1 + float64(g.DF)))})
+			out = append(out, refEntry{id: g.ID, index: base + uint32(i), idf: math.Log((1 + float64(numDocs)) / (1 + float64(g.DF)))})
 		}
 		slices.SortFunc(out, func(a, b refEntry) int { return cmp.Compare(a.id, b.id) })
 		return out
@@ -134,7 +134,7 @@ func TestVectorizeMatchesMergeReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := refCut(st, opts.Reduction)
+			ref := refCut(st, m.stats.NumDocs(), opts.Reduction)
 			fwdIdx, fwdVal := m.forward()
 			for i := range known {
 				want := ref.vectorize(features.Extract(known[i].Text, opts.Reduction)).Normalize()

@@ -18,14 +18,12 @@ var ErrNotIncremental = errors.New("attribution: matcher was not built with Opti
 // IndexState is what the index pass runs from, as value types: the options,
 // the corpus counters, and each known subject's reduction document, its
 // grams numbered by the counters' gram lists (Stats.Words, Stats.Chars) and
-// held in packed lists — the bytes a snapshot stores, which
-// NewMatcherFromState checks before anything decodes them.
-// Everything else a matcher holds — the vocabulary cut from the counters,
-// forward and inverted gram index, dense blocks — is a pure function of
-// these and is rebuilt, not persisted (what only a pre-filter mode reads is
-// derived from those when a query first asks for that mode).
-// Subjects themselves are not included — callers persist them alongside
-// and pass them back to NewMatcherFromState.
+// held in packed lists — the bytes a snapshot stores. Everything else a
+// matcher holds — the vocabulary cut from the counters, forward and inverted
+// gram index, dense blocks — is a pure function of these and is rebuilt, not
+// persisted (what only a pre-filter mode reads is derived from those when a
+// query first asks for that mode). The subjects are not included: a store
+// derives them from its corpus.
 //
 // The state shares backing arrays with the matcher it came from; treat it
 // as read-only.
@@ -56,6 +54,10 @@ func (m *Matcher) State() (IndexState, error) {
 // must be the exact subject slice the state was saved against (same
 // order); Rank, Rescore, Match, and MatchAll output is bit-identical to the
 // matcher State was called on.
+//
+// It checks the options and the document count, not the counters or the
+// lists: st comes from Matcher.State, or from a load that checked every list
+// against the counters and summed the counters from the lists.
 func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
 	if err := validateOptions(st.Opts.WithDefaults()); err != nil {
 		return nil, err
@@ -63,16 +65,7 @@ func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
 	if len(st.Docs) != len(known) || slices.Contains(st.Docs, nil) {
 		return nil, fmt.Errorf("attribution: index state needs one document for each of %d subjects, has %d", len(known), len(st.Docs))
 	}
-	stats, err := features.NewVocabBuilderFromState(st.Stats)
-	if err != nil {
-		return nil, err
-	}
-	dict := features.NewDictionary(st.Stats.Words, st.Stats.Chars)
-	for i, d := range st.Docs {
-		if err := dict.Check(d); err != nil {
-			return nil, fmt.Errorf("attribution: index state document %d: %w", i, err)
-		}
-	}
+	stats := features.NewVocabBuilderFromState(st.Opts.Reduction, len(st.Docs), st.Stats)
 	return foldTail(context.Background(), known, st.Docs, nil, stats, st.Opts)
 }
 

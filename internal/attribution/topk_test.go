@@ -181,7 +181,7 @@ func referenceKernel(m *Matcher, udoc *features.SortedDoc, unknown *Subject, can
 	if err != nil {
 		panic(err) // a few added documents: the counters cannot refuse them
 	}
-	vocab := refCut(st, m.opts.Final)
+	vocab := refCut(st, vb.NumDocs(), m.opts.Final)
 
 	w := m.opts.weights()
 	if udoc == nil {

@@ -27,21 +27,21 @@ func withEntries(d *NumberedDoc, words, chars []NumEntry) *NumberedDoc {
 	return &out
 }
 
-// dictionaryOfSize is a dictionary of n word grams and n char grams.
-func dictionaryOfSize(n int) *Dictionary {
+// gramsOfSize is the counters of a dictionary of n grams.
+func gramsOfSize(n int) []GramCount {
 	grams := make([]GramCount, n)
 	for i := range grams {
 		grams[i] = GramCount{ID: GramID(i)*7 + 1, Freq: 1, DF: 1}
 	}
-	return NewDictionary(grams, grams)
+	return grams
 }
 
 // TestPackedListRoundTrip: a list packs to the bytes the snapshot's docs
 // section has always stored — a uvarint entry count, then per entry the
 // uvarint step from the previous number (the first from -1) and the uvarint
-// count — at the size packedSize predicts, and Unpack, PackedLen and Check
-// read it back, at the varint widths' edges, at the largest count, and for
-// empty and one-entry lists.
+// count — at the size packedSize predicts, CheckPacked accepts all of it,
+// and Unpack and PackedLen read it back, at the varint widths' edges, at the
+// largest count, and for empty and one-entry lists.
 func TestPackedListRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -55,7 +55,7 @@ func TestPackedListRoundTrip(t *testing.T) {
 		{"count 2^31-1", []NumEntry{{5, math.MaxInt32}}, []byte{1, 6, 0xFF, 0xFF, 0xFF, 0xFF, 0x07}},
 		{"dense run", []NumEntry{{0, 3}, {1, 1}, {2, 127}, {3, 128}}, nil},
 	}
-	dict := dictionaryOfSize(1 << 15)
+	grams := gramsOfSize(1 << 15)
 	for _, c := range cases {
 		p := AppendPacked(nil, c.es)
 		if c.want != nil && !bytes.Equal(p, c.want) {
@@ -64,6 +64,9 @@ func TestPackedListRoundTrip(t *testing.T) {
 		if size := packedSize(c.es); size != len(p) {
 			t.Errorf("%s: packedSize %d, packed %d bytes", c.name, size, len(p))
 		}
+		if n, err := CheckPacked(p, grams, false); err != nil || n != len(p) {
+			t.Errorf("%s: CheckPacked took %d of %d bytes (%v)", c.name, n, len(p), err)
+		}
 		if n := PackedLen(p); n != len(c.es) {
 			t.Errorf("%s: PackedLen %d, want %d", c.name, n, len(c.es))
 		}
@@ -71,9 +74,6 @@ func TestPackedListRoundTrip(t *testing.T) {
 			t.Errorf("%s: unpacked %v, want %v after the entry already there", c.name, got, c.es)
 		}
 		for _, d := range []*NumberedDoc{withEntries(&NumberedDoc{}, c.es, nil), withEntries(&NumberedDoc{}, nil, c.es), withEntries(&NumberedDoc{}, c.es, c.es)} {
-			if err := dict.Check(d); err != nil {
-				t.Errorf("%s: %v", c.name, err)
-			}
 			var s Scratch
 			var packed NumberedDoc
 			es, nw := d.unpack(nil)
@@ -164,10 +164,14 @@ func identity(n int) []uint32 {
 	return out
 }
 
-// TestCheckRefusesDamagedLists: every list Check accepts decodes safely, so
-// it must refuse each way a list can be damaged.
+// TestCheckRefusesDamagedLists: every list CheckPacked accepts whole
+// decodes safely, so it must refuse each way a list can be damaged — with an
+// error, or, for bytes after the last entry, by a length short of the
+// list's. It finds a list's end from the list alone: a sound list followed
+// by any bytes, as a word list is by its char list, is accepted at its own
+// length.
 func TestCheckRefusesDamagedLists(t *testing.T) {
-	dict := dictionaryOfSize(300)
+	grams := gramsOfSize(300)
 	good := AppendPacked(nil, []NumEntry{{3, 2}, {299, 1}})
 	cases := map[string][]byte{
 		"no entry count":             {},
@@ -182,21 +186,14 @@ func TestCheckRefusesDamagedLists(t *testing.T) {
 		"bytes after the last entry": append(slices.Clone(good), 1),
 	}
 	for name, p := range cases {
-		for _, d := range []*NumberedDoc{
-			{Packed: append(slices.Clone(p), good...), CharsAt: len(p)},
-			{Packed: append(slices.Clone(good), p...), CharsAt: len(good)},
-		} {
-			if err := dict.Check(d); err == nil {
-				t.Errorf("%s: accepted", name)
-			}
+		if n, err := CheckPacked(p, grams, false); err == nil && n == len(p) {
+			t.Errorf("%s: accepted", name)
+		}
+		if n, err := CheckPacked(append(slices.Clone(good), p...), grams, false); err != nil || n != len(good) {
+			t.Errorf("%s after a sound list: took %d bytes of the sound list's %d (%v)", name, n, len(good), err)
 		}
 	}
-	for _, at := range []int{-1, 2*len(good) + 1} {
-		if err := dict.Check(&NumberedDoc{Packed: append(slices.Clone(good), good...), CharsAt: at}); err == nil {
-			t.Errorf("char list at byte %d accepted", at)
-		}
-	}
-	if err := dict.Check(&NumberedDoc{Packed: append(slices.Clone(good), good...), CharsAt: len(good)}); err != nil {
-		t.Fatalf("the sound document: %v", err)
+	if n, err := CheckPacked(good, grams, false); err != nil || n != len(good) {
+		t.Fatalf("the sound list: took %d of %d bytes (%v)", n, len(good), err)
 	}
 }

@@ -11,7 +11,8 @@ import (
 // This file is the persistence and incremental-maintenance surface of the
 // vocabulary layer. A VocabBuilder's counters are already the value type the
 // store serialises, so State hands the arrays out and
-// NewVocabBuilderFromState takes them in; and because counting is plain
+// NewVocabBuilderFromState adopts them, beside the configuration and the
+// document count the caller holds anyway; and because counting is plain
 // sums, documents can also be *subtracted* (RemoveSorted), which is what
 // lets a live index fold an updated alias in without rebuilding from
 // scratch.
@@ -27,16 +28,13 @@ type GramCount struct {
 	DF   int32
 }
 
-// BuilderState is the full counter set of a VocabBuilder as value types.
-// NewVocabBuilderFromState(b.State()) reconstructs a builder that Builds
-// the bit-identical Vocabulary. The gram lists are the builder's own
-// arrays: read-only.
+// BuilderState is a VocabBuilder's gram counters as value types. With the
+// builder's Config and document count it is everything Build reads, so
+// NewVocabBuilderFromState(cfg, n, b.State()) Builds the bit-identical
+// Vocabulary. The gram lists are the builder's own arrays: read-only.
 type BuilderState struct {
-	Config   Config
-	NumDocs  int
-	FreqSeen [NumFreqFeatures]int
-	Words    []GramCount // ascending gram id
-	Chars    []GramCount // ascending gram id
+	Words []GramCount // ascending gram id
+	Chars []GramCount // ascending gram id
 }
 
 // State snapshots the builder's counters.
@@ -44,24 +42,14 @@ func (b *VocabBuilder) State() (BuilderState, error) {
 	if err := b.Settle(); err != nil {
 		return BuilderState{}, err
 	}
-	return BuilderState{Config: b.cfg, NumDocs: b.numDocs, FreqSeen: b.freqSeen, Words: b.words, Chars: b.chars}, nil
+	return BuilderState{Words: b.words, Chars: b.chars}, nil
 }
 
-// NewVocabBuilderFromState reconstructs a builder from a snapshot, adopting
-// its gram lists. A list out of gram-id order, which the cut's tie-break
-// rests on, or a counter NumDocs documents cannot produce is an error.
-func NewVocabBuilderFromState(st BuilderState) (*VocabBuilder, error) {
-	for _, grams := range [...][]GramCount{st.Words, st.Chars} {
-		for i, g := range grams {
-			if i > 0 && grams[i-1].ID >= g.ID {
-				return nil, fmt.Errorf("features: builder state: gram %d at position %d after gram %d", g.ID, i, grams[i-1].ID)
-			}
-			if err := g.check(st.NumDocs); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return &VocabBuilder{cfg: st.Config, words: st.Words, chars: st.Chars, numDocs: st.NumDocs, freqSeen: st.FreqSeen}, nil
+// NewVocabBuilderFromState reconstructs a builder of cfg over numDocs
+// documents, adopting st's gram lists unchecked: they come from State, or
+// were checked to be a count of numDocs documents.
+func NewVocabBuilderFromState(cfg Config, numDocs int, st BuilderState) *VocabBuilder {
+	return &VocabBuilder{cfg: cfg, words: st.Words, chars: st.Chars, numDocs: numDocs}
 }
 
 // GramIndex numbers grams by their position in one of a BuilderState's
@@ -231,7 +219,7 @@ func PackedLen(p []byte) int {
 }
 
 // Unpack appends the entries of packed list p to dst. p must be well formed:
-// encoded by AppendPacked, or accepted by Dictionary.Check or CheckPacked.
+// encoded by AppendPacked, or accepted by CheckPacked.
 func Unpack(dst []NumEntry, p []byte) []NumEntry {
 	n, i := binary.Uvarint(p)
 	dst = slices.Grow(dst, int(n))
@@ -284,27 +272,6 @@ func (x *Dictionary) NumberInto(nd *NumberedDoc, d *SortedDoc, s *Scratch) {
 	s.entries = x.chars.numberAll(s.entries, d.CharGrams)
 	nd.pack(s.entries, nw)
 	nd.WordTotal, nd.CharTotal, nd.Freq, nd.TotalChars = d.WordTotal, d.CharTotal, d.Freq, d.TotalChars
-}
-
-// Check reports a document that is not numbered by x: a list CheckPacked
-// refuses, or bytes after a list's last entry. A document Check accepts
-// decodes safely.
-func (x *Dictionary) Check(d *NumberedDoc) error {
-	if d.CharsAt < 0 || d.CharsAt > len(d.Packed) {
-		return fmt.Errorf("features: char list at byte %d of a %d-byte document", d.CharsAt, len(d.Packed))
-	}
-	words, chars := d.Lists()
-	for _, fam := range [...]struct {
-		p     []byte
-		grams []GramCount
-	}{{words, x.words.grams}, {chars, x.chars.grams}} {
-		if n, err := CheckPacked(fam.p, fam.grams, false); err != nil {
-			return err
-		} else if n != len(fam.p) {
-			return fmt.Errorf("features: %d bytes after the last entry of a packed list", len(fam.p)-n)
-		}
-	}
-	return nil
 }
 
 // CheckPacked checks the packed list at the front of p against a dictionary

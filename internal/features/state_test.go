@@ -19,10 +19,7 @@ func TestBuilderStateRoundTrip(t *testing.T) {
 	for _, d := range docs {
 		b.AddSorted(d.Sorted())
 	}
-	got, err := NewVocabBuilderFromState(mustState(t, b))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := NewVocabBuilderFromState(b.cfg, b.NumDocs(), mustState(t, b))
 	if !reflect.DeepEqual(mustState(t, got), mustState(t, b)) {
 		t.Error("round-tripped builder counters diverge")
 	}
@@ -319,11 +316,13 @@ func TestGramIndexNumbers(t *testing.T) {
 			if got.WordTotal != d.WordTotal || got.CharTotal != d.CharTotal || got.TotalChars != d.TotalChars || got.Freq != d.Freq {
 				t.Fatalf("doc %d: totals and frequencies not the document's", i)
 			}
+			wp, cp := got.Lists()
 			for f, fam := range []struct {
 				x    GramIndex
 				es   []GramEntry
 				nums []NumEntry
-			}{{wordIndex, d.WordGrams, words}, {charIndex, d.CharGrams, chars}} {
+				p    []byte
+			}{{wordIndex, d.WordGrams, words, wp}, {charIndex, d.CharGrams, chars, cp}} {
 				var want []NumEntry
 				for _, g := range fam.es {
 					if num, ok := fam.x.Number(g.ID); ok {
@@ -333,9 +332,9 @@ func TestGramIndexNumbers(t *testing.T) {
 				if !slices.Equal(fam.nums, want) {
 					t.Fatalf("doc %d family %d: numbered %v, lookups %v", i, f, fam.nums, want)
 				}
-			}
-			if err := dict.Check(got); err != nil {
-				t.Fatalf("doc %d: %v", i, err)
+				if n, err := CheckPacked(fam.p, fam.x.grams, false); err != nil || n != len(fam.p) {
+					t.Fatalf("doc %d family %d: CheckPacked took %d of %d bytes (%v)", i, f, n, len(fam.p), err)
+				}
 			}
 		}
 	}

@@ -85,7 +85,7 @@ func (s *aggBuffers) selectGrams(agg []GramCount, n int, base uint32) []cvEntry 
 func refTablesOf(t testing.TB, b *VocabBuilder) refVocab {
 	st := mustState(t, b)
 	var s aggBuffers
-	s.idfTable(st.NumDocs)
+	s.idfTable(b.numDocs)
 	words := s.selectGrams(st.Words, b.cfg.MaxWordGrams, 0)
 	return refVocab{words: words, chars: s.selectGrams(st.Chars, b.cfg.MaxCharGrams, uint32(len(words)))}
 }

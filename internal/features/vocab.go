@@ -41,11 +41,10 @@ import (
 // document removed that was never added — latches as the builder's error:
 // Settle, Merge, State and Build report it.
 type VocabBuilder struct {
-	cfg      Config
-	words    []GramCount
-	chars    []GramCount
-	numDocs  int
-	freqSeen [NumFreqFeatures]int
+	cfg     Config
+	words   []GramCount
+	chars   []GramCount
+	numDocs int
 	// pending holds the documents added or removed since the arrays were
 	// settled, pendingEntries their gram entries and pendingCount the
 	// occurrences those entries count.
@@ -94,11 +93,6 @@ func (b *VocabBuilder) fold(d *SortedDoc, sign int32) {
 		b.settle()
 	}
 	b.numDocs += int(sign)
-	for i, f := range d.Freq {
-		if f > 0 {
-			b.freqSeen[i] += int(sign)
-		}
-	}
 	b.pending = append(b.pending, pendingDoc{doc: d, sign: sign})
 	b.pendingEntries += len(d.WordGrams) + len(d.CharGrams)
 	b.pendingCount += count
@@ -189,9 +183,6 @@ func (b *VocabBuilder) Merge(o *VocabBuilder) error {
 		return b.err
 	}
 	b.numDocs += o.numDocs
-	for i := range o.freqSeen {
-		b.freqSeen[i] += o.freqSeen[i]
-	}
 	if b.words, b.err = addCounters(b.words, o.words, b.numDocs); b.err == nil {
 		b.chars, b.err = addCounters(b.chars, o.chars, b.numDocs)
 	}

@@ -6,7 +6,6 @@ import (
 	"maps"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -18,11 +17,10 @@ import (
 // no counting, merging or ranking code with the builder under test — only
 // idf.
 type refBuilder struct {
-	cfg      Config
-	words    map[GramID]refStat
-	chars    map[GramID]refStat
-	numDocs  int
-	freqSeen [NumFreqFeatures]int
+	cfg     Config
+	words   map[GramID]refStat
+	chars   map[GramID]refStat
+	numDocs int
 }
 
 type refStat struct{ freq, df int }
@@ -50,11 +48,6 @@ func (b *refBuilder) Add(d *mapDoc) {
 		s := b.chars[g]
 		b.chars[g] = refStat{s.freq + c, s.df + 1}
 	}
-	for i, f := range d.Freq {
-		if f > 0 {
-			b.freqSeen[i]++
-		}
-	}
 }
 
 func (b *refBuilder) AddSorted(d *SortedDoc)    { b.fold(d, 1) }
@@ -74,11 +67,6 @@ func (b *refBuilder) fold(d *SortedDoc, sign int) {
 			}
 		}
 	}
-	for i, f := range d.Freq {
-		if f > 0 {
-			b.freqSeen[i] += sign
-		}
-	}
 }
 
 func (b *refBuilder) Merge(o *refBuilder) {
@@ -89,9 +77,6 @@ func (b *refBuilder) Merge(o *refBuilder) {
 			s := into[g]
 			into[g] = refStat{s.freq + os.freq, s.df + os.df}
 		}
-	}
-	for i := range o.freqSeen {
-		b.freqSeen[i] += o.freqSeen[i]
 	}
 }
 
@@ -112,7 +97,7 @@ func refCounts(stats map[GramID]refStat) []GramCount {
 }
 
 func (b *refBuilder) State() BuilderState {
-	return BuilderState{Config: b.cfg, NumDocs: b.numDocs, FreqSeen: b.freqSeen, Words: refCounts(b.words), Chars: refCounts(b.chars)}
+	return BuilderState{Words: refCounts(b.words), Chars: refCounts(b.chars)}
 }
 
 // refTopN is the cut by its definition: sort every gram by descending
@@ -160,14 +145,15 @@ func mustState(t testing.TB, b *VocabBuilder) BuilderState {
 	return st
 }
 
-// assertBuilderMatchesReference holds got to ref: equal State, and Build
-// tables equal entry by entry — gram id, feature index, IDF bits.
+// assertBuilderMatchesReference holds got to ref: equal configuration,
+// document count and State, and Build tables equal entry by entry — gram id,
+// feature index, IDF bits.
 func assertBuilderMatchesReference(t *testing.T, label string, got *VocabBuilder, ref *refBuilder) {
 	t.Helper()
-	gs, ws := mustState(t, got), ref.State()
-	if gs.Config != ws.Config || gs.NumDocs != ws.NumDocs || gs.FreqSeen != ws.FreqSeen {
-		t.Fatalf("%s: state header (%d docs, seen %v), reference (%d docs, seen %v)", label, gs.NumDocs, gs.FreqSeen, ws.NumDocs, ws.FreqSeen)
+	if got.cfg != ref.cfg || got.numDocs != ref.numDocs {
+		t.Fatalf("%s: %d documents under %+v, reference %d under %+v", label, got.numDocs, got.cfg, ref.numDocs, ref.cfg)
 	}
+	gs, ws := mustState(t, got), ref.State()
 	if !slices.Equal(gs.Words, ws.Words) || !slices.Equal(gs.Chars, ws.Chars) {
 		t.Fatalf("%s: counters diverge from the map reference\nwords %v\nref   %v\nchars %v\nref   %v", label, gs.Words, ws.Words, gs.Chars, ws.Chars)
 	}
@@ -282,8 +268,8 @@ func TestSortedRunBuilderMatchesMapReference(t *testing.T) {
 				p.ref.RemoveSorted(d.Sorted())
 			}
 			assertBuilderMatchesReference(t, label(40, fmt.Sprintf("builder %d emptied", i)), p.got, p.ref)
-			if st := mustState(t, p.got); st.NumDocs != 0 || len(st.Words)+len(st.Chars) != 0 {
-				t.Fatalf("trial %d builder %d: %d documents and %d grams left after removing every document", trial, i, st.NumDocs, len(st.Words)+len(st.Chars))
+			if st := mustState(t, p.got); p.got.NumDocs() != 0 || len(st.Words)+len(st.Chars) != 0 {
+				t.Fatalf("trial %d builder %d: %d documents and %d grams left after removing every document", trial, i, p.got.NumDocs(), len(st.Words)+len(st.Chars))
 			}
 		}
 	}
@@ -403,31 +389,5 @@ func TestBuilderRefusesWhatItNeverCounted(t *testing.T) {
 	}
 	if err := a.Merge(b); err == nil || !strings.Contains(err.Error(), "gram 1") {
 		t.Errorf("merge past int32: %v, want an error naming gram 1", err)
-	}
-
-	// A state no builder emits is refused on the way in.
-	good := BuilderState{Config: cfg, NumDocs: 2, Words: []GramCount{{ID: 1, Freq: 3, DF: 2}, {ID: 4, Freq: 1, DF: 1}}}
-	if _, err := NewVocabBuilderFromState(good); err != nil {
-		t.Fatalf("sound state refused: %v", err)
-	}
-	for name, words := range map[string][]GramCount{
-		"ids descend":               {{ID: 4, Freq: 1, DF: 1}, {ID: 1, Freq: 3, DF: 2}},
-		"id repeats":                {{ID: 1, Freq: 3, DF: 2}, {ID: 1, Freq: 1, DF: 1}},
-		"in more documents than is": {{ID: 1, Freq: 3, DF: 3}},
-		"in no document":            {{ID: 1, Freq: 3, DF: 0}},
-		"fewer occurrences than df": {{ID: 1, Freq: 1, DF: 2}},
-	} {
-		bad := good
-		bad.Words = words
-		if _, err := NewVocabBuilderFromState(bad); err == nil {
-			t.Errorf("state whose %s accepted", name)
-		}
-		bad.Words, bad.Chars = nil, words
-		if _, err := NewVocabBuilderFromState(bad); err == nil {
-			t.Errorf("state whose char %s accepted", name)
-		}
-	}
-	if !reflect.DeepEqual(good.Words, []GramCount{{ID: 1, Freq: 3, DF: 2}, {ID: 4, Freq: 1, DF: 1}}) {
-		t.Error("NewVocabBuilderFromState wrote into the state it was given")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"darklight/internal/attribution"
+	"darklight/internal/features"
 	"darklight/internal/prefilter"
 )
 
@@ -163,6 +164,44 @@ func docsFirstCount(p []byte) int {
 	return docsFirstStep(p) + n
 }
 
+// docsLastChar walks every document of a docs payload and returns the offset
+// of the step of document 0's last char entry, that entry's number, and the
+// largest char number any document holds: the char dictionary's last gram,
+// since every dictionary gram is in some document.
+func docsLastChar(t testing.TB, p []byte) (off int, last, top uint64) {
+	t.Helper()
+	at := docsFirstList
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(p[at:])
+		at += n
+		return v
+	}
+	for d := range binary.LittleEndian.Uint32(p) {
+		for fam := range 2 {
+			num := ^uint64(0) // -1: the first step is the number plus one
+			for range uvarint() {
+				stepAt := at
+				num += uvarint()
+				uvarint()
+				if fam == 1 {
+					top = max(top, num)
+					if d == 0 {
+						off, last = stepAt, num
+					}
+				}
+			}
+		}
+		for range 3 {
+			uvarint()
+		}
+		at += 8 * features.NumFreqFeatures
+	}
+	if off == 0 {
+		t.Fatal("document 0 of the test snapshot has no char grams")
+	}
+	return off, last, top
+}
+
 // structuralDamage lists what a fresh digest cannot hide: each entry
 // rewrites one section's payload into something well framed and wrong.
 var structuralDamage = []struct {
@@ -197,6 +236,13 @@ var structuralDamage = []struct {
 	}},
 	{"document gram number outside the dictionary", secDocs, func(_ testing.TB, p []byte) []byte {
 		return spliceUvarint(p, docsFirstStep(p), 1<<40)
+	}},
+	{"char gram number one past the char dictionary", secDocs, func(t testing.TB, p []byte) []byte {
+		// Document 0's last char entry moved to the number after the
+		// dictionary's last: the list still ascends and holds as many entries.
+		off, last, top := docsLastChar(t, p)
+		step, _ := binary.Uvarint(p[off:])
+		return spliceUvarint(p, off, step+top+1-last)
 	}},
 	{"document repeats a gram (zero step)", secDocs, func(_ testing.TB, p []byte) []byte {
 		return spliceUvarint(p, docsFirstStep(p), 0)

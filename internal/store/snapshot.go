@@ -56,7 +56,9 @@ type Index struct {
 // own array — all a VocabBuilder counts, in the form it counts in — and
 // copies the lists out of the file's buffer, so it hands
 // attribution.NewMatcherFromState what a Fold ends in: counters to cut the
-// vocabulary from and documents to index, and nothing of the file.
+// vocabulary from and documents to index, and nothing of the file. That walk
+// is the one check they get: ascending numbers, counts ≥ 1 and no gram in no
+// document give every gram 1 ≤ df ≤ N and freq ≥ df.
 const (
 	secOptions = "options"
 	secCorpus  = "corpus"
@@ -78,10 +80,6 @@ func writeIndex(out sink, idx *Index) error {
 	st, err := idx.Matcher.State()
 	if err != nil {
 		return err
-	}
-	// The two things a snapshot leaves out because Load re-derives them.
-	if st.Stats.Config != st.Opts.Reduction || st.Stats.NumDocs != len(st.Docs) {
-		return fmt.Errorf("matcher state disagrees with its own options (counters of another configuration)")
 	}
 	optsJSON, err := json.Marshal(recordedOptions{st.Opts, idx.SubjectOptions})
 	if err != nil {
@@ -204,7 +202,6 @@ func decodeIndex(raw []byte) (*Index, error) {
 	docs := make([]features.NumberedDoc, dr.lengthBound(2+3+8*features.NumFreqFeatures))
 	declared, entries := dr.u64(), uint64(0)
 	st.Docs = make([]*features.NumberedDoc, len(docs))
-	st.Stats.Config, st.Stats.NumDocs = st.Opts.Reduction, len(docs)
 	packed := 0
 	// A read past the payload stops the walk: the lists are framed from where
 	// the reader stands.
@@ -226,9 +223,6 @@ func decodeIndex(raw []byte) (*Index, error) {
 		d.WordTotal, d.CharTotal, d.TotalChars = int(dr.uvarint()), int(dr.uvarint()), int(dr.uvarint())
 		for j := range d.Freq {
 			d.Freq[j] = dr.f64()
-			if d.Freq[j] > 0 {
-				st.Stats.FreqSeen[j]++
-			}
 		}
 		st.Docs[i] = d
 	}
