@@ -90,7 +90,7 @@ func BenchmarkPolish(b *testing.B) {
 func BenchmarkVocabBuild(b *testing.B) {
 	subs := ingestSubjects(b)
 	cfg := features.ReductionConfig()
-	docs := make([]*features.SortedDoc, len(subs))
+	docs := make([]*features.PackedDoc, len(subs))
 	for i := range subs {
 		docs[i] = features.Extract(subs[i].Text, cfg)
 	}
@@ -98,7 +98,7 @@ func BenchmarkVocabBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		vb := features.NewVocabBuilder(cfg)
 		for _, d := range docs {
-			vb.AddSorted(d)
+			vb.Add(d)
 		}
 		if _, err := vb.Build(); err != nil {
 			b.Fatal(err)

@@ -411,8 +411,8 @@ func TestVectorizeConsistentWithSimilarity(t *testing.T) {
 	s := Subject{Name: "x", Text: "alpha beta gamma delta epsilon zeta eta theta!"}
 	cfg := features.ReductionConfig()
 	vb := features.NewVocabBuilder(cfg)
-	vb.AddSorted(features.Extract(s.Text, cfg))
-	vb.AddSorted(features.Extract("totally different filler words go here instead.", cfg))
+	vb.Add(features.Extract(s.Text, cfg))
+	vb.Add(features.Extract("totally different filler words go here instead.", cfg))
 	vocab, err := vb.Build()
 	if err != nil {
 		t.Fatal(err)

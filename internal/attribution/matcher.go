@@ -310,7 +310,7 @@ func NewMatcherContext(ctx context.Context, known []Subject, given Options) (*Ma
 		return nil, err
 	}
 
-	fresh := make([]*features.SortedDoc, len(known))
+	fresh := make([]*features.PackedDoc, len(known))
 	vb, err := countCorpus(ctx, known, opts.Reduction, opts.Workers, fresh)
 	if err != nil {
 		return nil, fmt.Errorf("attribution: corpus counters: %w", err)
@@ -327,7 +327,7 @@ func NewMatcherContext(ctx context.Context, known []Subject, given Options) (*Ma
 // merged in; docs[i] keeps subject i's extraction for the index pass, which
 // lets each go once it is numbered. The pass is a "matcher.vocab" span with
 // one shard child per worker chunk.
-func countCorpus(ctx context.Context, known []Subject, cfg features.Config, workers int, docs []*features.SortedDoc) (*features.VocabBuilder, error) {
+func countCorpus(ctx context.Context, known []Subject, cfg features.Config, workers int, docs []*features.PackedDoc) (*features.VocabBuilder, error) {
 	shards := shardCount(workers, len(known))
 	vctx, vspan := obs.Start(ctx, "matcher.vocab")
 	defer vspan.End()
@@ -342,7 +342,7 @@ func countCorpus(ctx context.Context, known []Subject, cfg features.Config, work
 		vb := features.NewVocabBuilder(cfg)
 		for i := lo; i < hi; i++ {
 			docs[i] = features.Extract(known[i].Text, cfg)
-			vb.AddSorted(docs[i])
+			vb.Add(docs[i])
 		}
 		// Settled here so the merge runs on this worker; the builder keeps
 		// its error for Merge and Build to return.
@@ -387,7 +387,7 @@ func validateOptions(opts Options) error {
 // assemble bit-identical indexes. given must already have been validated in
 // its resolved form; stats is retained on the matcher only under
 // Incremental.
-func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.NumberedDoc, fresh []*features.SortedDoc, stats *features.VocabBuilder, vocab *features.Vocabulary, given Options) (*Matcher, error) {
+func newMatcherFromDocs(ctx context.Context, known []Subject, docs []*features.NumberedDoc, fresh []*features.PackedDoc, stats *features.VocabBuilder, vocab *features.Vocabulary, given Options) (*Matcher, error) {
 	opts := given.WithDefaults()
 	if docs == nil {
 		docs = make([]*features.NumberedDoc, len(known))
@@ -651,16 +651,12 @@ func (m *Matcher) Prepare(unknown *Subject) *Query {
 // grams by id and refers to no matcher, so it stays valid across a Fold,
 // which renumbers every gram, and keeps no matcher alive.
 func (m *Matcher) PrepareCarried(unknown *Subject, x *features.PackedDoc) (*Query, *features.PackedDoc) {
-	var sd *features.SortedDoc
-	if x != nil {
-		sd = x.Unpack()
-	} else {
-		sd = features.Extract(unknown.Text, m.opts.Reduction)
-		x = sd.Pack()
+	if x == nil {
+		x = features.Extract(unknown.Text, m.opts.Reduction)
 	}
 	buf := m.getBuf()
 	defer m.putBuf(buf)
-	return m.prepareDoc(unknown, sd, buf), x
+	return m.prepareDoc(unknown, x, buf), x
 }
 
 // prepare is Prepare on the caller's scratch.
@@ -668,14 +664,14 @@ func (m *Matcher) prepare(unknown *Subject, buf *matchBuffers) *Query {
 	return m.prepareDoc(unknown, features.Extract(unknown.Text, m.opts.Reduction), buf)
 }
 
-// prepareDoc prepares unknown from its extraction sd on the caller's
+// prepareDoc prepares unknown from its extraction x on the caller's
 // scratch: the vector is built in buf and copied out at its final length, so
 // the Query holds no slack and buf keeps its storage for the next one. The
 // document is numbered once, by the dictionary both stage 1's feature table
 // and stage 2 read.
-func (m *Matcher) prepareDoc(unknown *Subject, sd *features.SortedDoc, buf *matchBuffers) *Query {
+func (m *Matcher) prepareDoc(unknown *Subject, x *features.PackedDoc, buf *matchBuffers) *Query {
 	q := &Query{m: m, subject: unknown}
-	m.vocab.Dictionary().NumberInto(&q.doc, sd, &buf.vs)
+	m.vocab.Dictionary().NumberInto(&q.doc, x, &buf.vs)
 	m.vocab.VectorizeGramsInto(&buf.uvec, &buf.vs, &q.doc)
 	q.ub = blocksOf(buf.uvec, &q.doc.Freq, unknown)
 	q.ub.grams = q.ub.grams.Clone()

@@ -55,19 +55,32 @@ func refCut(st features.BuilderState, numDocs int, cfg features.Config) refTable
 	return refTables{words: words, chars: family(st.Chars, cfg.MaxCharGrams, uint32(len(words)))}
 }
 
+// gramsOf reads d's gram families back, ascending by id, from the counters
+// of a builder fed d alone: each gram's Freq is its count in d.
+func gramsOf(d *features.PackedDoc) (words, chars []features.GramCount) {
+	b := features.NewVocabBuilder(features.Config{})
+	b.Add(d)
+	st, err := b.State()
+	if err != nil {
+		panic(err) // one added document: the counters cannot refuse it
+	}
+	return st.Words, st.Chars
+}
+
 // vectorize is the id merge the number path replaced: d's id-sorted gram
 // lists merged against the tables, then sorted by feature index.
-func (r refTables) vectorize(d *features.SortedDoc) sparse.Vector {
+func (r refTables) vectorize(d *features.PackedDoc) sparse.Vector {
 	vec := sparse.Vector{Idx: []uint32{}, Val: []float64{}}
-	mergeVectorize(&vec, d.WordGrams, r.words, float64(max(d.WordTotal, 1)))
-	mergeVectorize(&vec, d.CharGrams, r.chars, float64(max(d.CharTotal, 1)))
+	words, chars := gramsOf(d)
+	mergeVectorize(&vec, words, r.words, float64(max(d.WordTotal, 1)))
+	mergeVectorize(&vec, chars, r.chars, float64(max(d.CharTotal, 1)))
 	vec.Sort()
 	return vec
 }
 
 // mergeVectorize appends the entries of the grams doc shares with the
 // table: both are sorted by gram id, so one two-pointer pass finds them.
-func mergeVectorize(vec *sparse.Vector, doc []features.GramEntry, table []refEntry, den float64) {
+func mergeVectorize(vec *sparse.Vector, doc []features.GramCount, table []refEntry, den float64) {
 	i, j := 0, 0
 	for i < len(doc) && j < len(table) {
 		switch {
@@ -77,7 +90,7 @@ func mergeVectorize(vec *sparse.Vector, doc []features.GramEntry, table []refEnt
 			j++
 		default:
 			vec.Idx = append(vec.Idx, table[j].index)
-			vec.Val = append(vec.Val, float64(doc[i].Count)/den*table[j].idf)
+			vec.Val = append(vec.Val, float64(doc[i].Freq)/den*table[j].idf)
 			i++
 			j++
 		}
@@ -134,7 +147,7 @@ func TestVectorizeMatchesMergeReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := refCut(st, m.stats.NumDocs(), opts.Reduction)
+			ref := refCut(st, len(known), opts.Reduction)
 			fwdIdx, fwdVal := m.forward()
 			for i := range known {
 				want := ref.vectorize(features.Extract(known[i].Text, opts.Reduction)).Normalize()

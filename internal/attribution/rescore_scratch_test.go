@@ -195,7 +195,7 @@ func TestRescoreAllocationCeiling(t *testing.T) {
 	// rescore reads ~83k entries. Measured: 24, where the id merge kept 46
 	// and the materialised vectors 35.
 	u := features.Extract(probe.Text, m.opts.Final)
-	entries := len(u.WordGrams) + len(u.CharGrams)
+	entries := u.Entries()
 	for _, d := range buf.docs {
 		entries += d.Entries()
 	}

@@ -71,7 +71,7 @@ func NewMatcherFromState(known []Subject, st IndexState) (*Matcher, error) {
 
 // foldTail cuts the vocabulary from the counters and runs the index pass
 // under the options as given, resolved where this runs.
-func foldTail(ctx context.Context, known []Subject, docs []*features.NumberedDoc, fresh []*features.SortedDoc, stats *features.VocabBuilder, given Options) (*Matcher, error) {
+func foldTail(ctx context.Context, known []Subject, docs []*features.NumberedDoc, fresh []*features.PackedDoc, stats *features.VocabBuilder, given Options) (*Matcher, error) {
 	vocab, err := stats.Build()
 	if err != nil {
 		return nil, fmt.Errorf("attribution: corpus counters: %w", err)
@@ -112,16 +112,16 @@ func (m *Matcher) Fold(ctx context.Context, changed []Subject) (*Matcher, error)
 		idx[known[i].Name] = i
 	}
 	// Extraction, the one per-subject cost of a batch, runs on the workers.
-	sds := make([]*features.SortedDoc, len(changed))
+	xs := make([]*features.PackedDoc, len(changed))
 	parallelChunks(shardCount(m.opts.Workers, len(changed)), len(changed), func(_, lo, hi int) {
 		for j := lo; j < hi; j++ {
-			sds[j] = features.Extract(changed[j].Text, m.opts.Reduction)
+			xs[j] = features.Extract(changed[j].Text, m.opts.Reduction)
 		}
 	})
 	// A subject's old document leaves and its last extraction of the batch
 	// comes in; the counters are sums, so the order they change in is free.
 	// The old documents go first, while their numbers still name the counters.
-	fresh := make([]*features.SortedDoc, len(known), len(known)+len(changed))
+	fresh := make([]*features.PackedDoc, len(known), len(known)+len(changed))
 	var gone []*features.NumberedDoc
 	for j, c := range changed {
 		i, ok := idx[c.Name]
@@ -136,12 +136,12 @@ func (m *Matcher) Fold(ctx context.Context, changed []Subject) (*Matcher, error)
 			docs[i] = nil
 		}
 		known[i] = c
-		fresh[i] = sds[j]
+		fresh[i] = xs[j]
 	}
 	stats.RemoveNumbered(gone)
-	for _, sd := range fresh {
-		if sd != nil {
-			stats.AddSorted(sd)
+	for _, x := range fresh {
+		if x != nil {
+			stats.Add(x)
 		}
 	}
 	after, err := stats.State()
@@ -159,7 +159,7 @@ func (m *Matcher) Fold(ctx context.Context, changed []Subject) (*Matcher, error)
 	sort.SliceStable(order, func(a, b int) bool { return known[order[a]].Name < known[order[b]].Name })
 	sortedKnown := make([]Subject, len(known))
 	sortedDocs := make([]*features.NumberedDoc, len(known))
-	sortedFresh := make([]*features.SortedDoc, len(known))
+	sortedFresh := make([]*features.PackedDoc, len(known))
 	for j, i := range order {
 		sortedKnown[j] = known[i]
 		sortedDocs[j] = docs[i]

@@ -172,7 +172,7 @@ type blocks struct {
 // buildBlocks extracts and normalises the three blocks of a subject.
 func buildBlocks(s *Subject, vocab *features.Vocabulary, cfg features.Config) blocks {
 	d := features.Extract(s.Text, cfg)
-	return blocksOf(vocab.VectorizeGramsSorted(d), &d.Freq, s)
+	return blocksOf(vocab.VectorizeGrams(d), &d.Freq, s)
 }
 
 // blocksOf assembles a subject's blocks around the TF-IDF gram vector

@@ -121,7 +121,7 @@ func referenceRescore(m *Matcher, unknown *Subject, candidates []Scored) []Score
 	}
 	vb := features.NewVocabBuilder(m.opts.Final)
 	for _, s := range subjects {
-		vb.AddSorted(features.Extract(s.Text, m.opts.Final))
+		vb.Add(features.Extract(s.Text, m.opts.Final))
 	}
 	vocab, err := vb.Build()
 	if err != nil {
@@ -164,9 +164,9 @@ func similarity(u, v *blocks, w Weights) float64 {
 // scored by similarity. The vocabulary is a VocabBuilder's over the same
 // documents, which TestCandidateVocabMatchesVocabBuilder holds the per-query
 // one to bit for bit; the rest is the old body.
-func referenceKernel(m *Matcher, udoc *features.SortedDoc, unknown *Subject, candidates []Scored) []Scored {
+func referenceKernel(m *Matcher, udoc *features.PackedDoc, unknown *Subject, candidates []Scored) []Scored {
 	var idxs []int
-	var docs []*features.SortedDoc
+	var docs []*features.PackedDoc
 	for _, c := range candidates {
 		if i, ok := m.byName[c.Name]; ok {
 			idxs = append(idxs, i)
@@ -175,13 +175,13 @@ func referenceKernel(m *Matcher, udoc *features.SortedDoc, unknown *Subject, can
 	}
 	vb := features.NewVocabBuilder(m.opts.Final)
 	for _, d := range docs {
-		vb.AddSorted(d)
+		vb.Add(d)
 	}
 	st, err := vb.State()
 	if err != nil {
 		panic(err) // a few added documents: the counters cannot refuse them
 	}
-	vocab := refCut(st, vb.NumDocs(), m.opts.Final)
+	vocab := refCut(st, len(docs), m.opts.Final)
 
 	w := m.opts.weights()
 	if udoc == nil {
@@ -284,7 +284,8 @@ func TestRescoreKernelMatchesReference(t *testing.T) {
 				t.Fatalf("options %d: the foreign unknown holds a selected gram", oi)
 			}
 			mixedDoc := features.Extract(probes[6].Text, opts.Final)
-			if _, chars := dict.Number(mixedDoc).Lists(); features.PackedLen(chars) == 0 || features.PackedLen(chars) == len(mixedDoc.CharGrams) {
+			_, mixedChars := gramsOf(mixedDoc)
+			if _, chars := dict.Number(mixedDoc).Lists(); features.PackedLen(chars) == 0 || features.PackedLen(chars) == len(mixedChars) {
 				t.Fatalf("options %d: the mixed unknown's grams do not mix dictionary grams with others", oi)
 			}
 			assertTileEdgesCovered(t, fmt.Sprintf("options %d", oi), m, rescored)

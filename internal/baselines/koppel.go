@@ -71,7 +71,7 @@ func NewKoppel(known []attribution.Subject, cfg KoppelConfig) (*Koppel, error) {
 	k := &Koppel{cfg: cfg, known: known}
 	vb := features.NewVocabBuilder(cfg.Features)
 	for i := range known {
-		vb.AddSorted(features.Extract(known[i].Text, cfg.Features))
+		vb.Add(features.Extract(known[i].Text, cfg.Features))
 	}
 	var err error
 	if k.vocab, err = vb.Build(); err != nil {

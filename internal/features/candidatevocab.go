@@ -329,19 +329,19 @@ func (s *aggBuffers) idfTable(numDocs int) {
 	}
 }
 
-// mergeGramLists folds n id-sorted gram lists, one a document, into one
-// id-sorted aggregate by pairwise tournament merging: O(total · log n)
-// comparisons, no hashing. list(i) is document i's list and the sign it
-// counts with: +1 adds the document, -1 subtracts one counted before. Sums
-// are int32 and wrap; a caller whose counts could add up past that checks
-// before it merges (VocabBuilder.settle). Levels ping-pong between the two
-// scratch buffers; the returned slice aliases one of them and is only valid
-// until the next merge.
-func (s *aggBuffers) mergeGramLists(n int, list func(i int) ([]GramEntry, int32)) []GramCount {
+// mergeGramLists folds n gram families, one a document, into one id-sorted
+// aggregate by pairwise tournament merging: O(total · log n) comparisons, no
+// hashing. list(i) is document i's family, decoded straight into its run,
+// and the sign it counts with: +1 adds the document, -1 subtracts one
+// counted before. Sums are int32 and wrap; a caller whose counts could add
+// up past that checks before it merges (VocabBuilder.settle). Levels
+// ping-pong between the two scratch buffers; the returned slice aliases one
+// of them and is only valid until the next merge.
+func (s *aggBuffers) mergeGramLists(n int, list func(i int) (family, int32)) []GramCount {
 	total := 0
 	for i := range n {
-		es, _ := list(i)
-		total += len(es)
+		f, _ := list(i)
+		total += f.entries()
 	}
 	if total == 0 {
 		return nil
@@ -352,9 +352,9 @@ func (s *aggBuffers) mergeGramLists(n int, list func(i int) ([]GramEntry, int32)
 	// runs laid out contiguously in src.
 	runs, next := append(s.runs[:0], 0), s.next
 	for i := range n {
-		es, sign := list(i)
-		for _, e := range es {
-			src = append(src, GramCount{ID: e.ID, Freq: sign * e.Count, DF: sign})
+		f, sign := list(i)
+		for k := range f.entries() {
+			src = append(src, GramCount{ID: f.id(k), Freq: sign * f.count(), DF: sign})
 		}
 		if len(src) > runs[len(runs)-1] {
 			runs = append(runs, len(src))

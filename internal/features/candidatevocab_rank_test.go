@@ -105,10 +105,10 @@ func assertMatchesReference(t *testing.T, label string, cfg Config, cv *Candidat
 	t.Helper()
 	ref := refBuilderOf(cfg, docs...).Build()
 	vb := NewVocabBuilder(cfg)
-	sorted := make([]*SortedDoc, len(docs))
+	packed := make([]*PackedDoc, len(docs))
 	for i, d := range docs {
-		sorted[i] = d.Sorted()
-		vb.AddSorted(sorted[i])
+		packed[i] = d.packed()
+		vb.Add(packed[i])
 	}
 	got := mustBuild(t, vb)
 	check := func(kind string, got, want []cvEntry) {
@@ -134,17 +134,17 @@ func assertMatchesReference(t *testing.T, label string, cfg Config, cv *Candidat
 	check("word", tablesOf(got).words, ref.words)
 	check("char", tablesOf(got).chars, ref.chars)
 	for j, d := range append(docs[:len(docs):len(docs)], probe) {
-		want := ref.VectorizeGramsSorted(d.Sorted())
-		if v := got.VectorizeGramsSorted(d.Sorted()); !reflect.DeepEqual(want, v) {
+		want := ref.VectorizeGrams(d.packed())
+		if v := got.VectorizeGrams(d.packed()); !reflect.DeepEqual(want, v) {
 			t.Fatalf("%s: doc %d vector not bit-identical\nfast: %v\nref:  %v", label, j, v, want)
 		}
 	}
-	assertDotsMatchReference(t, label, cfg, cv, ref, dictionaryOf(t, sorted...), sorted, probe.Sorted())
+	assertDotsMatchReference(t, label, cfg, cv, ref, dictionaryOf(t, packed...), packed, probe.packed())
 }
 
 // TestCountingRankMatchesReference pins the counting-sort selection, and the
 // scores stage 2 sweeps out of it, to the map-based refBuilder +
-// Vocabulary.VectorizeGramsSorted reference on the shapes where a stable
+// Vocabulary.VectorizeGrams reference on the shapes where a stable
 // counting sort and a comparison sort could part ways, under budgets that
 // keep nothing, cut inside a tie class, keep exactly everything, and keep
 // more than there is. One CandidateVocab scores every case in turn after a
@@ -216,8 +216,8 @@ func TestRankByFreqIsStableDescending(t *testing.T) {
 	}
 }
 
-// TestSortedIsIDOrdered checks countIDs — the id sort and the run-length
-// count behind every document — against a map count on hashed ids (the two
+// TestSortedIsIDOrdered checks sortIDs and runLength — the id sort and the
+// run-length count behind every document — against a map count on hashed ids (the two
 // radix passes order them), dense small ids and ids that differ only in the
 // last byte (one prefix group: the finishing walk sorts everything), ids
 // spread over a few large groups and over many groups of five sharing a
@@ -247,16 +247,18 @@ func TestSortedIsIDOrdered(t *testing.T) {
 				}
 			}
 			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-			got := countIDs(ids, make([]uint64, len(ids)))
+			counts := make([]uint64, len(ids))
+			sortIDs(ids, counts)
+			got := ids[:runLength(ids, counts)]
 			if len(got) != len(m) {
 				t.Fatalf("%s n=%d: %d entries, want %d", name, n, len(got), len(m))
 			}
-			for i, e := range got {
-				if i > 0 && got[i-1].ID >= e.ID {
-					t.Fatalf("%s n=%d: ids out of order at %d: %d then %d", name, n, i, got[i-1].ID, e.ID)
+			for i, id := range got {
+				if i > 0 && got[i-1] >= id {
+					t.Fatalf("%s n=%d: ids out of order at %d: %d then %d", name, n, i, got[i-1], id)
 				}
-				if m[e.ID] != int(e.Count) {
-					t.Fatalf("%s n=%d: gram %d count %d, want %d", name, n, e.ID, e.Count, m[e.ID])
+				if m[GramID(id)] != int(counts[i]) {
+					t.Fatalf("%s n=%d: gram %d count %d, want %d", name, n, id, counts[i], m[GramID(id)])
 				}
 			}
 		}

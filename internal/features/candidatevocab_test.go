@@ -13,10 +13,10 @@ import (
 // referenceDots is what Score's sweeps replaced: vectorize u and every
 // document over voc, sort and normalise the vectors, then sparse.Dot each
 // pair.
-func referenceDots(voc gramVectorizer, u *SortedDoc, docs []*SortedDoc) (dots []float64, has []bool, uHas bool) {
-	uv := voc.VectorizeGramsSorted(u).Normalize()
+func referenceDots(voc gramVectorizer, u *PackedDoc, docs []*PackedDoc) (dots []float64, has []bool, uHas bool) {
+	uv := voc.VectorizeGrams(u).Normalize()
 	for _, d := range docs {
-		cv := voc.VectorizeGramsSorted(d).Normalize()
+		cv := voc.VectorizeGrams(d).Normalize()
 		dots = append(dots, sparse.Dot(uv, cv))
 		has = append(has, cv.Len() > 0)
 	}
@@ -24,10 +24,10 @@ func referenceDots(voc gramVectorizer, u *SortedDoc, docs []*SortedDoc) (dots []
 }
 
 // dictionaryOf is the dictionary a VocabBuilder fed docs holds.
-func dictionaryOf(t testing.TB, docs ...*SortedDoc) *Dictionary {
+func dictionaryOf(t testing.TB, docs ...*PackedDoc) *Dictionary {
 	b := NewVocabBuilder(FinalConfig())
 	for _, d := range docs {
-		b.AddSorted(d)
+		b.Add(d)
 	}
 	st := mustState(t, b)
 	return NewDictionary(st.Words, st.Chars)
@@ -36,7 +36,7 @@ func dictionaryOf(t testing.TB, docs ...*SortedDoc) *Dictionary {
 // assertDotsMatchReference holds v.Score to referenceDots over voc — the
 // vocabulary selected over docs some other way — bit for bit, with u and
 // each of the documents themselves as the unknown, all numbered by dict.
-func assertDotsMatchReference(t *testing.T, label string, cfg Config, v *CandidateVocab, voc gramVectorizer, dict *Dictionary, docs []*SortedDoc, u *SortedDoc) {
+func assertDotsMatchReference(t *testing.T, label string, cfg Config, v *CandidateVocab, voc gramVectorizer, dict *Dictionary, docs []*PackedDoc, u *PackedDoc) {
 	t.Helper()
 	numbered := make([]*NumberedDoc, len(docs))
 	for j, d := range docs {
@@ -112,18 +112,18 @@ func TestCandidateVocabMatchesVocabBuilder(t *testing.T) {
 			cfg.MaxWordGrams, cfg.MaxCharGrams = -1, -1
 		}
 
-		sorted := make([]*SortedDoc, 1+rng.Intn(12))
+		packed := make([]*PackedDoc, 1+rng.Intn(12))
 		vb := NewVocabBuilder(cfg)
-		for i := range sorted {
-			sorted[i] = randomDoc(rng).Sorted()
-			vb.AddSorted(sorted[i])
+		for i := range packed {
+			packed[i] = randomDoc(rng).packed()
+			vb.Add(packed[i])
 		}
-		probe := randomDoc(rng).Sorted()
-		dict := dictionaryOf(t, sorted...)
+		probe := randomDoc(rng).packed()
+		dict := dictionaryOf(t, packed...)
 		if trial%2 == 1 {
-			dict = dictionaryOf(t, append(sorted, probe, randomDoc(rng).Sorted())...)
+			dict = dictionaryOf(t, append(packed, probe, randomDoc(rng).packed())...)
 		}
-		assertDotsMatchReference(t, fmt.Sprintf("trial %d", trial), cfg, &cv, mustBuild(t, vb), dict, sorted, probe)
+		assertDotsMatchReference(t, fmt.Sprintf("trial %d", trial), cfg, &cv, mustBuild(t, vb), dict, packed, probe)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestCandidateVocabMatchesVocabBuilder(t *testing.T) {
 func TestCandidateVocabEmpty(t *testing.T) {
 	var cv CandidateVocab
 	rng := rand.New(rand.NewSource(1))
-	u := randomDoc(rng).Sorted()
+	u := randomDoc(rng).packed()
 	if dots, has, uHas := cv.Score(FinalConfig(), nil, dictionaryOf(t, u).Number(u)); len(dots) != 0 || len(has) != 0 || uHas {
 		t.Fatalf("empty vocabulary scored %v %v %v", dots, has, uHas)
 	}
@@ -148,14 +148,13 @@ func TestCandidateVocabTileEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
 	const grams = 4*tileSize + 77
 	id := func(num int) GramID { return GramID(7*num + 3) } // gaps for ids the dictionary lacks
-	dictDoc := &SortedDoc{}
+	var every []gramEntry
 	for num := range grams {
-		dictDoc.WordGrams = append(dictDoc.WordGrams, GramEntry{ID: id(num), Count: 1})
-		dictDoc.CharGrams = append(dictDoc.CharGrams, GramEntry{ID: id(num), Count: 1})
+		every = append(every, gramEntry{ID: id(num), Count: 1})
 	}
-	dict := dictionaryOf(t, dictDoc)
+	dict := dictionaryOf(t, packGrams(every, every))
 	edges := []int{0, tileSize - 1, tileSize, 2*tileSize - 1, 2*tileSize + 1, 4*tileSize - 1, 4 * tileSize, grams - 1}
-	doc := func(nums []int, extra int) *SortedDoc {
+	doc := func(nums []int, extra int) *PackedDoc {
 		words, chars := make(map[GramID]int), make(map[GramID]int)
 		for _, num := range nums {
 			words[id(num)] += 1 + rng.Intn(3)
@@ -169,13 +168,13 @@ func TestCandidateVocabTileEdges(t *testing.T) {
 			words[id(num)] += 1 + rng.Intn(3)
 			chars[id(num)] += 1 + rng.Intn(2)
 		}
-		return shapeDoc(words, chars).Sorted()
+		return shapeDoc(words, chars).packed()
 	}
 	var whole []int
 	for num := 3 * tileSize; num < 4*tileSize; num++ {
 		whole = append(whole, num)
 	}
-	docs := []*SortedDoc{
+	docs := []*PackedDoc{
 		doc([]int{edges[1], edges[2], edges[5], edges[6]}, 300),
 		doc([]int{edges[0], edges[1], edges[6], edges[7]}, 2000),
 		doc(whole, 50),
@@ -191,12 +190,13 @@ func TestCandidateVocabTileEdges(t *testing.T) {
 		uw[g] += 3
 		uc[g] += 3
 	}
-	u := shapeDoc(uw, uc).Sorted()
-	if nw, _ := entriesOf(dict.Number(u)); len(nw) == 0 || len(nw) == len(u.WordGrams) || !slices.ContainsFunc(u.WordGrams[:len(u.WordGrams)-1], func(e GramEntry) bool {
+	u := shapeDoc(uw, uc).packed()
+	words, _ := gramsOf(u)
+	if nw, _ := entriesOf(dict.Number(u)); len(nw) == 0 || len(nw) == len(words) || !slices.ContainsFunc(words[:len(words)-1], func(e gramEntry) bool {
 		_, ok := dict.words.Number(e.ID)
 		return !ok
 	}) {
-		t.Fatalf("the unknown's grams %v do not mix grams the dictionary holds with others before its last", u.WordGrams)
+		t.Fatalf("the unknown's grams %v do not mix grams the dictionary holds with others before its last", words)
 	}
 	var cv CandidateVocab
 	for _, budget := range []int{-1, 1, 100, tileSize + 3, 3 * tileSize} {
@@ -204,7 +204,7 @@ func TestCandidateVocabTileEdges(t *testing.T) {
 		cfg.MaxWordGrams, cfg.MaxCharGrams = budget, budget/2
 		vb := NewVocabBuilder(cfg)
 		for _, d := range docs {
-			vb.AddSorted(d)
+			vb.Add(d)
 		}
 		assertDotsMatchReference(t, fmt.Sprintf("budget %d", budget), cfg, &cv, mustBuild(t, vb), dict, docs, u)
 	}

@@ -25,14 +25,14 @@ func (c extractCase) config() Config {
 }
 
 // assertExtractMatchesMap holds Extract to the map counter on one case: the
-// whole SortedDoc, nil-ness of its slices included.
+// whole PackedDoc — its bytes, the families' sizes, totals and frequencies.
 func assertExtractMatchesMap(t *testing.T, c extractCase) {
 	t.Helper()
-	got, want := Extract(c.text, c.config()), mapExtract(c.text, c.config()).Sorted()
+	got, want := Extract(c.text, c.config()), mapExtract(c.text, c.config()).packed()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Extract diverges from the map reference on %+v\ngot  %d word / %d char grams (totals %d / %d)\nwant %d word / %d char grams (totals %d / %d)",
-			c, len(got.WordGrams), len(got.CharGrams), got.WordTotal, got.CharTotal,
-			len(want.WordGrams), len(want.CharGrams), want.WordTotal, want.CharTotal)
+			c, got.words, got.chars, got.WordTotal, got.CharTotal,
+			want.words, want.chars, want.WordTotal, want.CharTotal)
 	}
 }
 

@@ -11,14 +11,14 @@
 // experiment sweeps feasible. The hash is fixed (not seeded per process)
 // so runs are reproducible.
 //
-// Extract emits a document as a SortedDoc: per gram family a list of (gram
-// id, count) in ascending id — occurrence ids into one slice, a radix sort,
-// a run-length count — which the corpus counters merge in. Numbered by the
-// corpus's Dictionary (a gram's position in the counters' ascending id
-// list), it becomes the NumberedDoc a matcher holds, a snapshot stores, the
-// vectorizer reads through a feature table and the per-query candidate
-// vocabulary counts, so there is no hash map anywhere between a text and
-// its vector.
+// Extract emits a document as a PackedDoc: per gram family its distinct
+// gram ids in ascending order, then their counts — occurrence ids into one
+// slice, a radix sort, a run-length count — which the corpus counters merge
+// in. Numbered by the corpus's Dictionary (a gram's position in the
+// counters' ascending id list), it becomes the NumberedDoc a matcher holds,
+// a snapshot stores, the vectorizer reads through a feature table and the
+// per-query candidate vocabulary counts, so there is no hash map anywhere
+// between a text and its vector.
 //
 // The package is deliberately two-pass friendly: extraction (Extract) is
 // cheap and repeatable, so callers keep only compact sparse vectors and
@@ -28,7 +28,6 @@ package features
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"unicode/utf8"
 
@@ -137,17 +136,18 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// idBuffers recycles what Extract counts through — the occurrence ids and
-// the id sort's second buffer, most of what an extraction allocates and
-// garbage once counted — so that a burst of extractions (a daemon's first
-// touch of its queries, a build's pass 1) does not drive the collector.
+// idBuffers recycles what Extract counts through — the occurrence ids of
+// both families, and the id sort's second buffer, which holds the counts
+// once the ids are sorted — most of what an extraction allocates and garbage
+// once packed, so that a burst of extractions (a daemon's first touch of its
+// queries, a build's pass 1) does not drive the collector.
 var idBuffers sync.Pool // *[]uint64
 
 // Extract computes all raw feature counts for one text under cfg: per gram
 // family every occurrence's id goes into one slice, which is sorted and
-// run-length counted (countIDs) — no hash map; the id buffers are pooled.
-func Extract(text string, cfg Config) *SortedDoc {
-	d := new(SortedDoc)
+// run-length counted — no hash map; the id buffers are pooled — and both
+// families are packed straight from them into the document's one array.
+func Extract(text string, cfg Config) *PackedDoc {
 	words := tokenize.Words(text)
 	if cfg.Lemmatize {
 		words = lemma.LemmatizeAll(words)
@@ -157,24 +157,28 @@ func Extract(text string, cfg Config) *SortedDoc {
 	for i, w := range words {
 		wordHashes[i] = uint64(HashGram(w))
 	}
-	need := max(occurrences(len(words), cfg.WordMin, cfg.WordMax), occurrences(utf8.RuneCountInString(text), cfg.CharMin, cfg.CharMax))
+	nw := occurrences(len(words), cfg.WordMin, cfg.WordMax)
+	nc := occurrences(utf8.RuneCountInString(text), cfg.CharMin, cfg.CharMax)
 	buf, _ := idBuffers.Get().(*[]uint64)
-	if buf == nil || cap(*buf) < 2*need {
-		b := make([]uint64, 2*need)
+	if buf == nil || cap(*buf) < 2*(nw+nc) {
+		b := make([]uint64, 2*(nw+nc))
 		buf = &b
 	}
 	defer idBuffers.Put(buf)
-	ids, scratch := (*buf)[:0:need], (*buf)[need:2*need]
+	wordIDs, charIDs, counts := (*buf)[:0:nw], (*buf)[nw:nw:nw+nc], (*buf)[nw+nc:2*(nw+nc)]
 	for n := cfg.WordMin; n <= cfg.WordMax; n++ {
-		ids = appendWordGrams(ids, wordHashes, n)
+		wordIDs = appendWordGrams(wordIDs, wordHashes, n)
 	}
-	d.WordTotal = len(ids)
-	d.WordGrams = countIDs(ids, scratch)
+	charIDs = appendCharGrams(charIDs, text, cfg.CharMin, cfg.CharMax)
+	sortIDs(wordIDs, counts)
+	sortIDs(charIDs, counts)
+	// The word counts land at the front of counts, the char counts from nw,
+	// which no word count reaches.
+	wordIDs = wordIDs[:runLength(wordIDs, counts)]
+	charIDs = charIDs[:runLength(charIDs, counts[nw:])]
 
-	ids = appendCharGrams(ids[:0], text, cfg.CharMin, cfg.CharMax)
-	d.CharTotal = len(ids)
-	d.CharGrams = countIDs(ids, scratch)
-
+	d := new(PackedDoc)
+	d.pack(wordIDs, counts[:len(wordIDs)], charIDs, counts[nw:nw+len(charIDs)])
 	if cfg.IncludeFreq {
 		extractFreq(text, &d.Freq, &d.TotalChars)
 	}
@@ -267,19 +271,4 @@ func extractFreq(text string, freq *[NumFreqFeatures]float64, totalChars *int) {
 			i++
 		}
 	}
-}
-
-// WordGramID returns the id of a multi-word gram the way Extract hashes
-// it, for callers that need to query a specific word sequence: the
-// id of the bigram "not sure" is WordGramID("not", "sure"). Words are
-// lowercased but not lemmatised — pass lemmas when the config lemmatises.
-func WordGramID(words ...string) GramID {
-	if len(words) == 0 {
-		return 0
-	}
-	h := uint64(HashGram(strings.ToLower(words[0])))
-	for _, w := range words[1:] {
-		h = mix(h, uint64(HashGram(strings.ToLower(w))))
-	}
-	return GramID(h)
 }

@@ -47,22 +47,23 @@ func TestTableIIBudgets(t *testing.T) {
 func TestExtractCounts(t *testing.T) {
 	cfg := Config{WordMin: 1, WordMax: 2, CharMin: 1, CharMax: 2, MaxWordGrams: 100, MaxCharGrams: 100, IncludeFreq: true}
 	d := Extract("aa bb aa", cfg)
+	words, chars := gramsOf(d)
 
 	// Word unigrams: aa×2, bb×1 → 3; bigrams: "aa bb", "bb aa" → 2.
 	if d.WordTotal != 5 {
 		t.Errorf("WordTotal = %d, want 5", d.WordTotal)
 	}
-	if got := gramCount(d.WordGrams, HashGram("aa")); got != 2 {
+	if got := gramCount(words, HashGram("aa")); got != 2 {
 		t.Errorf("count(aa) = %d, want 2", got)
 	}
-	if got := gramCount(d.WordGrams, WordGramID("aa", "bb")); got != 1 {
+	if got := gramCount(words, wordGramID("aa", "bb")); got != 1 {
 		t.Errorf("count(aa bb) = %d, want 1", got)
 	}
 	// Char unigrams: 8 chars; bigrams: 7 windows → 15.
 	if d.CharTotal != 15 {
 		t.Errorf("CharTotal = %d, want 15", d.CharTotal)
 	}
-	if got := gramCount(d.CharGrams, GramID(HashGram("aa"))); got != 2 {
+	if got := gramCount(chars, GramID(HashGram("aa"))); got != 2 {
 		t.Errorf("char count(aa) = %d, want 2", got)
 	}
 }
@@ -85,15 +86,15 @@ func TestExtractFreqFeatures(t *testing.T) {
 
 func TestExtractLemmatizes(t *testing.T) {
 	cfg := ReductionConfig()
-	d := Extract("running dogs were", cfg)
-	if gramCount(d.WordGrams, HashGram("run")) != 1 || gramCount(d.WordGrams, HashGram("dog")) != 1 || gramCount(d.WordGrams, HashGram("be")) != 1 {
+	words, chars := gramsOf(Extract("running dogs were", cfg))
+	if gramCount(words, HashGram("run")) != 1 || gramCount(words, HashGram("dog")) != 1 || gramCount(words, HashGram("be")) != 1 {
 		t.Error("word grams must be lemmatised")
 	}
-	if gramCount(d.WordGrams, HashGram("running")) != 0 {
+	if gramCount(words, HashGram("running")) != 0 {
 		t.Error("inflected form must not appear")
 	}
 	// Char grams come from the raw text.
-	if gramCount(d.CharGrams, GramID(HashGram("runni"))) == 0 {
+	if gramCount(chars, GramID(HashGram("runni"))) == 0 {
 		t.Error("char grams must come from the original text")
 	}
 }
@@ -105,7 +106,7 @@ func TestExtractUnicodeCharGrams(t *testing.T) {
 	if d.CharTotal != 2 {
 		t.Fatalf("CharTotal = %d, want 2", d.CharTotal)
 	}
-	if gramCount(d.CharGrams, GramID(HashGram("hé"))) != 1 || gramCount(d.CharGrams, GramID(HashGram("éé"))) != 1 {
+	if _, chars := gramsOf(d); gramCount(chars, GramID(HashGram("hé"))) != 1 || gramCount(chars, GramID(HashGram("éé"))) != 1 {
 		t.Error("unicode bigrams wrong")
 	}
 }
@@ -113,14 +114,14 @@ func TestExtractUnicodeCharGrams(t *testing.T) {
 func TestVocabTopNSelection(t *testing.T) {
 	cfg := Config{WordMin: 1, WordMax: 1, CharMin: 1, CharMax: 1, MaxWordGrams: 2, MaxCharGrams: 1000, IncludeFreq: false}
 	vb := NewVocabBuilder(cfg)
-	vb.AddSorted(Extract("apple apple apple banana banana cherry", cfg))
+	vb.Add(Extract("apple apple apple banana banana cherry", cfg))
 	v := mustBuild(t, vb)
 	if v.NumWordGrams() != 2 {
 		t.Fatalf("vocab kept %d word grams, want 2", v.NumWordGrams())
 	}
 	// apple and banana are the top-2; cherry must be out.
 	doc := Extract("cherry", cfg)
-	vec := v.VectorizeGramsSorted(doc)
+	vec := v.VectorizeGrams(doc)
 	for _, idx := range vec.Idx {
 		if idx < 2 {
 			t.Error("cherry should not map to a word-gram index")
@@ -132,13 +133,13 @@ func TestIDFKillsUniversalGrams(t *testing.T) {
 	cfg := Config{WordMin: 1, WordMax: 1, CharMin: 1, CharMax: 1, MaxWordGrams: 100, MaxCharGrams: 100, IncludeFreq: false}
 	vb := NewVocabBuilder(cfg)
 	// "common" appears in every doc; "rare" in one.
-	vb.AddSorted(Extract("common rare", cfg))
+	vb.Add(Extract("common rare", cfg))
 	for i := 0; i < 9; i++ {
-		vb.AddSorted(Extract("common filler", cfg))
+		vb.Add(Extract("common filler", cfg))
 	}
 	v := mustBuild(t, vb)
 	doc := Extract("common rare", cfg)
-	vec := v.VectorizeGramsSorted(doc)
+	vec := v.VectorizeGrams(doc)
 	commonW := vec.Get(lookupWordIdx(t, v, "common"))
 	rareW := vec.Get(lookupWordIdx(t, v, "rare"))
 	if commonW >= rareW {
@@ -162,11 +163,11 @@ func TestVectorizeSortedAndNamespaced(t *testing.T) {
 	cfg := ReductionConfig()
 	vb := NewVocabBuilder(cfg)
 	doc := Extract("the quick brown fox jumps over the lazy dog, again and again! 123", cfg)
-	vb.AddSorted(doc)
+	vb.Add(doc)
 	v := mustBuild(t, vb)
-	vec := v.VectorizeGramsSorted(doc)
+	vec := v.VectorizeGrams(doc)
 	if !vec.IsSorted() || vec.Len() == 0 {
-		t.Error("VectorizeGramsSorted must return sorted, non-empty vectors")
+		t.Error("VectorizeGrams must return sorted, non-empty vectors")
 	}
 	// Grams sit below FreqOffset; the 42 frequency features live there.
 	for _, idx := range vec.Idx {
@@ -183,9 +184,9 @@ func TestVectorizeGramsExcludesFreq(t *testing.T) {
 	cfg := ReductionConfig()
 	vb := NewVocabBuilder(cfg)
 	doc := Extract("hello, world! 42", cfg)
-	vb.AddSorted(doc)
+	vb.Add(doc)
 	v := mustBuild(t, vb)
-	vec := v.VectorizeGramsSorted(doc)
+	vec := v.VectorizeGrams(doc)
 	for _, idx := range vec.Idx {
 		if idx >= v.FreqOffset() {
 			t.Fatal("VectorizeGrams must not emit frequency features")
@@ -200,9 +201,9 @@ func TestEmptyDoc(t *testing.T) {
 		t.Error("empty text must yield empty counts")
 	}
 	vb := NewVocabBuilder(cfg)
-	vb.AddSorted(d)
+	vb.Add(d)
 	v := mustBuild(t, vb)
-	if got := v.VectorizeGramsSorted(d); got.Len() != 0 {
+	if got := v.VectorizeGrams(d); got.Len() != 0 {
 		t.Errorf("empty doc vector = %v", got)
 	}
 }
@@ -217,15 +218,16 @@ func TestExtractConsistencyProperty(t *testing.T) {
 		if a.WordTotal != b.WordTotal || a.CharTotal != b.CharTotal {
 			return false
 		}
+		words, chars := gramsOf(a)
 		sum := 0
-		for _, e := range a.WordGrams {
+		for _, e := range words {
 			sum += int(e.Count)
 		}
 		if sum != a.WordTotal {
 			return false
 		}
 		sum = 0
-		for _, e := range a.CharGrams {
+		for _, e := range chars {
 			sum += int(e.Count)
 		}
 		return sum == a.CharTotal
@@ -235,13 +237,11 @@ func TestExtractConsistencyProperty(t *testing.T) {
 	}
 }
 
-func TestWordGramIDMatchesExtraction(t *testing.T) {
-	cfg := Config{WordMin: 2, WordMax: 2, CharMin: 1, CharMax: 1, IncludeFreq: false, Lemmatize: false}
-	d := Extract("alpha beta gamma", cfg)
-	if gramCount(d.WordGrams, WordGramID("alpha", "beta")) != 1 {
-		t.Error("WordGramID must match Extract's hashing")
+// wordGramID is the id Extract gives the word n-gram of words, unlemmatised.
+func wordGramID(words ...string) GramID {
+	h := uint64(HashGram(words[0]))
+	for _, w := range words[1:] {
+		h = mix(h, uint64(HashGram(w)))
 	}
-	if gramCount(d.WordGrams, WordGramID("beta", "alpha")) != 0 {
-		t.Error("n-gram hashing must be order-sensitive")
-	}
+	return GramID(h)
 }

@@ -1,95 +1,104 @@
 package features
 
+// This file holds a document as extracted — the PackedDoc, its grams named
+// by id — and the id sort Extract counts through. The one other form a
+// document takes, numbered by a corpus's Dictionary, is the NumberedDoc
+// (state.go).
+
 import (
 	"encoding/binary"
 	"slices"
 )
 
-// GramEntry is one (gram id, count) pair of an id-sorted gram list.
-type GramEntry struct {
-	ID    GramID
-	Count int32
-}
-
-// SortedDoc holds the raw feature counts of one document (the concatenated
-// text of one alias): per gram family one list in ascending gram id, as
-// Extract emits it. The corpus counters merge it in by id; everything else
-// reads a document numbered by a Dictionary (NumberedDoc), which is what a
-// matcher holds.
-type SortedDoc struct {
-	WordGrams  []GramEntry
-	CharGrams  []GramEntry
+// PackedDoc holds the raw feature counts of one document (the concatenated
+// text of one alias), as Extract emits it: per gram family — the words',
+// then the chars' — every gram id in ascending order as a little-endian
+// 8-byte word, then each one's count as a uvarint in the same order, all in
+// one array of exact size, about nine bytes an entry, beside the totals and
+// frequencies. The corpus counters add it in by id (VocabBuilder.Add) and a
+// Dictionary numbers it (NumberInto) into the NumberedDoc a matcher holds;
+// kept whole, it is how a by-alias query's extraction passes from one
+// generation of a serving index to the next. It names grams by id, not by
+// a dictionary's numbers, so no change of corpus invalidates it. Immutable;
+// safe for concurrent use.
+type PackedDoc struct {
+	data         []byte
+	charsAt      int // where the char family begins in data
+	words, chars int // the families' entry counts
+	// WordTotal and CharTotal are the occurrences each family counts: the
+	// sum of its counts.
 	WordTotal  int
 	CharTotal  int
 	Freq       [NumFreqFeatures]float64
 	TotalChars int
 }
 
-// PackedDoc is a SortedDoc at about nine bytes an entry where the SortedDoc
-// takes sixteen: every gram id as a little-endian 8-byte word, the word
-// list's and then the char list's, and after them every count as a uvarint
-// in the same order, all in one array of exact size, beside the totals and
-// frequencies. It is how an extraction is kept between uses — a by-alias
-// query's, from one generation of a serving index to the next. It names
-// grams by id, not by a dictionary's numbers, so no change of corpus
-// invalidates it. Unpack gives back the SortedDoc it was packed from.
-// Immutable; safe for concurrent use.
-type PackedDoc struct {
-	doc          SortedDoc // the totals and frequencies; no gram lists
-	data         []byte
-	words, chars int // the lists' entry counts
+// pack sets p's families to the word grams wordIDs, ascending, counted
+// wordCounts times, and the char grams likewise, in one array of their exact
+// size, and the totals to the counts' sums.
+func (p *PackedDoc) pack(wordIDs, wordCounts, charIDs, charCounts []uint64) {
+	size, totals := 8*(len(wordIDs)+len(charIDs)), [2]int{}
+	for f, counts := range [...][]uint64{wordCounts, charCounts} {
+		for _, c := range counts {
+			size += uvarintSize(c)
+			totals[f] += int(c)
+		}
+	}
+	p.data = appendFamily(make([]byte, 0, size), wordIDs, wordCounts)
+	p.charsAt = len(p.data)
+	p.data = appendFamily(p.data, charIDs, charCounts)
+	p.words, p.chars = len(wordIDs), len(charIDs)
+	p.WordTotal, p.CharTotal = totals[0], totals[1]
 }
 
-// Pack packs d, which it does not keep.
-func (d *SortedDoc) Pack() *PackedDoc {
-	lists := [...][]GramEntry{d.WordGrams, d.CharGrams}
-	n := len(d.WordGrams) + len(d.CharGrams)
-	size := 8 * n
-	for _, es := range lists {
-		for _, e := range es {
-			size += uvarintSize(uint64(e.Count))
-		}
+// appendFamily appends one family to dst: the ids, then the counts.
+func appendFamily(dst []byte, ids, counts []uint64) []byte {
+	for _, id := range ids {
+		dst = binary.LittleEndian.AppendUint64(dst, id)
 	}
-	data := make([]byte, 8*n, size)
-	ids := data
-	for _, es := range lists {
-		for _, e := range es {
-			binary.LittleEndian.PutUint64(ids, uint64(e.ID))
-			ids = ids[8:]
-		}
+	for _, c := range counts {
+		dst = binary.AppendUvarint(dst, c)
 	}
-	for _, es := range lists {
-		for _, e := range es {
-			data = binary.AppendUvarint(data, uint64(e.Count))
-		}
-	}
-	p := &PackedDoc{doc: *d, data: data, words: len(d.WordGrams), chars: len(d.CharGrams)}
-	p.doc.WordGrams, p.doc.CharGrams = nil, nil
-	return p
+	return dst
 }
 
 // Entries returns how many gram entries p holds.
 func (p *PackedDoc) Entries() int { return p.words + p.chars }
 
-// Unpack returns the SortedDoc p was packed from, both gram lists in one
-// new array.
-func (p *PackedDoc) Unpack() *SortedDoc {
-	d := p.doc
-	es := make([]GramEntry, p.Entries())
-	ids, counts := p.data[:8*len(es)], p.data[8*len(es):]
-	for k := range es {
-		count := uint64(counts[0])
-		if count < 0x80 {
-			counts = counts[1:]
-		} else {
-			var n int
-			count, n = binary.Uvarint(counts)
-			counts = counts[n:]
-		}
-		es[k] = GramEntry{ID: GramID(binary.LittleEndian.Uint64(ids[8*k:])), Count: int32(count)}
+// family is one gram family of a PackedDoc as it is read: its ids, eight
+// bytes each, its counts, and where the next count to read begins.
+type family struct {
+	ids, counts []byte
+	at          int
+}
+
+// families returns p's word and char families.
+func (p *PackedDoc) families() (words, chars family) {
+	w, c := p.data[:p.charsAt], p.data[p.charsAt:]
+	return family{ids: w[:8*p.words], counts: w[8*p.words:]}, family{ids: c[:8*p.chars], counts: c[8*p.chars:]}
+}
+
+// entries returns how many entries f holds.
+func (f *family) entries() int { return len(f.ids) / 8 }
+
+// id returns the id of f's entry k.
+func (f *family) id(k int) GramID { return GramID(binary.LittleEndian.Uint64(f.ids[8*k:])) }
+
+// count reads the count of f's next entry, in order. It is small enough to
+// inline, so a count under 128, a family's bulk, takes no call.
+func (f *family) count() int32 {
+	if c := f.counts[f.at]; c < 0x80 {
+		f.at++
+		return int32(c)
 	}
-	d.WordGrams, d.CharGrams = es[:p.words:p.words], es[p.words:]
-	return &d
+	return f.longCount()
+}
+
+// longCount reads a count of more than one byte.
+func (f *family) longCount() int32 {
+	c, n := binary.Uvarint(f.counts[f.at:])
+	f.at += n
+	return int32(c)
 }
 
 // The id sort orders by an id's top 24 bits in two radix passes of 12, then
@@ -100,27 +109,21 @@ const (
 	sortShift = 64 - 2*radixBits
 )
 
-// countIDs turns one gram family's occurrence ids into its id-sorted
-// (id, count) list: it sorts ids in place, through scratch, which must be as
-// long, and run-length counts them.
-func countIDs(ids, scratch []uint64) []GramEntry {
-	sortIDs(ids, scratch)
-	distinct := 0
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			distinct++
-		}
-	}
-	out := make([]GramEntry, 0, distinct)
-	for i := 0; i < len(ids); {
+// runLength turns one gram family's occurrence ids, sorted, into its
+// distinct ids, in place at the front of ids, and how often each occurs, at
+// the same positions of counts, which must be as long; it returns how many
+// distinct ids there are.
+func runLength(ids, counts []uint64) int {
+	n := 0
+	for i := 0; i < len(ids); n++ {
 		j := i + 1
 		for j < len(ids) && ids[j] == ids[i] {
 			j++
 		}
-		out = append(out, GramEntry{ID: GramID(ids[i]), Count: int32(j - i)})
+		ids[n], counts[n] = ids[i], uint64(j-i)
 		i = j
 	}
-	return out
+	return n
 }
 
 // sortIDs sorts ids ascending, through scratch, a second buffer at least as

@@ -58,29 +58,59 @@ func mapExtract(text string, cfg Config) *mapDoc {
 	return d
 }
 
-// Sorted flattens the maps into the one document form.
-func (d *mapDoc) Sorted() *SortedDoc {
-	flat := func(m map[GramID]int) []GramEntry {
-		out := make([]GramEntry, 0, len(m))
+// packed flattens the maps into the one extracted form.
+func (d *mapDoc) packed() *PackedDoc {
+	flat := func(m map[GramID]int) []gramEntry {
+		out := make([]gramEntry, 0, len(m))
 		for g, c := range m {
-			out = append(out, GramEntry{ID: g, Count: int32(c)})
+			out = append(out, gramEntry{ID: g, Count: int32(c)})
 		}
-		slices.SortFunc(out, func(a, b GramEntry) int { return cmp.Compare(a.ID, b.ID) })
+		slices.SortFunc(out, func(a, b gramEntry) int { return cmp.Compare(a.ID, b.ID) })
 		return out
 	}
-	return &SortedDoc{
-		WordGrams:  flat(d.WordGrams),
-		CharGrams:  flat(d.CharGrams),
-		WordTotal:  d.WordTotal,
-		CharTotal:  d.CharTotal,
-		Freq:       d.Freq,
-		TotalChars: d.TotalChars,
+	p := packGrams(flat(d.WordGrams), flat(d.CharGrams))
+	p.WordTotal, p.CharTotal, p.Freq, p.TotalChars = d.WordTotal, d.CharTotal, d.Freq, d.TotalChars
+	return p
+}
+
+// gramEntry is one (gram id, count) pair of a document's gram family.
+type gramEntry struct {
+	ID    GramID
+	Count int32
+}
+
+// gramsOf decodes d's word and char families.
+func gramsOf(d *PackedDoc) (words, chars []gramEntry) {
+	decode := func(f family) []gramEntry {
+		var out []gramEntry
+		for k := range f.entries() {
+			out = append(out, gramEntry{ID: f.id(k), Count: f.count()})
+		}
+		return out
 	}
+	w, c := d.families()
+	return decode(w), decode(c)
+}
+
+// packGrams is the document of the word and char grams given, ascending by
+// id, its totals the sums of their counts.
+func packGrams(words, chars []gramEntry) *PackedDoc {
+	split := func(es []gramEntry) (ids, counts []uint64) {
+		for _, e := range es {
+			ids, counts = append(ids, uint64(e.ID)), append(counts, uint64(e.Count))
+		}
+		return ids, counts
+	}
+	wordIDs, wordCounts := split(words)
+	charIDs, charCounts := split(chars)
+	d := new(PackedDoc)
+	d.pack(wordIDs, wordCounts, charIDs, charCounts)
+	return d
 }
 
 // gramCount looks id up in an id-sorted gram list; 0 when it is not there.
-func gramCount(es []GramEntry, id GramID) int {
-	i, ok := slices.BinarySearchFunc(es, id, func(e GramEntry, id GramID) int { return cmp.Compare(e.ID, id) })
+func gramCount(es []gramEntry, id GramID) int {
+	i, ok := slices.BinarySearchFunc(es, id, func(e gramEntry, id GramID) int { return cmp.Compare(e.ID, id) })
 	if !ok {
 		return 0
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -88,55 +87,60 @@ func TestPackedListRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackedDocRoundTrip: a SortedDoc packs to its ids as 8-byte
-// little-endian words, the word list's then the char list's, followed by its
-// counts as uvarints in the same order, in an array of exactly that size —
-// at the ids' extremes, at the counts' varint edges and largest value, and
-// for empty lists — and Unpack gives back every entry, total and frequency.
-// Pack keeps nothing of the document it packed.
+// TestPackedDocRoundTrip: a document packs to, per family — the words',
+// then the chars' — its ids as 8-byte little-endian words followed by its
+// counts as uvarints, in an array of exactly that size, with each family's
+// total the sum of its counts — at the ids' extremes, at the counts' varint
+// edges and largest value, and for empty lists — and reading the families
+// back gives every entry. Packing keeps nothing of the lists it packed.
 func TestPackedDocRoundTrip(t *testing.T) {
 	ones := bytes.Repeat([]byte{0xFF}, 8)
 	id := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	cases := []struct {
 		name         string
-		words, chars []GramEntry
+		words, chars []gramEntry
 		want         []byte
 	}{
 		{"empty lists", nil, nil, []byte{}},
-		{"ids 0 and 2^64-1, counts 1 and 2^31-1", []GramEntry{{0, 1}, {math.MaxUint64, math.MaxInt32}}, nil,
+		{"ids 0 and 2^64-1, counts 1 and 2^31-1", []gramEntry{{0, 1}, {math.MaxUint64, math.MaxInt32}}, nil,
 			slices.Concat(id(0), ones, []byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0x07})},
-		{"counts 127 and 128, chars only", nil, []GramEntry{{5, 127}, {6, 128}},
+		{"counts 127 and 128, chars only", nil, []gramEntry{{5, 127}, {6, 128}},
 			slices.Concat(id(5), id(6), []byte{0x7F, 0x80, 0x01})},
-		{"both lists", []GramEntry{{1, 3}, {2, 128}}, []GramEntry{{0, 1}, {math.MaxUint64, 127}},
-			slices.Concat(id(1), id(2), id(0), ones, []byte{3, 0x80, 0x01, 1, 0x7F})},
+		{"both lists", []gramEntry{{1, 3}, {2, 128}}, []gramEntry{{0, 1}, {math.MaxUint64, 127}},
+			slices.Concat(id(1), id(2), []byte{3, 0x80, 0x01}, id(0), ones, []byte{1, 0x7F})},
 	}
 	for _, c := range cases {
-		d := &SortedDoc{WordGrams: slices.Clone(c.words), CharGrams: slices.Clone(c.chars), WordTotal: 7, CharTotal: 11, TotalChars: 13}
-		d.Freq[0], d.Freq[NumFreqFeatures-1] = 0.25, math.SmallestNonzeroFloat64
-		want := *d
-		p := d.Pack()
+		var lists [4][]uint64 // word ids, word counts, char ids, char counts
+		totals := [2]int{}
+		for f, es := range [][]gramEntry{c.words, c.chars} {
+			for _, e := range es {
+				lists[2*f], lists[2*f+1] = append(lists[2*f], uint64(e.ID)), append(lists[2*f+1], uint64(e.Count))
+				totals[f] += int(e.Count)
+			}
+		}
+		p := new(PackedDoc)
+		p.pack(lists[0], lists[1], lists[2], lists[3])
 		if !bytes.Equal(p.data, c.want) || cap(p.data) != len(p.data) {
 			t.Errorf("%s: packed % x (capacity %d), want % x", c.name, p.data, cap(p.data), c.want)
 		}
 		if n := p.Entries(); n != len(c.words)+len(c.chars) {
 			t.Errorf("%s: %d entries, want %d", c.name, n, len(c.words)+len(c.chars))
 		}
-		for i := range d.WordGrams {
-			d.WordGrams[i].Count++
+		if p.WordTotal != totals[0] || p.CharTotal != totals[1] {
+			t.Errorf("%s: totals %d and %d, want %d and %d", c.name, p.WordTotal, p.CharTotal, totals[0], totals[1])
 		}
-		d.WordTotal, d.Freq[0] = 0, 0
-		got := p.Unpack()
-		if !slices.Equal(got.WordGrams, c.words) || !slices.Equal(got.CharGrams, c.chars) {
-			t.Errorf("%s: unpacked words %v chars %v, want %v and %v", c.name, got.WordGrams, got.CharGrams, c.words, c.chars)
+		for _, l := range lists {
+			for k := range l {
+				l[k]++
+			}
 		}
-		got.WordGrams, got.CharGrams, want.WordGrams, want.CharGrams = nil, nil, nil, nil
-		if !reflect.DeepEqual(*got, want) {
-			t.Errorf("%s: unpacked totals and frequencies %+v, want %+v", c.name, *got, want)
+		if words, chars := gramsOf(p); !slices.Equal(words, c.words) || !slices.Equal(chars, c.chars) {
+			t.Errorf("%s: read back words %v chars %v, want %v and %v", c.name, words, chars, c.words, c.chars)
 		}
 	}
 }
 
-// TestPackedDocSize: on a fixed text, a packed extraction holds at most 9.5
+// TestPackedDocSize: on a fixed text, Extract's document holds at most 9.5
 // bytes an entry, its header included — 8 for the id and, for nearly every
 // count, one.
 func TestPackedDocSize(t *testing.T) {
@@ -147,12 +151,11 @@ func TestPackedDocSize(t *testing.T) {
 		b.WriteString(words[rng.Intn(len(words))])
 		b.WriteByte(' ')
 	}
-	d := Extract(b.String(), ReductionConfig())
-	p := d.Pack()
+	p := Extract(b.String(), ReductionConfig())
 	perEntry := float64(int(unsafe.Sizeof(*p))+cap(p.data)) / float64(p.Entries())
 	t.Logf("%d entries, %.2f B an entry", p.Entries(), perEntry)
 	if perEntry > 9.5 {
-		t.Errorf("packed extraction holds %.2f B an entry, ceiling 9.5", perEntry)
+		t.Errorf("extracted document holds %.2f B an entry, ceiling 9.5", perEntry)
 	}
 }
 

@@ -9,13 +9,16 @@ import (
 )
 
 // This file is the persistence and incremental-maintenance surface of the
-// vocabulary layer. A VocabBuilder's counters are already the value type the
-// store serialises, so State hands the arrays out and
+// vocabulary layer. A document is held in one of two forms: as extracted, a
+// PackedDoc, its grams named by id; numbered by a Dictionary, a NumberedDoc,
+// its grams named by their position in the corpus counters — what a matcher
+// holds and a snapshot stores. A VocabBuilder's counters are already the
+// value type the store serialises, so State hands the arrays out and
 // NewVocabBuilderFromState adopts them, beside the configuration and the
 // document count the caller holds anyway; and because counting is plain
-// sums, documents can also be *subtracted* (RemoveSorted), which is what
-// lets a live index fold an updated alias in without rebuilding from
-// scratch.
+// sums, documents can also be *subtracted* (Remove, RemoveNumbered), which
+// is what lets a live index fold an updated alias in without rebuilding
+// from scratch.
 
 // GramCount is one gram's corpus counters: total occurrences and the number
 // of documents holding it. Lists of them ascend by gram id. It is the entry
@@ -94,20 +97,20 @@ func (x GramIndex) Number(id GramID) (uint32, bool) {
 // 2's walk, and a gram a renumbering drops.
 const notNumbered = math.MaxUint32
 
-// numberAll appends an entry for every gram of es, an id-sorted gram list,
-// that the index holds, with its number in place of its id: one forward
-// walk, since the list and the indexed grams both ascend, that jumps to the
-// slot of the next entry's id rather than stepping over grams the list does
-// not hold.
-func (x GramIndex) numberAll(out []NumEntry, es []GramEntry) []NumEntry {
+// numberAll appends an entry for every gram of f that the index holds, with
+// its number in place of its id: one forward walk, since the family and the
+// indexed grams both ascend, that jumps to the slot of the next entry's id
+// rather than stepping over grams the family does not hold.
+func (x GramIndex) numberAll(out []NumEntry, f family) []NumEntry {
 	j := 0
-	for _, e := range es {
-		j = max(j, int(x.skip[e.ID>>x.shift]))
-		for j < len(x.grams) && x.grams[j].ID < e.ID {
+	for k := range f.entries() {
+		id, count := f.id(k), f.count()
+		j = max(j, int(x.skip[id>>x.shift]))
+		for j < len(x.grams) && x.grams[j].ID < id {
 			j++
 		}
-		if j < len(x.grams) && x.grams[j].ID == e.ID {
-			out = append(out, NumEntry{Num: uint32(j), Count: e.Count})
+		if j < len(x.grams) && x.grams[j].ID == id {
+			out = append(out, NumEntry{Num: uint32(j), Count: count})
 		}
 	}
 	return out
@@ -137,7 +140,7 @@ type NumEntry struct {
 }
 
 // NumberedDoc is a document with its grams as dictionary numbers, beside
-// the totals and frequencies of the SortedDoc it was numbered from. Per gram
+// the totals and frequencies of the PackedDoc it was numbered from. Per gram
 // family it holds one packed list: a uvarint entry count, then per entry, in
 // ascending number, the uvarint step from the previous number (the first
 // from -1, so never 0) and the uvarint count — the bytes a snapshot's docs
@@ -258,7 +261,7 @@ func entryAt(p []byte, i int) (step, count uint64, next int) {
 
 // Number numbers d into a document of its own, its lists in one array of
 // their exact size.
-func (x *Dictionary) Number(d *SortedDoc) *NumberedDoc {
+func (x *Dictionary) Number(d *PackedDoc) *NumberedDoc {
 	nd := new(NumberedDoc)
 	x.NumberInto(nd, d, new(Scratch))
 	return nd
@@ -266,10 +269,11 @@ func (x *Dictionary) Number(d *SortedDoc) *NumberedDoc {
 
 // NumberInto is Number into nd, whose storage is reused when it has room,
 // with the numbered entries passing through s.
-func (x *Dictionary) NumberInto(nd *NumberedDoc, d *SortedDoc, s *Scratch) {
-	s.entries = x.words.numberAll(s.entries[:0], d.WordGrams)
+func (x *Dictionary) NumberInto(nd *NumberedDoc, d *PackedDoc, s *Scratch) {
+	words, chars := d.families()
+	s.entries = x.words.numberAll(s.entries[:0], words)
 	nw := len(s.entries)
-	s.entries = x.chars.numberAll(s.entries, d.CharGrams)
+	s.entries = x.chars.numberAll(s.entries, chars)
 	nd.pack(s.entries, nw)
 	nd.WordTotal, nd.CharTotal, nd.Freq, nd.TotalChars = d.WordTotal, d.CharTotal, d.Freq, d.TotalChars
 }
@@ -316,37 +320,42 @@ func CheckPacked(p []byte, counts []GramCount, add bool) (int, error) {
 // RemoveNumbered subtracts documents numbered by the builder's own counter
 // arrays — the lists State returned, which no settle has replaced since.
 // Each entry's number names its gram in the arrays, so a document leaves by
-// id: it joins the pending batch with its counts negated, as RemoveSorted's
-// would, and a Fold's removals and additions settle in one merge into one
-// new array. A number past the arrays latches the builder's error, and a
-// document the counters do not hold latches it when the batch settles.
+// id: it is packed again under its gram ids and joins the pending batch
+// through Remove, and a Fold's removals and additions settle in one merge
+// into one new array. A number past the arrays latches the builder's error,
+// and a document the counters do not hold latches it when the batch
+// settles.
 func (b *VocabBuilder) RemoveNumbered(docs []*NumberedDoc) {
 	if b.err != nil {
 		return
 	}
 	// Every document takes its ids before any joins the batch: a batch that
 	// fills up settles, and then the arrays the numbers name are gone.
-	sds := make([]*SortedDoc, len(docs))
-	var es []NumEntry
+	gone := make([]*PackedDoc, len(docs))
+	var (
+		es          []NumEntry
+		ids, counts []uint64
+	)
 	for i, d := range docs {
 		var nw int
 		es, nw = d.unpack(es[:0])
-		byID := make([]GramEntry, len(es))
+		ids, counts = slices.Grow(ids[:0], len(es)), slices.Grow(counts[:0], len(es))
 		for k, e := range es {
-			counts := b.words
+			grams := b.words
 			if k >= nw {
-				counts = b.chars
+				grams = b.chars
 			}
-			if int64(e.Num) >= int64(len(counts)) {
-				b.err = fmt.Errorf("features: removed document names gram number %d of %d", e.Num, len(counts))
+			if int64(e.Num) >= int64(len(grams)) {
+				b.err = fmt.Errorf("features: removed document names gram number %d of %d", e.Num, len(grams))
 				return
 			}
-			byID[k] = GramEntry{ID: counts[e.Num].ID, Count: e.Count}
+			ids, counts = append(ids, uint64(grams[e.Num].ID)), append(counts, uint64(e.Count))
 		}
-		sds[i] = &SortedDoc{WordGrams: byID[:nw:nw], CharGrams: byID[nw:], Freq: d.Freq}
+		gone[i] = new(PackedDoc)
+		gone[i].pack(ids[:nw], counts[:nw], ids[nw:], counts[nw:])
 	}
-	for _, sd := range sds {
-		b.RemoveSorted(sd)
+	for _, p := range gone {
+		b.Remove(p)
 	}
 }
 

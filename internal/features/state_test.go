@@ -17,9 +17,9 @@ func TestBuilderStateRoundTrip(t *testing.T) {
 	docs := shardTestDocs(29)
 	b := NewVocabBuilder(ReductionConfig())
 	for _, d := range docs {
-		b.AddSorted(d.Sorted())
+		b.Add(d.packed())
 	}
-	got := NewVocabBuilderFromState(b.cfg, b.NumDocs(), mustState(t, b))
+	got := NewVocabBuilderFromState(b.cfg, b.numDocs, mustState(t, b))
 	if !reflect.DeepEqual(mustState(t, got), mustState(t, b)) {
 		t.Error("round-tripped builder counters diverge")
 	}
@@ -36,69 +36,69 @@ func TestBuilderStateDeterministic(t *testing.T) {
 	a := NewVocabBuilder(ReductionConfig())
 	b := NewVocabBuilder(ReductionConfig())
 	for _, d := range docs {
-		a.AddSorted(d.Sorted())
+		a.Add(d.packed())
 	}
 	for i := len(docs) - 1; i >= 0; i-- {
-		b.AddSorted(docs[i].Sorted())
+		b.Add(docs[i].packed())
 	}
 	if !reflect.DeepEqual(mustState(t, a), mustState(t, b)) {
 		t.Error("builder state depends on document order")
 	}
 }
 
-// TestRemoveSortedIsInverse: Add then Remove of any subset must equal a
+// TestRemoveIsInverse: Add then Remove of any subset must equal a
 // builder that never saw those documents — including which grams the
 // arrays hold, so a gram whose counters hit zero cannot linger and perturb
 // the cut.
-func TestRemoveSortedIsInverse(t *testing.T) {
+func TestRemoveIsInverse(t *testing.T) {
 	docs := shardTestDocs(23)
 	full := NewVocabBuilder(ReductionConfig())
 	for _, d := range docs {
-		full.AddSorted(d.Sorted())
+		full.Add(d.packed())
 	}
 	for _, d := range docs[17:] {
-		full.RemoveSorted(d.Sorted())
+		full.Remove(d.packed())
 	}
 	want := NewVocabBuilder(ReductionConfig())
 	for _, d := range docs[:17] {
-		want.AddSorted(d.Sorted())
+		want.Add(d.packed())
 	}
 	if !reflect.DeepEqual(mustState(t, full), mustState(t, want)) {
-		t.Error("RemoveSorted left residue (or removed too much)")
+		t.Error("Remove left residue (or removed too much)")
 	}
 	if !reflect.DeepEqual(mustBuild(t, full), mustBuild(t, want)) {
-		t.Error("RemoveSorted builder Builds a different vocabulary")
+		t.Error("Remove builder Builds a different vocabulary")
 	}
 }
 
-// TestRemoveNumberedIsRemoveSorted: taking documents out by number — a
+// TestRemoveNumberedIsRemove: taking documents out by number — a
 // decrement each entry on copies of the settled arrays — leaves the
-// counters RemoveSorted leaves, and the original builder's arrays as they
+// counters Remove leaves, and the original builder's arrays as they
 // were. The renumbering from the old lists to the new carries every
 // remaining document to the numbers a fresh numbering gives it; it is the
 // identity when the same documents are taken out and put back. A document
 // the counters never held, or one numbered past them, is refused.
-func TestRemoveNumberedIsRemoveSorted(t *testing.T) {
+func TestRemoveNumberedIsRemove(t *testing.T) {
 	docs := shardTestDocs(23)
 	full := NewVocabBuilder(ReductionConfig())
 	for _, d := range docs {
-		full.AddSorted(d.Sorted())
+		full.Add(d.packed())
 	}
 	before := mustState(t, full)
 	kept := slices.Clone(before.Words)
 	dict := NewDictionary(before.Words, before.Chars)
 	var gone []*NumberedDoc
 	for _, d := range docs[17:] {
-		gone = append(gone, dict.Number(d.Sorted()))
+		gone = append(gone, dict.Number(d.packed()))
 	}
-	byNumber, bySorted := full.Clone(), full.Clone()
+	byNumber, byID := full.Clone(), full.Clone()
 	byNumber.RemoveNumbered(gone)
 	for _, d := range docs[17:] {
-		bySorted.RemoveSorted(d.Sorted())
+		byID.Remove(d.packed())
 	}
 	after := mustState(t, byNumber)
-	if !reflect.DeepEqual(after, mustState(t, bySorted)) {
-		t.Fatal("RemoveNumbered and RemoveSorted leave different counters")
+	if !reflect.DeepEqual(after, mustState(t, byID)) {
+		t.Fatal("RemoveNumbered and Remove leave different counters")
 	}
 	if !slices.Equal(mustState(t, full).Words, kept) {
 		t.Fatal("RemoveNumbered wrote the arrays it was cloned from")
@@ -111,12 +111,12 @@ func TestRemoveNumberedIsRemoveSorted(t *testing.T) {
 	var s Scratch
 	for i, d := range docs[:17] {
 		var out NumberedDoc
-		old := dict.Number(d.Sorted())
+		old := dict.Number(d.packed())
 		kept := slices.Clone(old.Packed)
 		if err := r.Apply(&out, old, &s); err != nil {
 			t.Fatalf("doc %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(&out, next.Number(d.Sorted())) {
+		if !reflect.DeepEqual(&out, next.Number(d.packed())) {
 			t.Fatalf("doc %d: renumbered other than a fresh numbering", i)
 		}
 		if !slices.Equal(old.Packed, kept) {
@@ -128,7 +128,7 @@ func TestRemoveNumberedIsRemoveSorted(t *testing.T) {
 	}
 	back := byNumber.Clone()
 	for _, d := range docs[17:] {
-		back.AddSorted(d.Sorted())
+		back.Add(d.packed())
 	}
 	if st := mustState(t, back); !NewRenumbering(before.Words, before.Chars, st.Words, st.Chars).Identity() {
 		t.Fatal("taking documents out and putting them back moved numbers")
@@ -170,14 +170,14 @@ func TestFoldWritesTheCountersOnce(t *testing.T) {
 		return b.String()
 	}
 	serving := NewVocabBuilder(ReductionConfig())
-	docs := make([]*SortedDoc, 24)
+	docs := make([]*PackedDoc, 24)
 	for i := range docs {
 		words := 3000
 		if i == 5 {
 			words = 300 // the subject the fold replaces
 		}
 		docs[i] = Extract(text(words), ReductionConfig())
-		serving.AddSorted(docs[i])
+		serving.Add(docs[i])
 	}
 	st := mustState(t, serving)
 	gone := NewDictionary(st.Words, st.Chars).Number(docs[5])
@@ -189,7 +189,7 @@ func TestFoldWritesTheCountersOnce(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	b := serving.Clone()
 	b.RemoveNumbered([]*NumberedDoc{gone})
-	b.AddSorted(fresh)
+	b.Add(fresh)
 	if err := b.Settle(); err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,8 @@ func TestFoldWritesTheCountersOnce(t *testing.T) {
 		t.Errorf("the counters' fold allocated %.1f B a counted gram, ceiling 24: the counters were written more than once", perGram)
 	}
 	want := serving.Clone()
-	want.RemoveSorted(docs[5])
-	want.AddSorted(fresh)
+	want.Remove(docs[5])
+	want.Add(fresh)
 	if !reflect.DeepEqual(mustState(t, b), mustState(t, want)) {
 		t.Fatal("the fold's counters differ from taking the document out by id")
 	}
@@ -213,7 +213,7 @@ func TestBuilderCloneIsIndependent(t *testing.T) {
 	docs := shardTestDocs(11)
 	b := NewVocabBuilder(ReductionConfig())
 	for _, d := range docs[:7] {
-		b.AddSorted(d.Sorted())
+		b.Add(d.packed())
 	}
 	// Cloned with documents still pending, and again once settled: the arrays
 	// are shared, so what a merge writes must never be one of them.
@@ -228,9 +228,9 @@ func TestBuilderCloneIsIndependent(t *testing.T) {
 			t.Fatal("clone does not equal original")
 		}
 		for _, d := range docs[7:] {
-			c.AddSorted(d.Sorted())
+			c.Add(d.packed())
 		}
-		c.RemoveSorted(docs[0].Sorted())
+		c.Remove(docs[0].packed())
 		if reflect.DeepEqual(mustState(t, c), before) {
 			t.Fatal("the clone did not take the documents")
 		}
@@ -265,26 +265,26 @@ func mapVectorize(v *Vocabulary, d *mapDoc) sparse.Vector {
 	return vec
 }
 
-// TestVectorizeGramsSortedMatches pins VectorizeGramsSorted and the
+// TestVectorizeGramsMatches pins VectorizeGrams and the
 // scratch-reusing VectorizeGramsInto of the numbered document to the
 // map-probing reference
 // bit for bit, on documents the vocabulary was built from and on probes
 // that are mostly outside it.
-func TestVectorizeGramsSortedMatches(t *testing.T) {
+func TestVectorizeGramsMatches(t *testing.T) {
 	docs := shardTestDocs(23)
 	b := NewVocabBuilder(ReductionConfig())
 	for _, d := range docs[:17] {
-		b.AddSorted(d.Sorted())
+		b.Add(d.packed())
 	}
 	v := mustBuild(t, b)
 	var vec sparse.Vector
 	var scratch Scratch
 	for i, d := range append(docs, mapExtract("", ReductionConfig())) {
 		want := mapVectorize(v, d)
-		if got := v.VectorizeGramsSorted(d.Sorted()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("doc %d: VectorizeGramsSorted diverges from the map reference", i)
+		if got := v.VectorizeGrams(d.packed()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("doc %d: VectorizeGrams diverges from the map reference", i)
 		}
-		v.VectorizeGramsInto(&vec, &scratch, v.Dictionary().Number(d.Sorted()))
+		v.VectorizeGramsInto(&vec, &scratch, v.Dictionary().Number(d.packed()))
 		if !slices.Equal(vec.Idx, want.Idx) || !slices.Equal(vec.Val, want.Val) {
 			t.Fatalf("doc %d: VectorizeGramsInto on reused storage diverges from the map reference", i)
 		}
@@ -301,14 +301,15 @@ func TestGramIndexNumbers(t *testing.T) {
 	b := NewVocabBuilder(ReductionConfig())
 	docs := shardTestDocs(29)
 	for _, d := range docs[:20] {
-		b.AddSorted(d.Sorted())
+		b.Add(d.packed())
 	}
 	st := mustState(t, b)
 	dict, wordIndex, charIndex := NewDictionary(st.Words, st.Chars), IndexGrams(st.Words), IndexGrams(st.Chars)
 	into := &NumberedDoc{Packed: make([]byte, 3)}
 	var s Scratch
 	for i, md := range docs {
-		d := md.Sorted()
+		d := md.packed()
+		dw, dc := gramsOf(d)
 		nd := dict.Number(d)
 		dict.NumberInto(into, d, &s)
 		for _, got := range []*NumberedDoc{nd, into} {
@@ -319,10 +320,10 @@ func TestGramIndexNumbers(t *testing.T) {
 			wp, cp := got.Lists()
 			for f, fam := range []struct {
 				x    GramIndex
-				es   []GramEntry
+				es   []gramEntry
 				nums []NumEntry
 				p    []byte
-			}{{wordIndex, d.WordGrams, words, wp}, {charIndex, d.CharGrams, chars, cp}} {
+			}{{wordIndex, dw, words, wp}, {charIndex, dc, chars, cp}} {
 				var want []NumEntry
 				for _, g := range fam.es {
 					if num, ok := fam.x.Number(g.ID); ok {

@@ -28,22 +28,23 @@ type refVocab struct {
 // gramVectorizer is what the reference scorers vectorize through: a
 // Vocabulary or a refVocab.
 type gramVectorizer interface {
-	VectorizeGramsSorted(d *SortedDoc) sparse.Vector
+	VectorizeGrams(d *PackedDoc) sparse.Vector
 }
 
-// VectorizeGramsSorted merges d's gram lists against the tables and sorts
+// VectorizeGrams merges d's gram lists against the tables and sorts
 // the result by feature index.
-func (r refVocab) VectorizeGramsSorted(d *SortedDoc) sparse.Vector {
+func (r refVocab) VectorizeGrams(d *PackedDoc) sparse.Vector {
 	vec := sparse.Vector{Idx: []uint32{}, Val: []float64{}}
-	mergeVectorize(&vec, d.WordGrams, r.words, float64(max(d.WordTotal, 1)))
-	mergeVectorize(&vec, d.CharGrams, r.chars, float64(max(d.CharTotal, 1)))
+	words, chars := gramsOf(d)
+	mergeVectorize(&vec, words, r.words, float64(max(d.WordTotal, 1)))
+	mergeVectorize(&vec, chars, r.chars, float64(max(d.CharTotal, 1)))
 	vec.Sort()
 	return vec
 }
 
 // mergeVectorize appends the entries of the grams doc shares with the
 // table: both are sorted by gram id, so one two-pointer pass finds them.
-func mergeVectorize(vec *sparse.Vector, doc []GramEntry, table []cvEntry, den float64) {
+func mergeVectorize(vec *sparse.Vector, doc []gramEntry, table []cvEntry, den float64) {
 	i, j := 0, 0
 	for i < len(doc) && j < len(table) {
 		switch {
@@ -120,7 +121,7 @@ func assertSameVector(t *testing.T, label string, got, want sparse.Vector) {
 
 // TestVectorizeByNumberMatchesMerge: the feature table a cut emits
 // vectorizes every document — numbered by the vocabulary's dictionary, into
-// reused storage, or numbered afresh by VectorizeGramsSorted — to the bits
+// reused storage, or numbered afresh by VectorizeGrams — to the bits
 // mergeVectorize gives against the id-sorted cut of the same counters. The
 // worlds are random documents over small gram pools, cut under budgets
 // that keep nothing, bind inside tie classes and keep everything; the
@@ -131,28 +132,28 @@ func TestVectorizeByNumberMatchesMerge(t *testing.T) {
 	var vec sparse.Vector
 	var scratch Scratch
 	for world := range 6 {
-		docs := make([]*SortedDoc, 3+rng.Intn(20))
+		docs := make([]*PackedDoc, 3+rng.Intn(20))
 		for i := range docs {
-			docs[i] = randomDoc(rng).Sorted()
+			docs[i] = randomDoc(rng).packed()
 		}
-		probes := []*SortedDoc{randomDoc(rng).Sorted(), Extract("", ReductionConfig())}
+		probes := []*PackedDoc{randomDoc(rng).packed(), Extract("", ReductionConfig())}
 		// Gram ids past randomDoc's pools: nothing the dictionary holds.
-		foreign := &SortedDoc{WordGrams: []GramEntry{{ID: 5000, Count: 2}}, CharGrams: []GramEntry{{ID: 5001, Count: 1}, {ID: 5002, Count: 3}}, WordTotal: 2, CharTotal: 4}
-		mixed := *docs[0]
-		mixed.WordGrams = append(slices.Clone(mixed.WordGrams), GramEntry{ID: 5000, Count: 7})
-		probes = append(probes, foreign, &mixed)
+		foreign := packGrams([]gramEntry{{ID: 5000, Count: 2}}, []gramEntry{{ID: 5001, Count: 1}, {ID: 5002, Count: 3}})
+		words, chars := gramsOf(docs[0])
+		mixed := packGrams(append(words, gramEntry{ID: 5000, Count: 7}), chars)
+		probes = append(probes, foreign, mixed)
 		for _, budget := range []int{0, 1, 7, 30, -1} {
 			cfg := FinalConfig()
 			cfg.MaxWordGrams, cfg.MaxCharGrams = budget, budget
 			b := NewVocabBuilder(cfg)
 			for _, d := range docs {
-				b.AddSorted(d)
+				b.Add(d)
 			}
 			v, ref := mustBuild(t, b), refTablesOf(t, b)
 			for i, d := range append(docs[:len(docs):len(docs)], probes...) {
 				label := fmt.Sprintf("world %d budget %d doc %d", world, budget, i)
-				want := ref.VectorizeGramsSorted(d)
-				assertSameVector(t, label, v.VectorizeGramsSorted(d), want)
+				want := ref.VectorizeGrams(d)
+				assertSameVector(t, label, v.VectorizeGrams(d), want)
 				v.VectorizeGramsInto(&vec, &scratch, v.Dictionary().Number(d))
 				assertSameVector(t, label+" (reused storage)", vec, want)
 				if d == foreign && want.Len() != 0 {

@@ -15,12 +15,12 @@ import (
 //
 // The counters are, per gram family, one flat array in ascending gram id —
 // what State emits, a snapshot's dictionary stores and the cut ranks — and
-// no hash map anywhere. Documents collect as pending id-sorted lists and are
-// merged in a batch at a time: mergeGramLists sums the batch, mergeAggInto
-// adds it to the array. A batch closes once it holds as many entries as the
-// arrays, so the merging stays linear in what the builder was fed and a
-// builder keeps a bounded number of documents alive however many pass
-// through it. Removing a document is the same merge with its counts
+// no hash map anywhere. Documents wait, as extracted, in a pending batch
+// and are merged a batch at a time: mergeGramLists sums the batch straight
+// from their packed ids, mergeAggInto adds it to the array. A batch closes
+// once it holds as many entries as the arrays, so the merging stays linear
+// in what the builder was fed and a builder keeps a bounded number of
+// documents alive however many pass through it. Removing a document is the same merge with its counts
 // negated; a document numbered by the settled arrays first takes its ids
 // from them (RemoveNumbered).
 //
@@ -56,7 +56,7 @@ type VocabBuilder struct {
 
 // pendingDoc is one document of an open batch and the sign it counts with.
 type pendingDoc struct {
-	doc  *SortedDoc
+	doc  *PackedDoc
 	sign int32
 }
 
@@ -69,24 +69,18 @@ func NewVocabBuilder(cfg Config) *VocabBuilder {
 	return &VocabBuilder{cfg: cfg}
 }
 
-// AddSorted folds one document's counts into the corpus statistics. The
-// builder keeps the document only until its batch closes; it must not change
-// until the builder has settled.
-func (b *VocabBuilder) AddSorted(d *SortedDoc) { b.fold(d, 1) }
+// Add folds one document's counts into the corpus statistics. The builder
+// keeps the document only until its batch closes.
+func (b *VocabBuilder) Add(d *PackedDoc) { b.fold(d, 1) }
 
-// RemoveSorted subtracts a previously added document, the exact inverse of
-// AddSorted: once settled the counters equal a builder's that never saw d,
-// grams whose counters reach zero gone from the arrays with it.
-func (b *VocabBuilder) RemoveSorted(d *SortedDoc) { b.fold(d, -1) }
+// Remove subtracts a previously added document, the exact inverse of Add:
+// once settled the counters equal a builder's that never saw d, grams whose
+// counters reach zero gone from the arrays with it.
+func (b *VocabBuilder) Remove(d *PackedDoc) { b.fold(d, -1) }
 
 // fold queues d to be counted sign (+1 or -1) times.
-func (b *VocabBuilder) fold(d *SortedDoc, sign int32) {
-	count := int64(0)
-	for _, es := range [...][]GramEntry{d.WordGrams, d.CharGrams} {
-		for _, e := range es {
-			count += int64(e.Count)
-		}
-	}
+func (b *VocabBuilder) fold(d *PackedDoc, sign int32) {
+	count := int64(d.WordTotal) + int64(d.CharTotal)
 	// mergeGramLists sums in int32 without looking: a batch never counts
 	// more occurrences than that holds.
 	if b.pendingCount+count > math.MaxInt32 {
@@ -94,7 +88,7 @@ func (b *VocabBuilder) fold(d *SortedDoc, sign int32) {
 	}
 	b.numDocs += int(sign)
 	b.pending = append(b.pending, pendingDoc{doc: d, sign: sign})
-	b.pendingEntries += len(d.WordGrams) + len(d.CharGrams)
+	b.pendingEntries += d.Entries()
 	b.pendingCount += count
 	if b.pendingEntries >= max(minBatch, len(b.words)+len(b.chars)) {
 		b.settle()
@@ -118,10 +112,16 @@ func (b *VocabBuilder) settle() {
 	}
 	if b.err == nil {
 		var s aggBuffers
-		words := s.mergeGramLists(len(b.pending), func(i int) ([]GramEntry, int32) { return b.pending[i].doc.WordGrams, b.pending[i].sign })
+		words := s.mergeGramLists(len(b.pending), func(i int) (family, int32) {
+			words, _ := b.pending[i].doc.families()
+			return words, b.pending[i].sign
+		})
 		b.words, b.err = addCounters(b.words, words, b.numDocs)
 		if b.err == nil {
-			chars := s.mergeGramLists(len(b.pending), func(i int) ([]GramEntry, int32) { return b.pending[i].doc.CharGrams, b.pending[i].sign })
+			chars := s.mergeGramLists(len(b.pending), func(i int) (family, int32) {
+				_, chars := b.pending[i].doc.families()
+				return chars, b.pending[i].sign
+			})
 			b.chars, b.err = addCounters(b.chars, chars, b.numDocs)
 		}
 	}
@@ -189,9 +189,6 @@ func (b *VocabBuilder) Merge(o *VocabBuilder) error {
 	return b.err
 }
 
-// NumDocs returns the number of documents added so far.
-func (b *VocabBuilder) NumDocs() int { return b.numDocs }
-
 // Build freezes the vocabulary: the cut over each counter array, a feature
 // table by dictionary number. The builder can keep accumulating and be
 // rebuilt.
@@ -201,7 +198,7 @@ func (b *VocabBuilder) Build() (*Vocabulary, error) {
 	}
 	var s aggBuffers
 	s.idfTable(b.numDocs)
-	v := &Vocabulary{cfg: b.cfg, dict: NewDictionary(b.words, b.chars), idfByDF: s.idfByDF, numDocs: b.numDocs}
+	v := &Vocabulary{cfg: b.cfg, dict: NewDictionary(b.words, b.chars), idfByDF: s.idfByDF}
 	v.words, v.numWords = s.cut(b.words, b.cfg.MaxWordGrams, 0)
 	v.chars, v.numChars = s.cut(b.chars, b.cfg.MaxCharGrams, uint32(v.numWords))
 	return v, nil
@@ -266,7 +263,6 @@ type Vocabulary struct {
 	idfByDF      []float64
 	numWords     int
 	numChars     int
-	numDocs      int
 }
 
 // Dictionary returns the dictionary the vocabulary's grams are numbered by:
@@ -278,9 +274,6 @@ func (v *Vocabulary) NumWordGrams() int { return v.numWords }
 
 // NumCharGrams returns how many char grams the cut selected.
 func (v *Vocabulary) NumCharGrams() int { return v.numChars }
-
-// NumDocs returns the corpus size the vocabulary was built from.
-func (v *Vocabulary) NumDocs() int { return v.numDocs }
 
 // FreqOffset is the index of the first frequency feature.
 func (v *Vocabulary) FreqOffset() uint32 {
@@ -296,14 +289,14 @@ func (v *Vocabulary) ActivityOffset() uint32 {
 	return off
 }
 
-// VectorizeGramsSorted converts a document into a TF-IDF weighted sparse
+// VectorizeGrams converts a document into a TF-IDF weighted sparse
 // vector over the n-gram sections of this vocabulary's index space, in a
 // fresh vector: it numbers d by the vocabulary's dictionary and vectorizes
 // that. Grams outside the vocabulary are ignored, and the frequency
 // features are omitted: the attribution layer keeps the frequency and
 // activity blocks separate so it can re-weight them at query time. An empty
 // result has empty, not nil, slices.
-func (v *Vocabulary) VectorizeGramsSorted(d *SortedDoc) sparse.Vector {
+func (v *Vocabulary) VectorizeGrams(d *PackedDoc) sparse.Vector {
 	nd := v.dict.Number(d)
 	est := nd.Entries()
 	vec := sparse.Vector{Idx: make([]uint32, 0, est), Val: make([]float64, 0, est)}
@@ -321,7 +314,7 @@ type Scratch struct {
 	sort    sparse.Vector
 }
 
-// VectorizeGramsInto is VectorizeGramsSorted of a document already numbered
+// VectorizeGramsInto is VectorizeGrams of a document already numbered
 // by the vocabulary's dictionary, into vec's own storage (which grows only
 // when d has more grams than any document vec held before), with the
 // decoded entries and the index sort's second buffer in s. The vocabulary

@@ -38,32 +38,20 @@ func refBuilderOf(cfg Config, docs ...*mapDoc) *refBuilder {
 	return b
 }
 
-func (b *refBuilder) Add(d *mapDoc) {
-	b.numDocs++
-	for g, c := range d.WordGrams {
-		s := b.words[g]
-		b.words[g] = refStat{s.freq + c, s.df + 1}
-	}
-	for g, c := range d.CharGrams {
-		s := b.chars[g]
-		b.chars[g] = refStat{s.freq + c, s.df + 1}
-	}
-}
+func (b *refBuilder) Add(d *mapDoc)    { b.fold(d, 1) }
+func (b *refBuilder) Remove(d *mapDoc) { b.fold(d, -1) }
 
-func (b *refBuilder) AddSorted(d *SortedDoc)    { b.fold(d, 1) }
-func (b *refBuilder) RemoveSorted(d *SortedDoc) { b.fold(d, -1) }
-
-func (b *refBuilder) fold(d *SortedDoc, sign int) {
+func (b *refBuilder) fold(d *mapDoc, sign int) {
 	b.numDocs += sign
-	for f, es := range [][]GramEntry{d.WordGrams, d.CharGrams} {
+	for f, grams := range []map[GramID]int{d.WordGrams, d.CharGrams} {
 		stats := [...]map[GramID]refStat{b.words, b.chars}[f]
-		for _, e := range es {
-			s := stats[e.ID]
-			s = refStat{s.freq + sign*int(e.Count), s.df + sign}
+		for g, c := range grams {
+			s := stats[g]
+			s = refStat{s.freq + sign*c, s.df + sign}
 			if s == (refStat{}) {
-				delete(stats, e.ID)
+				delete(stats, g)
 			} else {
-				stats[e.ID] = s
+				stats[g] = s
 			}
 		}
 	}
@@ -159,7 +147,7 @@ func assertBuilderMatchesReference(t *testing.T, label string, got *VocabBuilder
 	}
 	built := mustBuild(t, got)
 	gv, wv := tablesOf(built), ref.Build()
-	if built.numDocs != ref.numDocs || built.cfg != ref.cfg {
+	if built.cfg != ref.cfg {
 		t.Fatalf("%s: built vocabulary header diverges", label)
 	}
 	for _, fam := range []struct {
@@ -212,18 +200,13 @@ func TestSortedRunBuilderMatchesMapReference(t *testing.T) {
 		for step := 0; step < 40; step++ {
 			p := pairs[rng.Intn(len(pairs))]
 			switch op := rng.Intn(10); {
-			case op < 3: // Add, now and then a document with nothing in it
+			case op < 5: // Add, now and then a document with nothing in it
 				d := randomDoc(rng)
-				if rng.Intn(6) == 0 {
+				if op < 3 && rng.Intn(6) == 0 {
 					d = empty
 				}
-				p.got.AddSorted(d.Sorted())
+				p.got.Add(d.packed())
 				p.ref.Add(d)
-				p.held = append(p.held, d)
-			case op < 5:
-				d := randomDoc(rng)
-				p.got.AddSorted(d.Sorted())
-				p.ref.AddSorted(d.Sorted())
 				p.held = append(p.held, d)
 			case op < 7 && len(p.held) > 0: // remove one — or, one time in four, all
 				n := 1
@@ -232,8 +215,8 @@ func TestSortedRunBuilderMatchesMapReference(t *testing.T) {
 				}
 				for ; n > 0; n-- {
 					i := rng.Intn(len(p.held))
-					p.got.RemoveSorted(p.held[i].Sorted())
-					p.ref.RemoveSorted(p.held[i].Sorted())
+					p.got.Remove(p.held[i].packed())
+					p.ref.Remove(p.held[i])
 					p.held = slices.Delete(slices.Clone(p.held), i, i+1)
 				}
 			case op == 7 && len(pairs) < 4:
@@ -246,8 +229,8 @@ func TestSortedRunBuilderMatchesMapReference(t *testing.T) {
 				}
 				for i, n := 0, rng.Intn(20); i < n; i++ {
 					d := randomDoc(rng)
-					gots[i%shards].AddSorted(d.Sorted())
-					refs[i%shards].AddSorted(d.Sorted())
+					gots[i%shards].Add(d.packed())
+					refs[i%shards].Add(d)
 					p.held = append(p.held, d)
 				}
 				for s := range gots {
@@ -264,12 +247,12 @@ func TestSortedRunBuilderMatchesMapReference(t *testing.T) {
 			assertBuilderMatchesReference(t, label(40, fmt.Sprintf("builder %d at the end", i)), p.got, p.ref)
 			// Take everything out again: no gram and no document is left.
 			for _, d := range p.held {
-				p.got.RemoveSorted(d.Sorted())
-				p.ref.RemoveSorted(d.Sorted())
+				p.got.Remove(d.packed())
+				p.ref.Remove(d)
 			}
 			assertBuilderMatchesReference(t, label(40, fmt.Sprintf("builder %d emptied", i)), p.got, p.ref)
-			if st := mustState(t, p.got); p.got.NumDocs() != 0 || len(st.Words)+len(st.Chars) != 0 {
-				t.Fatalf("trial %d builder %d: %d documents and %d grams left after removing every document", trial, i, p.got.NumDocs(), len(st.Words)+len(st.Chars))
+			if st := mustState(t, p.got); p.got.numDocs != 0 || len(st.Words)+len(st.Chars) != 0 {
+				t.Fatalf("trial %d builder %d: %d documents and %d grams left after removing every document", trial, i, p.got.numDocs, len(st.Words)+len(st.Chars))
 			}
 		}
 	}
@@ -291,7 +274,7 @@ func TestBuilderSettlesMidStream(t *testing.T) {
 			chars[GramID(rng.Intn(15000))] += 1 + rng.Intn(5)
 		}
 		d := shapeDoc(words, chars)
-		got.AddSorted(d.Sorted())
+		got.Add(d.packed())
 		ref.Add(d)
 		if len(got.pending) == 0 {
 			settled++
@@ -319,7 +302,7 @@ func TestCutOverCorpusFrequencies(t *testing.T) {
 		cfg.MaxWordGrams, cfg.MaxCharGrams = budget[0], budget[1]
 		got := NewVocabBuilder(cfg)
 		for _, d := range docs {
-			got.AddSorted(d.Sorted())
+			got.Add(d.packed())
 		}
 		st := mustState(t, got)
 		if top := slices.MaxFunc(st.Words, func(a, b GramCount) int { return cmp.Compare(a.Freq, b.Freq) }); top.Freq != 1<<30 {
@@ -334,28 +317,28 @@ func TestCutOverCorpusFrequencies(t *testing.T) {
 // Build — not a negative counter carried along in silence — and it stays one.
 func TestBuilderRefusesWhatItNeverCounted(t *testing.T) {
 	cfg := FinalConfig()
-	doc := func(words map[GramID]int) *SortedDoc { return shapeDoc(words, map[GramID]int{}).Sorted() }
+	doc := func(words map[GramID]int) *PackedDoc { return shapeDoc(words, map[GramID]int{}).packed() }
 	big := math.MaxInt32
 	cases := []struct {
 		name        string
-		add, remove []*SortedDoc
+		add, remove []*PackedDoc
 	}{
-		{"document never added", []*SortedDoc{doc(map[GramID]int{1: 2, 2: 1})}, []*SortedDoc{doc(map[GramID]int{1: 2, 3: 1})}},
-		{"document removed twice", []*SortedDoc{doc(map[GramID]int{1: 2}), doc(map[GramID]int{5: 1})}, []*SortedDoc{doc(map[GramID]int{1: 2}), doc(map[GramID]int{1: 2})}},
-		{"more occurrences removed than counted", []*SortedDoc{doc(map[GramID]int{1: 2}), doc(map[GramID]int{1: 1})}, []*SortedDoc{doc(map[GramID]int{1: 4})}},
-		{"occurrences left in no document", []*SortedDoc{doc(map[GramID]int{1: 5})}, []*SortedDoc{doc(map[GramID]int{1: 2})}},
-		{"removal from an empty builder", nil, []*SortedDoc{doc(map[GramID]int{})}},
-		{"count one past int32", []*SortedDoc{doc(map[GramID]int{1: big}), doc(map[GramID]int{1: 1})}, nil},
-		{"count past int32 beside one that fits", []*SortedDoc{doc(map[GramID]int{1: big - 1, 2: big}), doc(map[GramID]int{1: 2})}, nil},
-		{"count past int32 summed over many", []*SortedDoc{doc(map[GramID]int{1: big / 2}), doc(map[GramID]int{1: big / 2}), doc(map[GramID]int{1: big / 2}), doc(map[GramID]int{1: big / 2}), doc(map[GramID]int{1: big / 2})}, nil},
+		{"document never added", []*PackedDoc{doc(map[GramID]int{1: 2, 2: 1})}, []*PackedDoc{doc(map[GramID]int{1: 2, 3: 1})}},
+		{"document removed twice", []*PackedDoc{doc(map[GramID]int{1: 2}), doc(map[GramID]int{5: 1})}, []*PackedDoc{doc(map[GramID]int{1: 2}), doc(map[GramID]int{1: 2})}},
+		{"more occurrences removed than counted", []*PackedDoc{doc(map[GramID]int{1: 2}), doc(map[GramID]int{1: 1})}, []*PackedDoc{doc(map[GramID]int{1: 4})}},
+		{"occurrences left in no document", []*PackedDoc{doc(map[GramID]int{1: 5})}, []*PackedDoc{doc(map[GramID]int{1: 2})}},
+		{"removal from an empty builder", nil, []*PackedDoc{doc(map[GramID]int{})}},
+		{"count one past int32", []*PackedDoc{doc(map[GramID]int{1: big}), doc(map[GramID]int{1: 1})}, nil},
+		{"count past int32 beside one that fits", []*PackedDoc{doc(map[GramID]int{1: big - 1, 2: big}), doc(map[GramID]int{1: 2})}, nil},
+		{"count past int32 summed over many", []*PackedDoc{doc(map[GramID]int{1: big / 2}), doc(map[GramID]int{1: big / 2}), doc(map[GramID]int{1: big / 2}), doc(map[GramID]int{1: big / 2}), doc(map[GramID]int{1: big / 2})}, nil},
 	}
 	for _, c := range cases {
 		b := NewVocabBuilder(cfg)
 		for _, d := range c.add {
-			b.AddSorted(d)
+			b.Add(d)
 		}
 		for _, d := range c.remove {
-			b.RemoveSorted(d)
+			b.Remove(d)
 		}
 		err := b.Settle()
 		if err == nil {
@@ -373,7 +356,7 @@ func TestBuilderRefusesWhatItNeverCounted(t *testing.T) {
 		if merr := NewVocabBuilder(cfg).Merge(b); merr == nil {
 			t.Errorf("%s: merged into another builder", c.name)
 		}
-		b.AddSorted(doc(map[GramID]int{9: 1}))
+		b.Add(doc(map[GramID]int{9: 1}))
 		if b.Settle() == nil {
 			t.Errorf("%s: the error did not outlast a later document", c.name)
 		}
@@ -381,9 +364,9 @@ func TestBuilderRefusesWhatItNeverCounted(t *testing.T) {
 
 	// The widest counters that fit do, and merging two such builders does not.
 	a, b := NewVocabBuilder(cfg), NewVocabBuilder(cfg)
-	a.AddSorted(doc(map[GramID]int{1: big - 1}))
-	a.AddSorted(doc(map[GramID]int{1: 1}))
-	b.AddSorted(doc(map[GramID]int{1: 1}))
+	a.Add(doc(map[GramID]int{1: big - 1}))
+	a.Add(doc(map[GramID]int{1: 1}))
+	b.Add(doc(map[GramID]int{1: 1}))
 	if st, err := a.State(); err != nil || st.Words[0] != (GramCount{ID: 1, Freq: math.MaxInt32, DF: 2}) {
 		t.Fatalf("counter of exactly 2^31-1: %v, %v", st.Words, err)
 	}

@@ -42,7 +42,7 @@ func TestVocabShardMergeMatchesSequential(t *testing.T) {
 
 	seq := NewVocabBuilder(cfg)
 	for _, d := range docs {
-		seq.AddSorted(d.Sorted())
+		seq.Add(d.packed())
 	}
 	want := mustBuild(t, seq)
 
@@ -52,7 +52,7 @@ func TestVocabShardMergeMatchesSequential(t *testing.T) {
 			builders[s] = NewVocabBuilder(cfg)
 		}
 		for i, d := range docs {
-			builders[i%shards].AddSorted(d.Sorted())
+			builders[i%shards].Add(d.packed())
 		}
 		merged := builders[0]
 		for _, b := range builders[1:] {
@@ -61,8 +61,8 @@ func TestVocabShardMergeMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(mustState(t, merged), mustState(t, seq)) {
 			t.Errorf("shards=%d: merged gram stats diverge from sequential", shards)
 		}
-		if merged.NumDocs() != seq.NumDocs() {
-			t.Errorf("shards=%d: NumDocs = %d, want %d", shards, merged.NumDocs(), seq.NumDocs())
+		if merged.numDocs != seq.numDocs {
+			t.Errorf("shards=%d: NumDocs = %d, want %d", shards, merged.numDocs, seq.numDocs)
 		}
 		if got := mustBuild(t, merged); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: merged vocabulary diverges from sequential", shards)
@@ -72,7 +72,7 @@ func TestVocabShardMergeMatchesSequential(t *testing.T) {
 	// Reverse merge order: sums commute, so the result must not change.
 	builders := []*VocabBuilder{NewVocabBuilder(cfg), NewVocabBuilder(cfg), NewVocabBuilder(cfg)}
 	for i, d := range docs {
-		builders[i%3].AddSorted(d.Sorted())
+		builders[i%3].Add(d.packed())
 	}
 	rev := builders[2]
 	mustMerge(t, rev, builders[1])
@@ -90,13 +90,13 @@ func TestVocabMergeEmpty(t *testing.T) {
 
 	seq := NewVocabBuilder(cfg)
 	for _, d := range docs {
-		seq.AddSorted(d.Sorted())
+		seq.Add(d.packed())
 	}
 	want := mustBuild(t, seq)
 
 	withEmpty := NewVocabBuilder(cfg)
 	for _, d := range docs {
-		withEmpty.AddSorted(d.Sorted())
+		withEmpty.Add(d.packed())
 	}
 	mustMerge(t, withEmpty, NewVocabBuilder(cfg))
 	if got := mustBuild(t, withEmpty); !reflect.DeepEqual(got, want) {
