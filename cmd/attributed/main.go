@@ -63,6 +63,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -176,6 +177,13 @@ func main() {
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGTERM, os.Interrupt)
+	// Each load ends with a collection, here and after every reload, so the
+	// collector's next heap goal is set by what the new generation holds.
+	// Otherwise the goal is twice what was live at the load's last cycle —
+	// two generations, when that cycle fell inside a reload — and serving
+	// garbage then fills the heap up to it: the peak RSS depended on where
+	// a cycle happened to fall, and moved by a third from run to run.
+	runtime.GC()
 	for sig := range sigs {
 		if sig == syscall.SIGHUP {
 			reloadStart := time.Now()
@@ -184,6 +192,7 @@ func main() {
 				continue
 			}
 			log.Printf("attributed: reloaded index v%d in %s", svc.Version(), time.Since(reloadStart).Round(time.Millisecond))
+			runtime.GC()
 			continue
 		}
 		// SIGTERM/SIGINT: refuse new connections first, then drain.

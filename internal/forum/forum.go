@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -128,48 +129,80 @@ func countWords(s string) int {
 // to dst one space apart: strings.Join(strings.Fields(m.Body)[:n], " ")
 // without the slices.
 func (m *Message) AppendWords(dst []byte, n int) []byte {
-	s, start, words := m.Body, -1, 0
-	for i := 0; i <= len(s) && words < n; {
-		space, size := true, 1 // the end of the body ends the last word
-		if i < len(s) {
-			if c := s[i]; c < utf8.RuneSelf {
-				space = asciiSpace[c]
-			} else {
-				var r rune
-				r, size = utf8.DecodeRuneInString(s[i:])
-				space = unicode.IsSpace(r)
-			}
+	for i, words := 0, 0; words < n; words++ {
+		start, end := nextField(m.Body, i)
+		if start == end {
+			break
+		}
+		if words > 0 {
+			dst = append(dst, ' ')
+		}
+		dst, i = append(dst, m.Body[start:end]...), end
+	}
+	return dst
+}
+
+// nextField returns the bounds of the first field of s at or after byte i,
+// a maximal run of non-space runes as countWords counts them; start == end
+// when no field is left.
+func nextField(s string, i int) (start, end int) {
+	start = -1
+	for i < len(s) {
+		space, size := true, 1
+		if c := s[i]; c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
 		}
 		if !space && start < 0 {
 			start = i
 		} else if space && start >= 0 {
-			if words > 0 {
-				dst = append(dst, ' ')
-			}
-			dst, start, words = append(dst, s[start:i]...), -1, words+1
+			return start, i
 		}
 		i += size
 	}
-	return dst
+	if start < 0 {
+		return len(s), len(s)
+	}
+	return start, len(s)
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace reports true for.
 var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
+// wordSets recycles DistinctWordRatio's set of case-folded words, emptied
+// after every use, so the spam filter allocates no map per message.
+var wordSets = sync.Pool{New: func() any { return make(map[string]struct{}) }}
+
 // DistinctWordRatio returns the number of distinct (case-folded) words over
 // the total number of words. The polishing step 6 of the paper discards
 // messages with a ratio below 0.5 as spam. A message with no words has
 // ratio 0.
+//
+// The words are those of strings.Fields, walked in place, and the set
+// holds each one as strings.ToLower folds it; ToLower returns a word it
+// leaves unchanged as the body's own substring, so only the others are
+// copied.
 func (m *Message) DistinctWordRatio() float64 {
-	fields := strings.Fields(m.Body)
-	if len(fields) == 0 {
+	seen := wordSets.Get().(map[string]struct{})
+	words := 0
+	for i := 0; ; words++ {
+		start, end := nextField(m.Body, i)
+		if start == end {
+			break
+		}
+		seen[strings.ToLower(m.Body[start:end])] = struct{}{}
+		i = end
+	}
+	distinct := len(seen)
+	clear(seen)
+	wordSets.Put(seen)
+	if words == 0 {
 		return 0
 	}
-	seen := make(map[string]struct{}, len(fields))
-	for _, f := range fields {
-		seen[strings.ToLower(f)] = struct{}{}
-	}
-	return float64(len(seen)) / float64(len(fields))
+	return float64(distinct) / float64(words)
 }
 
 // Alias is one account on one platform together with everything it posted.

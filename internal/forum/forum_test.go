@@ -80,6 +80,27 @@ func TestMessageDistinctWordRatio(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// TestDistinctWordRatioAllocation: on a lowercase-ASCII message the spam
+// filter copies no word and reuses its set, so it allocates nothing.
+func TestDistinctWordRatioAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	m := Message{Body: strings.Repeat("the vendor shipped fast and the stealth was good, would order again ", 8)}
+	want := referenceDistinctWordRatio(m.Body)
+	allocs := testing.AllocsPerRun(100, func() {
+		if got := m.DistinctWordRatio(); got != want {
+			t.Fatalf("DistinctWordRatio = %v, want %v", got, want)
+		}
+	})
+	if allocs >= 1 {
+		t.Errorf("DistinctWordRatio of a %d-word lowercase message allocated %v times a call, want 0", m.WordCount(), allocs)
+	}
+}
+
 func TestAliasIsLikelyBot(t *testing.T) {
 	tests := []struct {
 		name string

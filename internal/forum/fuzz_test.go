@@ -2,6 +2,7 @@ package forum
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 )
@@ -56,6 +57,39 @@ func FuzzReadJSONL(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("Read→Write→Read is not idempotent:\nfirst  %q\nsecond %q", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
+// referenceDistinctWordRatio is the spam ratio spelled out with
+// strings.Fields, strings.ToLower and a fresh map.
+func referenceDistinctWordRatio(body string) float64 {
+	fields := strings.Fields(body)
+	if len(fields) == 0 {
+		return 0
+	}
+	seen := make(map[string]struct{}, len(fields))
+	for _, f := range fields {
+		seen[strings.ToLower(f)] = struct{}{}
+	}
+	return float64(len(seen)) / float64(len(fields))
+}
+
+// FuzzDistinctWordRatio: the in-place walk over a pooled set gives the
+// reference's ratio bit for bit — the same words, folded the same way.
+func FuzzDistinctWordRatio(f *testing.F) {
+	for _, s := range []string{
+		"", "   ", "spam spam spam eggs", "Spam SPAM spam", "a\u00a0b\u2003c\u0085d a b",
+		"x\xffy \xfe z \xff \xfe \xef\xbf\xbd", "İstanbul istanbul i̇stanbul", "ǅ ǆ Ǆ",
+		"caf\u00e9 CAF\u00c9 na\u00efve\u3000\u65e5\u672c", "\v\f\r lead and trail \r\n",
+		"K k \u212a", "emoji \U0001F600 \U0001F600 ❤️",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		m := Message{Body: body}
+		if got, want := m.DistinctWordRatio(), referenceDistinctWordRatio(body); got != want {
+			t.Fatalf("DistinctWordRatio(%q) = %v, reference = %v", body, got, want)
 		}
 	})
 }

@@ -7,11 +7,13 @@
 package langdetect
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Lang is an ISO-639-1 language code.
@@ -39,24 +41,35 @@ type Detection struct {
 // Detector scores text against per-language n-gram profiles.
 //
 // A Detector is immutable after NewDetector returns: every field — the
-// per-language profiles, the fused scoring table, and the language list —
-// is built once and only read afterwards. It is therefore safe for
-// concurrent use: one shared Detector can serve any number of goroutines
-// (the parallel polishing pipeline fans a single instance out across its
-// workers; internal/langdetect's race test pins this).
+// per-language profiles, the scoring table, and the language list — is
+// built once and only read afterwards. It is therefore safe for concurrent
+// use: one shared Detector can serve any number of goroutines (the parallel
+// polishing pipeline fans a single instance out across its workers;
+// internal/langdetect's race test pins this).
 type Detector struct {
 	profiles map[Lang]*profile
 	ngram    int
 
-	// The fused scoring table collapses the per-language profile maps into
-	// one lookup per gram: fused[g][i] is langs[i]'s log-probability for g
-	// (floor-filled when the language never saw g), and floors[i] is
-	// langs[i]'s unseen-gram log-probability. Detect walks grams once and
-	// adds the whole vector, instead of probing len(profiles) maps per
-	// gram — the single largest cost of the english-only polishing step.
-	langs  []Lang
-	fused  map[string][]float64
-	floors []float64
+	// The scoring table collapses the per-language profiles into one
+	// lookup per trigram. langs is sorted; row r of probs, len(langs)
+	// wide, holds each language's log-probability for one gram (the
+	// language's floor when it never saw the gram), and row 0 holds the
+	// floors themselves, each language's unseen-gram log-probability.
+	// slots is an open-addressing table, linearly probed from the top bits
+	// of the key's multiplicative hash (64 − shift of them, see slotOf),
+	// that maps a gram's packed key (see pack) to the offset of its row; a
+	// key of 0 marks an empty slot.
+	// Detect adds one row per gram, so scoring probes no string and
+	// visits no per-language map.
+	langs []Lang
+	probs []float64
+	slots []slot
+	shift uint
+}
+
+type slot struct {
+	key uint64
+	off int
 }
 
 type profile struct {
@@ -86,41 +99,87 @@ func NewDetector(corpora map[Lang]string) *Detector {
 	for lang, text := range corpora {
 		d.profiles[lang] = trainProfile(text, d.ngram)
 	}
-	d.buildFused()
+	d.buildTable()
 	return d
 }
 
-// buildFused freezes the fused scoring table: the union of every profile's
-// grams, each mapped to the per-language log-probability vector in langs
-// order. Values are exactly the profile values (or the profile's floor), so
-// fused scoring is bit-identical to probing each profile map in turn.
-func (d *Detector) buildFused() {
+// buildTable freezes the scoring table from the profiles: the union of
+// every profile's grams, each given a row of per-language log-probabilities
+// in langs order. The values are exactly the profile values (or the
+// profile's floor), so scoring from the table is bit-identical to probing
+// each profile map in turn.
+func (d *Detector) buildTable() {
 	d.langs = make([]Lang, 0, len(d.profiles))
 	for l := range d.profiles {
 		d.langs = append(d.langs, l)
 	}
-	sort.Slice(d.langs, func(i, j int) bool { return d.langs[i] < d.langs[j] })
-	d.floors = make([]float64, len(d.langs))
+	slices.Sort(d.langs)
 	union := make(map[string]struct{})
-	for i, l := range d.langs {
-		d.floors[i] = d.profiles[l].floorLog
+	for _, l := range d.langs {
 		for g := range d.profiles[l].logProb {
 			union[g] = struct{}{}
 		}
 	}
-	d.fused = make(map[string][]float64, len(union))
-	backing := make([]float64, len(union)*len(d.langs))
+	// At most a quarter of the slots hold a gram, so a probe rarely goes
+	// past the slot it starts at.
+	bits := uint(2)
+	for 1<<bits < 4*len(union) {
+		bits++
+	}
+	d.shift = 64 - bits
+	d.slots = make([]slot, 1<<bits)
+	width := len(d.langs)
+	d.probs = make([]float64, width, (len(union)+1)*width)
+	for i, l := range d.langs {
+		d.probs[i] = d.profiles[l].floorLog
+	}
 	for g := range union {
-		v := backing[:len(d.langs):len(d.langs)]
-		backing = backing[len(d.langs):]
+		off := len(d.probs)
 		for i, l := range d.langs {
-			if lp, ok := d.profiles[l].logProb[g]; ok {
-				v[i] = lp
-			} else {
-				v[i] = d.floors[i]
+			lp, ok := d.profiles[l].logProb[g]
+			if !ok {
+				lp = d.probs[i]
 			}
+			d.probs = append(d.probs, lp)
 		}
-		d.fused[g] = v
+		var key uint64
+		for _, r := range g {
+			key = pack(key, r)
+		}
+		s := d.slotOf(key)
+		for d.slots[s].key != 0 {
+			s = (s + 1) & uint64(len(d.slots)-1)
+		}
+		d.slots[s] = slot{key, off}
+	}
+}
+
+// pack shifts rune r into a window key that holds the last three runes 21
+// bits each. Every rune fits in 21 bits, and a gram's runes are letters,
+// apostrophes or spaces, never 0, so no gram's key is 0.
+func pack(key uint64, r rune) uint64 {
+	return (key<<21 | uint64(r)) & (1<<63 - 1)
+}
+
+// slotOf is the slot a key's probe starts at: the top bits of its
+// multiplicative (Fibonacci) hash, which depend on every bit of the key.
+func (d *Detector) slotOf(key uint64) uint64 {
+	return key * 0x9e3779b97f4a7c15 >> d.shift
+}
+
+// row returns the log-probabilities of the gram with the given key, or the
+// floors when no language saw it.
+func (d *Detector) row(key uint64) []float64 {
+	width := len(d.langs)
+	mask := uint64(len(d.slots) - 1)
+	for s := d.slotOf(key); ; s = (s + 1) & mask {
+		switch d.slots[s].key {
+		case key:
+			off := d.slots[s].off
+			return d.probs[off : off+width : off+width]
+		case 0:
+			return d.probs[:width:width]
+		}
 	}
 }
 
@@ -175,89 +234,131 @@ func ngrams(s string, n int) []string {
 	return out
 }
 
-// Detect returns language guesses ordered by posterior probability.
-// Empty or letter-free text yields no detections.
+// scored is one language's length-normalised log-likelihood.
+type scored struct {
+	lang Lang
+	ll   float64
+}
+
+// rank scores text into scores, one entry per language, sorted by
+// descending mean log-likelihood (ties by language). It reports false,
+// leaving scores unsorted, when the text has no gram.
 //
-// Scoring walks the text's grams once, adding each gram's fused
-// log-probability vector — the same sums, in the same order, as probing
-// every profile map per gram, but with one hash lookup per gram and no
-// per-gram string allocation.
-func (d *Detector) Detect(text string) []Detection {
-	padded := " " + normalize(text) + " "
-	n := d.ngram
-	ll := make([]float64, len(d.langs))
-	grams := 0
-	// Ring of rune start offsets: each gram is a byte range of padded, so
-	// the fused-map probe needs no gram string materialised.
-	ring := make([]int, n)
-	runeCount := 0
-	score := func(gram string) {
-		if v, ok := d.fused[gram]; ok {
-			for i, lp := range v {
-				ll[i] += lp
+// The text is read once: each rune is lowercased, kept when it is a letter
+// or an apostrophe and otherwise folded into a single space, and the
+// window of the last three kept runes is scored as it slides — exactly
+// the grams of " " + normalize(text) + " ", in that order, adding the same
+// log-probabilities to the same sums. No lowercased or normalised copy of
+// the text is built.
+func (d *Detector) rank(text string, scores []scored) bool {
+	for i, l := range d.langs {
+		scores[i] = scored{l, 0}
+	}
+	// The window starts with the leading space; lastSpace collapses every
+	// run of dropped runes into one space and drops those before the first
+	// kept rune.
+	key, runes, lastSpace := pack(0, ' '), 1, true
+	add := func(r rune) {
+		key = pack(key, r)
+		if runes++; runes >= d.ngram {
+			row := d.row(key)
+			for i, s := range scores[:len(row)] {
+				scores[i].ll = s.ll + row[i]
+			}
+		}
+	}
+	for i := 0; i < len(text); {
+		r, size := rune(text[i]), 1
+		if r < utf8.RuneSelf {
+			if 'A' <= r && r <= 'Z' {
+				r += 'a' - 'A'
 			}
 		} else {
-			for i, f := range d.floors {
-				ll[i] += f
-			}
+			r, size = utf8.DecodeRuneInString(text[i:])
+			r = unicode.ToLower(r)
 		}
-		grams++
-	}
-	for i := range padded {
-		if runeCount >= n {
-			score(padded[ring[runeCount%n]:i])
+		i += size
+		switch {
+		case 'a' <= r && r <= 'z' || r == '\'' || r >= utf8.RuneSelf && unicode.IsLetter(r):
+			add(r)
+			lastSpace = false
+		case !lastSpace:
+			add(' ')
+			lastSpace = true
 		}
-		ring[runeCount%n] = i
-		runeCount++
 	}
-	if runeCount >= n {
-		score(padded[ring[runeCount%n]:])
+	// The trailing space: normalize trims the one a dropped run may have
+	// left, and the padding adds one back.
+	if !lastSpace {
+		add(' ')
 	}
-	if grams == 0 || len(d.langs) == 0 {
-		return nil
+	grams := runes - d.ngram + 1
+	if grams <= 0 || len(scores) == 0 {
+		return false
 	}
-	type scored struct {
-		lang Lang
-		ll   float64
-	}
-	scores := make([]scored, len(d.langs))
-	for i, lang := range d.langs {
+	for i := range scores {
 		// Length-normalise so long messages don't overflow and short ones
 		// remain comparable.
-		scores[i] = scored{lang, ll[i] / float64(grams)}
+		scores[i].ll /= float64(grams)
 	}
-	sort.Slice(scores, func(i, j int) bool {
-		if scores[i].ll != scores[j].ll {
-			return scores[i].ll > scores[j].ll
+	slices.SortFunc(scores, func(a, b scored) int {
+		if a.ll != b.ll {
+			return cmp.Compare(b.ll, a.ll)
 		}
-		return scores[i].lang < scores[j].lang
+		return cmp.Compare(a.lang, b.lang)
 	})
-	// Softmax over per-gram average log-likelihoods. The temperature
-	// sharpens the distribution; per-gram averages are close together so
-	// raw softmax would be nearly uniform.
-	const temperature = 0.05
-	best := scores[0].ll
+	return true
+}
+
+// Softmax over per-gram average log-likelihoods. The temperature sharpens
+// the distribution; per-gram averages are close together so raw softmax
+// would be nearly uniform.
+const temperature = 0.05
+
+// weight is a score's unnormalised posterior against the best score.
+func weight(s scored, best float64) float64 {
+	return math.Exp((s.ll - best) / temperature)
+}
+
+// weightSum is the softmax denominator of ranked scores, summed in their
+// sorted order.
+func weightSum(scores []scored) float64 {
 	sum := 0.0
-	probs := make([]float64, len(scores))
-	for i, s := range scores {
-		probs[i] = math.Exp((s.ll - best) / temperature)
-		sum += probs[i]
+	for _, s := range scores {
+		sum += weight(s, scores[0].ll)
 	}
+	return sum
+}
+
+// Detect returns language guesses ordered by posterior probability.
+// Empty or letter-free text yields no detections.
+func (d *Detector) Detect(text string) []Detection {
+	scores := make([]scored, len(d.langs))
+	if !d.rank(text, scores) {
+		return nil
+	}
+	sum := weightSum(scores)
 	out := make([]Detection, len(scores))
 	for i, s := range scores {
-		out[i] = Detection{Lang: s.lang, Prob: probs[i] / sum}
+		out[i] = Detection{Lang: s.lang, Prob: weight(s, scores[0].ll) / sum}
 	}
 	return out
 }
 
-// DetectLang returns the single most likely language and its posterior.
-// ok is false when the text carries no usable signal.
+// DetectLang returns the single most likely language and its posterior —
+// Detect's first guess, ranked in scratch on the stack for up to 16
+// languages. ok is false when the text carries no usable signal.
 func (d *Detector) DetectLang(text string) (Lang, float64, bool) {
-	ds := d.Detect(text)
-	if len(ds) == 0 {
+	var buf [16]scored
+	scores := buf[:min(len(d.langs), len(buf))]
+	if len(d.langs) > len(buf) {
+		scores = make([]scored, len(d.langs))
+	}
+	if !d.rank(text, scores) {
 		return "", 0, false
 	}
-	return ds[0].Lang, ds[0].Prob, true
+	// The best score's own weight is exp(0) = 1.
+	return scores[0].lang, 1 / weightSum(scores), true
 }
 
 // IsEnglish reports whether text is detected as English with posterior at
@@ -266,14 +367,4 @@ func (d *Detector) DetectLang(text string) (Lang, float64, bool) {
 func (d *Detector) IsEnglish(text string, minProb float64) bool {
 	lang, prob, ok := d.DetectLang(text)
 	return ok && lang == English && prob >= minProb
-}
-
-// Languages returns the languages the detector was trained on, sorted.
-func (d *Detector) Languages() []Lang {
-	out := make([]Lang, 0, len(d.profiles))
-	for l := range d.profiles {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

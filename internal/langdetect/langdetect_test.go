@@ -1,6 +1,8 @@
 package langdetect
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -76,8 +78,8 @@ func TestDetectEmptyAndSymbolOnly(t *testing.T) {
 func TestDetectionsSortedAndNormalised(t *testing.T) {
 	d := Default()
 	ds := d.Detect(holdout[English][0])
-	if len(ds) != len(d.Languages()) {
-		t.Fatalf("got %d detections, want %d", len(ds), len(d.Languages()))
+	if len(ds) != len(d.langs) {
+		t.Fatalf("got %d detections, want %d", len(ds), len(d.langs))
 	}
 	sum := 0.0
 	for i, det := range ds {
@@ -92,13 +94,13 @@ func TestDetectionsSortedAndNormalised(t *testing.T) {
 }
 
 func TestLanguagesList(t *testing.T) {
-	langs := Default().Languages()
+	langs := Default().langs
 	if len(langs) != 8 {
 		t.Fatalf("got %d languages, want 8", len(langs))
 	}
 	for i := 1; i < len(langs); i++ {
 		if langs[i] <= langs[i-1] {
-			t.Error("Languages must be sorted")
+			t.Error("the language list must be sorted")
 		}
 	}
 }
@@ -111,6 +113,60 @@ func TestCustomDetector(t *testing.T) {
 	lang, _, ok := d.DetectLang("aaaa aaaa bbbb")
 	if !ok || lang != "aa" {
 		t.Errorf("DetectLang = %v, %v", lang, ok)
+	}
+}
+
+// TestManyLanguagesMatchNaive scores against one language, more than the
+// embedded eight, and more than DetectLang ranks on the stack: Detect must
+// still equal the per-profile reference, and DetectLang its first guess.
+func TestManyLanguagesMatchNaive(t *testing.T) {
+	alphabet := []rune("abcdefghijklmnopqrstuvwxyzàéîõüßøåçñłżšđ'")
+	rng := rand.New(rand.NewSource(1))
+	word := func(letters []rune) string {
+		w := make([]rune, 2+rng.Intn(6))
+		for i := range w {
+			w[i] = letters[rng.Intn(len(letters))]
+		}
+		return string(w)
+	}
+	for _, langs := range []int{1, 12, 40} {
+		corpora := make(map[Lang]string, langs)
+		texts := append([]string(nil), concurrencyTexts...)
+		for l := 0; l < langs; l++ {
+			letters := make([]rune, 8)
+			for i := range letters {
+				letters[i] = alphabet[(l*5+i*3)%len(alphabet)]
+			}
+			var b strings.Builder
+			for i := 0; i < 300; i++ {
+				b.WriteString(word(letters) + " ")
+			}
+			corpora[Lang(fmt.Sprintf("l%02d", l))] = b.String()
+			texts = append(texts, word(letters)+" "+strings.ToUpper(word(letters))+", "+word(letters))
+		}
+		d := NewDetector(corpora)
+		if len(d.langs) != langs {
+			t.Fatalf("got %d languages, want %d", len(d.langs), langs)
+		}
+		for _, text := range texts {
+			matchNaive(t, d, text)
+		}
+	}
+}
+
+// TestIsEnglishAllocatesNothing: the english-only polishing step runs
+// IsEnglish on every message, so it ranks from the stack.
+func TestIsEnglishAllocatesNothing(t *testing.T) {
+	var b strings.Builder
+	for b.Len() < 1024 {
+		for _, s := range concurrencyTexts {
+			b.WriteString(s + " ")
+		}
+	}
+	text := b.String()[:1024]
+	d := Default()
+	if allocs := testing.AllocsPerRun(20, func() { d.IsEnglish(text, 0.5) }); allocs > 0 {
+		t.Errorf("IsEnglish on %d bytes allocated %v times a call, want 0", len(text), allocs)
 	}
 }
 

@@ -1,32 +1,36 @@
 package tokenize
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
 )
 
+// fuzzSeeds are FuzzTokenize's seed corpus.
+var fuzzSeeds = []string{
+	"",
+	"plain words only",
+	"Don't re-tokenize e-mail addresses like bob@example.com, ever.",
+	"visit https://www.reddit.com/r/test?x=1) or www.example.onion now",
+	"prices: 1,000.50 at 12:30 vs 3.14",
+	"emoji \U0001F600\U0001F3F4 mixed ❤️ text",
+	"-----BEGIN PGP PUBLIC KEY BLOCK-----\nABCDEF\n-----END PGP PUBLIC KEY BLOCK-----\ntrailing",
+	"-----BEGIN PGP MESSAGE-----\ntruncated mid key",
+	"unicode wörds größer łódź 東京 привет",
+	"weird..dots...everywhere and trailing' apostrophes'",
+	"\x00\xff\xfe invalid \x80 utf8 bytes",
+	"ftp://host/path, (https://a.b)",
+}
+
 // FuzzTokenize hammers the hand-written scanner with arbitrary input and
 // checks its structural invariants: every token is a non-empty substring of
 // the input at its recorded offset, offsets strictly increase, kinds are
-// valid, and the helper passes (Words, StripEmoji, StripPGP) neither panic
-// nor violate their postconditions.
+// valid, Words keeps exactly the lowercased word tokens, and the other
+// helper passes (StripEmoji, StripPGP) neither panic nor violate their
+// postconditions.
 func FuzzTokenize(f *testing.F) {
-	seeds := []string{
-		"",
-		"plain words only",
-		"Don't re-tokenize e-mail addresses like bob@example.com, ever.",
-		"visit https://www.reddit.com/r/test?x=1) or www.example.onion now",
-		"prices: 1,000.50 at 12:30 vs 3.14",
-		"emoji \U0001F600\U0001F3F4 mixed ❤️ text",
-		"-----BEGIN PGP PUBLIC KEY BLOCK-----\nABCDEF\n-----END PGP PUBLIC KEY BLOCK-----\ntrailing",
-		"-----BEGIN PGP MESSAGE-----\ntruncated mid key",
-		"unicode wörds größer łódź 東京 привет",
-		"weird..dots...everywhere and trailing' apostrophes'",
-		"\x00\xff\xfe invalid \x80 utf8 bytes",
-		"ftp://host/path, (https://a.b)",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
@@ -51,11 +55,8 @@ func FuzzTokenize(f *testing.F) {
 			}
 		}
 
-		words := Words(text)
-		for i, w := range words {
-			if w != strings.ToLower(w) {
-				t.Fatalf("word %d not lowercased: %q", i, w)
-			}
+		if words, want := Words(text), tokenWords(toks); !slices.Equal(words, want) {
+			t.Fatalf("Words = %q, the lowercased word tokens = %q", words, want)
 		}
 
 		stripped := StripEmoji(text)
@@ -75,4 +76,25 @@ func FuzzTokenize(f *testing.F) {
 			t.Fatal("StripPGP is not idempotent")
 		}
 	})
+}
+
+// tokenWords is Words spelled out from Tokenize's tokens.
+func tokenWords(toks []Token) []string {
+	var out []string
+	for _, tok := range toks {
+		if tok.Kind == KindWord {
+			out = append(out, strings.ToLower(tok.Text))
+		}
+	}
+	return out
+}
+
+// TestWordsMatchTokenize: Words, which builds no token slice, keeps
+// exactly the lowercased word tokens of Tokenize.
+func TestWordsMatchTokenize(t *testing.T) {
+	for _, text := range fuzzSeeds {
+		if got, want := Words(text), tokenWords(Tokenize(text)); !slices.Equal(got, want) {
+			t.Errorf("Words(%q) = %q, want %q", text, got, want)
+		}
+	}
 }

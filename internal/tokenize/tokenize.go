@@ -53,50 +53,51 @@ type Token struct {
 // Tokenize splits text into tokens. Whitespace never appears in the output.
 func Tokenize(text string) []Token {
 	var toks []Token
-	i := 0
-	n := len(text)
-	for i < n {
-		r, size := utf8.DecodeRuneInString(text[i:])
-		switch {
-		case unicode.IsSpace(r):
-			i += size
-		case isSchemeStart(text[i:]):
-			tok, adv := scanURL(text, i)
-			toks = append(toks, tok)
-			i += adv
-		case isWordRune(r):
-			tok, adv := scanWordish(text, i)
-			toks = append(toks, tok)
-			i += adv
-		case unicode.IsDigit(r):
-			tok, adv := scanNumber(text, i)
-			toks = append(toks, tok)
-			i += adv
-		case IsEmoji(r):
-			toks = append(toks, Token{Text: text[i : i+size], Kind: KindEmoji, Pos: i})
-			i += size
-		case unicode.IsPunct(r):
-			toks = append(toks, Token{Text: text[i : i+size], Kind: KindPunct, Pos: i})
-			i += size
-		default:
-			toks = append(toks, Token{Text: text[i : i+size], Kind: KindSymbol, Pos: i})
-			i += size
-		}
+	for tok, i, ok := next(text, 0); ok; tok, i, ok = next(text, i) {
+		toks = append(toks, tok)
 	}
 	return toks
 }
 
 // Words returns only the word tokens of text, lowercased. It is the common
-// fast path for n-gram extraction.
+// fast path for n-gram extraction: it scans as Tokenize does but keeps no
+// token besides the words.
 func Words(text string) []string {
-	toks := Tokenize(text)
-	out := make([]string, 0, len(toks))
-	for _, t := range toks {
-		if t.Kind == KindWord {
-			out = append(out, strings.ToLower(t.Text))
+	var out []string
+	for tok, i, ok := next(text, 0); ok; tok, i, ok = next(text, i) {
+		if tok.Kind == KindWord {
+			out = append(out, strings.ToLower(tok.Text))
 		}
 	}
 	return out
+}
+
+// next is the tokenizer's one scanning step: it returns the first token at
+// or after byte i of text and the offset just past it, and ok false when
+// only whitespace is left.
+func next(text string, i int) (tok Token, end int, ok bool) {
+	for i < len(text) {
+		r, size := utf8.DecodeRuneInString(text[i:])
+		switch {
+		case unicode.IsSpace(r):
+			i += size
+			continue
+		case isSchemeStart(text[i:]):
+			tok, size = scanURL(text, i)
+		case isWordRune(r):
+			tok, size = scanWordish(text, i)
+		case unicode.IsDigit(r):
+			tok, size = scanNumber(text, i)
+		case IsEmoji(r):
+			tok = Token{Text: text[i : i+size], Kind: KindEmoji, Pos: i}
+		case unicode.IsPunct(r):
+			tok = Token{Text: text[i : i+size], Kind: KindPunct, Pos: i}
+		default:
+			tok = Token{Text: text[i : i+size], Kind: KindSymbol, Pos: i}
+		}
+		return tok, i + size, true
+	}
+	return Token{}, i, false
 }
 
 func isWordRune(r rune) bool { return unicode.IsLetter(r) || r == '_' }
