@@ -1,31 +1,33 @@
 // Command attributed serves alias attribution as a long-lived daemon: it
-// loads (or generates) a corpus once, indexes it, and answers concurrent
-// /v1/rank, /v1/rescore, and /v1/match queries over HTTP JSON — the
+// loads a corpus once, indexes it, and answers concurrent /v1/rank,
+// /v1/rescore, and /v1/match queries over HTTP JSON — the
 // serving-system counterpart of the one-shot cmd/darklight batch CLI.
 //
 // Usage:
 //
 //	attributed -listen :8787 -known main.jsonl [-query ae.jsonl] [-api-keys k1,k2] [-rate 50 -burst 100]
-//	attributed -listen :8787 -forum reddit -scale 0.02 -seed 1
+//	attributed -listen :8787 -index-dir var/index [-query ae.jsonl]
 //
 // The matcher is the paper's (k = 10, threshold 0.4190, 1,500-word
 // documents); an index cold-started from a snapshot serves its own options.
 //
-// With -known, the known dataset is loaded from JSONL (polished, and
+// The known dataset is loaded from the -known JSONL file (polished, and
 // refined unless -refine=false) and indexed; -query optionally loads a
-// second dataset that by-alias requests resolve against. Without -known, a
-// synthetic world is generated and split into (main, alter-ego) halves:
-// main is indexed, the alter egos become the query corpus — a
-// self-contained demo where every query has a true match.
+// second dataset that by-alias requests resolve against. -known is required
+// unless -index-dir holds a snapshot to start from. `darklight gen`,
+// `polish` and `alterego` write a demo pair: the main and alter-ego halves
+// of one refined world, where every alter ego has a true match (serve them
+// with -refine=false: alterego has refined them already).
 //
 // With -index-dir, the index is persisted through internal/store: on
 // startup the daemon cold-starts from dir/index.snap when present (no
 // rebuild), replays any journal.jsonl thread deltas on top, and — with
 // -save-index — writes the resulting generation back and compacts the
-// journal. A missing snapshot — or, with -known, one written in another
-// snapshot format version — falls back to building from the corpus source
-// and (with -save-index) saving it for the next start. Without -index-dir
-// the same loader runs with nothing to load, replay or save.
+// journal. With -known, a missing snapshot — or one written in another
+// snapshot format version — falls back to building from the corpus and
+// (with -save-index) saving it for the next start; without -known either is
+// an error that names -known. Without -index-dir the same loader runs with
+// nothing to load, replay or save.
 //
 // Signals: SIGHUP reloads — with -index-dir it replays new journal entries
 // onto the live index, without it the index is rebuilt from the corpus
@@ -33,8 +35,8 @@
 // bytes changed — and swaps the index atomically (in-flight queries finish
 // on the old index), logging one line that says where the load's time went;
 // SIGTERM/SIGINT stop accepting connections, drain in-flight
-// requests up to -drain, and exit. /metrics, /debug/vars, /debug/pprof,
-// and /debug/traces are mounted beside the API, outside its -timeout.
+// requests up to -drain, and exit. /metrics, /debug/pprof and
+// /debug/traces are mounted beside the API, outside its -timeout.
 //
 // Request tracing is always on: every response carries a traceparent +
 // X-Request-Id, inbound traceparent headers are honoured, the last
@@ -56,6 +58,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -84,11 +87,8 @@ const slowTrace = 250 * time.Millisecond
 func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:8787", "listen address")
-		known     = flag.String("known", "", "known dataset JSONL to index (empty: generate a synthetic world)")
+		known     = flag.String("known", "", "known dataset JSONL to index (required without -index-dir)")
 		query     = flag.String("query", "", "optional query dataset JSONL for by-alias requests (default: the known set)")
-		forumW    = flag.String("forum", "reddit", "synthetic world forum: reddit, tmg, or dm")
-		scale     = flag.Float64("scale", 0.02, "synthetic population scale")
-		seed      = flag.Uint64("seed", 1, "synthetic generator seed")
 		refine    = flag.Bool("refine", true, "drop aliases below the §IV-D thresholds before indexing")
 		apiKeys   = flag.String("api-keys", "", "comma-separated API keys; empty disables auth")
 		rate      = flag.Float64("rate", 0, "per-client requests/second (0: unlimited)")
@@ -103,8 +103,8 @@ func main() {
 		selfcheck = flag.Int("selfcheck", 0, "run N in-process requests through the full chain, dump the trace listing to stdout, and exit instead of serving")
 	)
 	flag.Parse()
-	if *saveIdx && *indexDir == "" {
-		log.Fatal("attributed: -save-index requires -index-dir")
+	if err := checkFlags(*known, *indexDir, *saveIdx); err != nil {
+		log.Fatal(err)
 	}
 
 	o := reqtrace.Options{SampleRate: *traceRate, Slow: slowTrace}
@@ -128,7 +128,7 @@ func main() {
 			log.Fatalf("attributed: %v", err)
 		}
 	}
-	src := &source{pipe: pipe, known: *known, query: *query, forum: *forumW, scale: *scale, seed: *seed, refine: *refine}
+	src := &source{pipe: pipe, known: *known, query: *query, refine: *refine}
 
 	ctx := context.Background()
 	start := time.Now()
@@ -151,7 +151,7 @@ func main() {
 	mux := handler(svc.Handler(), rec, *timeout)
 
 	if *selfcheck > 0 {
-		if err := selfCheck(mux, rec, *selfcheck, splitKeys(*apiKeys)); err != nil {
+		if err := selfCheck(os.Stdout, mux, rec, *selfcheck, splitKeys(*apiKeys)); err != nil {
 			log.Fatalf("attributed: %v", err)
 		}
 		log.Printf("attributed: selfcheck passed (%d requests)", *selfcheck)
@@ -212,6 +212,19 @@ func main() {
 	}
 }
 
+// checkFlags refuses the flag sets the daemon cannot start from: the corpus
+// comes from -known or from a snapshot in -index-dir, and -save-index needs
+// a directory to save to.
+func checkFlags(known, indexDir string, save bool) error {
+	switch {
+	case known == "" && indexDir == "":
+		return errors.New("attributed: -known is required without -index-dir")
+	case save && indexDir == "":
+		return errors.New("attributed: -save-index requires -index-dir")
+	}
+	return nil
+}
+
 // handler assembles what the daemon serves. Only the /v1/ API runs under the
 // per-request deadline: /debug/pprof/profile takes 30 s by default — the
 // default -timeout — and under the deadline came back as its 503. The
@@ -233,11 +246,12 @@ func isClosedListener(err error) bool {
 
 // selfCheck drives n requests through the served handler in process — the
 // same middleware chain, tracing, and sinks a socket client would hit —
-// then dumps the sampled-trace listing to stdout. CI runs this mode to
+// then writes the sampled-trace listing to out. CI runs this mode to
 // publish a real access log and trace dump as build artifacts; it fails
-// on the first non-200 so a broken chain cannot produce green artifacts.
+// on the first non-200, and on a failed write of the listing, so a broken
+// chain or a truncated dump cannot produce green artifacts.
 // Its POSTs carry the first of apiKeys, if any.
-func selfCheck(h http.Handler, rec *reqtrace.Recorder, n int, apiKeys []string) error {
+func selfCheck(out io.Writer, h http.Handler, rec *reqtrace.Recorder, n int, apiKeys []string) error {
 	// An inline subject keeps the probe corpus-independent: the cycle takes it
 	// through both stages — rank, match, a rescore of the candidates the rank
 	// returned — without assuming any alias names.
@@ -285,7 +299,9 @@ func selfCheck(h http.Handler, rec *reqtrace.Recorder, n int, apiKeys []string) 
 	}
 	w := httptest.NewRecorder()
 	rec.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
-	os.Stdout.Write(w.Body.Bytes())
+	if _, err := out.Write(w.Body.Bytes()); err != nil {
+		return fmt.Errorf("selfcheck: trace listing: %w", err)
+	}
 	return nil
 }
 
@@ -301,18 +317,11 @@ func splitKeys(csv string) []string {
 }
 
 // source is where the flags say the corpora come from: the -known and
-// -query files or, without -known, the (main, alter-ego) split of a world
-// generated from the same seed on every load (a reload changes nothing).
+// -query files.
 type source struct {
 	pipe         *darklight.Pipeline
 	known, query string
-	forum        string
-	scale        float64
-	seed         uint64
 	refine       bool
-
-	mu       sync.Mutex // guards the world's halves not yet handed out
-	main, ae *forum.Dataset
 
 	qmu   sync.Mutex // guards the -query memo
 	qsum  [sha256.Size]byte
@@ -320,12 +329,8 @@ type source struct {
 }
 
 // knownDataset is the corpus to index: the prepared -known file, named by
-// its base name so that a snapshot does not depend on where the file sits,
-// or the world's main half.
+// its base name so that a snapshot does not depend on where the file sits.
 func (s *source) knownDataset(ctx context.Context) (*forum.Dataset, error) {
-	if s.known == "" {
-		return s.worldHalf(ctx, &s.main)
-	}
 	d, err := darklight.LoadJSONL(s.known, filepath.Base(s.known), forum.PlatformSynthetic)
 	if err != nil {
 		return nil, err
@@ -334,28 +339,16 @@ func (s *source) knownDataset(ctx context.Context) (*forum.Dataset, error) {
 }
 
 // querySubjects is the corpus by-alias requests resolve against: the -query
-// file, the world's alter egos, or nil — the known set is the query corpus.
+// file, or nil without one — the known set is the query corpus. The file is
+// read once per load and prepared only when its bytes differ from those
+// prepared last: a reload that folds journal batches into the index finds
+// the file unchanged and hands back the same subjects, which every
+// generation shares (serving only reads them). Any error clears the memo,
+// so a failed load never leaves stale subjects to be served by the next.
 func (s *source) querySubjects(ctx context.Context) ([]attribution.Subject, error) {
-	switch {
-	case s.query != "":
-		return s.queryFile(ctx)
-	case s.known == "":
-		ds, err := s.worldHalf(ctx, &s.ae)
-		if err != nil {
-			return nil, err
-		}
-		return s.pipe.Subjects(ds)
+	if s.query == "" {
+		return nil, nil
 	}
-	return nil, nil
-}
-
-// queryFile reads the -query file once per load and prepares it only when
-// its bytes differ from those prepared last: a reload that folds journal
-// batches into the index finds the file unchanged and hands back the same
-// subjects, which every generation shares (serving only reads them). Any
-// error clears the memo, so a failed load never leaves stale subjects to
-// be served by the next.
-func (s *source) queryFile(ctx context.Context) ([]attribution.Subject, error) {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	raw, err := os.ReadFile(s.query)
@@ -383,29 +376,6 @@ func (s *source) queryFile(ctx context.Context) ([]attribution.Subject, error) {
 	return subs, nil
 }
 
-// worldHalf hands out s.main or s.ae, each once per generated world: the
-// half a load asks for first generates, polishes and splits the world, the
-// other is taken from it, and a half already taken starts the next world.
-func (s *source) worldHalf(ctx context.Context, half **forum.Dataset) (*forum.Dataset, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if *half == nil {
-		world, err := darklight.GenerateWorld(darklight.WorldConfig{Seed: s.seed, Scale: s.scale})
-		if err != nil {
-			return nil, err
-		}
-		d, err := world.Forum(s.forum)
-		if err != nil {
-			return nil, err
-		}
-		s.pipe.PolishContext(ctx, d)
-		s.main, s.ae = s.pipe.SplitAlterEgos(s.pipe.Refine(d))
-	}
-	d := *half
-	*half = nil
-	return d, nil
-}
-
 // prepareDataset polishes a loaded dataset and optionally refines it.
 func prepareDataset(ctx context.Context, pipe *darklight.Pipeline, d *darklight.Dataset, refine bool) (*darklight.Dataset, error) {
 	pipe.PolishContext(ctx, d)
@@ -422,10 +392,9 @@ func prepareDataset(ctx context.Context, pipe *darklight.Pipeline, d *darklight.
 // load. A snapshot of another format version is intact, only unreadable by
 // this build, and with the corpus it indexed at hand (-known) it is treated
 // like no snapshot: the index is rebuilt from the corpus and, with
-// -save-index, saved over the old file. Without -known the only source
-// would be a generated world, no substitute for an index somebody saved, so
-// the error — which names the file and both versions — stands; so does any
-// other error.
+// -save-index, saved over the old file. Without -known there is no corpus
+// to rebuild from, so the error — which names the file and both versions —
+// stands; so does any other error.
 func rebuildInstead(loadErr error, haveKnown bool) (bool, error) {
 	var ve *store.VersionError
 	switch {
@@ -440,7 +409,7 @@ func rebuildInstead(loadErr error, haveKnown bool) (bool, error) {
 // newLoader builds the loader the service calls at startup and on every
 // SIGHUP, around the persistent index store. The first load cold-starts from
 // the snapshot when one exists (building from the corpus source only when it
-// does not); every load — including the SIGHUP reload path — then replays
+// does not, and refusing to without -known); every load — including the SIGHUP reload path — then replays
 // any journal deltas above the index's LastSeq onto the live generation, so
 // a reload folds freshly scraped threads in without a rebuild. With save
 // enabled, each new generation is written back atomically and the journal
@@ -493,6 +462,9 @@ func newLoader(st *store.Store, opts attribution.Options, subjOpts attribution.S
 			}
 		}
 		if cur == nil {
+			if !haveKnown {
+				return fmt.Errorf("%s: start with -known to build the index from its corpus", why)
+			}
 			t0 := time.Now()
 			ds, err := knownDS(ctx)
 			if err != nil {

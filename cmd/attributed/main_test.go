@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"darklight"
 	"darklight/internal/attribution"
 	"darklight/internal/forum"
+	"darklight/internal/obs/reqtrace"
 	"darklight/internal/store"
 )
 
@@ -64,6 +66,48 @@ func TestRebuildInstead(t *testing.T) {
 	}
 }
 
+// TestCheckFlags: the daemon refuses at flag parsing to start with no
+// corpus to serve — neither -known nor an -index-dir to cold-start from —
+// and to save an index with no directory to save it to.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		known, indexDir string
+		save            bool
+		wantErr         string // substring of the error; "": none
+	}{
+		{known: "main.jsonl"},
+		{known: "main.jsonl", indexDir: "var/index", save: true},
+		{indexDir: "var/index"},
+		{wantErr: "-known"},
+		{save: true, wantErr: "-known"},
+		{known: "main.jsonl", save: true, wantErr: "-index-dir"},
+	} {
+		err := checkFlags(tc.known, tc.indexDir, tc.save)
+		if (err != nil) != (tc.wantErr != "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("-known %q -index-dir %q -save-index=%v: error %v, want one naming %q", tc.known, tc.indexDir, tc.save, err, tc.wantErr)
+		}
+	}
+}
+
+// errWriter fails every write.
+type errWriter struct{ err error }
+
+func (w errWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// TestSelfCheckReturnsWriteError: a trace listing that cannot be written
+// fails the selfcheck, so a truncated dump never ends in "selfcheck passed".
+func TestSelfCheckReturnsWriteError(t *testing.T) {
+	ok := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.Write([]byte("{}")) })
+	rec := reqtrace.NewRecorder(reqtrace.Options{})
+	if err := selfCheck(io.Discard, ok, rec, 4, nil); err != nil {
+		t.Fatalf("a writable listing: %v", err)
+	}
+	full := errors.New("no space left on device")
+	if err := selfCheck(errWriter{full}, ok, rec, 4, nil); !errors.Is(err, full) {
+		t.Errorf("a failed write of the listing: %v, want its error", err)
+	}
+}
+
 // TestHandlerTimeoutCoversOnlyTheAPI: a /v1/ request past -timeout gets the
 // timeout envelope, while a CPU profile ten times the deadline long — which
 // the deadline used to cut off with that same 503 — comes back whole.
@@ -105,35 +149,6 @@ func loaderDataset() *forum.Dataset {
 		}})
 	}
 	return ds
-}
-
-// TestSourceGeneratesOneWorldPerLoad: without -known the two halves of a
-// load come from one generated world, whichever is asked for first, and the
-// next load's first request generates the next.
-func TestSourceGeneratesOneWorldPerLoad(t *testing.T) {
-	src := &source{pipe: darklight.NewPipeline(), forum: "reddit", scale: 0.01, seed: 1, refine: true}
-	ctx := context.Background()
-	for load := 1; load <= 2; load++ {
-		known, err := src.knownDataset(ctx)
-		if err != nil || known.Len() == 0 {
-			t.Fatalf("load %d: known dataset %v, %v", load, known, err)
-		}
-		ae := src.ae
-		if src.main != nil || ae == nil {
-			t.Fatalf("load %d: after the known half, main kept %v, alter egos waiting %v", load, src.main != nil, ae != nil)
-		}
-		subs, err := src.querySubjects(ctx)
-		if err != nil || len(subs) != ae.Len() || len(subs) == 0 {
-			t.Fatalf("load %d: %d query subjects, %v; want the waiting half's %d", load, len(subs), err, ae.Len())
-		}
-		if src.main != nil || src.ae != nil {
-			t.Fatalf("load %d: a half is left over for the next load", load)
-		}
-	}
-	src.forum = "nope"
-	if _, err := src.querySubjects(ctx); err == nil || !strings.Contains(err.Error(), `unknown forum "nope"`) {
-		t.Errorf("unknown forum: %v", err)
-	}
 }
 
 // countingSource is a corpus source for the loader tests: loaderDataset plus
@@ -269,6 +284,26 @@ func TestLoaderWithDirectory(t *testing.T) {
 	}
 	if _, err := open().Load(); err != nil {
 		t.Errorf("the rebuilt index was not saved over the old snapshot: %v", err)
+	}
+}
+
+// TestLoaderRefusesAnEmptyDirectoryWithoutKnown: with -index-dir but neither
+// a snapshot there nor -known, the first load fails naming the directory and
+// -known, and reads no corpus.
+func TestLoaderRefusesAnEmptyDirectoryWithoutKnown(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, subjOpts := loaderOptions()
+	src := &countingSource{}
+	_, err = newLoader(st, opts, subjOpts, false, false, src.knownDS, src.querySubjects)(context.Background())
+	if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "-known") {
+		t.Fatalf("empty -index-dir without -known: %v, want an error naming %s and -known", err, dir)
+	}
+	if src.knownCalls != 0 || st.HasSnapshot() {
+		t.Errorf("the refused load read the known corpus %d times, left a snapshot %v", src.knownCalls, st.HasSnapshot())
 	}
 }
 

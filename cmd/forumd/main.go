@@ -59,7 +59,7 @@ func main() {
 		dataset.Name, dataset.Len(), dataset.TotalMessages(), srv.Boards(), *listen)
 
 	// The forum pages mount at /; the observability surfaces (/metrics,
-	// /debug/vars, /debug/pprof/) mount beside them — ServeMux routes the
+	// /debug/pprof/) mount beside them — ServeMux routes the
 	// longer patterns first. With -access-log, the page tree is wrapped in
 	// the generic request-tracing middleware: every response carries a
 	// traceparent + request id and the log gets one JSON line per request.

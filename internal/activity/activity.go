@@ -12,7 +12,6 @@ package activity
 
 import (
 	"errors"
-	"math"
 	"slices"
 	"time"
 
@@ -138,16 +137,4 @@ func (p *Profile) Vector() sparse.Vector {
 // same person.
 func Cosine(a, b *Profile) float64 {
 	return sparse.Cosine(a.Vector(), b.Vector())
-}
-
-// Entropy returns the Shannon entropy of the profile in bits. Uniform
-// posting gives log2(24) ≈ 4.58; a bot posting at one fixed hour gives 0.
-func (p *Profile) Entropy() float64 {
-	e := 0.0
-	for _, b := range p.Bins {
-		if b > 0 {
-			e -= b * math.Log2(b)
-		}
-	}
-	return e
 }

@@ -125,26 +125,13 @@ func (r *Report) String() string {
 type Pipeline struct {
 	steps    []Step
 	detector *langdetect.Detector
-	workers  int
-}
-
-// Option configures a Pipeline.
-type Option func(*Pipeline)
-
-// WithWorkers bounds the pipeline's parallelism; n <= 0 means GOMAXPROCS.
-// Output is bit-identical for every worker count (see the package comment),
-// so this is purely a throughput knob.
-func WithWorkers(n int) Option {
-	return func(p *Pipeline) { p.workers = n }
+	workers  int // 0: GOMAXPROCS; the worker-count tests set it
 }
 
 // NewPipeline returns the full 12-step paper pipeline. Runs are parallel
-// over GOMAXPROCS workers by default; WithWorkers adjusts the bound.
-func NewPipeline(opts ...Option) *Pipeline {
+// over GOMAXPROCS workers.
+func NewPipeline() *Pipeline {
 	p := &Pipeline{detector: langdetect.Default()}
-	for _, o := range opts {
-		o(p)
-	}
 	p.steps = []Step{
 		{Name: "drop-bots", Paper: 1, applyAlias: dropBotsAlias},
 		{Name: "dedup-messages", Paper: 2, applyAlias: dedupMessagesAlias},

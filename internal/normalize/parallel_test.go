@@ -67,6 +67,14 @@ func cloneDataset(d *forum.Dataset) *forum.Dataset {
 	return out
 }
 
+// withWorkers is the paper pipeline bounded to n workers; n <= 0 means
+// GOMAXPROCS.
+func withWorkers(n int) *Pipeline {
+	p := NewPipeline()
+	p.workers = n
+	return p
+}
+
 // TestRunParallelMatchesSequential pins the fan-out to the one-worker run
 // (the same loop over one chunk, in input order): for every worker count
 // the surviving aliases, every message body and timestamp, and every Report
@@ -75,11 +83,11 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	base := messyDataset(101)
 
 	seqData := cloneDataset(base)
-	seqReport := NewPipeline(WithWorkers(1)).Run(seqData)
+	seqReport := withWorkers(1).Run(seqData)
 
 	for _, workers := range []int{2, 3, 8, 64, 1000} {
 		parData := cloneDataset(base)
-		parReport := NewPipeline(WithWorkers(workers)).Run(parData)
+		parReport := withWorkers(workers).Run(parData)
 		if !reflect.DeepEqual(parReport, seqReport) {
 			t.Errorf("Workers=%d report diverges:\n%v\nvs sequential:\n%v", workers, parReport, seqReport)
 		}
@@ -95,7 +103,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 func TestRunParallelEmptyAndTiny(t *testing.T) {
 	for _, workers := range []int{0, 1, 8} {
 		empty := forum.NewDataset("Empty", forum.PlatformReddit)
-		p := NewPipeline(WithWorkers(workers))
+		p := withWorkers(workers)
 		r := p.Run(empty)
 		if empty.Len() != 0 {
 			t.Errorf("Workers=%d: empty dataset grew aliases", workers)
@@ -111,8 +119,8 @@ func TestRunParallelEmptyAndTiny(t *testing.T) {
 
 	tiny := messyDataset(2)
 	seq := cloneDataset(tiny)
-	seqR := NewPipeline(WithWorkers(1)).Run(seq)
-	parR := NewPipeline(WithWorkers(8)).Run(tiny)
+	seqR := withWorkers(1).Run(seq)
+	parR := withWorkers(8).Run(tiny)
 	if !reflect.DeepEqual(parR, seqR) || !reflect.DeepEqual(tiny, seq) {
 		t.Errorf("tiny dataset diverges between Workers=1 and Workers=8")
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -217,11 +216,10 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // AttachDebug mounts the observability surfaces on an existing mux:
-// /metrics (Prometheus text), /debug/vars (expvar JSON), and the
-// net/http/pprof endpoints under /debug/pprof/.
+// /metrics (Prometheus text) and the net/http/pprof endpoints under
+// /debug/pprof/.
 func AttachDebug(mux *http.ServeMux, reg *Registry) {
 	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

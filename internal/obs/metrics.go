@@ -70,7 +70,7 @@ type Histogram struct {
 }
 
 // Observe records one value. NaN and negative values are rejected and
-// counted in Drops instead of corrupting the bucket counts and sum.
+// counted in drops instead of corrupting the bucket counts and sum.
 func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) || v < 0 {
 		h.drops.Inc()
@@ -86,9 +86,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Drops returns how many observations were rejected as NaN or negative.
-func (h *Histogram) Drops() int64 { return h.drops.Value() }
 
 // Count returns the total number of observations.
 func (h *Histogram) Count() int64 {

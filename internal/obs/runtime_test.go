@@ -26,8 +26,8 @@ func TestHistogramRejectsNaNAndNegative(t *testing.T) {
 	if got := h.Sum(); math.IsNaN(got) || got != 2.5 {
 		t.Errorf("Sum = %v, want 2.5 (NaN/negative must not touch the sum)", got)
 	}
-	if got := h.Drops(); got != 3 {
-		t.Errorf("Drops = %d, want 3", got)
+	if got := h.drops.Value(); got != 3 {
+		t.Errorf("drops = %d, want 3", got)
 	}
 	// The rejected values must not have reached any bucket.
 	var b strings.Builder

@@ -15,27 +15,11 @@ import (
 
 // Vector is a sparse vector: parallel slices of strictly increasing indices
 // and their values. The zero value is the zero vector. Vectors built by
-// FromMap or finished with Sort satisfy the ordering invariant; Dot and
+// FromDense or finished with Sort satisfy the ordering invariant; Dot and
 // Cosine require it.
 type Vector struct {
 	Idx []uint32
 	Val []float64
-}
-
-// FromMap builds a sorted vector from an index→value map, dropping zeros.
-func FromMap(m map[uint32]float64) Vector {
-	idx := make([]uint32, 0, len(m))
-	for i, v := range m {
-		if v != 0 {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-	val := make([]float64, len(idx))
-	for k, i := range idx {
-		val[k] = m[i]
-	}
-	return Vector{Idx: idx, Val: val}
 }
 
 // FromDense builds a sparse vector from a dense slice, using positions as

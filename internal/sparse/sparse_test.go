@@ -20,19 +20,6 @@ func vec(pairs ...float64) Vector {
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
-func TestFromMapSorted(t *testing.T) {
-	v := FromMap(map[uint32]float64{5: 1, 1: 2, 9: 0, 3: -1})
-	if !v.IsSorted() {
-		t.Fatal("FromMap must produce sorted vector")
-	}
-	if v.Len() != 3 {
-		t.Errorf("zero entry must be dropped; len = %d", v.Len())
-	}
-	if v.Get(5) != 1 || v.Get(1) != 2 || v.Get(3) != -1 || v.Get(9) != 0 {
-		t.Error("Get values wrong")
-	}
-}
-
 func TestFromDense(t *testing.T) {
 	v := FromDense([]float64{0, 1.5, 0, 2})
 	if v.Len() != 2 || v.Get(1) != 1.5 || v.Get(3) != 2 {
@@ -119,7 +106,18 @@ func TestString(t *testing.T) {
 
 // --- properties ---
 
-func toVec(m map[uint32]float64) Vector { return FromMap(m) }
+// toVec builds the sorted vector of m's non-zero entries.
+func toVec(m map[uint32]float64) Vector {
+	var v Vector
+	for i, x := range m {
+		if x != 0 {
+			v.Idx = append(v.Idx, i)
+			v.Val = append(v.Val, x)
+		}
+	}
+	v.Sort()
+	return v
+}
 
 func TestCosineProperties(t *testing.T) {
 	f := func(am, bm map[uint32]float64) bool {
